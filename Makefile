@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet sancheck chaos chaos-net explore cover fuzz bench bench-baseline bench-smoke bench-net bench-net-baseline report examples lint ci clean
+.PHONY: all build test race vet sancheck chaos chaos-net explore cover fuzz bench bench-baseline bench-smoke bench-net bench-net-baseline benchmark-smoke report examples lint ci clean
 
 all: build test race
 
@@ -140,6 +140,14 @@ bench-net:
 
 bench-net-baseline:
 	$(GO) run ./cmd/chatbench -conns $(NET_CONNS) -out bench/net_baseline.json -baseline -
+
+# benchmark-smoke keeps the benchmark harness building: benchmark/ is a
+# module of its own (replace repro => ../) that imports repro/internal/...,
+# so the root `go build/vet/test ./...` never compile it. Vets and tests the
+# harness, runs ompvet over it, then runs one short traced pass end to end.
+benchmark-smoke:
+	cd benchmark && $(GO) vet . && $(GO) test . && $(GO) run repro/cmd/ompvet .
+	bash benchmark/run.sh --workload edt_dispatch --seed 1 --seconds 3 --trace 1
 
 # Regenerate the experimental report (quick scale; use SCALE=full for the
 # paper-scale sweep).

@@ -330,17 +330,11 @@ func (r *Runtime) invoke(target string, mode Mode, tag string, block func()) (*e
 		return nil, err
 	}
 	if sink := r.traceSink(); sink != nil {
-		// Open an "invoke" span covering this whole scheduling decision and
-		// make it the goroutine's current span: the executor's enqueue path
-		// reads it as the spawn parent, so the block's eventual run span —
-		// inline, posted, or helped inside an await barrier — links back here.
-		span := trace.NewSpanID()
-		prev := trace.Swap(span)
-		trace.BeginSpanID(sink, span, "invoke", e.Name(), prev)
-		defer func() {
-			trace.Swap(prev)
-			trace.EndSpan(sink, span, "invoke", e.Name())
-		}()
+		// The "invoke" span covers this whole scheduling decision: the
+		// executor's enqueue path reads it as the spawn parent, so the
+		// block's eventual run span — inline, posted, or helped inside an
+		// await barrier — links back here.
+		defer trace.Open(sink, "invoke", e.Name()).Close()
 	}
 	r.emit(trace.OpInvoke, e.Name(), mode)
 

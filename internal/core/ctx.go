@@ -57,15 +57,9 @@ func (r *Runtime) InvokeCtx(ctx context.Context, target string, mode Mode, block
 		return nil, err
 	}
 	if sink := r.traceSink(); sink != nil {
-		// Same span bracket as invoke (see core.go): the block's run span
+		// Same "invoke" span as invoke (core.go): the block's run span
 		// parents here even when the watcher goroutine mediates completion.
-		span := trace.NewSpanID()
-		prev := trace.Swap(span)
-		trace.BeginSpanID(sink, span, "invoke", e.Name(), prev)
-		defer func() {
-			trace.Swap(prev)
-			trace.EndSpan(sink, span, "invoke", e.Name())
-		}()
+		defer trace.Open(sink, "invoke", e.Name()).Close()
 	}
 	r.emit(trace.OpInvoke, e.Name(), mode)
 

@@ -86,10 +86,22 @@ func TestInvokeIfNilBlock(t *testing.T) {
 	}
 }
 
+// ownsAll is a custom executor whose thread group is every goroutine, so
+// thread-context awareness must inline every block and never reach Post.
+type ownsAll struct{ t *testing.T }
+
+func (ownsAll) Name() string        { return "direct" }
+func (ownsAll) Owns() bool          { return true }
+func (ownsAll) TryRunPending() bool { return false }
+func (ownsAll) Shutdown()           {}
+func (o ownsAll) Post(func()) *executor.Completion {
+	o.t.Error("Post reached on a target that owns the caller")
+	return executor.NewCompletedCompletion(nil)
+}
+
 func TestRegisterTargetCustomExecutor(t *testing.T) {
 	f := newFixture(t, 1)
-	d := executor.NewDirectExecutor("direct")
-	if err := f.rt.RegisterTarget("direct", d); err != nil {
+	if err := f.rt.RegisterTarget("direct", ownsAll{t}); err != nil {
 		t.Fatal(err)
 	}
 	ran := false
@@ -97,7 +109,7 @@ func TestRegisterTargetCustomExecutor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// DirectExecutor owns every goroutine: inline even with nowait.
+	// The target owns every goroutine: inline even with nowait.
 	if !ran || !comp.Finished() {
 		t.Fatal("direct target did not inline")
 	}

@@ -73,16 +73,13 @@ func (d DispatchInfo) QueueDelay() time.Duration { return d.Start.Sub(d.Enqueued
 // Duration returns how long the handler occupied the EDT.
 func (d DispatchInfo) Duration() time.Duration { return d.End.Sub(d.Start) }
 
+// item is the loop's pooled queue node. The Completion is a separate
+// allocation because callers keep it long after the node is recycled.
 type item struct {
-	fn       func()
-	complete func(error)
+	executor.Bracket
+	comp     *executor.Completion
 	enqueued time.Time
 	label    string
-	// span/spawn carry causal tracing across the post boundary (see
-	// executor.task): span is the event's pre-allocated run-span id and
-	// spawn the poster's current span. Zero when tracing was off at post.
-	span  trace.SpanID
-	spawn trace.SpanID
 }
 
 // Loop is a single-goroutine event dispatcher. Create with New, then Start.
@@ -104,7 +101,7 @@ type Loop struct {
 	mu      sync.Mutex
 	q       executor.ChunkQueue[*item]
 	closed  bool
-	delayed map[vclock.Timer]func(error) // pending PostDelayed timers -> their completions
+	delayed map[vclock.Timer]*item // pending PostDelayed timers -> their events
 
 	// Hot-path state read without the lock.
 	qlen     atomic.Int64 // mirror of q.Len(), updated under mu
@@ -142,7 +139,7 @@ func New(name string, reg *gid.Registry) *Loop {
 		registry: reg,
 		clock:    vclock.Wall,
 		q:        executor.NewChunkQueue[*item](),
-		delayed:  make(map[vclock.Timer]func(error)),
+		delayed:  make(map[vclock.Timer]*item),
 		notify:   make(chan struct{}, 1),
 		stopCh:   make(chan struct{}),
 		ready:    make(chan struct{}),
@@ -252,10 +249,22 @@ func (l *Loop) FailPending(err error) int {
 	l.qlen.Store(0)
 	l.mu.Unlock()
 	for _, it := range items {
-		it.complete(err)
-		l.releaseItem(it)
+		l.failItem(it, err)
 	}
 	return len(items)
+}
+
+// newItem takes an event node from the pool.
+func (l *Loop) newItem(label string, fn func(), comp *executor.Completion) *item {
+	it := l.itemPool.Get().(*item)
+	it.Fn, it.comp, it.label = fn, comp, label
+	return it
+}
+
+// failItem finishes an event that will never be dispatched.
+func (l *Loop) failItem(it *item, err error) {
+	it.Fail(it.comp, err)
+	l.releaseItem(it)
 }
 
 // releaseItem returns a dispatched (or failed) event node to the pool.
@@ -280,7 +289,7 @@ func (l *Loop) popItem() *item {
 // next blocks until an event is available (returning it) or stop is
 // requested with an empty queue (returning false). The park protocol
 // mirrors the worker pool's: announce intent via the waiters counter,
-// re-check the (atomic) queue length, then sleep — PostLabeled publishes
+// re-check the (atomic) queue length, then sleep — enqueue publishes
 // the length before reading the counter, so a wakeup is never lost.
 func (l *Loop) next() (*item, bool) {
 	for {
@@ -302,57 +311,31 @@ func (l *Loop) next() (*item, bool) {
 	}
 }
 
+// dispatch runs one event through the shared bracket (executor.Bracket.Run)
+// and adds what is the loop's own: the confinement check, the interceptor,
+// the nesting depth, the panic handler and the observer. All of it is state
+// a joiner may inspect the moment it wakes, so it is settled before the
+// completion finishes. The closure does not escape Run: no allocation.
 func (l *Loop) dispatch(it *item) {
 	l.san.Check("dispatch event on " + l.name)
 	start := l.clock.Now()
-	fn := it.fn
 	if ic := l.interceptor.Load(); ic != nil {
-		fn = (*ic)(it.label, fn)
-	}
-	complete, label, enqueued := it.complete, it.label, it.enqueued
-	finished := false
-	defer func() {
-		if !finished {
-			// The dispatching goroutine is unwinding mid-handler: fail the
-			// event so waiters don't hang on a dead loop.
-			complete(executor.ErrWorkerCrashed)
-		}
-	}()
-	if span := it.span; span != 0 {
-		if sink := trace.ActiveSink(); sink != nil {
-			prev := trace.Swap(span)
-			parent := it.spawn
-			if parent == 0 {
-				// Untraced poster: attribute the run to whatever span the
-				// dispatching goroutine is inside (re-entrant pumping makes
-				// nested dispatches children of the awaiting handler).
-				parent = prev
-			}
-			trace.BeginSpanID(sink, span, "run", l.name, parent)
-			defer func() {
-				trace.Swap(prev)
-				trace.EndSpan(sink, span, "run", l.name)
-			}()
-		}
+		it.Fn = (*ic)(it.label, it.Fn)
 	}
 	l.depth.Add(1)
-	err := executor.RunCaptured(fn)
-	l.depth.Add(-1)
-	finished = true
-	end := l.clock.Now()
-	if err != nil {
-		var pe *executor.PanicError
-		if errors.As(err, &pe) {
+	it.Run(it.comp, l.name, func(err error) {
+		end := l.clock.Now()
+		l.depth.Add(-1)
+		l.dispatched.Add(1)
+		if pe, ok := err.(*executor.PanicError); ok {
 			if h := l.onPanic.Load(); h != nil {
 				(*h)(pe.Value)
 			}
 		}
-	}
-	complete(err)
-	l.dispatched.Add(1)
-	if obs := l.observer.Load(); obs != nil {
-		(*obs)(DispatchInfo{Label: label, Enqueued: enqueued, Start: start, End: end, Err: err})
-	}
+		if obs := l.observer.Load(); obs != nil {
+			(*obs)(DispatchInfo{Label: it.label, Enqueued: it.enqueued, Start: start, End: end, Err: err})
+		}
+	})
 }
 
 // runOne pops and dispatches a single queued event, reporting whether one
@@ -375,34 +358,24 @@ func (l *Loop) Post(fn func()) *executor.Completion { return l.PostLabeled("", f
 
 // PostLabeled enqueues fn with a label used in DispatchInfo instrumentation.
 func (l *Loop) PostLabeled(label string, fn func()) *executor.Completion {
-	comp, complete := executor.NewPendingCompletion()
-	var spawn trace.SpanID
-	if trace.ActiveSink() != nil {
-		spawn = trace.Current()
-	}
-	l.postItem(label, fn, complete, spawn)
+	comp := new(executor.Completion)
+	l.enqueue(l.newItem(label, fn, comp), 0)
 	return comp
 }
 
-// postItem is the shared enqueue path of PostLabeled and fired PostDelayed
-// timers: push a pooled node, publish length and peak off the lock, and
-// wake the dispatch goroutine only if it is parked. spawn is the poster's
-// span at the original call site — PostDelayed captures it before the timer
-// fires, since the timer goroutine itself carries no span.
-func (l *Loop) postItem(label string, fn func(), complete func(error), spawn trace.SpanID) {
-	it := l.itemPool.Get().(*item)
-	it.fn, it.complete, it.enqueued, it.label = fn, complete, l.clock.Now(), label
-	it.span, it.spawn = 0, 0
-	if sink := trace.ActiveSink(); sink != nil {
-		it.span = trace.NewSpanID()
-		it.spawn = spawn
-		trace.Enqueue(sink, it.span, l.name, spawn)
-	}
+// enqueue is the shared admission path of PostLabeled and fired PostDelayed
+// timers: push the node, publish length and peak off the lock, and wake the
+// dispatch goroutine only if it is parked. spawn is the poster's span at the
+// original call site (0 = the caller's current span) — PostDelayed captures
+// it before the timer fires, since the timer goroutine itself carries no
+// span.
+func (l *Loop) enqueue(it *item, spawn trace.SpanID) {
+	it.enqueued = l.clock.Now()
+	it.Enqueued(l.name, spawn)
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
-		l.releaseItem(it)
-		complete(executor.ErrShutdown)
+		l.failItem(it, executor.ErrShutdown)
 		return
 	}
 	n := int64(l.q.Push(it))
@@ -423,13 +396,13 @@ func (l *Loop) postItem(label string, fn func(), complete func(error), spawn tra
 // Stop instead of leaking past it, and no forwarding goroutine is burned
 // waiting for the handler.
 func (l *Loop) PostDelayed(d time.Duration, fn func()) *executor.Completion {
-	comp, complete := executor.NewPendingCompletion()
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
-		complete(executor.ErrShutdown)
-		return comp
+		return executor.NewCompletedCompletion(executor.ErrShutdown)
 	}
+	comp := new(executor.Completion)
+	it := l.newItem("", fn, comp)
 	var spawn trace.SpanID
 	if trace.ActiveSink() != nil {
 		spawn = trace.Current()
@@ -439,7 +412,7 @@ func (l *Loop) PostDelayed(d time.Duration, fn func()) *executor.Completion {
 		// AfterFunc runs non-positive delays synchronously (vclock.Manual)
 		// from re-entering l.mu, which this method holds.
 		l.mu.Unlock()
-		l.postItem("", fn, complete, spawn)
+		l.enqueue(it, spawn)
 		return comp
 	}
 	var tm vclock.Timer
@@ -447,13 +420,13 @@ func (l *Loop) PostDelayed(d time.Duration, fn func()) *executor.Completion {
 		l.mu.Lock()
 		delete(l.delayed, tm)
 		l.mu.Unlock()
-		// postItem rejects with ErrShutdown if Stop won the race, so the
-		// completion always finishes exactly once: Stop only completes
-		// timers it successfully cancelled (tm.Stop() == true), and a
-		// cancelled timer never runs this callback.
-		l.postItem("", fn, complete, spawn)
+		// enqueue rejects with ErrShutdown if Stop won the race, so the
+		// completion always finishes exactly once: Stop only fails timers
+		// it successfully cancelled (tm.Stop() == true), and a cancelled
+		// timer never runs this callback.
+		l.enqueue(it, spawn)
 	})
-	l.delayed[tm] = complete
+	l.delayed[tm] = it
 	l.mu.Unlock()
 	return comp
 }
@@ -593,24 +566,24 @@ func (l *Loop) SetPanicHandler(fn func(any)) {
 // ErrWorkerCrashed. Safe to call more than once.
 func (l *Loop) Stop() {
 	l.mu.Lock()
-	var orphaned []func(error)
+	var orphaned []*item
 	if !l.closed {
 		l.closed = true
-		for tm, complete := range l.delayed {
+		for tm, it := range l.delayed {
 			if tm.Stop() {
-				// The callback will never run; we own the completion.
-				orphaned = append(orphaned, complete)
+				// The callback will never run; we own the event.
+				orphaned = append(orphaned, it)
 			}
 			// Otherwise the callback is already firing: it will block on
 			// mu, see closed==true, and finish the completion itself via
-			// postItem's ErrShutdown rejection.
+			// enqueue's ErrShutdown rejection.
 			delete(l.delayed, tm)
 		}
 		close(l.stopCh)
 	}
 	l.mu.Unlock()
-	for _, complete := range orphaned {
-		complete(executor.ErrShutdown)
+	for _, it := range orphaned {
+		l.failItem(it, executor.ErrShutdown)
 	}
 	l.wg.Wait()
 	if l.crashed.Load() {

@@ -96,9 +96,9 @@ func NewCompletedCompletion(err error) *Completion {
 }
 
 // NewPendingCompletion returns an unfinished Completion together with the
-// function that completes it (callable exactly once). Other executor
-// implementations — the event loop in package eventloop — use this to
-// participate in the same completion protocol as WorkerPool.
+// function that completes it (callable exactly once): the completion
+// protocol for work that is not a queued task — an I/O operation, a device
+// transfer, a watcher goroutine mediating another completion.
 func NewPendingCompletion() (*Completion, func(error)) {
 	c := newCompletion()
 	return c, c.complete
@@ -173,30 +173,23 @@ func SetBlockHook(h func(ready func() bool) bool) (restore func()) {
 	return func() { blockHook.Store(prev) }
 }
 
-// hookedWait routes the wait through the installed block hook, reporting
-// whether the hook handled it (in which case ready() is now true).
-func hookedWait(ready func() bool) bool {
-	if p := blockHook.Load(); p != nil {
-		return (*p)(ready)
-	}
-	return false
-}
-
 // BlockOn parks the calling goroutine until done is closed, routing the
 // wait through the block hook first so code that blocks on raw channels
 // (core.AwaitDone's no-owner path) still yields to the simulation
 // scheduler instead of deadlocking it.
 func BlockOn(done <-chan struct{}) {
-	ready := func() bool {
-		select {
-		case <-done:
-			return true
-		default:
-			return false
+	if p := blockHook.Load(); p != nil {
+		ready := func() bool {
+			select {
+			case <-done:
+				return true
+			default:
+				return false
+			}
 		}
-	}
-	if hookedWait(ready) {
-		return
+		if (*p)(ready) {
+			return
+		}
 	}
 	<-done
 }
@@ -209,7 +202,9 @@ func (c *Completion) Wait() error {
 	if c.state.Load() == compFinished {
 		return c.Err()
 	}
-	if hookedWait(c.Finished) {
+	// The c.Finished method value allocates, so it is built only when there
+	// is a hook to hand it to.
+	if p := blockHook.Load(); p != nil && (*p)(c.Finished) {
 		return c.Err()
 	}
 	for i := 0; i < completionSpin; i++ {
@@ -280,92 +275,112 @@ const (
 	taskCancelled
 )
 
-// task is one queued unit of work. The Completion is embedded so a plain
-// Post is a single allocation; the node is never pooled or reused (callers
-// hold pointers into it via the Completion, and PostCancellable's cancel
-// closure may outlive the run). runTask nils fn after execution so a
-// long-held Completion does not pin the body's captures.
-type task struct {
-	fn    func()
-	state atomic.Int32 // taskQueued -> taskRunning | taskCancelled
-	// span and spawn carry causal tracing across the dispatch boundary:
-	// span is the task's pre-allocated run-span id (0 when tracing was off
-	// at post time) and spawn the submitter's current span. They are set
-	// only while a trace sink is installed. Both travel with the task, so
-	// a stolen or re-homed task keeps its submitter as the span parent no
-	// matter which worker ends up running it.
-	span  trace.SpanID
-	spawn trace.SpanID
-	comp  Completion
+// Bracket is the run half of the dispatch bracket (DESIGN.md §12), the one
+// realisation of Algorithm 1's "post a block to a virtual target, run it,
+// signal its completion" that every executor's queue node embeds: the body
+// plus the two span ids that carry causal tracing across the queue. Both ids
+// travel with the node, so a stolen, re-homed or helped task keeps its
+// submitter as the span parent no matter which goroutine ends up running it.
+type Bracket struct {
+	// Fn is the task body. Run clears it, so a long-held Completion does
+	// not pin the body's captures.
+	Fn func()
+	// span is the pre-allocated run-span id and spawn the submitter's span;
+	// both are zero unless a trace sink was installed at enqueue time.
+	span, spawn trace.SpanID
 }
 
-// prepareSpan allocates the task's run span and records its enqueue against
-// the active sink, if any. The OpEnqueue event and the eventual run span
-// share one id: exporters use the pair as the cross-goroutine flow edge and
-// metrics as the queue-sojourn measurement.
-func prepareSpan(t *task, target string) {
+// Enqueued records that the task entered target's queue, caused by spawn
+// (0 = the calling goroutine's current span). The OpEnqueue event and the
+// eventual run span share one id: exporters use the pair as the
+// cross-goroutine flow edge and metrics as the queue-sojourn measurement.
+func (b *Bracket) Enqueued(target string, spawn trace.SpanID) {
 	if s := trace.ActiveSink(); s != nil {
-		t.span = trace.NewSpanID()
-		t.spawn = trace.Current()
-		trace.Enqueue(s, t.span, target, t.spawn)
+		if spawn == 0 {
+			spawn = trace.Current()
+		}
+		b.span, b.spawn = trace.NewSpanID(), spawn
+		trace.Enqueue(s, b.span, target, spawn)
 	}
 }
 
-// runTask executes t.fn with panic capture and completes the task, reporting
-// whether the body ran. A task whose cancellation won the race is skipped
-// (its completion was already finished by the canceller). If the running
-// goroutine dies mid-task (runtime.Goexit, or a panic that defeats the
-// recovery wrapper) the completion is still finished — with
-// ErrWorkerCrashed — so waiters never hang on a dead worker.
+// Run executes the task on the calling goroutine and finishes comp, in one
+// fixed order: begin the "run" span and make it current (so blocks that
+// invoke further targets parent here) → body under panic capture →
+// settled(err) → restore the previous current span and end the run span →
+// comp finishes. A joiner therefore never wakes while its child's run span
+// is still open. The run span's parent is the submitter's span when one was
+// active at enqueue time; otherwise the runner's current span — which is
+// exactly the awaiting invoke's span when a helping thread runs the task
+// inside a logical barrier.
 //
-// When the task carries a span, the run is bracketed with begin/end events
-// and the span is made current for the body's duration, so blocks that
-// invoke further targets parent their spans here. The run span's parent is
-// the submitter's span when one was active at post time; otherwise it is
-// the runner's current span — which is exactly the awaiting invoke's span
-// when the task is executed by a helping thread inside a logical barrier.
-func runTask(t *task, target string, onPanic func(any)) bool {
-	if !t.state.CompareAndSwap(taskQueued, taskRunning) {
-		return false // cancelled while queued
-	}
-	finished := false
-	comp := &t.comp
-	defer func() {
-		if !finished {
-			comp.complete(ErrWorkerCrashed)
-		}
-	}()
-	if span := t.span; span != 0 {
-		if sink := trace.ActiveSink(); sink != nil {
-			prev := trace.Swap(span)
-			parent := t.spawn
+// settled (may be nil) is the executor's hook for state a joiner may inspect
+// the moment it wakes: it receives the body's error, a *PanicError if the
+// body panicked. If the goroutine dies mid-task (runtime.Goexit, or a panic
+// escaping settled) the span is still ended and comp then fails with
+// ErrWorkerCrashed, so waiters never hang on a dead worker.
+func (b *Bracket) Run(comp *Completion, target string, settled func(error)) {
+	fn := b.Fn
+	b.Fn = nil
+	var sink trace.Sink
+	var prev trace.SpanID
+	if b.span != 0 {
+		if sink = trace.ActiveSink(); sink != nil {
+			prev = trace.Swap(b.span)
+			parent := b.spawn
 			if parent == 0 {
 				parent = prev
 			}
-			trace.BeginSpanID(sink, span, "run", target, parent)
-			defer func() {
-				trace.Swap(prev)
-				trace.EndSpan(sink, span, "run", target)
-			}()
+			trace.BeginSpanID(sink, b.span, "run", target, parent)
 		}
 	}
-	fn := t.fn
-	t.fn = nil // drop the body's captures once run; waiters may hold comp long after
-	var err error
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				err = &PanicError{Value: r}
-				if onPanic != nil {
-					onPanic(r)
-				}
-			}
-		}()
-		fn()
+	verdict := ErrWorkerCrashed
+	defer func() {
+		if sink != nil {
+			trace.Swap(prev)
+			trace.EndSpan(sink, b.span, "run", target)
+		}
+		comp.complete(verdict)
 	}()
-	finished = true
+	err := RunCaptured(fn)
+	if settled != nil {
+		settled(err)
+	}
+	verdict = err
+}
+
+// Fail finishes comp with err for a task that will never run: rejected at
+// admission, cancelled, or failed while still queued.
+func (b *Bracket) Fail(comp *Completion, err error) {
+	b.Fn = nil
 	comp.complete(err)
-	return true
+}
+
+// task is the worker pool's queue node. The Completion is embedded so a
+// plain Post is a single allocation; the node is never pooled or reused
+// (callers hold pointers into it via the Completion, and PostCancellable's
+// cancel closure may outlive the run).
+type task struct {
+	Bracket
+	state atomic.Int32 // taskQueued -> taskRunning | taskCancelled
+	comp  Completion
+}
+
+// settled is the pool's Bracket.Run hook: count the task and report its
+// panic before a joiner can look.
+func (p *WorkerPool) settled(err error) {
+	p.completed.Add(1)
+	pe, ok := err.(*PanicError)
+	if !ok {
+		return
+	}
+	p.panics.Add(1)
+	p.mu.Lock()
+	h := p.onPanic
+	p.mu.Unlock()
+	if h != nil {
+		h(pe.Value)
+	}
 }
 
 // parker is one idle worker's parking slot: a single-token wake channel,
@@ -430,8 +445,7 @@ type WorkerPool struct {
 	notify     chan struct{} // cap-1 wakeup for WaitPending
 	qtotal     atomic.Int64  // total queued tasks; maintained only when capacity > 0
 
-	wg        sync.WaitGroup
-	panicWrap func(any) // counts panics, then calls the installed handler
+	wg sync.WaitGroup
 
 	completed atomic.Int64
 	rejected  atomic.Int64
@@ -455,6 +469,14 @@ func NewWorkerPool(name string, n int, reg *gid.Registry) *WorkerPool {
 	return NewBoundedWorkerPool(name, n, 0, reg)
 }
 
+// NewSerialExecutor returns a single-worker pool: a virtual target whose
+// thread group is exactly one thread, guaranteeing FIFO execution of posted
+// tasks. This is the general-purpose form of thread confinement; the GUI
+// event-dispatch thread in package eventloop is a richer special case.
+func NewSerialExecutor(name string, reg *gid.Registry) *WorkerPool {
+	return NewWorkerPool(name, 1, reg)
+}
+
 // NewBoundedWorkerPool is NewWorkerPool with a queue capacity; Post on a full
 // queue rejects the task (capacity 0 = unbounded). Bounded pools are an
 // extension beyond the paper used by the saturation/failure-injection tests.
@@ -468,15 +490,6 @@ func NewBoundedWorkerPool(name string, n, capacity int, reg *gid.Registry) *Work
 	p := &WorkerPool{name: name, registry: reg, capacity: capacity, nworkers: n,
 		serial: n == 1,
 		notify: make(chan struct{}, 1)}
-	p.panicWrap = func(v any) {
-		p.panics.Add(1)
-		p.mu.Lock()
-		h := p.onPanic
-		p.mu.Unlock()
-		if h != nil {
-			h(v)
-		}
-	}
 	snap := make([]*shard, n)
 	workers := make([]*worker, n)
 	for i := range snap {
@@ -819,16 +832,19 @@ func (p *WorkerPool) steal(w *worker) *task {
 	return nil
 }
 
-// execute runs one task the worker (or a crashed sibling's re-homed queue)
-// handed us, maintaining the bounded-capacity accounting: the task leaves
-// the queue here whether it runs or was already cancelled.
-func (p *WorkerPool) execute(t *task) {
+// execute runs one task a worker or a helper popped, reporting whether the
+// body ran: a task whose cancellation won the race is skipped (the canceller
+// already finished its completion). Either way the task leaves the queue
+// here, which is what the bounded-capacity accounting counts.
+func (p *WorkerPool) execute(t *task) bool {
 	if p.capacity > 0 {
 		p.qtotal.Add(-1)
 	}
-	if runTask(t, p.name, p.panicWrap) {
-		p.completed.Add(1)
+	if !t.state.CompareAndSwap(taskQueued, taskRunning) {
+		return false
 	}
+	t.Run(&t.comp, p.name, p.settled)
+	return true
 }
 
 // wakeForBacklog propagates the consumer wakeup: a worker that just took a
@@ -1024,8 +1040,8 @@ func (p *WorkerPool) enqueue(t *task, pick func() *shard) bool {
 
 // Post submits fn for execution by the pool.
 func (p *WorkerPool) Post(fn func()) *Completion {
-	t := &task{fn: fn}
-	prepareSpan(t, p.name)
+	t := &task{Bracket: Bracket{Fn: fn}}
+	t.Enqueued(p.name, 0)
 	p.enqueue(t, p.pickShard)
 	return &t.comp
 }
@@ -1034,8 +1050,8 @@ func (p *WorkerPool) Post(fn func()) *Completion {
 // regressions: like Post, but pinned to shard index i of the current
 // snapshot (modulo its size) instead of hashing by goroutine id.
 func (p *WorkerPool) postToShard(i int, fn func()) *Completion {
-	t := &task{fn: fn}
-	prepareSpan(t, p.name)
+	t := &task{Bracket: Bracket{Fn: fn}}
+	t.Enqueued(p.name, 0)
 	p.enqueue(t, func() *shard {
 		snap := *p.shards.Load()
 		return snap[i%len(snap)]
@@ -1109,12 +1125,8 @@ func (p *WorkerPool) TryRunPending() bool {
 		t := sh.q.popFront()
 		sh.len.Store(int64(sh.q.n))
 		sh.mu.Unlock()
-		if p.capacity > 0 {
-			p.qtotal.Add(-1)
-		}
-		ran := runTask(t, p.name, p.panicWrap)
+		ran := p.execute(t)
 		if ran {
-			p.completed.Add(1)
 			p.helped.Add(1)
 		}
 		return ran
@@ -1294,8 +1306,8 @@ var ErrCanceled = errors.New("executor: task canceled")
 // started and will never run (its Completion finishes with ErrCanceled) —
 // and false if the task already started or finished.
 func (p *WorkerPool) PostCancellable(fn func()) (*Completion, func() bool) {
-	t := &task{fn: fn}
-	prepareSpan(t, p.name)
+	t := &task{Bracket: Bracket{Fn: fn}}
+	t.Enqueued(p.name, 0)
 	c := &t.comp
 	if !p.enqueue(t, p.pickShard) {
 		return c, func() bool { return false }

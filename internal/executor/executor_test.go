@@ -238,30 +238,6 @@ func TestCompletionStates(t *testing.T) {
 	}
 }
 
-func TestDirectExecutor(t *testing.T) {
-	d := NewDirectExecutor("seq")
-	if d.Name() != "seq" {
-		t.Fatal("name")
-	}
-	ran := false
-	c := d.Post(func() { ran = true })
-	if !ran || !c.Finished() {
-		t.Fatal("DirectExecutor did not run inline")
-	}
-	if !d.Owns() {
-		t.Fatal("DirectExecutor must own every goroutine")
-	}
-	if d.TryRunPending() {
-		t.Fatal("DirectExecutor has no pending tasks")
-	}
-	c2 := d.Post(func() { panic(42) })
-	var pe *PanicError
-	if err := c2.Err(); !errors.As(err, &pe) {
-		t.Fatalf("direct panic not captured: %v", err)
-	}
-	d.Shutdown() // no-op
-}
-
 func TestPoolCompletenessProperty(t *testing.T) {
 	// Property: for any task count and worker count, every submitted task
 	// runs exactly once.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/gid"
+	"repro/internal/sanitize"
 )
 
 // TestBlockHookHandlesWait proves the simulation seam: with a hook
@@ -51,12 +52,14 @@ func TestBlockHookRestore(t *testing.T) {
 	outer := func(ready func() bool) bool { outerCalls++; return false }
 	restoreOuter := SetBlockHook(outer)
 	defer restoreOuter()
+	closed := make(chan struct{})
+	close(closed)
 	restoreInner := SetBlockHook(nil)
-	if hookedWait(func() bool { return true }) {
-		t.Fatal("nil hook handled a wait")
+	if BlockOn(closed); outerCalls != 0 {
+		t.Fatal("removed hook was still consulted")
 	}
 	restoreInner()
-	if hookedWait(func() bool { return true }); outerCalls != 1 {
+	if BlockOn(closed); outerCalls != 1 {
 		t.Fatalf("outer hook calls = %d after restore, want 1", outerCalls)
 	}
 }
@@ -68,4 +71,21 @@ func TestBlockOnFallsThroughToChannel(t *testing.T) {
 	go close(done)
 	BlockOn(done) // must return, not hang
 	BlockOn(done) // already closed: immediate
+}
+
+// TestWaitAllocsWithoutHook pins the synchronous round trip's allocation
+// count: the task node, plus the done channel when the waiter has to park.
+// Wait must not build the c.Finished method value (one more allocation)
+// unless a block hook is installed to receive it.
+func TestWaitAllocsWithoutHook(t *testing.T) {
+	if sanitize.Enabled {
+		t.Skip("the ompsan sanitizer allocates its check labels on every pop")
+	}
+	var reg gid.Registry
+	p := NewSerialExecutor("serial", &reg)
+	defer p.Shutdown()
+	noop := func() {}
+	if n := testing.AllocsPerRun(200, func() { p.Post(noop).Wait() }); n > 2 {
+		t.Fatalf("Post(noop).Wait() = %v allocs/op, want <= 2", n)
+	}
 }

@@ -355,23 +355,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.spans.WritePrometheus(w)
 }
 
-// traceRequest opens a "request" span for one HTTP request and returns the
-// closer. The worker invocation made while handling parents to it, so a
-// Perfetto capture shows request → invoke → run chains end to end.
-func (s *Server) traceRequest() func() {
-	sink := trace.ActiveSink()
-	if sink == nil {
-		return func() {}
-	}
-	span := trace.NewSpanID()
-	prev := trace.Swap(span)
-	trace.BeginSpanID(sink, span, "request", "http", prev)
-	return func() {
-		trace.Swap(prev)
-		trace.EndSpan(sink, span, "request", "http")
-	}
-}
-
 // compute runs the encryption kernel for one request and returns the
 // ciphertext checksum.
 func (s *Server) compute(size int) int64 {
@@ -385,7 +368,9 @@ func (s *Server) compute(size int) int64 {
 }
 
 func (s *Server) handleEncrypt(w http.ResponseWriter, r *http.Request) {
-	defer s.traceRequest()()
+	// The worker invocation made while handling parents to this span, so a
+	// Perfetto capture shows request → invoke → run chains end to end.
+	defer trace.Open(trace.ActiveSink(), "request", "http").Close()
 	size := s.cfg.KernelBytes
 	if q := r.URL.Query().Get("size"); q != "" {
 		v, err := strconv.Atoi(q)

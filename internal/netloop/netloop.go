@@ -244,23 +244,12 @@ func (s *Server) acceptLoop(ln net.Listener) {
 // goroutine, so the handler's run span on the loop parents to the network
 // receive that caused it (the cross-boundary edge of the message path).
 func (s *Server) postMessage(handler func()) {
-	post := func() {
-		s.loop.PostLabeled("msg", func() {
-			defer s.limiter.Release()
-			handler()
-		})
-	}
-	sink := trace.ActiveSink()
-	if sink == nil {
-		post()
-		return
-	}
-	span := trace.NewSpanID()
-	prev := trace.Swap(span)
-	trace.BeginSpanID(sink, span, "recv", s.name, prev)
-	post()
-	trace.Swap(prev)
-	trace.EndSpan(sink, span, "recv", s.name)
+	sc := trace.Open(trace.ActiveSink(), "recv", s.name)
+	s.loop.PostLabeled("msg", func() {
+		defer s.limiter.Release()
+		handler()
+	})
+	sc.Close()
 }
 
 // readLoop turns each received line into a dispatch-loop event — the

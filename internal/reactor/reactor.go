@@ -685,16 +685,9 @@ func (r *Reactor) connEvent(c *Conn, ev *pollEvent) {
 		r.dropped.Add(1)
 		return
 	}
-	sink := trace.ActiveSink()
-	if sink == nil {
-		r.contain(c, fn)
-		return
-	}
-	span := trace.BeginSpan(sink, "ready", r.name, 0)
-	prev := trace.Swap(span)
+	sc := trace.Open(trace.ActiveSink(), "ready", r.name)
 	r.contain(c, fn)
-	trace.Swap(prev)
-	trace.EndSpan(sink, span, "ready", r.name)
+	sc.Close()
 }
 
 func (r *Reactor) connReady(c *Conn, ev *pollEvent) {

@@ -58,24 +58,18 @@ func (e *Exec) take(i int) *stask {
 
 // enqueue appends a task carrying the given spawn span (0 = capture the
 // submitter's current span, matching real Post).
-func (e *Exec) enqueue(fn func(), complete func(error), spawn trace.SpanID) {
+func (e *Exec) enqueue(fn func(), comp *executor.Completion, spawn trace.SpanID) {
 	s := e.s
+	t := &stask{Bracket: executor.Bracket{Fn: fn}, comp: comp, exec: e}
 	if e.stopped {
-		complete(executor.ErrShutdown)
+		t.Fail(comp, executor.ErrShutdown)
 		return
 	}
-	t := &stask{seq: s.nextSeq(), fn: fn, complete: complete, exec: e}
+	t.seq = s.nextSeq() // drawn only for admitted tasks: seqs appear in the decision log
 	if s.policy == policyDelay && s.rng.Float64() < 0.4 {
 		t.delay = 1 + s.rng.Intn(3)
 	}
-	if sink := trace.ActiveSink(); sink != nil {
-		t.span = trace.NewSpanID()
-		t.spawn = spawn
-		if t.spawn == 0 {
-			t.spawn = trace.Current()
-		}
-		trace.Enqueue(sink, t.span, e.name, t.spawn)
-	}
+	t.Enqueued(e.name, spawn)
 	e.q = append(e.q, t)
 }
 
@@ -85,8 +79,8 @@ func (e *Exec) enqueue(fn func(), complete func(error), spawn trace.SpanID) {
 // thread timing, which is exactly what simulation removes.
 func (e *Exec) Post(fn func()) *executor.Completion {
 	e.s.checkGoroutine()
-	comp, complete := executor.NewPendingCompletion()
-	e.enqueue(fn, complete, 0)
+	comp := new(executor.Completion)
+	e.enqueue(fn, comp, 0)
 	return comp
 }
 
@@ -96,17 +90,16 @@ func (e *Exec) Post(fn func()) *executor.Completion {
 func (e *Exec) PostDelayed(d time.Duration, fn func()) *executor.Completion {
 	s := e.s
 	s.checkGoroutine()
-	comp, complete := executor.NewPendingCompletion()
 	if e.stopped {
-		complete(executor.ErrShutdown)
-		return comp
+		return executor.NewCompletedCompletion(executor.ErrShutdown)
 	}
+	comp := new(executor.Completion)
 	var spawn trace.SpanID
 	if trace.ActiveSink() != nil {
 		spawn = trace.Current()
 	}
 	s.addTimer(d, e.name, func() {
-		e.enqueue(fn, complete, spawn)
+		e.enqueue(fn, comp, spawn)
 	})
 	return comp
 }
@@ -142,7 +135,7 @@ func (e *Exec) TryRunPending() bool {
 	t := e.take(idx)
 	s.log.Append(trace.Decision{Step: s.steps, Kind: "help", Target: e.name, Seq: t.seq, Alts: alts, Virt: s.virt})
 	s.steps++
-	s.runTask(t)
+	s.run(t)
 	return true
 }
 

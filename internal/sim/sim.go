@@ -99,17 +99,15 @@ func (p schedPolicy) String() string {
 	}
 }
 
-// stask is one queued unit of simulated work.
+// stask is one queued unit of simulated work. It runs through the same
+// executor.Bracket as the real engines, so completions and span trees from
+// simulated runs have the same shape and ordering as real ones.
 type stask struct {
-	seq      uint64
-	fn       func()
-	complete func(error)
-	exec     *Exec
-	delay    int // policyDelay skip budget; >0 withholds it from the runnable set
-	// span/spawn mirror the causal-tracing fields of executor.task so span
-	// trees built from simulated runs have the same shape as real ones.
-	span  trace.SpanID
-	spawn trace.SpanID
+	executor.Bracket
+	comp  *executor.Completion
+	seq   uint64
+	exec  *Exec
+	delay int // policyDelay skip budget; >0 withholds it from the runnable set
 }
 
 // stimer is one pending virtual-clock timer.
@@ -377,15 +375,15 @@ func (s *Sim) step() bool {
 	t := c.exec.take(c.qidx)
 	s.log.Append(trace.Decision{Step: s.steps, Kind: "run", Target: c.exec.name, Seq: t.seq, Alts: len(cs), Virt: s.virt})
 	s.steps++
-	s.runTask(t)
+	s.run(t)
 	return true
 }
 
-// runTask executes t on the simulation goroutine under its executor's
+// run executes t on the simulation goroutine under its executor's
 // identity: the goroutine registry answers "member of t.exec" for the
 // task's duration, so core's thread-context awareness (Algorithm 1 line 6)
 // and the await help-first path behave exactly as on the real runtime.
-func (s *Sim) runTask(t *stask) {
+func (s *Sim) run(t *stask) {
 	prev := s.running
 	s.running = t.exec
 	s.reg.Register(t.exec)
@@ -396,19 +394,7 @@ func (s *Sim) runTask(t *stask) {
 		}
 	}()
 	t.exec.dispatched++
-	if sink := trace.ActiveSink(); sink != nil && t.span != 0 {
-		prevSpan := trace.Swap(t.span)
-		parent := t.spawn
-		if parent == 0 {
-			parent = prevSpan
-		}
-		trace.BeginSpanID(sink, t.span, "run", t.exec.name, parent)
-		defer func() {
-			trace.Swap(prevSpan)
-			trace.EndSpan(sink, t.span, "run", t.exec.name)
-		}()
-	}
-	t.complete(executor.RunCaptured(t.fn))
+	t.Run(t.comp, t.exec.name, nil)
 }
 
 // pump drives the scheduler until ready() reports true, failing the run

@@ -158,6 +158,40 @@ func EndSpan(s Sink, id SpanID, name, target string) {
 	s.Record(Event{Op: OpSpanEnd, Name: name, Target: target, Span: id, Gid: uint64(gid.Current())})
 }
 
+// Scope is one open span that is also the calling goroutine's current span:
+// the open/Swap/close half of the dispatch bracket (DESIGN.md §12), used
+// wherever work is caused on the calling goroutine rather than run as a
+// queued task — an invoke, a network receive, an HTTP request, a readiness
+// event. Everything posted or invoked between Open and Close parents to it.
+// The zero Scope is inert, so a caller need not test for a sink itself.
+type Scope struct {
+	sink         Sink
+	id, prev     SpanID
+	name, target string
+}
+
+// Open begins a name/target span on s as a child of the goroutine's current
+// span and makes it current. A nil s returns the inert Scope.
+func Open(s Sink, name, target string) Scope {
+	if s == nil {
+		return Scope{}
+	}
+	id := NewSpanID()
+	prev := Swap(id)
+	BeginSpanID(s, id, name, target, prev)
+	return Scope{sink: s, id: id, prev: prev, name: name, target: target}
+}
+
+// Close restores the span that was current at Open, then ends this one. It
+// must run on the goroutine that called Open.
+func (sc Scope) Close() {
+	if sc.sink == nil {
+		return
+	}
+	Swap(sc.prev)
+	EndSpan(sc.sink, sc.id, sc.name, sc.target)
+}
+
 // Enqueue records OpEnqueue: the task identified by span id entered target's
 // queue, caused by parent. Exporters draw the cross-goroutine flow arrow
 // from this event to the span's begin; metrics derive queue sojourn from the
