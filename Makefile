@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet sancheck chaos chaos-net explore cover fuzz bench bench-baseline bench-smoke bench-net bench-net-baseline benchmark-smoke report examples lint ci clean
+.PHONY: all build test race vet sancheck chaos chaos-net explore cover size fuzz bench bench-baseline bench-smoke bench-net bench-net-baseline benchmark-smoke report examples lint ci clean
 
 all: build test race
 
@@ -76,6 +76,13 @@ cover:
 	echo "total coverage: $$total% (floor $(COVER_MIN)%)"; \
 	awk -v t="$$total" -v min="$(COVER_MIN)" 'BEGIN { exit (t+0 < min+0) }' || \
 		{ echo "coverage $$total% is below the $(COVER_MIN)% floor" >&2; exit 1; }
+
+# size prints the two numbers the simplicity PRs track (CHANGES.md): non-test
+# Go lines under internal/, and exported Set* setters — each one a knob that
+# is mutable after construction.
+size:
+	@echo "non-test Go lines under internal/: $$(find internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@echo "Set* setters under internal/: $$(grep -rn "^func (.*) Set[A-Z][A-Za-z]*(\|^func Set[A-Z]" internal --include=*.go | grep -v _test.go | wc -l)"
 
 # fuzz runs the directive-parser fuzzer live; the committed seed corpus
 # under internal/directive/testdata/fuzz/ replays in every normal `go test`.

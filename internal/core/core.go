@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/executor"
 	"repro/internal/gid"
@@ -109,7 +108,6 @@ type ICV struct {
 // usable; create one with NewRuntime.
 type Runtime struct {
 	registry *gid.Registry
-	sink     atomic.Pointer[trace.Sink]
 
 	mu      sync.RWMutex
 	targets map[string]executor.Executor
@@ -253,24 +251,28 @@ func (r *Runtime) TargetNames() []string {
 	return names
 }
 
-// resolve maps a possibly-empty target name to its executor.
-func (r *Runtime) resolve(name string) (executor.Executor, error) {
+// resolve is an invoke's one registry read: whether directives are interpreted
+// at all and, if so, the executor a possibly-empty target name maps to.
+func (r *Runtime) resolve(name string) (e executor.Executor, enabled bool, err error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	if !r.enabled {
+		return nil, false, nil
+	}
 	if r.stopped {
-		return nil, ErrRuntimeStopped
+		return nil, true, ErrRuntimeStopped
 	}
 	if name == "" {
 		name = r.icv.DefaultTarget
 		if name == "" {
-			return nil, ErrNoDefaultSet
+			return nil, true, ErrNoDefaultSet
 		}
 	}
-	e := r.targets[name]
+	e = r.targets[name]
 	if e == nil {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownTarget, name)
+		return nil, true, fmt.Errorf("%w: %q", ErrUnknownTarget, name)
 	}
-	return e, nil
+	return e, true, nil
 }
 
 // Invoke is InvokeTargetBlock (Algorithm 1) for the Wait, Nowait and Await
@@ -289,19 +291,13 @@ func (r *Runtime) resolve(name string) (executor.Executor, error) {
 // The returned Completion carries a *executor.PanicError if the block
 // panicked.
 func (r *Runtime) Invoke(target string, mode Mode, block func()) (*executor.Completion, error) {
-	if mode == NameAs {
-		return nil, ErrNoTag
-	}
-	return r.invoke(target, mode, "", block)
+	return r.invokePlain(target, mode, "", block)
 }
 
 // InvokeNamed dispatches block in NameAs mode under the given tag. Multiple
 // blocks may share a tag; WaitTag(tag) joins all of them.
 func (r *Runtime) InvokeNamed(target, tag string, block func()) (*executor.Completion, error) {
-	if tag == "" {
-		return nil, ErrNoTag
-	}
-	return r.invoke(target, NameAs, tag, block)
+	return r.invokePlain(target, NameAs, tag, block)
 }
 
 // InvokeIf applies the directive's if-clause: when cond is false the
@@ -317,19 +313,36 @@ func (r *Runtime) InvokeIf(cond bool, target string, mode Mode, block func()) (*
 	return r.Invoke(target, mode, block)
 }
 
-func (r *Runtime) invoke(target string, mode Mode, tag string, block func()) (*executor.Completion, error) {
-	if block == nil {
+// invokePlain is invoke for a context-free block: it runs in place under
+// panic capture and is posted as it is.
+func (r *Runtime) invokePlain(target string, mode Mode, tag string, block func()) (*executor.Completion, error) {
+	return r.invoke(target, mode, tag, block == nil,
+		func() error { return executor.RunCaptured(block) },
+		func(e executor.Executor) *executor.Completion { return e.Post(block) })
+}
+
+// invoke is Algorithm 1, the one skeleton every Invoke* entry point goes
+// through. The entry points differ only in how the block runs in place
+// (inPlace) and how it is handed to the target (post); both are called at
+// most once, on the calling goroutine, and do not escape, so they cost an
+// invoke no allocation. nilBlock reports that the caller's block was nil.
+func (r *Runtime) invoke(target string, mode Mode, tag string, nilBlock bool,
+	inPlace func() error, post func(executor.Executor) *executor.Completion) (*executor.Completion, error) {
+	if nilBlock {
 		return nil, ErrNilBlock
 	}
-	if !r.Enabled() {
-		// Unsupporting compiler: the directive is a comment; run inline.
-		return executor.NewCompletedCompletion(executor.RunCaptured(block)), nil
+	if mode == NameAs && tag == "" {
+		return nil, ErrNoTag
 	}
-	e, err := r.resolve(target)
+	e, enabled, err := r.resolve(target)
+	if !enabled {
+		// Unsupporting compiler: the directive is a comment; run inline.
+		return executor.NewCompletedCompletion(inPlace()), nil
+	}
 	if err != nil {
 		return nil, err
 	}
-	if sink := r.traceSink(); sink != nil {
+	if sink := trace.ActiveSink(); sink != nil {
 		// The "invoke" span covers this whole scheduling decision: the
 		// executor's enqueue path reads it as the spawn parent, so the
 		// block's eventual run span — inline, posted, or helped inside an
@@ -352,11 +365,11 @@ func (r *Runtime) invoke(target string, mode Mode, tag string, block func()) (*e
 			}
 		}
 		r.emit(trace.OpInline, e.Name(), mode)
-		comp = executor.NewCompletedCompletion(executor.RunCaptured(block))
+		comp = executor.NewCompletedCompletion(inPlace())
 	} else {
 		// Line 8: post asynchronously.
 		r.emit(trace.OpPost, e.Name(), mode)
-		comp = e.Post(block)
+		comp = post(e)
 		if err := r.stoppedRejection(comp); err != nil {
 			return nil, err
 		}
@@ -583,31 +596,12 @@ func (r *Runtime) PendingInTag(tag string) int {
 // their own executors, e.g. the OpenMP fork-join teams).
 func (r *Runtime) Registry() *gid.Registry { return r.registry }
 
-// SetTraceSink installs a tracing sink (nil disables tracing). When set,
-// the runtime records one event per scheduling decision: invoke, inline vs
-// post, wait, await-enter/exit, and each task helped inside a barrier.
-func (r *Runtime) SetTraceSink(s trace.Sink) {
-	if s == nil {
-		r.sink.Store(nil)
-		return
-	}
-	r.sink.Store(&s)
-}
-
-// traceSink returns the sink scheduling events should go to: the runtime's
-// own sink when one is installed (SetTraceSink), otherwise the process-global
-// sink (trace.SetGlobal), otherwise nil.
-func (r *Runtime) traceSink() trace.Sink {
-	if p := r.sink.Load(); p != nil {
-		return *p
-	}
-	return trace.ActiveSink()
-}
-
-// emit records a trace event if a sink is installed, tagged with the calling
-// goroutine's current span so scheduling decisions attach to span trees.
+// emit records one scheduling decision — invoke, inline vs post, wait,
+// await-enter/exit, each task helped inside a barrier — against the active
+// trace sink, tagged with the calling goroutine's current span so decisions
+// attach to span trees.
 func (r *Runtime) emit(op trace.Op, target string, mode Mode) {
-	s := r.traceSink()
+	s := trace.ActiveSink()
 	if s == nil {
 		return
 	}

@@ -493,6 +493,24 @@ func TestAwaitDoneUnaffiliatedGoroutine(t *testing.T) {
 	}
 }
 
+// TestAwaitDoneAlreadyRaisedOnEDT: a signal that is already raised holds no
+// barrier — the EDT returns at once and dispatches nothing on the way.
+func TestAwaitDoneAlreadyRaisedOnEDT(t *testing.T) {
+	f := newFixture(t, 1)
+	done := make(chan struct{})
+	close(done)
+	err := f.edt.InvokeAndWait(func() {
+		queued := f.edt.Post(func() {})
+		f.rt.AwaitDone(done)
+		if queued.Finished() {
+			t.Error("AwaitDone dispatched a queued event although its signal was already raised")
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSectionIVA_TranslationScenario executes the exact program of Section
 // IV.A: an EDT handler offloads S1;nested-S2;S3 to the worker with await,
 // S2 being a nowait EDT update, then runs S4 on the EDT after the block.

@@ -38,53 +38,15 @@ type cancellablePoster interface {
 // thread stops waiting as soon as the Completion finishes, including by
 // cancellation.
 func (r *Runtime) InvokeCtx(ctx context.Context, target string, mode Mode, block func(context.Context)) (*executor.Completion, error) {
-	if block == nil {
-		return nil, ErrNilBlock
-	}
-	if mode == NameAs {
-		return nil, ErrNoTag
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if !r.Enabled() {
-		// Unsupporting compiler: run inline (respecting an already-expired
-		// context, the one directive-off behaviour that must survive).
-		return executor.NewCompletedCompletion(runBlockCtx(ctx, block)), nil
-	}
-	e, err := r.resolve(target)
-	if err != nil {
-		return nil, err
-	}
-	if sink := r.traceSink(); sink != nil {
-		// Same "invoke" span as invoke (core.go): the block's run span
-		// parents here even when the watcher goroutine mediates completion.
-		defer trace.Open(sink, "invoke", e.Name()).Close()
-	}
-	r.emit(trace.OpInvoke, e.Name(), mode)
-
-	var comp *executor.Completion
-	if e.Owns() {
-		// Thread-context awareness: execute synchronously in place.
-		r.emit(trace.OpInline, e.Name(), mode)
-		comp = executor.NewCompletedCompletion(runBlockCtx(ctx, block))
-	} else {
-		r.emit(trace.OpPost, e.Name(), mode)
-		comp = r.postCtx(ctx, e, mode, block)
-		if err := r.stoppedRejection(comp); err != nil {
-			return nil, err
-		}
-	}
-
-	switch mode {
-	case Nowait:
-	case Await:
-		r.AwaitCompletion(comp)
-	default: // Wait
-		r.emit(trace.OpWait, e.Name(), mode)
-		comp.Wait()
-	}
-	return comp, nil
+	// In place (directives off, or already on the target) the block still
+	// respects an already-expired context; posted, it gets the cancellation
+	// plumbing of postCtx.
+	return r.invoke(target, mode, "", block == nil,
+		func() error { return runBlockCtx(ctx, block) },
+		func(e executor.Executor) *executor.Completion { return r.postCtx(ctx, e, mode, block) })
 }
 
 // runBlockCtx runs block inline with panic capture, short-circuiting to

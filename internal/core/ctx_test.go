@@ -30,8 +30,8 @@ func TestInvokeCtxRunsAndPropagatesContext(t *testing.T) {
 
 func TestInvokeCtxDeadlineCancelsQueuedTask(t *testing.T) {
 	f := newFixture(t, 1)
-	buf := trace.NewBuffer(64)
-	f.rt.SetTraceSink(buf)
+	buf := trace.NewBuffer(256)
+	t.Cleanup(trace.Use(buf))
 
 	// Occupy the single worker so the next block stays queued.
 	gate := make(chan struct{})
@@ -108,8 +108,8 @@ func TestInvokeCtxDeadlineOnEDTWithoutPostCancellable(t *testing.T) {
 
 func TestInvokeCtxInlineWhenOwned(t *testing.T) {
 	f := newFixture(t, 2)
-	buf := trace.NewBuffer(64)
-	f.rt.SetTraceSink(buf)
+	buf := trace.NewBuffer(256)
+	t.Cleanup(trace.Use(buf))
 	var nestedRan bool
 	comp, err := f.rt.Invoke("worker", Wait, func() {
 		// Already on the worker target: the nested ctx invocation must

@@ -174,37 +174,3 @@ func TestSpanTreeAwaitHelpedParenting(t *testing.T) {
 		t.Fatalf("tree render missing beta invoke:\n%s", tree.String())
 	}
 }
-
-// TestSpanRuntimeSinkFallback: with only a per-runtime sink installed the
-// scheduling events still record (against that sink), and with only the
-// global sink installed core events land there — the two-level sink contract.
-func TestSpanRuntimeSinkFallback(t *testing.T) {
-	var reg gid.Registry
-	rt := NewRuntime(&reg)
-	defer rt.Shutdown()
-	if _, err := rt.CreateWorker("w", 1); err != nil {
-		t.Fatal(err)
-	}
-
-	own := trace.NewBuffer(256)
-	rt.SetTraceSink(own)
-	if _, err := rt.Invoke("w", Wait, func() {}); err != nil {
-		t.Fatal(err)
-	}
-	if own.CountOp(trace.OpInvoke) != 1 {
-		t.Fatalf("runtime sink saw %d invokes, want 1", own.CountOp(trace.OpInvoke))
-	}
-
-	rt.SetTraceSink(nil)
-	global := trace.NewBuffer(256)
-	defer trace.Use(global)()
-	if _, err := rt.Invoke("w", Wait, func() {}); err != nil {
-		t.Fatal(err)
-	}
-	if global.CountOp(trace.OpInvoke) != 1 {
-		t.Fatalf("global sink saw %d invokes, want 1", global.CountOp(trace.OpInvoke))
-	}
-	if got := own.CountOp(trace.OpInvoke); got != 1 {
-		t.Fatalf("runtime sink should not have grown after removal, got %d invokes", got)
-	}
-}

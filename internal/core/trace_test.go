@@ -13,7 +13,7 @@ import (
 func TestTraceRecordsSchedulingDecisions(t *testing.T) {
 	f := newFixture(t, 1)
 	buf := trace.NewBuffer(256)
-	f.rt.SetTraceSink(buf)
+	t.Cleanup(trace.Use(buf))
 
 	// Wait mode from outside: invoke + post + wait.
 	f.rt.Invoke("worker", Wait, func() {})
@@ -56,7 +56,7 @@ func TestTraceRecordsSchedulingDecisions(t *testing.T) {
 	}
 
 	// Disabling the sink stops recording.
-	f.rt.SetTraceSink(nil)
+	trace.SetGlobal(nil)
 	before := buf.Len()
 	f.rt.Invoke("worker", Nowait, func() {})
 	if buf.Len() != before {

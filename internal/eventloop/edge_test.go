@@ -63,20 +63,6 @@ func TestConcurrentPosters(t *testing.T) {
 	poll.Until(t, "every posted event to run", func() bool { return ran.Load() == posters*per })
 }
 
-func TestPumpUntilAlreadyDone(t *testing.T) {
-	l := newLoop(t)
-	done := make(chan struct{})
-	close(done)
-	err := l.InvokeAndWait(func() {
-		if perr := l.PumpUntil(done); perr != nil {
-			t.Errorf("PumpUntil: %v", perr)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestNameAndShutdownAlias(t *testing.T) {
 	var reg gid.Registry
 	l := New("my-edt", &reg)

@@ -7,10 +7,11 @@
 // The Loop doubles as a virtual-target executor for the core runtime: it is
 // the realization of virtual_target_register_edt (Table II). Its distinctive
 // capability is *re-entrant pumping* — from inside a handler the EDT can keep
-// dispatching further events (PumpUntil), which is how the paper implements
-// the await logical barrier on the EDT ("the current experimental version of
-// Pyjama achieves this by slightly modifying the event queue dispatching
-// mechanism in the Java AWT runtime library").
+// dispatching further events (TryRunPending, sleeping in WaitPending when the
+// queue is empty), which is how core.AwaitDone implements the paper's await
+// logical barrier on the EDT ("the current experimental version of Pyjama
+// achieves this by slightly modifying the event queue dispatching mechanism
+// in the Java AWT runtime library").
 //
 // Dispatch hot path (PR 3): events flow through a pooled chunked ring queue
 // (executor.ChunkQueue), event nodes are recycled through a sync.Pool, and
@@ -43,10 +44,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/vclock"
 )
-
-// ErrNotOnEDT is returned by operations that are confined to the loop's own
-// goroutine when invoked from elsewhere.
-var ErrNotOnEDT = errors.New("eventloop: not on the event-dispatch goroutine")
 
 // ErrOnEDT is returned by InvokeAndWait when called from the EDT itself
 // (mirroring Swing, where invokeAndWait from the EDT is an error because it
@@ -286,26 +283,33 @@ func (l *Loop) popItem() *item {
 	return it
 }
 
+// park sleeps the dispatch goroutine until an event may be queued (true) or
+// abort fires (false; a nil abort is never watched). The protocol mirrors the
+// worker pool's: announce intent via the waiters counter, re-check the
+// (atomic) queue length, then sleep — enqueue publishes the length before
+// reading the counter, so a wakeup is never lost.
+func (l *Loop) park(abort <-chan struct{}) bool {
+	l.waiters.Add(1)
+	ok := l.qlen.Load() > 0
+	if !ok {
+		select {
+		case <-l.notify:
+			ok = true
+		case <-abort:
+		}
+	}
+	l.waiters.Add(-1)
+	return ok
+}
+
 // next blocks until an event is available (returning it) or stop is
-// requested with an empty queue (returning false). The park protocol
-// mirrors the worker pool's: announce intent via the waiters counter,
-// re-check the (atomic) queue length, then sleep — enqueue publishes
-// the length before reading the counter, so a wakeup is never lost.
+// requested with an empty queue (returning false).
 func (l *Loop) next() (*item, bool) {
 	for {
 		if it := l.popItem(); it != nil {
 			return it, true
 		}
-		l.waiters.Add(1)
-		if l.qlen.Load() > 0 {
-			l.waiters.Add(-1)
-			continue
-		}
-		select {
-		case <-l.notify:
-			l.waiters.Add(-1)
-		case <-l.stopCh:
-			l.waiters.Add(-1)
+		if !l.park(l.stopCh) {
 			return nil, false
 		}
 	}
@@ -477,55 +481,7 @@ func (l *Loop) TryRunPending() bool {
 // is the only goroutine the registry affiliates with the loop), so it shares
 // the waiters counter with next.
 func (l *Loop) WaitPending(cancel <-chan struct{}) bool {
-	if l.qlen.Load() > 0 {
-		return true
-	}
-	l.waiters.Add(1)
-	defer l.waiters.Add(-1)
-	if l.qlen.Load() > 0 {
-		return true
-	}
-	select {
-	case <-l.notify:
-		return true
-	case <-cancel:
-		return false
-	}
-}
-
-// PumpUntil keeps dispatching queued events until done fires. It must be
-// called from within a handler on the dispatch goroutine (this is the
-// re-entrant "modified event queue dispatching" of Section IV.B); from any
-// other goroutine it returns ErrNotOnEDT immediately.
-func (l *Loop) PumpUntil(done <-chan struct{}) error {
-	if !l.Owns() {
-		return ErrNotOnEDT
-	}
-	for {
-		select {
-		case <-done:
-			return nil
-		default:
-		}
-		if l.runOne() {
-			continue
-		}
-		l.waiters.Add(1)
-		if l.qlen.Load() > 0 {
-			l.waiters.Add(-1)
-			continue
-		}
-		select {
-		case <-done:
-			l.waiters.Add(-1)
-			return nil
-		case <-l.notify:
-			l.waiters.Add(-1)
-		case <-l.stopCh:
-			l.waiters.Add(-1)
-			return executor.ErrShutdown
-		}
-	}
+	return l.qlen.Load() > 0 || l.park(cancel)
 }
 
 // Depth returns the current dispatch nesting depth on the EDT: 0 when idle,

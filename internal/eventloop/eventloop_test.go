@@ -88,9 +88,25 @@ func TestTryRunPendingRefusedOffEDT(t *testing.T) {
 	close(block)
 }
 
-func TestPumpUntilDispatchesNestedEvents(t *testing.T) {
+// pumpUntil is the await barrier the way core.AwaitDone drives it on the EDT:
+// dispatch queued events, sleeping in WaitPending while there are none, until
+// done fires.
+func pumpUntil(l *Loop, done <-chan struct{}) {
+	for {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		if !l.TryRunPending() {
+			l.WaitPending(done)
+		}
+	}
+}
+
+func TestNestedDispatchFromHandlerIsFIFO(t *testing.T) {
 	// The crux of the await mode: while a handler waits, the EDT keeps
-	// dispatching other events (Figure 1(ii) behaviour).
+	// dispatching other events (Figure 1(ii) behaviour), in post order.
 	l := newLoop(t)
 	var got []string
 	var mu sync.Mutex
@@ -99,9 +115,7 @@ func TestPumpUntilDispatchesNestedEvents(t *testing.T) {
 	done := make(chan struct{})
 	outer := l.Post(func() {
 		log("outer-start")
-		if err := l.PumpUntil(done); err != nil {
-			t.Errorf("PumpUntil: %v", err)
-		}
+		pumpUntil(l, done)
 		log("outer-end")
 	})
 	// These events arrive while the outer handler is "awaiting"; they must
@@ -124,21 +138,12 @@ func TestPumpUntilDispatchesNestedEvents(t *testing.T) {
 	}
 }
 
-func TestPumpUntilOffEDT(t *testing.T) {
-	l := newLoop(t)
-	done := make(chan struct{})
-	close(done)
-	if err := l.PumpUntil(done); !errors.Is(err, ErrNotOnEDT) {
-		t.Fatalf("PumpUntil off EDT = %v, want ErrNotOnEDT", err)
-	}
-}
-
-func TestPumpDepth(t *testing.T) {
+func TestNestedDispatchDepth(t *testing.T) {
 	l := newLoop(t)
 	depths := make(chan int, 2)
 	done := make(chan struct{})
 	outer := l.Post(func() {
-		l.PumpUntil(done)
+		pumpUntil(l, done)
 	})
 	inner := l.Post(func() {
 		depths <- l.Depth()
@@ -148,6 +153,34 @@ func TestPumpDepth(t *testing.T) {
 	outer.Wait()
 	if d := <-depths; d != 2 {
 		t.Fatalf("nested dispatch depth = %d, want 2", d)
+	}
+}
+
+// TestWaitPendingOnEDTReturnsFalseOnCancel: a handler sleeping in WaitPending
+// on an empty queue stays there until cancel fires, and is then told there is
+// nothing to run. A true return is only a hint (a stale wake token is legal),
+// so the handler re-checks like the barrier does.
+func TestWaitPendingOnEDTReturnsFalseOnCancel(t *testing.T) {
+	l := newLoop(t)
+	cancel := make(chan struct{})
+	returned := make(chan struct{})
+	l.Post(func() {
+		for l.WaitPending(cancel) {
+			l.TryRunPending()
+		}
+		close(returned)
+	})
+	poll.UntilBlockedIn(t, "(*Loop).WaitPending")
+	select {
+	case <-returned:
+		t.Fatal("WaitPending returned false before cancel, with nothing queued")
+	default:
+	}
+	close(cancel)
+	select {
+	case <-returned:
+	case <-time.After(2 * time.Second):
+		t.Fatal("WaitPending did not return false after cancel")
 	}
 }
 

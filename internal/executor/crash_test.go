@@ -97,38 +97,10 @@ func TestFailPending(t *testing.T) {
 	}
 }
 
-func TestResizeGrowsAndShrinks(t *testing.T) {
-	defer leakcheck.Check(t)()
-	var reg gid.Registry
-	p := NewWorkerPool("resize", 2, &reg)
-	defer p.Shutdown()
-	p.Resize(5)
-	if p.Workers() != 5 {
-		t.Fatalf("Workers = %d after Resize(5)", p.Workers())
-	}
-	p.Resize(1)
-	waitFor(t, "shrink to 1", func() bool { return p.Workers() == 1 })
-	p.Resize(0) // clamps to 1
-	waitFor(t, "clamp to 1", func() bool { return p.Workers() == 1 })
-	if err := p.Post(func() {}).Wait(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestResizeAfterShutdownIsNoop(t *testing.T) {
-	var reg gid.Registry
-	p := NewWorkerPool("resize2", 2, &reg)
-	p.Shutdown()
-	p.Resize(8)
-	if got := p.Workers(); got != 2 {
-		t.Fatalf("Workers = %d after post-shutdown Resize, want 2", got)
-	}
-}
-
-func TestConcurrentResizeShutdown(t *testing.T) {
+func TestConcurrentGrowShutdown(t *testing.T) {
 	defer leakcheck.Check(t)()
 	// Regression for the Grow wg.Add / Shutdown wg.Wait race: hammer
-	// Resize from several goroutines while Shutdown runs. Run with -race.
+	// Grow from several goroutines while Shutdown runs. Run with -race.
 	for round := 0; round < 20; round++ {
 		var reg gid.Registry
 		p := NewWorkerPool("storm", 2, &reg)
@@ -139,7 +111,7 @@ func TestConcurrentResizeShutdown(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				for i := 0; i < 10; i++ {
-					p.Resize(1 + (g+i)%6)
+					p.Grow(1 + (g+i)%3)
 				}
 			}(g)
 		}
@@ -152,7 +124,7 @@ func TestConcurrentResizeShutdown(t *testing.T) {
 		}()
 		p.Shutdown()
 		wg.Wait()
-		p.Resize(4) // no-op after shutdown
+		p.Grow(4) // no-op after shutdown
 		// Every accepted task either ran before the drain finished or was
 		// failed by the shutdown backstop; none may hang.
 	}

@@ -258,12 +258,12 @@ type Executor interface {
 type Stats struct {
 	Submitted  int64 // tasks accepted by Post
 	Completed  int64 // task bodies that finished (including panics)
-	Rejected   int64 // tasks rejected (shutdown / full bounded queue)
+	Rejected   int64 // tasks rejected (shutdown)
 	Helped     int64 // tasks run via TryRunPending rather than a worker
 	Panics     int64 // task bodies that terminated by panicking
 	Crashes    int64 // worker goroutines that died abnormally (Goexit/escaped panic)
 	Steals     int64 // tasks moved between shards by work stealing
-	Rehomed    int64 // tasks moved off a retiring/crashed worker's shard
+	Rehomed    int64 // tasks moved off a crashed worker's shard
 	QueuePeak  int64 // high watermark of a single shard's queue length
 	QueueDepth int64 // current total queue length across shards
 }
@@ -406,9 +406,8 @@ const workerSpins = 4
 // Internally the pool is sharded: each worker owns a local run-queue and
 // producers hash onto shards by goroutine id, so multi-producer submission
 // scales instead of serializing on one lock. Workers steal from each other
-// when their own shard runs dry, and a retiring or crashed worker's shard
-// is re-homed (or adopted by a respawned worker) so no queued task is ever
-// stranded. A pool constructed with one worker (NewSerialExecutor) keeps
+// when their own shard runs dry, and a crashed worker's shard is re-homed
+// (or adopted by a respawned worker) so no queued task is ever stranded. A pool constructed with one worker (NewSerialExecutor) keeps
 // the strict-FIFO guarantee: its single shard is popped oldest-first.
 type WorkerPool struct {
 	name     string
@@ -421,12 +420,10 @@ type WorkerPool struct {
 
 	mu       sync.Mutex
 	parked   *parker // LIFO stack of idle (parked) workers
-	capacity int     // 0 = unbounded
 	shutdown bool
 	onPanic  func(any)
 	onCrash  func(any) // notified when a worker goroutine dies abnormally
-	nworkers int       // guarded by mu (Grow/Shrink mutate it)
-	shrink   int       // pending worker-exit credits, guarded by mu
+	nworkers int       // guarded by mu (Grow and crashes mutate it)
 	serial   bool      // constructed with one worker: strict FIFO pop order
 
 	// shards is the current shard set, copy-on-write under mu. Producers,
@@ -438,12 +435,10 @@ type WorkerPool struct {
 
 	// Hot-path state read without the lock.
 	stopped    atomic.Bool   // mirror of shutdown, checked inside shard critical sections
-	shrinkHint atomic.Int32  // mirror of shrink: lets workers skip mu when no retirement is pending
 	nparked    atomic.Int32  // mirror of the parked-stack size
 	spinning   atomic.Int32  // workers in the pre-park spin phase
 	extWaiters atomic.Int32  // goroutines blocked in WaitPending
 	notify     chan struct{} // cap-1 wakeup for WaitPending
-	qtotal     atomic.Int64  // total queued tasks; maintained only when capacity > 0
 
 	wg sync.WaitGroup
 
@@ -455,8 +450,8 @@ type WorkerPool struct {
 	steals    atomic.Int64
 	rehomed   atomic.Int64
 	// carrySub/carryPeak preserve the Submitted/QueuePeak contributions of
-	// shards that have since been removed from the snapshot (retire/crash
-	// re-homing transfers them under the dying shard's lock).
+	// shards that have since been removed from the snapshot (crash re-homing
+	// transfers them under the dying shard's lock).
 	carrySub  atomic.Int64
 	carryPeak atomic.Int64
 }
@@ -466,28 +461,13 @@ type WorkerPool struct {
 // to 1, matching Pyjama's requirement that a worker target has at least one
 // thread.
 func NewWorkerPool(name string, n int, reg *gid.Registry) *WorkerPool {
-	return NewBoundedWorkerPool(name, n, 0, reg)
-}
-
-// NewSerialExecutor returns a single-worker pool: a virtual target whose
-// thread group is exactly one thread, guaranteeing FIFO execution of posted
-// tasks. This is the general-purpose form of thread confinement; the GUI
-// event-dispatch thread in package eventloop is a richer special case.
-func NewSerialExecutor(name string, reg *gid.Registry) *WorkerPool {
-	return NewWorkerPool(name, 1, reg)
-}
-
-// NewBoundedWorkerPool is NewWorkerPool with a queue capacity; Post on a full
-// queue rejects the task (capacity 0 = unbounded). Bounded pools are an
-// extension beyond the paper used by the saturation/failure-injection tests.
-func NewBoundedWorkerPool(name string, n, capacity int, reg *gid.Registry) *WorkerPool {
 	if n < 1 {
 		n = 1
 	}
 	if reg == nil {
 		reg = &gid.Default
 	}
-	p := &WorkerPool{name: name, registry: reg, capacity: capacity, nworkers: n,
+	p := &WorkerPool{name: name, registry: reg, nworkers: n,
 		serial: n == 1,
 		notify: make(chan struct{}, 1)}
 	snap := make([]*shard, n)
@@ -513,10 +493,18 @@ func NewBoundedWorkerPool(name string, n, capacity int, reg *gid.Registry) *Work
 	return p
 }
 
+// NewSerialExecutor returns a single-worker pool: a virtual target whose
+// thread group is exactly one thread, guaranteeing FIFO execution of posted
+// tasks. This is the general-purpose form of thread confinement; the GUI
+// event-dispatch thread in package eventloop is a richer special case.
+func NewSerialExecutor(name string, reg *gid.Registry) *WorkerPool {
+	return NewWorkerPool(name, 1, reg)
+}
+
 // spawnWorker launches one worker goroutine, calling onStarted once it is
-// registered. The epilogue distinguishes the two legitimate exits (shutdown
-// drain and shrink retirement return normally from workerLoop) from a crash:
-// runtime.Goexit or a panic escaping the task recovery unwinds with
+// registered. The epilogue distinguishes the legitimate exit (the shutdown
+// drain returns normally from workerLoop) from a crash: runtime.Goexit or a
+// panic escaping the task recovery unwinds with
 // normal == false, which corrects the live-worker count, re-homes or orphans
 // the dead worker's shard, and notifies the crash handler so a supervisor
 // can replace the worker or restart the pool.
@@ -580,8 +568,8 @@ func (p *WorkerPool) workerCrashed(w *worker, reason any) {
 }
 
 // SetCrashHandler installs fn to be called whenever a worker goroutine dies
-// without going through shutdown or shrink retirement (runtime.Goexit in a
-// task body, or a panic that escaped recovery). The reason is the escaped
+// without going through shutdown (runtime.Goexit in a task body, or a panic
+// that escaped recovery). The reason is the escaped
 // panic value, or nil for a plain Goexit. Supervisors use this as their
 // failure signal.
 func (p *WorkerPool) SetCrashHandler(fn func(any)) {
@@ -619,10 +607,10 @@ func (p *WorkerPool) removeShardLocked(sh *shard) {
 }
 
 // rehome marks sh dead, drains it, and moves the backlog onto a live shard.
-// Called after sh has been removed from the snapshot (retire, or crash with
-// survivors). Producers holding the old snapshot either pushed before the
-// dead flag was set — their tasks are in the drained batch — or see dead
-// under the shard lock and re-pick; either way nothing is stranded.
+// Called after sh has been removed from the snapshot (crash with survivors).
+// Producers holding the old snapshot either pushed before the dead flag was
+// set — their tasks are in the drained batch — or see dead under the shard
+// lock and re-pick; either way nothing is stranded.
 func (p *WorkerPool) rehome(sh *shard) {
 	sh.mu.Lock()
 	sh.dead = true
@@ -642,7 +630,7 @@ func (p *WorkerPool) rehome(sh *shard) {
 		dst.mu.Lock()
 		if dst.dead {
 			dst.mu.Unlock()
-			continue // that one retired too; the snapshot has moved on
+			continue // that one died too; the snapshot has moved on
 		}
 		for _, t := range moved {
 			dst.q.pushBack(t)
@@ -680,7 +668,7 @@ func (p *WorkerPool) popParkerLocked() *parker {
 }
 
 // takeAllParkedLocked detaches the whole idle stack for a broadcast-style
-// wake (shutdown, shrink). Tokens are sent after releasing the lock.
+// wake (shutdown). Tokens are sent after releasing the lock.
 func (p *WorkerPool) takeAllParkedLocked() *parker {
 	head := p.parked
 	p.parked = nil
@@ -834,12 +822,8 @@ func (p *WorkerPool) steal(w *worker) *task {
 
 // execute runs one task a worker or a helper popped, reporting whether the
 // body ran: a task whose cancellation won the race is skipped (the canceller
-// already finished its completion). Either way the task leaves the queue
-// here, which is what the bounded-capacity accounting counts.
+// already finished its completion).
 func (p *WorkerPool) execute(t *task) bool {
-	if p.capacity > 0 {
-		p.qtotal.Add(-1)
-	}
 	if !t.state.CompareAndSwap(taskQueued, taskRunning) {
 		return false
 	}
@@ -857,39 +841,9 @@ func (p *WorkerPool) wakeForBacklog() {
 	}
 }
 
-// tryRetire consumes one pending Shrink credit, removing this worker and
-// re-homing its shard. Reports whether the worker should exit.
-func (p *WorkerPool) tryRetire(w *worker) bool {
-	p.mu.Lock()
-	if p.shrink == 0 {
-		p.mu.Unlock()
-		return false
-	}
-	if p.nworkers <= 1 {
-		// A worker crash can leave a Shrink credit outstanding with only
-		// one worker alive. The last worker never retires — that would
-		// empty the shard snapshot (invariant: never empty) and strand
-		// every future Post. The crash already delivered the headcount
-		// reduction the credit asked for, so cancel what remains instead
-		// of letting the survivor consume it (a pending credit also keeps
-		// park returning early, which would busy-spin the survivor).
-		p.shrink = 0
-		p.shrinkHint.Store(0)
-		p.mu.Unlock()
-		return false
-	}
-	p.shrink--
-	p.shrinkHint.Store(int32(p.shrink))
-	p.nworkers--
-	p.removeShardLocked(w.shard)
-	p.mu.Unlock()
-	p.rehome(w.shard)
-	return true
-}
-
 // park publishes the worker on the idle stack and blocks until a producer
-// (or shutdown/shrink/crash handling) hands it a wake token. The
-// no-lost-wakeup argument is a Dekker pair on sequentially consistent
+// (or shutdown/crash handling) hands it a wake token. The no-lost-wakeup
+// argument is a Dekker pair on sequentially consistent
 // atomics: the producer stores the shard length and then loads nparked; the
 // parking worker increments nparked and then re-scans the shard lengths.
 // Whatever the interleaving, at least one side sees the other — either the
@@ -897,7 +851,7 @@ func (p *WorkerPool) tryRetire(w *worker) bool {
 // and unparks itself.
 func (p *WorkerPool) park(w *worker) {
 	p.mu.Lock()
-	if p.shutdown || p.shrink > 0 {
+	if p.shutdown {
 		p.mu.Unlock()
 		return // let the main loop handle the signal
 	}
@@ -930,14 +884,11 @@ func (p *WorkerPool) park(w *worker) {
 
 // workerLoop is one worker's life: pop the local shard (LIFO with a
 // fairness tick), steal half a sibling's queue when dry, spin briefly, then
-// park until a producer hands over a token. Retirement credits and shutdown
-// are checked between tasks.
+// park until a producer hands over a token. Shutdown is checked between
+// tasks.
 func (p *WorkerPool) workerLoop(w *worker) {
 	spun := false
 	for {
-		if p.shrinkHint.Load() > 0 && p.tryRetire(w) {
-			return
-		}
 		t := p.popLocal(w)
 		if t == nil {
 			t = p.steal(w)
@@ -969,8 +920,7 @@ func (p *WorkerPool) workerLoop(w *worker) {
 }
 
 // enqueue is the shared admission path of Post, PostCancellable and the
-// test seams: reject on shutdown or a full bounded pool, otherwise push to
-// the picked shard, publish the new length and watermark, wake at most one
+// test seams: reject on shutdown, otherwise push to the picked shard, publish the new length and watermark, wake at most one
 // parked worker (none if a spinner will find the task anyway), and apply
 // soft backpressure when the shard is badly backlogged.
 func (p *WorkerPool) enqueue(t *task, pick func() *shard) bool {
@@ -980,23 +930,13 @@ func (p *WorkerPool) enqueue(t *task, pick func() *shard) bool {
 		c.complete(ErrShutdown)
 		return false
 	}
-	if p.capacity > 0 {
-		// Reserve a queue slot with add-then-check: exact admission without
-		// a global lock.
-		if p.qtotal.Add(1) > int64(p.capacity) {
-			p.qtotal.Add(-1)
-			p.rejected.Add(1)
-			c.complete(ErrQueueFull)
-			return false
-		}
-	}
 	var n int64
 	for {
 		sh := pick()
 		sh.mu.Lock()
 		if sh.dead {
 			sh.mu.Unlock()
-			continue // worker retired under us; re-pick from the new snapshot
+			continue // worker crashed under us; re-pick from the new snapshot
 		}
 		if p.stopped.Load() {
 			// Checked inside the shard critical section: FailPending drains
@@ -1004,9 +944,6 @@ func (p *WorkerPool) enqueue(t *task, pick func() *shard) bool {
 			// task either lands before the drain (and is failed there) or
 			// the producer sees stopped here. No stranding window.
 			sh.mu.Unlock()
-			if p.capacity > 0 {
-				p.qtotal.Add(-1)
-			}
 			p.rejected.Add(1)
 			c.complete(ErrShutdown)
 			return false
@@ -1046,19 +983,6 @@ func (p *WorkerPool) Post(fn func()) *Completion {
 	return &t.comp
 }
 
-// postToShard is the white-box test seam behind the stealing and re-homing
-// regressions: like Post, but pinned to shard index i of the current
-// snapshot (modulo its size) instead of hashing by goroutine id.
-func (p *WorkerPool) postToShard(i int, fn func()) *Completion {
-	t := &task{Bracket: Bracket{Fn: fn}}
-	t.Enqueued(p.name, 0)
-	p.enqueue(t, func() *shard {
-		snap := *p.shards.Load()
-		return snap[i%len(snap)]
-	})
-	return &t.comp
-}
-
 // WaitPending blocks until the pool has at least one queued task or cancel
 // fires, reporting whether pending work may be available. A true return is a
 // hint, not a reservation — the caller should follow with TryRunPending and
@@ -1083,10 +1007,6 @@ func (p *WorkerPool) WaitPending(cancel <-chan struct{}) bool {
 		return false
 	}
 }
-
-// ErrQueueFull is returned for tasks rejected by a bounded pool whose queue
-// is at capacity.
-var ErrQueueFull = errors.New("executor: queue full")
 
 // Owns reports whether the calling goroutine is one of the pool's workers
 // (or is currently inlined inside one of its tasks).
@@ -1169,9 +1089,6 @@ func (p *WorkerPool) FailPending(err error) int {
 		sh.len.Store(0)
 		sh.mu.Unlock()
 		for _, t := range tasks {
-			if p.capacity > 0 {
-				p.qtotal.Add(-1)
-			}
 			if t.state.CompareAndSwap(taskQueued, taskCancelled) {
 				t.comp.complete(err)
 				n++
@@ -1184,9 +1101,8 @@ func (p *WorkerPool) FailPending(err error) int {
 	return n
 }
 
-// Workers returns the current number of worker goroutines (Grow and Shrink
-// change it at runtime; retiring workers are counted until they actually
-// exit).
+// Workers returns the current number of worker goroutines (Grow raises it
+// at runtime, a crash lowers it).
 func (p *WorkerPool) Workers() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -1242,62 +1158,6 @@ func (p *WorkerPool) Grow(n int) {
 	}
 }
 
-// Resize sets the pool's worker count to n (clamped to at least 1), growing
-// or shrinking as needed. Like Grow and Shrink it is a documented no-op
-// after Shutdown, so concurrent Resize/Shutdown is safe: whichever wins the
-// pool's lock decides, and a Resize that loses changes nothing.
-func (p *WorkerPool) Resize(n int) {
-	if n < 1 {
-		n = 1
-	}
-	p.mu.Lock()
-	if p.shutdown {
-		p.mu.Unlock()
-		return
-	}
-	// Workers already scheduled to retire don't count toward the target.
-	cur := p.nworkers - p.shrink
-	p.mu.Unlock()
-	switch {
-	case n > cur:
-		p.Grow(n - cur)
-	case n < cur:
-		p.Shrink(cur - n)
-	}
-}
-
-// Shrink retires up to n workers once they become idle (a busy worker
-// finishes its current task first). A retiring worker re-homes its local
-// queue onto a survivor before exiting, so no queued task is orphaned. The
-// pool never drops below one worker. It returns the number of retirements
-// actually scheduled.
-func (p *WorkerPool) Shrink(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	p.mu.Lock()
-	if p.shutdown {
-		p.mu.Unlock()
-		return 0
-	}
-	avail := p.nworkers - p.shrink - 1
-	if n > avail {
-		n = avail
-	}
-	if n <= 0 {
-		p.mu.Unlock()
-		return 0
-	}
-	p.shrink += n
-	p.shrinkHint.Store(int32(p.shrink))
-	// Parked workers must come back to the lock to see their retirement
-	// credit; spinning or busy workers observe it on their next pass.
-	head := p.takeAllParkedLocked()
-	p.mu.Unlock()
-	wakeAll(head)
-	return n
-}
-
 // ErrCanceled is the terminal error of a task cancelled before it started.
 var ErrCanceled = errors.New("executor: task canceled")
 
@@ -1326,8 +1186,8 @@ var _ Executor = (*WorkerPool)(nil)
 
 // Stats returns a snapshot of the pool's counters. Submitted and QueuePeak
 // are aggregated from the live shards plus the carried-over contribution of
-// shards whose workers have retired or crashed; QueueDepth is the sum of
-// the live shard lengths.
+// shards whose workers have crashed; QueueDepth is the sum of the live shard
+// lengths.
 func (p *WorkerPool) Stats() Stats {
 	snap := *p.shards.Load()
 	var depth, sub int64

@@ -147,33 +147,6 @@ func TestShutdownDrainsQueueAndRejectsNew(t *testing.T) {
 	p.Shutdown()
 }
 
-func TestBoundedPoolRejectsWhenFull(t *testing.T) {
-	var reg gid.Registry
-	p := NewBoundedWorkerPool("bounded", 1, 2, &reg)
-	defer p.Shutdown()
-	block := make(chan struct{})
-	started := make(chan struct{})
-	p.Post(func() { close(started); <-block }) // occupies the worker
-	<-started
-	c1 := p.Post(func() {}) // queue slot 1
-	c2 := p.Post(func() {}) // queue slot 2
-	c3 := p.Post(func() {}) // must be rejected
-	if err := c3.Err(); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("overflow task err = %v, want ErrQueueFull", err)
-	}
-	close(block)
-	if err := c1.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c2.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	st := p.Stats()
-	if st.Rejected != 1 {
-		t.Fatalf("Rejected = %d, want 1", st.Rejected)
-	}
-}
-
 func TestTryRunPending(t *testing.T) {
 	var reg gid.Registry
 	p := NewWorkerPool("worker", 1, &reg)

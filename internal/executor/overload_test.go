@@ -10,50 +10,6 @@ import (
 	"repro/internal/testutil/poll"
 )
 
-// TestBoundedPoolAtCapacity drives a bounded pool to its queue limit and
-// checks the accept/reject boundary exactly: with one busy worker and a
-// queue of capacity tasks, the next Post is rejected with ErrQueueFull and
-// counted in Stats.Rejected, while every accepted task still completes.
-func TestBoundedPoolAtCapacity(t *testing.T) {
-	const capacity = 4
-	p := NewBoundedWorkerPool("bounded", 1, capacity, nil)
-	defer p.Shutdown()
-
-	gate := make(chan struct{})
-	busy := make(chan struct{})
-	p.Post(func() { close(busy); <-gate }) // occupy the single worker
-	<-busy
-
-	var accepted []*Completion
-	for i := 0; i < capacity; i++ {
-		accepted = append(accepted, p.Post(func() {}))
-	}
-	rej := p.Post(func() { t.Error("rejected task must never run") })
-	if !rej.Finished() {
-		t.Fatal("rejected completion should be finished immediately")
-	}
-	if !errors.Is(rej.Err(), ErrQueueFull) {
-		t.Fatalf("Err = %v, want ErrQueueFull", rej.Err())
-	}
-	rejC, cancel := p.PostCancellable(func() { t.Error("rejected task must never run") })
-	if !errors.Is(rejC.Err(), ErrQueueFull) {
-		t.Fatalf("PostCancellable Err = %v, want ErrQueueFull", rejC.Err())
-	}
-	if cancel() {
-		t.Fatal("cancel on a rejected task must report false")
-	}
-	if st := p.Stats(); st.Rejected != 2 || st.QueueDepth != capacity {
-		t.Fatalf("Stats = %+v, want Rejected=2 QueueDepth=%d", st, capacity)
-	}
-
-	close(gate)
-	for _, c := range accepted {
-		if err := c.Wait(); err != nil {
-			t.Fatalf("accepted task failed: %v", err)
-		}
-	}
-}
-
 // TestPostCancellableCancelVsRunRace races cancel() against the worker
 // picking the task up. Exactly one side must win each round: either the
 // body runs and the completion is nil-errored, or it never runs and the

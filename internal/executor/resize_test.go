@@ -6,10 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/gid"
-
 	"repro/internal/testutil/leakcheck"
-
-	"repro/internal/testutil/poll"
 )
 
 func TestGrowAddsCapacity(t *testing.T) {
@@ -40,48 +37,18 @@ func TestGrowAddsCapacity(t *testing.T) {
 	close(gate)
 }
 
-func TestShrinkRetiresIdleWorkers(t *testing.T) {
-	defer leakcheck.Check(t)()
-	var reg gid.Registry
-	p := NewWorkerPool("shrink", 4, &reg)
-	defer p.Shutdown()
-	if got := p.Shrink(2); got != 2 {
-		t.Fatalf("Shrink(2) = %d", got)
-	}
-	// Idle workers retire promptly.
-	poll.Until(t, "idle workers to retire to 2", func() bool { return p.Workers() == 2 })
-	// The pool still works.
-	if err := p.Post(func() {}).Wait(); err != nil {
-		t.Fatal(err)
-	}
-	// Never below one worker.
-	if got := p.Shrink(99); got != 1 {
-		t.Fatalf("Shrink(99) = %d, want clamped 1", got)
-	}
-	poll.Until(t, "workers to retire to the floor of 1", func() bool { return p.Workers() == 1 })
-	if got := p.Shrink(1); got != 0 {
-		t.Fatalf("Shrink below 1 = %d, want 0", got)
-	}
-	if err := p.Post(func() {}).Wait(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGrowShrinkNoopCases(t *testing.T) {
+func TestGrowNoopCases(t *testing.T) {
 	var reg gid.Registry
 	p := NewWorkerPool("noop", 2, &reg)
 	p.Grow(0)
 	p.Grow(-3)
-	if p.Shrink(0) != 0 || p.Shrink(-1) != 0 {
-		t.Fatal("negative shrink")
-	}
 	if p.Workers() != 2 {
 		t.Fatalf("Workers = %d", p.Workers())
 	}
 	p.Shutdown()
 	p.Grow(5) // no-op after shutdown
-	if p.Shrink(1) != 0 {
-		t.Fatal("shrink after shutdown")
+	if got := p.Workers(); got != 2 {
+		t.Fatalf("Workers = %d after post-shutdown Grow, want 2", got)
 	}
 }
 
@@ -162,11 +129,10 @@ func TestCancelledTaskSkippedByHelper(t *testing.T) {
 	close(gate)
 }
 
-func TestGrowShrinkStormProperty(t *testing.T) {
+func TestGrowStormProperty(t *testing.T) {
 	defer leakcheck.Check(t)()
-	// Property: under any interleaving of Grow/Shrink/Post, every accepted
-	// task runs exactly once and the pool never reports fewer than one
-	// worker.
+	// Property: under any interleaving of Grow/Post, every accepted task
+	// runs exactly once and the pool never reports fewer than one worker.
 	var reg gid.Registry
 	p := NewWorkerPool("storm", 2, &reg)
 	defer p.Shutdown()
@@ -176,8 +142,6 @@ func TestGrowShrinkStormProperty(t *testing.T) {
 		switch i % 5 {
 		case 1:
 			p.Grow(1)
-		case 3:
-			p.Shrink(1)
 		default:
 			comps = append(comps, p.Post(func() { ran.Add(1) }))
 		}
@@ -192,41 +156,5 @@ func TestGrowShrinkStormProperty(t *testing.T) {
 	}
 	if int(ran.Load()) != len(comps) {
 		t.Fatalf("ran %d/%d tasks", ran.Load(), len(comps))
-	}
-}
-
-// TestShrinkRehomesQueuedTasks: a retiring worker must move its local queue
-// onto a survivor before exiting — shrinking the pool can delay queued work
-// but never orphan it.
-func TestShrinkRehomesQueuedTasks(t *testing.T) {
-	defer leakcheck.Check(t)()
-	var reg gid.Registry
-	p := NewWorkerPool("shrink", 2, &reg)
-	defer p.Shutdown()
-	release0, release1 := blockBothWorkers(t, p)
-
-	const n = 25
-	var comps []*Completion
-	for i := 0; i < n; i++ {
-		comps = append(comps, p.postToShard(0, func() {}))
-		comps = append(comps, p.postToShard(1, func() {}))
-	}
-	if got := p.Shrink(1); got != 1 {
-		t.Fatalf("Shrink scheduled %d retirements, want 1", got)
-	}
-	// Free one worker: it consumes the retirement credit first and must
-	// re-home its shard's n pinned tasks (the survivor is still gated, so
-	// the count is exact).
-	close(release0)
-	waitFor(t, "worker retired", func() bool { return p.Workers() == 1 })
-	waitFor(t, "queue re-homed", func() bool { return p.Stats().Rehomed == n })
-	close(release1)
-	for _, c := range comps {
-		if err := c.Wait(); err != nil {
-			t.Fatalf("queued task failed across shrink: %v", err)
-		}
-	}
-	if got := p.Stats().Submitted; got != 2*n+2 {
-		t.Fatalf("Submitted = %d, want %d (carry must survive the retired shard)", got, 2*n+2)
 	}
 }

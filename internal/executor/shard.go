@@ -20,7 +20,7 @@ import (
 //     only then locks its own shard to keep the surplus — symmetric steals
 //     can therefore never deadlock.
 //   - Never hold a shard lock while taking WorkerPool.mu (or vice versa).
-//     Paths that need both (retire, crash re-homing) take them sequentially.
+//     Paths that need both (crash re-homing) take them sequentially.
 
 // runq is a growable power-of-two ring deque of tasks. The owning worker
 // pops from the back (LIFO — cache-warm, newest first); stealers and helpers
@@ -109,7 +109,7 @@ type shard struct {
 	mu sync.Mutex
 	q  runq
 	// dead marks a shard that has been removed from the pool's snapshot and
-	// drained (worker retired or crashed). Guarded by mu: a producer holding
+	// drained (its worker crashed). Guarded by mu: a producer holding
 	// a stale snapshot re-picks when it sees dead, so no task can land in a
 	// queue nobody will ever drain.
 	dead bool

@@ -9,6 +9,19 @@ import (
 	"repro/internal/trace"
 )
 
+// postToShard is the white-box seam behind the stealing and re-homing
+// regressions: like Post, but pinned to shard index i of the current
+// snapshot (modulo its size) instead of hashing by goroutine id.
+func (p *WorkerPool) postToShard(i int, fn func()) *Completion {
+	t := &task{Bracket: Bracket{Fn: fn}}
+	t.Enqueued(p.name, 0)
+	p.enqueue(t, func() *shard {
+		snap := *p.shards.Load()
+		return snap[i%len(snap)]
+	})
+	return &t.comp
+}
+
 // blockBothWorkers parks both workers of a 2-worker pool inside gate tasks,
 // one per shard (postToShard pins the gates to distinct shards, so each
 // worker ends up holding exactly one of them). It returns the two release

@@ -81,6 +81,11 @@ func TestPyjamaQoSShedsUnderOverload(t *testing.T) {
 	if got := s.QoSStats().Shed.Value(); got == 0 {
 		t.Fatalf("metrics Shed = %d, want nonzero", got)
 	}
+	// The same sheds reach /metrics: the limiter emits OpShed to the active
+	// sink, which is the one the scrape is fed from.
+	if got := scrapeMetrics(t, c.base)[`repro_shed_total{target="worker"}`]; got == 0 || int64(got) != s.QoSStats().Shed.Value() {
+		t.Fatalf("/metrics repro_shed_total = %v, want the limiter's %d", got, s.QoSStats().Shed.Value())
+	}
 	// With immediate shedding, no successful request ever waits behind
 	// more than the in-flight computation: p99 stays bounded by a few
 	// service times (generous CI bound, versus unbounded queueing which

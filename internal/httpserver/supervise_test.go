@@ -86,6 +86,11 @@ func TestSupervisedServerSurvivesKillStorm(t *testing.T) {
 	if s.Supervisor().Stats().Respawns.Value() == 0 {
 		t.Fatal("no worker was respawned")
 	}
+	// ... and /metrics counted it: the supervisor emits OpRestart to the
+	// active sink, which is the one the scrape is fed from.
+	if got := scrapeMetrics(t, base)[`repro_restarts_total{target="worker"}`]; got < 1 {
+		t.Fatalf("/metrics repro_restarts_total = %v after a supervised restart, want >= 1", got)
+	}
 
 	// The storm is bounded: once the window slides past the last restart,
 	// /healthz reads ok again and requests flow cleanly.
@@ -155,6 +160,9 @@ func TestUnsupervisedServerWedgesAndWatchdogFlagsIt(t *testing.T) {
 	}, "healthz degraded on stall")
 	if rep := s.Watchdog().Health()["worker"]; rep.LivenessValue() != supervise.LiveStalled {
 		t.Fatalf("watchdog report = %+v", rep)
+	}
+	if got := scrapeMetrics(t, base)[`repro_stalls_total{target="worker"}`]; got < 1 {
+		t.Fatalf("/metrics repro_stalls_total = %v after a watchdog stall, want >= 1", got)
 	}
 	if timeouts == 0 {
 		t.Log("note: all requests failed fast (kills raced ahead of the queue)")

@@ -2,7 +2,6 @@ package qos
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -60,7 +59,6 @@ type Breaker struct {
 
 	rejects metrics.Counter
 	opens   metrics.Counter
-	sink    atomic.Pointer[trace.Sink]
 }
 
 // NewBreaker builds a breaker for the named target that opens after
@@ -108,22 +106,6 @@ func (b *Breaker) Rejections() int64 { return b.rejects.Value() }
 // Opens returns how many times the breaker transitioned to Open.
 func (b *Breaker) Opens() int64 { return b.opens.Value() }
 
-// SetTraceSink installs a sink receiving OpBreakerOpen/OpBreakerClose
-// events (nil disables).
-func (b *Breaker) SetTraceSink(s trace.Sink) {
-	if s == nil {
-		b.sink.Store(nil)
-		return
-	}
-	b.sink.Store(&s)
-}
-
-func (b *Breaker) emit(op trace.Op) {
-	if p := b.sink.Load(); p != nil {
-		(*p).Record(trace.Event{Op: op, Target: b.name})
-	}
-}
-
 // Allow reports whether an invocation may proceed: nil to proceed,
 // ErrBreakerOpen to reject. A nil Breaker allows everything.
 func (b *Breaker) Allow() error {
@@ -166,7 +148,7 @@ func (b *Breaker) Success() {
 	if b.state == HalfOpen {
 		b.state = Closed
 		b.probing = false
-		b.emit(trace.OpBreakerClose)
+		trace.Emit(trace.OpBreakerClose, b.name)
 	}
 }
 
@@ -185,7 +167,7 @@ func (b *Breaker) Failure() {
 		b.openedAt = b.clock.Now()
 		b.probing = false
 		b.opens.Inc()
-		b.emit(trace.OpBreakerOpen)
+		trace.Emit(trace.OpBreakerOpen, b.name)
 	case Closed:
 		b.failures++
 		if b.failures >= b.threshold {
@@ -193,7 +175,7 @@ func (b *Breaker) Failure() {
 			b.openedAt = b.clock.Now()
 			b.failures = 0
 			b.opens.Inc()
-			b.emit(trace.OpBreakerOpen)
+			trace.Emit(trace.OpBreakerOpen, b.name)
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 func TestBreakerOpensAfterConsecutiveFailures(t *testing.T) {
 	b := NewBreaker("t", 3, time.Hour)
 	buf := trace.NewBuffer(16)
-	b.SetTraceSink(buf)
+	t.Cleanup(trace.Use(buf))
 	for i := 0; i < 2; i++ {
 		if err := b.Allow(); err != nil {
 			t.Fatalf("Allow before threshold: %v", err)
@@ -52,7 +52,7 @@ func TestBreakerHalfOpenProbeCloses(t *testing.T) {
 	mc := vclock.NewManual(time.Time{})
 	b.SetClock(mc)
 	buf := trace.NewBuffer(16)
-	b.SetTraceSink(buf)
+	t.Cleanup(trace.Use(buf))
 	b.Failure() // open
 	mc.Advance(15 * time.Millisecond)
 	if b.State() != HalfOpen {

@@ -31,7 +31,6 @@ type Limiter struct {
 	firstAbove time.Time  // when sojourn first exceeded target (zero = not above)
 
 	stats *metrics.QoSStats
-	sink  atomic.Pointer[trace.Sink]
 }
 
 // NewLimiter builds a limiter named after its target with capacity
@@ -71,23 +70,6 @@ func (l *Limiter) Stats() *metrics.QoSStats { return l.stats }
 
 // Waiting returns the number of invocations currently queued for a slot.
 func (l *Limiter) Waiting() int { return int(l.waiting.Load()) }
-
-// SetTraceSink installs a sink receiving one trace.OpShed event per shed
-// invocation (nil disables). A nil Limiter method set is safe throughout,
-// so callers may thread an optional limiter without nil checks.
-func (l *Limiter) SetTraceSink(s trace.Sink) {
-	if s == nil {
-		l.sink.Store(nil)
-		return
-	}
-	l.sink.Store(&s)
-}
-
-func (l *Limiter) emitShed() {
-	if p := l.sink.Load(); p != nil {
-		(*p).Record(trace.Event{Op: trace.OpShed, Target: l.name})
-	}
-}
 
 // Acquire obtains an execution slot, applying the overload policy when
 // none is free. It returns nil on admission (pair with Release), ErrShed
@@ -181,7 +163,7 @@ func (l *Limiter) Release() {
 
 func (l *Limiter) shed() {
 	l.stats.Shed.Inc()
-	l.emitShed()
+	trace.Emit(trace.OpShed, l.name)
 }
 
 // codelDrop implements the CoDel control law on dequeue: shed once sojourn

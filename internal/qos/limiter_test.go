@@ -32,7 +32,7 @@ func TestFastPathAdmission(t *testing.T) {
 func TestRejectPolicyShedsWhenSaturated(t *testing.T) {
 	l := NewLimiter("t", 1, 8, Reject())
 	buf := trace.NewBuffer(16)
-	l.SetTraceSink(buf)
+	t.Cleanup(trace.Use(buf))
 	if err := l.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}

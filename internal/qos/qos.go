@@ -32,7 +32,8 @@
 //     synchronizing into retry storms.
 //
 // Both Limiter and Breaker emit trace events (trace.OpShed,
-// trace.OpBreakerOpen, trace.OpBreakerClose) so scheduling decisions under
+// trace.OpBreakerOpen, trace.OpBreakerClose) to the active sink
+// (trace.Emit), so /metrics counts them and scheduling decisions under
 // overload are assertable in tests, and record their measurements in a
 // metrics.QoSStats.
 package qos

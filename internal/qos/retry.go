@@ -5,18 +5,14 @@ import (
 	"errors"
 	"math/rand"
 	"time"
-
-	"repro/internal/executor"
 )
 
 // Retryable reports whether err is a transient admission failure worth
-// retrying with backoff: a shed, an open breaker, or a full executor
-// queue. Permanent errors (unknown target, nil block, task panics) and
-// context expiry are not retryable.
+// retrying with backoff: a shed or an open breaker. Permanent errors
+// (unknown target, nil block, task panics) and context expiry are not
+// retryable.
 func Retryable(err error) bool {
-	return errors.Is(err, ErrShed) ||
-		errors.Is(err, ErrBreakerOpen) ||
-		errors.Is(err, executor.ErrQueueFull)
+	return errors.Is(err, ErrShed) || errors.Is(err, ErrBreakerOpen)
 }
 
 // Retry runs an operation with capped exponential backoff and full

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"repro/internal/executor"
 )
 
 func TestRetrySucceedsAfterTransientSheds(t *testing.T) {
@@ -74,7 +72,7 @@ func TestRetryCapBoundsBackoff(t *testing.T) {
 }
 
 func TestRetryableClassification(t *testing.T) {
-	for _, err := range []error{ErrShed, ErrBreakerOpen, executor.ErrQueueFull} {
+	for _, err := range []error{ErrShed, ErrBreakerOpen} {
 		if !Retryable(err) {
 			t.Errorf("Retryable(%v) = false, want true", err)
 		}

@@ -104,9 +104,7 @@ func (s *Supervised) spawn(gen int) (executor.Executor, error) {
 		}
 	}
 	if gen > 0 {
-		if sink := trace.ActiveSink(); sink != nil {
-			sink.Record(trace.Event{Time: time.Now(), Op: trace.OpReactorRestart, Target: s.name})
-		}
+		trace.Emit(trace.OpReactorRestart, s.name)
 	}
 	return newReactorExec(r), nil
 }

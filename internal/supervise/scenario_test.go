@@ -41,8 +41,8 @@ func TestSupervisedSurvivesKillStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Shutdown()
-	buf := trace.NewBuffer(256)
-	s.SetTraceSink(buf)
+	buf := trace.NewBuffer(4096) // the global sink also receives every task span
+	t.Cleanup(trace.Use(buf))
 
 	const calls = 200
 	var ok, typed int
@@ -110,9 +110,9 @@ func TestUnsupervisedPoolWedgesAndWatchdogSees(t *testing.T) {
 
 	// Watch only once the pool is dead, so heartbeat probes don't race the
 	// deterministic kill schedule above.
-	buf := trace.NewBuffer(64)
+	buf := trace.NewBuffer(4096)
+	t.Cleanup(trace.Use(buf))
 	w := supervise.NewWatchdog(10 * time.Millisecond)
-	w.SetTraceSink(buf)
 	w.Watch("w", e, 50*time.Millisecond)
 	w.Start()
 	defer w.Stop()

@@ -12,15 +12,15 @@
 //
 // Both surface machine-readable health snapshots, which httpserver wires
 // into /healthz, and both emit trace events (trace.OpRestart, trace.OpStall,
-// trace.OpTargetDown) so post-mortems can line failures up against the
-// dispatch schedule that provoked them.
+// trace.OpTargetDown) to the active sink (trace.Emit), so /metrics counts
+// them and post-mortems can line failures up against the dispatch schedule
+// that provoked them.
 package supervise
 
 import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/executor"
@@ -201,7 +201,6 @@ type Supervisor struct {
 	factory Factory
 	opts    Options
 	stats   *metrics.SupervisionStats
-	sink    atomic.Pointer[trace.Sink]
 
 	mu          sync.Mutex
 	cur         executor.Executor
@@ -327,7 +326,7 @@ func (s *Supervisor) handleFailure(f failure) {
 		s.state = Failed
 		old := s.cur
 		s.mu.Unlock()
-		s.emit(trace.OpTargetDown)
+		trace.Emit(trace.OpTargetDown, s.name)
 		failPending(old, ErrTargetDown)
 		go old.Shutdown()
 		return
@@ -345,7 +344,7 @@ func (s *Supervisor) handleFailure(f failure) {
 	}
 	s.mu.Unlock()
 
-	s.emit(trace.OpRestart)
+	trace.Emit(trace.OpRestart, s.name)
 	if gw != nil {
 		// One-for-one: replace just the dead worker. Queued tasks stay
 		// queued — the respawned worker drains them.
@@ -375,7 +374,7 @@ func (s *Supervisor) handleFailure(f failure) {
 		s.state = Failed
 		s.lastErr = fmt.Errorf("supervise: factory(%d): %w", gen+1, err)
 		s.mu.Unlock()
-		s.emit(trace.OpTargetDown)
+		trace.Emit(trace.OpTargetDown, s.name)
 		return
 	}
 	s.mu.Lock()
@@ -502,15 +501,6 @@ func (s *Supervisor) Shutdown() {
 
 // Stats returns the supervision counters (shared, live).
 func (s *Supervisor) Stats() *metrics.SupervisionStats { return s.stats }
-
-// SetTraceSink emits OpRestart / OpTargetDown events to sink.
-func (s *Supervisor) SetTraceSink(sink trace.Sink) { s.sink.Store(&sink) }
-
-func (s *Supervisor) emit(op trace.Op) {
-	if p := s.sink.Load(); p != nil && *p != nil {
-		(*p).Record(trace.Event{Time: time.Now(), Op: op, Target: s.name})
-	}
-}
 
 // TargetHealth is a point-in-time health snapshot of one supervised target.
 type TargetHealth struct {

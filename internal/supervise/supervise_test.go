@@ -71,8 +71,8 @@ func TestPanicThresholdTriggersFullRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Shutdown()
-	buf := trace.NewBuffer(64)
-	s.SetTraceSink(buf)
+	buf := trace.NewBuffer(4096)
+	t.Cleanup(trace.Use(buf))
 
 	// Two panics in one generation cross the threshold.
 	for i := 0; i < 2; i++ {
@@ -103,8 +103,8 @@ func TestBudgetExhaustionFailsFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Shutdown()
-	buf := trace.NewBuffer(64)
-	s.SetTraceSink(buf)
+	buf := trace.NewBuffer(4096)
+	t.Cleanup(trace.Use(buf))
 
 	// Each kill consumes one respawn; the third exhausts the budget.
 	for i := 0; i < 3; i++ {

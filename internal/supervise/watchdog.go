@@ -90,7 +90,6 @@ type watchEntry struct {
 // flagged stalled (trace.OpStall, once per episode) until a probe lands.
 type Watchdog struct {
 	interval time.Duration
-	sink     atomic.Pointer[trace.Sink]
 	stalls   atomic.Int64
 
 	mu      sync.Mutex
@@ -150,9 +149,6 @@ func (w *Watchdog) Stop() {
 	w.wg.Wait()
 }
 
-// SetTraceSink emits OpStall events to sink.
-func (w *Watchdog) SetTraceSink(sink trace.Sink) { w.sink.Store(&sink) }
-
 // Stalls returns the total stall episodes flagged across all targets.
 func (w *Watchdog) Stalls() int64 { return w.stalls.Load() }
 
@@ -183,7 +179,7 @@ func (w *Watchdog) check(now time.Time) {
 	}
 	w.mu.Unlock()
 	for _, name := range stalledNames {
-		w.emit(trace.OpStall, name)
+		trace.Emit(trace.OpStall, name)
 	}
 }
 
@@ -220,12 +216,6 @@ func (w *Watchdog) checkEntry(en *watchEntry, now time.Time) bool {
 		en.down = err != nil && errors.Is(err, ErrTargetDown)
 	}
 	return false
-}
-
-func (w *Watchdog) emit(op trace.Op, target string) {
-	if p := w.sink.Load(); p != nil && *p != nil {
-		(*p).Record(trace.Event{Time: time.Now(), Op: op, Target: target})
-	}
 }
 
 // Health reports every watched target's liveness, keyed by watch name.

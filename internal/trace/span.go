@@ -3,6 +3,7 @@ package trace
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/gid"
 )
@@ -93,12 +94,12 @@ func Swap(id SpanID) SpanID {
 // Global sink.
 //
 // The runtime's dispatch layers (executor.WorkerPool, eventloop.Loop,
-// netloop.Server) have no back-pointer to a core.Runtime, so span events are
-// recorded against a process-global sink. core.Runtime prefers its own
-// per-runtime sink when one is installed and falls back to the global one,
-// which is how a single Buffer captures a complete cross-layer trace: install
-// it with SetGlobal (or Use, which restores the previous sink) and every
-// layer's events land in one ring.
+// netloop.Server) have no back-pointer to a core.Runtime, so every event —
+// core's scheduling decisions, the layers' spans, qos/supervise incidents —
+// is recorded against one process-global sink. That is how a single Buffer
+// captures a complete cross-layer trace: install it with SetGlobal (or Use,
+// which restores the previous sink) and every layer's events land in one
+// ring.
 // ---------------------------------------------------------------------------
 
 var globalSink atomic.Pointer[Sink]
@@ -120,6 +121,16 @@ func ActiveSink() Sink {
 		return nil
 	}
 	return *p
+}
+
+// Emit records a bare incident event (a shed, a breaker transition, a
+// restart, a stall) for target against the active sink, stamped with the wall
+// clock. It is inert when tracing is off, so emitters need no sink of their
+// own: whatever feeds /metrics or a test Buffer sees every layer's incidents.
+func Emit(op Op, target string) {
+	if s := ActiveSink(); s != nil {
+		s.Record(Event{Time: time.Now(), Op: op, Target: target})
+	}
 }
 
 // Use installs s as the global sink and returns a function restoring the
