@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet sancheck chaos chaos-net explore cover size fuzz bench bench-baseline bench-smoke bench-net bench-net-baseline benchmark-smoke report examples lint ci clean
+.PHONY: all build test race vet sancheck chaos chaos-net explore cover size allocs fuzz bench bench-baseline bench-smoke bench-net bench-net-baseline benchmark-smoke report examples lint ci clean
 
 all: build test race
 
@@ -83,6 +83,15 @@ cover:
 size:
 	@echo "non-test Go lines under internal/: $$(find internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@echo "Set* setters under internal/: $$(grep -rn "^func (.*) Set[A-Z][A-Za-z]*(\|^func Set[A-Z]" internal --include=*.go | grep -v _test.go | wc -l)"
+
+# allocs runs the dispatch path's allocation budget (DESIGN.md §10): heap
+# objects per Post, per Invoke in each scheduling mode and per Completion.Done,
+# plus the size of executor.Completion — untagged and under the sanitizer,
+# never under -race (the detector allocates on its own account, so the test
+# skips itself there).
+allocs:
+	$(GO) test -count=1 -run 'TestAllocationBudget' ./internal/core/
+	$(GO) test -count=1 -tags=ompsan -run 'TestAllocationBudget' ./internal/core/
 
 # fuzz runs the directive-parser fuzzer live; the committed seed corpus
 # under internal/directive/testdata/fuzz/ replays in every normal `go test`.

@@ -26,7 +26,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/executor"
 	"repro/internal/gid"
@@ -40,7 +42,7 @@ import (
 // gid.Registry the inline decision was made from. eventloop.Loop and
 // executor.WorkerPool implement it.
 type sanChecker interface {
-	SanCheck(op string)
+	SanCheck(op, subject string)
 }
 
 // Mode is the scheduling-property-clause of the extended target directive
@@ -109,10 +111,20 @@ type ICV struct {
 type Runtime struct {
 	registry *gid.Registry
 
-	mu      sync.RWMutex
-	targets map[string]executor.Executor
-	owned   map[string]bool // targets whose lifecycle we manage (Shutdown)
+	// view is everything an invoke reads of the runtime, loaded without a
+	// lock and never modified once published; registration, the ICV setters
+	// and Shutdown each publish a modified copy under mu.
+	view  atomic.Pointer[view]
+	mu    sync.Mutex      // serialises writers of view and guards owned
+	owned map[string]bool // targets whose lifecycle we manage (Shutdown)
+
+	groupMu sync.RWMutex
 	groups  map[string]*nameGroup
+}
+
+// view is one immutable snapshot of the runtime's registry and ICVs.
+type view struct {
+	targets map[string]executor.Executor
 	icv     ICV
 	enabled bool
 	stopped bool
@@ -124,13 +136,22 @@ func NewRuntime(reg *gid.Registry) *Runtime {
 	if reg == nil {
 		reg = &gid.Default
 	}
-	return &Runtime{
+	r := &Runtime{
 		registry: reg,
-		targets:  make(map[string]executor.Executor),
 		owned:    make(map[string]bool),
 		groups:   make(map[string]*nameGroup),
-		enabled:  true,
 	}
+	r.view.Store(&view{enabled: true, targets: map[string]executor.Executor{}})
+	return r
+}
+
+// publish replaces the view with a copy that change has edited. Caller
+// holds mu.
+func (r *Runtime) publish(change func(v *view)) {
+	next := *r.view.Load()
+	next.targets = maps.Clone(next.targets)
+	change(&next)
+	r.view.Store(&next)
 }
 
 // SetEnabled turns directive interpretation on or off. With enabled=false the
@@ -138,33 +159,25 @@ func NewRuntime(reg *gid.Registry) *Runtime {
 // synchronously on the calling goroutine ("the code still retains its
 // correctness when executed sequentially"). Registration calls still work so
 // the same program runs unmodified.
-func (r *Runtime) SetEnabled(v bool) {
+func (r *Runtime) SetEnabled(enabled bool) {
 	r.mu.Lock()
-	r.enabled = v
+	r.publish(func(v *view) { v.enabled = enabled })
 	r.mu.Unlock()
 }
 
 // Enabled reports whether directives are interpreted.
-func (r *Runtime) Enabled() bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.enabled
-}
+func (r *Runtime) Enabled() bool { return r.view.Load().enabled }
 
 // SetDefaultTarget sets the ICV used when Invoke receives an empty target
 // name.
 func (r *Runtime) SetDefaultTarget(name string) {
 	r.mu.Lock()
-	r.icv.DefaultTarget = name
+	r.publish(func(v *view) { v.icv.DefaultTarget = name })
 	r.mu.Unlock()
 }
 
 // ICV returns a snapshot of the internal control variables.
-func (r *Runtime) ICV() ICV {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.icv
-}
+func (r *Runtime) ICV() ICV { return r.view.Load().icv }
 
 // RegisterEDT registers loop as the virtual target named name. It is the
 // analogue of virtual_target_register_edt (Table II): in Pyjama the calling
@@ -172,61 +185,45 @@ func (r *Runtime) ICV() ICV {
 // thread. loop may be any executor with help-first support, but in practice
 // it is an *eventloop.Loop.
 func (r *Runtime) RegisterEDT(name string, loop executor.Executor) error {
-	return r.register(name, loop, false)
+	return r.RegisterTarget(name, loop)
 }
 
 // CreateWorker creates a worker virtual target named name backed by a pool
 // of m goroutines (virtual_target_create_worker of Table II) and returns the
 // pool. The runtime owns the pool and shuts it down in Shutdown.
 func (r *Runtime) CreateWorker(name string, m int) (*executor.WorkerPool, error) {
-	r.mu.Lock()
-	if r.stopped {
-		r.mu.Unlock()
-		return nil, ErrRuntimeStopped
-	}
-	if _, dup := r.targets[name]; dup {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrDuplicateName, name)
-	}
-	// Reserve the name before the (lock-free) pool construction.
-	r.targets[name] = nil
-	r.mu.Unlock()
-
 	pool := executor.NewWorkerPool(name, m, r.registry)
-	r.mu.Lock()
-	if r.stopped {
-		// Shutdown ran between the name reservation and here; it cannot
-		// have seen this pool, so stop it ourselves or its workers leak.
-		delete(r.targets, name)
-		r.mu.Unlock()
+	if err := r.register(name, pool, true); err != nil {
+		// The name is taken, or Shutdown got here first and cannot have seen
+		// this pool: stop it ourselves or its workers leak.
 		pool.Shutdown()
-		return nil, ErrRuntimeStopped
+		return nil, err
 	}
-	r.targets[name] = pool
-	r.owned[name] = true
-	r.mu.Unlock()
 	return pool, nil
 }
 
 // RegisterTarget registers an arbitrary executor as a virtual target. The
 // runtime does not take ownership of its lifecycle.
 func (r *Runtime) RegisterTarget(name string, e executor.Executor) error {
-	return r.register(name, e, false)
-}
-
-func (r *Runtime) register(name string, e executor.Executor, owned bool) error {
 	if e == nil {
 		return fmt.Errorf("core: nil executor for target %q", name)
 	}
+	return r.register(name, e, false)
+}
+
+// register publishes name → e unless the runtime has stopped or the name is
+// taken; owned hands e's lifecycle to Shutdown.
+func (r *Runtime) register(name string, e executor.Executor, owned bool) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.stopped {
+	v := r.view.Load()
+	if v.stopped {
 		return ErrRuntimeStopped
 	}
-	if _, dup := r.targets[name]; dup {
+	if _, dup := v.targets[name]; dup {
 		return fmt.Errorf("%w: %q", ErrDuplicateName, name)
 	}
-	r.targets[name] = e
+	r.publish(func(v *view) { v.targets[name] = e })
 	if owned {
 		r.owned[name] = true
 	}
@@ -235,17 +232,14 @@ func (r *Runtime) register(name string, e executor.Executor, owned bool) error {
 
 // Target returns the executor registered under name, or nil.
 func (r *Runtime) Target(name string) executor.Executor {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.targets[name]
+	return r.view.Load().targets[name]
 }
 
 // TargetNames returns the registered virtual target names (unordered).
 func (r *Runtime) TargetNames() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.targets))
-	for n := range r.targets {
+	targets := r.view.Load().targets
+	names := make([]string, 0, len(targets))
+	for n := range targets {
 		names = append(names, n)
 	}
 	return names
@@ -254,21 +248,20 @@ func (r *Runtime) TargetNames() []string {
 // resolve is an invoke's one registry read: whether directives are interpreted
 // at all and, if so, the executor a possibly-empty target name maps to.
 func (r *Runtime) resolve(name string) (e executor.Executor, enabled bool, err error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if !r.enabled {
+	v := r.view.Load()
+	if !v.enabled {
 		return nil, false, nil
 	}
-	if r.stopped {
+	if v.stopped {
 		return nil, true, ErrRuntimeStopped
 	}
 	if name == "" {
-		name = r.icv.DefaultTarget
+		name = v.icv.DefaultTarget
 		if name == "" {
 			return nil, true, ErrNoDefaultSet
 		}
 	}
-	e = r.targets[name]
+	e = v.targets[name]
 	if e == nil {
 		return nil, true, fmt.Errorf("%w: %q", ErrUnknownTarget, name)
 	}
@@ -361,7 +354,7 @@ func (r *Runtime) invoke(target string, mode Mode, tag string, nilBlock bool,
 		// confinement breach the sanitizer exists to catch.
 		if sanitize.Enabled {
 			if sc, ok := e.(sanChecker); ok {
-				sc.SanCheck("inline invoke on " + e.Name())
+				sc.SanCheck("inline invoke on", e.Name())
 			}
 		}
 		r.emit(trace.OpInline, e.Name(), mode)
@@ -407,11 +400,7 @@ func (r *Runtime) stoppedRejection(comp *executor.Completion) error {
 }
 
 // Stopped reports whether Shutdown has run.
-func (r *Runtime) Stopped() bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.stopped
-}
+func (r *Runtime) Stopped() bool { return r.view.Load().stopped }
 
 // AwaitCompletion implements the logical barrier of Algorithm 1 lines 14-16:
 // while comp is unfinished, the calling goroutine processes other pending
@@ -520,17 +509,30 @@ func (g *nameGroup) takeErr() error {
 	return err
 }
 
-func (g *nameGroup) snapshot() []*executor.Completion {
+// snapshot appends the tracked completions to buf, which lets a joiner keep a
+// tag of ordinary width on its own stack.
+func (g *nameGroup) snapshot(buf []*executor.Completion) []*executor.Completion {
 	g.mu.Lock()
-	out := make([]*executor.Completion, len(g.comps))
-	copy(out, g.comps)
+	buf = append(buf, g.comps...)
 	g.mu.Unlock()
-	return out
+	return buf
 }
 
+// lookup returns tag's group, nil if the tag was never used.
+func (r *Runtime) lookup(tag string) *nameGroup {
+	r.groupMu.RLock()
+	defer r.groupMu.RUnlock()
+	return r.groups[tag]
+}
+
+// group returns tag's group, creating it on the tag's first use — the only
+// time the group table is locked exclusively.
 func (r *Runtime) group(tag string) *nameGroup {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	if g := r.lookup(tag); g != nil {
+		return g
+	}
+	r.groupMu.Lock()
+	defer r.groupMu.Unlock()
 	g := r.groups[tag]
 	if g == nil {
 		g = &nameGroup{}
@@ -546,16 +548,15 @@ func (r *Runtime) group(tag string) *nameGroup {
 // instances finish". Waiting on a tag that was never used is a no-op. It
 // returns the first error (captured panic) among the joined blocks, if any.
 func (r *Runtime) WaitTag(tag string) error {
-	r.mu.RLock()
-	g := r.groups[tag]
-	r.mu.RUnlock()
+	g := r.lookup(tag)
 	if g == nil {
 		return nil
 	}
 	// A pruned block finished before any block still tracked, so its
 	// retained verdict is the tag's first error.
 	first := g.takeErr()
-	for _, c := range g.snapshot() {
+	var buf [16]*executor.Completion
+	for _, c := range g.snapshot(buf[:0]) {
 		if err := c.Wait(); err != nil && first == nil {
 			first = err
 		}
@@ -577,14 +578,13 @@ func (r *Runtime) Wait(tags ...string) error {
 // PendingInTag returns the number of unfinished blocks currently tracked
 // under tag (for tests and monitoring).
 func (r *Runtime) PendingInTag(tag string) int {
-	r.mu.RLock()
-	g := r.groups[tag]
-	r.mu.RUnlock()
+	g := r.lookup(tag)
 	if g == nil {
 		return 0
 	}
 	n := 0
-	for _, c := range g.snapshot() {
+	var buf [16]*executor.Completion
+	for _, c := range g.snapshot(buf[:0]) {
 		if !c.Finished() {
 			n++
 		}
@@ -612,10 +612,8 @@ func (r *Runtime) emit(op trace.Op, target string, mode Mode) {
 // target whose executor exposes them (worker pools do; event loops report
 // their own counters via their own API).
 func (r *Runtime) PoolStats() map[string]executor.Stats {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	out := make(map[string]executor.Stats)
-	for name, e := range r.targets {
+	for name, e := range r.view.Load().targets {
 		if p, ok := e.(interface{ Stats() executor.Stats }); ok {
 			out[name] = p.Stats()
 		}
@@ -628,14 +626,14 @@ func (r *Runtime) PoolStats() map[string]executor.Stats {
 // RegisterTarget) are not stopped: their lifecycle belongs to the caller.
 func (r *Runtime) Shutdown() {
 	r.mu.Lock()
-	if r.stopped {
+	if r.view.Load().stopped {
 		r.mu.Unlock()
 		return
 	}
-	r.stopped = true
+	r.publish(func(v *view) { v.stopped = true })
 	var toStop []executor.Executor
-	for name, e := range r.targets {
-		if r.owned[name] && e != nil {
+	for name, e := range r.view.Load().targets {
+		if r.owned[name] {
 			toStop = append(toStop, e)
 		}
 	}

@@ -190,8 +190,8 @@ type ownedStub struct {
 	sanChecks *int
 }
 
-func (ownedStub) Owns() bool        { return true }
-func (s ownedStub) SanCheck(string) { *s.sanChecks++ }
+func (ownedStub) Owns() bool                { return true }
+func (s ownedStub) SanCheck(string, string) { *s.sanChecks++ }
 
 // TestInlineRunIsSanChecked: under -tags=ompsan an in-place run is
 // cross-checked against the executor's own goroutine stamp before Owns() is

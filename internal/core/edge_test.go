@@ -68,9 +68,7 @@ func TestNameGroupPrunesFinished(t *testing.T) {
 	// after everything finished, pending must be 0 and the internal slice
 	// must not have grown unboundedly.
 	f.rt.WaitTag("prune")
-	f.rt.mu.RLock()
-	g := f.rt.groups["prune"]
-	f.rt.mu.RUnlock()
+	g := f.rt.lookup("prune")
 	g.mu.Lock()
 	held := len(g.comps)
 	g.mu.Unlock()

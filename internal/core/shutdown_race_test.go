@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -146,6 +147,90 @@ func TestCreateWorkerShutdownRaceDoesNotLeak(t *testing.T) {
 			}
 		default:
 			t.Fatalf("round %d: CreateWorker err = %v", round, cErr)
+		}
+	}
+}
+
+// TestLockFreeRegistryReadsRaceWriters hammers the readers that take no lock
+// (resolve behind Invoke and InvokeNamed, the gid registry behind Owns, the
+// tag table behind WaitTag) while CreateWorker — whose starting workers
+// re-publish both snapshots — and finally Shutdown write. Every invoke either
+// runs, names a target not yet registered, or fails with ErrRuntimeStopped;
+// nothing hangs; and once Shutdown has returned the answer is
+// ErrRuntimeStopped on every entry point.
+func TestLockFreeRegistryReadsRaceWriters(t *testing.T) {
+	for round := 0; round < 10; round++ {
+		var reg gid.Registry
+		rt := NewRuntime(&reg)
+		if _, err := rt.CreateWorker("w0", 2); err != nil {
+			t.Fatal(err)
+		}
+		tolerated := func(err error) bool {
+			return err == nil || errors.Is(err, ErrRuntimeStopped) || errors.Is(err, ErrUnknownTarget)
+		}
+
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		hammer := func(fn func(i int)) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for i := 0; i < 100; i++ {
+					fn(i)
+				}
+			}()
+		}
+		targets := []string{"w0", "w1", "w2", "w3"}
+		for g := 0; g < 2; g++ {
+			hammer(func(i int) {
+				if _, err := rt.Invoke(targets[i%len(targets)], Wait, func() {}); !tolerated(err) {
+					t.Errorf("Invoke err = %v", err)
+				}
+			})
+			hammer(func(i int) {
+				if _, err := rt.InvokeNamed(targets[i%len(targets)], "tag", func() {}); !tolerated(err) {
+					t.Errorf("InvokeNamed err = %v", err)
+				}
+			})
+			hammer(func(int) {
+				// A block accepted just before Shutdown may be failed by the
+				// pool's pending-failure backstop, as in the test above.
+				if err := rt.WaitTag("tag"); err != nil && !errors.Is(err, executor.ErrShutdown) {
+					t.Errorf("WaitTag err = %v", err)
+				}
+			})
+		}
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			<-start
+			for _, name := range targets[1:] {
+				if _, err := rt.CreateWorker(name, 2); !tolerated(err) {
+					t.Errorf("CreateWorker(%s) err = %v", name, err)
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			<-start
+			runtime.Gosched()
+			rt.Shutdown()
+		}()
+		close(start)
+		wg.Wait()
+
+		if _, err := rt.Invoke("w0", Wait, func() {}); !errors.Is(err, ErrRuntimeStopped) {
+			t.Fatalf("round %d: post-shutdown Invoke err = %v", round, err)
+		}
+		if _, err := rt.InvokeNamed("w1", "tag", func() {}); !errors.Is(err, ErrRuntimeStopped) {
+			t.Fatalf("round %d: post-shutdown InvokeNamed err = %v", round, err)
+		}
+		if _, err := rt.CreateWorker("late", 1); !errors.Is(err, ErrRuntimeStopped) {
+			t.Fatalf("round %d: post-shutdown CreateWorker err = %v", round, err)
+		}
+		if n := reg.Len(); n != 0 {
+			t.Fatalf("round %d: %d goroutines still registered after Shutdown", round, n)
 		}
 	}
 }

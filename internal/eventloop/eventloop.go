@@ -50,7 +50,9 @@ import (
 // would deadlock the queue).
 var ErrOnEDT = errors.New("eventloop: InvokeAndWait called on the event-dispatch goroutine")
 
-// DispatchInfo describes one dispatched event, for instrumentation.
+// DispatchInfo describes one dispatched event, for instrumentation. The loop
+// reads its clock only for an installed observer: an event queued before
+// SetObserver reports Enqueued = Start, one already running Start = End.
 type DispatchInfo struct {
 	// Label is the label given at Post time ("" for unlabeled events).
 	Label string
@@ -321,14 +323,16 @@ func (l *Loop) next() (*item, bool) {
 // a joiner may inspect the moment it wakes, so it is settled before the
 // completion finishes. The closure does not escape Run: no allocation.
 func (l *Loop) dispatch(it *item) {
-	l.san.Check("dispatch event on " + l.name)
-	start := l.clock.Now()
+	l.san.Check("dispatch event on", l.name)
+	var start time.Time
+	if l.observer.Load() != nil {
+		start = l.clock.Now()
+	}
 	if ic := l.interceptor.Load(); ic != nil {
 		it.Fn = (*ic)(it.label, it.Fn)
 	}
 	l.depth.Add(1)
 	it.Run(it.comp, l.name, func(err error) {
-		end := l.clock.Now()
 		l.depth.Add(-1)
 		l.dispatched.Add(1)
 		if pe, ok := err.(*executor.PanicError); ok {
@@ -337,7 +341,14 @@ func (l *Loop) dispatch(it *item) {
 			}
 		}
 		if obs := l.observer.Load(); obs != nil {
-			(*obs)(DispatchInfo{Label: it.label, Enqueued: it.enqueued, Start: start, End: end, Err: err})
+			info := DispatchInfo{Label: it.label, Enqueued: it.enqueued, Start: start, End: l.clock.Now(), Err: err}
+			if info.Start.IsZero() {
+				info.Start = info.End
+			}
+			if info.Enqueued.IsZero() {
+				info.Enqueued = info.Start
+			}
+			(*obs)(info)
 		}
 	})
 }
@@ -374,7 +385,9 @@ func (l *Loop) PostLabeled(label string, fn func()) *executor.Completion {
 // it before the timer fires, since the timer goroutine itself carries no
 // span.
 func (l *Loop) enqueue(it *item, spawn trace.SpanID) {
-	it.enqueued = l.clock.Now()
+	if l.observer.Load() != nil {
+		it.enqueued = l.clock.Now()
+	}
 	it.Enqueued(l.name, spawn)
 	l.mu.Lock()
 	if l.closed {
@@ -452,7 +465,7 @@ func (l *Loop) Owns() bool { return l.registry.IsOwnedBy(l) }
 // dispatch goroutine, panicking with both stacks on violation. Confined
 // consumers of the loop (the gui toolkit's widgets, core's inline-invoke
 // decision) call it at their mutation points; it is a no-op untagged.
-func (l *Loop) SanCheck(op string) { l.san.Check(op) }
+func (l *Loop) SanCheck(op, subject string) { l.san.Check(op, subject) }
 
 // SanViolate reports a confinement violation an independent mechanism
 // already detected (under -tags=ompsan), panicking with both the violating

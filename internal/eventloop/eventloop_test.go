@@ -242,6 +242,56 @@ func TestObserver(t *testing.T) {
 	}
 }
 
+// TestObserverInstalledOnLiveLoop: the loop reads its clock only for an
+// installed observer, so events that were running or queued when SetObserver
+// was called lack their earlier stamps. They must still be reported with no
+// zero time and no negative interval (cmd/chatbench and the benchmark's traced
+// pass install the observer on a loop that is already serving).
+func TestObserverInstalledOnLiveLoop(t *testing.T) {
+	l := newLoop(t)
+	running, release := make(chan struct{}), make(chan struct{})
+	first := l.PostLabeled("running", func() {
+		close(running)
+		<-release
+	})
+	<-running
+	queued := l.PostLabeled("queued", func() {})
+
+	var mu sync.Mutex
+	infos := map[string]DispatchInfo{}
+	l.SetObserver(func(d DispatchInfo) {
+		mu.Lock()
+		infos[d.Label] = d
+		mu.Unlock()
+	})
+	after := l.PostLabeled("after", func() {})
+	close(release)
+	for _, c := range []*executor.Completion{first, queued, after} {
+		if err := c.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	for _, label := range []string{"running", "queued", "after"} {
+		d, ok := infos[label]
+		if !ok {
+			t.Errorf("%s: not observed", label)
+			continue
+		}
+		if d.Enqueued.IsZero() || d.Start.IsZero() || d.End.IsZero() {
+			t.Errorf("%s: zero stamp in %+v", label, d)
+		}
+		if d.QueueDelay() < 0 || d.Duration() < 0 {
+			t.Errorf("%s: QueueDelay = %v, Duration = %v", label, d.QueueDelay(), d.Duration())
+		}
+	}
+	if d := infos["queued"]; !d.Enqueued.Equal(d.Start) {
+		t.Errorf("queued before SetObserver: Enqueued = %v, want Start = %v", d.Enqueued, d.Start)
+	}
+}
+
 func TestStopDrainsQueuedEvents(t *testing.T) {
 	defer leakcheck.Check(t)()
 	var reg gid.Registry

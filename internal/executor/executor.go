@@ -68,29 +68,32 @@ const completionSpin = 16
 // Post and completed exactly once, either when the task body returns or when
 // the executor rejects it.
 //
-// The done channel is allocated lazily on first Done call: fire-and-forget
-// submissions (Nowait mode — the dominant traffic under load) never touch
-// it, which removes a channel allocation from every Post.
+// The done channel is materialised by the first Done call that finds the
+// task still pending: fire-and-forget submissions (Nowait mode — the
+// dominant traffic under load) and joins that finish inside Wait's spin
+// never touch it, which removes a channel allocation from every Post.
 type Completion struct {
-	state  atomic.Uint32 // 0 = pending, 1 = finished
-	closed atomic.Bool   // guards close(done) exactly once
-	err    atomic.Pointer[error]
-	done   atomic.Pointer[chan struct{}]
+	state atomic.Uint32 // compFinished | compHasDone | compInstalling
+	err   atomic.Pointer[error]
+	done  chan struct{} // written under compInstalling, read after compHasDone
 }
 
 const (
-	compPending  uint32 = 0
-	compFinished uint32 = 1
+	compFinished   uint32 = 1 << iota // the verdict is in
+	compHasDone                       // done is materialised
+	compInstalling                    // a Done call is about to publish done
 )
 
-func newCompletion() *Completion {
-	return &Completion{}
-}
+// closedDone is the done channel of every completion that finished before
+// anybody asked for one.
+var closedDone = make(chan struct{})
+
+func init() { close(closedDone) }
 
 // NewCompletedCompletion returns an already-finished Completion with the
 // given error (nil for success). Used for synchronously executed blocks.
 func NewCompletedCompletion(err error) *Completion {
-	c := newCompletion()
+	c := new(Completion)
 	c.complete(err)
 	return c
 }
@@ -100,7 +103,7 @@ func NewCompletedCompletion(err error) *Completion {
 // protocol for work that is not a queued task — an I/O operation, a device
 // transfer, a watcher goroutine mediating another completion.
 func NewPendingCompletion() (*Completion, func(error)) {
-	c := newCompletion()
+	c := new(Completion)
 	return c, c.complete
 }
 
@@ -118,32 +121,47 @@ func RunCaptured(fn func()) (err error) {
 }
 
 // complete finishes the completion: the error (if any) is published before
-// the finished flag so any observer of state==finished sees it.
+// the finished flag so any observer of the flag sees it, and whoever sets the
+// flag closes the done channel if there is one. Only a non-nil error is
+// boxed: taking err's own address would box it on every completion.
 func (c *Completion) complete(err error) {
 	if err != nil {
-		c.err.Store(&err)
+		boxed := err
+		c.err.Store(&boxed)
 	}
-	c.state.Store(compFinished)
-	if p := c.done.Load(); p != nil {
-		if c.closed.CompareAndSwap(false, true) {
-			close(*p)
+	for {
+		switch s := c.state.Load(); {
+		case s&compFinished != 0:
+			return
+		case s&compInstalling != 0:
+			runtime.Gosched() // Done is two instructions from publishing
+		case c.state.CompareAndSwap(s, s|compFinished):
+			if s&compHasDone != 0 {
+				close(c.done)
+			}
+			return
 		}
 	}
 }
 
 // Done returns a channel closed when the task has finished (or was rejected).
+// It costs one object, the channel, and only while the task is pending.
 func (c *Completion) Done() <-chan struct{} {
+	var ch chan struct{}
 	for {
-		if p := c.done.Load(); p != nil {
-			return *p
-		}
-		ch := make(chan struct{})
-		if c.done.CompareAndSwap(nil, &ch) {
-			// complete may have run between its done load and our CAS; the
-			// closed flag makes the close race a single-winner handoff.
-			if c.state.Load() == compFinished && c.closed.CompareAndSwap(false, true) {
-				close(ch)
-			}
+		switch s := c.state.Load(); {
+		case s&compHasDone != 0:
+			return c.done
+		case s&compFinished != 0:
+			return closedDone
+		case s&compInstalling != 0:
+			runtime.Gosched()
+		case ch == nil:
+			// Allocated before the bit is taken: complete never waits on malloc.
+			ch = make(chan struct{})
+		case c.state.CompareAndSwap(s, compInstalling):
+			c.done = ch
+			c.state.Store(compHasDone)
 			return ch
 		}
 	}
@@ -199,7 +217,7 @@ func BlockOn(done <-chan struct{}) {
 // finish inside that window, saving both the done-channel allocation and a
 // park/unpark round trip through the scheduler.
 func (c *Completion) Wait() error {
-	if c.state.Load() == compFinished {
+	if c.Finished() {
 		return c.Err()
 	}
 	// The c.Finished method value allocates, so it is built only when there
@@ -209,7 +227,7 @@ func (c *Completion) Wait() error {
 	}
 	for i := 0; i < completionSpin; i++ {
 		runtime.Gosched()
-		if c.state.Load() == compFinished {
+		if c.Finished() {
 			return c.Err()
 		}
 	}
@@ -219,7 +237,7 @@ func (c *Completion) Wait() error {
 
 // Finished reports whether the task has completed without blocking.
 func (c *Completion) Finished() bool {
-	return c.state.Load() == compFinished
+	return c.state.Load()&compFinished != 0
 }
 
 // Err returns the task's terminal error: nil on success, a *PanicError if the
@@ -357,9 +375,9 @@ func (b *Bracket) Fail(comp *Completion, err error) {
 }
 
 // task is the worker pool's queue node. The Completion is embedded so a
-// plain Post is a single allocation; the node is never pooled or reused
-// (callers hold pointers into it via the Completion, and PostCancellable's
-// cancel closure may outlive the run).
+// plain Post is a single allocation (core's TestAllocationBudget holds it to
+// that); the node is never pooled or reused (callers hold pointers into it
+// via the Completion, and PostCancellable's cancel closure may outlive the run).
 type task struct {
 	Bracket
 	state atomic.Int32 // taskQueued -> taskRunning | taskCancelled
@@ -732,7 +750,7 @@ func (p *WorkerPool) pickShard() *shard {
 // construction) always pop oldest-first — that is the strict-FIFO guarantee
 // NewSerialExecutor documents.
 func (p *WorkerPool) popLocal(w *worker) *task {
-	w.san.Check("popLocal on " + p.name)
+	w.san.Check("popLocal on", p.name)
 	sh := w.shard
 	if sh.len.Load() == 0 {
 		return nil
@@ -765,7 +783,7 @@ func (p *WorkerPool) popLocal(w *worker) *task {
 // The batch is staged in the worker's private buffer between the two lock
 // sections — never hold two shard locks at once (see shard.go).
 func (p *WorkerPool) steal(w *worker) *task {
-	w.san.Check("steal on " + p.name)
+	w.san.Check("steal on", p.name)
 	snap := *p.shards.Load()
 	n := len(snap)
 	if n <= 1 {
@@ -1017,7 +1035,7 @@ func (p *WorkerPool) Owns() bool { return p.registry.IsOwnedBy(p) }
 // violation. core.Runtime calls it when thread-context awareness chooses
 // to inline a block, so the registry's membership answer is cross-checked
 // against the sanitizer's independent stamp. No-op untagged.
-func (p *WorkerPool) SanCheck(op string) { p.san.Check(op) }
+func (p *WorkerPool) SanCheck(op, subject string) { p.san.Check(op, subject) }
 
 // TryRunPending pops one queued task and runs it on the calling goroutine.
 // The paper's await barrier uses this so a worker waiting on a nested target

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/gid"
-	"repro/internal/sanitize"
 )
 
 // TestBlockHookHandlesWait proves the simulation seam: with a hook
@@ -71,21 +70,4 @@ func TestBlockOnFallsThroughToChannel(t *testing.T) {
 	go close(done)
 	BlockOn(done) // must return, not hang
 	BlockOn(done) // already closed: immediate
-}
-
-// TestWaitAllocsWithoutHook pins the synchronous round trip's allocation
-// count: the task node, plus the done channel when the waiter has to park.
-// Wait must not build the c.Finished method value (one more allocation)
-// unless a block hook is installed to receive it.
-func TestWaitAllocsWithoutHook(t *testing.T) {
-	if sanitize.Enabled {
-		t.Skip("the ompsan sanitizer allocates its check labels on every pop")
-	}
-	var reg gid.Registry
-	p := NewSerialExecutor("serial", &reg)
-	defer p.Shutdown()
-	noop := func() {}
-	if n := testing.AllocsPerRun(200, func() { p.Post(noop).Wait() }); n > 2 {
-		t.Fatalf("Post(noop).Wait() = %v allocs/op, want <= 2", n)
-	}
 }

@@ -28,6 +28,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 )
 
 // ID is a goroutine identifier. IDs are unique over the life of the process
@@ -60,33 +61,45 @@ func stackParse() ID {
 // Registry maps live goroutines to an owner (an executor). Executors register
 // their worker goroutines on start and must deregister them on exit.
 //
+// Reads are on every invoke's path and take no lock: they load the current
+// snapshot, a map that is never modified once published. Register and
+// Deregister — a worker starting or exiting — publish a modified copy.
+//
 // The zero value is ready to use.
 type Registry struct {
-	mu     sync.RWMutex
-	owners map[ID]any
+	mu     sync.Mutex   // serialises writers
+	owners atomic.Value // map[ID]any, read-only once stored
 }
 
 // Register records owner as the owner of the calling goroutine and returns
-// the goroutine's id. Registering a goroutine that already has an owner
-// replaces the owner (used by nested/pump scenarios is not allowed; callers
-// use Push/Pop for that).
+// the goroutine's id. A goroutine has one owner at a time: registering it
+// again replaces the record, which is how the simulator's single goroutine
+// takes on the identity of the executor whose task it is running.
 func (r *Registry) Register(owner any) ID {
 	id := Current()
-	r.mu.Lock()
-	if r.owners == nil {
-		r.owners = make(map[ID]any)
-	}
-	r.owners[id] = owner
-	r.mu.Unlock()
+	r.replace(id, owner)
 	return id
 }
 
 // Deregister removes the calling goroutine's owner record.
-func (r *Registry) Deregister() {
-	id := Current()
+func (r *Registry) Deregister() { r.replace(Current(), nil) }
+
+// replace publishes a copy of the snapshot in which id belongs to owner, or
+// to nobody when owner is nil.
+func (r *Registry) replace(id ID, owner any) {
 	r.mu.Lock()
-	delete(r.owners, id)
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	old, _ := r.owners.Load().(map[ID]any)
+	next := make(map[ID]any, len(old)+1)
+	for k, v := range old {
+		if k != id {
+			next[k] = v
+		}
+	}
+	if owner != nil {
+		next[id] = owner
+	}
+	r.owners.Store(next)
 }
 
 // Owner returns the owner registered for the calling goroutine, or nil.
@@ -96,10 +109,8 @@ func (r *Registry) Owner() any {
 
 // OwnerOf returns the owner registered for goroutine id, or nil.
 func (r *Registry) OwnerOf(id ID) any {
-	r.mu.RLock()
-	o := r.owners[id]
-	r.mu.RUnlock()
-	return o
+	owners, _ := r.owners.Load().(map[ID]any)
+	return owners[id]
 }
 
 // IsOwnedBy reports whether the calling goroutine is registered to owner.
@@ -109,10 +120,8 @@ func (r *Registry) IsOwnedBy(owner any) bool {
 
 // Len returns the number of registered goroutines (for tests/metrics).
 func (r *Registry) Len() int {
-	r.mu.RLock()
-	n := len(r.owners)
-	r.mu.RUnlock()
-	return n
+	owners, _ := r.owners.Load().(map[ID]any)
+	return len(owners)
 }
 
 // Default is the process-wide registry used by the core runtime.

@@ -100,7 +100,7 @@ func (tk *Toolkit) Dispose() {
 // violation benchmarks survive the sanitizer.
 func (tk *Toolkit) checkConfinement(widget string) {
 	if tk.loop.Owns() {
-		tk.loop.SanCheck("mutate widget " + widget)
+		tk.loop.SanCheck("mutate widget", widget)
 		return
 	}
 	tk.violations.Add(1)

@@ -174,16 +174,6 @@ func (s *Server) SetInterceptor(fn Interceptor) {
 // Dropped returns the number of messages suppressed by the interceptor.
 func (s *Server) Dropped() int64 { return s.dropped.Load() }
 
-// intercept applies the installed interceptor to one event, defaulting to
-// pass-through.
-func (s *Server) intercept(event string, fn func()) (func(), bool) {
-	p := s.interceptor.Load()
-	if p == nil || *p == nil {
-		return fn, true
-	}
-	return (*p)(event, fn)
-}
-
 // Start listens on addr ("127.0.0.1:0" for an ephemeral port) and begins
 // accepting. It returns the bound address.
 func (s *Server) Start(addr string) (string, error) {
@@ -239,17 +229,11 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
-// postMessage queues one received line's handler on the dispatch loop. When
-// tracing is active the enqueue is bracketed by a "recv" span on the read
-// goroutine, so the handler's run span on the loop parents to the network
-// receive that caused it (the cross-boundary edge of the message path).
-func (s *Server) postMessage(handler func()) {
-	sc := trace.Open(trace.ActiveSink(), "recv", s.name)
-	s.loop.PostLabeled("msg", func() {
-		defer s.limiter.Release()
-		handler()
-	})
-	sc.Close()
+// deliver hands one line to the message handler.
+func (s *Server) deliver(c *Client, line string) {
+	if s.onMessage != nil {
+		s.onMessage(c, line)
+	}
 }
 
 // readLoop turns each received line into a dispatch-loop event — the
@@ -303,21 +287,23 @@ func (ir *idleReader) Read(p []byte) (int, error) {
 }
 
 // handleLine runs one received line through the interception and admission
-// pipeline and posts its handler to the dispatch loop. Shared by both
+// pipeline and posts its delivery to the dispatch loop. Shared by both
 // transports (per-connection reader goroutines and the reactor's poll
 // goroutine).
 func (s *Server) handleLine(c *Client, line string) {
 	s.messages.Add(1)
-	handler, keep := s.intercept("msg", func() {
-		if s.onMessage != nil {
-			s.onMessage(c, line)
+	// Only an installed interceptor needs the delivery as a closure of its
+	// own to wrap; without one, wrapped stays nil and a message costs the
+	// one closure PostLabeled needs.
+	var wrapped func()
+	if p := s.interceptor.Load(); p != nil {
+		var keep bool
+		if wrapped, keep = (*p)("msg", func() { s.deliver(c, line) }); !keep {
+			// Suppressed by fault injection before it took a limiter slot
+			// or a queue position.
+			s.dropped.Add(1)
+			return
 		}
-	})
-	if !keep {
-		// Suppressed by fault injection before it took a limiter slot
-		// or a queue position.
-		s.dropped.Add(1)
-		return
 	}
 	if err := s.limiter.Acquire(context.Background()); err != nil {
 		// Shed at the edge: the dispatch queue is protected and the
@@ -327,7 +313,20 @@ func (s *Server) handleLine(c *Client, line string) {
 		s.shed.Add(1)
 		return
 	}
-	s.postMessage(handler)
+	// When tracing is active the enqueue is bracketed by a "recv" span on the
+	// read goroutine, so the handler's run span on the loop parents to the
+	// network receive that caused it (the cross-boundary edge of the message
+	// path).
+	sc := trace.Open(trace.ActiveSink(), "recv", s.name)
+	s.loop.PostLabeled("msg", func() {
+		defer s.limiter.Release() // however the delivery ends, an injected panic included
+		if wrapped != nil {
+			wrapped()
+			return
+		}
+		s.deliver(c, line)
+	})
+	sc.Close()
 }
 
 // clientGone removes c from the table and fires the user OnClose at most

@@ -302,15 +302,6 @@ func (r *Reactor) SetInterceptor(fn Interceptor) {
 	r.interceptor.Store(&fn)
 }
 
-// intercept applies the installed interceptor, defaulting to pass-through.
-func (r *Reactor) intercept(event string, fn func()) (func(), bool) {
-	p := r.interceptor.Load()
-	if p == nil || *p == nil {
-		return fn, true
-	}
-	return (*p)(event, fn)
-}
-
 // Stats returns a snapshot of the reactor's counters.
 func (r *Reactor) Stats() Stats {
 	r.mu.Lock()
@@ -662,13 +653,17 @@ func (r *Reactor) acceptDrain(ln *listener) {
 		}
 		r.conns[fd] = c
 		r.mu.Unlock()
-		r.contain(c, func() { c.h = ln.onAccept(c) })
-		if c.dead() {
-			continue // onAccept panicked; contain already closed the conn
-		}
+		// Registered before onAccept can hand c to another goroutine: a Write
+		// from there that has to arm writability needs the fd in the poller.
+		// No event reaches c before its handlers are set — they are
+		// dispatched by this goroutine, after this batch.
 		if err := r.p.add(fd, false); err != nil {
 			r.closeConn(c, err)
 			continue
+		}
+		r.contain(c, func() { c.h = ln.onAccept(c) })
+		if c.dead() {
+			continue // onAccept panicked; contain already closed the conn
 		}
 		r.accepted.Add(1)
 	}
@@ -680,13 +675,25 @@ func (r *Reactor) acceptDrain(ln *listener) {
 // The dispatch runs contained: a panic — the handler's or an injected one —
 // closes this connection and leaves the loop serving.
 func (r *Reactor) connEvent(c *Conn, ev *pollEvent) {
-	fn, keep := r.intercept("ready", func() { r.connReady(c, ev) })
-	if !keep {
-		r.dropped.Add(1)
-		return
+	// Only an installed interceptor is handed the dispatch as a closure (one
+	// that escapes, so it is allocated); without one, wrapped stays nil and
+	// a readiness event allocates nothing.
+	var wrapped func()
+	if p := r.interceptor.Load(); p != nil {
+		var keep bool
+		if wrapped, keep = (*p)("ready", func() { r.connReady(c, ev) }); !keep {
+			r.dropped.Add(1)
+			return
+		}
 	}
 	sc := trace.Open(trace.ActiveSink(), "ready", r.name)
-	r.contain(c, fn)
+	r.contain(c, func() {
+		if wrapped != nil {
+			wrapped()
+			return
+		}
+		r.connReady(c, ev)
+	})
 	sc.Close()
 }
 
@@ -709,7 +716,7 @@ func (r *Reactor) connReady(c *Conn, ev *pollEvent) {
 
 // readDrain reads until EAGAIN or EOF — the edge-triggered contract.
 func (r *Reactor) readDrain(c *Conn) {
-	r.san.Check("readDrain on " + r.name)
+	r.san.Check("readDrain on", r.name)
 	for !c.dead() {
 		n, err := r.ioRead(c.fd, r.readBuf)
 		switch {
@@ -739,7 +746,7 @@ func (r *Reactor) readDrain(c *Conn) {
 // under the write mutex so a concurrent Conn.Write can never issue a
 // syscall on a closed (and possibly kernel-recycled) fd number.
 func (r *Reactor) closeConn(c *Conn, err error) {
-	r.san.Check("closeConn on " + r.name)
+	r.san.Check("closeConn on", r.name)
 	if !c.closeState.CompareAndSwap(0, 1) {
 		return
 	}

@@ -3,7 +3,9 @@ package reactor
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -310,6 +312,93 @@ func TestInterceptorDropAndDelay(t *testing.T) {
 	}
 	poll.Until(t, "delivery after drop", func() bool { return got.String() == "ab" })
 	r.SetInterceptor(nil)
+}
+
+// TestInterceptorFaultsEverySecondReady drives the readiness seam with an
+// interceptor installed that (a) drops and (b) panics every second "ready"
+// event, one event at a time so the outcome is exact: a dropped edge loses no
+// data and no connection, an injected panic costs exactly its own connection,
+// and Dropped, HandlerPanics and the connection table say so.
+func TestInterceptorFaultsEverySecondReady(t *testing.T) {
+	type step struct {
+		redial  bool
+		write   string
+		got     string // everything delivered so far
+		dropped int64
+		panics  int64
+	}
+	for _, tc := range []struct {
+		name   string
+		panics bool
+		steps  []step
+		conns  int
+	}{
+		{name: "drop", conns: 1, steps: []step{
+			{write: "a", got: "a"},
+			{write: "b", got: "a", dropped: 1},
+			{write: "c", got: "abc", dropped: 1}, // the next edge delivers the dropped one's bytes
+			{write: "d", got: "abc", dropped: 2},
+			{write: "e", got: "abcde", dropped: 2},
+		}},
+		{name: "panic", panics: true, conns: 0, steps: []step{
+			{write: "a", got: "a"},
+			{write: "b", got: "a", panics: 1}, // closes the connection, "b" with it
+			{redial: true, write: "c", got: "ac", panics: 1},
+			{write: "d", got: "ac", panics: 2},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer leakcheck.Check(t)()
+			r := newTestReactor(t, "seam")
+			defer r.Stop()
+			var got collector
+			addr, err := r.Listen("127.0.0.1:0", func(c *Conn) HandlerFuncs { return got.handlers() })
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ready atomic.Int64
+			r.SetInterceptor(func(event string, fn func()) (func(), bool) {
+				if event != "ready" || ready.Add(1)%2 != 0 {
+					return fn, true
+				}
+				if tc.panics {
+					return func() { panic("injected") }, true
+				}
+				return nil, false
+			})
+
+			// A plain socket, so the only readiness events are the server side's.
+			cli, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { cli.Close() }()
+			for i, st := range tc.steps {
+				if st.redial {
+					cli.Close()
+					if cli, err = net.Dial("tcp", addr); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := cli.Write([]byte(st.write)); err != nil {
+					t.Fatal(err)
+				}
+				poll.Until(t, fmt.Sprintf("step %d (%q) to settle", i, st.write), func() bool {
+					s := r.Stats()
+					return got.String() == st.got && s.Dropped == st.dropped && s.HandlerPanics == st.panics
+				})
+			}
+			last := tc.steps[len(tc.steps)-1]
+			// OnClose is the last thing a contained panic does, after the
+			// counters and the connection table have moved.
+			poll.Until(t, "one OnClose per panic and the connection table to settle", func() bool {
+				return int64(got.closeCount()) == last.panics && r.Stats().Conns == tc.conns
+			})
+			if s := r.Stats(); s.LoopCrashes != 0 || s.Dropped != last.dropped || s.HandlerPanics != last.panics {
+				t.Errorf("final stats %+v, want Dropped %d, HandlerPanics %d, no loop crash", s, last.dropped, last.panics)
+			}
+		})
+	}
 }
 
 // TestTraceReadinessCausality: handler-side work parents to the "ready"

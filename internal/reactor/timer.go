@@ -80,7 +80,7 @@ func (r *Reactor) nextTimerMs() int {
 // re-arm timers; entries they add for a past instant fire in this same
 // sweep. Poll-goroutine only.
 func (r *Reactor) fireTimers() {
-	r.san.Check("fireTimers on " + r.name)
+	r.san.Check("fireTimers on", r.name)
 	now := time.Now()
 	for len(r.timers) > 0 {
 		top := r.timers[0]

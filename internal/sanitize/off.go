@@ -18,9 +18,10 @@ func (h *Home) Bind(kind, name string) {}
 // untagged.
 func (h *Home) Unbind() {}
 
-// Check asserts the calling goroutine is the bound home context. No-op
+// Check asserts the calling goroutine is the bound home context; op and
+// subject are joined into the report's label only on a violation. No-op
 // untagged.
-func (h *Home) Check(op string) {}
+func (h *Home) Check(op, subject string) {}
 
 // Violate unconditionally reports a confinement violation detected by an
 // independent mechanism (e.g. the gui toolkit's policy check), so the
@@ -43,7 +44,7 @@ func (m *Members) Join(kind, name string) {}
 func (m *Members) Leave() {}
 
 // Check asserts the calling goroutine is a member. No-op untagged.
-func (m *Members) Check(op string) {}
+func (m *Members) Check(op, subject string) {}
 
 // Checks returns how many affinity assertions have run process-wide: the
 // "measurably exercised" counter sancheck tests assert on. Zero untagged.

@@ -55,8 +55,8 @@ func (h *Home) Unbind() { h.id.Store(0) }
 
 // Check asserts the calling goroutine is the bound home context and
 // panics with both stacks if it is not. The hit path is one atomic load
-// plus gid.Current.
-func (h *Home) Check(op string) {
+// plus gid.Current; the label "op subject" is built only on a violation.
+func (h *Home) Check(op, subject string) {
 	home := h.id.Load()
 	if home == 0 {
 		return
@@ -66,7 +66,7 @@ func (h *Home) Check(op string) {
 	if cur == home {
 		return
 	}
-	panic(h.violation(op, cur, home))
+	panic(h.violation(op+" "+subject, cur, home))
 }
 
 // Violate reports a violation detected by an independent mechanism (the
@@ -136,7 +136,7 @@ func (m *Members) Leave() {
 // Check asserts the calling goroutine is a current member and panics with
 // both stacks (the violator's and the nearest member's join stack, as the
 // closest thing a set has to a single home binding) if it is not.
-func (m *Members) Check(op string) {
+func (m *Members) Check(op, subject string) {
 	checks.Add(1)
 	id := uint64(gid.Current())
 	m.mu.Lock()
@@ -161,9 +161,9 @@ func (m *Members) Check(op string) {
 	n := len(m.stacks)
 	m.mu.Unlock()
 	msg := fmt.Sprintf(
-		"ompsan: %s on goroutine %d, which is not one of the %d member goroutine(s) of %s %q\n\n"+
+		"ompsan: %s %s on goroutine %d, which is not one of the %d member goroutine(s) of %s %q\n\n"+
 			"-- violating goroutine stack --\n%s",
-		op, id, n, kind, name, debug.Stack())
+		op, subject, id, n, kind, name, debug.Stack())
 	if sample != nil {
 		msg += fmt.Sprintf("\n-- a member (goroutine %d) joined at --\n%s", sampleID, sample)
 	}

@@ -13,7 +13,7 @@ func TestUntaggedNoOps(t *testing.T) {
 	}
 	var h Home
 	h.Bind("test", "x")
-	h.Check("anything")
+	h.Check("anything", "x")
 	h.Violate("anything")
 	h.Unbind()
 	if d := h.Describe(); d != "" {
@@ -21,7 +21,7 @@ func TestUntaggedNoOps(t *testing.T) {
 	}
 	var m Members
 	m.Join("test", "x")
-	m.Check("anything")
+	m.Check("anything", "x")
 	m.Leave()
 	if Checks() != 0 {
 		t.Fatalf("Checks = %d, want 0", Checks())

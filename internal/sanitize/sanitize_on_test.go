@@ -24,8 +24,8 @@ func TestHomeOwnerPasses(t *testing.T) {
 	var h Home
 	h.Bind("test", "owner")
 	before := Checks()
-	h.Check("mutate")
-	h.Check("mutate again")
+	h.Check("mutate", "x")
+	h.Check("mutate again", "x")
 	if got := Checks() - before; got != 2 {
 		t.Fatalf("Checks advanced by %d, want 2", got)
 	}
@@ -41,7 +41,7 @@ func TestHomeViolationPanicsWithBothStacks(t *testing.T) {
 	}()
 	wg.Wait()
 
-	msg := recoverString(func() { h.Check("mutate widget status") })
+	msg := recoverString(func() { h.Check("mutate widget", "status") })
 	if msg == "" {
 		t.Fatal("off-home Check did not panic")
 	}
@@ -65,13 +65,13 @@ func TestHomeViolationPanicsWithBothStacks(t *testing.T) {
 
 func TestHomeUnboundPassesVacuously(t *testing.T) {
 	var h Home
-	h.Check("anything") // never bound: restart window, must not panic
+	h.Check("anything", "x") // never bound: restart window, must not panic
 	h.Bind("test", "x")
 	h.Unbind()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		h.Check("after unbind") // unbound again: must not panic
+		h.Check("after unbind", "x") // unbound again: must not panic
 	}()
 	<-done
 }
@@ -88,7 +88,7 @@ func TestHomeRebindMovesHome(t *testing.T) {
 	// Supervised restart: the new generation's goroutine rebinds, and the
 	// old home becomes a violator while the new one passes.
 	h.Bind("test", "gen2")
-	h.Check("on new home")
+	h.Check("on new home", "x")
 }
 
 func TestHomeDescribe(t *testing.T) {
@@ -105,23 +105,23 @@ func TestHomeDescribe(t *testing.T) {
 
 func TestMembersCheck(t *testing.T) {
 	var m Members
-	m.Check("before any join") // empty set passes vacuously
+	m.Check("before any join", "x") // empty set passes vacuously
 
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		m.Join("workerpool", "pool")
-		m.Check("as member")
+		m.Check("as member", "x")
 	}()
 	wg.Wait()
 
-	msg := recoverString(func() { m.Check("run block") })
+	msg := recoverString(func() { m.Check("run block on", "pool") })
 	if msg == "" {
 		t.Fatal("non-member Check did not panic")
 	}
 	for _, want := range []string{
-		"ompsan: run block",
+		"ompsan: run block on pool on goroutine",
 		`workerpool "pool"`,
 		"-- violating goroutine stack --",
 		"joined at --",
@@ -135,8 +135,8 @@ func TestMembersCheck(t *testing.T) {
 func TestMembersLeave(t *testing.T) {
 	var m Members
 	m.Join("workerpool", "pool")
-	m.Check("while member")
+	m.Check("while member", "x")
 	m.Leave()
 	// The set is empty again: passes vacuously (pool shut down).
-	m.Check("after leave")
+	m.Check("after leave", "x")
 }
