@@ -93,11 +93,13 @@ allocs:
 	$(GO) test -count=1 -run 'TestAllocationBudget' ./internal/core/
 	$(GO) test -count=1 -tags=ompsan -run 'TestAllocationBudget' ./internal/core/
 
-# fuzz runs the directive-parser fuzzer live; the committed seed corpus
-# under internal/directive/testdata/fuzz/ replays in every normal `go test`.
+# fuzz runs the directive-parser fuzzer and the IDEA differential fuzzer
+# live, FUZZTIME each; the committed seed corpora under
+# internal/{directive,kernels}/testdata/fuzz/ replay in every normal `go test`.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/directive/
+	$(GO) test -run='^$$' -fuzz=FuzzIdeaCipher -fuzztime=$(FUZZTIME) ./internal/kernels/
 
 # bench runs the scheduler benchmark suite and writes BENCH_sched.json: the
 # fresh numbers merged with the pinned pre-shard baseline in

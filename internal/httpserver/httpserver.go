@@ -355,6 +355,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.spans.WritePrometheus(w)
 }
 
+// maxRequestBytes bounds ?size=: compute allocates three buffers of it. It
+// sits above Java Grande's largest Crypt size (C, 50 MB).
+const maxRequestBytes = 64 << 20
+
 // compute runs the encryption kernel for one request and returns the
 // ciphertext checksum.
 func (s *Server) compute(size int) int64 {
@@ -374,7 +378,7 @@ func (s *Server) handleEncrypt(w http.ResponseWriter, r *http.Request) {
 	size := s.cfg.KernelBytes
 	if q := r.URL.Query().Get("size"); q != "" {
 		v, err := strconv.Atoi(q)
-		if err != nil || v < 1 {
+		if err != nil || v < 1 || v > maxRequestBytes {
 			s.errors.Add(1)
 			http.Error(w, "bad size", http.StatusBadRequest)
 			return

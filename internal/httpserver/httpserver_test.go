@@ -2,6 +2,7 @@ package httpserver
 
 import (
 	"net/http"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -81,26 +82,33 @@ func TestParallelKernelSameResult(t *testing.T) {
 	}
 }
 
+// TestSizeParamValidation: a size that is not a positive integer, or that is
+// above the package bound (compute allocates 3 x size), is refused with 400
+// before any path — Jetty, plain Pyjama or QoS — reaches compute.
 func TestSizeParamValidation(t *testing.T) {
-	s, c := startServer(t, Config{Mode: Jetty, Workers: 1, KernelBytes: 1024})
-	respNeg, err := http.Get(c.base + "/encrypt?size=-3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	respNeg.Body.Close()
-	if respNeg.StatusCode != http.StatusBadRequest {
-		t.Fatalf("negative size: status = %d", respNeg.StatusCode)
-	}
-	resp, err := http.Get(c.base + "/encrypt?size=abc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	if s.Errors() != 2 {
-		t.Fatalf("Errors = %d", s.Errors())
+	bad := []string{"-3", "abc", strconv.Itoa(maxRequestBytes + 1), "1099511627776"}
+	for name, cfg := range map[string]Config{
+		"jetty":      {Mode: Jetty, Workers: 1, KernelBytes: 1024},
+		"pyjama":     {Mode: Pyjama, Workers: 1, KernelBytes: 1024},
+		"pyjama+qos": {Mode: Pyjama, Workers: 1, KernelBytes: 1024, QoS: &QoSConfig{QueueLimit: -1}},
+	} {
+		s, c := startServer(t, cfg)
+		for _, q := range bad {
+			resp, err := http.Get(c.base + "/encrypt?size=" + q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s size=%s: status = %d, want 400", name, q, resp.StatusCode)
+			}
+		}
+		if s.Errors() != int64(len(bad)) || s.Served() != 0 {
+			t.Fatalf("%s: Errors=%d Served=%d, want %d/0", name, s.Errors(), s.Served(), len(bad))
+		}
+		if _, err := c.Encrypt(2048); err != nil {
+			t.Fatalf("%s: a size under the bound failed after the refusals: %v", name, err)
+		}
 	}
 }
 

@@ -2,8 +2,8 @@ package kernels
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/omp"
 )
@@ -26,27 +26,42 @@ type Crypt struct {
 const ideaBlock = 8
 
 // NewCrypt builds a Crypt instance over size bytes of deterministic
-// pseudo-random plaintext and a fixed random 128-bit key.
+// pseudo-random plaintext and a fixed random 128-bit key. Handlers construct
+// inside the timed region, so generation has to be cheap: eight bytes a draw
+// from splitmix64, whose state is one word and needs no seeding pass.
 func NewCrypt(size int) *Crypt {
 	if size < ideaBlock {
 		size = ideaBlock
 	}
 	size = (size + ideaBlock - 1) / ideaBlock * ideaBlock
 	c := &Crypt{n: size}
-	rng := rand.New(rand.NewSource(136506717))
+	rng := splitmix64(136506717)
 	var userKey [8]uint16
-	for i := range userKey {
-		userKey[i] = uint16(rng.Intn(1 << 16))
+	for i := 0; i < len(userKey); i += 4 {
+		v := rng.next()
+		userKey[i], userKey[i+1], userKey[i+2], userKey[i+3] = uint16(v), uint16(v>>16), uint16(v>>32), uint16(v>>48)
 	}
 	c.encKey = ideaEncryptKey(userKey)
 	c.decKey = ideaDecryptKey(c.encKey)
 	c.plain = make([]byte, size)
-	for i := range c.plain {
-		c.plain[i] = byte(rng.Intn(256))
+	for p := c.plain; len(p) >= ideaBlock; p = p[ideaBlock:] {
+		binary.LittleEndian.PutUint64(p, rng.next())
 	}
 	c.cipher = make([]byte, size)
 	c.out = make([]byte, size)
 	return c
+}
+
+// splitmix64 is Steele, Lea and Flood's 64-bit generator: one add and three
+// xor-shift-multiplies per draw, state in a register.
+type splitmix64 uint64
+
+func (s *splitmix64) next() uint64 {
+	*s += 0x9e3779b97f4a7c15
+	z := uint64(*s)
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
 // Name implements Kernel.
@@ -59,21 +74,16 @@ func (c *Crypt) RunSeq() {
 	c.ran = true
 }
 
-// RunPar encrypts then decrypts with block ranges statically distributed
-// over an n-thread team (two parallel-for regions, one per direction).
+// RunPar encrypts then decrypts in one parallel region: each thread of the
+// n-thread team takes one static block range through both directions. Blocks
+// are independent and the range is the same both ways, so no thread reads
+// ciphertext another thread wrote and no barrier separates the two passes.
 func (c *Crypt) RunPar(n int) {
 	blocks := c.n / ideaBlock
 	omp.Parallel(n, func(tc *omp.Team) {
-		tc.ForNowait(0, tc.NumThreads(), omp.Static, 0, func(t int) {
-			lo, hi := blockRange(blocks, tc.NumThreads(), t)
-			ideaCipher(c.plain, c.cipher, &c.encKey, lo, hi)
-		})
-	})
-	omp.Parallel(n, func(tc *omp.Team) {
-		tc.ForNowait(0, tc.NumThreads(), omp.Static, 0, func(t int) {
-			lo, hi := blockRange(blocks, tc.NumThreads(), t)
-			ideaCipher(c.cipher, c.out, &c.decKey, lo, hi)
-		})
+		lo, hi := blockRange(blocks, tc.NumThreads(), tc.ThreadNum())
+		ideaCipher(c.plain, c.cipher, &c.encKey, lo, hi)
+		ideaCipher(c.cipher, c.out, &c.decKey, lo, hi)
 	})
 	c.ran = true
 }
@@ -120,59 +130,69 @@ func (c *Crypt) Validate() error {
 // ideaCipher runs the IDEA cipher over blocks [lo, hi) of src into dst using
 // the 52-subkey schedule key. The same function serves encryption and
 // decryption; only the key schedule differs.
+//
+// One block is a serial chain of 34 multiplications mod 2^16+1, so a core
+// working on a single block waits on multiply latency; blocks are independent
+// (ECB), so two are carried through the rounds together and their chains
+// overlap. An odd last block takes the same path with a zero partner.
 func ideaCipher(src, dst []byte, key *[52]uint16, lo, hi int) {
-	for b := lo; b < hi; b++ {
-		o := b * ideaBlock
-		x1 := uint32(src[o])<<8 | uint32(src[o+1])
-		x2 := uint32(src[o+2])<<8 | uint32(src[o+3])
-		x3 := uint32(src[o+4])<<8 | uint32(src[o+5])
-		x4 := uint32(src[o+6])<<8 | uint32(src[o+7])
-		ik := 0
-		for r := 0; r < 8; r++ {
-			x1 = ideaMul(x1, uint32(key[ik]))
-			x2 = (x2 + uint32(key[ik+1])) & 0xffff
-			x3 = (x3 + uint32(key[ik+2])) & 0xffff
-			x4 = ideaMul(x4, uint32(key[ik+3]))
-			t2 := ideaMul(x1^x3, uint32(key[ik+4]))
-			t1 := ideaMul((t2+(x2^x4))&0xffff, uint32(key[ik+5]))
-			t2 = (t1 + t2) & 0xffff
-			x1 ^= t1
-			x4 ^= t2
-			t2 ^= x2
-			x2 = x3 ^ t1
-			x3 = t2
-			ik += 6
-		}
-		y1 := ideaMul(x1, uint32(key[48]))
-		y2 := (x3 + uint32(key[49])) & 0xffff
-		y3 := (x2 + uint32(key[50])) & 0xffff
-		y4 := ideaMul(x4, uint32(key[51]))
-		dst[o] = byte(y1 >> 8)
-		dst[o+1] = byte(y1)
-		dst[o+2] = byte(y2 >> 8)
-		dst[o+3] = byte(y2)
-		dst[o+4] = byte(y3 >> 8)
-		dst[o+5] = byte(y3)
-		dst[o+6] = byte(y4 >> 8)
-		dst[o+7] = byte(y4)
+	var k [52]uint32
+	for i, v := range key {
+		k[i] = uint32(v)
+	}
+	src = src[lo*ideaBlock : hi*ideaBlock]
+	dst = dst[lo*ideaBlock : hi*ideaBlock]
+	for len(src) >= 2*ideaBlock && len(dst) >= 2*ideaBlock {
+		a, b := ideaPair(&k, binary.BigEndian.Uint64(src), binary.BigEndian.Uint64(src[ideaBlock:]))
+		binary.BigEndian.PutUint64(dst, a)
+		binary.BigEndian.PutUint64(dst[ideaBlock:], b)
+		src, dst = src[2*ideaBlock:], dst[2*ideaBlock:]
+	}
+	if len(src) >= ideaBlock {
+		a, _ := ideaPair(&k, binary.BigEndian.Uint64(src), 0)
+		binary.BigEndian.PutUint64(dst, a)
 	}
 }
 
-// ideaMul is multiplication modulo 2^16+1 with 0 standing for 2^16.
+// ideaPair encrypts the two big-endian blocks a and b under schedule k.
+func ideaPair(k *[52]uint32, a, b uint64) (uint64, uint64) {
+	a1, a2, a3, a4 := uint32(a>>48), uint32(a>>32)&0xffff, uint32(a>>16)&0xffff, uint32(a)&0xffff
+	b1, b2, b3, b4 := uint32(b>>48), uint32(b>>32)&0xffff, uint32(b>>16)&0xffff, uint32(b)&0xffff
+	for r := 0; r < 48; r += 6 {
+		rk := k[r : r+6 : r+6]
+		a1, b1 = ideaMul(a1, rk[0]), ideaMul(b1, rk[0])
+		a2, b2 = (a2+rk[1])&0xffff, (b2+rk[1])&0xffff
+		a3, b3 = (a3+rk[2])&0xffff, (b3+rk[2])&0xffff
+		a4, b4 = ideaMul(a4, rk[3]), ideaMul(b4, rk[3])
+		at2, bt2 := ideaMul(a1^a3, rk[4]), ideaMul(b1^b3, rk[4])
+		at1, bt1 := ideaMul((at2+(a2^a4))&0xffff, rk[5]), ideaMul((bt2+(b2^b4))&0xffff, rk[5])
+		at2, bt2 = (at1+at2)&0xffff, (bt1+bt2)&0xffff
+		a1, b1 = a1^at1, b1^bt1
+		a4, b4 = a4^at2, b4^bt2
+		a2, a3 = a3^at1, a2^at2
+		b2, b3 = b3^bt1, b2^bt2
+	}
+	// Output transform: the last round's x2/x3 swap is undone.
+	a1, b1 = ideaMul(a1, k[48]), ideaMul(b1, k[48])
+	a3, b3 = (a3+k[49])&0xffff, (b3+k[49])&0xffff
+	a2, b2 = (a2+k[50])&0xffff, (b2+k[50])&0xffff
+	a4, b4 = ideaMul(a4, k[51]), ideaMul(b4, k[51])
+	return uint64(a1)<<48 | uint64(a3)<<32 | uint64(a2)<<16 | uint64(a4),
+		uint64(b1)<<48 | uint64(b3)<<32 | uint64(b2)<<16 | uint64(b4)
+}
+
+// ideaMul is multiplication modulo 2^16+1 with 0 standing for 2^16. The
+// product of two 16-bit operands is zero only when one of them is, and then
+// the result is 1 - a - b; otherwise it is lo - hi of the 32-bit product,
+// plus one when that borrowed. The borrow is bit 31 of the uint32 difference
+// whatever the platform's word size.
 func ideaMul(a, b uint32) uint32 {
-	if a == 0 {
-		return (0x10001 - b) & 0xffff
-	}
-	if b == 0 {
-		return (0x10001 - a) & 0xffff
-	}
 	p := a * b
-	lo := p & 0xffff
-	hi := p >> 16
-	r := lo - hi
-	if lo < hi {
-		r++
+	if p == 0 {
+		return (0x10001 - a - b) & 0xffff
 	}
+	r := p&0xffff - p>>16
+	r += r >> 31
 	return r & 0xffff
 }
 

@@ -241,6 +241,34 @@ func TestCalibrateHitsTarget(t *testing.T) {
 	}
 }
 
+// ctorHeavy is a kernel whose cost sits in its constructor: building it
+// sleeps size x 100 us, running it does nothing.
+type ctorHeavy struct{}
+
+func (ctorHeavy) Name() string    { return "ctor-heavy" }
+func (ctorHeavy) RunSeq()         {}
+func (ctorHeavy) RunPar(int)      {}
+func (ctorHeavy) Validate() error { return nil }
+
+// TestCalibrateTimesConstruction: handlers construct and run, so Calibrate
+// must size against both. Timing RunSeq alone sees ~0 here and walks the size
+// up without bound (the fake stops sleeping past 20x the target so that
+// failure is quick).
+func TestCalibrateTimesConstruction(t *testing.T) {
+	const unit = 100 * time.Microsecond
+	target := 10 * time.Millisecond
+	f := func(size int) Kernel {
+		if d := time.Duration(size) * unit; d > 0 && d < 20*target {
+			time.Sleep(d)
+		}
+		return ctorHeavy{}
+	}
+	size := Calibrate(f, 10, target)
+	if got := time.Duration(size) * unit; got < target/2 || got > target*2 {
+		t.Fatalf("calibrated size %d constructs in %v, target %v", size, got, target)
+	}
+}
+
 func TestParallelSpeedupShape(t *testing.T) {
 	// Not a strict speedup assertion (CI machines vary), but 4 threads must
 	// not be dramatically slower than 1 on a compute-bound kernel.
