@@ -125,7 +125,7 @@ func main() {
 			fmt.Println()
 		}
 		if *sched {
-			// The same counters bench/ reports, from the widest sweep point:
+			// The counters behind benchmark/'s executor.* probes, from the widest sweep point:
 			// how much work the dispatch path moved and how deep it queued.
 			st := results[len(results)-1].Sched
 			if st.Submitted > 0 {

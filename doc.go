@@ -6,7 +6,7 @@
 // (internal/eventloop, internal/gui), the Java Grande kernels
 // (internal/kernels), and the evaluation harness that regenerates every
 // figure and table of the paper (internal/evaluation, cmd/edtbench,
-// cmd/httpbench, bench_test.go).
+// cmd/httpbench, cmd/report), measured by the benchmark in benchmark/.
 //
 // See README.md for a tour, DESIGN.md for the system inventory, and
 // EXPERIMENTS.md for paper-versus-measured results.

@@ -12,10 +12,9 @@
 //
 //   - Wrap turns any executor.Executor into one whose posted tasks are
 //     subject to injection (the middleware used around worker pools);
-//   - Interceptor adapts the injector to eventloop.Loop.SetInterceptor, so
-//     faults land inside dispatched handlers on the EDT;
-//   - NetInterceptor adapts it to netloop.Server.SetInterceptor, where a
-//     Drop decision suppresses the message before it is queued;
+//   - NetInterceptor adapts it to netloop.Server.SetInterceptor and
+//     reactor.Reactor.SetInterceptor, where a Drop decision suppresses the
+//     message or readiness event before it is dispatched;
 //   - FDInterceptor adapts it to reactor.Reactor.SetIOInterceptor, the
 //     fd-level seam below dispatch: short writes, spurious EAGAINs,
 //     injected resets, and read latency land directly on the socket
@@ -30,7 +29,7 @@
 //     and the task's completion reports executor.ErrWorkerCrashed;
 //   - Delay: the task sleeps before running (queueing delay / slow handler);
 //   - Drop: the task is discarded (ErrInjectedDrop from Wrap, suppressed
-//     message from NetInterceptor, silent no-op from Interceptor);
+//     message from NetInterceptor);
 //   - Stall: the task blocks — for Rule.Delay, or until Release — wedging
 //     whatever thread runs it (the "frozen GUI" failure mode).
 package chaos
@@ -190,15 +189,6 @@ func (in *Injector) Injected(a Action) int64 {
 	return in.injected[a].Load()
 }
 
-// TotalInjected returns the number of injected faults across all actions.
-func (in *Injector) TotalInjected() int64 {
-	var n int64
-	for i := range in.injected {
-		n += in.injected[i].Load()
-	}
-	return n
-}
-
 // Release unblocks every Stall injection that is waiting without a
 // duration (and any future ones — release is one-shot and permanent).
 func (in *Injector) Release() {
@@ -336,24 +326,11 @@ func (c *chaosExecutor) Stats() executor.Stats {
 
 var _ executor.Executor = (*chaosExecutor)(nil)
 
-// Interceptor adapts the injector to eventloop.Loop.SetInterceptor: faults
-// are injected into handlers as they are dispatched on target's loop. A
-// Drop decision suppresses the handler body (the event completes, its
-// effect is lost).
-func (in *Injector) Interceptor(target string) func(label string, fn func()) func() {
-	return func(label string, fn func()) func() {
-		act, d := in.decide(target)
-		if act == Drop {
-			return func() {}
-		}
-		return in.apply(act, d, target, fn)
-	}
-}
-
-// NetInterceptor adapts the injector to netloop.Server.SetInterceptor,
-// where a Drop decision suppresses the message before it is queued (the
-// second return reports whether to keep the message).
-func (in *Injector) NetInterceptor(target string) func(event string, fn func()) (func(), bool) {
+// NetInterceptor adapts the injector to netloop.Server.SetInterceptor and
+// reactor.Reactor.SetInterceptor, where a Drop decision suppresses the
+// message or readiness event before it is dispatched (the second return
+// reports whether to keep it).
+func (in *Injector) NetInterceptor(target string) reactor.Interceptor {
 	return func(event string, fn func()) (func(), bool) {
 		act, d := in.decide(target)
 		if act == Drop {

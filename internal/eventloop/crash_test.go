@@ -41,33 +41,6 @@ func TestEDTCrashFailsEventAndMarksLoop(t *testing.T) {
 	}
 }
 
-func TestInterceptorWrapsDispatch(t *testing.T) {
-	var reg gid.Registry
-	l := New("edt", &reg)
-	var order []string
-	l.SetInterceptor(func(label string, fn func()) func() {
-		return func() {
-			order = append(order, "before:"+label)
-			fn()
-			order = append(order, "after:"+label)
-		}
-	})
-	l.Start()
-	defer l.Stop()
-	if err := l.PostLabeled("evt", func() { order = append(order, "body") }).Wait(); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"before:evt", "body", "after:evt"}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v", order)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
 func TestFailPendingCompletesQueued(t *testing.T) {
 	var reg gid.Registry
 	l := New("edt", &reg)

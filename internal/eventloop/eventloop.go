@@ -112,20 +112,16 @@ type Loop struct {
 	ready  chan struct{}
 	wg     sync.WaitGroup
 
-	observer    atomic.Pointer[func(DispatchInfo)]
-	onPanic     atomic.Pointer[func(any)]
-	onCrash     atomic.Pointer[func(any)]
-	interceptor atomic.Pointer[Interceptor]
-	crashed     atomic.Bool
-	dispatched  atomic.Int64
-	peak        atomic.Int64
-	depth       atomic.Int32 // dispatch nesting depth (1 = top level, >1 = pumping)
+	// FaultHooks: the crash handler hears of the dispatch goroutine's
+	// abnormal death (after Crashed reads true), the panic handler of every
+	// recovered handler panic.
+	executor.FaultHooks
+	observer   atomic.Pointer[func(DispatchInfo)]
+	crashed    atomic.Bool
+	dispatched atomic.Int64
+	peak       atomic.Int64
+	depth      atomic.Int32 // dispatch nesting depth (1 = top level, >1 = pumping)
 }
-
-// Interceptor wraps every handler just before it is dispatched — a seam for
-// fault injection (package chaos) and instrumentation. The wrapper runs on
-// the dispatch goroutine in the handler's place.
-type Interceptor func(label string, fn func()) func()
 
 // New creates a Loop named name whose dispatch goroutine registers itself in
 // reg (nil means gid.Default). The loop is not running until Start.
@@ -210,34 +206,12 @@ func (l *Loop) runLoop() {
 // loopCrashed marks the loop dead and notifies the crash handler.
 func (l *Loop) loopCrashed(reason any) {
 	l.crashed.Store(true)
-	if h := l.onCrash.Load(); h != nil {
-		(*h)(reason)
-	}
+	l.NotifyCrash(reason)
 }
 
 // Crashed reports whether the dispatch goroutine died abnormally. A crashed
 // loop never dispatches again; Stop will fail its remaining queue.
 func (l *Loop) Crashed() bool { return l.crashed.Load() }
-
-// SetCrashHandler installs fn to be called if the dispatch goroutine dies
-// abnormally, with the escaped panic value (nil for a plain Goexit).
-func (l *Loop) SetCrashHandler(fn func(any)) {
-	if fn == nil {
-		l.onCrash.Store(nil)
-		return
-	}
-	l.onCrash.Store(&fn)
-}
-
-// SetInterceptor installs a dispatch interceptor (nil removes it). See
-// Interceptor.
-func (l *Loop) SetInterceptor(ic Interceptor) {
-	if ic == nil {
-		l.interceptor.Store(nil)
-		return
-	}
-	l.interceptor.Store(&ic)
-}
 
 // FailPending removes every queued-but-undispatched event and completes it
 // with err, returning how many were failed. Used when the loop has crashed
@@ -318,27 +292,22 @@ func (l *Loop) next() (*item, bool) {
 }
 
 // dispatch runs one event through the shared bracket (executor.Bracket.Run)
-// and adds what is the loop's own: the confinement check, the interceptor,
-// the nesting depth, the panic handler and the observer. All of it is state
-// a joiner may inspect the moment it wakes, so it is settled before the
-// completion finishes. The closure does not escape Run: no allocation.
+// and adds what is the loop's own: the confinement check, the nesting depth,
+// the panic handler and the observer. All of it is state a joiner may inspect
+// the moment it wakes, so it is settled before the completion finishes. The
+// closure does not escape Run: no allocation.
 func (l *Loop) dispatch(it *item) {
 	l.san.Check("dispatch event on", l.name)
 	var start time.Time
 	if l.observer.Load() != nil {
 		start = l.clock.Now()
 	}
-	if ic := l.interceptor.Load(); ic != nil {
-		it.Fn = (*ic)(it.label, it.Fn)
-	}
 	l.depth.Add(1)
 	it.Run(it.comp, l.name, func(err error) {
 		l.depth.Add(-1)
 		l.dispatched.Add(1)
 		if pe, ok := err.(*executor.PanicError); ok {
-			if h := l.onPanic.Load(); h != nil {
-				(*h)(pe.Value)
-			}
+			l.NotifyPanic(pe.Value)
 		}
 		if obs := l.observer.Load(); obs != nil {
 			info := DispatchInfo{Label: it.label, Enqueued: it.enqueued, Start: start, End: l.clock.Now(), Err: err}
@@ -517,15 +486,6 @@ func (l *Loop) SetObserver(fn func(DispatchInfo)) {
 		return
 	}
 	l.observer.Store(&fn)
-}
-
-// SetPanicHandler installs fn to be called with recovered handler panics.
-func (l *Loop) SetPanicHandler(fn func(any)) {
-	if fn == nil {
-		l.onPanic.Store(nil)
-		return
-	}
-	l.onPanic.Store(&fn)
 }
 
 // Stop rejects further posts, cancels pending PostDelayed timers (their

@@ -393,12 +393,7 @@ func (p *WorkerPool) settled(err error) {
 		return
 	}
 	p.panics.Add(1)
-	p.mu.Lock()
-	h := p.onPanic
-	p.mu.Unlock()
-	if h != nil {
-		h(pe.Value)
-	}
+	p.NotifyPanic(pe.Value)
 }
 
 // parker is one idle worker's parking slot: a single-token wake channel,
@@ -425,8 +420,11 @@ const workerSpins = 4
 // producers hash onto shards by goroutine id, so multi-producer submission
 // scales instead of serializing on one lock. Workers steal from each other
 // when their own shard runs dry, and a crashed worker's shard is re-homed
-// (or adopted by a respawned worker) so no queued task is ever stranded. A pool constructed with one worker (NewSerialExecutor) keeps
-// the strict-FIFO guarantee: its single shard is popped oldest-first.
+// (or adopted by a respawned worker) so no queued task is ever stranded. A
+// pool constructed with one worker is the general-purpose form of thread
+// confinement (the GUI event-dispatch thread in package eventloop is a richer
+// special case) and keeps the strict-FIFO guarantee: its single shard is
+// popped oldest-first.
 type WorkerPool struct {
 	name     string
 	registry *gid.Registry
@@ -436,13 +434,16 @@ type WorkerPool struct {
 	// a member) against this second, independent stamp. No-op untagged.
 	san sanitize.Members
 
+	// FaultHooks: the crash handler hears of every worker goroutine that
+	// dies without going through shutdown, the panic handler of every task
+	// panic (which is also captured in the task's Completion).
+	FaultHooks
+
 	mu       sync.Mutex
 	parked   *parker // LIFO stack of idle (parked) workers
 	shutdown bool
-	onPanic  func(any)
-	onCrash  func(any) // notified when a worker goroutine dies abnormally
-	nworkers int       // guarded by mu (Grow and crashes mutate it)
-	serial   bool      // constructed with one worker: strict FIFO pop order
+	nworkers int  // guarded by mu (Grow and crashes mutate it)
+	serial   bool // constructed with one worker: strict FIFO pop order
 
 	// shards is the current shard set, copy-on-write under mu. Producers,
 	// stealers, helpers and Stats read it lock-free; a producer that lands
@@ -511,14 +512,6 @@ func NewWorkerPool(name string, n int, reg *gid.Registry) *WorkerPool {
 	return p
 }
 
-// NewSerialExecutor returns a single-worker pool: a virtual target whose
-// thread group is exactly one thread, guaranteeing FIFO execution of posted
-// tasks. This is the general-purpose form of thread confinement; the GUI
-// event-dispatch thread in package eventloop is a richer special case.
-func NewSerialExecutor(name string, reg *gid.Registry) *WorkerPool {
-	return NewWorkerPool(name, 1, reg)
-}
-
 // spawnWorker launches one worker goroutine, calling onStarted once it is
 // registered. The epilogue distinguishes the legitimate exit (the shutdown
 // drain returns normally from workerLoop) from a crash: runtime.Goexit or a
@@ -564,7 +557,6 @@ func (p *WorkerPool) workerCrashed(w *worker, reason any) {
 	p.crashes.Add(1)
 	p.mu.Lock()
 	p.nworkers--
-	h := p.onCrash
 	survivors := p.nworkers > 0
 	if survivors {
 		p.removeShardLocked(w.shard)
@@ -580,20 +572,7 @@ func (p *WorkerPool) workerCrashed(w *worker, reason any) {
 			p.wakeOne()
 		}
 	}
-	if h != nil {
-		h(reason)
-	}
-}
-
-// SetCrashHandler installs fn to be called whenever a worker goroutine dies
-// without going through shutdown (runtime.Goexit in a task body, or a panic
-// that escaped recovery). The reason is the escaped
-// panic value, or nil for a plain Goexit. Supervisors use this as their
-// failure signal.
-func (p *WorkerPool) SetCrashHandler(fn func(any)) {
-	p.mu.Lock()
-	p.onCrash = fn
-	p.mu.Unlock()
+	p.NotifyCrash(reason)
 }
 
 // Crashes returns the number of worker goroutines that died abnormally.
@@ -601,15 +580,6 @@ func (p *WorkerPool) Crashes() int64 { return p.crashes.Load() }
 
 // Name returns the pool's virtual-target name.
 func (p *WorkerPool) Name() string { return p.name }
-
-// SetPanicHandler installs fn to be called with the recovered value whenever
-// a task body panics (in addition to the panic being captured in the task's
-// Completion). Must be called before tasks that may panic are submitted.
-func (p *WorkerPool) SetPanicHandler(fn func(any)) {
-	p.mu.Lock()
-	p.onPanic = fn
-	p.mu.Unlock()
-}
 
 // removeShardLocked publishes a snapshot without sh. Caller holds mu and is
 // responsible for re-homing the shard's queue afterwards.
@@ -747,8 +717,7 @@ func (p *WorkerPool) pickShard() *shard {
 // popLocal takes one task from the worker's own shard: LIFO (newest first)
 // for cache warmth, with every fairnessTick'th pop taking the oldest task
 // instead so the tail cannot starve. Serial pools (one worker at
-// construction) always pop oldest-first — that is the strict-FIFO guarantee
-// NewSerialExecutor documents.
+// construction) always pop oldest-first — the strict-FIFO guarantee.
 func (p *WorkerPool) popLocal(w *worker) *task {
 	w.san.Check("popLocal on", p.name)
 	sh := w.shard

@@ -36,7 +36,7 @@ func TestWorkerPoolSingleWorkerFIFO(t *testing.T) {
 	// A 1-worker pool (a serial executor) must run tasks in submission
 	// order — the thread-confinement guarantee GUI toolkits rely on.
 	var reg gid.Registry
-	p := NewSerialExecutor("edt", &reg)
+	p := NewWorkerPool("edt", 1, &reg)
 	defer p.Shutdown()
 	var mu sync.Mutex
 	var order []int

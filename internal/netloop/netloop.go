@@ -35,14 +35,6 @@ import (
 // Handler processes one line-delimited message on the dispatch loop.
 type Handler func(c *Client, line string)
 
-// Interceptor sits between the read loop and the dispatch queue: it
-// receives each message event ("msg") and its handler closure before the
-// message is queued, and returns the closure to dispatch plus a keep flag —
-// false suppresses the message entirely (it never reaches the queue, never
-// takes a limiter slot, and is counted by Dropped). The fault-injection
-// layer (chaos.NetInterceptor) plugs in here to drop or delay messages.
-type Interceptor func(event string, fn func()) (func(), bool)
-
 // Server is a line-oriented message server with single-threaded dispatch.
 // Two transports feed the same dispatch loop: the portable default spawns
 // one reader goroutine per connection; EnableReactor replaces those readers
@@ -63,7 +55,7 @@ type Server struct {
 	closed    bool
 
 	limiter     *qos.Limiter // nil = unbounded dispatch queue (seed behaviour)
-	interceptor atomic.Pointer[Interceptor]
+	interceptor atomic.Pointer[reactor.Interceptor]
 
 	// Survivability knobs, set before Start (see SetIdleDeadline and
 	// SetMaxConns). Both apply to either transport.
@@ -162,8 +154,14 @@ func (s *Server) DeadlineCloses() int64 {
 	return n
 }
 
-// SetInterceptor installs (or, with nil, removes) the message interceptor.
-func (s *Server) SetInterceptor(fn Interceptor) {
+// SetInterceptor installs (or, with nil, removes) the message interceptor,
+// which sits between the read loop and the dispatch queue: it receives each
+// message event ("msg") and its handler closure before the message is
+// queued, and returns the closure to dispatch plus a keep flag — false
+// suppresses the message entirely (it never reaches the queue, never takes a
+// limiter slot, and is counted by Dropped). The fault-injection layer
+// (chaos.NetInterceptor) plugs in here to drop or delay messages.
+func (s *Server) SetInterceptor(fn reactor.Interceptor) {
 	if fn == nil {
 		s.interceptor.Store(nil)
 		return

@@ -16,7 +16,9 @@ func Retryable(err error) bool {
 }
 
 // Retry runs an operation with capped exponential backoff and full
-// jitter. The zero value is unusable; DefaultRetry gives sane settings.
+// jitter. The zero value tries once; Retry{Attempts: 4, Base:
+// time.Millisecond, Cap: 100 * time.Millisecond, Jitter: true} is a sane
+// starting point.
 type Retry struct {
 	// Attempts is the total number of tries, including the first
 	// (clamped to ≥1).
@@ -30,12 +32,6 @@ type Retry struct {
 	// [0, backoff] so synchronized clients desynchronize. When false
 	// the sleep is exactly the backoff.
 	Jitter bool
-}
-
-// DefaultRetry retries 4 times total starting at 1ms, capped at 100ms,
-// with full jitter.
-func DefaultRetry() Retry {
-	return Retry{Attempts: 4, Base: time.Millisecond, Cap: 100 * time.Millisecond, Jitter: true}
 }
 
 // Do invokes fn until it succeeds, fails permanently, or attempts are

@@ -1,0 +1,164 @@
+package reactor
+
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/eventloop"
+	"repro/internal/executor"
+	"repro/internal/gid"
+	"repro/internal/testutil/leakcheck"
+	"repro/internal/testutil/poll"
+)
+
+// faultTarget is one embedder of executor.FaultHooks under test. A crash
+// kills a Loop and a Reactor for good, so every case builds a fresh one.
+type faultTarget struct {
+	hooks interface {
+		SetCrashHandler(func(any))
+		SetPanicHandler(func(any))
+	}
+	run     func(fn func()) // runs fn on a goroutine the target owns; returns once fn has unwound
+	crashed func() bool
+	stop    func() // joins the target's goroutines: every notification is over when it returns
+}
+
+// faultTargets is the table: the three types that embed executor.FaultHooks.
+// This test lives here because the reactor is the topmost of them.
+var faultTargets = []struct {
+	name  string
+	build func(t *testing.T) faultTarget
+}{
+	{"WorkerPool", func(t *testing.T) faultTarget {
+		p := executor.NewWorkerPool("pool", 1, &gid.Registry{})
+		return faultTarget{hooks: p, run: func(fn func()) { p.Post(fn).Wait() },
+			crashed: func() bool { return p.Crashes() > 0 }, stop: p.Shutdown}
+	}},
+	{"Loop", func(t *testing.T) faultTarget {
+		l := eventloop.New("edt", &gid.Registry{})
+		l.Start()
+		return faultTarget{hooks: l, run: func(fn func()) { l.Post(fn).Wait() },
+			crashed: l.Crashed, stop: l.Stop}
+	}},
+	{"Reactor", func(t *testing.T) faultTarget {
+		r := newTestReactor(t, "reactor")
+		return faultTarget{hooks: r, stop: r.Stop,
+			run: func(fn func()) {
+				done := make(chan struct{})
+				if r.Post(func() { defer close(done); fn() }) == nil {
+					<-done
+				}
+			},
+			crashed: func() bool { return r.Stats().LoopCrashes > 0 }}
+	}},
+}
+
+// recorder counts notifications and keeps the last payload.
+type recorder struct {
+	n    atomic.Int64
+	last atomic.Value
+}
+
+func (r *recorder) handle(v any) {
+	r.last.Store([1]any{v}) // boxed: atomic.Value rejects a nil payload
+	r.n.Add(1)
+}
+
+func (r *recorder) payload() any { return r.last.Load().([1]any)[0] }
+
+// TestFaultHooksAcrossEmbedders holds WorkerPool, eventloop.Loop and Reactor
+// to one contract for the hooks they share: the panic handler fires exactly
+// once per contained panic with the panic value, the crash handler exactly
+// once per goroutine death with nil for a Goexit, nil uninstalls either, and
+// installing while a fault is in flight is race-clean.
+func TestFaultHooksAcrossEmbedders(t *testing.T) {
+	for _, tc := range faultTargets {
+		t.Run(tc.name+"/panic", func(t *testing.T) {
+			defer leakcheck.Check(t)()
+			ft := tc.build(t)
+			defer ft.stop()
+			var rec recorder
+			ft.hooks.SetPanicHandler(rec.handle)
+			ft.run(func() { panic("boom") })
+			poll.Until(t, "panic handler notified", func() bool { return rec.n.Load() == 1 })
+			ft.run(func() {}) // a later task has run: the first fault is fully reported
+			if n, v := rec.n.Load(), rec.payload(); n != 1 || v != "boom" {
+				t.Fatalf("panic handler: %d calls, payload %v; want 1, boom", n, v)
+			}
+			ft.hooks.SetPanicHandler(nil)
+			ft.run(func() { panic("unheard") })
+			ft.run(func() {})
+			if n := rec.n.Load(); n != 1 {
+				t.Fatalf("panic handler called %d times after nil uninstalled it, want 1", n)
+			}
+			if ft.crashed() {
+				t.Fatal("a contained panic was counted as a crash")
+			}
+		})
+		t.Run(tc.name+"/goexit", func(t *testing.T) {
+			defer leakcheck.Check(t)()
+			ft := tc.build(t)
+			var crash, pan recorder
+			ft.hooks.SetCrashHandler(crash.handle)
+			ft.hooks.SetPanicHandler(pan.handle)
+			ft.run(runtime.Goexit)
+			poll.Until(t, "crash handler notified", func() bool { return crash.n.Load() == 1 })
+			ft.stop()
+			if n, v := crash.n.Load(), crash.payload(); n != 1 || v != nil {
+				t.Fatalf("crash handler: %d calls, payload %v; want 1, nil", n, v)
+			}
+			if n := pan.n.Load(); n != 0 {
+				t.Fatalf("panic handler called %d times for a Goexit, want 0", n)
+			}
+		})
+		t.Run(tc.name+"/goexit-uninstalled", func(t *testing.T) {
+			defer leakcheck.Check(t)()
+			ft := tc.build(t)
+			var crash recorder
+			ft.hooks.SetCrashHandler(crash.handle)
+			ft.hooks.SetCrashHandler(nil)
+			ft.run(runtime.Goexit)
+			poll.Until(t, "crash recorded", ft.crashed)
+			ft.stop()
+			if n := crash.n.Load(); n != 0 {
+				t.Fatalf("crash handler called %d times after nil uninstalled it, want 0", n)
+			}
+		})
+		t.Run(tc.name+"/install-during-fault", func(t *testing.T) {
+			defer leakcheck.Check(t)()
+			ft := tc.build(t)
+			var crash, pan recorder
+			quit := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-quit:
+						return
+					default:
+					}
+					if i%2 == 0 {
+						ft.hooks.SetCrashHandler(crash.handle)
+						ft.hooks.SetPanicHandler(pan.handle)
+					} else {
+						ft.hooks.SetCrashHandler(nil)
+						ft.hooks.SetPanicHandler(nil)
+					}
+				}
+			}()
+			ft.run(func() { panic("boom") })
+			ft.run(runtime.Goexit)
+			poll.Until(t, "crash recorded", ft.crashed)
+			ft.stop()
+			close(quit)
+			wg.Wait()
+			if c, p := crash.n.Load(), pan.n.Load(); c > 1 || p > 1 {
+				t.Fatalf("one panic and one crash notified %d and %d times", p, c)
+			}
+		})
+	}
+}

@@ -76,6 +76,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/executor"
 	"repro/internal/gid"
 	"repro/internal/metrics"
 	"repro/internal/sanitize"
@@ -143,11 +144,12 @@ type HandlerFuncs struct {
 	OnClose func(c *Conn, err error)
 }
 
-// Interceptor sits between a readiness event and its handler dispatch,
-// same shape as netloop.Interceptor so chaos.NetInterceptor plugs into
-// both: it may replace the dispatch (Delay) or suppress it (keep=false;
-// with edge-triggered registration a dropped read edge stalls the
-// connection until more bytes arrive — exactly the fault being modelled).
+// Interceptor sits between an event and its dispatch: here between a
+// readiness event and its handler, in netloop between the read loop and the
+// dispatch queue (chaos.NetInterceptor plugs into both). It may replace the
+// dispatch (Delay) or suppress it (keep=false; with edge-triggered
+// registration a dropped read edge stalls the connection until more bytes
+// arrive — exactly the fault being modelled).
 type Interceptor func(event string, fn func()) (func(), bool)
 
 // Stats is a snapshot of the reactor's counters.
@@ -209,11 +211,15 @@ type Reactor struct {
 	closed    bool
 	draining  bool
 
+	// FaultHooks: the panic handler hears of each contained handler panic
+	// (after the offending connection is closed) — the supervision layer
+	// counts panic storms toward a restart threshold with it; the crash
+	// handler hears of the poll goroutine's death, after every connection
+	// has been failed with ErrPollCrash. Both run on the poll goroutine.
+	executor.FaultHooks
 	wakePending   atomic.Bool
 	interceptor   atomic.Pointer[Interceptor]
 	ioInterceptor atomic.Pointer[IOInterceptor]
-	panicHandler  atomic.Pointer[func(any)]
-	crashHandler  atomic.Pointer[func(any)]
 
 	accepted      atomic.Int64
 	dialed        atomic.Int64
@@ -332,31 +338,6 @@ func (r *Reactor) Stats() Stats {
 // when the reactor is supervised).
 func (r *Reactor) RStats() *metrics.ReactorStats { return r.rstats }
 
-// SetPanicHandler installs a hook called with each contained handler-panic
-// value (after the offending connection is closed). The supervision layer
-// uses it to count panic storms toward a restart threshold. The handler
-// runs on the poll goroutine; keep it non-blocking.
-func (r *Reactor) SetPanicHandler(fn func(any)) {
-	if fn == nil {
-		r.panicHandler.Store(nil)
-		return
-	}
-	r.panicHandler.Store(&fn)
-}
-
-// SetCrashHandler installs a hook called when the poll goroutine dies (an
-// unrecovered panic or a killed goroutine), after every connection has been
-// failed with ErrPollCrash. The value is the panic payload, or nil for a
-// plain goroutine death. It runs on the dying goroutine; keep it
-// non-blocking (a supervisor enqueues the restart and returns).
-func (r *Reactor) SetCrashHandler(fn func(any)) {
-	if fn == nil {
-		r.crashHandler.Store(nil)
-		return
-	}
-	r.crashHandler.Store(&fn)
-}
-
 // contain runs fn with panic containment: a panic is recovered, counted,
 // reported to the panic handler, and — when the fault belongs to a
 // connection — answered by closing that connection with a
@@ -372,9 +353,7 @@ func (r *Reactor) contain(c *Conn, fn func()) {
 		if c != nil && !c.dead() {
 			r.closeConn(c, &HandlerPanicError{Value: v})
 		}
-		if h := r.panicHandler.Load(); h != nil {
-			(*h)(v)
-		}
+		r.NotifyPanic(v)
 	}()
 	fn()
 }
@@ -555,9 +534,7 @@ func (r *Reactor) crashCleanup(v any) {
 	for _, c := range conns {
 		r.closeConn(c, ErrPollCrash)
 	}
-	if h := r.crashHandler.Load(); h != nil {
-		(*h)(v)
-	}
+	r.NotifyCrash(v)
 }
 
 func (r *Reactor) pollLoop() {
@@ -769,9 +746,7 @@ func (r *Reactor) closeConn(c *Conn, err error) {
 			defer func() {
 				if v := recover(); v != nil {
 					r.rstats.HandlerPanics.Inc()
-					if h := r.panicHandler.Load(); h != nil {
-						(*h)(v)
-					}
+					r.NotifyPanic(v)
 				}
 			}()
 			c.h.OnClose(c, err)

@@ -238,13 +238,16 @@ func (s *Supervised) Supervisor() *supervise.Supervisor { return s.sup }
 // FailPending fails the ones the dead loop will never run.
 type reactorExec struct {
 	r *Reactor
+	// The reactor's own hooks: the supervisor attaches to the adapter and
+	// the poll goroutine notifies through the reactor, one value for both.
+	*executor.FaultHooks
 
 	mu      sync.Mutex
 	pending map[*executor.Completion]func(error)
 }
 
 func newReactorExec(r *Reactor) *reactorExec {
-	return &reactorExec{r: r, pending: make(map[*executor.Completion]func(error))}
+	return &reactorExec{r: r, FaultHooks: &r.FaultHooks, pending: make(map[*executor.Completion]func(error))}
 }
 
 // AsExecutor adapts the reactor to the executor.Executor surface, which is
@@ -271,13 +274,11 @@ func (x *reactorExec) Post(fn func()) *executor.Completion {
 		perr := executor.RunCaptured(fn)
 		if perr != nil {
 			x.r.rstats.HandlerPanics.Inc()
-			if h := x.r.panicHandler.Load(); h != nil {
-				var pe *executor.PanicError
-				if errors.As(perr, &pe) {
-					(*h)(pe.Value)
-				} else {
-					(*h)(perr)
-				}
+			var pe *executor.PanicError
+			if errors.As(perr, &pe) {
+				x.NotifyPanic(pe.Value)
+			} else {
+				x.NotifyPanic(perr)
 			}
 		}
 		x.settle(c, perr)
@@ -330,11 +331,5 @@ func (x *reactorExec) Shutdown() {
 	x.r.Stop()
 	x.FailPending(executor.ErrShutdown)
 }
-
-// SetCrashHandler forwards the supervisor's crash hook to the reactor.
-func (x *reactorExec) SetCrashHandler(fn func(any)) { x.r.SetCrashHandler(fn) }
-
-// SetPanicHandler forwards the supervisor's panic hook to the reactor.
-func (x *reactorExec) SetPanicHandler(fn func(any)) { x.r.SetPanicHandler(fn) }
 
 var _ executor.Executor = (*reactorExec)(nil)

@@ -56,7 +56,7 @@ var bracketCases = []struct {
 		name: "WorkerPool",
 		post: func(t *testing.T, fn func(), join func(*executor.Completion)) func() trace.SpanID {
 			var reg gid.Registry
-			p := executor.NewSerialExecutor("pool", &reg)
+			p := executor.NewWorkerPool("pool", 1, &reg)
 			t.Cleanup(p.Shutdown)
 			join(p.Post(fn))
 			return func() (cur trace.SpanID) {

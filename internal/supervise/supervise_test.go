@@ -47,7 +47,12 @@ func TestRespawnReplacesCrashedWorker(t *testing.T) {
 		t.Fatalf("killed task err = %v", err)
 	}
 	pool := base(s).(*executor.WorkerPool)
-	waitFor(t, 2*time.Second, func() bool { return pool.Workers() == 2 }, "worker respawn")
+	// Wait on the respawn count too: the killed task's completion finishes
+	// before the dying worker is subtracted, so Workers() can still read its
+	// pre-crash 2 here.
+	waitFor(t, 2*time.Second, func() bool {
+		return s.Stats().Respawns.Value() == 1 && pool.Workers() == 2
+	}, "worker respawn")
 	if got := s.Stats().Respawns.Value(); got != 1 {
 		t.Fatalf("respawns = %d", got)
 	}

@@ -54,10 +54,6 @@ func (l *DecisionLog) Append(d Decision) { l.ds = append(l.ds, d) }
 // Len returns the number of recorded decisions.
 func (l *DecisionLog) Len() int { return len(l.ds) }
 
-// Decisions returns the recorded decisions (shared backing array; callers
-// must not mutate).
-func (l *DecisionLog) Decisions() []Decision { return l.ds }
-
 // Branches returns how many recorded decisions had more than one
 // alternative — the number of points where a different schedule could have
 // diverged. Explorers use it to gauge how much nondeterminism a scenario
