@@ -84,13 +84,16 @@ size:
 	@echo "Set* setters under internal/: $$(grep -rn "^func (.*) Set[A-Z][A-Za-z]*(\|^func Set[A-Z]" internal --include=*.go | grep -v _test.go | wc -l)"
 
 # allocs runs the dispatch path's allocation budget (DESIGN.md §10): heap
-# objects per Post, per Invoke in each scheduling mode and per Completion.Done,
-# plus the size of executor.Completion — untagged and under the sanitizer,
-# never under -race (the detector allocates on its own account, so the test
-# skips itself there).
+# objects per Post, per Invoke in each scheduling mode (await from each kind of
+# owner) and per Completion.Done, a parked join across garbage collections (the
+# waiter free list must survive them), plus the sizes of executor.Completion
+# and the pool's task node — untagged and under the sanitizer, never under
+# -race (the detector allocates on its own account, so the tests skip
+# themselves there).
+ALLOCS_RUN = 'TestAllocationBudget|TestWaiterFreeListSurvivesGC|TestNodeSizes'
 allocs:
-	$(GO) test -count=1 -run 'TestAllocationBudget' ./internal/core/
-	$(GO) test -count=1 -tags=ompsan -run 'TestAllocationBudget' ./internal/core/
+	$(GO) test -count=1 -run $(ALLOCS_RUN) ./internal/core/ ./internal/executor/
+	$(GO) test -count=1 -tags=ompsan -run $(ALLOCS_RUN) ./internal/core/ ./internal/executor/
 
 # fuzz runs the directive-parser fuzzer and the IDEA differential fuzzer
 # live, FUZZTIME each; the committed seed corpora under

@@ -6,17 +6,18 @@ import (
 	"unsafe"
 
 	"repro/internal/executor"
+	"repro/internal/testutil/raceflag"
 )
 
 // TestAllocationBudget holds every way of handing a block to a virtual target
 // to the heap objects DESIGN.md §10 accounts for: the node the caller keeps a
-// pointer into, and the done channel of a joiner that has to park or await.
-// Each figure is testing.AllocsPerRun's mean over 200 runs rounded down, so
-// the occasional parked waiter's channel disappears in the rounding while a
-// second object on every run does not. The runs count the whole process, the
-// worker's and the EDT's side of the dispatch included.
+// pointer into, and nothing for the join — a joiner that parks or awaits takes
+// its waiter node from the executor package's free list, which AllocsPerRun's
+// warm-up run fills. Each figure is testing.AllocsPerRun's mean over 200 runs
+// rounded down. The runs count the whole process, the worker's and the EDT's
+// side of the dispatch included.
 func TestAllocationBudget(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("the race detector allocates on its own account")
 	}
 	const runs = 200
@@ -25,41 +26,61 @@ func TestAllocationBudget(t *testing.T) {
 
 	// One pending completion per run (and one for AllocsPerRun's warm-up),
 	// made here so the Done row pays for nothing but Done.
-	pending := make([]*executor.Completion, runs+1)
+	type pendingComp struct {
+		c      *executor.Completion
+		finish func(error)
+	}
+	pending := make([]pendingComp, runs+1)
 	for i := range pending {
-		pending[i], _ = executor.NewPendingCompletion()
+		pending[i].c, pending[i].finish = executor.NewPendingCompletion()
 	}
 	next := 0
+
+	// Where a row's operation is issued from: a goroutine no target owns, or
+	// one of the two owners the await barrier helps.
+	foreign := func(measure func()) { measure() }
+	onEDT := func(measure func()) { f.edt.InvokeAndWait(measure) }
+	onWorker := func(measure func()) { f.pool.Post(measure).Wait() }
 
 	rows := []struct {
 		name   string
 		budget float64
+		from   func(measure func())
 		op     func()
 	}{
-		{"WorkerPool.Post", 1, func() { f.pool.Post(noop) }},
-		{"WorkerPool.Post.Wait", 1, func() { f.pool.Post(noop).Wait() }},
-		{"Loop.Post", 1, func() { f.edt.Post(noop) }},
-		{"Loop.InvokeAndWait", 1, func() { f.edt.InvokeAndWait(noop) }},
-		{"Invoke(Wait)", 1, func() { f.rt.Invoke("worker", Wait, noop) }},
-		{"Invoke(Nowait)", 1, func() { f.rt.Invoke("worker", Nowait, noop) }},
-		{"Invoke(Await)", 2, func() { f.rt.Invoke("worker", Await, noop) }},
-		{"InvokeNamed+WaitTag", 1, func() {
+		{"WorkerPool.Post", 1, foreign, func() { f.pool.Post(noop) }},
+		// AllocsPerRun runs on one P, so the worker cannot run the block
+		// before the poster blocks: this Wait always parks.
+		{"WorkerPool.Post.Wait that parks", 1, foreign, func() { f.pool.Post(noop).Wait() }},
+		{"Loop.Post", 1, foreign, func() { f.edt.Post(noop) }},
+		{"Loop.InvokeAndWait", 1, foreign, func() { f.edt.InvokeAndWait(noop) }},
+		{"Invoke(Wait)", 1, foreign, func() { f.rt.Invoke("worker", Wait, noop) }},
+		{"Invoke(Nowait)", 1, foreign, func() { f.rt.Invoke("worker", Nowait, noop) }},
+		{"Invoke(Await)", 1, foreign, func() { f.rt.Invoke("worker", Await, noop) }},
+		{"Invoke(Await) from the EDT", 1, onEDT, func() { f.rt.Invoke("worker", Await, noop) }},
+		{"Invoke(Await) from a pool worker", 1, onWorker, func() { f.rt.Invoke("edt", Await, noop) }},
+		{"InvokeNamed+WaitTag", 1, foreign, func() {
 			f.rt.InvokeNamed("worker", "budget", noop)
 			f.rt.WaitTag("budget")
 		}},
-		{"Completion.Done", 1, func() {
-			pending[next].Done()
+		// The channel; the node under it goes back to the free list when the
+		// completion finishes.
+		{"Completion.Done", 1, foreign, func() {
+			pending[next].c.Done()
+			pending[next].finish(nil)
 			next++
 		}},
 	}
 	for _, row := range rows {
-		// AllocsPerRun runs on one P: the yield is what lets the target's side
-		// of a fire-and-forget post — running the block, completing it,
-		// recycling the loop's pooled queue node — happen inside the run
-		// that caused it.
-		got := testing.AllocsPerRun(runs, func() {
-			row.op()
-			runtime.Gosched()
+		var got float64
+		row.from(func() {
+			// The yield is what lets the target's side of a fire-and-forget
+			// post — running the block, completing it, recycling the loop's
+			// pooled queue node — happen inside the run that caused it.
+			got = testing.AllocsPerRun(runs, func() {
+				row.op()
+				runtime.Gosched()
+			})
 		})
 		if got > row.budget {
 			t.Errorf("%s: %v allocs/op, budget %v", row.name, got, row.budget)

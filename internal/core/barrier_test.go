@@ -1,0 +1,207 @@
+package core
+
+import (
+	"errors"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/eventloop"
+	"repro/internal/executor"
+	"repro/internal/gid"
+	"repro/internal/testutil/poll"
+)
+
+// The await barrier's edges: what the joiner sleeps on changes state while it
+// sleeps, or the target goes away under it.
+
+// TestNestedAwaitsBothContinuationsRun: handler A awaits a block; inside A's
+// barrier the EDT dispatches handler B, which awaits a block of its own. The
+// barriers unwind innermost first whichever block finishes first, and neither
+// continuation is lost — in particular not A's, whose wake arrives while the
+// EDT sleeps on B's.
+func TestNestedAwaitsBothContinuationsRun(t *testing.T) {
+	for _, outerFirst := range []bool{true, false} {
+		name := "inner block finishes first"
+		if outerFirst {
+			name = "outer block finishes first"
+		}
+		t.Run(name, func(t *testing.T) {
+			f := newFixture(t, 2)
+			var mu sync.Mutex
+			var log []string
+			say := func(s string) { mu.Lock(); log = append(log, s); mu.Unlock() }
+			said := func(s string) bool { mu.Lock(); defer mu.Unlock(); return slices.Contains(log, s) }
+
+			release := map[string]chan struct{}{"A": make(chan struct{}), "B": make(chan struct{})}
+			started := map[string]chan struct{}{"A": make(chan struct{}), "B": make(chan struct{})}
+			handler := func(id string) func() {
+				return func() {
+					f.rt.Invoke("worker", Await, func() {
+						close(started[id])
+						<-release[id]
+					})
+					say(id + "-continuation")
+				}
+			}
+			a := f.edt.Post(handler("A"))
+			<-started["A"]
+			b := f.edt.Post(handler("B"))
+			<-started["B"]
+			poll.UntilBlockedIn(t, "(*Loop).WaitPending")
+			if d := f.edt.Depth(); d != 2 {
+				t.Fatalf("EDT depth = %d with B awaiting inside A's barrier, want 2", d)
+			}
+
+			first, second := "B", "A"
+			if outerFirst {
+				first, second = "A", "B"
+			}
+			close(release[first])
+			if outerFirst {
+				// A's block is done but A resumes only after B: its wake has
+				// to survive the EDT sleeping on, and being woken by, B's.
+				poll.Until(t, "the outer block finished", func() bool { return f.pool.Stats().Completed == 1 })
+			} else {
+				poll.Until(t, "B continued", func() bool { return said("B-continuation") })
+				poll.UntilBlockedIn(t, "(*Loop).WaitPending")
+			}
+			if said("A-continuation") {
+				t.Fatal("A continued while its block, or the barrier nested in it, was still pending")
+			}
+			close(release[second])
+			if err := a.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if want := []string{"B-continuation", "A-continuation"}; !slices.Equal(log, want) {
+				t.Fatalf("continuations ran as %v, want %v", log, want)
+			}
+		})
+	}
+}
+
+// TestWorkerWaitingOnEDTGetsTheVerdict: a worker in Invoke(edt, Wait) — the
+// round trip at the end of every Figure 6 handler — comes back with the
+// verdict, not a hang, when the loop has stopped and when it crashes with the
+// worker's event still queued.
+func TestWorkerWaitingOnEDTGetsTheVerdict(t *testing.T) {
+	fromWorker := func(f *fixture, block func()) (verdict chan error) {
+		verdict = make(chan error, 1)
+		f.pool.Post(func() {
+			comp, err := f.rt.Invoke("edt", Wait, block)
+			if err == nil {
+				err = comp.Err()
+			}
+			verdict <- err
+		})
+		return verdict
+	}
+	expect := func(t *testing.T, verdict chan error, want error) {
+		t.Helper()
+		select {
+		case err := <-verdict:
+			if !errors.Is(err, want) {
+				t.Fatalf("verdict = %v, want %v", err, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("the worker was never released")
+		}
+	}
+
+	t.Run("stopped loop rejects the post", func(t *testing.T) {
+		f := newFixture(t, 1)
+		f.edt.Stop()
+		expect(t, fromWorker(f, func() { t.Error("block ran on a stopped loop") }), executor.ErrShutdown)
+	})
+
+	t.Run("stop races the post", func(t *testing.T) {
+		f := newFixture(t, 2)
+		var verdicts []chan error
+		for i := 0; i < 64; i++ {
+			if i == 32 {
+				go f.edt.Stop()
+			}
+			verdicts = append(verdicts, fromWorker(f, func() {}))
+		}
+		for _, v := range verdicts {
+			select {
+			case err := <-v:
+				if err != nil && !errors.Is(err, executor.ErrShutdown) {
+					t.Fatalf("verdict = %v, want nil or ErrShutdown", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("a worker was never released")
+			}
+		}
+	})
+
+	t.Run("queue failed after a crash", func(t *testing.T) {
+		f := newFixture(t, 1)
+		crashed := make(chan any, 1)
+		f.edt.SetCrashHandler(func(v any) { crashed <- v })
+		gate := make(chan struct{})
+		f.edt.Post(func() {
+			<-gate
+			runtime.Goexit()
+		})
+		verdict := fromWorker(f, func() { t.Error("block ran on a crashed loop") })
+		poll.UntilBlockedIn(t, "(*Completion).Wait")
+		close(gate)
+		<-crashed
+		if n := f.edt.FailPending(executor.ErrWorkerCrashed); n != 1 {
+			t.Fatalf("FailPending failed %d events, want the worker's one", n)
+		}
+		expect(t, verdict, executor.ErrWorkerCrashed)
+	})
+}
+
+// TestShutdownRacingAwaitReturns: Runtime.Shutdown while the EDT and a
+// goroutine no target owns are issuing awaits. Every await returns — the block
+// ran, or the invoke was refused with ErrRuntimeStopped — and none hangs on a
+// block the stopped pool will never run.
+func TestShutdownRacingAwaitReturns(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		reg := &gid.Registry{}
+		rt := NewRuntime(reg)
+		edt := eventloop.New("edt", reg)
+		edt.Start()
+		if err := rt.RegisterEDT("edt", edt); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rt.CreateWorker("worker", 2); err != nil {
+			t.Fatal(err)
+		}
+		awaitUntilStopped := func() error {
+			for {
+				if _, err := rt.Invoke("worker", Await, func() {}); err != nil {
+					return err
+				}
+			}
+		}
+		results := make(chan error, 2)
+		edt.Post(func() { results <- awaitUntilStopped() })
+		go func() { results <- awaitUntilStopped() }()
+		for y := i; y > 0; y-- {
+			runtime.Gosched()
+		}
+		rt.Shutdown()
+		for n := 0; n < 2; n++ {
+			select {
+			case err := <-results:
+				if !errors.Is(err, ErrRuntimeStopped) {
+					t.Fatalf("await loop ended with %v, want ErrRuntimeStopped", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("an await hung across Runtime.Shutdown")
+			}
+		}
+		edt.Stop()
+	}
+}

@@ -409,25 +409,39 @@ func (r *Runtime) Stopped() bool { return r.view.Load().stopped }
 // registered executor simply blocks (there is nothing for it to help with).
 func (r *Runtime) AwaitCompletion(comp *executor.Completion) {
 	if comp.Finished() {
-		// Already done (inline execution, or the block beat us here): skip
-		// the barrier entirely — in particular don't force the completion
-		// to materialize its done channel.
+		// Already done (inline execution, or the block beat us here): no
+		// barrier to hold.
 		return
 	}
-	r.AwaitDone(comp.Done())
+	owner, _ := r.registry.Owner().(pendingRunner)
+	if owner == nil {
+		comp.Wait()
+		return
+	}
+	// What the barrier sleeps on is the registration's wake token, passed as
+	// WaitPending's cancel: comp sends it, once, when it finishes.
+	if w := comp.Register(); w != nil {
+		w.Release(r.barrier(owner, comp.Finished, w.Token()))
+	}
 }
 
 // AwaitDone is AwaitCompletion generalized to any completion channel; it is
 // the bridge the paper's "further work" section asks for (integrating
-// non-blocking and asynchronous I/O): any <-chan struct{} — a context's
-// Done, an I/O completion signal — can hold the encountering thread in the
-// logical barrier.
+// non-blocking and asynchronous I/O): any <-chan struct{} that is closed to
+// signal — a context's Done, an I/O completion signal — can hold the
+// encountering thread in the logical barrier.
 func (r *Runtime) AwaitDone(done <-chan struct{}) {
-	select {
-	case <-done:
+	raised := func() bool {
+		select {
+		case <-done:
+			return true
+		default:
+			return false
+		}
+	}
+	if raised() {
 		// Signal already raised: no barrier to hold, no helping to do.
 		return
-	default:
 	}
 	owner, _ := r.registry.Owner().(pendingRunner)
 	if owner == nil {
@@ -438,27 +452,26 @@ func (r *Runtime) AwaitDone(done <-chan struct{}) {
 		executor.BlockOn(done)
 		return
 	}
+	r.barrier(owner, raised, done)
+}
+
+// barrier is the one help-first loop: until finished reports true, run the
+// owner's pending work, sleeping in WaitPending when there is none until new
+// work arrives or wake fires. It reports whether it left because WaitPending
+// received from wake — for a wake token, that the token is spent.
+func (r *Runtime) barrier(owner pendingRunner, finished func() bool, wake <-chan struct{}) bool {
 	r.emit(trace.OpAwaitEnter, ownerName(owner), Await)
 	defer r.emit(trace.OpAwaitExit, ownerName(owner), Await)
-	for {
-		select {
-		case <-done:
-			return
-		default:
-		}
+	for !finished() {
 		if owner.TryRunPending() {
 			r.emit(trace.OpHelped, ownerName(owner), Await)
 			continue
 		}
-		// No pending work: sleep until either new work arrives or the
-		// awaited block completes.
-		owner.WaitPending(done)
-		select {
-		case <-done:
-			return
-		default:
+		if !owner.WaitPending(wake) {
+			return true
 		}
 	}
+	return false
 }
 
 // ownerName extracts the executor name for tracing.

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/httpserver"
 	"repro/internal/kernels"
+	"repro/internal/testutil/raceflag"
 )
 
 func TestEvalAAllApproachesComplete(t *testing.T) {
@@ -89,7 +90,7 @@ func TestEvalAShape_OffloadingReducesOccupancy(t *testing.T) {
 // offered load exceeds the sequential service rate, response time balloons
 // as events queue; pyjama offloading with multiple workers keeps it bounded.
 func TestEvalAShape_SequentialDegradesUnderLoad(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("timing-shape assertion is unreliable under race instrumentation")
 	}
 	if runtime.GOMAXPROCS(0) < 2 {

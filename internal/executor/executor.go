@@ -57,32 +57,80 @@ type PanicError struct {
 
 func (e *PanicError) Error() string { return fmt.Sprintf("executor: task panicked: %v", e.Value) }
 
-// completionSpin bounds the cooperative-yield phase of Completion.Wait
-// before the waiter falls back to channel parking. Each iteration is one
-// runtime.Gosched — on a busy scheduler that is exactly the window in which
-// a short target block finishes, so the common Invoke(Wait) round trip
-// skips the park/unpark pair entirely.
-const completionSpin = 16
-
 // Completion tracks the lifecycle of one submitted task. It is created by
-// Post and completed exactly once, either when the task body returns or when
-// the executor rejects it.
+// Post and finished once, either when the task body returns or when the
+// executor rejects it; of several calls to complete, the first is the verdict.
 //
-// The done channel is materialised by the first Done call that finds the
-// task still pending: fire-and-forget submissions (Nowait mode — the
-// dominant traffic under load) and joins that finish inside Wait's spin
-// never touch it, which removes a channel allocation from every Post.
+// A completion owns no channel and nobody polls it. A goroutine that has to
+// sleep until the verdict registers a waiter node — pushed onto the intrusive
+// waiters stack — and receives on the node's own one-token channel, the idiom
+// of parker.wake; complete swaps the stack for the closed mark, which is what
+// Finished reads, and hands every node its token. Fire-and-forget submissions
+// (Nowait mode — the dominant traffic under load) never touch the third word.
 type Completion struct {
-	state atomic.Uint32 // compFinished | compHasDone | compInstalling
-	err   atomic.Pointer[error]
-	done  chan struct{} // written under compInstalling, read after compHasDone
+	state   atomic.Uint32 // compClaimed
+	err     atomic.Pointer[error]
+	waiters atomic.Pointer[Waiter] // registered joiners, newest first; &closedWaiters once finished
 }
 
-const (
-	compFinished   uint32 = 1 << iota // the verdict is in
-	compHasDone                       // done is materialised
-	compInstalling                    // a Done call is about to publish done
-)
+// compClaimed is taken by the one complete call whose verdict counts.
+const compClaimed uint32 = 1
+
+// Waiter is one registration on a Completion's stack. A joiner's node is
+// woken through its token; a Done registration carries the channel Done
+// handed out in done, which complete closes instead.
+type Waiter struct {
+	next  *Waiter
+	token chan struct{} // cap 1, as old as the node
+	done  chan struct{}
+}
+
+// closedWaiters is the stack of every finished completion: no push succeeds
+// once complete has swapped it in.
+var closedWaiters Waiter
+
+// waiterFree is the free list of waiter nodes. It is a buffered channel and
+// not a sync.Pool because it has to survive the collector: a pool is emptied
+// by every collection, and at gui_kernels' collection rate each join would
+// then pay for a node and its channel again. Leaky at both ends: empty, a
+// node is allocated; full, a node is dropped.
+var waiterFree = make(chan *Waiter, 64)
+
+func newWaiter() *Waiter {
+	select {
+	case w := <-waiterFree:
+		return w
+	default:
+		return &Waiter{token: make(chan struct{}, 1)}
+	}
+}
+
+// freeWaiter returns w to the free list. Only the goroutine that registered
+// w may call it, and only once w's token can no longer arrive — it was
+// received, or the push failed — so a reused node never carries a stale token
+// and is never received on by two goroutines. (complete frees a Done node
+// itself: Done hands out the node's done channel, never the node.)
+func freeWaiter(w *Waiter) {
+	select {
+	case waiterFree <- w:
+	default:
+	}
+}
+
+// push registers w, reporting false — w untouched by anybody else — if the
+// completion has finished.
+func (c *Completion) push(w *Waiter) bool {
+	for {
+		head := c.waiters.Load()
+		if head == &closedWaiters {
+			return false
+		}
+		w.next = head
+		if c.waiters.CompareAndSwap(head, w) {
+			return true
+		}
+	}
+}
 
 // closedDone is the done channel of every completion that finished before
 // anybody asked for one.
@@ -99,9 +147,10 @@ func NewCompletedCompletion(err error) *Completion {
 }
 
 // NewPendingCompletion returns an unfinished Completion together with the
-// function that completes it (callable exactly once): the completion
-// protocol for work that is not a queued task — an I/O operation, a device
-// transfer, a watcher goroutine mediating another completion.
+// function that completes it (the first call is the verdict, later ones are
+// ignored): the completion protocol for work that is not a queued task — an
+// I/O operation, a device transfer, a watcher goroutine mediating another
+// completion.
 func NewPendingCompletion() (*Completion, func(error)) {
 	c := new(Completion)
 	return c, c.complete
@@ -120,51 +169,78 @@ func RunCaptured(fn func()) (err error) {
 	return nil
 }
 
-// complete finishes the completion: the error (if any) is published before
-// the finished flag so any observer of the flag sees it, and whoever sets the
-// flag closes the done channel if there is one. Only a non-nil error is
-// boxed: taking err's own address would box it on every completion.
+// complete finishes the completion. Only the call that takes compClaimed
+// publishes an error, so a verdict a joiner has read never changes; it is
+// stored before the closed mark, so whoever sees Finished sees it. Only a
+// non-nil error is boxed: taking err's own address would box it on every
+// completion.
 func (c *Completion) complete(err error) {
+	if !c.state.CompareAndSwap(0, compClaimed) {
+		return
+	}
 	if err != nil {
 		boxed := err
 		c.err.Store(&boxed)
 	}
-	for {
-		switch s := c.state.Load(); {
-		case s&compFinished != 0:
-			return
-		case s&compInstalling != 0:
-			runtime.Gosched() // Done is two instructions from publishing
-		case c.state.CompareAndSwap(s, s|compFinished):
-			if s&compHasDone != 0 {
-				close(c.done)
-			}
-			return
+	for w := c.waiters.Swap(&closedWaiters); w != nil; {
+		// A joiner may free w, and the next owner push it elsewhere, the
+		// moment the token is sent: w is read and unlinked before that.
+		next := w.next
+		w.next = nil
+		if w.done != nil {
+			close(w.done)
+			w.done = nil
+			freeWaiter(w)
+		} else {
+			w.token <- struct{}{}
 		}
+		w = next
 	}
 }
 
-// Done returns a channel closed when the task has finished (or was rejected).
-// It costs one object, the channel, and only while the task is pending.
+// Done returns a channel closed when the task has finished (or was rejected):
+// the form of the signal a select needs. It costs one object, the channel, on
+// every call that finds the task pending; a finished completion hands out one
+// shared closed channel.
 func (c *Completion) Done() <-chan struct{} {
-	var ch chan struct{}
-	for {
-		switch s := c.state.Load(); {
-		case s&compHasDone != 0:
-			return c.done
-		case s&compFinished != 0:
-			return closedDone
-		case s&compInstalling != 0:
-			runtime.Gosched()
-		case ch == nil:
-			// Allocated before the bit is taken: complete never waits on malloc.
-			ch = make(chan struct{})
-		case c.state.CompareAndSwap(s, compInstalling):
-			c.done = ch
-			c.state.Store(compHasDone)
-			return ch
-		}
+	if c.Finished() {
+		return closedDone
 	}
+	ch := make(chan struct{})
+	w := newWaiter()
+	w.done = ch
+	if !c.push(w) {
+		w.done = nil
+		freeWaiter(w)
+		return closedDone
+	}
+	return ch
+}
+
+// Register registers the calling goroutine as a joiner that has other work
+// to do while it waits (core's await barrier) and returns the registration,
+// nil if the completion has already finished: its Token yields exactly one
+// value, once the completion finishes. The caller must Release it.
+func (c *Completion) Register() *Waiter {
+	w := newWaiter()
+	if !c.push(w) {
+		freeWaiter(w)
+		return nil
+	}
+	return w
+}
+
+// Token is the registration's wake channel.
+func (w *Waiter) Token() <-chan struct{} { return w.token }
+
+// Release ends the registration. It must be called by the goroutine that
+// registered, after the completion has finished; received says whether that
+// goroutine already took the token, and if not Release takes it now.
+func (w *Waiter) Release(received bool) {
+	if !received {
+		<-w.token
+	}
+	freeWaiter(w)
 }
 
 // blockHook, when installed, is consulted before any goroutine in this
@@ -212,10 +288,10 @@ func BlockOn(done <-chan struct{}) {
 	<-done
 }
 
-// Wait blocks until the task has finished and returns its error, if any.
-// It yields the processor a few times before parking: short tasks routinely
-// finish inside that window, saving both the done-channel allocation and a
-// park/unpark round trip through the scheduler.
+// Wait blocks until the task has finished and returns its error, if any: the
+// caller parks on a wake token that complete sends, with no yields in front
+// of it (a short spin measured worse than none) and no allocation once the
+// free list is warm.
 func (c *Completion) Wait() error {
 	if c.Finished() {
 		return c.Err()
@@ -225,19 +301,17 @@ func (c *Completion) Wait() error {
 	if p := blockHook.Load(); p != nil && (*p)(c.Finished) {
 		return c.Err()
 	}
-	for i := 0; i < completionSpin; i++ {
-		runtime.Gosched()
-		if c.Finished() {
-			return c.Err()
-		}
+	w := newWaiter()
+	if c.push(w) {
+		<-w.token
 	}
-	<-c.Done()
+	freeWaiter(w)
 	return c.Err()
 }
 
 // Finished reports whether the task has completed without blocking.
 func (c *Completion) Finished() bool {
-	return c.state.Load()&compFinished != 0
+	return c.waiters.Load() == &closedWaiters
 }
 
 // Err returns the task's terminal error: nil on success, a *PanicError if the
