@@ -68,13 +68,21 @@ func (e *PanicError) Error() string { return fmt.Sprintf("executor: task panicke
 // Finished reads, and hands every node its token. Fire-and-forget submissions
 // (Nowait mode — the dominant traffic under load) never touch the third word.
 type Completion struct {
-	state   atomic.Uint32 // compClaimed
+	state   atomic.Uint32 // compClaimed, and the lifecycle bits of the task node embedding it
 	err     atomic.Pointer[error]
 	waiters atomic.Pointer[Waiter] // registered joiners, newest first; &closedWaiters once finished
 }
 
-// compClaimed is taken by the one complete call whose verdict counts.
-const compClaimed uint32 = 1
+const (
+	// compClaimed is taken by the one complete call whose verdict counts.
+	compClaimed uint32 = 1 << iota
+	// taskRunning and taskCancelled are the pool's task lifecycle, kept in
+	// the embedded completion's word so the node stays in the 48-byte class:
+	// a queued task has neither, and each is taken by a CompareAndSwap from
+	// zero — the claim of a task nobody has run, cancelled or rejected.
+	taskRunning
+	taskCancelled
+)
 
 // Waiter is one registration on a Completion's stack. A joiner's node is
 // woken through its token; a Done registration carries the channel Done
@@ -175,8 +183,14 @@ func RunCaptured(fn func()) (err error) {
 // non-nil error is boxed: taking err's own address would box it on every
 // completion.
 func (c *Completion) complete(err error) {
-	if !c.state.CompareAndSwap(0, compClaimed) {
-		return
+	for {
+		s := c.state.Load()
+		if s&compClaimed != 0 {
+			return
+		}
+		if c.state.CompareAndSwap(s, s|compClaimed) {
+			break
+		}
 	}
 	if err != nil {
 		boxed := err
@@ -360,13 +374,6 @@ type Stats struct {
 	QueueDepth int64 // current total queue length across shards
 }
 
-// task lifecycle states (see task.state).
-const (
-	taskQueued int32 = iota
-	taskRunning
-	taskCancelled
-)
-
 // Bracket is the run half of the dispatch bracket (DESIGN.md §12), the one
 // realisation of Algorithm 1's "post a block to a virtual target, run it,
 // signal its completion" that every executor's queue node embeds: the body
@@ -454,9 +461,12 @@ func (b *Bracket) Fail(comp *Completion, err error) {
 // via the Completion, and PostCancellable's cancel closure may outlive the run).
 type task struct {
 	Bracket
-	state atomic.Int32 // taskQueued -> taskRunning | taskCancelled
-	comp  Completion
+	comp Completion // comp.state also holds taskRunning | taskCancelled
 }
+
+// claim moves a queued task to to (taskRunning or taskCancelled), reporting
+// whether the caller won it.
+func (t *task) claim(to uint32) bool { return t.comp.state.CompareAndSwap(0, to) }
 
 // settled is the pool's Bracket.Run hook: count the task and report its
 // panic before a joiner can look.
@@ -885,7 +895,7 @@ func (p *WorkerPool) steal(w *worker) *task {
 // body ran: a task whose cancellation won the race is skipped (the canceller
 // already finished its completion).
 func (p *WorkerPool) execute(t *task) bool {
-	if !t.state.CompareAndSwap(taskQueued, taskRunning) {
+	if !t.claim(taskRunning) {
 		return false
 	}
 	t.Run(&t.comp, p.name, p.settled)
@@ -1150,7 +1160,7 @@ func (p *WorkerPool) FailPending(err error) int {
 		sh.len.Store(0)
 		sh.mu.Unlock()
 		for _, t := range tasks {
-			if t.state.CompareAndSwap(taskQueued, taskCancelled) {
+			if t.claim(taskCancelled) {
 				t.comp.complete(err)
 				n++
 			}
@@ -1234,7 +1244,7 @@ func (p *WorkerPool) PostCancellable(fn func()) (*Completion, func() bool) {
 		return c, func() bool { return false }
 	}
 	cancel := func() bool {
-		if !t.state.CompareAndSwap(taskQueued, taskCancelled) {
+		if !t.claim(taskCancelled) {
 			return false
 		}
 		c.complete(ErrCanceled)

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/testutil/leakcheck"
 	"repro/internal/testutil/poll"
@@ -275,5 +276,14 @@ func TestWaiterFreeListSurvivesGC(t *testing.T) {
 	})
 	if got > 1 {
 		t.Errorf("Post().Wait() across collections: %v allocs/op, want 1", got)
+	}
+}
+
+// TestNodeSizes: the pool's queue node is the one object a Post allocates, and
+// it sits in the 48-byte size class only as long as the task lifecycle shares
+// the embedded completion's state word.
+func TestNodeSizes(t *testing.T) {
+	if size := unsafe.Sizeof(task{}); size > 48 {
+		t.Errorf("task is %d bytes, budget 48", size)
 	}
 }
