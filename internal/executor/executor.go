@@ -101,7 +101,9 @@ var closedWaiters Waiter
 // not a sync.Pool because it has to survive the collector: a pool is emptied
 // by every collection, and at gui_kernels' collection rate each join would
 // then pay for a node and its channel again. Leaky at both ends: empty, a
-// node is allocated; full, a node is dropped.
+// node is allocated; full, a node is dropped. It holds 64 nodes because that
+// is above the number of goroutines any measured workload has asleep in a join
+// at one time (edt_dispatch keeps 32 events in flight) and, full, under 10 KiB.
 var waiterFree = make(chan *Waiter, 64)
 
 func newWaiter() *Waiter {
@@ -231,10 +233,11 @@ func (c *Completion) Done() <-chan struct{} {
 	return ch
 }
 
-// Register registers the calling goroutine as a joiner that has other work
-// to do while it waits (core's await barrier) and returns the registration,
-// nil if the completion has already finished: its Token yields exactly one
-// value, once the completion finishes. The caller must Release it.
+// Register registers the calling goroutine as a joiner and returns the
+// registration, nil if the completion has already finished: its Token yields
+// exactly one value, once the completion finishes. It is what Wait parks on,
+// and what a joiner with other work to do meanwhile (core's await barrier)
+// sleeps on. The caller must Release it.
 func (c *Completion) Register() *Waiter {
 	w := newWaiter()
 	if !c.push(w) {
@@ -315,11 +318,9 @@ func (c *Completion) Wait() error {
 	if p := blockHook.Load(); p != nil && (*p)(c.Finished) {
 		return c.Err()
 	}
-	w := newWaiter()
-	if c.push(w) {
-		<-w.token
+	if w := c.Register(); w != nil {
+		w.Release(false)
 	}
-	freeWaiter(w)
 	return c.Err()
 }
 
