@@ -30,13 +30,12 @@ sancheck:
 	$(GO) test -race -tags=ompsan ./...
 
 # chaos runs the fault-injection storm tests (tagged `chaos`) with a pinned
-# seed so a failing schedule reproduces; override with CHAOS_SEED=<n>. Then
-# the network-edge survivability drill: chatbench -chaos (kill storm, fd
-# faults, slowloris, admission burst, graceful drain, watchdog control).
+# seed so a failing schedule reproduces; override with CHAOS_SEED=<n>. The
+# network-edge survivability drill (kill storm, fd faults, slowloris, service
+# after recovery, watchdog control) is internal/netloop's tagged suite.
 CHAOS_SEED ?= 1337
 chaos:
 	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -tags=chaos ./...
-	CHAOS_SEED=$(CHAOS_SEED) $(GO) run ./cmd/chatbench -chaos -conns 256 -rooms 8 -rounds 3
 
 # explore runs the deterministic schedule explorer (internal/sim): first
 # the committed regression seed corpus (testdata/regression_seeds.json —
@@ -60,8 +59,8 @@ lint:
 	$(GO) run ./cmd/ompvet ./...
 
 # ci runs the make-shaped gates of the `test` job in .github/workflows/ci.yml
-# (which adds the reactor -count=2 sweep, two cross-compiles and a chatbench
-# smoke); like CI it gives the contention gate the shared-runner slack.
+# (which adds the reactor -count=2 sweep, two cross-compiles and the bench
+# smokes); like CI it gives the contention gate the shared-runner slack.
 ci: build lint test race allocs size bench-smoke
 	$(MAKE) bench-mp MP_RATIO=1.5
 
@@ -76,12 +75,14 @@ cover:
 	awk -v t="$$total" -v min="$(COVER_MIN)" 'BEGIN { exit (t+0 < min+0) }' || \
 		{ echo "coverage $$total% is below the $(COVER_MIN)% floor" >&2; exit 1; }
 
-# size prints the two numbers the simplicity PRs track (CHANGES.md): non-test
-# Go lines under internal/, and exported Set* setters — each one a knob that
-# is mutable after construction.
+# size prints the four numbers the simplicity PRs track (CHANGES.md): non-test
+# Go lines under internal/ and under cmd/, exported Set* setters — each one a
+# knob that is mutable after construction — and flag definitions under cmd/.
 size:
 	@echo "non-test Go lines under internal/: $$(find internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@echo "Set* setters under internal/: $$(grep -rn "^func (.*) Set[A-Z][A-Za-z]*(\|^func Set[A-Z]" internal --include=*.go | grep -v _test.go | wc -l)"
+	@echo "non-test Go lines under cmd/: $$(find cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@echo "flag definitions under cmd/: $$(find cmd -name '*.go' ! -name '*_test.go' | xargs cat | grep -c 'flag\.\(String\|Int\|Bool\|Duration\|Float64\)(')"
 
 # allocs runs the dispatch path's allocation budget (DESIGN.md §10): heap
 # objects per Post, per Invoke in each scheduling mode (await from each kind of

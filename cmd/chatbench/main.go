@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -39,6 +38,7 @@ import (
 
 	"repro/internal/eventloop"
 	"repro/internal/gid"
+	"repro/internal/metrics"
 	"repro/internal/netloop"
 	"repro/internal/reactor"
 )
@@ -77,22 +77,13 @@ func main() {
 		rounds  = flag.Int("rounds", 5, "broadcast rounds per room")
 		payload = flag.Int("payload", 64, "padding bytes per message")
 		out     = flag.String("out", "-", "also write the report to this path ('-' for stdout only)")
-		drill   = flag.Bool("chaos", false, "run the survivability drill instead of the fan-out bench (see drill.go)")
 	)
 	flag.Parse()
 	if !reactor.Supported {
 		fmt.Fprintln(os.Stderr, "chatbench: no reactor poller on this platform")
 		os.Exit(1)
 	}
-	var (
-		rep any
-		err error
-	)
-	if *drill {
-		rep, err = runDrill(*conns, *rooms, *rounds, *payload)
-	} else {
-		rep, err = run(*conns, *rooms, *rounds, *payload)
-	}
+	rep, err := run(*conns, *rooms, *rounds, *payload)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "chatbench:", err)
 		os.Exit(1)
@@ -146,12 +137,11 @@ func run(requested, nRooms, rounds, payload int) (*Report, error) {
 		}
 	})
 
-	// Dispatch-queue delay on the server loop, sampled by the observer
-	// (runs on the loop goroutine; the slice needs no lock).
-	queueSamples := make([]int64, 0, 1<<16)
+	// Dispatch-queue delay on the server loop, sampled by the observer.
+	queueDelay := metrics.NewHistogram()
 	srv.Loop().SetObserver(func(d eventloop.DispatchInfo) {
-		if d.Label == "msg" && len(queueSamples) < cap(queueSamples) {
-			queueSamples = append(queueSamples, d.QueueDelay().Microseconds())
+		if d.Label == "msg" {
+			queueDelay.Observe(d.QueueDelay())
 		}
 	})
 
@@ -168,7 +158,7 @@ func run(requested, nRooms, rounds, payload int) (*Report, error) {
 	defer cli.Stop()
 
 	var joined, delivered atomic.Int64
-	e2eSamples := make([]int64, 0, 1<<16) // client poll goroutine only
+	e2e := metrics.NewHistogram()
 	onLine := func(line []byte) {
 		switch {
 		case strings.HasPrefix(string(line), "joined "):
@@ -176,11 +166,11 @@ func run(requested, nRooms, rounds, payload int) (*Report, error) {
 		case strings.HasPrefix(string(line), "say "):
 			n := delivered.Add(1)
 			// Sample 1-in-8 to keep parse cost out of the hot path's face.
-			if n%8 == 0 && len(e2eSamples) < cap(e2eSamples) {
+			if n%8 == 0 {
 				f := strings.Fields(string(line))
 				if len(f) >= 3 {
 					if stamp, err := strconv.ParseInt(f[2], 10, 64); err == nil {
-						e2eSamples = append(e2eSamples, (time.Now().UnixNano()-stamp)/1e3)
+						e2e.Observe(time.Duration(time.Now().UnixNano() - stamp))
 					}
 				}
 			}
@@ -278,10 +268,10 @@ func run(requested, nRooms, rounds, payload int) (*Report, error) {
 		Delivered:      delivered.Load(),
 		Seconds:        elapsed.Seconds(),
 		MsgsPerSec:     float64(delivered.Load()) / elapsed.Seconds(),
-		E2EP50Micros:   percentile(e2eSamples, 50),
-		E2EP99Micros:   percentile(e2eSamples, 99),
-		QueueP50Micros: percentile(queueSamples, 50),
-		QueueP99Micros: percentile(queueSamples, 99),
+		E2EP50Micros:   e2e.Quantile(0.5).Microseconds(),
+		E2EP99Micros:   e2e.Quantile(0.99).Microseconds(),
+		QueueP50Micros: queueDelay.Quantile(0.5).Microseconds(),
+		QueueP99Micros: queueDelay.Quantile(0.99).Microseconds(),
 		AllocsPerMsg:   float64(m1.Mallocs-m0.Mallocs) / float64(delivered.Load()),
 		Goroutines:     steadyGoroutines,
 		ServerStats:    srv.Reactor().Stats(),
@@ -301,14 +291,4 @@ func waitFor(what string, cond func() bool) error {
 		time.Sleep(time.Millisecond)
 	}
 	return nil
-}
-
-// percentile returns the p-th percentile of samples in place (µs).
-func percentile(samples []int64, p int) int64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	idx := (len(samples) - 1) * p / 100
-	return samples[idx]
 }

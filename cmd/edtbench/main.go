@@ -46,7 +46,13 @@ func main() {
 	if *traceOut != "" {
 		buf := trace.NewBuffer(1 << 18)
 		trace.SetGlobal(buf)
-		defer writeTrace(*traceOut, buf)
+		defer func() {
+			msg, err := trace.WriteFile(*traceOut, buf)
+			if err != nil {
+				msg = "trace: " + err.Error()
+			}
+			fmt.Fprintln(os.Stderr, "edtbench:", msg)
+		}()
 	}
 
 	if *figure1 {
@@ -62,7 +68,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	kerns := strings.Split(*kernelList, ",")
 	var approaches []evaluation.Approach
 	for _, a := range strings.Split(*approachList, ",") {
 		approaches = append(approaches, evaluation.Approach(strings.TrimSpace(a)))
@@ -72,31 +77,25 @@ func main() {
 	fmt.Printf("events/run=%d  handler target=%v  workers=%d  omp=%d  pattern=%s\n\n",
 		*events, *handler, *workers, *ompThreads, pat)
 
-	for _, kern := range kerns {
-		kern = strings.TrimSpace(kern)
-		factory, ok := kernels.Factories()[kern]
-		if !ok {
-			fail(fmt.Errorf("unknown kernel %q", kern))
+	base := evaluation.EvalAConfig{
+		Events: *events, Pattern: pat,
+		Workers: *workers, OMPThreads: *ompThreads, Timeout: *timeout,
+	}
+	for _, kern := range strings.Split(*kernelList, ",") {
+		base.Kernel = strings.TrimSpace(kern)
+		size, rows, err := evaluation.SweepA(base, *handler, approaches, rates)
+		if err != nil {
+			fail(err)
 		}
-		size := kernels.Calibrate(factory, kernels.TestSize(kern), *handler)
-		fmt.Printf("== kernel %s (size %d, ~%v sequential) ==\n", kern, size, *handler)
-		// Header row.
+		fmt.Printf("== kernel %s (size %d, ~%v sequential) ==\n", base.Kernel, size, *handler)
 		fmt.Printf("%-24s", "approach \\ load")
 		for _, r := range rates {
 			fmt.Printf("%10.0f", r)
 		}
 		fmt.Println()
-		for _, a := range approaches {
+		for i, a := range approaches {
 			fmt.Printf("%-24s", a)
-			for _, rate := range rates {
-				res, err := evaluation.RunEvalA(evaluation.EvalAConfig{
-					Kernel: kern, KernelSize: size, Approach: a,
-					Rate: rate, Events: *events, Pattern: pat,
-					Workers: *workers, OMPThreads: *ompThreads, Timeout: *timeout,
-				})
-				if err != nil {
-					fail(err)
-				}
+			for _, res := range rows[i] {
 				fmt.Printf("%10.2f", float64(res.Response.Mean)/float64(time.Millisecond))
 			}
 			fmt.Println()
@@ -108,40 +107,20 @@ func main() {
 // printFigure1 reproduces Figure 1: three requests under single-threaded
 // (panel i) and multi-threaded (panel ii) event processing.
 func printFigure1() {
-	fmt.Println("Figure 1(i): single-threaded event processing — later requests queue")
-	recs, err := evaluation.RunFigure1(evaluation.Figure1Config{
-		Events: 3, HandlerCost: 30 * time.Millisecond,
-	})
-	if err != nil {
-		fail(err)
+	for _, multi := range []bool{false, true} {
+		if multi {
+			fmt.Println("\nFigure 1(ii): multi-threaded event processing — handlers overlap")
+		} else {
+			fmt.Println("Figure 1(i): single-threaded event processing — later requests queue")
+		}
+		recs, err := evaluation.RunFigure1(evaluation.Figure1Config{
+			Events: 3, HandlerCost: 30 * time.Millisecond, Multithreaded: multi, Workers: 3,
+		})
+		if err != nil {
+			fail(err)
+		}
+		fmt.Print(evaluation.RenderTimeline(recs, 60))
 	}
-	fmt.Print(evaluation.RenderTimeline(recs, 60))
-	fmt.Println("\nFigure 1(ii): multi-threaded event processing — handlers overlap")
-	recs, err = evaluation.RunFigure1(evaluation.Figure1Config{
-		Events: 3, HandlerCost: 30 * time.Millisecond, Multithreaded: true, Workers: 3,
-	})
-	if err != nil {
-		fail(err)
-	}
-	fmt.Print(evaluation.RenderTimeline(recs, 60))
-}
-
-// writeTrace exports the captured span ring as trace-event JSON (open at
-// https://ui.perfetto.dev) with a one-line summary on stderr.
-func writeTrace(path string, buf *trace.Buffer) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "edtbench: trace: %v\n", err)
-		return
-	}
-	defer f.Close()
-	if err := trace.ExportTraceEventBuffer(f, buf); err != nil {
-		fmt.Fprintf(os.Stderr, "edtbench: trace export: %v\n", err)
-		return
-	}
-	tree := trace.BuildTree(buf.Snapshot())
-	fmt.Fprintf(os.Stderr, "edtbench: wrote %d events (%d spans, depth %d, %d overwritten) to %s — open at https://ui.perfetto.dev\n",
-		buf.Len(), len(tree.ByID), tree.Depth(), buf.Overwritten(), path)
 }
 
 func joinApproaches(as []evaluation.Approach) string {

@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -71,9 +72,9 @@ func main() {
 		time.Now().Format(time.RFC3339))
 
 	figure1()
-	figures78(sc)
+	cryptSize := figures78(sc)
 	figure9(sc)
-	evalC(sc)
+	evalC(sc, cryptSize)
 	spanTrees()
 }
 
@@ -94,87 +95,75 @@ func figure1() {
 	}
 }
 
-func figures78(sc scaleCfg) {
+// figures78 prints one table per paper kernel and returns the calibrated
+// crypt size, which the netloop extension reuses for its handler.
+func figures78(sc scaleCfg) (cryptSize int) {
 	fmt.Println("\n## Figures 7-8 — response time (ms) vs request load")
 	for _, kern := range kernels.PaperNames() {
-		factory := kernels.Factories()[kern]
-		size := kernels.Calibrate(factory, kernels.TestSize(kern), sc.handler)
-		fmt.Printf("\n### %s (size %d)\n\n", kern, size)
-		fmt.Print("| approach \\ load |")
-		for _, r := range sc.rates {
-			fmt.Printf(" %.0f |", r)
+		size, rows, err := evaluation.SweepA(evaluation.EvalAConfig{Kernel: kern, Events: sc.events},
+			sc.handler, evaluation.Approaches(), sc.rates)
+		if err != nil {
+			fail(err)
 		}
-		fmt.Print("\n|---|")
-		for range sc.rates {
-			fmt.Print("---|")
+		if kern == "crypt" {
+			cryptSize = size
 		}
-		fmt.Println()
-		for _, a := range evaluation.Approaches() {
+		fmt.Printf("\n### %s (size %d)\n", kern, size)
+		tableHead("approach \\ load", sc.rates)
+		for i, a := range evaluation.Approaches() {
 			fmt.Printf("| %s |", a)
-			for _, rate := range sc.rates {
-				res, err := evaluation.RunEvalA(evaluation.EvalAConfig{
-					Kernel: kern, KernelSize: size, Approach: a,
-					Rate: rate, Events: sc.events,
-				})
-				if err != nil {
-					fail(err)
-				}
+			for _, res := range rows[i] {
 				fmt.Printf(" %.1f |", float64(res.Response.Mean)/float64(time.Millisecond))
 			}
 			fmt.Println()
 		}
 	}
+	return cryptSize
+}
+
+// tableHead prints a Markdown table's header row and the rule under it.
+func tableHead[T any](corner string, cols []T) {
+	fmt.Printf("\n| %s |", corner)
+	for _, c := range cols {
+		fmt.Printf(" %v |", c)
+	}
+	fmt.Printf("\n|---|%s\n", strings.Repeat("---|", len(cols)))
 }
 
 func figure9(sc scaleCfg) {
 	fmt.Println("\n## Figure 9 — HTTP throughput (responses/sec) vs worker threads")
-	fmt.Print("\n| series \\ workers |")
-	for _, w := range sc.workersB {
-		fmt.Printf(" %d |", w)
+	tableHead("series \\ workers", sc.workersB)
+	table, err := evaluation.Figure9(evaluation.EvalBConfig{
+		Server: httpserver.Config{KernelBytes: sc.kbytesB * 1024},
+		Users:  sc.usersB, RequestsPerUser: sc.reqsB,
+	}, sc.workersB, 4)
+	if err != nil {
+		fail(err)
 	}
-	fmt.Print("\n|---|")
-	for range sc.workersB {
-		fmt.Print("---|")
-	}
-	fmt.Println()
 	var chartLabels []string
 	var chartValues []float64
-	for _, series := range []struct {
-		mode httpserver.Mode
-		omp  int
-	}{{httpserver.Jetty, 1}, {httpserver.Pyjama, 1}, {httpserver.Jetty, 4}, {httpserver.Pyjama, 4}} {
-		results, err := evaluation.Figure9Series(series.mode, series.omp, sc.workersB,
-			sc.kbytesB*1024, sc.usersB, sc.reqsB)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("| %s |", results[0].Label())
-		for _, r := range results {
-			fmt.Printf(" %.1f |", r.Throughput)
+	for _, series := range table {
+		fmt.Printf("| %s |", series[0].Label())
+		best := 0.0
+		for _, r := range series {
+			fmt.Printf(" %.1f |", r.Throughput())
+			best = max(best, r.Throughput())
 		}
 		fmt.Println()
-		best := results[0]
-		for _, r := range results {
-			if r.Throughput > best.Throughput {
-				best = r
-			}
-		}
-		chartLabels = append(chartLabels, best.Label())
-		chartValues = append(chartValues, best.Throughput)
+		chartLabels = append(chartLabels, series[0].Label())
+		chartValues = append(chartValues, best)
 	}
 	fmt.Printf("\npeak throughput per series:\n\n```\n%s```\n",
 		metrics.BarChart(chartLabels, chartValues, " r/s", 40))
 }
 
-func evalC(sc scaleCfg) {
+func evalC(sc scaleCfg, cryptSize int) {
 	fmt.Println("\n## Extension — framework universality (netloop message server)")
 	fmt.Println("\n| handler | round-trip mean | round-trip p90 | dispatch busy mean |")
 	fmt.Println("|---|---|---|---|")
 	for _, offload := range []bool{false, true} {
 		res, err := evaluation.RunEvalC(evaluation.EvalCConfig{
-			Kernel: "crypt",
-			KernelSize: kernels.Calibrate(kernels.Factories()["crypt"],
-				kernels.TestSize("crypt"), sc.handler),
+			Kernel: "crypt", KernelSize: cryptSize,
 			Offload: offload, Workers: 4,
 			Clients: sc.clientsC, MessagesPerClient: sc.messagesC,
 		})

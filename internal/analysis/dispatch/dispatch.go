@@ -380,9 +380,6 @@ func isNamed(t types.Type, path, name string) bool {
 	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == path
 }
 
-// IsNamed is isNamed exported for the passes.
-func IsNamed(t types.Type, path, name string) bool { return isNamed(t, path, name) }
-
 // isSwingWorkerType reports whether a composite literal builds a
 // gui.SwingWorker.
 func (c *Classifier) isSwingWorkerType(comp *ast.CompositeLit) bool {

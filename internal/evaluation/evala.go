@@ -108,12 +108,15 @@ func (c *EvalAConfig) fill() error {
 	if c.Timeout <= 0 {
 		c.Timeout = 2 * time.Minute
 	}
-	switch c.Approach {
+	return c.Approach.check()
+}
+
+func (a Approach) check() error {
+	switch a {
 	case Sequential, SyncParallel, SwingWorker, ExecutorService, PyjamaAsync, PyjamaAsyncParallel:
-	default:
-		return fmt.Errorf("evaluation: unknown approach %q", c.Approach)
+		return nil
 	}
-	return nil
+	return fmt.Errorf("evaluation: unknown approach %q", a)
 }
 
 // EvalAResult is the outcome of one Evaluation A run.
@@ -306,4 +309,39 @@ func RunEvalA(cfg EvalAConfig) (*EvalAResult, error) {
 		GUIUpdates: tk.Updates(),
 		Violations: tk.Violations(),
 	}, nil
+}
+
+// calibrate sizes a kernel to a target sequential duration; SweepA is its
+// only caller, and a test substitutes a counting fake.
+var calibrate = kernels.Calibrate
+
+// SweepA runs one table of Figures 7-8: base.Kernel is calibrated once so a
+// sequential handler takes about handler on this machine, then every
+// approach runs at every rate with that size (base supplies events, pattern,
+// workers, team size and timeout). It returns the calibrated size and the
+// results indexed [approach][rate].
+func SweepA(base EvalAConfig, handler time.Duration, approaches []Approach, rates []float64) (int, [][]*EvalAResult, error) {
+	factory, ok := kernels.Factories()[base.Kernel]
+	if !ok {
+		return 0, nil, fmt.Errorf("evaluation: unknown kernel %q", base.Kernel)
+	}
+	for _, a := range approaches {
+		if err := a.check(); err != nil {
+			return 0, nil, err // before the calibration and the rows ahead of it are paid for
+		}
+	}
+	base.KernelSize = calibrate(factory, kernels.TestSize(base.Kernel), handler)
+	out := make([][]*EvalAResult, len(approaches))
+	for i, a := range approaches {
+		for _, rate := range rates {
+			cfg := base
+			cfg.Approach, cfg.Rate = a, rate
+			res, err := RunEvalA(cfg)
+			if err != nil {
+				return 0, nil, err
+			}
+			out[i] = append(out[i], res)
+		}
+	}
+	return base.KernelSize, out, nil
 }

@@ -2,6 +2,7 @@ package evaluation
 
 import (
 	"fmt"
+	"net/http"
 	"sync/atomic"
 	"time"
 
@@ -15,15 +16,10 @@ import (
 // one server organization, one worker-thread count, ± per-request
 // parallelization).
 type EvalBConfig struct {
-	// Mode is the server organization (Jetty or Pyjama).
-	Mode httpserver.Mode
-	// Workers is the concurrency worker thread count (Figure 9 x-axis).
-	Workers int
-	// OMPThreads > 1 parallelizes each request's kernel ("//omp parallel"
-	// per event).
-	OMPThreads int
-	// KernelBytes is the encryption payload per request.
-	KernelBytes int
+	// Server is the service under load: organization (Jetty or Pyjama),
+	// worker threads (Figure 9 x-axis), per-request team size, payload, and
+	// the QoS / Supervise / Chaos extensions.
+	Server httpserver.Config
 	// Users and RequestsPerUser shape the closed-loop load (paper: 100
 	// virtual users, constant requests each).
 	Users           int
@@ -31,12 +27,6 @@ type EvalBConfig struct {
 }
 
 func (c *EvalBConfig) fill() {
-	if c.Workers <= 0 {
-		c.Workers = 1
-	}
-	if c.KernelBytes <= 0 {
-		c.KernelBytes = 64 * 1024
-	}
 	if c.Users <= 0 {
 		c.Users = 100
 	}
@@ -45,27 +35,68 @@ func (c *EvalBConfig) fill() {
 	}
 }
 
+// HTTPLoad is what one closed-loop run of virtual users saw. Every request
+// lands in exactly one of the four counters.
+type HTTPLoad struct {
+	OK       int64 // 200 with a checksum
+	Shed     int64 // 503: refused by admission control, or a typed compute failure
+	Errors   int64 // any other answer
+	Timeouts int64 // no answer: refused, reset, or the client timeout (a wedged request)
+	// Latency holds the response times of the OK requests only.
+	Latency *metrics.Histogram
+	Wall    time.Duration
+}
+
+// Throughput is OK responses per second of wall time.
+func (l HTTPLoad) Throughput() float64 { return workload.MeanRate(int(l.OK), l.Wall) }
+
+// DriveHTTP is the one closed-loop HTTP load generator: users virtual users
+// each send reqsPerUser encrypt requests back to back to the started server
+// at base, giving up on a request after timeout.
+func DriveHTTP(base string, users, reqsPerUser int, timeout time.Duration) HTTPLoad {
+	client := httpserver.NewClientTimeout(base, timeout)
+	load := HTTPLoad{Latency: metrics.NewHistogram()}
+	var ok, shed, errs, timeouts atomic.Int64
+	vu := &workload.VirtualUsers{Users: users, RequestsPerUser: reqsPerUser}
+	load.Wall = vu.Run(func(int, int) {
+		t0 := time.Now()
+		_, status, err := client.Do(0)
+		switch {
+		case err == nil:
+			ok.Add(1)
+			load.Latency.Observe(time.Since(t0))
+		case status == http.StatusServiceUnavailable:
+			shed.Add(1)
+		case status != 0:
+			errs.Add(1)
+		default:
+			timeouts.Add(1)
+		}
+	})
+	load.OK, load.Shed, load.Errors, load.Timeouts = ok.Load(), shed.Load(), errs.Load(), timeouts.Load()
+	return load
+}
+
 // EvalBResult is one throughput measurement.
 type EvalBResult struct {
-	Config     EvalBConfig
-	Throughput float64 // responses per second
-	Served     int64
-	Failed     int64
-	Wall       time.Duration
-	// Latency summarizes per-request response times as seen by the virtual
-	// users (an extension beyond the paper's throughput-only Figure 9).
-	Latency metrics.Summary
+	Config EvalBConfig
+	// HTTPLoad is the run as the virtual users saw it (latency is an
+	// extension beyond the paper's throughput-only Figure 9).
+	HTTPLoad
 	// Sched is the worker target's scheduler counter snapshot at the end of
 	// the run (zero in Jetty mode, which has no virtual-target runtime).
 	Sched executor.Stats
 }
 
 // Label renders the series name the paper uses ("jetty", "pyjama",
-// "jetty+omp", "pyjama+omp").
+// "jetty+omp", "pyjama+omp"), with "+qos" for an admission-controlled server.
 func (r EvalBResult) Label() string {
-	l := r.Config.Mode.String()
-	if r.Config.OMPThreads > 1 {
+	l := r.Config.Server.Mode.String()
+	if r.Config.Server.OMPThreads > 1 {
 		l += "+omp"
+	}
+	if r.Config.Server.QoS != nil {
+		l += "+qos"
 	}
 	return l
 }
@@ -74,58 +105,43 @@ func (r EvalBResult) Label() string {
 // virtual-user pool, and reports achieved throughput.
 func RunEvalB(cfg EvalBConfig) (*EvalBResult, error) {
 	cfg.fill()
-	srv := httpserver.New(httpserver.Config{
-		Mode:        cfg.Mode,
-		Workers:     cfg.Workers,
-		OMPThreads:  cfg.OMPThreads,
-		KernelBytes: cfg.KernelBytes,
-	})
+	srv := httpserver.New(cfg.Server)
 	base, err := srv.Start()
 	if err != nil {
 		return nil, err
 	}
 	defer srv.Stop()
-	client := httpserver.NewClient(base)
-
-	var failed atomic.Int64
-	latency := metrics.NewHistogram()
-	users := &workload.VirtualUsers{Users: cfg.Users, RequestsPerUser: cfg.RequestsPerUser}
-	wall := users.Run(func(u, r int) {
-		t0 := time.Now()
-		if _, err := client.Encrypt(0); err != nil {
-			failed.Add(1)
-			return
-		}
-		latency.Observe(time.Since(t0))
-	})
-	served := srv.Served()
-	if served == 0 {
+	load := DriveHTTP(base, cfg.Users, cfg.RequestsPerUser, time.Minute)
+	if load.OK == 0 {
 		return nil, fmt.Errorf("evaluation: no requests served")
 	}
-	return &EvalBResult{
-		Config:     cfg,
-		Throughput: workload.MeanRate(int(served), wall),
-		Served:     served,
-		Failed:     failed.Load(),
-		Wall:       wall,
-		Latency:    latency.Summarize(),
-		Sched:      srv.SchedStats()["worker"],
-	}, nil
+	return &EvalBResult{Config: cfg, HTTPLoad: load, Sched: srv.SchedStats()["worker"]}, nil
 }
 
-// Figure9Series runs the worker-thread sweep for one series configuration
-// and returns results in sweep order.
-func Figure9Series(mode httpserver.Mode, ompThreads int, workers []int, kernelBytes, users, reqsPerUser int) ([]*EvalBResult, error) {
-	var out []*EvalBResult
-	for _, w := range workers {
-		res, err := RunEvalB(EvalBConfig{
-			Mode: mode, Workers: w, OMPThreads: ompThreads,
-			KernelBytes: kernelBytes, Users: users, RequestsPerUser: reqsPerUser,
-		})
-		if err != nil {
-			return nil, err
+// Figure9 runs the worker-thread sweep for every series of Figure 9 — jetty
+// and pyjama, then (when ompThreads > 1) each with per-request teams of
+// ompThreads — and returns one row of results per series, in sweep order.
+// base supplies the payload and the load shape.
+func Figure9(base EvalBConfig, workers []int, ompThreads int) ([][]*EvalBResult, error) {
+	teams := []int{1}
+	if ompThreads > 1 {
+		teams = append(teams, ompThreads)
+	}
+	var out [][]*EvalBResult
+	for _, team := range teams {
+		for _, mode := range []httpserver.Mode{httpserver.Jetty, httpserver.Pyjama} {
+			var series []*EvalBResult
+			for _, w := range workers {
+				cfg := base
+				cfg.Server.Mode, cfg.Server.Workers, cfg.Server.OMPThreads = mode, w, team
+				res, err := RunEvalB(cfg)
+				if err != nil {
+					return nil, err
+				}
+				series = append(series, res)
+			}
+			out = append(out, series)
 		}
-		out = append(out, res)
 	}
 	return out, nil
 }

@@ -492,7 +492,10 @@ func (l *Loop) SetObserver(fn func(DispatchInfo)) {
 // completions finish with executor.ErrShutdown), lets the loop drain
 // already-queued events, and joins the dispatch goroutine. If the loop
 // crashed, the undrainable remainder of the queue is failed with
-// ErrWorkerCrashed. Safe to call more than once.
+// ErrWorkerCrashed. Safe to call more than once. Called from one of the
+// loop's own handlers it returns once the stop is scheduled (joining its own
+// goroutine would never return): the loop drains and exits after the handler
+// does, and a later Stop from outside joins it.
 func (l *Loop) Stop() {
 	l.mu.Lock()
 	var orphaned []*item
@@ -513,6 +516,9 @@ func (l *Loop) Stop() {
 	l.mu.Unlock()
 	for _, it := range orphaned {
 		l.failItem(it, executor.ErrShutdown)
+	}
+	if l.Owns() {
+		return
 	}
 	l.wg.Wait()
 	if l.crashed.Load() {

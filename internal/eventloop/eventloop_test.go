@@ -317,6 +317,47 @@ func TestStopDrainsQueuedEvents(t *testing.T) {
 	l.Stop() // idempotent
 }
 
+// TestStopFromHandlerReturns pins the quit-button case: a handler that stops
+// its own loop gets control back (joining its own goroutine would hang), the
+// loop still drains what was queued behind the handler and exits, and a
+// second Stop from outside joins it.
+func TestStopFromHandlerReturns(t *testing.T) {
+	defer leakcheck.Check(t)()
+	var reg gid.Registry
+	l := New("edt", &reg)
+	l.Start()
+	gate := make(chan struct{})
+	returned := make(chan struct{})
+	var n atomic.Int64
+	l.Post(func() {
+		<-gate // keep the 50 below queued behind this handler
+		l.Stop()
+		close(returned)
+	})
+	var comps []*executor.Completion
+	for i := 0; i < 50; i++ {
+		comps = append(comps, l.Post(func() { n.Add(1) }))
+	}
+	close(gate)
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop called from a handler of its own loop never returned")
+	}
+	l.Stop() // from outside: joins the dispatch goroutine
+	if got := n.Load(); got != 50 {
+		t.Fatalf("loop drained %d/50 events queued behind the stopping handler", got)
+	}
+	for _, c := range comps {
+		if !c.Finished() {
+			t.Fatal("event not finished after the outside Stop")
+		}
+	}
+	if err := l.Post(func() {}).Wait(); !errors.Is(err, executor.ErrShutdown) {
+		t.Fatalf("post after Stop: %v, want ErrShutdown", err)
+	}
+}
+
 func TestPostDelayed(t *testing.T) {
 	l := newLoop(t)
 	start := time.Now()

@@ -1129,19 +1129,23 @@ func (p *WorkerPool) TryRunPending() bool {
 // Shutdown stops accepting tasks, drains the queues, and joins all workers.
 // If every worker has crashed there is nobody left to drain: the queued
 // tasks are then failed with ErrShutdown instead of being stranded forever.
+// Called from a task on one of the pool's own workers it returns once the
+// stop is published and the parked workers are woken (joining its own
+// goroutine would never return): the workers drain and exit after the task
+// does, and a later Shutdown from outside joins them and runs the backstop.
 func (p *WorkerPool) Shutdown() {
 	p.mu.Lock()
-	if p.shutdown {
-		p.mu.Unlock()
-		p.wg.Wait()
-		p.FailPending(ErrShutdown)
-		return
+	var head *parker
+	if !p.shutdown {
+		p.shutdown = true
+		p.stopped.Store(true)
+		head = p.takeAllParkedLocked()
 	}
-	p.shutdown = true
-	p.stopped.Store(true)
-	head := p.takeAllParkedLocked()
 	p.mu.Unlock()
 	wakeAll(head)
+	if p.Owns() {
+		return
+	}
 	p.wg.Wait()
 	p.FailPending(ErrShutdown)
 }

@@ -147,6 +147,46 @@ func TestShutdownDrainsQueueAndRejectsNew(t *testing.T) {
 	p.Shutdown()
 }
 
+// TestShutdownFromOwnWorkerReturns pins the target-block case: a task that
+// shuts down the pool it runs on gets control back (joining its own worker
+// would hang), the workers still drain what was queued and exit, and a second
+// Shutdown from outside joins them.
+func TestShutdownFromOwnWorkerReturns(t *testing.T) {
+	defer leakcheck.Check(t)()
+	var reg gid.Registry
+	p := NewWorkerPool("worker", 2, &reg)
+	gate := make(chan struct{})
+	returned := make(chan struct{})
+	var n atomic.Int64
+	p.Post(func() {
+		<-gate // the 50 below are queued before the stop is published
+		p.Shutdown()
+		close(returned)
+	})
+	var comps []*Completion
+	for i := 0; i < 50; i++ {
+		comps = append(comps, p.Post(func() { n.Add(1) }))
+	}
+	close(gate)
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Shutdown called from a task on its own pool never returned")
+	}
+	p.Shutdown() // from outside: joins the workers
+	if got := n.Load(); got != 50 {
+		t.Fatalf("pool drained %d/50 tasks queued before the stop", got)
+	}
+	for _, c := range comps {
+		if !c.Finished() {
+			t.Fatal("task not finished after the outside Shutdown")
+		}
+	}
+	if err := p.Post(func() {}).Wait(); !errors.Is(err, ErrShutdown) {
+		t.Fatalf("post after Shutdown: %v, want ErrShutdown", err)
+	}
+}
+
 func TestTryRunPending(t *testing.T) {
 	var reg gid.Registry
 	p := NewWorkerPool("worker", 1, &reg)

@@ -134,9 +134,43 @@ func TestChaosSupervisedServerOutlivesStorm(t *testing.T) {
 	poll.UntilFor(t, 10*time.Second, "supervision healthy", func() bool {
 		return sup.Health().StatusValue() == supervise.Healthy
 	})
-	t.Logf("storm: %d/200 round trips ok, kills=3, crashes=%d, deadlineCloses=%d, shortWrites=%d, eagains=%d",
+
+	// Service after the storm: a cohort of fresh clients, each on one
+	// connection it keeps, completes every round trip it sends.
+	const cohort, rounds = 16, 10
+	var fresh []net.Conn
+	var lines []*bufio.Scanner
+	for i := 0; i < cohort; i++ {
+		c, err := net.DialTimeout("tcp", addr, time.Second)
+		if err != nil {
+			t.Fatalf("post-storm dial %d/%d: %v", i, cohort, err)
+		}
+		defer c.Close()
+		fresh = append(fresh, c)
+		lines = append(lines, bufio.NewScanner(c))
+	}
+	served := 0
+	start := time.Now()
+	for r := 0; r < rounds; r++ {
+		for i, c := range fresh {
+			c.SetDeadline(time.Now().Add(5 * time.Second))
+			want := fmt.Sprintf("echo:c%d-r%d", i, r)
+			if _, err := fmt.Fprintln(c, want[len("echo:"):]); err != nil {
+				t.Fatalf("post-storm client %d round %d: %v", i, r, err)
+			}
+			if !lines[i].Scan() || lines[i].Text() != want {
+				t.Fatalf("post-storm client %d round %d: got %q (%v), want %q", i, r, lines[i].Text(), lines[i].Err(), want)
+			}
+			served++
+		}
+	}
+	if served != cohort*rounds {
+		t.Fatalf("post-storm cohort completed %d/%d round trips", served, cohort*rounds)
+	}
+	t.Logf("storm: %d/200 round trips ok, kills=3, crashes=%d, deadlineCloses=%d, shortWrites=%d, eagains=%d; after: %d/%d round trips at %.0f/s",
 		ok, sup.RStats().LoopCrashes.Value(), s.DeadlineCloses(),
-		inj.Injected(chaos.ShortWrite), inj.Injected(chaos.SpuriousEAGAIN))
+		inj.Injected(chaos.ShortWrite), inj.Injected(chaos.SpuriousEAGAIN),
+		served, cohort*rounds, float64(served)/time.Since(start).Seconds())
 }
 
 // TestChaosBareReactorDiesAndWatchdogSees is the control: the same kill

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"time"
 )
 
@@ -159,4 +160,24 @@ func maxf(a, b float64) float64 {
 // ExportTraceEventBuffer is ExportTraceEvent over a Buffer's retained events.
 func ExportTraceEventBuffer(w io.Writer, b *Buffer) error {
 	return ExportTraceEvent(w, b.Snapshot())
+}
+
+// WriteFile writes b's retained events to path as trace-event JSON and
+// returns a one-line summary of the capture for the caller to print.
+func WriteFile(path string, b *Buffer) (string, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return "", err
+	}
+	events := b.Snapshot()
+	if err := ExportTraceEvent(f, events); err != nil {
+		f.Close()
+		return "", err
+	}
+	if err := f.Close(); err != nil {
+		return "", err
+	}
+	tree := BuildTree(events)
+	return fmt.Sprintf("wrote %d events (%d spans, depth %d, %d overwritten) to %s — open at https://ui.perfetto.dev",
+		len(events), len(tree.ByID), tree.Depth(), b.Overwritten(), path), nil
 }

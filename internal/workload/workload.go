@@ -6,7 +6,6 @@
 package workload
 
 import (
-	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -127,9 +126,6 @@ func (s *Source) Duration() time.Duration {
 type VirtualUsers struct {
 	Users           int
 	RequestsPerUser int
-	// Think, when non-zero, inserts a fixed think time between a user's
-	// consecutive requests.
-	Think time.Duration
 }
 
 // Run executes do(user, request) from Users goroutines and blocks until all
@@ -143,9 +139,6 @@ func (v *VirtualUsers) Run(do func(user, req int)) time.Duration {
 			defer wg.Done()
 			for r := 0; r < v.RequestsPerUser; r++ {
 				do(u, r)
-				if v.Think > 0 {
-					time.Sleep(v.Think)
-				}
 			}
 		}(u)
 	}
@@ -170,16 +163,6 @@ func Loads() []float64 {
 	out := make([]float64, 10)
 	for i := range out {
 		out[i] = 10 * float64(i+1)
-	}
-	return out
-}
-
-// ScaleLoads scales a load sweep by f (used by the benches to run the same
-// sweep shape at machine-friendly magnitudes), rounding to one decimal.
-func ScaleLoads(loads []float64, f float64) []float64 {
-	out := make([]float64, len(loads))
-	for i, l := range loads {
-		out[i] = math.Round(l*f*10) / 10
 	}
 	return out
 }

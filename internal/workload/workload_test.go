@@ -136,14 +136,6 @@ func TestVirtualUsers(t *testing.T) {
 	}
 }
 
-func TestVirtualUsersThinkTime(t *testing.T) {
-	v := &VirtualUsers{Users: 2, RequestsPerUser: 3, Think: 5 * time.Millisecond}
-	d := v.Run(func(u, r int) {})
-	if d < 15*time.Millisecond {
-		t.Fatalf("run with think time finished in %v", d)
-	}
-}
-
 func TestMeanRate(t *testing.T) {
 	if r := MeanRate(100, time.Second); r != 100 {
 		t.Fatalf("MeanRate = %v", r)
@@ -157,10 +149,6 @@ func TestLoadsSweep(t *testing.T) {
 	loads := Loads()
 	if len(loads) != 10 || loads[0] != 10 || loads[9] != 100 {
 		t.Fatalf("Loads = %v", loads)
-	}
-	scaled := ScaleLoads(loads, 0.1)
-	if scaled[0] != 1 || scaled[9] != 10 {
-		t.Fatalf("ScaleLoads = %v", scaled)
 	}
 }
 
