@@ -286,9 +286,8 @@ func (c *Classifier) dispatchByCallee(call *ast.CallExpr, fn *types.Func) (strin
 		return "netloop Server." + fn.Name() + " handler", EDT, true
 
 	// --- worker deliveries ----------------------------------------------
-	case c.isMethod(fn, "repro/internal/executor", "WorkerPool", "Post"),
-		c.isMethod(fn, "repro/internal/executor", "WorkerPool", "PostCancellable"):
-		return "WorkerPool." + fn.Name(), Worker, true
+	case c.isMethod(fn, "repro/internal/executor", "WorkerPool", "Post"):
+		return "WorkerPool.Post", Worker, true
 	case c.isMethod(fn, "repro/internal/gui", "ExecutorService", "Execute"),
 		c.isFunc(fn, "repro/internal/gui", "Submit"):
 		return "ExecutorService." + fn.Name(), Worker, true

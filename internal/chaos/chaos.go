@@ -269,11 +269,12 @@ func (in *Injector) apply(act Action, d time.Duration, target string, fn func())
 	}
 }
 
-// Wrap returns an executor.Executor middleware around e: every Post (and
-// PostCancellable) is subject to injection. Drop decisions reject the task
-// with ErrInjectedDrop without reaching e; every other fault travels inside
-// the task body. Wrapped executors expose the inner one via Unwrap, so
-// supervisors can still attach pool-level crash and panic hooks.
+// Wrap returns an executor.Executor middleware around e: every Post is
+// subject to injection. Drop decisions reject the task with ErrInjectedDrop
+// without reaching e; every other fault travels inside the task body, and the
+// Completion is e's own, so it stays cancellable. Wrapped executors expose the
+// inner one via Unwrap, so supervisors can still attach pool-level crash and
+// panic hooks.
 func (in *Injector) Wrap(e executor.Executor) executor.Executor {
 	return &chaosExecutor{inner: e, inj: in}
 }
@@ -298,22 +299,6 @@ func (c *chaosExecutor) Post(fn func()) *executor.Completion {
 		return executor.NewCompletedCompletion(ErrInjectedDrop)
 	}
 	return c.inner.Post(c.inj.apply(act, d, c.inner.Name(), fn))
-}
-
-// PostCancellable preserves the inner executor's cancellation capability
-// (core.InvokeCtx depends on it for deadline revocation).
-func (c *chaosExecutor) PostCancellable(fn func()) (*executor.Completion, func() bool) {
-	act, d := c.inj.decide(c.inner.Name())
-	if act == Drop {
-		return executor.NewCompletedCompletion(ErrInjectedDrop), func() bool { return false }
-	}
-	wrapped := c.inj.apply(act, d, c.inner.Name(), fn)
-	if cp, ok := c.inner.(interface {
-		PostCancellable(func()) (*executor.Completion, func() bool)
-	}); ok {
-		return cp.PostCancellable(wrapped)
-	}
-	return c.inner.Post(wrapped), func() bool { return false }
 }
 
 // Stats delegates to the inner executor when it keeps counters.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -23,6 +24,9 @@ func TestAllocationBudget(t *testing.T) {
 	const runs = 200
 	f := newFixture(t, 1)
 	noop := func() {}
+	noopCtx := func(context.Context) {}
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
 
 	// One pending completion per run (and one for AllocsPerRun's warm-up),
 	// made here so the Done row pays for nothing but Done.
@@ -63,6 +67,13 @@ func TestAllocationBudget(t *testing.T) {
 			f.rt.InvokeNamed("worker", "budget", noop)
 			f.rt.WaitTag("budget")
 		}},
+		// The block's closure over ctx joins the node; a context that can
+		// expire adds the AfterFunc registration (its context, its callback,
+		// its stop function) — no second completion, no channel, no goroutine.
+		{"InvokeCtx(Background, Wait)", 2, foreign, func() { f.rt.InvokeCtx(context.Background(), "worker", Wait, noopCtx) }},
+		{"InvokeCtx(Background, Wait) on the EDT", 2, foreign, func() { f.rt.InvokeCtx(context.Background(), "edt", Wait, noopCtx) }},
+		{"InvokeCtx(cancellable, Wait)", 5, foreign, func() { f.rt.InvokeCtx(live, "worker", Wait, noopCtx) }},
+		{"InvokeCtx(cancellable, Wait) on the EDT", 5, foreign, func() { f.rt.InvokeCtx(live, "edt", Wait, noopCtx) }},
 		// The channel; the node under it goes back to the free list when the
 		// completion finishes.
 		{"Completion.Done", 1, foreign, func() {

@@ -9,15 +9,6 @@ import (
 	"repro/internal/trace"
 )
 
-// cancellablePoster is the executor capability InvokeCtx uses to revoke
-// still-queued target blocks when their context expires. WorkerPool
-// provides it; executors without it (e.g. the event loop) fall back to a
-// run-time context check, so an expired block is skipped when dequeued
-// even though it cannot be removed from the queue early.
-type cancellablePoster interface {
-	PostCancellable(fn func()) (*executor.Completion, func() bool)
-}
-
 // InvokeCtx is Invoke with deadline and cancellation propagation — the
 // production form of the directive for servers, where a target block runs
 // on behalf of a request that may abandon it. The context is passed into
@@ -26,27 +17,38 @@ type cancellablePoster interface {
 // (context.DeadlineExceeded or context.Canceled):
 //
 //   - expired before dispatch: the block never runs;
-//   - expired while queued: the queued task is cancelled via the
-//     executor's PostCancellable when available (trace records
-//     OpDeadline), otherwise skipped when it reaches the front;
+//   - expired while queued: the block is cancelled through its Completion
+//     (trace records OpDeadline), whatever executor it is queued on, and a
+//     thread joined on it wakes at the expiry, not when the target would
+//     have reached the block;
 //   - expired while running: the block is responsible for observing
 //     ctx.Done() itself — a started block is never interrupted, matching
 //     OpenMP's execution model (and Go's: goroutines cannot be killed).
 //
 // Modes behave as in Invoke; NameAs is not supported (use InvokeNamed,
-// which has no context form). In Wait and Await modes the encountering
-// thread stops waiting as soon as the Completion finishes, including by
-// cancellation.
+// which has no context form). The Completion is the target's own: no second
+// completion and no goroutine stand between the caller and the block.
 func (r *Runtime) InvokeCtx(ctx context.Context, target string, mode Mode, block func(context.Context)) (*executor.Completion, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	// In place (directives off, or already on the target) the block still
-	// respects an already-expired context; posted, it gets the cancellation
-	// plumbing of postCtx.
-	return r.invoke(target, mode, "", block == nil,
+	// respects an already-expired context; posted, it is cancellable until
+	// it starts.
+	var stop func() bool
+	comp, err := r.invoke(target, mode, "", block == nil,
 		func() error { return runBlockCtx(ctx, block) },
-		func(e executor.Executor) *executor.Completion { return r.postCtx(ctx, e, mode, block) })
+		func(e executor.Executor) (comp *executor.Completion) {
+			comp, stop = r.postCtx(ctx, e, mode, block)
+			return comp
+		})
+	// A context that outlives its invocations must not collect their
+	// registrations: once the join has returned (or the post was refused)
+	// there is nothing left to cancel.
+	if stop != nil && (err != nil || comp.Finished()) {
+		stop()
+	}
+	return comp, err
 }
 
 // runBlockCtx runs block inline with panic capture, short-circuiting to
@@ -58,66 +60,49 @@ func runBlockCtx(ctx context.Context, block func(context.Context)) error {
 	return executor.RunCaptured(func() { block(ctx) })
 }
 
-// postCtx submits block asynchronously with cancellation plumbing. The
-// returned Completion finishes with the block's outcome, or with ctx.Err()
-// if the context expired before the block started.
-func (r *Runtime) postCtx(ctx context.Context, e executor.Executor, mode Mode, block func(context.Context)) *executor.Completion {
+// blockStarted is what a Nowait block leaves in postCtx's hand-off slot when
+// it gets there before the registration.
+var blockStarted = func() bool { return false }
+
+// postCtx posts block and registers its cancellation with ctx: if ctx expires
+// while the block is queued, the winner of Completion.Cancel emits OpDeadline.
+// It returns the function that releases the registration (nil if there is
+// none).
+func (r *Runtime) postCtx(ctx context.Context, e executor.Executor, mode Mode, block func(context.Context)) (*executor.Completion, func() bool) {
 	if ctx.Done() == nil {
-		// Uncancellable context (Background): plain post, no watcher.
-		return e.Post(func() { block(ctx) })
+		// Uncancellable context (Background): plain post.
+		return e.Post(func() { block(ctx) }), nil
 	}
-
-	// skipped records that the body observed an expired context and
-	// declined to run (the no-PostCancellable fallback path).
-	var skipped atomic.Bool
-	body := func() {
-		if ctx.Err() != nil {
-			skipped.Store(true)
-			return
-		}
-		block(ctx)
+	if err := ctx.Err(); err != nil {
+		r.emit(trace.OpDeadline, e.Name(), mode)
+		return executor.NewCompletedCompletion(err), nil
 	}
-
-	var inner *executor.Completion
-	cancel := func() bool { return false }
-	if cp, ok := e.(cancellablePoster); ok {
-		inner, cancel = cp.PostCancellable(body)
+	var handoff *atomic.Value // Nowait only: holds a func() bool
+	var body func()
+	if mode != Nowait {
+		body = func() { block(ctx) }
 	} else {
-		inner = e.Post(body)
+		// Nobody joins this block, so it releases the registration itself as
+		// it starts. It may start before the registration exists: whichever
+		// of the two swaps second finds the other's value and calls stop.
+		handoff = new(atomic.Value)
+		body = func() {
+			if stop, _ := handoff.Swap(blockStarted).(func() bool); stop != nil {
+				stop()
+			}
+			block(ctx)
+		}
 	}
-	if inner.Finished() && inner.Err() != nil && !skipped.Load() {
-		// Synchronous rejection (shutdown, full queue): no watcher needed,
-		// and returning it directly lets InvokeCtx see the typed error.
-		return inner
-	}
-
-	outer, finish := executor.NewPendingCompletion()
-	finishFromInner := func() {
-		err := inner.Err()
-		if skipped.Load() {
-			err = ctx.Err()
+	comp := e.Post(body)
+	stop := context.AfterFunc(ctx, func() {
+		if comp.Cancel(ctx.Err()) {
 			r.emit(trace.OpDeadline, e.Name(), mode)
 		}
-		finish(err)
+	})
+	if handoff != nil && handoff.Swap(stop) != nil {
+		stop()
 	}
-	go func() {
-		select {
-		case <-inner.Done():
-			finishFromInner()
-		case <-ctx.Done():
-			if cancel() {
-				// Won the race: the queued task will never run.
-				r.emit(trace.OpDeadline, e.Name(), mode)
-				finish(ctx.Err())
-				return
-			}
-			// The body already started (or the executor rejected the
-			// task); report its real outcome.
-			<-inner.Done()
-			finishFromInner()
-		}
-	}()
-	return outer
+	return comp, stop
 }
 
 // IsDeadline reports whether a Completion error is a context expiry

@@ -64,7 +64,7 @@ func TestShutdownInvokeRaceIsTyped(t *testing.T) {
 }
 
 // TestShutdownInvokeCtxRaceIsTyped is the same race through the context
-// path, which routes posts through PostCancellable and a watcher goroutine.
+// entry point.
 func TestShutdownInvokeCtxRaceIsTyped(t *testing.T) {
 	for round := 0; round < 25; round++ {
 		var reg gid.Registry

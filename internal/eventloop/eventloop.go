@@ -236,7 +236,7 @@ func (l *Loop) newItem(label string, fn func(), comp *executor.Completion) *item
 
 // failItem finishes an event that will never be dispatched.
 func (l *Loop) failItem(it *item, err error) {
-	it.Fail(it.comp, err)
+	it.Fail(it.comp, l.name, err)
 	l.releaseItem(it)
 }
 
@@ -295,7 +295,8 @@ func (l *Loop) next() (*item, bool) {
 // and adds what is the loop's own: the confinement check, the nesting depth,
 // the panic handler and the observer. All of it is state a joiner may inspect
 // the moment it wakes, so it is settled before the completion finishes. The
-// closure does not escape Run: no allocation.
+// closure does not escape Run: no allocation. An event cancelled while queued
+// is skipped by Run and is not a dispatch: none of the loop's counters move.
 func (l *Loop) dispatch(it *item) {
 	l.san.Check("dispatch event on", l.name)
 	var start time.Time
@@ -303,7 +304,7 @@ func (l *Loop) dispatch(it *item) {
 		start = l.clock.Now()
 	}
 	l.depth.Add(1)
-	it.Run(it.comp, l.name, func(err error) {
+	ran := it.Run(it.comp, l.name, func(err error) {
 		l.depth.Add(-1)
 		l.dispatched.Add(1)
 		if pe, ok := err.(*executor.PanicError); ok {
@@ -320,6 +321,9 @@ func (l *Loop) dispatch(it *item) {
 			(*obs)(info)
 		}
 	})
+	if !ran {
+		l.depth.Add(-1)
+	}
 }
 
 // runOne pops and dispatches a single queued event, reporting whether one

@@ -58,8 +58,9 @@ type PanicError struct {
 func (e *PanicError) Error() string { return fmt.Sprintf("executor: task panicked: %v", e.Value) }
 
 // Completion tracks the lifecycle of one submitted task. It is created by
-// Post and finished once, either when the task body returns or when the
-// executor rejects it; of several calls to complete, the first is the verdict.
+// Post and finished once — when the task body returns, when the executor
+// rejects it, or when Cancel revokes it while it is still queued; of several
+// attempts, the first is the verdict.
 //
 // A completion owns no channel and nobody polls it. A goroutine that has to
 // sleep until the verdict registers a waiter node — pushed onto the intrusive
@@ -68,18 +69,19 @@ func (e *PanicError) Error() string { return fmt.Sprintf("executor: task panicke
 // Finished reads, and hands every node its token. Fire-and-forget submissions
 // (Nowait mode — the dominant traffic under load) never touch the third word.
 type Completion struct {
-	state   atomic.Uint32 // compClaimed, and the lifecycle bits of the task node embedding it
+	state   atomic.Uint32 // compClaimed | taskRunning | taskCancelled
 	err     atomic.Pointer[error]
 	waiters atomic.Pointer[Waiter] // registered joiners, newest first; &closedWaiters once finished
 }
 
 const (
-	// compClaimed is taken by the one complete call whose verdict counts.
+	// compClaimed is taken by the one attempt whose verdict counts.
 	compClaimed uint32 = 1 << iota
-	// taskRunning and taskCancelled are the pool's task lifecycle, kept in
-	// the embedded completion's word so the node stays in the 48-byte class:
-	// a queued task has neither, and each is taken by a CompareAndSwap from
-	// zero — the claim of a task nobody has run, cancelled or rejected.
+	// taskRunning and taskCancelled are the one transition out of "queued":
+	// a queued task has a zero word, and each bit is taken by a
+	// CompareAndSwap from zero — Bracket.Run's before it runs the body,
+	// Cancel's (with compClaimed) before it publishes its error. Whoever
+	// takes it, the other finds the word nonzero and backs off.
 	taskRunning
 	taskCancelled
 )
@@ -194,6 +196,27 @@ func (c *Completion) complete(err error) {
 			break
 		}
 	}
+	c.publish(err)
+}
+
+// Cancel revokes a task that is still queued: it finishes the completion with
+// err and reports true if no executor had started the task — its body will
+// then never run — and false, changing nothing, if the task has started,
+// finished, been rejected or been cancelled before. It is safe from any
+// goroutine at any time, on a completion from any executor: wrappers that
+// return their inner executor's completion are cancellable through it. On a
+// completion that is not a queued task (NewPendingCompletion) true means only
+// that err is the verdict and the completer's later one is ignored.
+func (c *Completion) Cancel(err error) bool {
+	if !c.state.CompareAndSwap(0, taskCancelled|compClaimed) {
+		return false
+	}
+	c.publish(err)
+	return true
+}
+
+// publish is the half of complete and Cancel that follows the claim.
+func (c *Completion) publish(err error) {
 	if err != nil {
 		boxed := err
 		c.err.Store(&boxed)
@@ -405,23 +428,31 @@ func (b *Bracket) Enqueued(target string, spawn trace.SpanID) {
 }
 
 // Run executes the task on the calling goroutine and finishes comp, in one
-// fixed order: begin the "run" span and make it current (so blocks that
-// invoke further targets parent here) → body under panic capture →
-// settled(err) → restore the previous current span and end the run span →
+// fixed order: claim the task → begin the "run" span and make it current (so
+// blocks that invoke further targets parent here) → body under panic capture
+// → settled(err) → restore the previous current span and end the run span →
 // comp finishes. A joiner therefore never wakes while its child's run span
 // is still open. The run span's parent is the submitter's span when one was
 // active at enqueue time; otherwise the runner's current span — which is
 // exactly the awaiting invoke's span when a helping thread runs the task
 // inside a logical barrier.
 //
+// A node whose completion was cancelled while it sat in the queue loses the
+// claim and is skipped: Run ends the span id taken at Enqueued, calls nothing
+// (settled included — a skip is not a dispatch) and reports false.
+//
 // settled (may be nil) is the executor's hook for state a joiner may inspect
 // the moment it wakes: it receives the body's error, a *PanicError if the
 // body panicked. If the goroutine dies mid-task (runtime.Goexit, or a panic
 // escaping settled) the span is still ended and comp then fails with
 // ErrWorkerCrashed, so waiters never hang on a dead worker.
-func (b *Bracket) Run(comp *Completion, target string, settled func(error)) {
+func (b *Bracket) Run(comp *Completion, target string, settled func(error)) bool {
 	fn := b.Fn
 	b.Fn = nil
+	if !comp.state.CompareAndSwap(0, taskRunning) {
+		b.endUnrun(target)
+		return false
+	}
 	var sink trace.Sink
 	var prev trace.SpanID
 	if b.span != 0 {
@@ -447,27 +478,38 @@ func (b *Bracket) Run(comp *Completion, target string, settled func(error)) {
 		settled(err)
 	}
 	verdict = err
+	return true
 }
 
-// Fail finishes comp with err for a task that will never run: rejected at
-// admission, cancelled, or failed while still queued.
-func (b *Bracket) Fail(comp *Completion, err error) {
+// Fail finishes comp with err for a task that is taken out of the queue, or
+// never let in, without running: it ends the span id taken at Enqueued and
+// reports whether err became the verdict (false: a Cancel got there first).
+func (b *Bracket) Fail(comp *Completion, target string, err error) bool {
 	b.Fn = nil
-	comp.complete(err)
+	b.endUnrun(target)
+	return comp.Cancel(err)
+}
+
+// endUnrun ends the span id of a node that never began its run span, so a
+// sink's open-span table does not keep the enqueue forever.
+func (b *Bracket) endUnrun(target string) {
+	if b.span == 0 {
+		return
+	}
+	if sink := trace.ActiveSink(); sink != nil {
+		trace.EndSpan(sink, b.span, "run", target)
+	}
+	b.span = 0
 }
 
 // task is the worker pool's queue node. The Completion is embedded so a
 // plain Post is a single allocation (core's TestAllocationBudget holds it to
 // that); the node is never pooled or reused (callers hold pointers into it
-// via the Completion, and PostCancellable's cancel closure may outlive the run).
+// via the Completion, for as long as they like).
 type task struct {
 	Bracket
-	comp Completion // comp.state also holds taskRunning | taskCancelled
+	comp Completion
 }
-
-// claim moves a queued task to to (taskRunning or taskCancelled), reporting
-// whether the caller won it.
-func (t *task) claim(to uint32) bool { return t.comp.state.CompareAndSwap(0, to) }
 
 // settled is the pool's Bracket.Run hook: count the task and report its
 // panic before a joiner can look.
@@ -892,17 +934,6 @@ func (p *WorkerPool) steal(w *worker) *task {
 	return nil
 }
 
-// execute runs one task a worker or a helper popped, reporting whether the
-// body ran: a task whose cancellation won the race is skipped (the canceller
-// already finished its completion).
-func (p *WorkerPool) execute(t *task) bool {
-	if !t.claim(taskRunning) {
-		return false
-	}
-	t.Run(&t.comp, p.name, p.settled)
-	return true
-}
-
 // wakeForBacklog propagates the consumer wakeup: a worker that just took a
 // task and can see more queued work wakes one parked sibling (unless a
 // spinner already covers the shards). This is how a single producer
@@ -968,7 +999,7 @@ func (p *WorkerPool) workerLoop(w *worker) {
 		if t != nil {
 			spun = false
 			p.wakeForBacklog()
-			p.execute(t)
+			t.Run(&t.comp, p.name, p.settled)
 			continue
 		}
 		if p.stopped.Load() {
@@ -991,15 +1022,14 @@ func (p *WorkerPool) workerLoop(w *worker) {
 	}
 }
 
-// enqueue is the shared admission path of Post, PostCancellable and the
-// test seams: reject on shutdown, otherwise push to the picked shard, publish the new length and watermark, wake at most one
-// parked worker (none if a spinner will find the task anyway), and apply
+// enqueue is the shared admission path of Post and the test seams: reject on
+// shutdown, otherwise push to the picked shard, publish the new length and
+// watermark, wake at most one parked worker (none if a spinner will find the task anyway), and apply
 // soft backpressure when the shard is badly backlogged.
 func (p *WorkerPool) enqueue(t *task, pick func() *shard) bool {
-	c := &t.comp
 	if p.stopped.Load() {
 		p.rejected.Add(1)
-		c.complete(ErrShutdown)
+		t.Fail(&t.comp, p.name, ErrShutdown)
 		return false
 	}
 	var n int64
@@ -1017,7 +1047,7 @@ func (p *WorkerPool) enqueue(t *task, pick func() *shard) bool {
 			// the producer sees stopped here. No stranding window.
 			sh.mu.Unlock()
 			p.rejected.Add(1)
-			c.complete(ErrShutdown)
+			t.Fail(&t.comp, p.name, ErrShutdown)
 			return false
 		}
 		sh.q.pushBack(t)
@@ -1117,7 +1147,8 @@ func (p *WorkerPool) TryRunPending() bool {
 		t := sh.q.popFront()
 		sh.len.Store(int64(sh.q.n))
 		sh.mu.Unlock()
-		ran := p.execute(t)
+		// A task cancelled while queued is skipped, and no help was given.
+		ran := t.Run(&t.comp, p.name, p.settled)
 		if ran {
 			p.helped.Add(1)
 		}
@@ -1165,8 +1196,7 @@ func (p *WorkerPool) FailPending(err error) int {
 		sh.len.Store(0)
 		sh.mu.Unlock()
 		for _, t := range tasks {
-			if t.claim(taskCancelled) {
-				t.comp.complete(err)
+			if t.Fail(&t.comp, p.name, err) {
 				n++
 			}
 		}
@@ -1232,30 +1262,6 @@ func (p *WorkerPool) Grow(n int) {
 	for range workers {
 		<-started
 	}
-}
-
-// ErrCanceled is the terminal error of a task cancelled before it started.
-var ErrCanceled = errors.New("executor: task canceled")
-
-// PostCancellable submits fn like Post and additionally returns a cancel
-// function. Cancel returns true if it won the race — the task had not
-// started and will never run (its Completion finishes with ErrCanceled) —
-// and false if the task already started or finished.
-func (p *WorkerPool) PostCancellable(fn func()) (*Completion, func() bool) {
-	t := &task{Bracket: Bracket{Fn: fn}}
-	t.Enqueued(p.name, 0)
-	c := &t.comp
-	if !p.enqueue(t, p.pickShard) {
-		return c, func() bool { return false }
-	}
-	cancel := func() bool {
-		if !t.claim(taskCancelled) {
-			return false
-		}
-		c.complete(ErrCanceled)
-		return true
-	}
-	return c, cancel
 }
 
 var _ Executor = (*WorkerPool)(nil)

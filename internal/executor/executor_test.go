@@ -320,31 +320,6 @@ func BenchmarkOwns(b *testing.B) {
 	}
 }
 
-// TestPostCancellablePeak is the regression test for the lost-watermark bug:
-// PostCancellable enqueued without updating the peak counter, so a pool fed
-// exclusively through the cancellable path reported QueuePeak = 0 no matter
-// how deep its backlog got. Both posting paths now share enqueue, which
-// publishes the watermark for every submission.
-func TestPostCancellablePeak(t *testing.T) {
-	reg := &gid.Registry{}
-	p := NewWorkerPool("peak", 1, reg)
-	defer p.Shutdown()
-
-	gate := make(chan struct{})
-	running := make(chan struct{})
-	p.Post(func() { close(running); <-gate })
-	<-running
-
-	const n = 5
-	for i := 0; i < n; i++ {
-		p.PostCancellable(func() {})
-	}
-	if got := p.Stats().QueuePeak; got < n {
-		t.Fatalf("QueuePeak = %d after %d cancellable posts, want >= %d", got, n, n)
-	}
-	close(gate)
-}
-
 // TestPeakCasMaxConcurrent is the regression test for the check-then-store
 // watermark race: with racing plain stores, a post observing length 3 could
 // overwrite the peak published by a post that observed length 7. With the

@@ -5,41 +5,90 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/testutil/poll"
+	"repro/internal/trace"
 )
 
-// TestPostCancellableCancelVsRunRace races cancel() against the worker
-// picking the task up. Exactly one side must win each round: either the
-// body runs and the completion is nil-errored, or it never runs and the
-// completion carries ErrCanceled. Run with -race.
-func TestPostCancellableCancelVsRunRace(t *testing.T) {
+// TestCancelVsRunRace races Completion.Cancel against the worker picking the
+// task up. Exactly one side must win each round: either the body runs and the
+// completion is nil-errored, or Cancel returns true, the body never runs and
+// the completion carries Cancel's error. Run with -race.
+func TestCancelVsRunRace(t *testing.T) {
 	p := NewWorkerPool("race", 4, nil)
 	defer p.Shutdown()
 
-	const rounds = 500
-	var ran, cancelled atomic.Int64
+	const rounds = 10000
 	var wg sync.WaitGroup
+	bodies := int64(0)
 	for i := 0; i < rounds; i++ {
-		comp, cancel := p.PostCancellable(func() { ran.Add(1) })
+		var ran, cancelled atomic.Bool
+		comp := p.Post(func() { ran.Store(true) })
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if cancel() {
-				cancelled.Add(1)
-			}
+			cancelled.Store(comp.Cancel(errRevoked))
 		}()
-		if err := comp.Wait(); err != nil && !errors.Is(err, ErrCanceled) {
-			t.Errorf("unexpected completion error: %v", err)
+		err := comp.Wait()
+		wg.Wait()
+		// A finished completion's body has returned or will never start.
+		if ran.Load() == cancelled.Load() || cancelled.Load() != (err == errRevoked) {
+			t.Fatalf("round %d: ran=%v cancelled=%v err=%v", i, ran.Load(), cancelled.Load(), err)
+		}
+		if ran.Load() {
+			bodies++
 		}
 	}
-	wg.Wait()
-	// Give in-flight bodies a moment to finish bumping the counter.
-	poll.Wait(2*time.Second, func() bool { return ran.Load()+cancelled.Load() == rounds })
-	if got := ran.Load() + cancelled.Load(); got != rounds {
-		t.Fatalf("ran(%d) + cancelled(%d) = %d, want exactly %d",
-			ran.Load(), cancelled.Load(), got, rounds)
+	if st := p.Stats(); st.Completed != bodies {
+		t.Fatalf("Completed = %d with %d bodies run: a skipped task was counted", st.Completed, bodies)
+	}
+}
+
+// TestUnrunTasksReturnTheirSpans: a node that took a span id at Enqueued and
+// never reaches its run span — cancelled and skipped at dequeue, drained by
+// FailPending, rejected by a shut-down pool — ends it, so a sink's open-span
+// table is empty once the queue has drained.
+func TestUnrunTasksReturnTheirSpans(t *testing.T) {
+	sink := metrics.NewSpanSink(nil)
+	t.Cleanup(trace.Use(sink))
+	p := NewWorkerPool("spans", 1, nil)
+	hold := func() (release func()) {
+		gate, busy := make(chan struct{}), make(chan struct{})
+		p.Post(func() { close(busy); <-gate })
+		<-busy
+		return func() { close(gate) }
+	}
+	drained := func(what string) {
+		t.Helper()
+		p.Post(func() {}).Wait()
+		poll.Until(t, "open spans to drain after "+what, func() bool { return sink.Open() == 0 })
+	}
+
+	release := hold()
+	for i := 0; i < 10; i++ {
+		p.Post(func() { t.Error("cancelled task ran") }).Cancel(errRevoked)
+	}
+	release()
+	drained("cancellation")
+
+	release = hold()
+	for i := 0; i < 10; i++ {
+		p.Post(func() { t.Error("failed task ran") })
+	}
+	p.Post(func() {}).Cancel(errRevoked)
+	if n := p.FailPending(errRevoked); n != 10 {
+		t.Fatalf("FailPending = %d, want the 10 tasks nobody had cancelled", n)
+	}
+	release()
+	drained("FailPending")
+
+	p.Shutdown()
+	for i := 0; i < 10; i++ {
+		p.Post(func() { t.Error("rejected task ran") })
+	}
+	if n := sink.Open(); n != 0 {
+		t.Fatalf("%d spans open after 10 rejected posts", n)
 	}
 }
 

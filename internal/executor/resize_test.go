@@ -52,7 +52,10 @@ func TestGrowNoopCases(t *testing.T) {
 	}
 }
 
-func TestPostCancellableBeforeStart(t *testing.T) {
+// errRevoked is the error the cancel tests hand to Completion.Cancel.
+var errRevoked = errors.New("revoked by the test")
+
+func TestCancelBeforeStart(t *testing.T) {
 	var reg gid.Registry
 	p := NewWorkerPool("cancel", 1, &reg)
 	defer p.Shutdown()
@@ -61,15 +64,15 @@ func TestPostCancellableBeforeStart(t *testing.T) {
 	p.Post(func() { close(started); <-gate })
 	<-started
 	var ran atomic.Bool
-	c, cancel := p.PostCancellable(func() { ran.Store(true) })
-	if !cancel() {
-		t.Fatal("cancel of queued task returned false")
+	c := p.Post(func() { ran.Store(true) })
+	if !c.Cancel(errRevoked) {
+		t.Fatal("Cancel of queued task returned false")
 	}
-	if err := c.Wait(); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
+	if err := c.Wait(); err != errRevoked {
+		t.Fatalf("err = %v, want the error Cancel was given", err)
 	}
-	if cancel() {
-		t.Fatal("second cancel returned true")
+	if c.Cancel(errors.New("again")) {
+		t.Fatal("second Cancel returned true")
 	}
 	close(gate)
 	// Give the worker a chance to pop the cancelled task.
@@ -77,38 +80,72 @@ func TestPostCancellableBeforeStart(t *testing.T) {
 	if ran.Load() {
 		t.Fatal("cancelled task ran")
 	}
-	if st := p.Stats(); st.Helped != 0 && st.Completed > 2 {
+	if err := c.Err(); err != errRevoked {
+		t.Fatalf("verdict changed to %v after the skip", err)
+	}
+	// The gate task and the flush task ran; the skipped one is not a completion.
+	if st := p.Stats(); st.Completed != 2 {
 		t.Fatalf("cancelled task counted as completed: %+v", st)
 	}
 }
 
-func TestPostCancellableAfterStart(t *testing.T) {
+func TestCancelAfterStart(t *testing.T) {
 	var reg gid.Registry
 	p := NewWorkerPool("cancel2", 1, &reg)
 	defer p.Shutdown()
 	started := make(chan struct{})
 	gate := make(chan struct{})
-	c, cancel := p.PostCancellable(func() { close(started); <-gate })
+	c := p.Post(func() { close(started); <-gate })
 	<-started
-	if cancel() {
-		t.Fatal("cancel of running task returned true")
+	if c.Cancel(errRevoked) {
+		t.Fatal("Cancel of running task returned true")
 	}
 	close(gate)
 	if err := c.Wait(); err != nil {
 		t.Fatalf("running task completed with %v", err)
 	}
+	if c.Cancel(errRevoked) || c.Err() != nil {
+		t.Fatalf("Cancel after completion took effect: err = %v", c.Err())
+	}
 }
 
-func TestPostCancellableOnShutdownPool(t *testing.T) {
+func TestCancelOnShutdownPool(t *testing.T) {
 	var reg gid.Registry
 	p := NewWorkerPool("cancel3", 1, &reg)
 	p.Shutdown()
-	c, cancel := p.PostCancellable(func() {})
+	c := p.Post(func() {})
+	if c.Cancel(errRevoked) {
+		t.Fatal("Cancel of rejected task returned true")
+	}
 	if err := c.Err(); !errors.Is(err, ErrShutdown) {
 		t.Fatalf("err = %v", err)
 	}
-	if cancel() {
-		t.Fatal("cancel of rejected task returned true")
+}
+
+// TestCancelPendingCompletion: the same protocol on a completion that is not
+// a queued task — Cancel and the completer race for the one verdict.
+func TestCancelPendingCompletion(t *testing.T) {
+	c, finish := NewPendingCompletion()
+	if !c.Cancel(errRevoked) || c.Cancel(errRevoked) {
+		t.Fatal("want the first Cancel true and the second false")
+	}
+	finish(nil)
+	if err := c.Wait(); err != errRevoked {
+		t.Fatalf("err = %v, want the error Cancel was given", err)
+	}
+	c, finish = NewPendingCompletion()
+	finish(nil)
+	if c.Cancel(errRevoked) || c.Err() != nil {
+		t.Fatalf("Cancel after completion took effect: err = %v", c.Err())
+	}
+	for i := 0; i < 2000; i++ {
+		c, finish := NewPendingCompletion()
+		won := make(chan bool)
+		go func() { won <- c.Cancel(errRevoked) }()
+		finish(nil)
+		if cancelled := <-won; cancelled != (c.Wait() == errRevoked) {
+			t.Fatalf("round %d: Cancel = %v but err = %v", i, cancelled, c.Err())
+		}
 	}
 }
 
@@ -120,8 +157,7 @@ func TestCancelledTaskSkippedByHelper(t *testing.T) {
 	started := make(chan struct{})
 	p.Post(func() { close(started); <-gate })
 	<-started
-	_, cancel := p.PostCancellable(func() {})
-	cancel()
+	p.Post(func() {}).Cancel(errRevoked)
 	// The helper pops the cancelled task but reports no work done.
 	if p.TryRunPending() {
 		t.Fatal("TryRunPending reported running a cancelled task")

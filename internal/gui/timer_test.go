@@ -4,6 +4,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/testutil/poll"
 )
 
 func TestTimerRepeats(t *testing.T) {
@@ -45,7 +47,7 @@ func TestTimerOneShot(t *testing.T) {
 	tm := tk.NewTimer(5*time.Millisecond, func() { n.Add(1) })
 	tm.SetRepeats(false)
 	tm.Start()
-	time.Sleep(40 * time.Millisecond)
+	poll.Until(t, "the one-shot to fire and stop", func() bool { return n.Load() > 0 && !tm.IsRunning() })
 	if got := n.Load(); got != 1 {
 		t.Fatalf("one-shot fired %d times", got)
 	}
@@ -69,12 +71,12 @@ func TestTimerCoalescing(t *testing.T) {
 	<-started
 	tm := tk.NewTimer(2*time.Millisecond, func() {})
 	tm.Start()
-	time.Sleep(50 * time.Millisecond)
-	close(release)
+	poll.Until(t, "ticks to coalesce while the EDT is blocked", func() bool { return tm.Coalesced() > 0 })
 	tm.Stop()
-	time.Sleep(10 * time.Millisecond)
-	if tm.Coalesced() == 0 {
-		t.Fatal("no ticks coalesced while the EDT was blocked")
+	close(release)
+	// The one fire that was queued behind the block runs before this does.
+	if err := tk.InvokeAndWait(func() {}); err != nil {
+		t.Fatal(err)
 	}
 	if tm.Fired() > 3 {
 		t.Fatalf("fired %d times despite a blocked EDT (coalescing broken)", tm.Fired())
@@ -98,5 +100,5 @@ func TestTimerDelayClamped(t *testing.T) {
 	}
 	tm.SetRepeats(false)
 	tm.Start()
-	time.Sleep(20 * time.Millisecond) // nil action must not panic
+	poll.Until(t, "the nil action to be dispatched without a panic", func() bool { return tm.Fired() == 1 })
 }

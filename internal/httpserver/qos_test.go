@@ -6,8 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/qos"
+	"repro/internal/testutil/poll"
 )
 
 // TestQoSHappyPathServes checks that a generously-provisioned qos server
@@ -125,5 +127,48 @@ func TestQoSDeadlineAndBreaker(t *testing.T) {
 	}
 	if s.Shed() < 3 {
 		t.Fatalf("Shed = %d, want ≥ 3 (2 deadlines + 1 breaker reject)", s.Shed())
+	}
+}
+
+// TestOverloadLeavesNoSpanOpen: an overload burst whose deadlines pass while
+// the blocks are queued behind a busy worker — cancelled there, never run —
+// leaves the span table /metrics is fed from empty once the queue has drained.
+func TestOverloadLeavesNoSpanOpen(t *testing.T) {
+	s, c := startServer(t, Config{Mode: Pyjama, Workers: 1, KernelBytes: 4096,
+		QoS: &QoSConfig{QueueLimit: 4, RequestTimeout: 10 * time.Millisecond}})
+	gate, busy := make(chan struct{}), make(chan struct{})
+	if _, err := s.rt.Invoke("worker", core.Nowait, func() { close(busy); <-gate }); err != nil {
+		t.Fatal(err)
+	}
+	<-busy
+
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 4; j++ {
+				if _, status, err := c.Do(0); err == nil || status != http.StatusServiceUnavailable {
+					t.Errorf("status=%d err=%v behind a held worker, want 503", status, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(gate)
+	if _, err := c.Encrypt(0); err != nil {
+		t.Fatal(err)
+	}
+
+	var got map[string]float64
+	poll.Until(t, "repro_spans_open to read 0", func() bool {
+		got = scrapeMetrics(t, c.base)
+		return got["repro_spans_open"] == 0
+	})
+	if got[`repro_deadline_total{target="worker"}`] == 0 {
+		t.Fatal("no block was cancelled while queued; the burst proved nothing")
+	}
+	if d := got["repro_spans_dropped_total"]; d != 0 {
+		t.Fatalf("repro_spans_dropped_total = %v, want 0", d)
 	}
 }

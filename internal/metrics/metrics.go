@@ -99,10 +99,10 @@ func (s *SupervisionStats) String() string {
 
 // ReactorStats bundles the survivability counters the readiness reactor
 // (package reactor) produces: how often handler panics were contained, how
-// many connections were reaped by deadlines, how many accepts were shed by
-// the admission cap, how often the poll loop itself crashed, and how many
-// stragglers a drain had to force-close. One instance can be shared across
-// supervised reactor generations so counts survive restarts.
+// many connections were reaped by deadlines, how often the poll loop itself
+// crashed, and how many stragglers a drain had to force-close. One instance
+// can be shared across supervised reactor generations so counts survive
+// restarts.
 type ReactorStats struct {
 	// HandlerPanics counts panics recovered around handler dispatch (the
 	// offending connection is closed; the loop survives).
@@ -110,9 +110,6 @@ type ReactorStats struct {
 	// DeadlineCloses counts connections closed by an idle, read, or
 	// write-stall deadline.
 	DeadlineCloses Counter
-	// AcceptRejects counts accepted sockets closed immediately because the
-	// reactor was at its MaxConns cap.
-	AcceptRejects Counter
 	// LoopCrashes counts poll-goroutine deaths (unrecovered panics or
 	// goroutine kills) — the failure a supervised restart repairs.
 	LoopCrashes Counter
@@ -126,8 +123,8 @@ func NewReactorStats() *ReactorStats { return &ReactorStats{} }
 
 // String renders the headline counters.
 func (s *ReactorStats) String() string {
-	return fmt.Sprintf("panics=%d deadlines=%d acceptrejects=%d crashes=%d forcecloses=%d",
-		s.HandlerPanics.Value(), s.DeadlineCloses.Value(), s.AcceptRejects.Value(),
+	return fmt.Sprintf("panics=%d deadlines=%d crashes=%d forcecloses=%d",
+		s.HandlerPanics.Value(), s.DeadlineCloses.Value(),
 		s.LoopCrashes.Value(), s.ForceCloses.Value())
 }
 
@@ -371,67 +368,6 @@ func (s Summary) String() string {
 		s.Max.Round(time.Microsecond))
 }
 
-// ThroughputMeter counts completed operations over a wall-clock window, the
-// quantity Figure 9 reports as responses/sec.
-type ThroughputMeter struct {
-	mu    sync.Mutex
-	n     int64
-	start time.Time
-	end   time.Time
-}
-
-// NewThroughputMeter returns a meter; call Start before recording.
-func NewThroughputMeter() *ThroughputMeter { return &ThroughputMeter{} }
-
-// Start marks the beginning of the measurement window.
-func (m *ThroughputMeter) Start() {
-	m.mu.Lock()
-	m.start = time.Now()
-	m.end = time.Time{}
-	m.n = 0
-	m.mu.Unlock()
-}
-
-// Add records n completed operations.
-func (m *ThroughputMeter) Add(n int64) {
-	m.mu.Lock()
-	m.n += n
-	m.mu.Unlock()
-}
-
-// Stop marks the end of the window.
-func (m *ThroughputMeter) Stop() {
-	m.mu.Lock()
-	m.end = time.Now()
-	m.mu.Unlock()
-}
-
-// Count returns the number of recorded operations.
-func (m *ThroughputMeter) Count() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.n
-}
-
-// PerSecond returns operations per second over the window. If Stop has not
-// been called, the window extends to now.
-func (m *ThroughputMeter) PerSecond() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.start.IsZero() {
-		return 0
-	}
-	end := m.end
-	if end.IsZero() {
-		end = time.Now()
-	}
-	secs := end.Sub(m.start).Seconds()
-	if secs <= 0 {
-		return 0
-	}
-	return float64(m.n) / secs
-}
-
 // ResponseRecord is one event's measured lifecycle, mirroring the paper's
 // definition: "the time flow from the event firing to the finish of its
 // event handling".
@@ -510,30 +446,6 @@ func (c *Collector) OccupancyHistogram() *Histogram {
 		h.Observe(r.EDTOccupancy())
 	}
 	return h
-}
-
-// Table renders rows of (label, Summary) as an aligned text table, the
-// format the cmd harnesses print for each figure.
-func Table(title string, rows []TableRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== %s ==\n", title)
-	fmt.Fprintf(&b, "%-28s %8s %12s %12s %12s %12s %12s\n",
-		"series", "n", "mean", "p50", "p90", "p99", "max")
-	for _, r := range rows {
-		s := r.Summary
-		fmt.Fprintf(&b, "%-28s %8d %12v %12v %12v %12v %12v\n",
-			r.Label, s.Count,
-			s.Mean.Round(time.Microsecond), s.P50.Round(time.Microsecond),
-			s.P90.Round(time.Microsecond), s.P99.Round(time.Microsecond),
-			s.Max.Round(time.Microsecond))
-	}
-	return b.String()
-}
-
-// TableRow pairs a series label with its summary.
-type TableRow struct {
-	Label   string
-	Summary Summary
 }
 
 // BarChart renders labeled values as a horizontal ASCII bar chart scaled to

@@ -158,29 +158,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestThroughputMeter(t *testing.T) {
-	m := NewThroughputMeter()
-	if m.PerSecond() != 0 {
-		t.Fatal("unstarted meter should report 0")
-	}
-	m.Start()
-	m.Add(10)
-	m.Add(5)
-	time.Sleep(20 * time.Millisecond)
-	m.Stop()
-	if got := m.Count(); got != 15 {
-		t.Fatalf("Count = %d, want 15", got)
-	}
-	ps := m.PerSecond()
-	if ps <= 0 {
-		t.Fatalf("PerSecond = %v, want > 0", ps)
-	}
-	// 15 ops in >= 20ms means at most 750/sec.
-	if ps > 15/0.020+1 {
-		t.Fatalf("PerSecond = %v, impossibly high", ps)
-	}
-}
-
 func TestResponseRecordDerived(t *testing.T) {
 	base := time.Unix(0, 0)
 	r := ResponseRecord{
@@ -228,20 +205,6 @@ func TestCollector(t *testing.T) {
 	oh := c.OccupancyHistogram()
 	if oh.Count() != 3 || oh.Max() != 2*time.Millisecond {
 		t.Fatalf("OccupancyHistogram max = %v", oh.Max())
-	}
-}
-
-func TestTableRender(t *testing.T) {
-	h := NewHistogram()
-	h.Observe(time.Millisecond)
-	out := Table("Figure X", []TableRow{{Label: "pyjama", Summary: h.Summarize()}})
-	if out == "" {
-		t.Fatal("empty table")
-	}
-	for _, want := range []string{"Figure X", "pyjama", "mean"} {
-		if !contains(out, want) {
-			t.Fatalf("table missing %q:\n%s", want, out)
-		}
 	}
 }
 

@@ -82,7 +82,7 @@ func (s *Server) EnableSupervisedReactor(sopts supervise.Options) error {
 	if s.sreactor != nil {
 		return nil
 	}
-	sr, err := reactor.NewSupervised(s.name+"/reactor", s.registry, reactor.Options{}, sopts)
+	sr, err := reactor.NewSupervised(s.name+"/reactor", s.registry, sopts)
 	if err != nil {
 		return err
 	}

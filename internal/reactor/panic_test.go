@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/gid"
 	"repro/internal/testutil/leakcheck"
 	"repro/internal/testutil/poll"
 )
@@ -130,71 +129,4 @@ func TestOnClosePanicContained(t *testing.T) {
 		t.Fatal(err)
 	}
 	poll.Until(t, "echo after OnClose panic", func() bool { return echo.String() == "ok" })
-}
-
-// TestMaxConnsShedsAtAccept: the admission cap closes surplus accepted
-// sockets before any handler runs, counts them, and admits again once an
-// admitted connection leaves.
-func TestMaxConnsShedsAtAccept(t *testing.T) {
-	defer leakcheck.Check(t)()
-	if !Supported {
-		t.Skip("no reactor poller on this platform")
-	}
-	r, err := NewWithOptions("capped", &gid.Registry{}, Options{MaxConns: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Stop()
-
-	admitted := make(chan *Conn, 4)
-	addr, err := r.Listen("127.0.0.1:0", func(c *Conn) HandlerFuncs {
-		admitted <- c
-		return HandlerFuncs{}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	first, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer first.Close()
-	var srv *Conn
-	select {
-	case srv = <-admitted:
-	case <-time.After(5 * time.Second):
-		t.Fatal("first conn not admitted")
-	}
-
-	// Over the cap: the socket is closed server-side without a handler.
-	second, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer second.Close()
-	poll.Until(t, "surplus accept shed", func() bool { return r.Stats().AcceptRejects == 1 })
-	second.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if n, err := second.Read(make([]byte, 1)); err == nil {
-		t.Fatalf("shed conn delivered %d bytes instead of closing", n)
-	}
-	select {
-	case c := <-admitted:
-		t.Fatalf("over-cap conn %v reached the accept handler", c)
-	default:
-	}
-
-	// Free the slot: the next dial is admitted.
-	srv.Close()
-	poll.Until(t, "slot released", func() bool { return r.Stats().Conns == 0 })
-	third, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer third.Close()
-	select {
-	case <-admitted:
-	case <-time.After(5 * time.Second):
-		t.Fatal("conn not admitted after slot freed")
-	}
 }

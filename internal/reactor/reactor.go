@@ -54,9 +54,6 @@
 //     goroutine, a panic in reactor internals) tears every connection
 //     down with ErrPollCrash and notifies the crash handler — the hook a
 //     supervise.Supervisor restarts through (see Supervised);
-//   - Options.MaxConns is the accept-gate admission cap: accepts beyond
-//     it are closed immediately, bounding descriptor usage before any
-//     handler runs (message-level shedding stays in qos);
 //   - Drain is the graceful half of Stop: accepting stops, spilled writes
 //     flush through the usual writability edges, idle connections close,
 //     and a deadline force-closes stragglers before the loop exits.
@@ -170,23 +167,8 @@ type Stats struct {
 	// shared across supervised generations — these are its live values).
 	HandlerPanics  int64 // panics contained around handler dispatch
 	DeadlineCloses int64 // connections reaped by idle/read/write-stall deadlines
-	AcceptRejects  int64 // accepts shed by the MaxConns cap
 	LoopCrashes    int64 // poll-goroutine deaths
 	ForceCloses    int64 // stragglers closed at a drain deadline
-}
-
-// Options tunes a reactor built with NewWithOptions. The zero value matches
-// New.
-type Options struct {
-	// MaxConns caps registered connections: accepted sockets beyond the
-	// cap are closed immediately (counted by AcceptRejects) before any
-	// handler sees them. 0 means unlimited. The cap counts accepted,
-	// dialed, and Register-ed descriptors alike.
-	MaxConns int
-	// Stats receives the survivability counters; nil allocates a fresh
-	// set. A supervised reactor passes one instance to every generation
-	// so counts survive restarts.
-	Stats *metrics.ReactorStats
 }
 
 // Reactor is an edge-triggered readiness dispatcher. Create with New,
@@ -195,7 +177,6 @@ type Reactor struct {
 	name     string
 	registry *gid.Registry
 	p        poller
-	opts     Options
 	rstats   *metrics.ReactorStats
 	// san stamps the poll goroutine as this reactor's home context (bound
 	// in run); the poll-confined paths — read drains, timer fires,
@@ -258,12 +239,12 @@ type listener struct {
 // in reg (nil means gid.Default) and starts it. On platforms without a
 // poller it returns ErrUnsupported.
 func New(name string, reg *gid.Registry) (*Reactor, error) {
-	return NewWithOptions(name, reg, Options{})
+	return newReactor(name, reg, metrics.NewReactorStats())
 }
 
-// NewWithOptions is New with survivability tuning (admission cap, shared
-// stats).
-func NewWithOptions(name string, reg *gid.Registry, opts Options) (*Reactor, error) {
+// newReactor is New counting into rstats: a supervised reactor passes one
+// instance to every generation so the survivability counts outlive restarts.
+func newReactor(name string, reg *gid.Registry, rstats *metrics.ReactorStats) (*Reactor, error) {
 	if reg == nil {
 		reg = &gid.Default
 	}
@@ -271,15 +252,11 @@ func NewWithOptions(name string, reg *gid.Registry, opts Options) (*Reactor, err
 	if err != nil {
 		return nil, err
 	}
-	if opts.Stats == nil {
-		opts.Stats = metrics.NewReactorStats()
-	}
 	r := &Reactor{
 		name:      name,
 		registry:  reg,
 		p:         p,
-		opts:      opts,
-		rstats:    opts.Stats,
+		rstats:    rstats,
 		conns:     make(map[int]*Conn),
 		listeners: make(map[int]*listener),
 		readBuf:   make([]byte, 64<<10),
@@ -328,7 +305,6 @@ func (r *Reactor) Stats() Stats {
 
 		HandlerPanics:  r.rstats.HandlerPanics.Value(),
 		DeadlineCloses: r.rstats.DeadlineCloses.Value(),
-		AcceptRejects:  r.rstats.AcceptRejects.Value(),
 		LoopCrashes:    r.rstats.LoopCrashes.Value(),
 		ForceCloses:    r.rstats.ForceCloses.Value(),
 	}
@@ -459,11 +435,6 @@ func (r *Reactor) Register(fd int, h HandlerFuncs) (*Conn, error) {
 	if r.closed || r.draining {
 		r.mu.Unlock()
 		return nil, ErrClosed
-	}
-	if r.opts.MaxConns > 0 && len(r.conns) >= r.opts.MaxConns {
-		r.mu.Unlock()
-		r.rstats.AcceptRejects.Inc()
-		return nil, fmt.Errorf("reactor: register fd %d: connection cap (%d) reached", fd, r.opts.MaxConns)
 	}
 	r.conns[fd] = c
 	r.mu.Unlock()
@@ -605,10 +576,6 @@ func (r *Reactor) dispatchEvent(t batchTarget, ev *pollEvent) {
 }
 
 // acceptDrain accepts until EAGAIN (edge semantics on the listen socket).
-// The MaxConns admission cap is enforced here, before any handler sees the
-// socket: an over-cap accept is closed immediately, so a connection flood
-// costs one accept+close each instead of a registration, a Conn, and
-// handler state.
 func (r *Reactor) acceptDrain(ln *listener) {
 	for {
 		fd, err := sysAccept(ln.fd)
@@ -621,12 +588,6 @@ func (r *Reactor) acceptDrain(ln *listener) {
 			r.mu.Unlock()
 			sysClose(fd)
 			return
-		}
-		if r.opts.MaxConns > 0 && len(r.conns) >= r.opts.MaxConns {
-			r.mu.Unlock()
-			r.rstats.AcceptRejects.Inc()
-			sysClose(fd)
-			continue
 		}
 		r.conns[fd] = c
 		r.mu.Unlock()

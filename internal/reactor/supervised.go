@@ -42,10 +42,10 @@ type supListener struct {
 // the reactor with a new generation; once the restart budget is exhausted
 // the target is Failed and stays down.
 type Supervised struct {
-	name  string
-	reg   *gid.Registry
-	ropts Options
-	sup   *supervise.Supervisor
+	name   string
+	reg    *gid.Registry
+	rstats *metrics.ReactorStats // one set of counters for every generation
+	sup    *supervise.Supervisor
 
 	mu        sync.Mutex
 	cur       *Reactor
@@ -55,15 +55,11 @@ type Supervised struct {
 	closed    bool
 }
 
-// NewSupervised builds generation 0 of a supervised reactor. ropts applies
-// to every generation (survivability counters accumulate across restarts);
-// sopts tunes the restart policy — set sopts.PanicThreshold to restart on
-// handler-panic storms, leave it 0 to rely on containment alone.
-func NewSupervised(name string, reg *gid.Registry, ropts Options, sopts supervise.Options) (*Supervised, error) {
-	if ropts.Stats == nil {
-		ropts.Stats = metrics.NewReactorStats()
-	}
-	s := &Supervised{name: name, reg: reg, ropts: ropts}
+// NewSupervised builds generation 0 of a supervised reactor. sopts tunes the
+// restart policy — set sopts.PanicThreshold to restart on handler-panic
+// storms, leave it 0 to rely on containment alone.
+func NewSupervised(name string, reg *gid.Registry, sopts supervise.Options) (*Supervised, error) {
+	s := &Supervised{name: name, reg: reg, rstats: metrics.NewReactorStats()}
 	sup, err := supervise.New(name, s.spawn, sopts)
 	if err != nil {
 		return nil, err
@@ -77,7 +73,7 @@ func NewSupervised(name string, reg *gid.Registry, ropts Options, sopts supervis
 // Generation 0 runs synchronously inside NewSupervised; later generations
 // run on the supervisor loop after a crash.
 func (s *Supervised) spawn(gen int) (executor.Executor, error) {
-	r, err := NewWithOptions(s.name, s.reg, s.ropts)
+	r, err := newReactor(s.name, s.reg, s.rstats)
 	if err != nil {
 		return nil, err
 	}
@@ -168,7 +164,7 @@ func (s *Supervised) Stats() Stats {
 
 // RStats returns the live survivability counters, shared by every
 // generation.
-func (s *Supervised) RStats() *metrics.ReactorStats { return s.ropts.Stats }
+func (s *Supervised) RStats() *metrics.ReactorStats { return s.rstats }
 
 // SetInterceptor installs the readiness chaos seam on the current and all
 // future generations.

@@ -19,7 +19,7 @@ func newTestSupervised(t *testing.T, name string) *Supervised {
 	if !Supported {
 		t.Skip("no reactor poller on this platform")
 	}
-	s, err := NewSupervised(name, &gid.Registry{}, Options{}, supervise.Options{
+	s, err := NewSupervised(name, &gid.Registry{}, supervise.Options{
 		MaxRestarts:    10,
 		Window:         time.Minute,
 		BackoffInitial: time.Millisecond,

@@ -62,7 +62,7 @@ func (e *Exec) enqueue(fn func(), comp *executor.Completion, spawn trace.SpanID)
 	s := e.s
 	t := &stask{Bracket: executor.Bracket{Fn: fn}, comp: comp, exec: e}
 	if e.stopped {
-		t.Fail(comp, executor.ErrShutdown)
+		t.Fail(comp, e.name, executor.ErrShutdown)
 		return
 	}
 	t.seq = s.nextSeq() // drawn only for admitted tasks: seqs appear in the decision log
@@ -135,8 +135,7 @@ func (e *Exec) TryRunPending() bool {
 	t := e.take(idx)
 	s.log.Append(trace.Decision{Step: s.steps, Kind: "help", Target: e.name, Seq: t.seq, Alts: alts, Virt: s.virt})
 	s.steps++
-	s.run(t)
-	return true
+	return s.run(t)
 }
 
 // WaitPending parks until this executor has pending work or cancel fires.

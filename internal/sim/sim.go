@@ -382,8 +382,9 @@ func (s *Sim) step() bool {
 // run executes t on the simulation goroutine under its executor's
 // identity: the goroutine registry answers "member of t.exec" for the
 // task's duration, so core's thread-context awareness (Algorithm 1 line 6)
-// and the await help-first path behave exactly as on the real runtime.
-func (s *Sim) run(t *stask) {
+// and the await help-first path behave exactly as on the real runtime. It
+// reports whether the body ran (false: t was cancelled while queued).
+func (s *Sim) run(t *stask) bool {
 	prev := s.running
 	s.running = t.exec
 	s.reg.Register(t.exec)
@@ -393,8 +394,11 @@ func (s *Sim) run(t *stask) {
 			s.reg.Register(prev)
 		}
 	}()
-	t.exec.dispatched++
-	t.Run(t.comp, t.exec.name, nil)
+	ran := t.Run(t.comp, t.exec.name, nil)
+	if ran {
+		t.exec.dispatched++
+	}
+	return ran
 }
 
 // pump drives the scheduler until ready() reports true, failing the run

@@ -445,25 +445,6 @@ func (s *Supervisor) Post(fn func()) *executor.Completion {
 	}
 }
 
-// PostCancellable preserves the inner executor's cancellation capability.
-func (s *Supervisor) PostCancellable(fn func()) (*executor.Completion, func() bool) {
-	st, e := s.snapshot()
-	switch st {
-	case Failed:
-		s.stats.FailFast.Inc()
-		return executor.NewCompletedCompletion(ErrTargetDown), func() bool { return false }
-	case Restarting:
-		s.stats.FailFast.Inc()
-		return executor.NewCompletedCompletion(ErrRestarting), func() bool { return false }
-	}
-	if cp, ok := e.(interface {
-		PostCancellable(func()) (*executor.Completion, func() bool)
-	}); ok {
-		return cp.PostCancellable(fn)
-	}
-	return e.Post(fn), func() bool { return false }
-}
-
 // Owns implements executor.Executor against the current generation.
 func (s *Supervisor) Owns() bool {
 	_, e := s.snapshot()

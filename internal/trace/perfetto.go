@@ -61,7 +61,7 @@ func ExportTraceEvent(w io.Writer, events []Event) error {
 	// worker/EDT; name the track after it.
 	trackName := make(map[uint64]string)
 	for _, n := range tree.ByID {
-		if n.Name == "run" && n.Target != "" && trackName[n.Gid] == "" {
+		if n.Name == "run" && n.Target != "" && !n.Start.IsZero() && trackName[n.Gid] == "" {
 			trackName[n.Gid] = "target " + n.Target
 		}
 	}

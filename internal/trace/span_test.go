@@ -131,6 +131,10 @@ func TestBuildTreeOrphansAndEnqueueFallback(t *testing.T) {
 		{Op: OpEnqueue, Span: 7, Parent: 3, Target: "w", Name: "enqueue", Time: base},
 		{Op: OpSpanBegin, Span: 3, Name: "invoke", Target: "w", Time: base.Add(time.Millisecond)},
 		{Op: OpSpanEnd, Span: 3, Name: "invoke", Target: "w", Time: base.Add(2 * time.Millisecond)},
+		// Enqueue then end with no begin: a task cancelled or failed while
+		// queued gives its span id back without ever running.
+		{Op: OpEnqueue, Span: 8, Parent: 3, Target: "w", Name: "enqueue", Time: base.Add(time.Millisecond)},
+		{Op: OpSpanEnd, Span: 8, Name: "run", Target: "w", Time: base.Add(3 * time.Millisecond)},
 	}
 	tree := BuildTree(events)
 	if len(tree.Orphans) != 1 || tree.Orphans[0].Span != 999 {
@@ -141,8 +145,16 @@ func TestBuildTreeOrphansAndEnqueueFallback(t *testing.T) {
 		t.Fatalf("enqueue-only span not reconstructed: %+v", n)
 	}
 	inv := tree.ByID[3]
-	if inv == nil || len(inv.Children) != 1 || inv.Children[0].ID != 7 {
-		t.Fatalf("enqueue-only span not parented under invoke:\n%s", tree.String())
+	if inv == nil || len(inv.Children) != 2 || inv.Children[0].ID != 7 || inv.Children[1].ID != 8 {
+		t.Fatalf("unbegun spans not parented under invoke:\n%s", tree.String())
+	}
+	u := tree.ByID[8]
+	if u.Name != "run" || u.Target != "w" || !u.Start.IsZero() || u.End.IsZero() || u.Duration() != 0 || u.QueueDelay() != 0 {
+		t.Fatalf("enqueue-then-end span not reconstructed as an unrun task: %+v", u)
+	}
+	var sb strings.Builder
+	if err := ExportTraceEvent(&sb, events); err != nil || strings.Contains(sb.String(), "target w") {
+		t.Fatalf("export of an unrun task: err=%v, and no goroutine ran it to be named after:\n%s", err, sb.String())
 	}
 }
 
