@@ -59,8 +59,8 @@ lint:
 	$(GO) run ./cmd/ompvet ./...
 
 # ci runs the make-shaped gates of the `test` job in .github/workflows/ci.yml
-# (which adds the reactor -count=2 sweep, two cross-compiles and the bench
-# smokes); like CI it gives the contention gate the shared-runner slack.
+# (which adds the reactor -count=2 and GOMAXPROCS=1 sweeps, two
+# cross-compiles and the bench smokes); like CI it gives the contention gate the shared-runner slack.
 ci: build lint test race allocs size bench-smoke
 	$(MAKE) bench-mp MP_RATIO=1.5
 

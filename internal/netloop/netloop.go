@@ -465,8 +465,9 @@ func (c *Client) RemoteAddr() string {
 // queued and flushed on writability edges.
 func (c *Client) Send(line string) error {
 	if c.rc != nil {
-		buf := make([]byte, 0, len(line)+1)
-		buf = append(buf, line...)
+		// Conn.Write copies what it queues: short lines are framed on the stack.
+		var stack [256]byte
+		buf := append(stack[:0], line...)
 		buf = append(buf, '\n')
 		return c.rc.Write(buf)
 	}

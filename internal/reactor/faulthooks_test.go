@@ -71,7 +71,8 @@ func (r *recorder) payload() any { return r.last.Load().([1]any)[0] }
 // TestFaultHooksAcrossEmbedders holds WorkerPool, eventloop.Loop and Reactor
 // to one contract for the hooks they share: the panic handler fires exactly
 // once per contained panic with the panic value, the crash handler exactly
-// once per goroutine death with nil for a Goexit, nil uninstalls either, and
+// once per goroutine death with nil for a Goexit, nil uninstalls either, a
+// crash nobody heard goes once to the next crash handler installed, and
 // installing while a fault is in flight is race-clean.
 func TestFaultHooksAcrossEmbedders(t *testing.T) {
 	for _, tc := range faultTargets {
@@ -124,6 +125,22 @@ func TestFaultHooksAcrossEmbedders(t *testing.T) {
 			ft.stop()
 			if n := crash.n.Load(); n != 0 {
 				t.Fatalf("crash handler called %d times after nil uninstalled it, want 0", n)
+			}
+		})
+		t.Run(tc.name+"/goexit-before-install", func(t *testing.T) {
+			defer leakcheck.Check(t)()
+			ft := tc.build(t)
+			ft.run(runtime.Goexit)
+			poll.Until(t, "crash recorded", ft.crashed)
+			ft.stop() // the unheard notification is over
+			var crash, late recorder
+			ft.hooks.SetCrashHandler(crash.handle)
+			ft.hooks.SetCrashHandler(late.handle)
+			if n, v := crash.n.Load(), crash.payload(); n != 1 || v != nil {
+				t.Fatalf("first handler installed after the crash: %d calls, payload %v; want 1, nil", n, v)
+			}
+			if n := late.n.Load(); n != 0 {
+				t.Fatalf("held crash delivered again to a second handler (%d calls)", n)
 			}
 		})
 		t.Run(tc.name+"/install-during-fault", func(t *testing.T) {

@@ -103,13 +103,14 @@ func (r *Reactor) ioFault(op IOOp, fd int) (IOFault, time.Duration) {
 	return (*p)(op, fd)
 }
 
-// ioRead is sysRead behind the fault seam.
-func (r *Reactor) ioRead(fd int, p []byte) (int, error) {
+// ioRead is sysRead behind the fault seam. asked is the length handed to
+// the kernel (IOShort shrinks it): readDrain stops a stream at n < asked.
+func (r *Reactor) ioRead(fd int, p []byte) (n, asked int, err error) {
 	switch f, d := r.ioFault(IORead, fd); f {
 	case IOAgain:
-		return 0, errInjectedAgain
+		return 0, 0, errInjectedAgain
 	case IOReset:
-		return 0, ErrInjectedReset
+		return 0, 0, ErrInjectedReset
 	case IODelay:
 		time.Sleep(d)
 	case IOShort:
@@ -117,7 +118,8 @@ func (r *Reactor) ioRead(fd int, p []byte) (int, error) {
 			p = p[:1]
 		}
 	}
-	return sysRead(fd, p)
+	n, err = sysRead(fd, p)
+	return n, len(p), err
 }
 
 // ioWrite is sysWrite behind the fault seam.

@@ -10,7 +10,8 @@ type pollEvent struct {
 
 // poller abstracts the platform readiness facility (epoll on linux,
 // kqueue on darwin). All registrations are edge-triggered: an event is
-// reported once per edge and the caller must drain to EAGAIN.
+// reported once per edge and the caller must drain the descriptor (see
+// readDrain for what counts as drained).
 //
 // add/mod/del/wake are safe from any goroutine (the kernel serializes
 // them); wait is called only by the poll goroutine.

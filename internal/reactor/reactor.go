@@ -8,11 +8,14 @@
 //
 // Shape of the machine:
 //
-//   - one poll goroutine owns every registered descriptor; it blocks in
-//     epoll_wait/kevent and never anywhere else;
-//   - registration is edge-triggered: each readiness event is drained to
-//     EAGAIN (reads into a single shared scratch buffer, writes out of the
-//     per-connection pending queue), so an edge is never lost;
+//   - one poll goroutine owns every registered descriptor; it waits on the
+//     platform poller and never anywhere else — on linux parked on the Go
+//     runtime's netpoller like any goroutine reading a socket (no thread
+//     sits in epoll_wait, see sys_linux.go), on darwin as a thread in kevent;
+//   - registration is edge-triggered: each readiness event is drained (reads
+//     into a single shared scratch buffer to EAGAIN, or to a short read on
+//     the reactor's own TCP streams; writes out of the per-connection
+//     pending queue), so an edge is never lost;
 //   - a wakeup pipe lets any goroutine Post work onto the poll goroutine —
 //     the cross-thread ingress every single-threaded event loop needs;
 //   - each connection is a *virtual target bound to an FD*: its callbacks
@@ -414,7 +417,7 @@ func (r *Reactor) Dial(addr string, h HandlerFuncs) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := r.Register(fd, h)
+	c, err := r.register(fd, h, true)
 	if err != nil {
 		sysClose(fd)
 		return nil, err
@@ -426,11 +429,17 @@ func (r *Reactor) Dial(addr string, h HandlerFuncs) (*Conn, error) {
 // Register places an already-open descriptor (socket, pipe, ...) under the
 // reactor. The descriptor is set non-blocking and the reactor takes
 // ownership: it will be closed when the connection leaves the reactor.
+// Each readability edge is read to EAGAIN: the short-read stop of readDrain
+// holds for streams only, and what a caller hands in is not known here.
 func (r *Reactor) Register(fd int, h HandlerFuncs) (*Conn, error) {
+	return r.register(fd, h, false)
+}
+
+func (r *Reactor) register(fd int, h HandlerFuncs, stream bool) (*Conn, error) {
 	if err := sysSetNonblock(fd); err != nil {
 		return nil, fmt.Errorf("reactor: set nonblocking: %w", err)
 	}
-	c := &Conn{r: r, fd: fd, h: h}
+	c := &Conn{r: r, fd: fd, h: h, stream: stream}
 	r.mu.Lock()
 	if r.closed || r.draining {
 		r.mu.Unlock()
@@ -582,7 +591,7 @@ func (r *Reactor) acceptDrain(ln *listener) {
 		if err != nil {
 			return // EAGAIN, or listener closed underneath us
 		}
-		c := &Conn{r: r, fd: fd}
+		c := &Conn{r: r, fd: fd, stream: true}
 		r.mu.Lock()
 		if r.closed || r.draining {
 			r.mu.Unlock()
@@ -652,17 +661,23 @@ func (r *Reactor) connReady(c *Conn, ev *pollEvent) {
 	}
 }
 
-// readDrain reads until EAGAIN or EOF — the edge-triggered contract.
+// readDrain reads until EAGAIN or EOF — the edge-triggered contract — or,
+// on a stream, until a read returns less than it asked the kernel for:
+// epoll(7) sanctions that for stream descriptors, and it saves the read(2)
+// that could only have said EAGAIN. Later bytes raise a fresh edge.
 func (r *Reactor) readDrain(c *Conn) {
 	r.san.Check("readDrain on", r.name)
 	for !c.dead() {
-		n, err := r.ioRead(c.fd, r.readBuf)
+		n, asked, err := r.ioRead(c.fd, r.readBuf)
 		switch {
 		case n > 0:
 			r.bytesRead.Add(int64(n))
 			c.noteRead()
 			if c.h.OnReadable != nil {
 				c.h.OnReadable(c, r.readBuf[:n])
+			}
+			if c.stream && n < asked {
+				return
 			}
 		case err == nil:
 			// n == 0: EOF.
@@ -846,9 +861,10 @@ func (r *Reactor) beginDrain(deadline time.Time) {
 // HandlerFuncs run confined to the poll goroutine; Write and Close are
 // safe from any goroutine.
 type Conn struct {
-	r  *Reactor
-	fd int
-	h  HandlerFuncs
+	r      *Reactor
+	fd     int
+	h      HandlerFuncs
+	stream bool // a TCP stream the reactor accepted or dialled (see readDrain)
 
 	ctx atomic.Value // user attachment
 

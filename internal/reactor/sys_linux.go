@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"syscall"
+	"time"
 )
 
 // Supported reports whether this platform has a reactor poller.
@@ -20,13 +22,25 @@ const epollET = uint32(1) << 31
 // epollPoller is the linux backend: one epoll instance plus a non-blocking
 // wakeup pipe registered level-triggered (it is fully drained on every
 // wakeup, so level vs edge is immaterial — level keeps a missed drain from
-// wedging the loop).
+// wedging the loop). The epoll descriptor is itself non-blocking and held by
+// an os.File, so the Go runtime's netpoller watches it (nested epoll) and
+// wait blocks no thread: with nothing ready the poll goroutine parks in
+// internal/poll and its P goes to whatever a Post just made runnable.
 type epollPoller struct {
-	epfd   int
+	epfd   int                // owned by f; add/mod/del use the number
+	f      *os.File           // keeps epfd open and on the netpoller
+	rc     syscall.RawConn    // f's
+	poll   func(uintptr) bool // pollOnce, bound once: rc.Read gets no fresh closure
 	wakeR  int
 	wakeW  int
 	kevs   []syscall.EpollEvent // reused across waits: no per-wait allocation
 	closeO sync.Once
+
+	// One wait's state, shared with pollOnce. Poll-goroutine only.
+	n       int // pollOnce's last epoll_wait
+	err     error
+	noPark  bool // timeoutMs == 0: report what is ready, never park
+	armedMs int  // timeout behind f's read deadline; 0 none, -1 expired
 }
 
 func newPoller() (poller, error) {
@@ -39,7 +53,18 @@ func newPoller() (poller, error) {
 		syscall.Close(epfd)
 		return nil, fmt.Errorf("reactor: pipe2: %w", err)
 	}
-	ep := &epollPoller{epfd: epfd, wakeR: p[0], wakeW: p[1]}
+	// os.NewFile puts only an already non-blocking descriptor on the
+	// netpoller, and only a file that is on it accepts a deadline.
+	syscall.SetNonblock(epfd, true)
+	ep := &epollPoller{epfd: epfd, f: os.NewFile(uintptr(epfd), "epoll"), wakeR: p[0], wakeW: p[1]}
+	ep.poll = ep.pollOnce
+	if err = ep.f.SetReadDeadline(time.Time{}); err == nil {
+		ep.rc, err = ep.f.SyscallConn()
+	}
+	if err != nil {
+		ep.close()
+		return nil, fmt.Errorf("reactor: epoll fd not on the netpoller: %w", err)
+	}
 	ev := syscall.EpollEvent{Events: syscall.EPOLLIN, Fd: int32(ep.wakeR)}
 	if err := syscall.EpollCtl(epfd, syscall.EPOLL_CTL_ADD, ep.wakeR, &ev); err != nil {
 		ep.close()
@@ -74,33 +99,56 @@ func (p *epollPoller) wait(evs []pollEvent, timeoutMs int) (int, bool, error) {
 	if len(p.kevs) < len(evs) {
 		p.kevs = make([]syscall.EpollEvent, len(evs))
 	}
-	kevs := p.kevs
+	// The read deadline is the timer-driven return, re-armed only when the
+	// timeout changes: a deadline set earlier for as many milliseconds fires
+	// no later than one set now would.
+	if ms := max(timeoutMs, 0); ms != p.armedMs {
+		var at time.Time
+		if ms > 0 {
+			at = time.Now().Add(time.Duration(ms) * time.Millisecond)
+		}
+		p.f.SetReadDeadline(at) // refused only once closed, which Read reports
+		p.armedMs = ms
+	}
+	p.noPark = timeoutMs == 0
+	if err := p.rc.Read(p.poll); errors.Is(err, os.ErrDeadlineExceeded) {
+		p.armedMs = -1 // stays expired until re-armed
+		return 0, false, nil
+	} else if err != nil {
+		return 0, false, fmt.Errorf("reactor: poller closed: %w", err)
+	}
+	if p.err != nil {
+		return 0, false, fmt.Errorf("reactor: epoll_wait: %w", p.err)
+	}
+	out, woken := 0, false
+	for i := 0; i < p.n; i++ {
+		fd := int(p.kevs[i].Fd)
+		if fd == p.wakeR {
+			woken = true
+			p.drainWake()
+			continue
+		}
+		e := p.kevs[i].Events
+		evs[out] = pollEvent{
+			fd:       fd,
+			readable: e&(syscall.EPOLLIN|syscall.EPOLLPRI) != 0,
+			writable: e&syscall.EPOLLOUT != 0,
+			hup:      e&(syscall.EPOLLRDHUP|syscall.EPOLLHUP|syscall.EPOLLERR) != 0,
+		}
+		out++
+	}
+	return out, woken, nil
+}
+
+// pollOnce is wait's RawConn.Read callback: a zero-timeout epoll_wait.
+// Returning false parks the goroutine until the epoll descriptor turns
+// readable (Read calls pollOnce again) or the deadline passes.
+func (p *epollPoller) pollOnce(fd uintptr) bool {
 	for {
-		n, err := syscall.EpollWait(p.epfd, kevs, timeoutMs)
-		if err != nil {
-			if err == syscall.EINTR {
-				continue
-			}
-			return 0, false, fmt.Errorf("reactor: epoll_wait: %w", err)
+		p.n, p.err = syscall.EpollWait(int(fd), p.kevs, 0)
+		if p.err != syscall.EINTR {
+			return p.n > 0 || p.err != nil || p.noPark
 		}
-		out, woken := 0, false
-		for i := 0; i < n; i++ {
-			fd := int(kevs[i].Fd)
-			if fd == p.wakeR {
-				woken = true
-				p.drainWake()
-				continue
-			}
-			e := kevs[i].Events
-			evs[out] = pollEvent{
-				fd:       fd,
-				readable: e&(syscall.EPOLLIN|syscall.EPOLLPRI) != 0,
-				writable: e&syscall.EPOLLOUT != 0,
-				hup:      e&(syscall.EPOLLRDHUP|syscall.EPOLLHUP|syscall.EPOLLERR) != 0,
-			}
-			out++
-		}
-		return out, woken, nil
 	}
 }
 
@@ -127,7 +175,7 @@ func (p *epollPoller) wake() {
 
 func (p *epollPoller) close() {
 	p.closeO.Do(func() {
-		syscall.Close(p.epfd)
+		p.f.Close() // owns epfd
 		syscall.Close(p.wakeR)
 		syscall.Close(p.wakeW)
 	})

@@ -1,0 +1,66 @@
+package supervise
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/gid"
+	"repro/internal/trace"
+)
+
+// restartObserver is a trace sink standing where any outside observer
+// stands: at each OpRestart — which the supervisor loop emits right after it
+// publishes Restarting — it reads the state and the two counters that say
+// what kind of restart that is.
+type restartObserver struct {
+	s    *Supervisor
+	seen chan [3]int64 // state, respawns, restarts
+}
+
+func (o *restartObserver) Record(e trace.Event) {
+	if e.Op != trace.OpRestart {
+		return
+	}
+	st, _ := o.s.snapshot()
+	o.seen <- [3]int64{int64(st), o.s.stats.Respawns.Value(), o.s.stats.Restarts.Value()}
+}
+
+// TestRestartingIsPublishedAfterItsCounter pins defect (i): an observer of
+// Restarting must find the respawn (or the full restart) already counted.
+// No sleeps: the observation is made on the supervisor's own goroutine, at
+// the event that announces the transition.
+func TestRestartingIsPublishedAfterItsCounter(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		respawn bool
+		want    [3]int64
+	}{
+		{"respawn", true, [3]int64{int64(Restarting), 1, 0}},
+		{"full restart", false, [3]int64{int64(Restarting), 0, 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var reg gid.Registry
+			s, err := New("w", poolFactory(t, &reg, 2), Options{
+				RespawnWorkers: tc.respawn,
+				BackoffInitial: time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Shutdown()
+			obs := &restartObserver{s: s, seen: make(chan [3]int64, 1)}
+			t.Cleanup(trace.Use(obs))
+
+			s.Post(func() { runtime.Goexit() }) // kill one worker
+			select {
+			case got := <-obs.seen:
+				if got != tc.want {
+					t.Fatalf("at OpRestart: state/respawns/restarts = %v, want %v", got, tc.want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("no OpRestart")
+			}
+		})
+	}
+}

@@ -331,7 +331,6 @@ func (s *Supervisor) handleFailure(f failure) {
 		go old.Shutdown()
 		return
 	}
-	s.state = Restarting
 	s.restarts = append(s.restarts, now)
 	s.total++
 	s.lastRestart = now
@@ -342,13 +341,20 @@ func (s *Supervisor) handleFailure(f failure) {
 	if f.kind == kindCrash && s.opts.RespawnWorkers {
 		gw, _ = base(old).(grower)
 	}
+	// Counted before Restarting is published: whoever reads the state (or a
+	// Degraded health) finds the respawn or restart behind it in the stats.
+	if gw != nil {
+		s.stats.Respawns.Inc()
+	} else {
+		s.stats.Restarts.Inc()
+	}
+	s.state = Restarting
 	s.mu.Unlock()
 
 	trace.Emit(trace.OpRestart, s.name)
 	if gw != nil {
 		// One-for-one: replace just the dead worker. Queued tasks stay
 		// queued — the respawned worker drains them.
-		s.stats.Respawns.Inc()
 		if !s.sleep(s.backoff(recent)) {
 			return
 		}
@@ -362,7 +368,6 @@ func (s *Supervisor) handleFailure(f failure) {
 	}
 
 	// Full restart: fail what the old executor still holds, replace it.
-	s.stats.Restarts.Inc()
 	failPending(old, ErrRestarting)
 	go old.Shutdown()
 	if !s.sleep(s.backoff(recent)) {
