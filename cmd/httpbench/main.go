@@ -107,8 +107,8 @@ func runFigure9(workers []int, users, reqs, kbytes, ompThreads int) {
 		// The counters behind benchmark/'s executor.* probes, from the widest sweep point:
 		// how much work the dispatch path moved and how deep it queued.
 		if st := series[len(series)-1].Sched; st.Submitted > 0 {
-			fmt.Printf("%-16s submitted=%d completed=%d helped=%d steals=%d rejected=%d peak=%d\n",
-				"  sched", st.Submitted, st.Completed, st.Helped, st.Steals, st.Rejected, st.QueuePeak)
+			fmt.Printf("%-16s submitted=%d completed=%d helped=%d rejected=%d peak=%d\n",
+				"  sched", st.Submitted, st.Completed, st.Helped, st.Rejected, st.QueuePeak)
 		}
 	}
 }

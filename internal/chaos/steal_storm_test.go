@@ -11,16 +11,17 @@ import (
 	"repro/internal/testutil/leakcheck"
 )
 
-// TestStealStormWakeExactlyOne is the PR-8 scheduler storm: 64 producers
-// flood a 4-worker pool through a seeded delay injector, so shard queues
-// fill unevenly, workers block inside injected delays, and the pool leans
-// hard on stealing and on wake propagation (a worker that takes a task and
-// sees backlog wakes exactly one parked sibling). The proof obligations:
+// TestStealStormWakeExactlyOne is the scheduler storm (named in PR 8, when
+// the pool stole between per-worker queues): 64 producers flood a 4-worker
+// pool through a seeded delay injector, so workers block inside injected
+// delays and the pool leans hard on wake propagation (a worker that takes a
+// task and sees backlog wakes exactly one parked sibling). The proof
+// obligations:
 //
-//   - liveness: every posted task completes — no lost wakeup strands a
-//     shard behind parked workers (this is the failure counted parking
-//     would hit if a producer's wake were elided while no spinner actually
-//     covered the task's shard);
+//   - liveness: every posted task completes — no lost wakeup strands the
+//     queue behind parked workers (this is the failure counted parking
+//     would hit if a producer's wake were elided while no spinner was
+//     actually polling);
 //   - quiescence: the pool drains to zero depth and shuts down cleanly
 //     with no leaked goroutines (leakcheck.Main covers the package).
 //
@@ -31,8 +32,8 @@ func TestStealStormWakeExactlyOne(t *testing.T) {
 	var reg gid.Registry
 	pool := executor.NewWorkerPool("storm", 4, &reg)
 	in := New(SeedFromEnv(1337),
-		// Sparse injected delays: enough to wedge individual workers and
-		// skew shard depths, small enough to keep the storm sub-second.
+		// Sparse injected delays: enough to wedge individual workers, small
+		// enough to keep the storm sub-second.
 		Rule{Action: Delay, Rate: 0.05, Delay: 200 * time.Microsecond},
 	)
 	ex := in.Wrap(pool)

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -119,8 +120,17 @@ type Runtime struct {
 	owned map[string]bool // targets whose lifecycle we manage (Shutdown)
 
 	groupMu sync.RWMutex
-	groups  map[string]*nameGroup
+	groups  map[string]*nameGroup // tags with a block or a verdict left to join
+	// spare keeps the groups WaitTag took out of the table for the next
+	// first use of a tag: a program that joins a tag and then uses it again
+	// would otherwise pay for a group and its slice every round (the
+	// InvokeNamed+WaitTag budget row is one object). Guarded by groupMu.
+	spare []*nameGroup
 }
+
+// maxSpareGroups bounds spare; it is above the number of tags any measured
+// workload has between join and reuse at one time (edt_dispatch cycles 32).
+const maxSpareGroups = 64
 
 // view is one immutable snapshot of the runtime's registry and ICVs.
 type view struct {
@@ -372,7 +382,7 @@ func (r *Runtime) invoke(target string, mode Mode, tag string, nilBlock bool,
 	case Nowait:
 		// Lines 10-11: return directly.
 	case NameAs:
-		r.group(tag).add(comp)
+		r.track(tag, comp)
 	case Await:
 		// Lines 13-16: logical barrier.
 		r.AwaitCompletion(comp)
@@ -531,27 +541,68 @@ func (g *nameGroup) snapshot(buf []*executor.Completion) []*executor.Completion 
 	return buf
 }
 
-// lookup returns tag's group, nil if the tag was never used.
-func (r *Runtime) lookup(tag string) *nameGroup {
+// track adds c to tag's group, creating the group on the tag's first use —
+// the only time an invoke locks the group table exclusively. A join that
+// leaves nothing under the tag deletes the group, so the use after it is a
+// first use again: a tag that is joined and reused round after round takes
+// the exclusive lock twice a round (here and in WaitTag) where it took only
+// the shared one while groups were kept for ever. The add is made under the
+// table's lock, shared or not, and WaitTag deletes a group under the
+// exclusive one: an add never lands in a group that is no longer there.
+func (r *Runtime) track(tag string, c *executor.Completion) {
 	r.groupMu.RLock()
-	defer r.groupMu.RUnlock()
-	return r.groups[tag]
-}
-
-// group returns tag's group, creating it on the tag's first use — the only
-// time the group table is locked exclusively.
-func (r *Runtime) group(tag string) *nameGroup {
-	if g := r.lookup(tag); g != nil {
-		return g
+	g := r.groups[tag]
+	if g != nil {
+		g.add(c)
+	}
+	r.groupMu.RUnlock()
+	if g != nil {
+		return
 	}
 	r.groupMu.Lock()
-	defer r.groupMu.Unlock()
-	g := r.groups[tag]
+	g = r.groups[tag]
 	if g == nil {
-		g = &nameGroup{}
+		if n := len(r.spare); n > 0 {
+			g, r.spare = r.spare[n-1], r.spare[:n-1]
+		} else {
+			g = &nameGroup{}
+		}
 		r.groups[tag] = g
 	}
-	return g
+	g.add(c)
+	r.groupMu.Unlock()
+}
+
+// joinable returns tag's group — nil if nothing is tracked under the tag —
+// and appends its tracked completions to buf. Group and completions are read
+// under the table's lock: a group WaitTag deletes may be another tag's the
+// next moment, so nobody reads one it found earlier.
+func (r *Runtime) joinable(tag string, buf []*executor.Completion) (*nameGroup, []*executor.Completion) {
+	r.groupMu.RLock()
+	defer r.groupMu.RUnlock()
+	g := r.groups[tag]
+	if g == nil {
+		return nil, buf
+	}
+	return g, g.snapshot(buf)
+}
+
+// retire reports whether the group holds nothing for a later join — every
+// tracked block has finished, and every error verdict is among joined, the
+// blocks whose verdicts the calling join has collected — and if so empties it
+// for its next tag. The caller holds the group table exclusively, so no add is
+// in flight, and has taken the retained verdict.
+func (g *nameGroup) retire(joined []*executor.Completion) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for _, c := range g.comps {
+		if !c.Finished() || c.Err() != nil && !slices.Contains(joined, c) {
+			return false
+		}
+	}
+	clear(g.comps)
+	g.comps = g.comps[:0]
+	return true
 }
 
 // WaitTag suspends the calling goroutine until every target block instance
@@ -561,19 +612,38 @@ func (r *Runtime) group(tag string) *nameGroup {
 // instances finish". Waiting on a tag that was never used is a no-op. It
 // returns the first error (captured panic) among the joined blocks, if any.
 func (r *Runtime) WaitTag(tag string) error {
-	g := r.lookup(tag)
+	var buf [16]*executor.Completion
+	g, joined := r.joinable(tag, buf[:0])
 	if g == nil {
 		return nil
 	}
-	// A pruned block finished before any block still tracked, so its
-	// retained verdict is the tag's first error.
-	first := g.takeErr()
-	var buf [16]*executor.Completion
-	for _, c := range g.snapshot(buf[:0]) {
+	var first error
+	for _, c := range joined {
 		if err := c.Wait(); err != nil && first == nil {
 			first = err
 		}
 	}
+	// A program that tags per request must not keep a group per request:
+	// once nothing is left under the tag, the tag is as good as never used.
+	r.groupMu.Lock()
+	if r.groups[tag] == g {
+		// (True again, too, if another join retired g meanwhile and the
+		// tag's next first use took it back from spare: it is this tag's
+		// group either way, and retire keeps a group in which a block this
+		// join did not collect is still running or has failed.)
+		// A pruned block finished before any block still tracked, so its
+		// retained verdict is the tag's first error.
+		if err := g.takeErr(); err != nil {
+			first = err
+		}
+		if g.retire(joined) {
+			delete(r.groups, tag)
+			if len(r.spare) < maxSpareGroups {
+				r.spare = append(r.spare, g)
+			}
+		}
+	}
+	r.groupMu.Unlock()
 	return first
 }
 
@@ -591,13 +661,10 @@ func (r *Runtime) Wait(tags ...string) error {
 // PendingInTag returns the number of unfinished blocks currently tracked
 // under tag (for tests and monitoring).
 func (r *Runtime) PendingInTag(tag string) int {
-	g := r.lookup(tag)
-	if g == nil {
-		return 0
-	}
 	n := 0
 	var buf [16]*executor.Completion
-	for _, c := range g.snapshot(buf[:0]) {
+	_, comps := r.joinable(tag, buf[:0])
+	for _, c := range comps {
 		if !c.Finished() {
 			n++
 		}

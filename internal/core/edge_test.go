@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -65,15 +66,15 @@ func TestNameGroupPrunesFinished(t *testing.T) {
 		c.Wait()
 	}
 	// The group holds only live completions plus the latest insertion;
-	// after everything finished, pending must be 0 and the internal slice
-	// must not have grown unboundedly.
+	// the internal slice must not have grown unboundedly.
+	g, comps := f.rt.joinable("prune", nil)
+	if g == nil || len(comps) > 2 {
+		t.Fatalf("name group %v retains %d finished completions", g, len(comps))
+	}
+	// And the join that finds nothing left takes the group out of the table.
 	f.rt.WaitTag("prune")
-	g := f.rt.lookup("prune")
-	g.mu.Lock()
-	held := len(g.comps)
-	g.mu.Unlock()
-	if held > 2 {
-		t.Fatalf("name group retains %d finished completions", held)
+	if g, _ := f.rt.joinable("prune", nil); g != nil {
+		t.Fatal("name group outlived the join that emptied it")
 	}
 }
 
@@ -146,5 +147,40 @@ func TestPoolStats(t *testing.T) {
 	}
 	if _, ok := stats["edt"]; ok {
 		t.Fatal("event loop unexpectedly reported pool stats")
+	}
+}
+
+// TestJoinedTagsLeaveNoGroup pins defect (ii) of the roadmap: a program that
+// tags per request must not keep a group per tag. Every tag that was invoked
+// and joined is out of the table again — also the one whose block panicked,
+// once its verdict has been handed to the join.
+func TestJoinedTagsLeaveNoGroup(t *testing.T) {
+	f := newFixture(t, 2)
+	const tags, batch = 100_000, 50
+	for i := 0; i < tags; i += batch {
+		for j := i; j < i+batch; j++ {
+			if _, err := f.rt.InvokeNamed("worker", "req"+strconv.Itoa(j), func() {}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for j := i; j < i+batch; j++ {
+			if err := f.rt.WaitTag("req" + strconv.Itoa(j)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	f.rt.InvokeNamed("worker", "boom", func() { panic("boom") })
+	var pe *executor.PanicError
+	if err := f.rt.WaitTag("boom"); !errors.As(err, &pe) {
+		t.Fatalf("WaitTag(boom) = %v, want the panic verdict", err)
+	}
+	if err := f.rt.WaitTag("boom"); err != nil {
+		t.Fatalf("second WaitTag(boom) = %v: the verdict was already taken", err)
+	}
+	f.rt.groupMu.RLock()
+	groups, spare := len(f.rt.groups), len(f.rt.spare)
+	f.rt.groupMu.RUnlock()
+	if groups != 0 || spare > maxSpareGroups {
+		t.Fatalf("after the joins: %d groups in the table and %d spare (max %d), want 0 groups", groups, spare, maxSpareGroups)
 	}
 }

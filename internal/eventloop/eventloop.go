@@ -19,15 +19,10 @@
 // actually parked (the waiters counter), so a loop that is keeping up never
 // pays a channel operation per Post.
 //
-// The EDT deliberately did NOT move to the worker pools' sharded run-queues
-// (PR 8). Sharding buys relief from multi-producer contention only when
-// multiple consumers drain the shards; the EDT is definitionally a single
-// consumer, and splitting its queue would either break FIFO dispatch order
-// (handlers observe events out of submission order) or force the drain loop
-// to merge shards back into one sequence — paying the coordination the
-// single queue avoids. The mutex-guarded ChunkQueue plus parked-only wakeups
-// is the right shape for one consumer; the shards live in executor.WorkerPool
-// where the consumers are plural.
+// The worker pool (executor.WorkerPool) has the same shape with plural
+// consumers: one mutex-guarded ChunkQueue, an atomic length mirror and
+// parked-only wakeups. What the loop adds is what a single consumer allows —
+// re-entrant pumping, timers and confinement.
 package eventloop
 
 import (

@@ -130,65 +130,55 @@ func TestConcurrentGrowShutdown(t *testing.T) {
 	}
 }
 
-// TestCrashRehomesQueuedTasks: a crashed worker's local shard must be
-// re-homed onto a survivor — the tasks that had hashed to the dead worker's
-// queue run to completion instead of waiting on a goroutine that no longer
-// exists.
-func TestCrashRehomesQueuedTasks(t *testing.T) {
+// TestCrashSurvivorsDrainQueue: a worker that crashes takes nothing with it —
+// the queue was never its own — so the tasks queued at the time of the crash
+// run to completion on the survivor, and Submitted stays exact.
+func TestCrashSurvivorsDrainQueue(t *testing.T) {
 	defer leakcheck.Check(t)()
 	var reg gid.Registry
 	p := NewWorkerPool("crash", 2, &reg)
 	defer p.Shutdown()
 
-	// Gate both workers, one per shard; each gate crashes (Goexit) or
-	// returns on command.
-	cmd0, cmd1 := make(chan bool), make(chan bool)
+	// Gate both workers; each gate crashes (Goexit) or returns on command.
+	crash := make(chan bool)
 	running := make(chan struct{}, 2)
-	p.postToShard(0, func() {
-		running <- struct{}{}
-		if <-cmd0 {
-			runtime.Goexit()
-		}
-	})
+	for i := 0; i < 2; i++ {
+		p.Post(func() {
+			running <- struct{}{}
+			if <-crash {
+				runtime.Goexit()
+			}
+		})
+	}
 	<-running
-	p.postToShard(1, func() {
-		running <- struct{}{}
-		if <-cmd1 {
-			runtime.Goexit()
-		}
-	})
 	<-running
 
-	const n = 30
+	const n = 60
 	var comps []*Completion
 	for i := 0; i < n; i++ {
-		comps = append(comps, p.postToShard(0, func() {}))
-		comps = append(comps, p.postToShard(1, func() {}))
+		comps = append(comps, p.Post(func() {}))
 	}
-	cmd0 <- true // crash gate 0's holder; its shard must move to the survivor
-	waitFor(t, "crash recorded", func() bool { return p.Crashes() == 1 })
-	// The survivor is still gated, so the re-homed count is exact: the
-	// dead worker's shard held the n tasks pinned to it and nothing else.
-	waitFor(t, "shard re-homed", func() bool { return p.Stats().Rehomed == n })
-	cmd1 <- false // free the survivor
+	crash <- true // one gate's holder dies
+	waitFor(t, "crash recorded", func() bool { return p.Crashes() == 1 && p.Workers() == 1 })
+	// The survivor is still gated, so the backlog is exact.
+	if d := p.Stats().QueueDepth; d != n {
+		t.Fatalf("QueueDepth = %d after the crash, want %d", d, n)
+	}
+	crash <- false // free the survivor
 	for _, c := range comps {
 		if err := c.Wait(); err != nil {
 			t.Fatalf("queued task failed after crash: %v", err)
 		}
 	}
-	if w := p.Workers(); w != 1 {
-		t.Fatalf("Workers = %d, want 1 after crash", w)
-	}
-	if got := p.Stats().Submitted; got != 2*n+2 {
-		t.Fatalf("Submitted = %d, want %d (carry must survive the dead shard)", got, 2*n+2)
+	if got := p.Stats().Submitted; got != n+2 {
+		t.Fatalf("Submitted = %d, want %d", got, n+2)
 	}
 }
 
-// TestCrashLastWorkerOrphanGrowAdopts: when the last worker crashes, its
-// shard is orphaned in place — posts still land there — and Grow hands the
-// orphan to the respawned worker, which drains the backlog. This is the
-// contract supervise.RespawnWorkers depends on: respawn a worker *with its
-// queue*.
+// TestCrashLastWorkerOrphanGrowAdopts: when the last worker crashes the
+// queue stays — posts still land there — and the worker Grow adds drains the
+// backlog. This is the contract supervise.RespawnWorkers depends on: respawn
+// a worker *with the queue*.
 func TestCrashLastWorkerOrphanGrowAdopts(t *testing.T) {
 	defer leakcheck.Check(t)()
 	var reg gid.Registry
@@ -207,9 +197,9 @@ func TestCrashLastWorkerOrphanGrowAdopts(t *testing.T) {
 	close(crash)
 	waitFor(t, "worker gone", func() bool { return p.Workers() == 0 })
 	if d := p.Stats().QueueDepth; d != n {
-		t.Fatalf("QueueDepth = %d, want %d (orphan shard must keep the queue)", d, n)
+		t.Fatalf("QueueDepth = %d, want %d (the queue must outlive its last worker)", d, n)
 	}
-	// Posts to a fully-crashed pool still land on the orphan shard.
+	// A fully-crashed pool still accepts posts.
 	comps = append(comps, p.Post(func() {}))
 	p.Grow(1)
 	for _, c := range comps {

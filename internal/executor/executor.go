@@ -10,16 +10,13 @@
 // question "is the encountering thread already a member of this virtual
 // target's thread group?" (Algorithm 1, line 6).
 //
-// Dispatch hot path (PR 3, resharded in PR 8): every worker owns a local
-// run-queue shard; producers hash onto shards by goroutine id
-// (gid.Current, ~3ns) so concurrent posters stop serializing on one lock.
-// Workers pop their own shard LIFO (newest first, cache-warm) with a
-// periodic FIFO fairness tick, and steal half a victim's queue FIFO when
-// their own shard runs dry. Idle workers park on per-worker wake channels
-// and are woken one at a time (no broadcast thundering herd, no wakeup at
-// all while a worker is spinning — a spinner polls every shard, so it
-// covers them all). See DESIGN.md §15 for the full protocol and its
-// invariants; shard.go for the shard/deque mechanics.
+// Dispatch hot path: a worker pool is one FIFO queue (ChunkQueue) behind one
+// mutex, with an atomic length mirror that producers, spinning workers and
+// helpers read without the lock. Idle workers park on per-worker wake
+// channels and are woken one at a time (no broadcast thundering herd, no
+// wakeup at all while a worker is spinning — a spinner polls the queue
+// length and will find the task itself). See DESIGN.md §15 for the protocol
+// and its invariants.
 package executor
 
 import (
@@ -368,8 +365,8 @@ type Executor interface {
 	// Name returns the virtual target name this executor is registered as.
 	Name() string
 	// Post submits fn for asynchronous execution and returns its Completion.
-	// Post never blocks on the task itself (it may briefly contend on a
-	// shard lock, and under sustained overload it yields the processor once
+	// Post never blocks on the task itself (it may briefly contend on the
+	// queue lock, and under sustained overload it yields the processor once
 	// per submission so workers can catch up).
 	Post(fn func()) *Completion
 	// Owns reports whether the calling goroutine is a member of this
@@ -392,18 +389,17 @@ type Stats struct {
 	Helped     int64 // tasks run via TryRunPending rather than a worker
 	Panics     int64 // task bodies that terminated by panicking
 	Crashes    int64 // worker goroutines that died abnormally (Goexit/escaped panic)
-	Steals     int64 // tasks moved between shards by work stealing
-	Rehomed    int64 // tasks moved off a crashed worker's shard
-	QueuePeak  int64 // high watermark of a single shard's queue length
-	QueueDepth int64 // current total queue length across shards
+	Steals     int64 // always 0: nothing is stolen from a single queue; kept because benchmark/ reads it
+	QueuePeak  int64 // high watermark of the queue length
+	QueueDepth int64 // current queue length
 }
 
 // Bracket is the run half of the dispatch bracket (DESIGN.md §12), the one
 // realisation of Algorithm 1's "post a block to a virtual target, run it,
 // signal its completion" that every executor's queue node embeds: the body
 // plus the two span ids that carry causal tracing across the queue. Both ids
-// travel with the node, so a stolen, re-homed or helped task keeps its
-// submitter as the span parent no matter which goroutine ends up running it.
+// travel with the node, so a task keeps its submitter as the span parent no
+// matter which worker or helping goroutine ends up running it.
 type Bracket struct {
 	// Fn is the task body. Run clears it, so a long-held Completion does
 	// not pin the body's captures.
@@ -531,11 +527,26 @@ type parker struct {
 	next *parker
 }
 
-// workerSpins is how many cooperative yields an idle worker burns before
-// parking. While any worker is in this phase the pool's spinning counter is
-// nonzero and Post skips the wakeup entirely — the spinner polls every
-// shard, so it covers them all and will find the task itself.
-const workerSpins = 4
+// worker is the per-goroutine state of one pool worker: its parking slot,
+// which only that goroutine may sleep on — under -tags=ompsan park asserts it
+// runs on the goroutine spawnWorker bound. No-op untagged.
+type worker struct {
+	pk  parker
+	san sanitize.Home
+}
+
+const (
+	// workerSpins is how many cooperative yields an idle worker burns before
+	// parking. While any worker is in this phase the pool's spinning counter
+	// is nonzero and Post skips the wakeup entirely — the spinner polls the
+	// queue length and will find the task itself.
+	workerSpins = 4
+	// backpressureDepth is the backlog beyond which Post yields the processor
+	// after enqueueing (soft flow control). Post still never blocks and never
+	// runs foreign work inline — it only stops a flood of producers from
+	// starving the workers and ballooning the live heap.
+	backpressureDepth = 256
+)
 
 // WorkerPool is a fixed-size thread-pool executor: the realization of the
 // paper's worker virtual target created by virtual_target_create_worker
@@ -543,15 +554,11 @@ const workerSpins = 4
 // "a virtual target is essentially a thread pool executor, and its lifecycle
 // lasts throughout the program".
 //
-// Internally the pool is sharded: each worker owns a local run-queue and
-// producers hash onto shards by goroutine id, so multi-producer submission
-// scales instead of serializing on one lock. Workers steal from each other
-// when their own shard runs dry, and a crashed worker's shard is re-homed
-// (or adopted by a respawned worker) so no queued task is ever stranded. A
-// pool constructed with one worker is the general-purpose form of thread
-// confinement (the GUI event-dispatch thread in package eventloop is a richer
-// special case) and keeps the strict-FIFO guarantee: its single shard is
-// popped oldest-first.
+// It is one FIFO task queue that every worker pops: tasks start in submission
+// order, a blocked or crashed worker strands nothing because the queue was
+// never its own, and a pool of one worker is the general-purpose form of
+// thread confinement (the GUI event-dispatch thread in package eventloop is a
+// richer special case). DESIGN.md §15 has the wakeup protocol.
 type WorkerPool struct {
 	name     string
 	registry *gid.Registry
@@ -566,21 +573,19 @@ type WorkerPool struct {
 	// panic (which is also captured in the task's Completion).
 	FaultHooks
 
+	// mu guards the idle stack and the lifecycle, qmu the queue. Neither is
+	// ever taken while the other is held.
 	mu       sync.Mutex
 	parked   *parker // LIFO stack of idle (parked) workers
 	shutdown bool
-	nworkers int  // guarded by mu (Grow and crashes mutate it)
-	serial   bool // constructed with one worker: strict FIFO pop order
+	nworkers int // Grow and crashes mutate it
 
-	// shards is the current shard set, copy-on-write under mu. Producers,
-	// stealers, helpers and Stats read it lock-free; a producer that lands
-	// on a shard whose dead flag is set re-picks from a fresh snapshot.
-	// Invariant: never empty — the last exiting worker orphans its shard
-	// in place instead of removing it.
-	shards atomic.Pointer[[]*shard]
+	qmu sync.Mutex
+	q   ChunkQueue[*task]
 
-	// Hot-path state read without the lock.
-	stopped    atomic.Bool   // mirror of shutdown, checked inside shard critical sections
+	// Hot-path state read without a lock.
+	qlen       atomic.Int64  // mirror of q.Len(), stored under qmu
+	stopped    atomic.Bool   // mirror of shutdown, checked inside the queue critical section
 	nparked    atomic.Int32  // mirror of the parked-stack size
 	spinning   atomic.Int32  // workers in the pre-park spin phase
 	extWaiters atomic.Int32  // goroutines blocked in WaitPending
@@ -588,18 +593,13 @@ type WorkerPool struct {
 
 	wg sync.WaitGroup
 
+	submitted atomic.Int64
+	peak      atomic.Int64
 	completed atomic.Int64
 	rejected  atomic.Int64
 	helped    atomic.Int64
 	panics    atomic.Int64
 	crashes   atomic.Int64
-	steals    atomic.Int64
-	rehomed   atomic.Int64
-	// carrySub/carryPeak preserve the Submitted/QueuePeak contributions of
-	// shards that have since been removed from the snapshot (crash re-homing
-	// transfers them under the dying shard's lock).
-	carrySub  atomic.Int64
-	carryPeak atomic.Int64
 }
 
 // NewWorkerPool creates and starts a pool named name with n worker
@@ -613,40 +613,21 @@ func NewWorkerPool(name string, n int, reg *gid.Registry) *WorkerPool {
 	if reg == nil {
 		reg = &gid.Default
 	}
-	p := &WorkerPool{name: name, registry: reg, nworkers: n,
-		serial: n == 1,
+	p := &WorkerPool{name: name, registry: reg,
+		q:      NewChunkQueue[*task](),
 		notify: make(chan struct{}, 1)}
-	snap := make([]*shard, n)
-	workers := make([]*worker, n)
-	for i := range snap {
-		snap[i] = newShard()
-		workers[i] = newWorker(snap[i])
-	}
-	p.shards.Store(&snap)
-	p.wg.Add(n)
-	started := make(chan struct{})
-	var startOnce sync.Once
-	var startedCount atomic.Int64
-	total := int64(n)
-	for _, w := range workers {
-		p.spawnWorker(w, func() {
-			if startedCount.Add(1) == total {
-				startOnce.Do(func() { close(started) })
-			}
-		})
-	}
-	<-started // all workers registered before the pool is visible
+	p.Grow(n) // returns once all workers are registered
 	return p
 }
 
-// spawnWorker launches one worker goroutine, calling onStarted once it is
+// spawnWorker launches one worker goroutine, sending on started once it is
 // registered. The epilogue distinguishes the legitimate exit (the shutdown
 // drain returns normally from workerLoop) from a crash: runtime.Goexit or a
-// panic escaping the task recovery unwinds with
-// normal == false, which corrects the live-worker count, re-homes or orphans
-// the dead worker's shard, and notifies the crash handler so a supervisor
-// can replace the worker or restart the pool.
-func (p *WorkerPool) spawnWorker(w *worker, onStarted func()) {
+// panic escaping the task recovery unwinds with normal == false, which
+// corrects the live-worker count and notifies the crash handler so a
+// supervisor can replace the worker or restart the pool.
+func (p *WorkerPool) spawnWorker(started chan<- struct{}) {
+	w := &worker{pk: parker{wake: make(chan struct{}, 1)}}
 	go func() {
 		normal := false
 		defer func() {
@@ -655,16 +636,14 @@ func (p *WorkerPool) spawnWorker(w *worker, onStarted func()) {
 			p.san.Leave()
 			p.registry.Deregister()
 			if !normal || v != nil {
-				p.workerCrashed(w, v)
+				p.workerCrashed(v)
 			}
 			p.wg.Done()
 		}()
 		p.registry.Register(p)
 		w.san.Bind("worker", p.name)
 		p.san.Join("workerpool", p.name)
-		if onStarted != nil {
-			onStarted()
-		}
+		started <- struct{}{}
 		// Label the worker goroutine with its virtual-target name so CPU
 		// profiles attribute samples per target (pprof -tags).
 		pprof.Do(context.Background(), pprof.Labels("target", p.name), func(context.Context) {
@@ -675,29 +654,19 @@ func (p *WorkerPool) spawnWorker(w *worker, onStarted func()) {
 }
 
 // workerCrashed records an abnormal worker exit: the dead goroutine no
-// longer counts toward Workers, its shard is re-homed onto a survivor (or
-// left in place as an orphan when it was the last worker — producers can
-// still post there, FailPending/Shutdown can still fail what queues up, and
-// Grow hands the queue to the next respawned worker), and the crash handler
-// (if any) is told why.
-func (p *WorkerPool) workerCrashed(w *worker, reason any) {
+// longer counts toward Workers and the crash handler (if any) is told why.
+// The queue is not touched: it was never the dead worker's own, so the
+// survivors keep draining it, and when there are none it keeps accepting
+// posts until Grow, FailPending or Shutdown empties it.
+func (p *WorkerPool) workerCrashed(reason any) {
 	p.crashes.Add(1)
 	p.mu.Lock()
 	p.nworkers--
-	survivors := p.nworkers > 0
-	if survivors {
-		p.removeShardLocked(w.shard)
-	} else {
-		w.shard.owned = false
-	}
 	p.mu.Unlock()
-	if survivors {
-		p.rehome(w.shard)
-		// A consumer died; if work is queued and siblings are parked, hand
-		// the wakeup on so the queues keep draining.
-		if p.anyWork() {
-			p.wakeOne()
-		}
+	// A consumer died; if work is queued and siblings are parked, hand the
+	// wakeup on so the queue keeps draining.
+	if p.qlen.Load() > 0 {
+		p.wakeOne()
 	}
 	p.NotifyCrash(reason)
 }
@@ -708,120 +677,31 @@ func (p *WorkerPool) Crashes() int64 { return p.crashes.Load() }
 // Name returns the pool's virtual-target name.
 func (p *WorkerPool) Name() string { return p.name }
 
-// removeShardLocked publishes a snapshot without sh. Caller holds mu and is
-// responsible for re-homing the shard's queue afterwards.
-func (p *WorkerPool) removeShardLocked(sh *shard) {
-	old := *p.shards.Load()
-	snap := make([]*shard, 0, len(old)-1)
-	for _, s := range old {
-		if s != sh {
-			snap = append(snap, s)
-		}
-	}
-	p.shards.Store(&snap)
-}
-
-// rehome marks sh dead, drains it, and moves the backlog onto a live shard.
-// Called after sh has been removed from the snapshot (crash with survivors).
-// Producers holding the old snapshot either pushed before the dead flag was
-// set — their tasks are in the drained batch — or see dead under the shard
-// lock and re-pick; either way nothing is stranded.
-func (p *WorkerPool) rehome(sh *shard) {
-	sh.mu.Lock()
-	sh.dead = true
-	moved := sh.q.drain(nil)
-	sh.len.Store(0)
-	// Fold the dead shard's counters into the pool-level carry while its
-	// lock still excludes late producers, so Stats stays exact.
-	p.carrySub.Add(sh.submitted.Load())
-	CasMax(&p.carryPeak, sh.peak.Load())
-	sh.mu.Unlock()
-	if len(moved) == 0 {
-		return
-	}
-	p.rehomed.Add(int64(len(moved)))
-	for {
-		dst := (*p.shards.Load())[0]
-		dst.mu.Lock()
-		if dst.dead {
-			dst.mu.Unlock()
-			continue // that one died too; the snapshot has moved on
-		}
-		for _, t := range moved {
-			dst.q.pushBack(t)
-		}
-		n := int64(dst.q.n)
-		dst.len.Store(n)
-		dst.mu.Unlock()
-		CasMax(&dst.peak, n)
-		break
-	}
-	p.wakeOne()
-}
-
 // wakeOne pops one parked worker and hands it a wake token (no-op when
 // nobody is parked).
 func (p *WorkerPool) wakeOne() {
 	p.mu.Lock()
-	pk := p.popParkerLocked()
-	p.mu.Unlock()
-	if pk != nil {
-		pk.wake <- struct{}{}
-	}
-}
-
-// popParkerLocked removes one parked worker from the idle stack (nil if
-// none). Callers send its wake token after releasing the lock.
-func (p *WorkerPool) popParkerLocked() *parker {
 	pk := p.parked
 	if pk != nil {
 		p.parked = pk.next
 		pk.next = nil
 		p.nparked.Add(-1)
 	}
-	return pk
-}
-
-// takeAllParkedLocked detaches the whole idle stack for a broadcast-style
-// wake (shutdown). Tokens are sent after releasing the lock.
-func (p *WorkerPool) takeAllParkedLocked() *parker {
-	head := p.parked
-	p.parked = nil
-	if head != nil {
-		p.nparked.Store(0)
-	}
-	return head
-}
-
-func wakeAll(head *parker) {
-	for pk := head; pk != nil; {
-		next := pk.next
-		pk.next = nil
+	p.mu.Unlock()
+	if pk != nil {
 		pk.wake <- struct{}{}
-		pk = next
 	}
-}
-
-// anyWork reports whether any shard has queued tasks (lock-free scan of the
-// per-shard length mirrors).
-func (p *WorkerPool) anyWork() bool {
-	for _, sh := range *p.shards.Load() {
-		if sh.len.Load() > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // spin is the pre-park idle phase: a few cooperative yields while polling
-// every shard's length. While at least one worker spins, Post skips the
-// wake token entirely — the cheapest possible wakeup is the one never sent.
+// the queue length. While at least one worker spins, Post skips the wake
+// token entirely — the cheapest possible wakeup is the one never sent.
 func (p *WorkerPool) spin() {
 	p.spinning.Add(1)
 	for i := 0; i < workerSpins; i++ {
-		// Poll only the atomic lengths — no locks. Shutdown during the spin
+		// Poll only the atomic length — no lock. Shutdown during the spin
 		// just costs a few extra yields: the loop re-checks it after.
-		if p.anyWork() {
+		if p.qlen.Load() > 0 {
 			break
 		}
 		runtime.Gosched()
@@ -829,147 +709,56 @@ func (p *WorkerPool) spin() {
 	p.spinning.Add(-1)
 }
 
-// pickShard hashes the calling goroutine onto a shard (submitter affinity):
-// the same producer keeps hitting the same shard, so an uncontended
-// producer/worker pair shares one lock and one cache line, and disjoint
-// producers spread across disjoint locks.
-func (p *WorkerPool) pickShard() *shard {
-	snap := *p.shards.Load()
-	if len(snap) == 1 {
-		return snap[0]
-	}
-	return snap[int(uint64(gid.Current())%uint64(len(snap)))]
-}
-
-// popLocal takes one task from the worker's own shard: LIFO (newest first)
-// for cache warmth, with every fairnessTick'th pop taking the oldest task
-// instead so the tail cannot starve. Serial pools (one worker at
-// construction) always pop oldest-first — the strict-FIFO guarantee.
-func (p *WorkerPool) popLocal(w *worker) *task {
-	w.san.Check("popLocal on", p.name)
-	sh := w.shard
-	if sh.len.Load() == 0 {
+// pop takes the oldest queued task, nil if there is none. The empty case is
+// answered from the atomic length without touching the lock.
+func (p *WorkerPool) pop() *task {
+	if p.qlen.Load() == 0 {
 		return nil
 	}
-	sh.mu.Lock()
-	if sh.q.n == 0 {
-		sh.mu.Unlock()
-		return nil
-	}
-	var t *task
-	if p.serial {
-		t = sh.q.popFront()
-	} else {
-		w.ticks++
-		if w.ticks%fairnessTick == 0 {
-			t = sh.q.popFront()
-		} else {
-			t = sh.q.popBack()
-		}
-	}
-	sh.len.Store(int64(sh.q.n))
-	sh.mu.Unlock()
+	p.qmu.Lock()
+	t, _ := p.q.Pop()
+	p.qlen.Store(int64(p.q.Len()))
+	p.qmu.Unlock()
 	return t
-}
-
-// steal scans the other shards for a victim and moves half its queue (capped
-// at stealBatchMax) onto the thief's shard, returning the first stolen task
-// to run immediately. Stealing pops the victim's queue oldest-first: the
-// victim keeps its cache-warm newest tasks, the thief takes the aged tail.
-// The batch is staged in the worker's private buffer between the two lock
-// sections — never hold two shard locks at once (see shard.go).
-func (p *WorkerPool) steal(w *worker) *task {
-	w.san.Check("steal on", p.name)
-	snap := *p.shards.Load()
-	n := len(snap)
-	if n <= 1 {
-		return nil
-	}
-	start := 0
-	for i, s := range snap {
-		if s == w.shard {
-			start = i
-			break
-		}
-	}
-	for k := 1; k <= n; k++ {
-		v := snap[(start+k)%n]
-		if v == w.shard || v.len.Load() == 0 {
-			continue
-		}
-		v.mu.Lock()
-		if v.dead || v.q.n == 0 {
-			v.mu.Unlock()
-			continue
-		}
-		take := (v.q.n + 1) / 2
-		if take > stealBatchMax {
-			take = stealBatchMax
-		}
-		first := v.q.popFront()
-		buf := w.stealBuf[:0]
-		for i := 1; i < take; i++ {
-			buf = append(buf, v.q.popFront())
-		}
-		v.len.Store(int64(v.q.n))
-		v.mu.Unlock()
-		if len(buf) > 0 {
-			sh := w.shard
-			sh.mu.Lock()
-			for _, t := range buf {
-				sh.q.pushBack(t)
-			}
-			ln := int64(sh.q.n)
-			sh.len.Store(ln)
-			sh.mu.Unlock()
-			CasMax(&sh.peak, ln)
-			for i := range buf {
-				buf[i] = nil
-			}
-			w.stealBuf = buf[:0]
-		}
-		p.steals.Add(int64(take))
-		return first
-	}
-	return nil
 }
 
 // wakeForBacklog propagates the consumer wakeup: a worker that just took a
 // task and can see more queued work wakes one parked sibling (unless a
-// spinner already covers the shards). This is how a single producer
-// flooding one shard fans out across the whole pool.
+// spinner already covers the queue). This is how a burst from a single
+// producer fans out across the whole pool.
 func (p *WorkerPool) wakeForBacklog() {
-	if p.nparked.Load() > 0 && p.spinning.Load() == 0 && p.anyWork() {
+	if p.nparked.Load() > 0 && p.spinning.Load() == 0 && p.qlen.Load() > 0 {
 		p.wakeOne()
 	}
 }
 
 // park publishes the worker on the idle stack and blocks until a producer
 // (or shutdown/crash handling) hands it a wake token. The no-lost-wakeup
-// argument is a Dekker pair on sequentially consistent
-// atomics: the producer stores the shard length and then loads nparked; the
-// parking worker increments nparked and then re-scans the shard lengths.
-// Whatever the interleaving, at least one side sees the other — either the
-// producer sees the parked worker and wakes it, or the worker sees the task
-// and unparks itself.
+// argument is a Dekker pair on sequentially consistent atomics: the producer
+// stores the queue length and then loads nparked; the parking worker
+// increments nparked and then re-reads the queue length. Whatever the
+// interleaving, at least one side sees the other — either the producer sees
+// the parked worker and wakes it, or the worker sees the task and unparks
+// itself.
 func (p *WorkerPool) park(w *worker) {
+	w.san.Check("park on", p.name)
 	p.mu.Lock()
 	if p.shutdown {
 		p.mu.Unlock()
 		return // let the main loop handle the signal
 	}
 	w.pk.next = p.parked
-	p.parked = w.pk
+	p.parked = &w.pk
 	p.nparked.Add(1)
 	p.mu.Unlock()
-	if p.anyWork() || p.stopped.Load() {
+	if p.qlen.Load() > 0 || p.stopped.Load() {
 		// Work (or shutdown) raced our parking: take ourselves back off the
 		// stack. If someone already popped us, their token is in flight —
 		// fall through and consume it.
 		p.mu.Lock()
 		removed := false
 		for pp := &p.parked; *pp != nil; pp = &(*pp).next {
-			if *pp == w.pk {
+			if *pp == &w.pk {
 				*pp = w.pk.next
 				w.pk.next = nil
 				p.nparked.Add(-1)
@@ -985,29 +774,26 @@ func (p *WorkerPool) park(w *worker) {
 	<-w.pk.wake
 }
 
-// workerLoop is one worker's life: pop the local shard (LIFO with a
-// fairness tick), steal half a sibling's queue when dry, spin briefly, then
-// park until a producer hands over a token. Shutdown is checked between
-// tasks.
+// workerLoop is one worker's life: pop the oldest task, spin briefly when
+// there is none, then park until a producer hands over a token. Shutdown is
+// checked between tasks.
 func (p *WorkerPool) workerLoop(w *worker) {
 	spun := false
 	for {
-		t := p.popLocal(w)
-		if t == nil {
-			t = p.steal(w)
-		}
-		if t != nil {
+		if t := p.pop(); t != nil {
 			spun = false
 			p.wakeForBacklog()
 			t.Run(&t.comp, p.name, p.settled)
 			continue
 		}
 		if p.stopped.Load() {
-			// Drain-before-exit: only leave once no shard (ours or anyone
-			// else's — stealing reaches them all) has work. Tasks posted
-			// concurrently with Shutdown that slip past this scan are
-			// failed by Shutdown's FailPending backstop.
-			if !p.anyWork() {
+			// Drain-before-exit: pop saw the queue empty before this load
+			// saw the stop, so a Post that returned in between is still
+			// queued — look again. Empty after the stop means every Post
+			// that returned before Shutdown was called has been taken;
+			// one still in flight concurrently with Shutdown may yet push,
+			// and Shutdown's FailPending backstop fails it.
+			if p.qlen.Load() == 0 {
 				return
 			}
 			continue
@@ -1022,42 +808,29 @@ func (p *WorkerPool) workerLoop(w *worker) {
 	}
 }
 
-// enqueue is the shared admission path of Post and the test seams: reject on
-// shutdown, otherwise push to the picked shard, publish the new length and
-// watermark, wake at most one parked worker (none if a spinner will find the task anyway), and apply
-// soft backpressure when the shard is badly backlogged.
-func (p *WorkerPool) enqueue(t *task, pick func() *shard) bool {
+// Post submits fn for execution by the pool: push, publish the new length
+// and watermark, wake at most one parked worker (none if a spinner will find
+// the task anyway), and apply soft backpressure when the queue is badly
+// backlogged.
+func (p *WorkerPool) Post(fn func()) *Completion {
+	t := &task{Bracket: Bracket{Fn: fn}}
+	t.Enqueued(p.name, 0)
+	p.qmu.Lock()
 	if p.stopped.Load() {
+		// Checked inside the queue critical section: FailPending drains the
+		// queue under this same lock after stopped is set, so a task either
+		// lands before the drain (and is failed there) or the producer sees
+		// stopped here. No stranding window.
+		p.qmu.Unlock()
 		p.rejected.Add(1)
 		t.Fail(&t.comp, p.name, ErrShutdown)
-		return false
+		return &t.comp
 	}
-	var n int64
-	for {
-		sh := pick()
-		sh.mu.Lock()
-		if sh.dead {
-			sh.mu.Unlock()
-			continue // worker crashed under us; re-pick from the new snapshot
-		}
-		if p.stopped.Load() {
-			// Checked inside the shard critical section: FailPending drains
-			// each shard under this same lock after stopped is set, so a
-			// task either lands before the drain (and is failed there) or
-			// the producer sees stopped here. No stranding window.
-			sh.mu.Unlock()
-			p.rejected.Add(1)
-			t.Fail(&t.comp, p.name, ErrShutdown)
-			return false
-		}
-		sh.q.pushBack(t)
-		n = int64(sh.q.n)
-		sh.len.Store(n)
-		sh.submitted.Add(1)
-		sh.mu.Unlock()
-		CasMax(&sh.peak, n)
-		break
-	}
+	n := int64(p.q.Push(t))
+	p.qlen.Store(n)
+	p.qmu.Unlock()
+	p.submitted.Add(1)
+	CasMax(&p.peak, n)
 	if p.spinning.Load() == 0 && p.nparked.Load() > 0 {
 		p.wakeOne()
 	}
@@ -1068,20 +841,12 @@ func (p *WorkerPool) enqueue(t *task, pick func() *shard) bool {
 		}
 	}
 	if n > backpressureDepth {
-		// Soft flow control: the shard is far ahead of its consumers, so
+		// Soft flow control: the queue is far ahead of its consumers, so
 		// yield once. A flood of producers then hands the processor to the
 		// workers instead of growing the backlog (and the live heap)
 		// without bound; an occasional deep post just pays one Gosched.
 		runtime.Gosched()
 	}
-	return true
-}
-
-// Post submits fn for execution by the pool.
-func (p *WorkerPool) Post(fn func()) *Completion {
-	t := &task{Bracket: Bracket{Fn: fn}}
-	t.Enqueued(p.name, 0)
-	p.enqueue(t, p.pickShard)
 	return &t.comp
 }
 
@@ -1092,14 +857,14 @@ func (p *WorkerPool) Post(fn func()) *Completion {
 // The await logical barrier alternates TryRunPending / WaitPending so a
 // blocked encountering thread sleeps instead of spinning.
 func (p *WorkerPool) WaitPending(cancel <-chan struct{}) bool {
-	if p.anyWork() {
+	if p.qlen.Load() > 0 {
 		return true
 	}
-	// Announce before the re-check: Post publishes the new shard length
+	// Announce before the re-check: Post publishes the new queue length
 	// before reading extWaiters, so one side always sees the other.
 	p.extWaiters.Add(1)
 	defer p.extWaiters.Add(-1)
-	if p.anyWork() {
+	if p.qlen.Load() > 0 {
 		return true
 	}
 	select {
@@ -1121,43 +886,23 @@ func (p *WorkerPool) Owns() bool { return p.registry.IsOwnedBy(p) }
 // against the sanitizer's independent stamp. No-op untagged.
 func (p *WorkerPool) SanCheck(op, subject string) { p.san.Check(op, subject) }
 
-// TryRunPending pops one queued task and runs it on the calling goroutine.
-// The paper's await barrier uses this so a worker waiting on a nested target
-// block keeps draining the pool's queue instead of idling. Helpers always
-// take the oldest task of the first non-empty shard (starting from the
-// caller's affinity shard): help is FIFO, like a steal. The empty case is
-// answered from the atomic shard lengths without touching any lock.
+// TryRunPending pops the oldest queued task and runs it on the calling
+// goroutine. The paper's await barrier uses this so a worker waiting on a
+// nested target block keeps draining the pool's queue instead of idling.
 func (p *WorkerPool) TryRunPending() bool {
-	snap := *p.shards.Load()
-	n := len(snap)
-	start := 0
-	if n > 1 {
-		start = int(uint64(gid.Current()) % uint64(n))
+	t := p.pop()
+	if t == nil {
+		return false
 	}
-	for k := 0; k < n; k++ {
-		sh := snap[(start+k)%n]
-		if sh.len.Load() == 0 {
-			continue
-		}
-		sh.mu.Lock()
-		if sh.q.n == 0 {
-			sh.mu.Unlock()
-			continue
-		}
-		t := sh.q.popFront()
-		sh.len.Store(int64(sh.q.n))
-		sh.mu.Unlock()
-		// A task cancelled while queued is skipped, and no help was given.
-		ran := t.Run(&t.comp, p.name, p.settled)
-		if ran {
-			p.helped.Add(1)
-		}
-		return ran
+	// A task cancelled while queued is skipped, and no help was given.
+	ran := t.Run(&t.comp, p.name, p.settled)
+	if ran {
+		p.helped.Add(1)
 	}
-	return false
+	return ran
 }
 
-// Shutdown stops accepting tasks, drains the queues, and joins all workers.
+// Shutdown stops accepting tasks, drains the queue, and joins all workers.
 // If every worker has crashed there is nobody left to drain: the queued
 // tasks are then failed with ErrShutdown instead of being stranded forever.
 // Called from a task on one of the pool's own workers it returns once the
@@ -1170,10 +915,15 @@ func (p *WorkerPool) Shutdown() {
 	if !p.shutdown {
 		p.shutdown = true
 		p.stopped.Store(true)
-		head = p.takeAllParkedLocked()
+		head, p.parked = p.parked, nil
+		p.nparked.Store(0)
 	}
 	p.mu.Unlock()
-	wakeAll(head)
+	for head != nil {
+		pk := head
+		head, pk.next = pk.next, nil
+		pk.wake <- struct{}{}
+	}
 	if p.Owns() {
 		return
 	}
@@ -1181,29 +931,23 @@ func (p *WorkerPool) Shutdown() {
 	p.FailPending(ErrShutdown)
 }
 
-// FailPending removes every queued-but-not-started task from every shard
-// (including the orphaned shard of a fully-crashed pool) and completes it
+// FailPending removes every queued-but-not-started task and completes it
 // with err, returning how many were failed. Running tasks are untouched.
 // Supervisors call this when replacing a crashed pool so queued invocations
 // fail fast with a typed error instead of waiting on workers that no longer
 // exist; Shutdown calls it as a backstop after joining workers.
 func (p *WorkerPool) FailPending(err error) int {
-	snap := *p.shards.Load()
+	p.qmu.Lock()
+	tasks := p.q.Drain(nil)
+	p.qlen.Store(0)
+	p.qmu.Unlock()
 	n := 0
-	for _, sh := range snap {
-		sh.mu.Lock()
-		tasks := sh.q.drain(nil)
-		sh.len.Store(0)
-		sh.mu.Unlock()
-		for _, t := range tasks {
-			if t.Fail(&t.comp, p.name, err) {
-				n++
-			}
+	for _, t := range tasks {
+		if t.Fail(&t.comp, p.name, err) {
+			n++
 		}
 	}
-	if n > 0 {
-		p.rejected.Add(int64(n))
-	}
+	p.rejected.Add(int64(n))
 	return n
 }
 
@@ -1217,10 +961,9 @@ func (p *WorkerPool) Workers() int {
 
 // Grow adds n worker goroutines to the pool — virtual targets "define
 // their scale", and an application may widen a worker target when load
-// demands it. Orphaned shards (their worker crashed with nobody left) are
-// adopted before fresh shards are created: a supervisor respawning a worker
-// with Grow(1) hands it the crashed worker's still-queued tasks. No-op for
-// n <= 0 or after Shutdown.
+// demands it; a supervisor respawning a crashed worker calls Grow(1), and
+// the new worker finds whatever is queued. It returns once the new workers
+// are registered. No-op for n <= 0 or after Shutdown.
 func (p *WorkerPool) Grow(n int) {
 	if n <= 0 {
 		return
@@ -1235,62 +978,28 @@ func (p *WorkerPool) Grow(n int) {
 	// before calling wg.Wait, so the counter can never grow concurrently
 	// with the join.
 	p.wg.Add(n)
-	old := *p.shards.Load()
-	snap := make([]*shard, len(old), len(old)+n)
-	copy(snap, old)
-	workers := make([]*worker, 0, n)
-	for _, sh := range snap {
-		if len(workers) == n {
-			break
-		}
-		if !sh.owned {
-			sh.owned = true
-			workers = append(workers, newWorker(sh))
-		}
-	}
-	for len(workers) < n {
-		sh := newShard()
-		snap = append(snap, sh)
-		workers = append(workers, newWorker(sh))
-	}
-	p.shards.Store(&snap)
 	p.mu.Unlock()
 	started := make(chan struct{}, n)
-	for _, w := range workers {
-		p.spawnWorker(w, func() { started <- struct{}{} })
+	for i := 0; i < n; i++ {
+		p.spawnWorker(started)
 	}
-	for range workers {
+	for i := 0; i < n; i++ {
 		<-started
 	}
 }
 
 var _ Executor = (*WorkerPool)(nil)
 
-// Stats returns a snapshot of the pool's counters. Submitted and QueuePeak
-// are aggregated from the live shards plus the carried-over contribution of
-// shards whose workers have crashed; QueueDepth is the sum of the live shard
-// lengths.
+// Stats returns a snapshot of the pool's counters, read without a lock.
 func (p *WorkerPool) Stats() Stats {
-	snap := *p.shards.Load()
-	var depth, sub int64
-	peak := p.carryPeak.Load()
-	for _, sh := range snap {
-		depth += sh.len.Load()
-		sub += sh.submitted.Load()
-		if pk := sh.peak.Load(); pk > peak {
-			peak = pk
-		}
-	}
 	return Stats{
-		Submitted:  p.carrySub.Load() + sub,
+		Submitted:  p.submitted.Load(),
 		Completed:  p.completed.Load(),
 		Rejected:   p.rejected.Load(),
 		Helped:     p.helped.Load(),
 		Panics:     p.panics.Load(),
 		Crashes:    p.crashes.Load(),
-		Steals:     p.steals.Load(),
-		Rehomed:    p.rehomed.Load(),
-		QueuePeak:  peak,
-		QueueDepth: depth,
+		QueuePeak:  p.peak.Load(),
+		QueueDepth: p.qlen.Load(),
 	}
 }

@@ -145,6 +145,23 @@ func TestShutdownDrainsQueueAndRejectsNew(t *testing.T) {
 	}
 	// Second Shutdown is a no-op.
 	p.Shutdown()
+
+	// The drain race: the lone worker reads the queue empty, a Post lands
+	// (no wake, nobody is parked yet), Shutdown publishes the stop, the
+	// worker reads it. A Post that returned before Shutdown was called is
+	// run, never failed by the backstop. The busy loop sweeps the post
+	// across the worker's start, spin and park.
+	for round := 0; round < 2000; round++ {
+		p := NewWorkerPool("worker", 1, &reg)
+		for i := 0; i < round%64; i++ {
+			n.Load()
+		}
+		c := p.Post(func() {})
+		p.Shutdown()
+		if err := c.Err(); err != nil {
+			t.Fatalf("round %d: task posted before Shutdown: err = %v, want it run", round, err)
+		}
+	}
 }
 
 // TestShutdownFromOwnWorkerReturns pins the target-block case: a task that

@@ -16,9 +16,10 @@ import (
 // Two flavors exist. A loop (NewLoop) models an event-driven target: strict
 // FIFO dispatch, so only its head task is ever runnable — the scheduler
 // chooses *when* the loop runs relative to other executors, never the order
-// within it. A pool (NewPool) models a worker pool with sharded queues and
-// stealing: any queued task may run next, so every one is a runnable
-// alternative.
+// within it. A pool (NewPool) models n concurrent workers: the real pool
+// starts tasks oldest-first, but with several workers running at once any
+// queued task may be the next to reach a given point, so every one is a
+// runnable alternative.
 type Exec struct {
 	s          *Sim
 	name       string

@@ -79,8 +79,8 @@ const (
 	// random-walk baseline.
 	policyUniform schedPolicy = iota
 	// policyLIFO biases toward the newest runnable task, digging out
-	// schedules where late work overtakes early work (the shape real LIFO
-	// run-queues and stealing produce).
+	// schedules where late work overtakes early work (the shape concurrent
+	// workers produce when an early task is slow).
 	policyLIFO
 	// policyDelay injects delays: some tasks draw a skip budget at post
 	// time and are withheld from the runnable set while any alternative

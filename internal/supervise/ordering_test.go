@@ -1,11 +1,14 @@
 package supervise
 
 import (
+	"errors"
 	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/executor"
 	"repro/internal/gid"
+	"repro/internal/testutil/poll"
 	"repro/internal/trace"
 )
 
@@ -62,5 +65,50 @@ func TestRestartingIsPublishedAfterItsCounter(t *testing.T) {
 				t.Fatal("no OpRestart")
 			}
 		})
+	}
+}
+
+// raceExecutor is a generation whose Post first runs before — the window
+// between Supervisor.Post's snapshot and its post, held open.
+type raceExecutor struct {
+	executor.Executor
+	before func()
+}
+
+func (r *raceExecutor) Post(fn func()) *executor.Completion {
+	r.before()
+	return r.Executor.Post(fn)
+}
+
+// TestPostRacingRestartIsTyped pins defect (v): a post that read Running and
+// lands on a generation handleFailure has meanwhile shut down must come back
+// as ErrRestarting (counted as a fail-fast), not as the pool's untyped
+// ErrShutdown.
+func TestPostRacingRestartIsTyped(t *testing.T) {
+	var reg gid.Registry
+	var s *Supervisor
+	gen0 := &raceExecutor{Executor: executor.NewWorkerPool("w", 1, &reg)}
+	gen0.before = func() {
+		s.ReportFailure(errors.New("probe failed"))
+		poll.Until(t, "restart under way", func() bool { st, _ := s.snapshot(); return st == Restarting })
+		gen0.Executor.Shutdown() // what handleFailure's `go old.Shutdown()` does, awaited
+	}
+	s, err := New("w", func(gen int) (executor.Executor, error) {
+		if gen == 0 {
+			return gen0, nil
+		}
+		return executor.NewWorkerPool("w", 1, &reg), nil
+	}, Options{BackoffInitial: time.Hour}) // the restart stays under way
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown()
+
+	c := s.Post(func() { t.Error("the replaced generation ran the task") })
+	if !c.Finished() || !errors.Is(c.Err(), ErrRestarting) {
+		t.Fatalf("post racing the restart: finished=%v err=%v, want ErrRestarting", c.Finished(), c.Err())
+	}
+	if n := s.stats.FailFast.Value(); n != 1 {
+		t.Fatalf("FailFast = %d, want 1", n)
 	}
 }

@@ -438,16 +438,34 @@ func (s *Supervisor) Name() string { return s.name }
 // Post submits fn to the current generation, failing fast with
 // ErrRestarting or ErrTargetDown when the target cannot accept work.
 func (s *Supervisor) Post(fn func()) *executor.Completion {
-	switch st, e := s.snapshot(); st {
-	case Failed:
-		s.stats.FailFast.Inc()
-		return executor.NewCompletedCompletion(ErrTargetDown)
-	case Restarting:
-		s.stats.FailFast.Inc()
-		return executor.NewCompletedCompletion(ErrRestarting)
-	default:
-		return e.Post(fn)
+	s.mu.Lock()
+	st, e, gen := s.state, s.cur, s.gen
+	s.mu.Unlock()
+	if st == Running {
+		comp := e.Post(fn)
+		if !comp.Finished() || !errors.Is(comp.Err(), executor.ErrShutdown) {
+			return comp
+		}
+		// e was shut down between the snapshot and the post. If that was
+		// handleFailure replacing it, the post gets the typed answer it
+		// would have got an instant later — the way core.stoppedRejection
+		// types the same race. A generation that is still current was shut
+		// down by Shutdown, and its rejection stands.
+		s.mu.Lock()
+		st = s.state
+		if st == Running && s.gen != gen {
+			st = Restarting // a whole restart went by
+		}
+		s.mu.Unlock()
+		if st == Running {
+			return comp
+		}
 	}
+	s.stats.FailFast.Inc()
+	if st == Failed {
+		return executor.NewCompletedCompletion(ErrTargetDown)
+	}
+	return executor.NewCompletedCompletion(ErrRestarting)
 }
 
 // Owns implements executor.Executor against the current generation.

@@ -203,11 +203,11 @@ func TestShutdownStopsSupervision(t *testing.T) {
 	}
 }
 
-// TestRespawnInheritsCrashedWorkerQueue: the PR-8 sharded executor orphans
-// the last crashed worker's local run-queue in place, and Grow — which is
-// what RespawnWorkers calls — adopts it. A supervisor respawning a sole
-// worker therefore hands the replacement the crashed worker's still-queued
-// tasks: they complete instead of stranding or failing.
+// TestRespawnInheritsCrashedWorkerQueue: the pool's queue outlives its last
+// worker, and the worker Grow adds — Grow is what RespawnWorkers calls —
+// drains it. A supervisor respawning a sole worker therefore hands the
+// replacement the still-queued tasks: they complete instead of stranding or
+// failing.
 func TestRespawnInheritsCrashedWorkerQueue(t *testing.T) {
 	defer leakcheck.Check(t)()
 	var reg gid.Registry
