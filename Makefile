@@ -87,13 +87,16 @@ size:
 # objects per Post, per Invoke in each scheduling mode (await from each kind of
 # owner) and per Completion.Done, a parked join across garbage collections (the
 # waiter free list must survive them), plus the sizes of executor.Completion
-# and the pool's task node — untagged and under the sanitizer, never under
-# -race (the detector allocates on its own account, so the tests skip
-# themselves there).
-ALLOCS_RUN = 'TestAllocationBudget|TestWaiterFreeListSurvivesGC|TestNodeSizes'
+# and the pool's task node; and the encryption service's recycled payload
+# (DESIGN.md §4): a Crypt Reset within its capacity and a request's compute
+# allocate nothing, across collections too (the payload free list must survive
+# them) — untagged and under the sanitizer, never under -race (the detector
+# allocates on its own account, so the tests skip themselves there).
+ALLOCS_RUN = 'TestAllocationBudget|TestWaiterFreeListSurvivesGC|TestNodeSizes|TestCryptResetMatchesNewCrypt|TestPayloadIsRecycled'
+ALLOCS_PKGS = ./internal/core/ ./internal/executor/ ./internal/kernels/ ./internal/httpserver/
 allocs:
-	$(GO) test -count=1 -run $(ALLOCS_RUN) ./internal/core/ ./internal/executor/
-	$(GO) test -count=1 -tags=ompsan -run $(ALLOCS_RUN) ./internal/core/ ./internal/executor/
+	$(GO) test -count=1 -run $(ALLOCS_RUN) $(ALLOCS_PKGS)
+	$(GO) test -count=1 -tags=ompsan -run $(ALLOCS_RUN) $(ALLOCS_PKGS)
 
 # fuzz runs the directive-parser fuzzer and the IDEA differential fuzzer
 # live, FUZZTIME each; the committed seed corpora under

@@ -18,6 +18,7 @@
 package httpserver
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -176,6 +177,11 @@ type Server struct {
 	reg  gid.Registry
 	done chan struct{}
 
+	// idle is the payload free list, of Workers: the bound on concurrent
+	// computations in every organisation. Not a sync.Pool, which the collector
+	// empties (DESIGN §4 item 3).
+	idle chan *kernels.Crypt
+
 	limiter *qos.Limiter // nil without QoS
 	breaker *qos.Breaker // nil without QoS or BreakerThreshold
 
@@ -194,7 +200,7 @@ type Server struct {
 // New builds a server from cfg. Call Start to begin serving.
 func New(cfg Config) *Server {
 	cfg.fill()
-	s := &Server{cfg: cfg, done: make(chan struct{})}
+	s := &Server{cfg: cfg, done: make(chan struct{}), idle: make(chan *kernels.Crypt, cfg.Workers)}
 	switch cfg.Mode {
 	case Pyjama:
 		s.rt = core.NewRuntime(&s.reg)
@@ -355,20 +361,45 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.spans.WritePrometheus(w)
 }
 
-// maxRequestBytes bounds ?size=: compute allocates three buffers of it. It
-// sits above Java Grande's largest Crypt size (C, 50 MB).
+// maxRequestBytes bounds ?size=: a payload takes three times it. It sits
+// above Java Grande's largest Crypt size (C, 50 MB).
 const maxRequestBytes = 64 << 20
 
-// compute runs the encryption kernel for one request and returns the
-// ciphertext checksum.
+// keptPayloadBytes is the largest payload compute keeps (http_encrypt's is 256
+// KiB); a larger one is dropped, not pinned per worker for the server's life.
+const keptPayloadBytes = 1 << 20
+
+// compute runs the encryption kernel for one request on an idle kernel (a new
+// one when none is idle) and returns the ciphertext checksum. A block that
+// panics or is cancelled before it runs gives no kernel back.
 func (s *Server) compute(size int) int64 {
-	k := kernels.NewCrypt(size)
+	var k *kernels.Crypt
+	select {
+	case k = <-s.idle:
+	default:
+		k = new(kernels.Crypt)
+	}
+	k.Reset(size)
 	if s.cfg.OMPThreads > 1 {
 		k.RunPar(s.cfg.OMPThreads)
 	} else {
 		k.RunSeq()
 	}
-	return k.Checksum()
+	sum := k.Checksum()
+	if size <= keptPayloadBytes {
+		select {
+		case s.idle <- k:
+		default: // full: more computations ran at once than the list holds
+		}
+	}
+	return sum
+}
+
+// reply writes a successful response, the checksum and a newline.
+func (s *Server) reply(w http.ResponseWriter, sum int64) {
+	s.served.Add(1)
+	var buf [21]byte // "%d\n" of any int64; a failed write is a client gone
+	_, _ = w.Write(append(strconv.AppendInt(buf[:0], sum, 10), '\n'))
 }
 
 func (s *Server) handleEncrypt(w http.ResponseWriter, r *http.Request) {
@@ -401,8 +432,7 @@ func (s *Server) handleEncrypt(w http.ResponseWriter, r *http.Request) {
 			case comp.Err() != nil:
 				s.failCompute(w, comp.Err())
 			default:
-				s.served.Add(1)
-				fmt.Fprintf(w, "%d\n", sum)
+				s.reply(w, sum)
 			}
 		}
 		return
@@ -411,8 +441,7 @@ func (s *Server) handleEncrypt(w http.ResponseWriter, r *http.Request) {
 		sum = s.compute(size)
 		<-s.sem
 	}
-	s.served.Add(1)
-	fmt.Fprintf(w, "%d\n", sum)
+	s.reply(w, sum)
 }
 
 // handleEncryptQoS is the guarded Pyjama request path: breaker check,
@@ -463,8 +492,7 @@ func (s *Server) handleEncryptQoS(w http.ResponseWriter, r *http.Request, size i
 		return false
 	}
 	s.breaker.Success()
-	s.served.Add(1)
-	fmt.Fprintf(w, "%d\n", sum)
+	s.reply(w, sum)
 	return true
 }
 
@@ -610,15 +638,27 @@ func (c *Client) Do(size int) (int64, int, error) {
 		return 0, 0, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, resp.StatusCode, err
-	}
 	if resp.StatusCode != http.StatusOK {
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			return 0, resp.StatusCode, err
+		}
 		return 0, resp.StatusCode, fmt.Errorf("httpserver: status %d: %s", resp.StatusCode, body)
 	}
-	var sum int64
-	if _, err := fmt.Sscanf(string(body), "%d", &sum); err != nil {
+	// A reply is at most 21 bytes ("%d\n" of an int64), read into an array;
+	// what follows, if anything, is drained so that the connection sees EOF
+	// and goes back to the keep-alive pool.
+	var buf [21]byte
+	n, err := io.ReadFull(resp.Body, buf[:])
+	if err == nil {
+		_, err = io.Copy(io.Discard, resp.Body)
+	}
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return 0, resp.StatusCode, err
+	}
+	body := buf[:n]
+	sum, err := strconv.ParseInt(string(bytes.TrimSpace(body)), 10, 64)
+	if err != nil {
 		return 0, resp.StatusCode, fmt.Errorf("httpserver: bad response %q", body)
 	}
 	return sum, resp.StatusCode, nil

@@ -1,11 +1,18 @@
 package httpserver
 
 import (
+	"math"
+	"net"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/kernels"
+	"repro/internal/testutil/raceflag"
 	"repro/internal/workload"
 )
 
@@ -83,8 +90,8 @@ func TestParallelKernelSameResult(t *testing.T) {
 }
 
 // TestSizeParamValidation: a size that is not a positive integer, or that is
-// above the package bound (compute allocates 3 x size), is refused with 400
-// before any path — Jetty, plain Pyjama or QoS — reaches compute.
+// above the package bound (a payload is 3 x size in memory), is refused with
+// 400 before any path — Jetty, plain Pyjama or QoS — reaches compute.
 func TestSizeParamValidation(t *testing.T) {
 	bad := []string{"-3", "abc", strconv.Itoa(maxRequestBytes + 1), "1099511627776"}
 	for name, cfg := range map[string]Config{
@@ -159,6 +166,92 @@ func TestConfigDefaults(t *testing.T) {
 	cfg.fill()
 	if cfg.Workers != 1 || cfg.KernelBytes != 64*1024 {
 		t.Fatalf("defaults = %+v", cfg)
+	}
+}
+
+// TestPayloadIsRecycled: once warm, requests of both http_encrypt sizes run
+// on the free list's kernel and allocate nothing, across garbage collections
+// too (a sync.Pool would be emptied by them); a payload above keptPayloadBytes
+// is served with the right checksum and not kept.
+func TestPayloadIsRecycled(t *testing.T) {
+	s, c := startServer(t, Config{Mode: Jetty, Workers: 1})
+	big := keptPayloadBytes + 1
+	want := kernels.NewCrypt(big)
+	want.RunSeq()
+	if sum, err := c.Encrypt(big); err != nil || sum != want.Checksum() {
+		t.Fatalf("size %d: sum=%d err=%v, want %d", big, sum, err, want.Checksum())
+	}
+	if n := len(s.idle); n != 0 {
+		t.Fatalf("%d kernels idle after a %d-byte request, want 0", n, big)
+	}
+	if _, err := c.Encrypt(1 << 10); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(s.idle); n != 1 {
+		t.Fatalf("%d kernels idle after a 1 KiB request, want 1", n)
+	}
+	if raceflag.Enabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	// AllocsPerRun's warm-up call grows the kept kernel to 256 KiB.
+	if got := testing.AllocsPerRun(20, func() { s.compute(1 << 10); s.compute(256 << 10) }); got != 0 {
+		t.Errorf("compute on a recycled payload: %v allocs/op, want 0", got)
+	}
+	// Two collections in a row, as TestWaiterFreeListSurvivesGC runs them: a
+	// sync.Pool keeps what one collection took in its victim cache. In a
+	// binary that links net a collection allocates on its own account (2
+	// objects each here), so that much is the floor.
+	collect := func() { runtime.GC(); runtime.GC() }
+	gc := testing.AllocsPerRun(20, func() { collect(); collect() })
+	if got := testing.AllocsPerRun(20, func() {
+		s.compute(1 << 10)
+		collect()
+		s.compute(256 << 10)
+		collect()
+	}); got != gc {
+		t.Errorf("compute across collections: %v allocs/op, want the collections' own %v", got, gc)
+	}
+}
+
+// TestClientDoParsesReplies: Client.Do is how evaluation.DriveHTTP tells a
+// served request from a shed, an error and a malformed reply, and it drains
+// every reply, so a client's requests share one keep-alive connection.
+func TestClientDoParsesReplies(t *testing.T) {
+	var conns atomic.Int32
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch q := r.URL.Query().Get("size"); q {
+		case "1":
+			w.Write([]byte("abc"))
+		case "2":
+			http.Error(w, "overloaded", http.StatusServiceUnavailable)
+		case "4":
+			w.Write([]byte("-9223372036854775808\n")) // the longest reply, 21 bytes
+		default:
+			w.Write([]byte(q + "\n"))
+		}
+	}))
+	srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	c := NewClient(srv.URL)
+
+	if _, status, err := c.Do(1); err == nil || status != http.StatusOK || err.Error() != `httpserver: bad response "abc"` {
+		t.Fatalf(`200 "abc": status=%d err=%v, want 200 and a bad response`, status, err)
+	}
+	if _, status, err := c.Do(2); err == nil || status != http.StatusServiceUnavailable || err.Error() != "httpserver: status 503: overloaded\n" {
+		t.Fatalf("503: status=%d err=%q, want 503 and the body", status, err)
+	}
+	for size, want := range map[int]int64{3: 3, 4: math.MinInt64, math.MaxInt64: math.MaxInt64} {
+		if sum, status, err := c.Do(size); err != nil || status != http.StatusOK || sum != want {
+			t.Fatalf("reply %d: sum=%d status=%d err=%v", want, sum, status, err)
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("%d connections for 5 requests, want 1 kept alive", n)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/kernels"
 	"repro/internal/metrics"
 	"repro/internal/qos"
 	"repro/internal/testutil/poll"
@@ -102,9 +103,14 @@ func TestPyjamaQoSShedsUnderOverload(t *testing.T) {
 // after the configured streak, and further requests are rejected without
 // touching the worker.
 func TestQoSDeadlineAndBreaker(t *testing.T) {
-	// 1MiB ≈ tens of ms per request against a 15ms deadline.
-	s, c := startServer(t, Config{Mode: Pyjama, Workers: 1, KernelBytes: 1024 * 1024,
-		QoS: &QoSConfig{QueueLimit: 0, RequestTimeout: 15 * time.Millisecond,
+	// The deadline is a quarter of one 1 MiB kernel measured here, so every
+	// request overruns it fourfold on any machine, a recycled payload too.
+	const size = 1 << 20
+	t0 := time.Now()
+	kernels.NewCrypt(size).RunSeq()
+	timeout := max(time.Since(t0)/4, time.Millisecond)
+	s, c := startServer(t, Config{Mode: Pyjama, Workers: 1, KernelBytes: size,
+		QoS: &QoSConfig{QueueLimit: 0, RequestTimeout: timeout,
 			BreakerThreshold: 2, BreakerCooldown: time.Hour}})
 
 	for i := 0; i < 2; i++ {

@@ -12,7 +12,7 @@ import (
 // byte array, validated by round-trip equality. The block cipher is IDEA
 // (64-bit blocks, 128-bit key, 8.5 rounds); parallelization distributes
 // block ranges across the team, as the Java Grande multithreaded version
-// does.
+// does. An instance can be Reset to a new payload, reusing its buffers.
 type Crypt struct {
 	n      int // payload size in bytes (rounded up to a block multiple)
 	encKey [52]uint16
@@ -26,15 +26,24 @@ type Crypt struct {
 const ideaBlock = 8
 
 // NewCrypt builds a Crypt instance over size bytes of deterministic
-// pseudo-random plaintext and a fixed random 128-bit key. Handlers construct
-// inside the timed region, so generation has to be cheap: eight bytes a draw
-// from splitmix64, whose state is one word and needs no seeding pass.
+// pseudo-random plaintext and a fixed random 128-bit key (see Reset).
 func NewCrypt(size int) *Crypt {
+	c := new(Crypt)
+	c.Reset(size)
+	return c
+}
+
+// Reset makes c what NewCrypt(size) returns: the same key schedules, the same
+// plaintext, not yet run. Handlers construct inside the timed region, so
+// generation has to be cheap: eight bytes a draw from splitmix64, whose state
+// is one word and needs no seeding pass. Buffers that hold size bytes are
+// reused (cipher and out keep stale bytes, unread until the next run
+// overwrites them); otherwise plain, cipher and out are one new array.
+func (c *Crypt) Reset(size int) {
 	if size < ideaBlock {
 		size = ideaBlock
 	}
 	size = (size + ideaBlock - 1) / ideaBlock * ideaBlock
-	c := &Crypt{n: size}
 	rng := splitmix64(136506717)
 	var userKey [8]uint16
 	for i := 0; i < len(userKey); i += 4 {
@@ -43,13 +52,15 @@ func NewCrypt(size int) *Crypt {
 	}
 	c.encKey = ideaEncryptKey(userKey)
 	c.decKey = ideaDecryptKey(c.encKey)
-	c.plain = make([]byte, size)
+	if cap(c.plain) < size {
+		buf := make([]byte, 3*size)
+		c.plain, c.cipher, c.out = buf[:size:size], buf[size:2*size:2*size], buf[2*size:]
+	}
+	c.n, c.ran = size, false
+	c.plain, c.cipher, c.out = c.plain[:size], c.cipher[:size], c.out[:size]
 	for p := c.plain; len(p) >= ideaBlock; p = p[ideaBlock:] {
 		binary.LittleEndian.PutUint64(p, rng.next())
 	}
-	c.cipher = make([]byte, size)
-	c.out = make([]byte, size)
-	return c
 }
 
 // splitmix64 is Steele, Lea and Flood's 64-bit generator: one add and three
@@ -99,9 +110,13 @@ func blockRange(total, parts, idx int) (lo, hi int) {
 	return lo, lo + size
 }
 
-// Checksum returns the byte sum of the ciphertext of the last run (used by
-// the HTTP encryption service as its response payload).
+// Checksum returns the byte sum of the ciphertext of the last run, 0 when the
+// instance has not run since NewCrypt or Reset (used by the HTTP encryption
+// service as its response payload).
 func (c *Crypt) Checksum() int64 {
+	if !c.ran {
+		return 0
+	}
 	var sum int64
 	for _, b := range c.cipher {
 		sum += int64(b)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"repro/internal/testutil/raceflag"
 )
 
 // refCipher is the one-block-at-a-time IDEA loop ideaCipher replaced, kept
@@ -198,6 +200,42 @@ func TestNewCryptPlaintext(t *testing.T) {
 	}
 }
 
+// TestCryptResetMatchesNewCrypt: one instance Reset through shrinking and
+// growing sizes, odd ones included, runs byte for byte like a fresh NewCrypt
+// both ways, and a Reset within its capacity allocates nothing (the HTTP
+// server's recycled payload depends on both).
+func TestCryptResetMatchesNewCrypt(t *testing.T) {
+	c := new(Crypt)
+	for _, size := range []int{256 << 10, 1 << 10, 13, 200000, 8} {
+		c.Reset(size)
+		for _, par := range []bool{false, true} {
+			fresh := NewCrypt(size)
+			if par {
+				c.RunPar(3)
+				fresh.RunPar(3)
+			} else {
+				c.RunSeq()
+				fresh.RunSeq()
+			}
+			if c.n != fresh.n || !bytes.Equal(c.plain, fresh.plain) || !bytes.Equal(c.cipher, fresh.cipher) {
+				t.Fatalf("size %d par=%v: reset instance differs from NewCrypt", size, par)
+			}
+			if got, want := c.Checksum(), fresh.Checksum(); got != want {
+				t.Fatalf("size %d par=%v: checksum %d, want %d", size, par, got, want)
+			}
+			if err := c.Validate(); err != nil {
+				t.Fatalf("size %d par=%v: %v", size, par, err)
+			}
+		}
+	}
+	if raceflag.Enabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	if got := testing.AllocsPerRun(20, func() { c.Reset(1 << 10); c.Reset(256 << 10) }); got != 0 {
+		t.Errorf("Reset within capacity: %v allocs/op, want 0", got)
+	}
+}
+
 // FuzzIdeaCipher checks the two-block cipher against the reference on an
 // arbitrary user key, payload and block range, then that the derived
 // decryption schedule takes the range back to the input. The seed corpus is
@@ -248,7 +286,8 @@ func BenchmarkIdeaCipher(b *testing.B) {
 	benchSink = c.Checksum()
 }
 
-// BenchmarkNewCrypt1K is the construction every 1 KiB request pays.
+// BenchmarkNewCrypt1K is a 1 KiB construction from nothing; the HTTP server's
+// requests Reset a recycled instance instead.
 func BenchmarkNewCrypt1K(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
