@@ -13,7 +13,6 @@ package main
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/kernels"
 	"repro/internal/pyjama"
@@ -28,20 +27,14 @@ func main() {
 		panic(err)
 	}
 
+	// Each stage posts a heartbeat probe to the EDT just before its S2
+	// block. The EDT queue is FIFO, so the probe runs before S2, and the
+	// stage cannot finish until S2 has run: every probe runs while the
+	// handler sits in its await barrier. Had the await run the stage inline
+	// on the EDT, S2 would be inlined too and no probe would run until the
+	// handler returned.
 	var heartbeat atomic.Int64
-	stopTicker := make(chan struct{})
-	// A ticker event posted to the EDT every 5ms: if the EDT were blocked
-	// during the await, these would stall.
-	go func() {
-		for {
-			select {
-			case <-stopTicker:
-				return
-			case <-time.After(5 * time.Millisecond):
-				edt.Post(func() { heartbeat.Add(1) })
-			}
-		}
-	}()
+	var beats int64
 
 	const frames = 3
 	handlerDone := make(chan struct{})
@@ -61,6 +54,7 @@ func main() {
 				r.RunPar(4) // asynchronous parallel: offloaded AND parallel
 				checksum = r.Checksum()
 
+				edt.Post(func() { heartbeat.Add(1) })
 				// S2: foreground progress update from within the stage.
 				pyjama.TargetBlock("edt", pyjama.Wait, "", func() {
 					fmt.Printf("[edt]    progress: frame %d/%d rendered\n", frame, frames)
@@ -74,15 +68,15 @@ func main() {
 				fmt.Printf("[edt]    frame %d checksum %d\n", frame, checksum)
 			})
 		}
-		fmt.Printf("[edt]    pipeline finished; EDT heartbeats during handler: %d\n", heartbeat.Load())
+		beats = heartbeat.Load()
+		fmt.Printf("[edt]    pipeline finished; EDT heartbeats during handler: %d of %d\n", beats, frames)
 		close(handlerDone)
 	}
 
 	edt.Post(processButtonClick)
 	<-handlerDone
-	close(stopTicker)
 
-	if heartbeat.Load() == 0 {
+	if beats != frames {
 		panic("EDT was blocked during the pipeline — await failed")
 	}
 	edt.Stop()

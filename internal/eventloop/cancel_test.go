@@ -12,7 +12,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/testutil/poll"
 	"repro/internal/trace"
-	"repro/internal/vclock"
 )
 
 var errRevoked = errors.New("revoked by the test")
@@ -100,17 +99,22 @@ func TestCancelVsDispatchRace(t *testing.T) {
 // fails the loop's remaining timers — and the verdict stays Cancel's.
 func TestCancelDelayedEvent(t *testing.T) {
 	l := New("edt", &gid.Registry{})
-	mc := vclock.NewManual(time.Time{})
-	l.SetClock(mc)
 	l.Start()
-	fired := l.PostDelayed(5*time.Millisecond, func() { t.Error("cancelled delayed event ran") })
+	release := holdEDT(l)
+	fired := l.PostDelayed(time.Millisecond, func() { t.Error("cancelled delayed event ran") })
 	stopped := l.PostDelayed(time.Hour, func() { t.Error("cancelled delayed event ran") })
 	for _, c := range []*executor.Completion{fired, stopped} {
 		if !c.Cancel(errRevoked) {
 			t.Fatal("Cancel of a delayed event returned false")
 		}
 	}
-	mc.Advance(10 * time.Millisecond)
+	// The short timer has fired and queued its cancelled node behind the hold.
+	poll.Until(t, "the short timer to queue its event", func() bool {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return len(l.delayed) == 1 && l.q.Len() == 1
+	})
+	release()
 	l.Post(func() {}).Wait()
 	l.Stop()
 	for _, c := range []*executor.Completion{fired, stopped} {
@@ -118,8 +122,8 @@ func TestCancelDelayedEvent(t *testing.T) {
 			t.Fatalf("err = %v, want the error Cancel was given", err)
 		}
 	}
-	if got := l.Dispatched(); got != 1 {
-		t.Fatalf("Dispatched = %d, want only the flush event", got)
+	if got := l.Dispatched(); got != 2 {
+		t.Fatalf("Dispatched = %d, want only the hold and the flush", got)
 	}
 }
 

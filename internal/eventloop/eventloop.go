@@ -37,7 +37,6 @@ import (
 	"repro/internal/gid"
 	"repro/internal/sanitize"
 	"repro/internal/trace"
-	"repro/internal/vclock"
 )
 
 // ErrOnEDT is returned by InvokeAndWait when called from the EDT itself
@@ -46,7 +45,7 @@ import (
 var ErrOnEDT = errors.New("eventloop: InvokeAndWait called on the event-dispatch goroutine")
 
 // DispatchInfo describes one dispatched event, for instrumentation. The loop
-// reads its clock only for an installed observer: an event queued before
+// reads the clock only for an installed observer: an event queued before
 // SetObserver reports Enqueued = Start, one already running Start = End.
 type DispatchInfo struct {
 	// Label is the label given at Post time ("" for unlabeled events).
@@ -86,16 +85,10 @@ type Loop struct {
 	// rest of the runtime relies on. No-op in untagged builds.
 	san sanitize.Home
 
-	// clock is the loop's time source: DispatchInfo timestamps and
-	// PostDelayed timers go through it. Defaults to the wall clock; tests
-	// and the simulation harness inject a controlled clock with SetClock
-	// before Start.
-	clock vclock.Clock
-
 	mu      sync.Mutex
 	q       executor.ChunkQueue[*item]
 	closed  bool
-	delayed map[vclock.Timer]*item // pending PostDelayed timers -> their events
+	delayed map[*time.Timer]*item // pending PostDelayed timers -> their events
 
 	// Hot-path state read without the lock.
 	qlen     atomic.Int64 // mirror of q.Len(), updated under mu
@@ -127,27 +120,14 @@ func New(name string, reg *gid.Registry) *Loop {
 	l := &Loop{
 		name:     name,
 		registry: reg,
-		clock:    vclock.Wall,
 		q:        executor.NewChunkQueue[*item](),
-		delayed:  make(map[vclock.Timer]*item),
+		delayed:  make(map[*time.Timer]*item),
 		notify:   make(chan struct{}, 1),
 		stopCh:   make(chan struct{}),
 		ready:    make(chan struct{}),
 	}
 	l.itemPool.New = func() any { return new(item) }
 	return l
-}
-
-// SetClock replaces the loop's time source (nil restores the wall clock).
-// Must be called before Start: the dispatch goroutine reads the clock
-// without synchronization.
-func (l *Loop) SetClock(c vclock.Clock) {
-	if c == nil {
-		c = vclock.Wall
-	}
-	l.mu.Lock()
-	l.clock = c
-	l.mu.Unlock()
 }
 
 // Start launches the event-dispatch goroutine and returns once it is
@@ -296,7 +276,7 @@ func (l *Loop) dispatch(it *item) {
 	l.san.Check("dispatch event on", l.name)
 	var start time.Time
 	if l.observer.Load() != nil {
-		start = l.clock.Now()
+		start = time.Now()
 	}
 	l.depth.Add(1)
 	ran := it.Run(it.comp, l.name, func(err error) {
@@ -306,7 +286,7 @@ func (l *Loop) dispatch(it *item) {
 			l.NotifyPanic(pe.Value)
 		}
 		if obs := l.observer.Load(); obs != nil {
-			info := DispatchInfo{Label: it.label, Enqueued: it.enqueued, Start: start, End: l.clock.Now(), Err: err}
+			info := DispatchInfo{Label: it.label, Enqueued: it.enqueued, Start: start, End: time.Now(), Err: err}
 			if info.Start.IsZero() {
 				info.Start = info.End
 			}
@@ -354,7 +334,7 @@ func (l *Loop) PostLabeled(label string, fn func()) *executor.Completion {
 // span.
 func (l *Loop) enqueue(it *item, spawn trace.SpanID) {
 	if l.observer.Load() != nil {
-		it.enqueued = l.clock.Now()
+		it.enqueued = time.Now()
 	}
 	it.Enqueued(l.name, spawn)
 	l.mu.Lock()
@@ -393,15 +373,12 @@ func (l *Loop) PostDelayed(d time.Duration, fn func()) *executor.Completion {
 		spawn = trace.Current()
 	}
 	if d <= 0 {
-		// Already due: enqueue directly. Also keeps injected clocks whose
-		// AfterFunc runs non-positive delays synchronously (vclock.Manual)
-		// from re-entering l.mu, which this method holds.
 		l.mu.Unlock()
 		l.enqueue(it, spawn)
 		return comp
 	}
-	var tm vclock.Timer
-	tm = l.clock.AfterFunc(d, func() {
+	var tm *time.Timer
+	tm = time.AfterFunc(d, func() {
 		l.mu.Lock()
 		delete(l.delayed, tm)
 		l.mu.Unlock()

@@ -3,7 +3,6 @@ package eventloop
 import (
 	"errors"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,7 +10,6 @@ import (
 
 	"repro/internal/executor"
 	"repro/internal/gid"
-	"repro/internal/vclock"
 
 	"repro/internal/testutil/leakcheck"
 
@@ -510,45 +508,5 @@ func TestPostDelayedStopRace(t *testing.T) {
 				t.Fatalf("round %d comp %d: completion never finished", round, i)
 			}
 		}
-	}
-}
-
-// TestPostDelayedOnInjectedClock drives the loop's timers from a manual
-// clock through the SetClock seam: nothing fires while only wall time
-// passes, everything due fires — in deadline order — when the clock is
-// advanced. This is the seam the simulation executor relies on.
-func TestPostDelayedOnInjectedClock(t *testing.T) {
-	reg := &gid.Registry{}
-	l := New("edt", reg)
-	mc := vclock.NewManual(time.Time{})
-	l.SetClock(mc)
-	l.Start()
-	defer l.Stop()
-
-	var mu sync.Mutex
-	var order []string
-	say := func(s string) func() {
-		return func() { mu.Lock(); order = append(order, s); mu.Unlock() }
-	}
-	late := l.PostDelayed(20*time.Millisecond, say("late"))
-	early := l.PostDelayed(5*time.Millisecond, say("early"))
-	// Immediate (non-positive) delays bypass the clock entirely.
-	if err := l.PostDelayed(0, say("now")).Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if early.Finished() || late.Finished() {
-		t.Fatal("delayed post fired without the manual clock advancing")
-	}
-	mc.Advance(30 * time.Millisecond)
-	if err := late.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if err := early.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if got := strings.Join(order, ","); got != "now,early,late" {
-		t.Fatalf("fire order = %q, want now,early,late", got)
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/trace"
-	"repro/internal/vclock"
 )
 
 // BreakerState is the circuit breaker's position.
@@ -49,7 +48,6 @@ type Breaker struct {
 	name      string
 	threshold int
 	cooldown  time.Duration
-	clock     vclock.Clock // cooldown time source; wall clock by default
 
 	mu       sync.Mutex
 	state    BreakerState
@@ -71,19 +69,7 @@ func NewBreaker(name string, threshold int, cooldown time.Duration) *Breaker {
 	if cooldown <= 0 {
 		cooldown = time.Second
 	}
-	return &Breaker{name: name, threshold: threshold, cooldown: cooldown, clock: vclock.Wall}
-}
-
-// SetClock replaces the breaker's time source (nil restores the wall
-// clock). Deterministic tests and the simulation executor advance a
-// controlled clock through a cooldown instead of sleeping it out.
-func (b *Breaker) SetClock(c vclock.Clock) {
-	if c == nil {
-		c = vclock.Wall
-	}
-	b.mu.Lock()
-	b.clock = c
-	b.mu.Unlock()
+	return &Breaker{name: name, threshold: threshold, cooldown: cooldown}
 }
 
 // Name returns the guarded target's name.
@@ -94,7 +80,7 @@ func (b *Breaker) Name() string { return b.name }
 func (b *Breaker) State() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == Open && b.clock.Now().Sub(b.openedAt) >= b.cooldown {
+	if b.state == Open && time.Since(b.openedAt) >= b.cooldown {
 		return HalfOpen
 	}
 	return b.state
@@ -118,7 +104,7 @@ func (b *Breaker) Allow() error {
 	case Closed:
 		return nil
 	case Open:
-		if b.clock.Now().Sub(b.openedAt) < b.cooldown {
+		if time.Since(b.openedAt) < b.cooldown {
 			b.rejects.Inc()
 			return ErrBreakerOpen
 		}
@@ -164,7 +150,7 @@ func (b *Breaker) Failure() {
 	switch b.state {
 	case HalfOpen:
 		b.state = Open
-		b.openedAt = b.clock.Now()
+		b.openedAt = time.Now()
 		b.probing = false
 		b.opens.Inc()
 		trace.Emit(trace.OpBreakerOpen, b.name)
@@ -172,7 +158,7 @@ func (b *Breaker) Failure() {
 		b.failures++
 		if b.failures >= b.threshold {
 			b.state = Open
-			b.openedAt = b.clock.Now()
+			b.openedAt = time.Now()
 			b.failures = 0
 			b.opens.Inc()
 			trace.Emit(trace.OpBreakerOpen, b.name)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/trace"
-	"repro/internal/vclock"
 )
 
 func TestBreakerOpensAfterConsecutiveFailures(t *testing.T) {
@@ -47,14 +46,23 @@ func TestBreakerSuccessResetsStreak(t *testing.T) {
 	}
 }
 
+// cooledDown moves the open breaker's opening back by one cooldown, so the
+// next Allow probes without the test waiting the cooldown out.
+func cooledDown(b *Breaker) {
+	b.mu.Lock()
+	b.openedAt = b.openedAt.Add(-b.cooldown)
+	b.mu.Unlock()
+}
+
 func TestBreakerHalfOpenProbeCloses(t *testing.T) {
-	b := NewBreaker("t", 1, 10*time.Millisecond)
-	mc := vclock.NewManual(time.Time{})
-	b.SetClock(mc)
+	b := NewBreaker("t", 1, time.Hour)
 	buf := trace.NewBuffer(16)
 	t.Cleanup(trace.Use(buf))
 	b.Failure() // open
-	mc.Advance(15 * time.Millisecond)
+	if b.State() != Open {
+		t.Fatalf("state = %v within the cooldown, want open", b.State())
+	}
+	cooledDown(b)
 	if b.State() != HalfOpen {
 		t.Fatalf("state = %v after cooldown, want half-open", b.State())
 	}
@@ -78,11 +86,9 @@ func TestBreakerHalfOpenProbeCloses(t *testing.T) {
 }
 
 func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
-	b := NewBreaker("t", 1, 10*time.Millisecond)
-	mc := vclock.NewManual(time.Time{})
-	b.SetClock(mc)
+	b := NewBreaker("t", 1, time.Hour)
 	b.Failure() // open
-	mc.Advance(15 * time.Millisecond)
+	cooledDown(b)
 	if err := b.Allow(); err != nil {
 		t.Fatalf("probe Allow: %v", err)
 	}

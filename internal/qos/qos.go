@@ -17,7 +17,7 @@
 //	defer limiter.Release()
 //	rt.InvokeCtx(ctx, "worker", core.Wait, block)
 //
-// Three cooperating pieces:
+// Two cooperating pieces:
 //
 //   - Limiter: a slot semaphore with a bounded wait queue and a pluggable
 //     overload Policy — Block (wait indefinitely), Reject (fail instantly
@@ -27,9 +27,6 @@
 //   - Breaker: a per-target circuit breaker that opens after N consecutive
 //     failures (panics, deadline expiries), rejects instantly while open,
 //     and probes with a single trial request after a cooldown.
-//   - Retry: exponential backoff with full jitter for invocations rejected
-//     by a limiter or breaker, so well-behaved clients retry without
-//     synchronizing into retry storms.
 //
 // Both Limiter and Breaker emit trace events (trace.OpShed,
 // trace.OpBreakerOpen, trace.OpBreakerClose) to the active sink

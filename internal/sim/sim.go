@@ -22,8 +22,10 @@
 // model checking uses, because handlers on an EDT really are atomic with
 // respect to each other. Code that blocks on raw channels, spawns bare
 // goroutines, or reads the wall clock escapes the simulation; the
-// executor.SetBlockHook and vclock.Clock seams exist so runtime code does
-// neither. See DESIGN.md §17 for what exploration can and cannot prove.
+// executor.SetBlockHook seam routes the runtime's own waits through the
+// scheduler, and time exists only as the virtual clock behind PostDelayed,
+// PostAt and Sleep. See DESIGN.md §17 for what exploration can and cannot
+// prove.
 package sim
 
 import (
@@ -36,7 +38,6 @@ import (
 	"repro/internal/executor"
 	"repro/internal/gid"
 	"repro/internal/trace"
-	"repro/internal/vclock"
 )
 
 // ErrNotSimGoroutine reports use of a simulated executor from outside the
@@ -112,11 +113,11 @@ type stask struct {
 
 // stimer is one pending virtual-clock timer.
 type stimer struct {
-	seq     uint64
-	when    time.Duration // virtual deadline
-	target  string        // decision-log label
-	fire    func()
-	stopped bool
+	seq    uint64
+	when   time.Duration // virtual deadline
+	target string        // decision-log label
+	fn     func()
+	fired  bool
 }
 
 // runMu serializes simulations process-wide: the block hook and goroutine
@@ -201,20 +202,6 @@ func (s *Sim) Trace() string { return s.log.String() }
 // Now returns the virtual clock reading.
 func (s *Sim) Now() time.Time { return s.base.Add(s.virt) }
 
-// Clock exposes the virtual clock through the vclock seam, for wiring into
-// components that take an injectable time source (qos.Breaker.SetClock,
-// supervise.Options.Clock, eventloop.Loop.SetClock).
-func (s *Sim) Clock() vclock.Clock { return simClock{s} }
-
-type simClock struct{ s *Sim }
-
-func (c simClock) Now() time.Time { return c.s.Now() }
-
-func (c simClock) AfterFunc(d time.Duration, fn func()) vclock.Timer {
-	c.s.checkGoroutine()
-	return c.s.addTimer(d, "clock", fn)
-}
-
 func (s *Sim) checkGoroutine() {
 	if !s.active || gid.Current() != s.goid {
 		panic(ErrNotSimGoroutine)
@@ -231,21 +218,11 @@ func (s *Sim) nextSeq() uint64 {
 }
 
 // addTimer schedules fn at virtual now+d (clamped to now).
-func (s *Sim) addTimer(d time.Duration, target string, fn func()) *stimer {
+func (s *Sim) addTimer(d time.Duration, target string, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	t := &stimer{seq: s.nextSeq(), when: s.virt + d, target: target, fire: fn}
-	s.timers = append(s.timers, t)
-	return t
-}
-
-func (t *stimer) Stop() bool {
-	if t.stopped {
-		return false
-	}
-	t.stopped = true
-	return true
+	s.timers = append(s.timers, &stimer{seq: s.nextSeq(), when: s.virt + d, target: target, fn: fn})
 }
 
 // choice is one runnable alternative at a scheduler step.
@@ -275,10 +252,10 @@ func (s *Sim) collect() []choice {
 			cs = append(cs, choice{exec: e, qidx: i, seq: t.seq})
 		}
 	}
-	// Compact stopped timers opportunistically while scanning for due ones.
+	// Compact fired timers opportunistically while scanning for due ones.
 	live := s.timers[:0]
 	for _, t := range s.timers {
-		if t.stopped {
+		if t.fired {
 			continue
 		}
 		live = append(live, t)
@@ -309,7 +286,7 @@ func (s *Sim) advanceClock() bool {
 	var earliest time.Duration
 	found := false
 	for _, t := range s.timers {
-		if t.stopped {
+		if t.fired {
 			continue
 		}
 		if !found || t.when < earliest {
@@ -368,8 +345,8 @@ func (s *Sim) step() bool {
 	if c.timer != nil {
 		s.log.Append(trace.Decision{Step: s.steps, Kind: "timer", Target: c.timer.target, Seq: c.timer.seq, Alts: len(cs), Virt: s.virt})
 		s.steps++
-		c.timer.stopped = true // consumed; collect will drop it
-		c.timer.fire()
+		c.timer.fired = true // consumed; collect will drop it
+		c.timer.fn()
 		return true
 	}
 	t := c.exec.take(c.qidx)

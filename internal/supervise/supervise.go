@@ -26,7 +26,6 @@ import (
 	"repro/internal/executor"
 	"repro/internal/metrics"
 	"repro/internal/trace"
-	"repro/internal/vclock"
 )
 
 // State is a supervised target's lifecycle state.
@@ -121,11 +120,6 @@ type Options struct {
 	// whole executor. Requires the base executor to implement
 	// Grow(int); full replacement is the fallback.
 	RespawnWorkers bool
-	// Clock is the time source for the restart window, backoff sleeps and
-	// health grading (nil = wall clock). Deterministic tests drive the
-	// supervisor through backoffs and quiet windows by advancing a
-	// vclock.Manual instead of sleeping real time out.
-	Clock vclock.Clock
 }
 
 func (o *Options) fill() {
@@ -140,9 +134,6 @@ func (o *Options) fill() {
 	}
 	if o.BackoffMax <= 0 {
 		o.BackoffMax = 2 * time.Second
-	}
-	if o.Clock == nil {
-		o.Clock = vclock.Wall
 	}
 }
 
@@ -317,7 +308,7 @@ func (s *Supervisor) handleFailure(f failure) {
 		s.mu.Unlock() // stale generation, or already given up
 		return
 	}
-	now := s.opts.Clock.Now()
+	now := time.Now()
 	s.pruneLocked(now)
 	s.lastErr = f.reason
 	if len(s.restarts) >= s.opts.MaxRestarts {
@@ -420,10 +411,17 @@ func (s *Supervisor) backoff(n int) time.Duration {
 	return d
 }
 
-// sleep waits d out on the configured clock unless the supervisor is shut
-// down first.
+// sleep waits d out unless the supervisor is shut down first, reporting
+// whether the full duration elapsed.
 func (s *Supervisor) sleep(d time.Duration) bool {
-	return vclock.Sleep(s.opts.Clock, d, s.done)
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-s.done:
+		return false
+	}
 }
 
 func (s *Supervisor) snapshot() (State, executor.Executor) {
@@ -536,7 +534,7 @@ func (h TargetHealth) StatusValue() Status {
 func (s *Supervisor) Health() TargetHealth {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.pruneLocked(s.opts.Clock.Now())
+	s.pruneLocked(time.Now())
 	h := TargetHealth{
 		Name:           s.name,
 		State:          s.state.String(),

@@ -203,6 +203,30 @@ func TestShutdownStopsSupervision(t *testing.T) {
 	}
 }
 
+// TestShutdownInterruptsBackoff: a supervisor waiting out a restart backoff
+// answers posts with ErrRestarting, and Shutdown cuts the wait short instead
+// of joining a loop that would sleep for an hour.
+func TestShutdownInterruptsBackoff(t *testing.T) {
+	defer leakcheck.Check(t)()
+	var reg gid.Registry
+	s, err := New("w", poolFactory(t, &reg, 1), Options{
+		BackoffInitial: time.Hour,
+		BackoffMax:     time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.ReportFailure(errors.New("synthetic failure"))
+	poll.UntilBlockedIn(t, "(*Supervisor).sleep")
+	if err := s.Post(func() {}).Wait(); !errors.Is(err, ErrRestarting) {
+		t.Fatalf("post during backoff: %v, want ErrRestarting", err)
+	}
+	s.Shutdown()
+	if h := s.Health(); h.StatusValue() != Down {
+		t.Fatalf("health after a shutdown mid-restart = %+v, want down", h)
+	}
+}
+
 // TestRespawnInheritsCrashedWorkerQueue: the pool's queue outlives its last
 // worker, and the worker Grow adds — Grow is what RespawnWorkers calls —
 // drains it. A supervisor respawning a sole worker therefore hands the
