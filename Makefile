@@ -90,10 +90,13 @@ size:
 # and the pool's task node; and the encryption service's recycled payload
 # (DESIGN.md §4): a Crypt Reset within its capacity and a request's compute
 # allocate nothing, across collections too (the payload free list must survive
-# them) — untagged and under the sanitizer, never under -race (the detector
-# allocates on its own account, so the tests skip themselves there).
-ALLOCS_RUN = 'TestAllocationBudget|TestWaiterFreeListSurvivesGC|TestNodeSizes|TestCryptResetMatchesNewCrypt|TestPayloadIsRecycled'
-ALLOCS_PKGS = ./internal/core/ ./internal/executor/ ./internal/kernels/ ./internal/httpserver/
+# them); and the OpenMP substrate (DESIGN.md §4): an empty region on a parked
+# team allocates nothing, a warm Crypt RunPar only its body closure, and
+# Critical on a name already seen nothing — untagged and under the sanitizer,
+# never under -race (the detector allocates on its own account, so the tests
+# skip themselves there).
+ALLOCS_RUN = 'TestAllocationBudget|TestWaiterFreeListSurvivesGC|TestNodeSizes|TestCryptResetMatchesNewCrypt|TestPayloadIsRecycled|TestParallelReusesParkedTeam|TestRunParReusesParkedTeam|TestCriticalAllocatesNothingForSeenName'
+ALLOCS_PKGS = ./internal/core/ ./internal/executor/ ./internal/kernels/ ./internal/httpserver/ ./internal/omp/
 allocs:
 	$(GO) test -count=1 -run $(ALLOCS_RUN) $(ALLOCS_PKGS)
 	$(GO) test -count=1 -tags=ompsan -run $(ALLOCS_RUN) $(ALLOCS_PKGS)

@@ -236,6 +236,19 @@ func TestCryptResetMatchesNewCrypt(t *testing.T) {
 	}
 }
 
+// TestRunParReusesParkedTeam: on a warm instance a two-thread RunPar
+// allocates one object, its body closure; the team is a parked one.
+func TestRunParReusesParkedTeam(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	c := NewCrypt(1 << 10)
+	c.RunPar(2)
+	if got := testing.AllocsPerRun(100, func() { c.RunPar(2) }); got != 1 {
+		t.Errorf("RunPar(2) on a warm instance: %v allocs/op, want 1", got)
+	}
+}
+
 // FuzzIdeaCipher checks the two-block cipher against the reference on an
 // arbitrary user key, payload and block range, then that the derived
 // decryption schedule takes the range back to the input. The seed corpus is

@@ -14,7 +14,8 @@
 // The calling goroutine becomes the team's master (thread 0) and
 // participates in the region: this deliberate fidelity to OpenMP's fork-join
 // model is what makes the EDT unresponsive in the synchronous-parallel
-// baseline, which the evaluation measures.
+// baseline, which the evaluation measures. The other members are a hot team:
+// goroutines parked between regions, woken rather than forked by Parallel.
 package omp
 
 import (
@@ -56,17 +57,97 @@ func (s Schedule) String() string {
 // available parallelism.
 func DefaultNumThreads() int { return defaultNumThreads() }
 
-// team is the shared state of one parallel region.
+// team is the shared state of a parallel region. It outlives the region: on
+// the idle list, members 1..n-1 park on their wake channel until the next body.
 type team struct {
-	n   int
-	bar *barrier
+	n       int
+	bar     barrier
+	members []Team          // members[i] is thread i's view, built once
+	wake    []chan struct{} // wake[i-1] starts member i on body; closed to retire it
+	running atomic.Int32    // members 1..n-1 still in body
+	done    chan struct{}   // the last member to leave body sends here
+	body    func(tc *Team)
 
 	mu         sync.Mutex
 	constructs map[int]any // construct ordinal -> shared state
 
-	tasks     taskQueue
-	inFlight  atomic.Int64
-	taskSense sync.Cond
+	tasks    taskQueue
+	inFlight atomic.Int64
+}
+
+// maxIdleTeams bounds the parked teams kept per team size.
+const maxIdleTeams = 8
+
+// idle holds the parked teams, a stack per size. It is not a sync.Pool: the
+// collector empties a pool, and a team it drops strands its parked members.
+var idle = struct {
+	mu    sync.Mutex
+	teams map[int][]*team
+}{teams: make(map[int][]*team)}
+
+func newTeam(n int) *team {
+	t := &team{n: n, members: make([]Team, n), wake: make([]chan struct{}, n-1),
+		done: make(chan struct{}, 1), constructs: make(map[int]any)}
+	t.bar.n, t.bar.cond.L = n, &t.bar.mu
+	for i := range t.members {
+		t.members[i] = Team{t: t, id: i}
+		if i > 0 {
+			t.wake[i-1] = make(chan struct{}, 1)
+			go t.member(i)
+		}
+	}
+	return t
+}
+
+// member is the goroutine of thread id: it runs each body it is woken for
+// and returns when the team is retired.
+func (t *team) member(id int) {
+	for range t.wake[id-1] {
+		t.body(&t.members[id])
+		if t.running.Add(-1) == 0 {
+			t.done <- struct{}{}
+		}
+	}
+}
+
+// takeTeam returns an idle team of size n, or a new one.
+func takeTeam(n int) *team {
+	idle.mu.Lock()
+	defer idle.mu.Unlock()
+	if s := idle.teams[n]; len(s) > 0 {
+		t := s[len(s)-1]
+		s[len(s)-1], idle.teams[n] = nil, s[:len(s)-1]
+		return t
+	}
+	return newTeam(n)
+}
+
+// release ends a region: a joined team has its construct state reset and is
+// parked, unless its size already has maxIdleTeams parked. A team whose
+// master panicked (body still set) is retired, as is one beyond the bound.
+func (t *team) release() {
+	if t.body == nil {
+		clear(t.constructs)
+		for i := range t.members {
+			t.members[i].seq = 0
+		}
+		t.tasks.q = nil
+		idle.mu.Lock()
+		if s := idle.teams[t.n]; len(s) < maxIdleTeams {
+			idle.teams[t.n] = append(s, t)
+			idle.mu.Unlock()
+			return
+		}
+		idle.mu.Unlock()
+	}
+	t.retire()
+}
+
+// retire ends the members' goroutines once they finish any body in hand.
+func (t *team) retire() {
+	for _, w := range t.wake {
+		close(w)
+	}
 }
 
 // Team is a member's view of its parallel region: thread id, team size, and
@@ -86,25 +167,26 @@ func (tc *Team) NumThreads() int { return tc.t.n }
 // Parallel runs body on a team of n goroutines (n <= 0 means
 // DefaultNumThreads). The caller is the master (thread 0) and participates;
 // Parallel returns when every member has finished the body — the synchronous
-// "join" the paper contrasts with its asynchronous executor model.
+// "join" the paper contrasts with its asynchronous executor model. The other
+// members are a parked team, retired rather than reused if the master panics.
 func Parallel(n int, body func(tc *Team)) {
 	if n <= 0 {
 		n = DefaultNumThreads()
 	}
-	t := &team{n: n, bar: newBarrier(n), constructs: make(map[int]any)}
-	t.taskSense.L = &t.mu
-	var wg sync.WaitGroup
-	for i := 1; i < n; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			body(&Team{t: t, id: id})
-		}(i)
+	t := takeTeam(n)
+	defer t.release()
+	t.body = body
+	t.running.Store(int32(n - 1))
+	for _, w := range t.wake {
+		w <- struct{}{}
 	}
-	body(&Team{t: t, id: 0})
-	wg.Wait()
+	body(&t.members[0])
+	if n > 1 {
+		<-t.done
+	}
 	// Region end is a task scheduling point: no task may outlive its region.
 	t.drainTasks()
+	t.body = nil // joined: release may park the team
 }
 
 // Barrier synchronizes all team members. It is a task scheduling point:
@@ -273,7 +355,10 @@ var criticalRegistry sync.Map // name -> *sync.Mutex
 // Critical runs fn under the process-wide lock for name — OpenMP critical
 // sections with the same name exclude each other across all teams.
 func Critical(name string, fn func()) {
-	m, _ := criticalRegistry.LoadOrStore(name, &sync.Mutex{})
+	m, ok := criticalRegistry.Load(name)
+	if !ok {
+		m, _ = criticalRegistry.LoadOrStore(name, new(sync.Mutex))
+	}
 	mu := m.(*sync.Mutex)
 	mu.Lock()
 	defer mu.Unlock()
@@ -427,16 +512,10 @@ func (t *team) drainTasks() {
 // barrier is a reusable sense-reversing barrier for n parties.
 type barrier struct {
 	mu    sync.Mutex
-	cond  *sync.Cond
+	cond  sync.Cond
 	n     int
 	count int
 	sense bool
-}
-
-func newBarrier(n int) *barrier {
-	b := &barrier{n: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
 }
 
 func (b *barrier) await() {

@@ -362,6 +362,7 @@ func TestDeterministicResultUnderRandomWork(t *testing.T) {
 }
 
 func BenchmarkForkJoinOverhead(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Parallel(4, func(tc *Team) {})
 	}
