@@ -74,12 +74,21 @@ cover:
 	awk -v t="$$total" -v min="$(COVER_MIN)" 'BEGIN { exit (t+0 < min+0) }' || \
 		{ echo "coverage $$total% is below the $(COVER_MIN)% floor" >&2; exit 1; }
 
-# size prints the four numbers the simplicity PRs track (CHANGES.md): non-test
+# size prints the five numbers the simplicity PRs track (CHANGES.md): non-test
 # Go lines under internal/ and under cmd/, exported Set* setters — each one a
-# knob that is mutable after construction — and flag definitions under cmd/.
+# knob that is mutable after construction — the exported surface under
+# internal/ (top-level funcs, methods, types, vars and consts with an exported
+# name, test files and testdata excluded), and flag definitions under cmd/.
 size:
 	@echo "non-test Go lines under internal/: $$(find internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@echo "Set* setters under internal/: $$(grep -rn "^func (.*) Set[A-Z][A-Za-z]*(\|^func Set[A-Z]" internal --include=*.go | grep -v _test.go | wc -l)"
+	@echo "exported identifiers under internal/: $$(find internal -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs awk ' \
+		FNR == 1 { blk = 0 } \
+		/^(var|const|type) \($$/ { blk = 1; next } \
+		blk && /^\)/ { blk = 0; next } \
+		blk && /^\t[A-Z]/ { n++; next } \
+		/^func [A-Z]/ || /^func \([^)]*\) [A-Z]/ || /^(type|var|const) [A-Z]/ { n++ } \
+		END { print n + 0 }')"
 	@echo "non-test Go lines under cmd/: $$(find cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@echo "flag definitions under cmd/: $$(find cmd -name '*.go' ! -name '*_test.go' | xargs cat | grep -c 'flag\.\(String\|Int\|Bool\|Duration\|Float64\)(')"
 

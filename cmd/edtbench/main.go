@@ -29,7 +29,7 @@ import (
 
 func main() {
 	var (
-		kernelList   = flag.String("kernels", strings.Join(kernels.PaperNames(), ","), "comma-separated kernel families")
+		kernelList   = flag.String("kernels", strings.Join(kernels.Names(), ","), "comma-separated kernel families")
 		approachList = flag.String("approaches", joinApproaches(evaluation.Approaches()), "comma-separated handler strategies")
 		rateList     = flag.String("rates", "10,20,30,40,50,60,70,80,90,100", "comma-separated request loads (events/sec)")
 		events       = flag.Int("events", 30, "events fired per run")

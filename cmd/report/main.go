@@ -99,7 +99,7 @@ func figure1() {
 // crypt size, which the netloop extension reuses for its handler.
 func figures78(sc scaleCfg) (cryptSize int) {
 	fmt.Println("\n## Figures 7-8 — response time (ms) vs request load")
-	for _, kern := range kernels.PaperNames() {
+	for _, kern := range kernels.Names() {
 		size, rows, err := evaluation.SweepA(evaluation.EvalAConfig{Kernel: kern, Events: sc.events},
 			sc.handler, evaluation.Approaches(), sc.rates)
 		if err != nil {

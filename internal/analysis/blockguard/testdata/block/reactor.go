@@ -1,8 +1,8 @@
 // Reactor readiness callbacks are EDT-confined contexts: they run on the
 // reactor's single poll goroutine, so blocking in one stalls every
 // registered connection. blockguard must classify HandlerFuncs fields,
-// Reactor.Post / Conn.Post hops, and the Listen accept callback exactly
-// like event-dispatch-thread deliveries.
+// Reactor.Post hops, and the Listen accept callback exactly like
+// event-dispatch-thread deliveries.
 package block
 
 import (
@@ -35,18 +35,18 @@ func reactorCallbacks(r *reactor.Reactor, comp chan int) {
 	})
 }
 
-func reactorFieldAssignment(c *reactor.Conn, h reactor.HandlerFuncs, done chan struct{}) {
+func reactorFieldAssignment(r *reactor.Reactor, h reactor.HandlerFuncs, done chan struct{}) {
 	h.OnReadable = func(c *reactor.Conn, data []byte) {
 		<-done // want `channel receive blocks the event-dispatch thread \(enclosing block is dispatched via reactor\.HandlerFuncs\.OnReadable\)`
 	}
-	c.Post(func() {
+	r.Post(func() {
 		time.Sleep(time.Millisecond) // want `time\.Sleep blocks the event-dispatch thread \(enclosing block is dispatched via reactor Post\)`
 	})
 }
 
 // reactorClean shows the approved shape: the readiness callback offloads
 // the slow work to a raw goroutine (stand-in for a worker target) and hops
-// back with Conn.Post; nothing blocks the poll goroutine.
+// back with Reactor.Post; nothing blocks the poll goroutine.
 func reactorClean(r *reactor.Reactor) {
 	r.Listen("127.0.0.1:0", func(c *reactor.Conn) reactor.HandlerFuncs {
 		return reactor.HandlerFuncs{
@@ -54,7 +54,7 @@ func reactorClean(r *reactor.Reactor) {
 				line := string(data) // copy: data aliases the scratch buffer
 				go func() {
 					reply := process(line)
-					c.Post(func() { c.Write([]byte(reply)) })
+					r.Post(func() { c.Write([]byte(reply)) })
 				}()
 			},
 		}
@@ -62,14 +62,6 @@ func reactorClean(r *reactor.Reactor) {
 }
 
 func process(s string) string { return s }
-
-// PostAt timer callbacks (PR 7) fire on the poll goroutine: same confined
-// context, same never-block rule as Post.
-func reactorTimerCallback(r *reactor.Reactor, at time.Time) {
-	r.PostAt(at, func() {
-		time.Sleep(time.Millisecond) // want `time\.Sleep blocks the event-dispatch thread \(enclosing block is dispatched via reactor PostAt timer callback\)`
-	})
-}
 
 // Supervised generations (PR 8) re-register listeners after a restart, but
 // every generation's accept callback still runs on that generation's poll

@@ -259,18 +259,13 @@ func (c *Classifier) dispatchByCallee(call *ast.CallExpr, fn *types.Func) (strin
 		c.isMethod(fn, "repro/internal/gui", "Toolkit", "NewTimer"):
 		// Click handlers and timer actions are dispatched on the EDT.
 		return fn.Name() + " handler", EDT, true
-	case c.isMethod(fn, "repro/internal/reactor", "Reactor", "Post"),
-		c.isMethod(fn, "repro/internal/reactor", "Conn", "Post"):
+	case c.isMethod(fn, "repro/internal/reactor", "Reactor", "Post"):
 		// Posts hop onto the reactor's poll goroutine — a serial confined
 		// context with EDT blocking rules.
-		return "reactor " + fn.Name(), EDT, true
+		return "reactor Post", EDT, true
 	case c.isMethod(fn, "repro/internal/reactor", "Reactor", "Listen"):
 		// The accept callback runs on the poll goroutine.
 		return "Reactor.Listen accept callback", EDT, true
-	case c.isMethod(fn, "repro/internal/reactor", "Reactor", "PostAt"):
-		// Timer callbacks fire on the poll goroutine (PR 7): same confined
-		// context, same never-block rule.
-		return "reactor PostAt timer callback", EDT, true
 	case c.isMethod(fn, "repro/internal/reactor", "Supervised", "Listen"):
 		// Supervised generations re-register listeners, but every
 		// generation's accept callback still runs on that generation's

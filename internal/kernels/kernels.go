@@ -1,9 +1,8 @@
-// Package kernels ports eight Java Grande Forum benchmark kernels: the four
-// the paper's evaluation embeds in event handlers — Crypt (IDEA encryption),
+// Package kernels ports the four Java Grande Forum benchmark kernels the
+// paper's evaluation embeds in event handlers: Crypt (IDEA encryption),
 // Series (Fourier coefficients), MonteCarlo (stochastic simulation) and
-// RayTracer (3D rendering) — and four more that complete the suite — SOR,
-// SparseMatmult, MolDyn and LUFact. Each has a sequential implementation and
-// a parallel one built on the omp substrate, plus validation.
+// RayTracer (3D rendering). Each has a sequential implementation and a
+// parallel one built on the omp substrate, plus validation.
 //
 // The kernels are deterministic for a given size/seed, so the parallel
 // variants can be checked for bit-identical results against the sequential
@@ -46,22 +45,11 @@ func Factories() map[string]Factory {
 		"series":     func(size int) Kernel { return NewSeries(size) },
 		"montecarlo": func(size int) Kernel { return NewMonteCarlo(size, 0) },
 		"raytracer":  func(size int) Kernel { return NewRayTracer(size) },
-		"sor":        func(size int) Kernel { return NewSOR(size) },
-		"sparse":     func(size int) Kernel { return NewSparse(size) },
-		"moldyn":     func(size int) Kernel { return NewMolDyn(size) },
-		"lufact":     func(size int) Kernel { return NewLUFact(size) },
 	}
 }
 
-// Names returns every kernel family name: the paper's four first, then the
-// extension kernels completing the Java Grande suite (SOR, SparseMatmult,
-// LUFact from Section 2; MolDyn from Section 3).
-func Names() []string {
-	return []string{"crypt", "series", "montecarlo", "raytracer", "sor", "sparse", "moldyn", "lufact"}
-}
-
-// PaperNames returns the four kernels the paper's evaluation selects.
-func PaperNames() []string { return []string{"crypt", "series", "montecarlo", "raytracer"} }
+// Names returns the kernel family names in the paper's order.
+func Names() []string { return []string{"crypt", "series", "montecarlo", "raytracer"} }
 
 // TestSize returns a small size for the given family suitable for unit
 // tests (sub-millisecond to a few milliseconds).
@@ -75,40 +63,6 @@ func TestSize(name string) int {
 		return 500 // paths
 	case "raytracer":
 		return 24 // image width (square)
-	case "sor":
-		return 64 // grid dimension
-	case "sparse":
-		return 4096 // matrix dimension
-	case "moldyn":
-		return 2 // lattice cells per dimension (32 particles)
-	case "lufact":
-		return 64 // matrix dimension
-	default:
-		panic(fmt.Sprintf("kernels: unknown family %q", name))
-	}
-}
-
-// SizeA returns the published Java Grande "size A" parameter for the given
-// family (the smallest standard size), for paper-scale runs on capable
-// machines. Unit tests and the default benches use TestSize instead.
-func SizeA(name string) int {
-	switch name {
-	case "crypt":
-		return 3_000_000 // bytes
-	case "series":
-		return 10_000 // coefficient pairs
-	case "montecarlo":
-		return 10_000 // sample paths (time series runs)
-	case "raytracer":
-		return 150 // image width
-	case "sor":
-		return 1_000 // grid dimension
-	case "sparse":
-		return 50_000 // matrix dimension
-	case "moldyn":
-		return 8 // lattice cells -> 2048 particles
-	case "lufact":
-		return 500 // matrix dimension
 	default:
 		panic(fmt.Sprintf("kernels: unknown family %q", name))
 	}

@@ -217,15 +217,43 @@ func TestFactoriesRunAndValidate(t *testing.T) {
 	}
 }
 
+// TestNamesMatchFactories: Names is the paper's four kernels in its order,
+// and Factories builds exactly those.
 func TestNamesMatchFactories(t *testing.T) {
+	want := []string{"crypt", "series", "montecarlo", "raytracer"}
+	names := Names()
+	if len(names) != len(want) {
+		t.Fatalf("Names = %v, want %v", names, want)
+	}
 	fs := Factories()
-	for _, n := range Names() {
+	for i, n := range names {
+		if n != want[i] {
+			t.Fatalf("Names = %v, want %v", names, want)
+		}
 		if _, ok := fs[n]; !ok {
 			t.Fatalf("Names lists %q but Factories lacks it", n)
 		}
 	}
-	if len(Names()) != len(fs) {
+	if len(fs) != len(names) {
 		t.Fatal("Names/Factories cardinality mismatch")
+	}
+}
+
+func TestRunParOneEqualsRunSeqAllFamilies(t *testing.T) {
+	// Property: a one-thread team is the sequential execution for every
+	// kernel family (the master runs everything).
+	for _, name := range Names() {
+		f := Factories()[name]
+		a := f(TestSize(name))
+		a.RunSeq()
+		b := f(TestSize(name))
+		b.RunPar(1)
+		if err := a.Validate(); err != nil {
+			t.Fatalf("%s seq: %v", name, err)
+		}
+		if err := b.Validate(); err != nil {
+			t.Fatalf("%s par(1): %v", name, err)
+		}
 	}
 }
 

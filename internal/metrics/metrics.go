@@ -107,8 +107,7 @@ type ReactorStats struct {
 	// HandlerPanics counts panics recovered around handler dispatch (the
 	// offending connection is closed; the loop survives).
 	HandlerPanics Counter
-	// DeadlineCloses counts connections closed by an idle, read, or
-	// write-stall deadline.
+	// DeadlineCloses counts connections closed by an idle deadline.
 	DeadlineCloses Counter
 	// LoopCrashes counts poll-goroutine deaths (unrecovered panics or
 	// goroutine kills) — the failure a supervised restart repairs.

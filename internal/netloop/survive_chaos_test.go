@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/executor"
 	"repro/internal/gid"
 	"repro/internal/reactor"
 	"repro/internal/supervise"
@@ -173,10 +174,29 @@ func TestChaosSupervisedServerOutlivesStorm(t *testing.T) {
 		served, cohort*rounds, float64(served)/time.Since(start).Seconds())
 }
 
+// bareProbe is the watchdog's view of an unsupervised reactor: each probe is
+// posted onto the poll goroutine, and once the reactor rejects posts (it
+// stopped or crashed) the probe fails with supervise.ErrTargetDown.
+type bareProbe struct{ r *reactor.Reactor }
+
+func (p bareProbe) Name() string { return p.r.Name() }
+
+func (p bareProbe) Post(fn func()) *executor.Completion {
+	c, finish := executor.NewPendingCompletion()
+	if err := p.r.Post(func() { fn(); finish(nil) }); err != nil {
+		finish(fmt.Errorf("%v: %w", err, supervise.ErrTargetDown))
+	}
+	return c
+}
+
+func (p bareProbe) Owns() bool          { return p.r.Owns() }
+func (p bareProbe) TryRunPending() bool { return false }
+func (p bareProbe) Shutdown()           { p.r.Stop() }
+
 // TestChaosBareReactorDiesAndWatchdogSees is the control: the same kill
 // against an unsupervised reactor server takes the address down for good,
-// and the watchdog's probe reads the executor view of that reactor as
-// down — detection without recovery.
+// and the watchdog's probe reads that reactor as down — detection without
+// recovery.
 func TestChaosBareReactorDiesAndWatchdogSees(t *testing.T) {
 	if !reactor.Supported {
 		t.Skip("no reactor poller on this platform")
@@ -198,7 +218,7 @@ func TestChaosBareReactorDiesAndWatchdogSees(t *testing.T) {
 	}
 
 	w := supervise.NewWatchdog(5 * time.Millisecond)
-	w.Watch("bare", r.AsExecutor(), 25*time.Millisecond)
+	w.Watch("bare", bareProbe{r}, 25*time.Millisecond)
 	w.Start()
 	defer w.Stop()
 

@@ -1,13 +1,12 @@
 //go:build linux || darwin
 
-// Backpressure tests need a kernel hook (setSndbuf, hooks_linux_test.go /
-// hooks_darwin_test.go) to make a send buffer small enough to jam, so they
-// are shared across the two poller platforms rather than linux-gated —
-// kqueue's EV_CLEAR must honour the same spill/flush contract as EPOLLET.
+// Backpressure tests need a kernel hook (setSndbuf, hooks_unix_test.go) to
+// make a send buffer small enough to jam, so they are shared across the two
+// poller platforms rather than linux-gated — kqueue's EV_CLEAR must honour
+// the same spill/flush contract as EPOLLET.
 package reactor
 
 import (
-	"errors"
 	"io"
 	"net"
 	"strings"
@@ -17,6 +16,14 @@ import (
 	"repro/internal/testutil/leakcheck"
 	"repro/internal/testutil/poll"
 )
+
+// pendingLen reads c's count of spilled bytes awaiting a writability edge —
+// the live backpressure measure — under the write lock that guards it.
+func pendingLen(c *Conn) int {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	return c.pendingLen
+}
 
 // TestSendBufferFullBackpressure fills a deliberately tiny kernel send
 // buffer while the peer refuses to read: writes must spill into the
@@ -54,18 +61,18 @@ func TestSendBufferFullBackpressure(t *testing.T) {
 
 	// Shrink the server's send buffer so a few tens of KB jams it while the
 	// idle client's receive buffer fills.
-	if err := setSndbuf(srv.Fd(), 4096); err != nil {
+	if err := setSndbuf(srv.fd, 4096); err != nil {
 		t.Fatal(err)
 	}
 	payload := []byte(strings.Repeat("x", 32<<10))
 	total := 0
-	for i := 0; i < 256 && srv.PendingWrites() == 0; i++ {
+	for i := 0; i < 256 && pendingLen(srv) == 0; i++ {
 		if err := srv.Write(payload); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
 		total += len(payload)
 	}
-	if srv.PendingWrites() == 0 {
+	if pendingLen(srv) == 0 {
 		t.Fatal("kernel buffers swallowed everything; backpressure never engaged")
 	}
 	if r.Stats().PartialWrites == 0 {
@@ -79,7 +86,7 @@ func TestSendBufferFullBackpressure(t *testing.T) {
 		_, err := io.CopyN(io.Discard, cli, int64(total))
 		got <- err
 	}()
-	poll.Until(t, "pending queue drained", func() bool { return srv.PendingWrites() == 0 })
+	poll.Until(t, "pending queue drained", func() bool { return pendingLen(srv) == 0 })
 	poll.Until(t, "OnDrained fired", func() bool {
 		select {
 		case <-drained:
@@ -93,63 +100,6 @@ func TestSendBufferFullBackpressure(t *testing.T) {
 	}
 	if r.Stats().WriteEvents == 0 {
 		t.Fatal("no writability edges dispatched")
-	}
-}
-
-// TestWriteStallDeadlineReapsJammedConn: a peer that accepts the connection
-// but never reads jams the send buffer forever. With a write-stall deadline
-// armed, the spilled queue's age is bounded — the reactor reaps the
-// connection with ErrWriteStall instead of holding the buffered bytes until
-// process exit.
-func TestWriteStallDeadlineReapsJammedConn(t *testing.T) {
-	defer leakcheck.Check(t)()
-	r := newTestReactor(t, "stall")
-	defer r.Stop()
-
-	var srv collector
-	accepted := make(chan *Conn, 1)
-	addr, err := r.Listen("127.0.0.1:0", func(c *Conn) HandlerFuncs {
-		accepted <- c
-		return srv.handlers()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	// Clamp the client's receive buffer too: a transient spill that the
-	// peer's default (autotuned, possibly multi-MB) window absorbs would
-	// drain the queue and reset the stall clock before the deadline fires.
-	// The jam has to outlive both kernel buffers.
-	if err := cli.(*net.TCPConn).SetReadBuffer(4096); err != nil {
-		t.Fatal(err)
-	}
-	conn := <-accepted
-	if err := setSndbuf(conn.Fd(), 4096); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetWriteStallDeadline(50 * time.Millisecond)
-
-	payload := []byte(strings.Repeat("x", 32<<10))
-	for i := 0; i < 32; i++ { // 1 MiB total, far past both clamped buffers
-		if err := conn.Write(payload); err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
-	}
-	if conn.PendingWrites() == 0 {
-		t.Fatal("kernel buffers swallowed everything; no spill, no stall")
-	}
-
-	// The peer never reads: the stall deadline must fire.
-	poll.Until(t, "stalled conn reaped", func() bool { return srv.closeCount() == 1 })
-	if err := srv.closeErr(); !errors.Is(err, ErrWriteStall) || !errors.Is(err, ErrDeadline) {
-		t.Fatalf("close err = %v, want ErrWriteStall (wrapping ErrDeadline)", err)
-	}
-	if r.Stats().DeadlineCloses == 0 {
-		t.Fatal("DeadlineCloses counter not incremented")
 	}
 }
 
@@ -175,19 +125,19 @@ func TestDrainFlushesSpilledWritesBeforeClosing(t *testing.T) {
 	}
 	defer cli.Close()
 	conn := <-accepted
-	if err := setSndbuf(conn.Fd(), 4096); err != nil {
+	if err := setSndbuf(conn.fd, 4096); err != nil {
 		t.Fatal(err)
 	}
 
 	payload := []byte(strings.Repeat("y", 32<<10))
 	total := 0
-	for i := 0; i < 256 && conn.PendingWrites() == 0; i++ {
+	for i := 0; i < 256 && pendingLen(conn) == 0; i++ {
 		if err := conn.Write(payload); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
 		total += len(payload)
 	}
-	if conn.PendingWrites() == 0 {
+	if pendingLen(conn) == 0 {
 		t.Fatal("kernel buffers swallowed everything; nothing spilled to flush")
 	}
 
@@ -231,7 +181,7 @@ func TestDrainForceClosesStragglers(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn := <-accepted
-	if err := setSndbuf(conn.Fd(), 4096); err != nil {
+	if err := setSndbuf(conn.fd, 4096); err != nil {
 		t.Fatal(err)
 	}
 	payload := []byte(strings.Repeat("z", 32<<10))
@@ -240,7 +190,7 @@ func TestDrainForceClosesStragglers(t *testing.T) {
 			t.Fatalf("write %d: %v", i, err)
 		}
 	}
-	if conn.PendingWrites() == 0 {
+	if pendingLen(conn) == 0 {
 		t.Fatal("kernel buffers swallowed everything; no straggler to force")
 	}
 

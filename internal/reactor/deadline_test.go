@@ -120,52 +120,3 @@ func TestIdleDeadlineDisarm(t *testing.T) {
 		t.Fatalf("disarmed deadline still reaped the conn: %v", srv.closeErr())
 	}
 }
-
-// TestReadDeadlineOneShot: a read deadline fires ErrReadTimeout if no bytes
-// arrive in time, and is satisfied (one-shot) by the first read, after
-// which the connection lives indefinitely.
-func TestReadDeadlineOneShot(t *testing.T) {
-	defer leakcheck.Check(t)()
-	r := newTestReactor(t, "readdl")
-	defer r.Stop()
-
-	var srv collector
-	accepted := make(chan *Conn, 2)
-	addr, err := r.Listen("127.0.0.1:0", func(c *Conn) HandlerFuncs {
-		accepted <- c
-		return srv.handlers()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Case 1: peer never sends — reaped with ErrReadTimeout.
-	cli1, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli1.Close()
-	(<-accepted).SetReadDeadline(time.Now().Add(50 * time.Millisecond))
-	poll.Until(t, "unmet read deadline reaped", func() bool { return srv.closeCount() == 1 })
-	if err := srv.closeErr(); !errors.Is(err, ErrReadTimeout) || !errors.Is(err, ErrDeadline) {
-		t.Fatalf("close err = %v, want ErrReadTimeout (wrapping ErrDeadline)", err)
-	}
-
-	// Case 2: peer sends in time — the one-shot deadline is satisfied and
-	// the connection survives well past the original instant.
-	cli2, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli2.Close()
-	(<-accepted).SetReadDeadline(time.Now().Add(60 * time.Millisecond))
-	if _, err := cli2.Write([]byte("on time")); err != nil {
-		t.Fatal(err)
-	}
-	poll.Until(t, "bytes delivered", func() bool { return srv.String() == "on time" })
-	time.Sleep(120 * time.Millisecond) // 2× past the satisfied deadline
-	if srv.closeCount() != 1 {
-		t.Fatalf("satisfied read deadline still reaped (closes=%d, err=%v)",
-			srv.closeCount(), srv.closeErr())
-	}
-}

@@ -4,6 +4,4 @@ package reactor
 
 import "errors"
 
-func testPipe() (r, w int, err error) { return -1, -1, errors.New("no test pipe") }
-
 func setSndbuf(fd, size int) error { return errors.New("no SO_SNDBUF hook") }

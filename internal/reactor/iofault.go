@@ -104,7 +104,7 @@ func (r *Reactor) ioFault(op IOOp, fd int) (IOFault, time.Duration) {
 }
 
 // ioRead is sysRead behind the fault seam. asked is the length handed to
-// the kernel (IOShort shrinks it): readDrain stops a stream at n < asked.
+// the kernel (IOShort shrinks it): readDrain stops at n < asked.
 func (r *Reactor) ioRead(fd int, p []byte) (n, asked int, err error) {
 	switch f, d := r.ioFault(IORead, fd); f {
 	case IOAgain:

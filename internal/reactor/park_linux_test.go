@@ -121,7 +121,7 @@ func TestOneProcEveryEntryPointReturns(t *testing.T) {
 	}
 	<-posted
 	fired := make(chan struct{})
-	if _, err := r.PostAt(time.Now().Add(2*time.Millisecond), func() { close(fired) }); err != nil {
+	if err := postAt(r, time.Now().Add(2*time.Millisecond), func() { close(fired) }); err != nil {
 		t.Fatal(err)
 	}
 	<-fired // timer-driven return of a parked wait

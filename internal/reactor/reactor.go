@@ -13,15 +13,15 @@
 //     runtime's netpoller like any goroutine reading a socket (no thread
 //     sits in epoll_wait, see sys_linux.go), on darwin as a thread in kevent;
 //   - registration is edge-triggered: each readiness event is drained (reads
-//     into a single shared scratch buffer to EAGAIN, or to a short read on
-//     the reactor's own TCP streams; writes out of the per-connection
-//     pending queue), so an edge is never lost;
+//     into a single shared scratch buffer to a short read, EAGAIN or EOF;
+//     writes out of the per-connection pending queue), so an edge is never
+//     lost;
 //   - a wakeup pipe lets any goroutine Post work onto the poll goroutine —
 //     the cross-thread ingress every single-threaded event loop needs;
 //   - each connection is a *virtual target bound to an FD*: its callbacks
 //     (HandlerFuncs) are confined to the poll goroutine exactly as EDT
 //     handlers are confined to the event-dispatch thread, so connection
-//     state needs no locks; Conn.Post hops back onto that context from
+//     state needs no locks; Reactor.Post hops back onto that context from
 //     anywhere, and from a callback the usual directives offload to worker
 //     targets and hop back;
 //   - Conn.Write is safe from any goroutine: it writes straight to the
@@ -46,10 +46,10 @@
 // The survivability layer hardens the loop against hostile peers and
 // crashing handlers:
 //
-//   - a poll-confined timer heap (timer.go) backs Reactor.PostAt and the
-//     per-connection deadlines (SetIdleDeadline, SetReadDeadline,
-//     SetWriteStallDeadline) that reap slowloris connections — zero extra
-//     goroutines, the poll wait's timeout is the earliest armed timer;
+//   - a poll-confined timer heap (timer.go) backs the per-connection idle
+//     deadline (SetIdleDeadline) that reaps slowloris connections and
+//     Drain's force-close deadline — zero extra goroutines, the poll wait's
+//     timeout is the earliest armed timer;
 //   - handler panics are contained: the dispatch is recovered, the
 //     offending connection is closed with a HandlerPanicError, and the
 //     loop keeps serving every other descriptor (counted by a
@@ -94,19 +94,15 @@ var ErrClosed = errors.New("reactor: stopped")
 var ErrConnClosed = errors.New("reactor: connection closed")
 
 // ErrDeadline is the base error of every deadline close; match it with
-// errors.Is to treat all three kinds alike.
+// errors.Is to treat both kinds alike.
 var ErrDeadline = errors.New("reactor: deadline exceeded")
 
 var (
 	// ErrIdleTimeout closes a connection with no read or successful write
 	// activity for its idle deadline (the slowloris reaper).
 	ErrIdleTimeout = fmt.Errorf("%w: idle timeout", ErrDeadline)
-	// ErrReadTimeout closes a connection whose armed read deadline passed
-	// before any bytes arrived.
-	ErrReadTimeout = fmt.Errorf("%w: read timeout", ErrDeadline)
-	// ErrWriteStall closes a connection whose spilled writes made no
-	// progress to empty for its write-stall deadline (the peer stopped
-	// reading).
+	// ErrWriteStall closes a connection whose spilled writes had not
+	// flushed by Drain's deadline (the peer stopped reading).
 	ErrWriteStall = fmt.Errorf("%w: write stalled", ErrDeadline)
 )
 
@@ -129,7 +125,7 @@ func (e *HandlerPanicError) Error() string {
 // HandlerFuncs are one connection's readiness callbacks. Every callback
 // runs on the poll goroutine — the reactor's EDT-confined context: never
 // block in one (ompvet's blockguard pass enforces this); offload to a
-// worker target and hop back with Conn.Post instead.
+// worker target and hop back with Reactor.Post instead.
 type HandlerFuncs struct {
 	// OnReadable delivers freshly read bytes. data is only valid for the
 	// duration of the call (it aliases the shared scratch buffer); copy
@@ -162,14 +158,14 @@ type Stats struct {
 	BytesRead     int64
 	BytesWritten  int64
 	PartialWrites int64 // writes that spilled into a pending queue
-	Posts         int64 // cross-thread Post/Conn.Post functions run
+	Posts         int64 // cross-thread Post functions run
 	Wakeups       int64 // wakeup-pipe interrupts of the poll wait
 	Dropped       int64 // events suppressed by the interceptor
 
 	// Survivability counters, mirrored from the ReactorStats (which may be
 	// shared across supervised generations — these are its live values).
 	HandlerPanics  int64 // panics contained around handler dispatch
-	DeadlineCloses int64 // connections reaped by idle/read/write-stall deadlines
+	DeadlineCloses int64 // connections reaped by idle deadlines
 	LoopCrashes    int64 // poll-goroutine deaths
 	ForceCloses    int64 // stragglers closed at a drain deadline
 }
@@ -376,13 +372,13 @@ func (r *Reactor) Listen(addr string, onAccept func(*Conn) HandlerFuncs) (string
 	return bound, nil
 }
 
-// ListenFD registers an externally-owned listening descriptor: the reactor
+// listenFD registers an externally-owned listening descriptor: the reactor
 // polls and accepts on it, but teardown (Stop, Drain, a crash) only
 // deregisters it — the caller keeps the fd and may re-register it with a
 // replacement reactor. This is how a supervised reactor's listeners survive
 // poll-loop restarts without an EADDRINUSE window. Registering an fd the
 // reactor already polls is a no-op.
-func (r *Reactor) ListenFD(fd int, onAccept func(*Conn) HandlerFuncs) error {
+func (r *Reactor) listenFD(fd int, onAccept func(*Conn) HandlerFuncs) error {
 	if err := sysSetNonblock(fd); err != nil {
 		return fmt.Errorf("reactor: set nonblocking: %w", err)
 	}
@@ -417,7 +413,7 @@ func (r *Reactor) Dial(addr string, h HandlerFuncs) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := r.register(fd, h, true)
+	c, err := r.register(fd, h)
 	if err != nil {
 		sysClose(fd)
 		return nil, err
@@ -426,20 +422,13 @@ func (r *Reactor) Dial(addr string, h HandlerFuncs) (*Conn, error) {
 	return c, nil
 }
 
-// Register places an already-open descriptor (socket, pipe, ...) under the
-// reactor. The descriptor is set non-blocking and the reactor takes
-// ownership: it will be closed when the connection leaves the reactor.
-// Each readability edge is read to EAGAIN: the short-read stop of readDrain
-// holds for streams only, and what a caller hands in is not known here.
-func (r *Reactor) Register(fd int, h HandlerFuncs) (*Conn, error) {
-	return r.register(fd, h, false)
-}
-
-func (r *Reactor) register(fd int, h HandlerFuncs, stream bool) (*Conn, error) {
+// register places a dialled socket under the reactor, which owns it from
+// here on: it is closed when the connection leaves the reactor.
+func (r *Reactor) register(fd int, h HandlerFuncs) (*Conn, error) {
 	if err := sysSetNonblock(fd); err != nil {
 		return nil, fmt.Errorf("reactor: set nonblocking: %w", err)
 	}
-	c := &Conn{r: r, fd: fd, h: h, stream: stream}
+	c := &Conn{r: r, fd: fd, h: h}
 	r.mu.Lock()
 	if r.closed || r.draining {
 		r.mu.Unlock()
@@ -533,7 +522,7 @@ func (r *Reactor) pollLoop() {
 		r.fireTimers()
 		// Resolve the whole batch to its targets before dispatching any
 		// event: a handler may close a connection mid-batch and another
-		// goroutine may reuse its fd number via Register/Dial before later
+		// goroutine may reuse its fd number via Dial before later
 		// events in the same batch dispatch. Looking conns up lazily would
 		// deliver those stale events to the fresh connection (a stale hup
 		// would even close it); resolving up front pins each event to the
@@ -591,7 +580,7 @@ func (r *Reactor) acceptDrain(ln *listener) {
 		if err != nil {
 			return // EAGAIN, or listener closed underneath us
 		}
-		c := &Conn{r: r, fd: fd, stream: true}
+		c := &Conn{r: r, fd: fd}
 		r.mu.Lock()
 		if r.closed || r.draining {
 			r.mu.Unlock()
@@ -661,10 +650,11 @@ func (r *Reactor) connReady(c *Conn, ev *pollEvent) {
 	}
 }
 
-// readDrain reads until EAGAIN or EOF — the edge-triggered contract — or,
-// on a stream, until a read returns less than it asked the kernel for:
-// epoll(7) sanctions that for stream descriptors, and it saves the read(2)
-// that could only have said EAGAIN. Later bytes raise a fresh edge.
+// readDrain reads until a read returns less than it asked the kernel for,
+// or until EAGAIN or EOF. Stopping at the short read keeps the
+// edge-triggered contract — epoll(7) sanctions it for stream sockets, which
+// every connection is — and saves the read(2) that could only have said
+// EAGAIN. Later bytes raise a fresh edge.
 func (r *Reactor) readDrain(c *Conn) {
 	r.san.Check("readDrain on", r.name)
 	for !c.dead() {
@@ -672,11 +662,11 @@ func (r *Reactor) readDrain(c *Conn) {
 		switch {
 		case n > 0:
 			r.bytesRead.Add(int64(n))
-			c.noteRead()
+			c.noteActivity()
 			if c.h.OnReadable != nil {
 				c.h.OnReadable(c, r.readBuf[:n])
 			}
-			if c.stream && n < asked {
+			if n < asked {
 				return
 			}
 		case err == nil:
@@ -861,10 +851,9 @@ func (r *Reactor) beginDrain(deadline time.Time) {
 // HandlerFuncs run confined to the poll goroutine; Write and Close are
 // safe from any goroutine.
 type Conn struct {
-	r      *Reactor
-	fd     int
-	h      HandlerFuncs
-	stream bool // a TCP stream the reactor accepted or dialled (see readDrain)
+	r  *Reactor
+	fd int
+	h  HandlerFuncs
 
 	ctx atomic.Value // user attachment
 
@@ -876,32 +865,21 @@ type Conn struct {
 
 	closeState atomic.Int32 // 0 open, 1 closed
 
-	// Deadline state. Durations and instants are atomics so the arming
-	// methods and the hot read/write paths stay lock-free; the deadline
-	// timer itself is poll-confined (see deadlineCheck).
-	idleDur    atomic.Int64 // idle deadline (ns); 0 disabled
-	readDLns   atomic.Int64 // absolute read deadline (unixnano); 0 disabled
-	stallDur   atomic.Int64 // write-stall deadline (ns); 0 disabled
-	lastAct    atomic.Int64 // unixnano of last read/write activity
-	stallSince atomic.Int64 // unixnano when writes first spilled; 0 when drained
-	dlArmed    atomic.Bool  // a deadline timer is scheduled on the poll goroutine
+	// Idle-deadline state. The duration and instant are atomics so the
+	// arming method and the hot read/write paths stay lock-free; the
+	// deadline timer itself is poll-confined (see deadlineCheck).
+	idleDur atomic.Int64 // idle deadline (ns); 0 disabled
+	lastAct atomic.Int64 // unixnano of last read/write activity
+	dlArmed atomic.Bool  // a deadline timer is scheduled on the poll goroutine
 }
 
-// Fd returns the underlying descriptor (for diagnostics; the reactor owns
-// its lifecycle).
-func (c *Conn) Fd() int { return c.fd }
-
-// RemoteAddr returns the peer address ("" for non-socket descriptors or
-// closed connections).
+// RemoteAddr returns the peer address ("" once the connection is closed).
 func (c *Conn) RemoteAddr() string {
 	if c.dead() {
 		return ""
 	}
 	return sysPeerAddr(c.fd)
 }
-
-// Reactor returns the owning reactor.
-func (c *Conn) Reactor() *Reactor { return c.r }
 
 // SetContext attaches an arbitrary per-connection value (the netloop
 // Client, a session, ...).
@@ -910,23 +888,7 @@ func (c *Conn) SetContext(v any) { c.ctx.Store(v) }
 // Context returns the attached value (nil if none).
 func (c *Conn) Context() any { return c.ctx.Load() }
 
-// Post runs fn on the poll goroutine — the hop back into this
-// connection's confined context from a worker block. The connection may
-// close before fn runs; check Closed in fn if that matters.
-func (c *Conn) Post(fn func()) error { return c.r.Post(fn) }
-
-// Closed reports whether the connection has left the reactor.
-func (c *Conn) Closed() bool { return c.dead() }
-
 func (c *Conn) dead() bool { return c.closeState.Load() != 0 }
-
-// PendingWrites returns the number of spilled bytes awaiting a
-// writability edge — the live backpressure measure.
-func (c *Conn) PendingWrites() int {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return c.pendingLen
-}
 
 // SetIdleDeadline arms (or, with d <= 0, disarms) the idle reaper: the
 // connection is closed with ErrIdleTimeout if neither a read nor a
@@ -944,52 +906,8 @@ func (c *Conn) SetIdleDeadline(d time.Duration) {
 	c.armDeadline()
 }
 
-// SetReadDeadline arms a one-shot read deadline: the connection is closed
-// with ErrReadTimeout if no bytes arrive by t. The first bytes that do
-// arrive disarm it (re-arm per message for a per-read deadline). A zero t
-// disarms. Safe from any goroutine.
-func (c *Conn) SetReadDeadline(t time.Time) {
-	if t.IsZero() {
-		c.readDLns.Store(0)
-		return
-	}
-	c.readDLns.Store(t.UnixNano())
-	c.armDeadline()
-}
-
-// SetWriteStallDeadline arms (or, with d <= 0, disarms) the write-stall
-// reaper: once writes spill into the pending queue, the queue must drain
-// to empty within d or the connection is closed with ErrWriteStall — the
-// peer that stopped reading no longer pins buffered bytes forever. Safe
-// from any goroutine.
-func (c *Conn) SetWriteStallDeadline(d time.Duration) {
-	if d <= 0 {
-		c.stallDur.Store(0)
-		return
-	}
-	c.stallDur.Store(int64(d))
-	c.wmu.Lock()
-	spilled := c.pendingLen > 0
-	c.wmu.Unlock()
-	if spilled {
-		c.stallSince.CompareAndSwap(0, time.Now().UnixNano())
-		c.armDeadline()
-	}
-}
-
-// noteRead records read activity for the idle deadline and satisfies a
-// pending read deadline. Poll-goroutine only (called from readDrain).
-func (c *Conn) noteRead() {
-	if c.idleDur.Load() != 0 {
-		c.lastAct.Store(time.Now().UnixNano())
-	}
-	if c.readDLns.Load() != 0 {
-		c.readDLns.Store(0)
-	}
-}
-
-// noteWrite records successful write progress for the idle deadline.
-func (c *Conn) noteWrite() {
+// noteActivity records a read or a successful write for the idle deadline.
+func (c *Conn) noteActivity() {
 	if c.idleDur.Load() != 0 {
 		c.lastAct.Store(time.Now().UnixNano())
 	}
@@ -997,7 +915,7 @@ func (c *Conn) noteWrite() {
 
 // armDeadline ensures a deadline-check timer is scheduled on the poll
 // goroutine. Coalesced: while one is armed, arming again is a no-op, and
-// deadlineCheck re-arms itself for as long as any deadline stays active.
+// deadlineCheck re-arms itself for as long as the deadline stays armed.
 // Safe from any goroutine.
 func (c *Conn) armDeadline() {
 	if c.dlArmed.Load() || c.dead() {
@@ -1015,7 +933,7 @@ func (c *Conn) armDeadlineOnLoop() {
 	if c.dead() || c.dlArmed.Swap(true) {
 		return
 	}
-	when, ok := c.nextDeadline(time.Now())
+	when, ok := c.nextDeadline()
 	if !ok {
 		c.dlArmed.Store(false)
 		return
@@ -1023,69 +941,44 @@ func (c *Conn) armDeadlineOnLoop() {
 	c.r.addTimer(when, c.deadlineCheck)
 }
 
-// nextDeadline computes the earliest instant any armed deadline can fire
-// (which may be in the past — the check closes then).
-func (c *Conn) nextDeadline(now time.Time) (time.Time, bool) {
-	var next time.Time
-	earlier := func(t time.Time) {
-		if next.IsZero() || t.Before(next) {
-			next = t
-		}
+// nextDeadline returns the instant the idle deadline fires (which may be in
+// the past — the check closes then), and false when it is disarmed.
+func (c *Conn) nextDeadline() (time.Time, bool) {
+	d := c.idleDur.Load()
+	if d <= 0 {
+		return time.Time{}, false
 	}
-	if d := c.idleDur.Load(); d > 0 {
-		earlier(time.Unix(0, c.lastAct.Load()+d))
-	}
-	if dl := c.readDLns.Load(); dl != 0 {
-		earlier(time.Unix(0, dl))
-	}
-	if d := c.stallDur.Load(); d > 0 {
-		if since := c.stallSince.Load(); since != 0 {
-			earlier(time.Unix(0, since+d))
-		}
-	}
-	return next, !next.IsZero()
+	return time.Unix(0, c.lastAct.Load()+d), true
 }
 
-// deadlineCheck enforces the connection's deadlines: expired ones close it
-// (ErrIdleTimeout / ErrReadTimeout / ErrWriteStall, counted and traced as
-// OpConnDeadline); otherwise the timer re-arms for the earliest upcoming
-// instant. Poll-goroutine only.
+// deadlineCheck enforces the idle deadline: an expired one closes the
+// connection with ErrIdleTimeout (counted and traced as OpConnDeadline);
+// otherwise the timer re-arms for the next instant it could fire.
+// Poll-goroutine only.
 func (c *Conn) deadlineCheck() {
 	if c.dead() {
 		c.dlArmed.Store(false)
 		return
 	}
-	now := time.Now()
-	nowNs := now.UnixNano()
-	var expired error
-	if d := c.idleDur.Load(); d > 0 && nowNs-c.lastAct.Load() >= d {
-		expired = ErrIdleTimeout
-	} else if dl := c.readDLns.Load(); dl != 0 && nowNs >= dl {
-		expired = ErrReadTimeout
-	} else if d := c.stallDur.Load(); d > 0 {
-		if since := c.stallSince.Load(); since != 0 && nowNs-since >= d {
-			expired = ErrWriteStall
+	if when, ok := c.nextDeadline(); ok {
+		now := time.Now()
+		if now.Before(when) {
+			c.r.addTimer(when, c.deadlineCheck) // dlArmed stays true
+			return
 		}
-	}
-	if expired != nil {
 		c.r.rstats.DeadlineCloses.Inc()
 		if sink := trace.ActiveSink(); sink != nil {
 			sink.Record(trace.Event{Time: now, Op: trace.OpConnDeadline, Target: c.r.name})
 		}
-		c.r.closeConn(c, expired)
+		c.r.closeConn(c, ErrIdleTimeout)
 		c.dlArmed.Store(false)
 		return
 	}
-	if when, ok := c.nextDeadline(now); ok {
-		c.r.addTimer(when, c.deadlineCheck) // dlArmed stays true
-		return
-	}
-	// Nothing armed: release the timer, then re-check for an arming that
-	// raced the release (a Write spilling just as we disarm) — without
-	// this, that arm request could read dlArmed == true and be dropped.
+	// Disarmed: release the timer, then re-check for an arming that raced
+	// the release (a SetIdleDeadline just as we let go) — without this, that
+	// arm request could read dlArmed == true and be dropped.
 	c.dlArmed.Store(false)
-	if _, ok := c.nextDeadline(now); ok && !c.dlArmed.Swap(true) {
-		when, _ := c.nextDeadline(now)
+	if when, ok := c.nextDeadline(); ok && !c.dlArmed.Swap(true) {
 		c.r.addTimer(when, c.deadlineCheck)
 	}
 }
@@ -1107,7 +1000,7 @@ func (c *Conn) Write(p []byte) error {
 			n, err := c.r.ioWrite(c.fd, p)
 			if n > 0 {
 				c.r.bytesWritten.Add(int64(n))
-				c.noteWrite()
+				c.noteActivity()
 				p = p[n:]
 				continue
 			}
@@ -1151,16 +1044,8 @@ func (c *Conn) Write(p []byte) error {
 	c.wmu.Unlock()
 	if armErr != nil {
 		c.closeFromAnywhere(armErr)
-		return armErr
 	}
-	// Spilled bytes start the write-stall clock (if one is configured).
-	// Arm outside wmu: armDeadline may Post, and Post must never run
-	// under a lock the poll goroutine's close path also wants.
-	if c.stallDur.Load() > 0 {
-		c.stallSince.CompareAndSwap(0, time.Now().UnixNano())
-		c.armDeadline()
-	}
-	return nil
+	return armErr
 }
 
 // closeFromAnywhere routes a teardown onto the poll goroutine (OnClose is
@@ -1183,7 +1068,7 @@ func (c *Conn) flush() {
 		n, err := c.r.ioWrite(c.fd, buf)
 		if n > 0 {
 			c.r.bytesWritten.Add(int64(n))
-			c.noteWrite()
+			c.noteActivity()
 			c.pendingLen -= n
 			if n < len(buf) {
 				c.pending[0] = buf[n:]
@@ -1205,7 +1090,6 @@ func (c *Conn) flush() {
 		return
 	}
 	c.pending = nil
-	c.stallSince.Store(0) // queue drained: write-stall clock resets
 	drained := c.wantWrite
 	var disarmErr error
 	if drained {

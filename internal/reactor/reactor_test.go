@@ -499,57 +499,42 @@ func TestShortWritesSplitAcrossEvents(t *testing.T) {
 	}
 }
 
-// TestConnPostHopsBack: Conn.Post runs its function on the poll goroutine —
-// the worker→connection hop.
+// TestConnPostHopsBack: a worker goroutine hops back into a connection's
+// confined context with Reactor.Post — the function runs on the poll
+// goroutine, and a Write from there reaches the peer.
 func TestConnPostHopsBack(t *testing.T) {
 	defer leakcheck.Check(t)()
 	r := newTestReactor(t, "hop")
 	defer r.Stop()
-	addr, err := r.Listen("127.0.0.1:0", func(c *Conn) HandlerFuncs { return HandlerFuncs{} })
+	var got collector
+	accepted := make(chan *Conn, 1)
+	addr, err := r.Listen("127.0.0.1:0", func(c *Conn) HandlerFuncs {
+		accepted <- c
+		return HandlerFuncs{}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := r.Dial(addr, HandlerFuncs{})
-	if err != nil {
+	if _, err := r.Dial(addr, got.handlers()); err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan bool, 1)
+	srv := <-accepted
+	onLoop := make(chan bool, 1)
 	go func() {
-		c.Post(func() { done <- r.Owns() })
+		if err := r.Post(func() {
+			onLoop <- r.Owns()
+			srv.Write([]byte("reply"))
+		}); err != nil {
+			t.Error(err)
+		}
 	}()
 	select {
-	case onLoop := <-done:
-		if !onLoop {
-			t.Fatal("Conn.Post ran off the poll goroutine")
+	case owned := <-onLoop:
+		if !owned {
+			t.Fatal("Post ran off the poll goroutine")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Conn.Post never ran")
+		t.Fatal("Post never ran")
 	}
-}
-
-// TestRegisterArbitraryFD: the reactor drives non-socket descriptors too
-// (the aio submission path uses pipes).
-func TestRegisterArbitraryFD(t *testing.T) {
-	defer leakcheck.Check(t)()
-	r := newTestReactor(t, "fd")
-	defer r.Stop()
-	rfd, wfd, err := testPipe()
-	if err != nil {
-		t.Skip("no pipe on this platform:", err)
-	}
-	var got collector
-	if _, err := r.Register(rfd, got.handlers()); err != nil {
-		sysClose(rfd)
-		sysClose(wfd)
-		t.Fatal(err)
-	}
-	if _, err := sysWrite(wfd, []byte("through the pipe")); err != nil {
-		t.Fatal(err)
-	}
-	poll.Until(t, "pipe data delivered", func() bool { return got.String() == "through the pipe" })
-	sysClose(wfd)
-	poll.Until(t, "EOF close", func() bool { return got.closeCount() == 1 })
-	if err := got.closeErr(); !errors.Is(err, io.EOF) {
-		t.Fatalf("close err = %v, want io.EOF", err)
-	}
+	poll.Until(t, "reply delivered", func() bool { return got.String() == "reply" })
 }

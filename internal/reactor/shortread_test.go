@@ -14,10 +14,9 @@ import (
 	"repro/internal/testutil/poll"
 )
 
-// The drain contract after the short-read rule: a stream the reactor
-// accepted or dialled is read until a read returns less than it asked for
-// (or EAGAIN/EOF); a Register'ed descriptor is read until EAGAIN. Either
-// way every byte of an edge is delivered, in order, before any close.
+// The drain contract after the short-read rule: a connection is read until a
+// read returns less than it asked for (or EAGAIN/EOF), and every byte of an
+// edge is delivered, in order, before any close.
 
 // countReads installs an interceptor that counts read(2) attempts and
 // injects fault on each of them.
@@ -125,42 +124,6 @@ func TestReadsPerEvent(t *testing.T) {
 				t.Fatalf("read calls for one edge of %d bytes = %d, want %d", tc.payload, got, tc.reads)
 			}
 		})
-	}
-}
-
-// TestRegisteredPipeDrainsToEAGAIN: a foreign descriptor keeps the old
-// contract — every edge ends in the read that says EAGAIN, so the reads
-// are one per delivery plus one per edge (however many edges the kernel
-// makes of two writes).
-func TestRegisteredPipeDrainsToEAGAIN(t *testing.T) {
-	defer leakcheck.Check(t)()
-	r := newTestReactor(t, "pipe")
-	defer r.Stop()
-	rfd, wfd, err := testPipe()
-	if err != nil {
-		t.Skip("no pipe on this platform:", err)
-	}
-	defer sysClose(wfd)
-	var got collector
-	var deliveries atomic.Int64
-	h := got.handlers()
-	onReadable := h.OnReadable
-	h.OnReadable = func(c *Conn, data []byte) { deliveries.Add(1); onReadable(c, data) }
-	if _, err := r.Register(rfd, h); err != nil {
-		sysClose(rfd)
-		t.Fatal(err)
-	}
-	reads := countReads(r, IONone)
-	for _, msg := range []string{"one", "one+two"} {
-		if _, err := sysWrite(wfd, []byte(msg[len(got.String()):])); err != nil {
-			t.Fatal(err)
-		}
-		poll.Until(t, "pipe data", func() bool { return got.String() == msg })
-	}
-	quiesce(t, r)
-	if rd, want := reads.Load(), deliveries.Load()+r.Stats().ReadEvents; rd != want {
-		t.Fatalf("%d reads for %d deliveries over %d edges, want %d: an edge ended short of EAGAIN",
-			rd, deliveries.Load(), r.Stats().ReadEvents, want)
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 // FailPending), so a dead poll loop is replaced by a fresh generation under
 // the usual restart budget and backoff. Listening sockets are owned here,
 // not by any one generation: each restart re-registers the surviving fds via
-// ListenFD, so accepted service resumes on the same address with no
+// listenFD, so accepted service resumes on the same address with no
 // close/bind window. In-flight connections do not survive — their fds died
 // with the poller — but they fail fast with ErrPollCrash instead of hanging,
 // and a supervise.Watchdog watching the target reports the outage.
@@ -94,7 +94,7 @@ func (s *Supervised) spawn(gen int) (executor.Executor, error) {
 		r.SetIOInterceptor(ioIcpt)
 	}
 	for _, ln := range lns {
-		if err := r.ListenFD(ln.fd, ln.onAccept); err != nil {
+		if err := r.listenFD(ln.fd, ln.onAccept); err != nil {
 			r.Stop()
 			return nil, fmt.Errorf("reactor: re-register listener %s: %w", ln.addr, err)
 		}
@@ -124,7 +124,7 @@ func (s *Supervised) Listen(addr string, onAccept func(*Conn) HandlerFuncs) (str
 	s.listeners = append(s.listeners, &supListener{fd: fd, addr: bound, onAccept: onAccept})
 	r := s.cur
 	s.mu.Unlock()
-	if err := r.ListenFD(fd, onAccept); err != nil && !errors.Is(err, ErrClosed) {
+	if err := r.listenFD(fd, onAccept); err != nil && !errors.Is(err, ErrClosed) {
 		s.mu.Lock()
 		for i, ln := range s.listeners {
 			if ln.fd == fd {
@@ -245,14 +245,6 @@ type reactorExec struct {
 func newReactorExec(r *Reactor) *reactorExec {
 	return &reactorExec{r: r, FaultHooks: &r.FaultHooks, pending: make(map[*executor.Completion]func(error))}
 }
-
-// AsExecutor adapts the reactor to the executor.Executor surface, which is
-// how an *unsupervised* reactor gets liveness coverage: register the result
-// with a supervise.Watchdog and heartbeat probes flow through Post. After a
-// crash or Stop the probes fail with an error wrapping
-// supervise.ErrTargetDown, so the watchdog grades the target down — detected
-// but not restarted, the contrast the supervised variant exists for.
-func (r *Reactor) AsExecutor() executor.Executor { return newReactorExec(r) }
 
 // Name implements executor.Executor.
 func (x *reactorExec) Name() string { return x.r.Name() }

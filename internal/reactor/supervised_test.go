@@ -200,7 +200,7 @@ func TestWatchdogSeesCrashedUnsupervisedReactor(t *testing.T) {
 	defer leakcheck.Check(t)()
 	r := newTestReactor(t, "bare")
 	defer r.Stop()
-	e := r.AsExecutor()
+	e := newReactorExec(r)
 
 	// Alive: a probe-shaped post completes.
 	if err := e.Post(func() {}).Wait(); err != nil {

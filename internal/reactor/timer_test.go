@@ -9,6 +9,12 @@ import (
 	"repro/internal/testutil/poll"
 )
 
+// postAt arms fn at `at` from any goroutine: the timer heap is poll-confined,
+// so the addTimer call itself is posted onto the poll goroutine.
+func postAt(r *Reactor, at time.Time, fn func()) error {
+	return r.Post(func() { r.addTimer(at, fn) })
+}
+
 // TestPostAtFiresInDeadlineOrder: timers armed out of order fire sorted by
 // instant, on the poll goroutine.
 func TestPostAtFiresInDeadlineOrder(t *testing.T) {
@@ -23,7 +29,7 @@ func TestPostAtFiresInDeadlineOrder(t *testing.T) {
 	for _, i := range []int{3, 1, 2} {
 		i := i
 		at := base.Add(time.Duration(i) * 15 * time.Millisecond)
-		if _, err := r.PostAt(at, func() {
+		if err := postAt(r, at, func() {
 			if !r.Owns() {
 				t.Error("timer callback off the poll goroutine")
 			}
@@ -46,39 +52,6 @@ func TestPostAtFiresInDeadlineOrder(t *testing.T) {
 	}
 }
 
-// TestPostAtCancel: a cancelled timer never fires; cancelling twice (or
-// after the deadline would have passed) is harmless.
-func TestPostAtCancel(t *testing.T) {
-	defer leakcheck.Check(t)()
-	r := newTestReactor(t, "cancel")
-	defer r.Stop()
-
-	fired := make(chan struct{}, 2)
-	cancel, err := r.PostAt(time.Now().Add(30*time.Millisecond), func() { fired <- struct{}{} })
-	if err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-	cancel() // idempotent
-
-	// A later sentinel timer proves the wheel kept turning past the
-	// cancelled entry's deadline.
-	sentinel := make(chan struct{})
-	if _, err := r.PostAt(time.Now().Add(80*time.Millisecond), func() { close(sentinel) }); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-sentinel:
-	case <-time.After(5 * time.Second):
-		t.Fatal("sentinel timer never fired")
-	}
-	select {
-	case <-fired:
-		t.Fatal("cancelled timer fired")
-	default:
-	}
-}
-
 // TestPostAtPastDeadlineFiresPromptly: an already-expired instant runs on
 // the next loop turn instead of waiting a full poll cycle.
 func TestPostAtPastDeadlineFiresPromptly(t *testing.T) {
@@ -87,7 +60,7 @@ func TestPostAtPastDeadlineFiresPromptly(t *testing.T) {
 	defer r.Stop()
 
 	fired := make(chan struct{})
-	if _, err := r.PostAt(time.Now().Add(-time.Second), func() { close(fired) }); err != nil {
+	if err := postAt(r, time.Now().Add(-time.Second), func() { close(fired) }); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -115,7 +88,7 @@ func TestPostAtReArmsFromCallback(t *testing.T) {
 		}
 		r.addTimer(time.Now().Add(10*time.Millisecond), tick) // on-loop re-arm
 	}
-	if _, err := r.PostAt(time.Now().Add(10*time.Millisecond), tick); err != nil {
+	if err := postAt(r, time.Now().Add(10*time.Millisecond), tick); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -131,8 +104,8 @@ func TestPostAtAfterStop(t *testing.T) {
 	defer leakcheck.Check(t)()
 	r := newTestReactor(t, "stopped")
 	r.Stop()
-	if _, err := r.PostAt(time.Now(), func() {}); err != ErrClosed {
-		t.Fatalf("PostAt after Stop = %v, want ErrClosed", err)
+	if err := postAt(r, time.Now(), func() {}); err != ErrClosed {
+		t.Fatalf("postAt after Stop = %v, want ErrClosed", err)
 	}
 }
 
@@ -143,11 +116,11 @@ func TestTimerPanicContained(t *testing.T) {
 	r := newTestReactor(t, "timerpanic")
 	defer r.Stop()
 
-	if _, err := r.PostAt(time.Now(), func() { panic("timer boom") }); err != nil {
+	if err := postAt(r, time.Now(), func() { panic("timer boom") }); err != nil {
 		t.Fatal(err)
 	}
 	after := make(chan struct{})
-	if _, err := r.PostAt(time.Now().Add(20*time.Millisecond), func() { close(after) }); err != nil {
+	if err := postAt(r, time.Now().Add(20*time.Millisecond), func() { close(after) }); err != nil {
 		t.Fatal(err)
 	}
 	select {
