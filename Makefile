@@ -17,7 +17,7 @@ race:
 	$(GO) test -race ./...
 
 # vet runs the repo's own static analysis suite (cmd/ompvet): EDT
-# confinement, blocking-call, wait-graph, and directive lint passes.
+# confinement, blocking-call, capture, wait-graph, and directive lint passes.
 vet:
 	$(GO) run ./cmd/ompvet ./...
 
@@ -49,7 +49,8 @@ explore:
 	$(GO) test -count=1 -run 'TestReplayRegressionCorpus|TestCorpusReplayIsDeterministic' -v ./internal/sim/
 	SIM_SEED_BASE=$(SIM_SEED_BASE) $(GO) test -count=1 ./internal/sim/
 
-# lint mirrors the CI formatting/vet gates, including ompvet.
+# lint mirrors the CI formatting/vet gates, plus ompvet (which CI runs as
+# cmd/ompvet's TestRepositoryIsClean inside go test).
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -78,19 +79,22 @@ cover:
 # Go lines under internal/ and under cmd/, exported Set* setters — each one a
 # knob that is mutable after construction — the exported surface under
 # internal/ (top-level funcs, methods, types, vars and consts with an exported
-# name, test files and testdata excluded), and flag definitions under cmd/.
+# name), and flag definitions under cmd/, on the package-level flag set or a
+# FlagSet named fs. Test files and testdata (analyzer corpora, golden inputs)
+# are excluded from every count.
+SIZE_SRC = ! -name '*_test.go' ! -path '*/testdata/*'
 size:
-	@echo "non-test Go lines under internal/: $$(find internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
-	@echo "Set* setters under internal/: $$(grep -rn "^func (.*) Set[A-Z][A-Za-z]*(\|^func Set[A-Z]" internal --include=*.go | grep -v _test.go | wc -l)"
-	@echo "exported identifiers under internal/: $$(find internal -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs awk ' \
+	@echo "non-test Go lines under internal/: $$(find internal -name '*.go' $(SIZE_SRC) | xargs cat | wc -l)"
+	@echo "Set* setters under internal/: $$(find internal -name '*.go' $(SIZE_SRC) | xargs grep -h "^func (.*) Set[A-Z][A-Za-z]*(\|^func Set[A-Z]" | wc -l)"
+	@echo "exported identifiers under internal/: $$(find internal -name '*.go' $(SIZE_SRC) | xargs awk ' \
 		FNR == 1 { blk = 0 } \
 		/^(var|const|type) \($$/ { blk = 1; next } \
 		blk && /^\)/ { blk = 0; next } \
 		blk && /^\t[A-Z]/ { n++; next } \
 		/^func [A-Z]/ || /^func \([^)]*\) [A-Z]/ || /^(type|var|const) [A-Z]/ { n++ } \
 		END { print n + 0 }')"
-	@echo "non-test Go lines under cmd/: $$(find cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
-	@echo "flag definitions under cmd/: $$(find cmd -name '*.go' ! -name '*_test.go' | xargs cat | grep -c 'flag\.\(String\|Int\|Bool\|Duration\|Float64\)(')"
+	@echo "non-test Go lines under cmd/: $$(find cmd -name '*.go' $(SIZE_SRC) | xargs cat | wc -l)"
+	@echo "flag definitions under cmd/: $$(find cmd -name '*.go' $(SIZE_SRC) | xargs cat | grep -c '\<\(flag\|fs\)\.\(String\|Int\|Bool\|Duration\|Float64\)(')"
 
 # allocs runs the dispatch path's allocation budget (DESIGN.md §10): heap
 # objects per Post, per Invoke in each scheduling mode (await from each kind of

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	ompvet [-passes list] [-callgraph] [packages]
+//	ompvet [-passes list] [-list] [packages]
 //
 // Packages default to ./... and accept the usual go-command patterns. The
 // passes are:
@@ -15,11 +15,9 @@
 //	waitgraph     cycles and undefined tags in the name_as/wait graph
 //	directivelint //#omp directive syntax, clause conflicts, attachment
 //
-// -callgraph prints the interprocedural machinery instead of running the
-// passes: every function's bounded-depth effect summary (what it can
-// block on, mutate, or dispatch, through which helper chains) and every
-// capture by a dispatched block. Its output is diagnostic, not failing —
-// the exit status is always 0 unless loading fails.
+// -list prints the passes and exits. testdata/defects holds one seeded
+// defect per package and testdata/defects.golden the passes that catch
+// each; TestDefectScoreboard keeps the two in step.
 package main
 
 import (
@@ -30,7 +28,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/blockguard"
-	"repro/internal/analysis/callgraph"
 	"repro/internal/analysis/capture"
 	"repro/internal/analysis/directivelint"
 	"repro/internal/analysis/edtconfine"
@@ -45,13 +42,6 @@ var all = []*analysis.Analyzer{
 	waitgraph.Analyzer,
 }
 
-// debugAnalyzers power -callgraph: they describe the interprocedural
-// analysis rather than report violations.
-var debugAnalyzers = []*analysis.Analyzer{
-	callgraph.Analyzer,
-	capture.DebugAnalyzer,
-}
-
 func main() {
 	os.Exit(run(os.Args[1:]))
 }
@@ -60,9 +50,8 @@ func run(args []string) int {
 	fs := flag.NewFlagSet("ompvet", flag.ExitOnError)
 	passList := fs.String("passes", "", "comma-separated pass names to run (default: all)")
 	listOnly := fs.Bool("list", false, "list the available passes and exit")
-	showGraph := fs.Bool("callgraph", false, "print call-graph effect summaries and closure captures instead of running the passes")
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: ompvet [-passes list] [-callgraph] [packages]\n\npasses:\n")
+		fmt.Fprintf(fs.Output(), "usage: ompvet [-passes list] [-list] [packages]\n\npasses:\n")
 		for _, a := range all {
 			fmt.Fprintf(fs.Output(), "  %-13s %s\n", a.Name, a.Doc)
 		}
@@ -82,14 +71,6 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "ompvet: %v\n", err)
 		return 2
 	}
-	strict := true
-	if *showGraph {
-		// Summaries and captures are descriptions, not violations: print
-		// them without failing, and without consuming ignore comments
-		// (strict=false keeps unused //ompvet:ignore quiet too).
-		analyzers, strict = debugAnalyzers, false
-	}
-
 	cwd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ompvet: %v\n", err)
@@ -109,7 +90,7 @@ func run(args []string) int {
 			// go build owns compile errors, ompvet owns concurrency ones.
 			fmt.Fprintf(os.Stderr, "ompvet: warning: %s: %v\n", pkg.Path, terr)
 		}
-		findings, err := analysis.RunPackage(pkg, analyzers, strict)
+		findings, err := analysis.RunPackage(pkg, analyzers, true)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ompvet: %v\n", err)
 			return 2
@@ -118,9 +99,6 @@ func run(args []string) int {
 			fmt.Println(f.String())
 			bad++
 		}
-	}
-	if *showGraph {
-		return 0
 	}
 	if bad > 0 {
 		fmt.Fprintf(os.Stderr, "ompvet: %d issue(s)\n", bad)

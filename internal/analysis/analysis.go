@@ -8,9 +8,9 @@
 //
 // The framework provides:
 //
-//   - Analyzer/Pass/Diagnostic — the x/tools/go/analysis surface the four
-//     ompvet passes (edtconfine, blockguard, waitgraph, directivelint)
-//     program against;
+//   - Analyzer/Pass/Diagnostic — the x/tools/go/analysis surface the five
+//     ompvet passes (edtconfine, blockguard, capture, waitgraph,
+//     directivelint) program against;
 //   - Loader — a package loader that parses with go/parser and type-checks
 //     with go/types using the stdlib source importer (module resolution is
 //     delegated to the go command via go/build), so no external module is

@@ -12,12 +12,13 @@
 //   - bare channel receives (outside select);
 //   - sync.Mutex/RWMutex.Lock held across a dispatch call.
 //
-// The blocking-leaf table itself lives on the dispatch classifier
-// (Classifier.BlockingCall), shared with analysis/callgraph; this pass is
-// interprocedural (PR 9): an EDT block calling a helper that blocks is
-// flagged at the helper call site with the full call path from the
-// bounded-depth summaries, and a chain deeper than the bound is reported
-// as unprovable rather than silently trusted.
+// The pass is one loop over callgraph.Effects, which answers for each call
+// and channel receive what it can block on: a leaf from the classifier's
+// blocking table (Classifier.BlockingCall) or, through a same-package
+// helper, the helper's bounded-depth summary. An EDT block calling a
+// helper that blocks is flagged at the helper call site with the full call
+// path, and a chain deeper than the bound is reported as unprovable rather
+// than silently trusted.
 //
 // Runtime.AwaitCompletion / AwaitDone are deliberately NOT flagged: await is
 // the paper's logical barrier — the encountering thread keeps processing its
@@ -46,77 +47,36 @@ func run(pass *analysis.Pass) error {
 	g := callgraph.New(pass, c)
 	for _, f := range pass.Files {
 		analysis.WalkStack(f, func(n ast.Node, stack []ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				if desc, ok := c.BlockingCall(n); ok {
-					if kind, site := c.Context(stack); kind == dispatch.EDT {
-						pass.Reportf(n.Pos(),
-							"%s blocks the event-dispatch thread (enclosing block is dispatched via %s); offload with a worker target or use the await logical barrier",
-							desc, site)
-					}
-					return true
-				}
-				checkHelperCall(pass, c, g, n, stack)
-			case *ast.UnaryExpr:
-				if n.Op.String() != "<-" || insideSelect(stack) {
-					return true
-				}
-				if kind, site := c.Context(stack); kind == dispatch.EDT {
-					pass.Reportf(n.Pos(),
-						"channel receive blocks the event-dispatch thread (enclosing block is dispatched via %s); deliver the value with a further Post instead",
-						site)
-				}
-			case *ast.BlockStmt:
-				checkLockAcrossDispatch(pass, c, n, stack)
+			if block, ok := n.(*ast.BlockStmt); ok {
+				checkLockAcrossDispatch(pass, c, block, stack)
+				return true
+			}
+			s := g.Effects(n, stack)
+			if len(s.Blocks) == 0 && !s.Truncated {
+				return true
+			}
+			kind, site := c.Context(stack)
+			if kind != dispatch.EDT {
+				return true
+			}
+			advice := "offload with a worker target or use the await logical barrier"
+			if _, recv := n.(*ast.UnaryExpr); recv {
+				advice = "deliver the value with a further Post instead"
+			}
+			for _, e := range s.Blocks {
+				pass.Reportf(n.Pos(),
+					"%s blocks the event-dispatch thread (%senclosing block is dispatched via %s); %s",
+					e.Desc, e.Via(), site, advice)
+			}
+			if s.Truncated && len(s.Blocks) == 0 {
+				pass.Reportf(n.Pos(),
+					"cannot prove %s never blocks this event-dispatch block (dispatched via %s): call-graph summary truncated at depth %d",
+					c.Callee(n.(*ast.CallExpr)).Name(), site, callgraph.MaxDepth)
 			}
 			return true
 		})
 	}
 	return nil
-}
-
-// checkHelperCall consults the call-graph summary of a same-package callee:
-// from an EDT context, reachable blocking operations are reported through
-// the helper chain, and an unfinished (depth-truncated) summary is reported
-// as unprovable rather than trusted.
-func checkHelperCall(pass *analysis.Pass, c *dispatch.Classifier, g *callgraph.Graph, call *ast.CallExpr, stack []ast.Node) {
-	fn := c.Callee(call)
-	if g.Local(fn) == nil {
-		return
-	}
-	kind, site := c.Context(stack)
-	if kind != dispatch.EDT {
-		return
-	}
-	s := g.SummaryOf(fn)
-	for _, e := range s.Blocks {
-		path := fn.Name()
-		if p := e.PathString(); p != "" {
-			path += " > " + p
-		}
-		pass.Reportf(call.Pos(),
-			"%s blocks the event-dispatch thread (call path %s; enclosing block is dispatched via %s); offload with a worker target or use the await logical barrier",
-			e.Desc, path, site)
-	}
-	if s.Truncated && len(s.Blocks) == 0 {
-		pass.Reportf(call.Pos(),
-			"cannot prove %s never blocks this event-dispatch block (dispatched via %s): call-graph summary truncated at depth %d",
-			fn.Name(), site, callgraph.MaxDepth)
-	}
-}
-
-// insideSelect reports whether the node is within a select statement, whose
-// comm clauses are the non-blocking way to touch channels on the EDT.
-func insideSelect(stack []ast.Node) bool {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch stack[i].(type) {
-		case *ast.SelectStmt:
-			return true
-		case *ast.FuncLit, *ast.FuncDecl:
-			return false
-		}
-	}
-	return false
 }
 
 // checkLockAcrossDispatch scans one EDT-context block for a Mutex.Lock that

@@ -15,13 +15,13 @@
 // unknown" bargain the dispatch classifier makes, trading recall for zero
 // false positives on clean code.
 //
-// Summaries are memoized per function and composed bottom-up. Three effect
+// Summaries are memoized per function and composed bottom-up. Two effect
 // classes are tracked, each answering one pass's question:
 //
 //   - Blocks: calls the EDT must never make (time.Sleep, Completion.Wait,
-//     InvokeAndWait, mode-Wait worker invokes, bare channel receives);
-//   - Mutates: confined gui widget mutators;
-//   - Dispatches: calls that hand work to another executor.
+//     InvokeAndWait, mode-Wait worker invokes, bare channel receives) —
+//     blockguard's;
+//   - Mutates: confined gui widget mutators — edtconfine's.
 //
 // Every effect carries the helper path from the summarized function to the
 // leaf. Composition is depth-bounded (MaxDepth): an effect whose path
@@ -30,6 +30,9 @@
 // silent — the passes report a conservative "cannot prove" finding when a
 // definite EDT/worker context calls a truncated helper, so chains longer
 // than the bound degrade to an unknown-finding, not to a clean bill.
+//
+// The passes ask one question, Effects: what can this call or channel
+// receive block on or mutate, and through which helper path.
 package callgraph
 
 import (
@@ -60,28 +63,27 @@ type Effect struct {
 	Path []string
 }
 
-// PathString renders the helper chain for diagnostics ("" when direct).
-func (e Effect) PathString() string { return strings.Join(e.Path, " > ") }
+// Via renders the helper chain as the prefix of a diagnostic's parenthesis:
+// "call path a > b; ", or "" for a leaf.
+func (e Effect) Via() string {
+	if len(e.Path) == 0 {
+		return ""
+	}
+	return "call path " + strings.Join(e.Path, " > ") + "; "
+}
 
-// Summary is the bounded-depth effect set of one function.
+// Summary is the bounded-depth effect set of one function, or of one call
+// site as Effects reports it.
 type Summary struct {
 	// Blocks lists reachable blocking operations (the never-block rule).
 	Blocks []Effect
 	// Mutates lists reachable confined-widget mutations (the confinement
 	// rule).
 	Mutates []Effect
-	// Dispatches lists reachable dispatch sites (work handed to another
-	// executor).
-	Dispatches []Effect
 	// Truncated reports that the summary may be incomplete: a helper chain
 	// exceeded MaxDepth or ran into recursion. Passes must treat a
 	// truncated summary as "cannot prove clean", not as clean.
 	Truncated bool
-}
-
-// Empty reports whether the summary has no effects and no truncation.
-func (s *Summary) Empty() bool {
-	return len(s.Blocks) == 0 && len(s.Mutates) == 0 && len(s.Dispatches) == 0 && !s.Truncated
 }
 
 // Graph is the package call graph plus the summary cache.
@@ -93,9 +95,8 @@ type Graph struct {
 	// declaration; the edge relation is implicit (resolved per call).
 	decls map[*types.Func]*ast.FuncDecl
 
-	sums    map[*types.Func]*Summary
-	inProg  map[*types.Func]bool
-	callees map[*types.Func][]*types.Func // static call edges, for Callees
+	sums   map[*types.Func]*Summary
+	inProg map[*types.Func]bool
 }
 
 // New builds the call graph for pass's package. The classifier supplies
@@ -103,12 +104,11 @@ type Graph struct {
 // same pass.
 func New(pass *analysis.Pass, c *dispatch.Classifier) *Graph {
 	g := &Graph{
-		pass:    pass,
-		c:       c,
-		decls:   map[*types.Func]*ast.FuncDecl{},
-		sums:    map[*types.Func]*Summary{},
-		inProg:  map[*types.Func]bool{},
-		callees: map[*types.Func][]*types.Func{},
+		pass:   pass,
+		c:      c,
+		decls:  map[*types.Func]*ast.FuncDecl{},
+		sums:   map[*types.Func]*Summary{},
+		inProg: map[*types.Func]bool{},
 	}
 	if pass.TypesInfo == nil {
 		return g
@@ -127,45 +127,58 @@ func New(pass *analysis.Pass, c *dispatch.Classifier) *Graph {
 	return g
 }
 
-// Local returns the declaration of fn when it is declared in this package
-// (nil otherwise): the edge test of the call graph.
-func (g *Graph) Local(fn *types.Func) *ast.FuncDecl {
-	if fn == nil {
-		return nil
-	}
-	return g.decls[fn]
-}
-
-// Callees returns the static same-package callees of fn, in source order,
-// deduplicated. Only meaningful after SummaryOf(fn) has run.
-func (g *Graph) Callees(fn *types.Func) []*types.Func { return g.callees[fn] }
-
-// Functions returns every function declared in the package, in source
-// order (file order, then position).
-func (g *Graph) Functions() []*types.Func {
-	fns := make([]*types.Func, 0, len(g.decls))
-	for fn := range g.decls {
-		fns = append(fns, fn)
-	}
-	// Deterministic order for diagnostics: by declaration position.
-	for i := 1; i < len(fns); i++ {
-		for j := i; j > 0 && g.decls[fns[j]].Pos() < g.decls[fns[j-1]].Pos(); j-- {
-			fns[j], fns[j-1] = fns[j-1], fns[j]
-		}
-	}
-	return fns
-}
-
-// SummaryOf computes (and memoizes) the bounded-depth effect summary of a
-// function declared in this package. Unknown functions get an empty
-// summary.
-func (g *Graph) SummaryOf(fn *types.Func) *Summary {
-	if s, ok := g.sums[fn]; ok {
+// Effects answers, for a call or a channel receive n whose ancestors are
+// stack, what it can block on and what confined state it can mutate. A
+// leaf — a blocking call, a confined mutator, a receive outside select — is
+// its own effect with an empty path. A call to a same-package helper
+// contributes the helper's summary with the helper's name in front of each
+// path, and its truncation mark; where the call is a leaf of one class, the
+// leaf stands for that class. Anything else has no effect.
+func (g *Graph) Effects(n ast.Node, stack []ast.Node) Summary {
+	s := g.leaf(n, stack)
+	call, ok := n.(*ast.CallExpr)
+	if !ok {
 		return s
 	}
-	decl := g.decls[fn]
-	if decl == nil {
-		return &Summary{}
+	fn := g.c.Callee(call)
+	if g.decls[fn] == nil {
+		return s
+	}
+	cs := g.summaryOf(fn)
+	if s.Blocks == nil {
+		s.Blocks = composeEffects(nil, fn.Name(), cs.Blocks, nil)
+	}
+	if s.Mutates == nil {
+		s.Mutates = composeEffects(nil, fn.Name(), cs.Mutates, nil)
+	}
+	s.Truncated = cs.Truncated
+	return s
+}
+
+// leaf returns the effects of n itself, ignoring any callee's body.
+func (g *Graph) leaf(n ast.Node, stack []ast.Node) Summary {
+	var s Summary
+	switch n := n.(type) {
+	case *ast.UnaryExpr:
+		if n.Op == token.ARROW && !insideSelect(stack) {
+			s.Blocks = []Effect{{Desc: "channel receive", Pos: n.Pos()}}
+		}
+	case *ast.CallExpr:
+		if desc, ok := g.c.BlockingCall(n); ok {
+			s.Blocks = []Effect{{Desc: desc, Pos: n.Pos()}}
+		}
+		if widget, method, ok := g.c.ConfinedMutator(n); ok {
+			s.Mutates = []Effect{{Desc: "(*gui." + widget + ")." + method, Pos: n.Pos()}}
+		}
+	}
+	return s
+}
+
+// summaryOf computes (and memoizes) the bounded-depth effect summary of a
+// function declared in this package.
+func (g *Graph) summaryOf(fn *types.Func) *Summary {
+	if s, ok := g.sums[fn]; ok {
+		return s
 	}
 	if g.inProg[fn] {
 		// Recursion: the cycle member being recomputed reports itself
@@ -173,14 +186,15 @@ func (g *Graph) SummaryOf(fn *types.Func) *Summary {
 		return &Summary{Truncated: true}
 	}
 	g.inProg[fn] = true
-	s := g.summarize(fn, decl)
+	s := g.summarize(fn, g.decls[fn])
 	delete(g.inProg, fn)
 	g.sums[fn] = s
 	return s
 }
 
-// summarize walks one function body collecting direct effects and composing
-// callee summaries.
+// summarize walks one function body collecting its leaf effects and
+// composing callee summaries, honouring the function's thread-context
+// guards.
 func (g *Graph) summarize(fn *types.Func, decl *ast.FuncDecl) *Summary {
 	s := &Summary{}
 	// Each distinct callee composes each effect class at most once — but
@@ -198,75 +212,50 @@ func (g *Graph) summarize(fn *types.Func, decl *ast.FuncDecl) *Summary {
 			// inline scope.
 			return false
 		}
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			g.direct(s, n, guards)
-			callee := g.c.Callee(n)
-			if callee == nil || g.decls[callee] == nil || callee == fn {
-				return true
-			}
-			st, first := seen[callee], false
-			if st == nil {
-				st, first = &composed{}, true
-				seen[callee] = st
-				g.callees[fn] = append(g.callees[fn], callee)
-			}
-			cs := g.SummaryOf(callee)
-			// A guard around the call site guards everything reached
-			// through it.
-			add := &Summary{Truncated: cs.Truncated}
-			if !guards.offHome(n.Pos()) && !st.blocks {
-				add.Blocks, st.blocks = cs.Blocks, true
-			}
-			if !guards.onHome(n.Pos()) && !st.mutates {
-				add.Mutates, st.mutates = cs.Mutates, true
-			}
-			if first {
-				add.Dispatches = cs.Dispatches
-			}
-			if first || len(add.Blocks) > 0 || len(add.Mutates) > 0 {
-				g.compose(s, callee, add)
-			}
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW && !insideSelect(stack) && !guards.offHome(n.Pos()) {
-				s.Blocks = append(s.Blocks, Effect{Desc: "channel receive", Pos: n.Pos()})
-			}
+		// A guard around a leaf or a call site guards everything reached
+		// through it.
+		offHome, onHome := guards.offHome(n.Pos()), guards.onHome(n.Pos())
+		leaf := g.leaf(n, stack)
+		if !offHome {
+			s.Blocks = append(s.Blocks, leaf.Blocks...)
+		}
+		if !onHome {
+			s.Mutates = append(s.Mutates, leaf.Mutates...)
+		}
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		callee := g.c.Callee(call)
+		if g.decls[callee] == nil || callee == fn {
+			return true
+		}
+		st := seen[callee]
+		if st == nil {
+			st = &composed{}
+			seen[callee] = st
+		}
+		cs := g.summaryOf(callee)
+		s.Truncated = s.Truncated || cs.Truncated
+		if !offHome && !st.blocks {
+			s.Blocks = composeEffects(s.Blocks, callee.Name(), cs.Blocks, &s.Truncated)
+			st.blocks = true
+		}
+		if !onHome && !st.mutates {
+			s.Mutates = composeEffects(s.Mutates, callee.Name(), cs.Mutates, &s.Truncated)
+			st.mutates = true
 		}
 		return true
 	})
 	return s
 }
 
-// direct records the leaf effects of one call, honouring the function's
-// thread-context guards.
-func (g *Graph) direct(s *Summary, call *ast.CallExpr, guards guardSet) {
-	if desc, ok := g.c.BlockingCall(call); ok && !guards.offHome(call.Pos()) {
-		s.Blocks = append(s.Blocks, Effect{Desc: desc, Pos: call.Pos()})
-	}
-	if widget, method, ok := g.c.ConfinedMutator(call); ok && !guards.onHome(call.Pos()) {
-		s.Mutates = append(s.Mutates, Effect{
-			Desc: "(*gui." + widget + ")." + method, Pos: call.Pos(),
-		})
-	}
-	if desc, ok := g.c.DispatchSite(call); ok {
-		s.Dispatches = append(s.Dispatches, Effect{Desc: desc, Pos: call.Pos()})
-	}
-}
-
-// compose folds callee's summary into s, prefixing paths with the callee
-// name and enforcing the depth bound.
-func (g *Graph) compose(s *Summary, callee *types.Func, cs *Summary) {
-	if cs.Truncated {
-		s.Truncated = true
-	}
-	s.Blocks = composeEffects(s.Blocks, callee.Name(), cs.Blocks, &s.Truncated)
-	s.Mutates = composeEffects(s.Mutates, callee.Name(), cs.Mutates, &s.Truncated)
-	s.Dispatches = composeEffects(s.Dispatches, callee.Name(), cs.Dispatches, &s.Truncated)
-}
-
+// composeEffects appends src to dst with step in front of each path. With
+// truncated non-nil it enforces the depth bound, dropping the effects that
+// would exceed it and setting *truncated.
 func composeEffects(dst []Effect, step string, src []Effect, truncated *bool) []Effect {
 	for _, e := range src {
-		if len(e.Path)+1 > MaxDepth {
+		if truncated != nil && len(e.Path)+1 > MaxDepth {
 			*truncated = true
 			continue
 		}
@@ -311,47 +300,4 @@ func insideSelect(stack []ast.Node) bool {
 		}
 	}
 	return false
-}
-
-// Analyzer is the debug pass: it reports every non-empty function summary
-// as diagnostics. It is not part of the default ompvet suite — it powers
-// `ompvet -callgraph` and the testdata suite; its findings describe the
-// analysis, not violations.
-var Analyzer = &analysis.Analyzer{
-	Name:          "callgraph",
-	Doc:           "report bounded-depth call-graph effect summaries (debug output for ompvet -callgraph)",
-	RequiresTypes: true,
-	Run:           runDebug,
-}
-
-func runDebug(pass *analysis.Pass) error {
-	c := dispatch.NewClassifier(pass)
-	g := New(pass, c)
-	for _, fn := range g.Functions() {
-		s := g.SummaryOf(fn)
-		if s.Empty() {
-			continue
-		}
-		pos := g.decls[fn].Name.Pos()
-		for _, e := range s.Blocks {
-			pass.Reportf(pos, "%s may block: %s%s", fn.Name(), e.Desc, via(e))
-		}
-		for _, e := range s.Mutates {
-			pass.Reportf(pos, "%s mutates confined state: %s%s", fn.Name(), e.Desc, via(e))
-		}
-		for _, e := range s.Dispatches {
-			pass.Reportf(pos, "%s dispatches: %s%s", fn.Name(), e.Desc, via(e))
-		}
-		if s.Truncated {
-			pass.Reportf(pos, "%s: summary truncated at depth %d; deeper effects are unknown", fn.Name(), MaxDepth)
-		}
-	}
-	return nil
-}
-
-func via(e Effect) string {
-	if len(e.Path) == 0 {
-		return ""
-	}
-	return " (call path " + e.PathString() + ")"
 }

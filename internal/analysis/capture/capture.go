@@ -27,10 +27,9 @@ import (
 	"repro/internal/analysis/dispatch"
 )
 
-// A Capture is one variable captured by one dispatched literal.
-type Capture struct {
-	// Lit is the capturing literal; Kind/Site say where it runs.
-	Lit  *ast.FuncLit
+// A capture is one variable captured by one dispatched literal.
+type capture struct {
+	// Kind/Site say where the capturing literal runs.
 	Kind dispatch.Kind
 	Site string
 	// Obj is the captured variable; HomeKind/HomeSite classify the dispatch
@@ -39,19 +38,17 @@ type Capture struct {
 	Obj      *types.Var
 	HomeKind dispatch.Kind
 	HomeSite string
-	// Use is the first use inside the literal; Written reports whether any
-	// use inside the literal assigns to the variable (assignment LHS or
-	// inc/dec).
-	Use     *ast.Ident
+	// Written reports whether any use inside the literal assigns to the
+	// variable (assignment LHS or inc/dec).
 	Written bool
 	// WritePos is the position of the first writing use (valid when
 	// Written).
 	WritePos token.Pos
 }
 
-// Captures computes every capture by a definitely-classified literal in
+// captures computes every capture by a definitely-classified literal in
 // the package. The classifier must come from the same pass.
-func Captures(pass *analysis.Pass, c *dispatch.Classifier) []Capture {
+func captures(pass *analysis.Pass, c *dispatch.Classifier) []capture {
 	if pass.TypesInfo == nil {
 		return nil
 	}
@@ -79,7 +76,7 @@ func Captures(pass *analysis.Pass, c *dispatch.Classifier) []Capture {
 		})
 	}
 
-	var caps []Capture
+	var caps []capture
 	for _, f := range pass.Files {
 		analysis.WalkStack(f, func(n ast.Node, stack []ast.Node) bool {
 			lit, ok := n.(*ast.FuncLit)
@@ -104,8 +101,8 @@ func Captures(pass *analysis.Pass, c *dispatch.Classifier) []Capture {
 
 // litCaptures finds the free variables of one literal: identifiers used
 // inside it whose object is a local variable declared outside it.
-func litCaptures(pass *analysis.Pass, lit *ast.FuncLit) []Capture {
-	byObj := map[*types.Var]*Capture{}
+func litCaptures(pass *analysis.Pass, lit *ast.FuncLit) []capture {
+	byObj := map[*types.Var]*capture{}
 	var order []*types.Var
 	analysis.WalkStack(lit.Body, func(n ast.Node, stack []ast.Node) bool {
 		id, ok := n.(*ast.Ident)
@@ -126,7 +123,7 @@ func litCaptures(pass *analysis.Pass, lit *ast.FuncLit) []Capture {
 		}
 		cap := byObj[v]
 		if cap == nil {
-			cap = &Capture{Obj: v, Use: id}
+			cap = &capture{Obj: v}
 			byObj[v] = cap
 			order = append(order, v)
 		}
@@ -136,7 +133,7 @@ func litCaptures(pass *analysis.Pass, lit *ast.FuncLit) []Capture {
 		}
 		return true
 	})
-	out := make([]Capture, 0, len(order))
+	out := make([]capture, 0, len(order))
 	for _, v := range order {
 		out = append(out, *byObj[v])
 	}
@@ -174,41 +171,13 @@ var Analyzer = &analysis.Analyzer{
 
 func run(pass *analysis.Pass) error {
 	c := dispatch.NewClassifier(pass)
-	for _, cap := range Captures(pass, c) {
+	for _, cap := range captures(pass, c) {
 		if !cap.Written || cap.HomeKind == dispatch.Unknown || cap.HomeKind == cap.Kind {
 			continue
 		}
 		pass.Reportf(cap.WritePos,
 			"%s block (dispatched via %s) writes captured variable %q; its home is the %s block dispatched via %s, and the unsynchronized write races with it — republish the value through a dispatch instead",
 			cap.Kind, cap.Site, cap.Obj.Name(), cap.HomeKind, cap.HomeSite)
-	}
-	return nil
-}
-
-// DebugAnalyzer reports every capture by a classified literal — the raw
-// material of the enforcement pass, for `ompvet -callgraph` output and the
-// testdata suite.
-var DebugAnalyzer = &analysis.Analyzer{
-	Name:          "capturedebug",
-	Doc:           "report every variable captured by a dispatched block, with its home context (debug output)",
-	RequiresTypes: true,
-	Run:           runDebug,
-}
-
-func runDebug(pass *analysis.Pass) error {
-	c := dispatch.NewClassifier(pass)
-	for _, cap := range Captures(pass, c) {
-		home := "function scope"
-		if cap.HomeKind != dispatch.Unknown {
-			home = cap.HomeKind.String() + " block via " + cap.HomeSite
-		}
-		access := "reads"
-		if cap.Written {
-			access = "writes"
-		}
-		pass.Reportf(cap.Use.Pos(),
-			"%s block (via %s) captures %q (home: %s) and %s it",
-			cap.Kind, cap.Site, cap.Obj.Name(), home, access)
 	}
 	return nil
 }

@@ -10,7 +10,3 @@ import (
 func TestEnforcement(t *testing.T) {
 	analysistest.Run(t, capture.Analyzer, "testdata/write")
 }
-
-func TestDebug(t *testing.T) {
-	analysistest.Run(t, capture.DebugAnalyzer, "testdata/debug")
-}

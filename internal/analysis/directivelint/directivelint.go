@@ -13,15 +13,13 @@
 //     other than a structured block, a directive sharing its line with
 //     code, and a standalone directive outside any function body.
 //
-// The pass is purely syntactic so `pjc -vet` and editors can run it on a
-// single file without type-checking.
+// Parsing and binding are directive.Bind, the rule pjc translates by, so a
+// directive this pass accepts is one pjc binds. The pass is purely syntactic
+// so `pjc -vet` and editors can run it on a single file without
+// type-checking.
 package directivelint
 
 import (
-	"go/ast"
-	"go/token"
-	"strings"
-
 	"repro/internal/analysis"
 	"repro/internal/directive"
 )
@@ -35,123 +33,11 @@ var Analyzer = &analysis.Analyzer{
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
-		lintFile(pass, f)
+		for _, s := range directive.Bind(pass.Fset, f) {
+			if s.Err != nil {
+				pass.Reportf(s.Comment.Pos(), "%v", s.Err)
+			}
+		}
 	}
 	return nil
-}
-
-// fileShape is the per-file syntactic context directives are checked
-// against.
-type fileShape struct {
-	// stmtByLine maps each statement-list statement's start line to it.
-	stmtByLine map[int]ast.Stmt
-	// lineEnds maps a line to true when some non-comment node ends on it
-	// (to detect directives trailing code on the same line).
-	codeLines map[int]bool
-	// funcRanges are the body extents of function declarations and
-	// literals.
-	funcRanges [][2]token.Pos
-}
-
-func shapeOf(pass *analysis.Pass, f *ast.File) *fileShape {
-	s := &fileShape{stmtByLine: map[int]ast.Stmt{}, codeLines: map[int]bool{}}
-	line := func(p token.Pos) int { return pass.Fset.Position(p).Line }
-	bind := func(list []ast.Stmt) {
-		for _, st := range list {
-			if _, dup := s.stmtByLine[line(st.Pos())]; !dup {
-				s.stmtByLine[line(st.Pos())] = st
-			}
-		}
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.BlockStmt:
-			bind(v.List)
-		case *ast.CaseClause:
-			bind(v.Body)
-		case *ast.CommClause:
-			bind(v.Body)
-		case *ast.FuncDecl:
-			if v.Body != nil {
-				s.funcRanges = append(s.funcRanges, [2]token.Pos{v.Body.Pos(), v.Body.End()})
-			}
-		case *ast.FuncLit:
-			s.funcRanges = append(s.funcRanges, [2]token.Pos{v.Body.Pos(), v.Body.End()})
-		}
-		if st, ok := n.(ast.Stmt); ok {
-			s.codeLines[line(st.End())] = true
-		}
-		return true
-	})
-	return s
-}
-
-// inFunc reports whether pos lies inside some function body.
-func (s *fileShape) inFunc(pos token.Pos) bool {
-	for _, r := range s.funcRanges {
-		if r[0] <= pos && pos < r[1] {
-			return true
-		}
-	}
-	return false
-}
-
-// standalone reports whether a directive kind needs no following block.
-func standalone(k directive.Kind) bool {
-	switch k {
-	case directive.KindWait, directive.KindBarrier, directive.KindTaskwait,
-		directive.KindTargetUpdate:
-		return true
-	}
-	return false
-}
-
-// wantsFor reports whether a directive kind binds to a for statement.
-func wantsFor(k directive.Kind) bool {
-	return k == directive.KindFor || k == directive.KindParallelFor
-}
-
-func lintFile(pass *analysis.Pass, f *ast.File) {
-	shape := shapeOf(pass, f)
-	pos := func(p token.Pos) token.Position { return pass.Fset.Position(p) }
-	for _, grp := range f.Comments {
-		for _, c := range grp.List {
-			text := strings.TrimPrefix(c.Text, "//")
-			if !directive.IsDirectiveComment(text) {
-				continue
-			}
-			d, err := directive.Parse(text)
-			if err != nil {
-				pass.Reportf(c.Pos(), "%v", err)
-				continue
-			}
-			cpos := pos(c.Pos())
-			// A directive sharing its line with code never binds: the pjc
-			// association rule looks at full-line comments only.
-			if shape.codeLines[cpos.Line] {
-				pass.Reportf(c.Pos(), "directive %q shares its line with code and will not bind to any statement; put it on its own line", d.Kind)
-				continue
-			}
-			if standalone(d.Kind) {
-				if !shape.inFunc(c.Pos()) {
-					pass.Reportf(c.Pos(), "standalone directive %q outside a function body", d.Kind)
-				}
-				continue
-			}
-			st, ok := shape.stmtByLine[pos(c.End()).Line+1]
-			if !ok {
-				pass.Reportf(c.Pos(), "directive %q is not followed by a statement on the next line", d.Kind)
-				continue
-			}
-			if wantsFor(d.Kind) {
-				if _, isFor := st.(*ast.ForStmt); !isFor {
-					pass.Reportf(c.Pos(), "directive %q must be followed by a for statement", d.Kind)
-				}
-				continue
-			}
-			if _, isBlock := st.(*ast.BlockStmt); !isBlock {
-				pass.Reportf(c.Pos(), "directive %q must be followed by a structured block { ... }", d.Kind)
-			}
-		}
-	}
 }

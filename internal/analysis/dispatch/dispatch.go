@@ -1,8 +1,10 @@
 // Package dispatch classifies where a function literal will execute:
 // on an event-dispatch thread (or another serial virtual target) or off it,
 // on a worker pool or raw goroutine. It is the shared substrate of the
-// edtconfine and blockguard passes: both need to know, for a syntactic
-// block, which thread group Algorithm 1 will hand it to.
+// edtconfine, blockguard and capture passes, which need to know, for a
+// syntactic block, which thread group Algorithm 1 will hand it to, and of
+// analysis/callgraph, which resolves callees and reads the leaf-effect
+// tables (effects.go) through it.
 //
 // Classification is deliberately conservative. A literal is labelled only
 // when the dispatch site is one of the known runtime entry points
@@ -74,12 +76,12 @@ func NewClassifier(pass *analysis.Pass) *Classifier {
 			if !ok {
 				return true
 			}
-			fn := c.callee(call)
+			fn := c.Callee(call)
 			if fn == nil {
 				return true
 			}
 			switch {
-			case c.isMethod(fn, "repro/internal/core", "Runtime", "RegisterEDT"):
+			case c.IsMethod(fn, "repro/internal/core", "Runtime", "RegisterEDT"):
 				if name, ok := c.stringArg(call, 0); ok {
 					c.edtNames[name] = true
 				}
@@ -87,7 +89,7 @@ func NewClassifier(pass *analysis.Pass) *Classifier {
 				if name, ok := c.stringArg(call, 0); ok {
 					c.edtNames[name] = true
 				}
-			case c.isMethod(fn, "repro/internal/core", "Runtime", "CreateWorker"),
+			case c.IsMethod(fn, "repro/internal/core", "Runtime", "CreateWorker"),
 				c.isFunc(fn, "repro/internal/pyjama", "CreateWorker"):
 				if name, ok := c.stringArg(call, 0); ok {
 					c.workerNames[name] = true
@@ -101,14 +103,6 @@ func NewClassifier(pass *analysis.Pass) *Classifier {
 	}
 	return c
 }
-
-// EDTName reports whether name is a registered EDT or serial target.
-func (c *Classifier) EDTName(name string) bool {
-	return c.edtNames[name] || c.serialNames[name]
-}
-
-// WorkerName reports whether name is a registered worker target.
-func (c *Classifier) WorkerName(name string) bool { return c.workerNames[name] }
 
 // Context returns the execution context of the node whose ancestor stack is
 // given (outermost first): the classification of the innermost classifiable
@@ -219,7 +213,7 @@ func (c *Classifier) classifyCallArg(call *ast.CallExpr, lit *ast.FuncLit) (Kind
 	if !direct {
 		return Unknown, ""
 	}
-	fn := c.callee(call)
+	fn := c.Callee(call)
 	if fn == nil {
 		return Unknown, ""
 	}
@@ -232,7 +226,7 @@ func (c *Classifier) classifyCallArg(call *ast.CallExpr, lit *ast.FuncLit) (Kind
 // DispatchSite reports whether call hands work to another executor, and
 // describes it. Used by blockguard's lock-held-across-dispatch check.
 func (c *Classifier) DispatchSite(call *ast.CallExpr) (string, bool) {
-	fn := c.callee(call)
+	fn := c.Callee(call)
 	if fn == nil {
 		return "", false
 	}
@@ -246,34 +240,34 @@ func (c *Classifier) DispatchSite(call *ast.CallExpr) (string, bool) {
 func (c *Classifier) dispatchByCallee(call *ast.CallExpr, fn *types.Func) (string, Kind, bool) {
 	switch {
 	// --- EDT deliveries -------------------------------------------------
-	case c.isMethod(fn, "repro/internal/gui", "Toolkit", "InvokeLater"),
-		c.isMethod(fn, "repro/internal/gui", "Toolkit", "InvokeAndWait"):
+	case c.IsMethod(fn, "repro/internal/gui", "Toolkit", "InvokeLater"),
+		c.IsMethod(fn, "repro/internal/gui", "Toolkit", "InvokeAndWait"):
 		return "Toolkit." + fn.Name(), EDT, true
-	case c.isMethod(fn, "repro/internal/eventloop", "Loop", "Post"),
-		c.isMethod(fn, "repro/internal/eventloop", "Loop", "PostLabeled"),
-		c.isMethod(fn, "repro/internal/eventloop", "Loop", "PostDelayed"),
-		c.isMethod(fn, "repro/internal/eventloop", "Loop", "InvokeAndWait"):
+	case c.IsMethod(fn, "repro/internal/eventloop", "Loop", "Post"),
+		c.IsMethod(fn, "repro/internal/eventloop", "Loop", "PostLabeled"),
+		c.IsMethod(fn, "repro/internal/eventloop", "Loop", "PostDelayed"),
+		c.IsMethod(fn, "repro/internal/eventloop", "Loop", "InvokeAndWait"):
 		return "Loop." + fn.Name(), EDT, true
-	case c.isMethod(fn, "repro/internal/gui", "Toolkit", "NewButton"),
-		c.isMethod(fn, "repro/internal/gui", "Button", "SetHandler"),
-		c.isMethod(fn, "repro/internal/gui", "Toolkit", "NewTimer"):
+	case c.IsMethod(fn, "repro/internal/gui", "Toolkit", "NewButton"),
+		c.IsMethod(fn, "repro/internal/gui", "Button", "SetHandler"),
+		c.IsMethod(fn, "repro/internal/gui", "Toolkit", "NewTimer"):
 		// Click handlers and timer actions are dispatched on the EDT.
 		return fn.Name() + " handler", EDT, true
-	case c.isMethod(fn, "repro/internal/reactor", "Reactor", "Post"):
+	case c.IsMethod(fn, "repro/internal/reactor", "Reactor", "Post"):
 		// Posts hop onto the reactor's poll goroutine — a serial confined
 		// context with EDT blocking rules.
 		return "reactor Post", EDT, true
-	case c.isMethod(fn, "repro/internal/reactor", "Reactor", "Listen"):
+	case c.IsMethod(fn, "repro/internal/reactor", "Reactor", "Listen"):
 		// The accept callback runs on the poll goroutine.
 		return "Reactor.Listen accept callback", EDT, true
-	case c.isMethod(fn, "repro/internal/reactor", "Supervised", "Listen"):
+	case c.IsMethod(fn, "repro/internal/reactor", "Supervised", "Listen"):
 		// Supervised generations re-register listeners, but every
 		// generation's accept callback still runs on that generation's
 		// poll goroutine.
 		return "Supervised.Listen accept callback", EDT, true
-	case c.isMethod(fn, "repro/internal/netloop", "Server", "HandleFunc"),
-		c.isMethod(fn, "repro/internal/netloop", "Server", "OnConnect"),
-		c.isMethod(fn, "repro/internal/netloop", "Server", "OnClose"):
+	case c.IsMethod(fn, "repro/internal/netloop", "Server", "HandleFunc"),
+		c.IsMethod(fn, "repro/internal/netloop", "Server", "OnConnect"),
+		c.IsMethod(fn, "repro/internal/netloop", "Server", "OnClose"):
 		// netloop handlers are dispatched on the server's event loop on
 		// both transports — including the reactor transport enabled by
 		// EnableReactor / EnableSupervisedReactor, whose readiness
@@ -281,19 +275,19 @@ func (c *Classifier) dispatchByCallee(call *ast.CallExpr, fn *types.Func) (strin
 		return "netloop Server." + fn.Name() + " handler", EDT, true
 
 	// --- worker deliveries ----------------------------------------------
-	case c.isMethod(fn, "repro/internal/executor", "WorkerPool", "Post"):
+	case c.IsMethod(fn, "repro/internal/executor", "WorkerPool", "Post"):
 		return "WorkerPool.Post", Worker, true
-	case c.isMethod(fn, "repro/internal/gui", "ExecutorService", "Execute"),
+	case c.IsMethod(fn, "repro/internal/gui", "ExecutorService", "Execute"),
 		c.isFunc(fn, "repro/internal/gui", "Submit"):
 		return "ExecutorService." + fn.Name(), Worker, true
 
 	// --- target-name dispatch: the destination decides -------------------
-	case c.isMethod(fn, "repro/internal/core", "Runtime", "Invoke"),
-		c.isMethod(fn, "repro/internal/core", "Runtime", "InvokeNamed"):
+	case c.IsMethod(fn, "repro/internal/core", "Runtime", "Invoke"),
+		c.IsMethod(fn, "repro/internal/core", "Runtime", "InvokeNamed"):
 		return c.targetDispatch(call, fn.Name(), 0)
-	case c.isMethod(fn, "repro/internal/core", "Runtime", "InvokeCtx"):
+	case c.IsMethod(fn, "repro/internal/core", "Runtime", "InvokeCtx"):
 		return c.targetDispatch(call, fn.Name(), 1)
-	case c.isMethod(fn, "repro/internal/core", "Runtime", "InvokeIf"):
+	case c.IsMethod(fn, "repro/internal/core", "Runtime", "InvokeIf"):
 		return c.targetDispatch(call, fn.Name(), 1)
 	case c.isFunc(fn, "repro/internal/pyjama", "TargetBlock"):
 		return c.targetDispatch(call, fn.Name(), 0)
@@ -312,7 +306,7 @@ func (c *Classifier) targetDispatch(call *ast.CallExpr, callee string, nameArg i
 	}
 	desc := callee + "(" + name + ")"
 	switch {
-	case c.EDTName(name):
+	case c.edtNames[name] || c.serialNames[name]:
 		return desc, EDT, true
 	case c.workerNames[name]:
 		return desc, Worker, true
@@ -322,9 +316,9 @@ func (c *Classifier) targetDispatch(call *ast.CallExpr, callee string, nameArg i
 
 // --- type plumbing -------------------------------------------------------
 
-// callee resolves the *types.Func a call invokes (nil for indirect calls,
+// Callee resolves the *types.Func a call invokes (nil for indirect calls,
 // built-ins, or when type information is absent).
-func (c *Classifier) callee(call *ast.CallExpr) *types.Func {
+func (c *Classifier) Callee(call *ast.CallExpr) *types.Func {
 	if c.pass.TypesInfo == nil {
 		return nil
 	}
@@ -347,9 +341,9 @@ func (c *Classifier) isFunc(fn *types.Func, path, name string) bool {
 		(fn.Type().(*types.Signature)).Recv() == nil
 }
 
-// isMethod reports whether fn is a method named name on the (possibly
+// IsMethod reports whether fn is a method named name on the (possibly
 // pointer-to, possibly instantiated-generic) named type path.typeName.
-func (c *Classifier) isMethod(fn *types.Func, path, typeName, name string) bool {
+func (c *Classifier) IsMethod(fn *types.Func, path, typeName, name string) bool {
 	if fn.Name() != name {
 		return false
 	}
@@ -431,11 +425,6 @@ func (c *Classifier) intArg(call *ast.CallExpr, i int) (int64, bool) {
 	return n, ok
 }
 
-// ConstArg exposes constant-argument extraction for the passes.
-func (c *Classifier) ConstArg(call *ast.CallExpr, i int) constant.Value {
-	return c.constArg(call, i)
-}
-
 func (c *Classifier) constArg(call *ast.CallExpr, i int) constant.Value {
 	if c.pass.TypesInfo == nil || i >= len(call.Args) {
 		return nil
@@ -445,17 +434,4 @@ func (c *Classifier) constArg(call *ast.CallExpr, i int) constant.Value {
 		return nil
 	}
 	return tv.Value
-}
-
-// Callee exposes callee resolution for the passes.
-func (c *Classifier) Callee(call *ast.CallExpr) *types.Func { return c.callee(call) }
-
-// IsMethod exposes method matching for the passes.
-func (c *Classifier) IsMethod(fn *types.Func, path, typeName, name string) bool {
-	return c.isMethod(fn, path, typeName, name)
-}
-
-// IsFunc exposes function matching for the passes.
-func (c *Classifier) IsFunc(fn *types.Func, path, name string) bool {
-	return c.isFunc(fn, path, name)
 }

@@ -26,7 +26,7 @@ var confinedMutators = map[string]map[string]bool{
 // ConfinedMutator reports whether call invokes a confined widget mutator,
 // naming the widget type and method.
 func (c *Classifier) ConfinedMutator(call *ast.CallExpr) (widget, method string, ok bool) {
-	fn := c.callee(call)
+	fn := c.Callee(call)
 	if fn == nil {
 		return "", "", false
 	}
@@ -50,29 +50,29 @@ func (c *Classifier) ConfinedMutator(call *ast.CallExpr) (widget, method string,
 // its own queue while it waits, which is exactly the sanctioned alternative
 // to the calls reported here.
 func (c *Classifier) BlockingCall(call *ast.CallExpr) (string, bool) {
-	fn := c.callee(call)
+	fn := c.Callee(call)
 	if fn == nil {
 		return "", false
 	}
 	switch {
 	case c.isFunc(fn, "time", "Sleep"):
 		return "time.Sleep", true
-	case c.isMethod(fn, "repro/internal/executor", "Completion", "Wait"):
+	case c.IsMethod(fn, "repro/internal/executor", "Completion", "Wait"):
 		return "Completion.Wait", true
-	case c.isMethod(fn, "repro/internal/core", "Runtime", "Wait"),
-		c.isMethod(fn, "repro/internal/core", "Runtime", "WaitTag"):
+	case c.IsMethod(fn, "repro/internal/core", "Runtime", "Wait"),
+		c.IsMethod(fn, "repro/internal/core", "Runtime", "WaitTag"):
 		return "Runtime." + fn.Name(), true
 	case c.isFunc(fn, "repro/internal/pyjama", "WaitFor"):
 		return "pyjama.WaitFor", true
-	case c.isMethod(fn, "sync", "WaitGroup", "Wait"):
+	case c.IsMethod(fn, "sync", "WaitGroup", "Wait"):
 		return "sync.WaitGroup.Wait", true
-	case c.isMethod(fn, "repro/internal/gui", "SwingWorker", "Get"),
-		c.isMethod(fn, "repro/internal/gui", "Future", "Get"):
+	case c.IsMethod(fn, "repro/internal/gui", "SwingWorker", "Get"),
+		c.IsMethod(fn, "repro/internal/gui", "Future", "Get"):
 		return fn.Name() + " (blocking join)", true
-	case c.isMethod(fn, "repro/internal/gui", "Toolkit", "InvokeAndWait"),
-		c.isMethod(fn, "repro/internal/eventloop", "Loop", "InvokeAndWait"):
+	case c.IsMethod(fn, "repro/internal/gui", "Toolkit", "InvokeAndWait"),
+		c.IsMethod(fn, "repro/internal/eventloop", "Loop", "InvokeAndWait"):
 		return "InvokeAndWait", true
-	case c.isMethod(fn, "repro/internal/core", "Runtime", "Invoke"):
+	case c.IsMethod(fn, "repro/internal/core", "Runtime", "Invoke"):
 		return c.syncWorkerInvoke(call, "Runtime.Invoke", 0, 1)
 	case c.isFunc(fn, "repro/internal/pyjama", "TargetBlock"):
 		return c.syncWorkerInvoke(call, "pyjama.TargetBlock", 0, 1)
@@ -98,7 +98,7 @@ func (c *Classifier) syncWorkerInvoke(call *ast.CallExpr, callee string, nameArg
 	if v := c.constArg(call, nameArg); v != nil && v.Kind() == constant.String {
 		name = constant.StringVal(v)
 	}
-	if !c.WorkerName(name) {
+	if !c.workerNames[name] {
 		return "", false
 	}
 	return callee + "(" + name + ", mode Wait)", true

@@ -10,11 +10,11 @@
 // without an intervening InvokeLater / InvokeAndWait / target-virtual(edt)
 // re-entry.
 //
-// The pass is interprocedural (PR 9): a worker block calling a helper that
-// calls a mutator is flagged at the helper call site, with the full call
-// path from analysis/callgraph's bounded-depth summaries. A helper chain
-// deeper than the summary bound is not silently trusted — the call is
-// reported as unprovable instead.
+// The pass is one loop over callgraph.Effects, so it is interprocedural: a
+// worker block calling a helper that calls a mutator is flagged at the
+// helper call site, with the full call path from the bounded-depth
+// summaries. A helper chain deeper than the summary bound is not silently
+// trusted — the call is reported as unprovable instead.
 package edtconfine
 
 import (
@@ -46,40 +46,25 @@ func run(pass *analysis.Pass) error {
 			if !ok {
 				return true
 			}
-			if widget, method, ok := c.ConfinedMutator(call); ok {
-				if kind, site := c.Context(stack); kind == dispatch.Worker {
-					pass.Reportf(call.Pos(),
-						"(*gui.%s).%s mutates a confined widget off the event-dispatch thread (enclosing block is dispatched via %s); wrap the update in Toolkit.InvokeLater or a target virtual(edt) block",
-						widget, method, site)
-				}
-				return true
-			}
-			// Interprocedural: a call to a same-package helper is checked
-			// against the helper's effect summary.
-			fn := c.Callee(call)
-			if g.Local(fn) == nil {
+			s := g.Effects(call, stack)
+			if len(s.Mutates) == 0 && !s.Truncated {
 				return true
 			}
 			kind, site := c.Context(stack)
 			if kind != dispatch.Worker {
 				return true
 			}
-			s := g.SummaryOf(fn)
 			for _, e := range s.Mutates {
-				path := fn.Name()
-				if p := e.PathString(); p != "" {
-					path += " > " + p
-				}
 				pass.Reportf(call.Pos(),
-					"%s mutates a confined widget off the event-dispatch thread (call path %s; enclosing block is dispatched via %s); wrap the update in Toolkit.InvokeLater or a target virtual(edt) block",
-					e.Desc, path, site)
+					"%s mutates a confined widget off the event-dispatch thread (%senclosing block is dispatched via %s); wrap the update in Toolkit.InvokeLater or a target virtual(edt) block",
+					e.Desc, e.Via(), site)
 			}
 			if s.Truncated && len(s.Mutates) == 0 {
 				// Never silence a chain the summary could not finish: the
 				// helper might mutate confined state beyond the depth bound.
 				pass.Reportf(call.Pos(),
 					"cannot prove %s keeps confined widgets off this worker block (dispatched via %s): call-graph summary truncated at depth %d",
-					fn.Name(), site, callgraph.MaxDepth)
+					c.Callee(call).Name(), site, callgraph.MaxDepth)
 			}
 			return true
 		})

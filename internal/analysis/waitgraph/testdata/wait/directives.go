@@ -26,3 +26,16 @@ func directiveClean(rt *core.Runtime) {
 		_ = rt
 	}
 }
+
+// directiveUnderProse: the misspelt tag is reported at the wait directive
+// itself, not at the prose that opens its comment group, so an ignore on
+// the line above the directive would apply to it.
+func directiveUnderProse(rt *core.Runtime) {
+	//#omp target virtual(painter) name_as(render)
+	{
+		_ = rt
+	}
+	// Join the renders before the frame is presented; the tag
+	// below is misspelt.
+	//#omp wait(rendr) // want `wait on tag "rendr", but no name_as\(rendr\) directive or InvokeNamed/TargetBlock site defines it`
+}

@@ -136,69 +136,85 @@ func (g *graph) define(tag, target string) {
 
 // --- directive comments --------------------------------------------------
 
-// collectDirectives parses //#omp comments, associating each target
-// directive with the block starting on the next line (the same binding rule
-// the pjc compiler uses).
+// collectDirectives records every wait directive, and the block and name_as
+// tag of every virtual target directive, as directive.Bind binds them — the
+// rule pjc translates by.
 func (g *graph) collectDirectives(f *ast.File) {
-	type pending struct {
-		d   *directive.Directive
-		pos token.Pos
-	}
-	byLine := map[int]pending{}
-	for _, grp := range f.Comments {
-		for _, c := range grp.List {
-			text := strings.TrimPrefix(c.Text, "//")
-			if !directive.IsDirectiveComment(text) {
-				continue
-			}
-			d, err := directive.Parse(text)
-			if err != nil {
-				continue // directivelint's department
-			}
-			line := g.pass.Fset.Position(c.End()).Line
-			switch d.Kind {
-			case directive.KindTarget:
-				byLine[line] = pending{d: d, pos: c.Pos()}
-			case directive.KindWait:
-				if c := d.Clause(directive.ClauseWait); c != nil {
-					g.waits = append(g.waits, waitSite{pos: grp.Pos(), tags: append([]string(nil), c.Args...)})
-				}
-			}
-		}
-	}
-	if len(byLine) == 0 {
-		return
-	}
-	bind := func(list []ast.Stmt) {
-		for _, st := range list {
-			p, ok := byLine[g.pass.Fset.Position(st.Pos()).Line-1]
-			if !ok {
-				continue
-			}
-			name := p.d.TargetName()
-			if name == "" {
-				continue // device target: no virtual wait-for semantics
-			}
-			g.regions = append(g.regions, region{target: name, start: st.Pos(), end: st.End()})
-			if mode, tag := p.d.SchedulingMode(); mode == directive.ClauseNameAs {
+	for _, s := range directive.Bind(g.pass.Fset, f) {
+		d := s.Directive
+		switch {
+		case d == nil:
+			// A parse error is directivelint's department.
+		case d.Kind == directive.KindWait:
+			g.waits = append(g.waits, waitSite{pos: s.Comment.Pos(), tags: d.Clause(directive.ClauseWait).Args})
+		case d.Kind == directive.KindTarget && s.Stmt != nil && d.TargetName() != "":
+			// A device target has no virtual wait-for semantics.
+			name := d.TargetName()
+			g.regions = append(g.regions, region{target: name, start: s.Stmt.Pos(), end: s.Stmt.End()})
+			if mode, tag := d.SchedulingMode(); mode == directive.ClauseNameAs {
 				g.define(tag, name)
 			}
 		}
 	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.BlockStmt:
-			bind(v.List)
-		case *ast.CaseClause:
-			bind(v.Body)
-		case *ast.CommClause:
-			bind(v.Body)
-		}
-		return true
-	})
 }
 
 // --- call sites ----------------------------------------------------------
+
+// callee describes one runtime entry point the graph reads: which argument
+// names the target, the name_as mode, the tag and the dispatched block.
+type callee struct {
+	pyjama   bool // a pyjama facade function; otherwise a *core.Runtime method
+	strict   bool // matched only with type information: ".Wait" is too common (WaitGroup, Completion) to match by name
+	wait     bool // waits on its tags; otherwise dispatches a block to its target
+	variadic bool // every argument is a tag
+	// Argument indices. mode < 0: the call always names its tag, which must
+	// then resolve like the target; tag < 0: the call names no tag.
+	target, mode, tag, lit int
+}
+
+var callees = map[string]callee{
+	"InvokeNamed":   {target: 0, mode: -1, tag: 1, lit: 2},
+	"Invoke":        {target: 0, mode: -1, tag: -1, lit: 2},
+	"TargetBlock":   {pyjama: true, target: 0, mode: 1, tag: 2, lit: 3},
+	"TargetBlockIf": {pyjama: true, target: 1, mode: 2, tag: 3, lit: 4},
+	"WaitTag":       {wait: true, tag: 0},
+	"WaitFor":       {pyjama: true, wait: true, variadic: true},
+	"Wait":          {strict: true, wait: true, variadic: true},
+}
+
+// lookup returns the table entry of call; with type information the
+// receiver or package must match too.
+func (g *graph) lookup(call *ast.CallExpr) (callee, bool) {
+	name := calleeName(call)
+	c, ok := callees[name]
+	switch {
+	case !ok:
+		return c, false
+	case c.pyjama:
+		return c, g.isPyjamaFunc(call, name)
+	case c.strict:
+		return c, g.isRuntimeMethodStrict(call, name)
+	}
+	return c, g.isRuntimeMethod(call, name)
+}
+
+// tagArgs returns the indices of a wait call's tag arguments.
+func (c callee) tagArgs(call *ast.CallExpr) []int {
+	if !c.variadic {
+		return []int{c.tag}
+	}
+	idx := make([]int, len(call.Args))
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
+}
+
+// names reports whether a dispatch call schedules its block under its tag:
+// always for InvokeNamed, in mode NameAs for TargetBlock.
+func (g *graph) names(call *ast.CallExpr, c callee) bool {
+	return c.tag >= 0 && (c.mode < 0 || c.mode < len(call.Args) && g.isNameAsMode(call.Args[c.mode]))
+}
 
 // collectCalls records InvokeNamed/TargetBlock definitions, WaitTag/WaitFor
 // waits, and dispatched-literal regions.
@@ -208,61 +224,13 @@ func (g *graph) collectCalls(f *ast.File) {
 		if !ok {
 			return true
 		}
-		name := calleeName(call)
-		switch name {
-		case "InvokeNamed":
-			if !g.isRuntimeMethod(call, "InvokeNamed") {
-				return true
-			}
-			target, ok1 := g.stringArg(call, 0)
-			tag, ok2 := g.stringArg(call, 1)
-			if ok1 && ok2 {
-				g.define(tag, target)
-				g.litRegion(call, 2, target)
-			}
-		case "Invoke":
-			if !g.isRuntimeMethod(call, "Invoke") {
-				return true
-			}
-			if target, ok := g.stringArg(call, 0); ok {
-				g.litRegion(call, 2, target)
-			}
-		case "TargetBlock", "TargetBlockIf":
-			if !g.isPyjamaFunc(call, name) {
-				return true
-			}
-			base := 0
-			if name == "TargetBlockIf" {
-				base = 1
-			}
-			target, ok1 := g.stringArg(call, base)
-			if !ok1 {
-				return true
-			}
-			g.litRegion(call, base+3, target)
-			if g.isNameAsMode(call.Args[base+1]) {
-				if tag, ok := g.stringArg(call, base+2); ok {
-					g.define(tag, target)
-				}
-			}
-		case "WaitTag":
-			if !g.isRuntimeMethod(call, "WaitTag") {
-				return true
-			}
-			if tag, ok := g.stringArg(call, 0); ok {
-				g.waits = append(g.waits, waitSite{pos: call.Pos(), tags: []string{tag}})
-			}
-		case "WaitFor", "Wait":
-			if name == "WaitFor" && !g.isPyjamaFunc(call, "WaitFor") {
-				return true
-			}
-			if name == "Wait" && !g.isRuntimeMethodStrict(call, "Wait") {
-				// ".Wait" is too common (WaitGroup, Completion) to match
-				// without type information.
-				return true
-			}
+		c, ok := g.lookup(call)
+		if !ok {
+			return true
+		}
+		if c.wait {
 			var tags []string
-			for i := range call.Args {
+			for _, i := range c.tagArgs(call) {
 				if tag, ok := g.stringArg(call, i); ok {
 					tags = append(tags, tag)
 				}
@@ -270,6 +238,20 @@ func (g *graph) collectCalls(f *ast.File) {
 			if len(tags) > 0 {
 				g.waits = append(g.waits, waitSite{pos: call.Pos(), tags: tags})
 			}
+			return true
+		}
+		target, ok := g.stringArg(call, c.target)
+		if !ok {
+			return true
+		}
+		tag, named := g.stringArg(call, c.tag)
+		named = named && g.names(call, c)
+		if c.mode < 0 && c.tag >= 0 && !named {
+			return true // InvokeNamed's block counts only with its tag
+		}
+		g.litRegion(call, c.lit, target)
+		if named {
+			g.define(tag, target)
 		}
 		return true
 	})
@@ -314,53 +296,24 @@ func (g *graph) collectParamTags(f *ast.File) {
 			if !ok {
 				return true
 			}
-			switch calleeName(call) {
-			case "WaitTag":
-				if !g.isRuntimeMethod(call, "WaitTag") {
-					return true
-				}
-				if idx, ok := argParam(call, 0); ok {
-					g.paramWaits[fname] = append(g.paramWaits[fname], idx)
-				}
-			case "WaitFor", "Wait":
-				if calleeName(call) == "WaitFor" && !g.isPyjamaFunc(call, "WaitFor") {
-					return true
-				}
-				if calleeName(call) == "Wait" && !g.isRuntimeMethodStrict(call, "Wait") {
-					return true
-				}
-				for i := range call.Args {
+			c, ok := g.lookup(call)
+			if !ok {
+				return true
+			}
+			if c.wait {
+				for _, i := range c.tagArgs(call) {
 					if idx, ok := argParam(call, i); ok {
 						g.paramWaits[fname] = append(g.paramWaits[fname], idx)
 					}
 				}
-			case "InvokeNamed":
-				if !g.isRuntimeMethod(call, "InvokeNamed") {
-					return true
-				}
-				target, tok := g.stringArg(call, 0)
-				if !tok {
-					return true
-				}
-				if idx, ok := argParam(call, 1); ok {
-					g.paramDefines[fname] = append(g.paramDefines[fname], paramDefine{target: target, tagIdx: idx})
-				}
-			case "TargetBlock", "TargetBlockIf":
-				name := calleeName(call)
-				if !g.isPyjamaFunc(call, name) {
-					return true
-				}
-				base := 0
-				if name == "TargetBlockIf" {
-					base = 1
-				}
-				target, tok := g.stringArg(call, base)
-				if !tok || base+1 >= len(call.Args) || !g.isNameAsMode(call.Args[base+1]) {
-					return true
-				}
-				if idx, ok := argParam(call, base+2); ok {
-					g.paramDefines[fname] = append(g.paramDefines[fname], paramDefine{target: target, tagIdx: idx})
-				}
+				return true
+			}
+			target, ok := g.stringArg(call, c.target)
+			if !ok || !g.names(call, c) {
+				return true
+			}
+			if idx, ok := argParam(call, c.tag); ok {
+				g.paramDefines[fname] = append(g.paramDefines[fname], paramDefine{target: target, tagIdx: idx})
 			}
 			return true
 		})
@@ -524,7 +477,7 @@ func (g *graph) isNameAsMode(arg ast.Expr) bool {
 // stringArg extracts a constant string argument: through the type checker
 // when available, or a string literal otherwise.
 func (g *graph) stringArg(call *ast.CallExpr, i int) (string, bool) {
-	if i >= len(call.Args) {
+	if i < 0 || i >= len(call.Args) {
 		return "", false
 	}
 	arg := call.Args[i]

@@ -79,7 +79,9 @@ func main() {
 		t.Fatal(err)
 	}
 
-	dir, err := os.MkdirTemp(repoRoot(t), "pjc-e2e-")
+	// The leading underscore hides the directory from ./... patterns, so a
+	// concurrent `go list repro/...` (cmd/ompvet's tests) never sees it.
+	dir, err := os.MkdirTemp(repoRoot(t), "_pjc-e2e-")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +155,7 @@ func TestAnnotatedExampleEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir, err := os.MkdirTemp(root, "pjc-annotated-")
+	dir, err := os.MkdirTemp(root, "_pjc-annotated-")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +179,7 @@ func TestPjcVetFlag(t *testing.T) {
 		t.Skip("compiles with the go toolchain")
 	}
 	root := repoRoot(t)
-	dir, err := os.MkdirTemp(root, "pjc-vet-")
+	dir, err := os.MkdirTemp(root, "_pjc-vet-")
 	if err != nil {
 		t.Fatal(err)
 	}

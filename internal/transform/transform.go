@@ -1,7 +1,8 @@
 // Package transform is the source-to-source compiler of the reproduction:
 // the counterpart of the Pyjama compiler described in Section IV.A. It
 // parses Go source containing //#omp directive comments, attaches each
-// directive to its structured block (or canonical for-loop), and rewrites
+// directive to its structured block (or canonical for-loop) by
+// directive.Bind — the rule the directivelint pass checks — and rewrites
 // the code into calls to the pyjama runtime facade and the omp fork-join
 // substrate — e.g.
 //
@@ -37,7 +38,6 @@ import (
 	"go/format"
 	"go/parser"
 	"go/token"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -72,20 +72,12 @@ func File(src []byte, filename string, opts Options) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transform: %w", err)
 	}
-	rw := &rewriter{
-		src:   src,
-		fset:  fset,
-		file:  f,
-		opts:  opts,
-		byEnd: map[int]*pendingDirective{},
-	}
-	if err := rw.collectDirectives(); err != nil {
-		return nil, err
-	}
-	if len(rw.byEnd) == 0 {
+	rw := &rewriter{src: src, fset: fset, file: f, opts: opts}
+	sites := directive.Bind(fset, f)
+	if len(sites) == 0 {
 		return src, nil
 	}
-	rw.associate()
+	rw.bind(sites)
 	rw.analyze()
 	if len(rw.errs) > 0 {
 		return nil, rw.errs[0]
@@ -101,14 +93,6 @@ func File(src []byte, filename string, opts Options) ([]byte, error) {
 		return nil, fmt.Errorf("transform: generated invalid code: %w\n--- generated ---\n%s", err, out)
 	}
 	return formatted, nil
-}
-
-// pendingDirective is a parsed directive comment awaiting association.
-type pendingDirective struct {
-	d       *directive.Directive
-	comment *ast.Comment
-	line    int // line the comment ends on
-	used    bool
 }
 
 // pair is a directive associated with (optionally) its structured block or
@@ -134,7 +118,6 @@ type rewriter struct {
 	file *ast.File
 	opts Options
 
-	byEnd map[int]*pendingDirective
 	pairs []*pair
 	errs  []error
 
@@ -148,108 +131,31 @@ func (rw *rewriter) errorf(pos token.Pos, format string, args ...any) {
 }
 
 func (rw *rewriter) offset(pos token.Pos) int { return rw.fset.Position(pos).Offset }
-func (rw *rewriter) line(pos token.Pos) int   { return rw.fset.Position(pos).Line }
 
-// collectDirectives parses every //#omp comment in the file.
-func (rw *rewriter) collectDirectives() error {
-	for _, grp := range rw.file.Comments {
-		for _, c := range grp.List {
-			text := strings.TrimPrefix(c.Text, "//")
-			if !directive.IsDirectiveComment(text) {
-				continue
-			}
-			d, err := directive.Parse(text)
-			if err != nil {
-				p := rw.fset.Position(c.Pos())
-				return fmt.Errorf("%s:%d: %w", p.Filename, p.Line, err)
-			}
-			if d.Kind == directive.KindTargetData || d.Kind == directive.KindTargetUpdate {
-				// Rewriting device data environments requires retargeting
-				// variable accesses at device memory; out of pjc's scope.
-				p := rw.fset.Position(c.Pos())
-				return fmt.Errorf("%s:%d: pjc does not translate %q; use the internal/device API (TargetData/CopyTo/CopyFrom) directly",
-					p.Filename, p.Line, d.Kind)
-			}
-			rw.byEnd[rw.line(c.End())] = &pendingDirective{d: d, comment: c, line: rw.line(c.End())}
-		}
-	}
-	return nil
-}
-
-// associate walks every statement list and binds directives to the
-// statement starting on the line right below them.
-func (rw *rewriter) associate() {
-	bind := func(list []ast.Stmt) {
-		for _, st := range list {
-			pd, ok := rw.byEnd[rw.line(st.Pos())-1]
-			if !ok || pd.used {
-				continue
-			}
-			pd.used = true
-			rw.makePair(pd, st)
-		}
-	}
-	ast.Inspect(rw.file, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.BlockStmt:
-			bind(v.List)
-		case *ast.CaseClause:
-			bind(v.Body)
-		case *ast.CommClause:
-			bind(v.Body)
-		}
-		return true
-	})
-	// Directives not bound to any statement: standalone kinds become
-	// freestanding pairs; block kinds are errors.
-	for _, pd := range rw.byEnd {
-		if pd.used {
-			continue
-		}
-		switch pd.d.Kind {
-		case directive.KindWait, directive.KindBarrier, directive.KindTaskwait:
-			pd.used = true
-			rw.pairs = append(rw.pairs, &pair{
-				d: pd.d, comment: pd.comment,
-				cStart: rw.offset(pd.comment.Pos()),
-				cEnd:   rw.offset(pd.comment.End()),
-				sEnd:   rw.offset(pd.comment.End()),
-			})
+// bind turns every directive.Bind site into a pair, recording the errors of
+// the sites pjc cannot translate in source order.
+func (rw *rewriter) bind(sites []directive.Site) {
+	for _, s := range sites {
+		c := s.Comment
+		switch {
+		case s.Directive != nil && (s.Directive.Kind == directive.KindTargetData || s.Directive.Kind == directive.KindTargetUpdate):
+			// Rewriting device data environments requires retargeting
+			// variable accesses at device memory; out of pjc's scope.
+			rw.errorf(c.Pos(), "pjc does not translate %q; use the internal/device API (TargetData/CopyTo/CopyFrom) directly", s.Directive.Kind)
+		case s.Err != nil:
+			rw.errorf(c.Pos(), "%v", s.Err)
 		default:
-			rw.errorf(pd.comment.Pos(), "directive %q is not followed by a statement on the next line", pd.d.Kind)
+			p := &pair{d: s.Directive, comment: c, stmt: s.Stmt,
+				cStart: rw.offset(c.Pos()), cEnd: rw.offset(c.End()), sEnd: rw.offset(c.End())}
+			switch st := s.Stmt.(type) {
+			case *ast.BlockStmt:
+				p.block, p.sEnd = st, rw.offset(st.End())
+			case *ast.ForStmt:
+				p.forStmt, p.sEnd = st, rw.offset(st.End())
+			}
+			rw.pairs = append(rw.pairs, p)
 		}
 	}
-	sort.Slice(rw.pairs, func(i, j int) bool { return rw.pairs[i].cStart < rw.pairs[j].cStart })
-}
-
-func (rw *rewriter) makePair(pd *pendingDirective, st ast.Stmt) {
-	p := &pair{
-		d: pd.d, comment: pd.comment, stmt: st,
-		cStart: rw.offset(pd.comment.Pos()),
-		cEnd:   rw.offset(pd.comment.End()),
-		sEnd:   rw.offset(st.End()),
-	}
-	switch pd.d.Kind {
-	case directive.KindWait, directive.KindBarrier, directive.KindTaskwait:
-		// Standalone: the following statement is not consumed.
-		p.stmt = nil
-		p.sEnd = p.cEnd
-	case directive.KindFor, directive.KindParallelFor:
-		fs, ok := st.(*ast.ForStmt)
-		if !ok {
-			rw.errorf(st.Pos(), "directive %q must be followed by a for statement", pd.d.Kind)
-			return
-		}
-		p.forStmt = fs
-	default:
-		bs, ok := st.(*ast.BlockStmt)
-		if !ok {
-			rw.errorf(st.Pos(), "directive %q must be followed by a structured block", pd.d.Kind)
-			return
-		}
-		p.block = bs
-	}
-	rw.pairs = append(rw.pairs, p)
 }
 
 // analyze computes parallel-region nesting and sections structure.

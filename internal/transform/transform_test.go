@@ -433,6 +433,29 @@ func TestErrors(t *testing.T) {
 	}
 }
 
+// TestTrailingDirectiveBindsNothing: a directive sharing its line with code
+// binds no statement, so pjc refuses it with directivelint's message instead
+// of splicing a block into the middle of the line.
+func TestTrailingDirectiveBindsNothing(t *testing.T) {
+	src := hdr + "func h() {\n\tx := 0\n\tx++ //#omp target virtual(worker) nowait\n\t{\n\t\tcompute()\n\t}\n\t_ = x\n}\n"
+	_, err := File([]byte(src), "trail.go", Options{})
+	if err == nil || !strings.Contains(err.Error(), `trail.go:7: directive "target" shares its line with code`) {
+		t.Fatalf("err = %v, want the shares-its-line refusal at line 7", err)
+	}
+}
+
+// TestFirstUnboundDirectiveReported: with several directives that bind
+// nothing, the error names the first in source order, every time.
+func TestFirstUnboundDirectiveReported(t *testing.T) {
+	src := hdr + "func h() {\n\t//#omp target virtual(w) nowait\n\n\t//#omp target virtual(w) await\n\n}\n"
+	for i := 0; i < 20; i++ {
+		_, err := File([]byte(src), "unbound.go", Options{})
+		if err == nil || !strings.Contains(err.Error(), "unbound.go:6:") {
+			t.Fatalf("run %d: err = %v, want the directive on line 6", i, err)
+		}
+	}
+}
+
 func TestOutputIsGofmted(t *testing.T) {
 	src := hdr + `func h() {
 	//#omp parallel num_threads(2)
