@@ -10,14 +10,17 @@
 //
 // With -overload it instead runs the QoS overload scenario: offered load
 // far beyond worker capacity against a Pyjama server with and without
-// admission control, reporting shed rate and success-latency percentiles.
+// admission control (a bounded wait queue and a per-request deadline),
+// reporting shed rate and success-latency percentiles.
 //
 // With -chaos it runs the failure drill: worker goroutines are killed under
 // load, against a supervised and an unsupervised server, reporting
 // completions, typed failures, client timeouts (the wedges), respawns, and
 // watchdog stalls.
 //
-// All three tables come from the one load generator in internal/evaluation.
+// Both drills are gates: each exits non-zero when its table contradicts the
+// sentence printed under it. All three tables come from the one load
+// generator in internal/evaluation.
 package main
 
 import (
@@ -117,7 +120,8 @@ func runFigure9(workers []int, users, reqs, kbytes, ompThreads int) {
 // a load far beyond capacity — once without QoS (the seed's unbounded queue)
 // and once with admission control (wait queue of 4, 100 ms per request), and
 // reports throughput, shed rate, and the latency distribution of successful
-// responses for each.
+// responses for each. It fails unless the admission-controlled row sheds and
+// its p99 is below the unprotected row's.
 func runOverload(kernelBytes int) {
 	const workers, users, reqs = 2, 64, 8
 	admit := &httpserver.QoSConfig{QueueLimit: 4, RequestTimeout: 100 * time.Millisecond}
@@ -126,6 +130,7 @@ func runOverload(kernelBytes int) {
 	fmt.Printf("qos: queue=%d timeout=%v policy=%s\n\n", admit.QueueLimit, admit.RequestTimeout, admit)
 	fmt.Printf("%-14s %8s %8s %8s %9s %10s %10s %10s\n",
 		"series", "ok", "shed", "errors", "shedrate", "resp/sec", "p50(ms)", "p99(ms)")
+	var rows []*evaluation.EvalBResult
 	for _, qos := range []*httpserver.QoSConfig{nil, admit} {
 		r, err := evaluation.RunEvalB(evaluation.EvalBConfig{
 			Server: httpserver.Config{Mode: httpserver.Pyjama, Workers: workers, KernelBytes: kernelBytes, QoS: qos},
@@ -138,9 +143,15 @@ func runOverload(kernelBytes int) {
 		fmt.Printf("%-14s %8d %8d %8d %8.1f%% %10.1f %10.1f %10.1f\n",
 			r.Label(), r.OK, r.Shed, errs, 100*float64(r.Shed)/float64(r.OK+r.Shed+errs), r.Throughput(),
 			msOf(r.Latency.Quantile(0.5)), msOf(r.Latency.Quantile(0.99)))
+		rows = append(rows, r)
 	}
 	fmt.Printf("\nWithout qos every request queues (p99 grows with offered load); with qos\n")
 	fmt.Printf("overflow is shed as 503s and the p99 of admitted requests stays bounded.\n")
+	plain, guarded := rows[0], rows[1]
+	if guarded.Shed == 0 || guarded.Latency.Quantile(0.99) >= plain.Latency.Quantile(0.99) {
+		fail(fmt.Errorf("overload: the qos row shed %d with p99 %.1f ms against %.1f ms without qos; want sheds and a lower p99",
+			guarded.Shed, msOf(guarded.Latency.Quantile(0.99)), msOf(plain.Latency.Quantile(0.99))))
+	}
 }
 
 // runChaos is the failure drill: 8 users × 50 requests against 4 workers
@@ -148,9 +159,10 @@ func runOverload(kernelBytes int) {
 // (the schedule is seeded via CHAOS_SEED, default 1337), against an
 // unsupervised and a supervised Pyjama server. The unsupervised series loses
 // workers for good — once the pool is empty every request wedges until the
-// 2 s client timeout, and only the stall watchdog notices; the supervised
+// 250 ms client timeout, and only the stall watchdog notices; the supervised
 // series respawns killed workers within its restart budget and keeps
-// answering.
+// answering. It fails unless the supervised row sheds nothing and serves more
+// than the unsupervised one.
 func runChaos(kernelBytes int) {
 	const (
 		workers, users, reqs = 4, 8, 50
@@ -161,6 +173,7 @@ func runChaos(kernelBytes int) {
 		100*rate, kills, workers, users, reqs, seed)
 	fmt.Printf("%-18s %8s %8s %8s %9s %8s %9s %8s %10s\n",
 		"series", "ok", "shed", "errors", "timeouts", "kills", "respawns", "stalls", "healthz")
+	var rows []evaluation.HTTPLoad
 	for _, restart := range []bool{false, true} {
 		label := "pyjama"
 		if restart {
@@ -185,24 +198,32 @@ func runChaos(kernelBytes int) {
 		if err != nil {
 			fail(err)
 		}
-		load := evaluation.DriveHTTP(base, users, reqs, 2*time.Second)
+		load := evaluation.DriveHTTP(base, users, reqs, 250*time.Millisecond)
 		health, _, herr := httpserver.NewClientTimeout(base, time.Second).Healthz()
 		if herr != nil {
 			health = "unreachable"
 		}
 		var respawns int64
 		if s := srv.Supervisor(); s != nil {
-			respawns = s.Stats().Respawns.Value() + s.Stats().Restarts.Value()
+			st := s.Stats()
+			respawns = st.Respawns + st.Restarts
 		}
 		stalls := srv.Watchdog().Stalls()
 		srv.Stop()
 		fmt.Printf("%-18s %8d %8d %8d %9d %8d %9d %8d %10s\n",
 			label, load.OK, load.Shed, load.Errors, load.Timeouts, inj.Injected(chaos.Kill), respawns, stalls, health)
+		rows = append(rows, load)
 	}
 	fmt.Printf("\nUnsupervised, killed workers stay dead: the pool drains to zero, requests\n")
 	fmt.Printf("wedge until the client gives up, and the watchdog reports the stall. With\n")
-	fmt.Printf("supervision each death is repaired within the restart budget and the same\n")
-	fmt.Printf("schedule ends with the drill served and /healthz back to ok.\n")
+	fmt.Printf("supervision each death is repaired within the restart budget while the\n")
+	fmt.Printf("surviving workers keep serving, so nothing is shed; /healthz reads degraded\n")
+	fmt.Printf("until a restart window (1 s) passes without a kill, then ok.\n")
+	unsupervised, supervised := rows[0], rows[1]
+	if supervised.Shed != 0 || supervised.OK <= unsupervised.OK {
+		fail(fmt.Errorf("chaos: the supervised row served %d and shed %d against %d served unsupervised; want no sheds and more served",
+			supervised.OK, supervised.Shed, unsupervised.OK))
+	}
 }
 
 func msOf(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

@@ -32,9 +32,10 @@ type EvalCConfig struct {
 	// Clients and MessagesPerClient shape the load.
 	Clients           int
 	MessagesPerClient int
-	// Timeout bounds the run.
-	Timeout time.Duration
 }
+
+// evalCTimeout bounds one Eval C run.
+const evalCTimeout = 2 * time.Minute
 
 func (c *EvalCConfig) fill() error {
 	if _, ok := kernels.Factories()[c.Kernel]; !ok {
@@ -51,9 +52,6 @@ func (c *EvalCConfig) fill() error {
 	}
 	if c.MessagesPerClient <= 0 {
 		c.MessagesPerClient = 10
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 2 * time.Minute
 	}
 	return nil
 }
@@ -156,7 +154,7 @@ func RunEvalC(cfg EvalCConfig) (*EvalCResult, error) {
 	go func() { wg.Wait(); close(done) }()
 	select {
 	case <-done:
-	case <-time.After(cfg.Timeout):
+	case <-time.After(evalCTimeout):
 		return nil, fmt.Errorf("evaluation: eval C timed out")
 	}
 	if firstErr != nil {

@@ -11,7 +11,7 @@ func TestEvalCInlineAndOffloaded(t *testing.T) {
 	for _, offload := range []bool{false, true} {
 		res, err := RunEvalC(EvalCConfig{
 			Kernel: "crypt", Offload: offload,
-			Clients: 4, MessagesPerClient: 5, Timeout: 30 * time.Second,
+			Clients: 4, MessagesPerClient: 5,
 		})
 		if err != nil {
 			t.Fatalf("offload=%v: %v", offload, err)
@@ -36,14 +36,14 @@ func TestEvalCShape_OffloadFreesDispatchLoop(t *testing.T) {
 		64*1024, 5*time.Millisecond)
 	inline, err := RunEvalC(EvalCConfig{
 		Kernel: "crypt", KernelSize: size,
-		Clients: 4, MessagesPerClient: 8, Timeout: time.Minute,
+		Clients: 4, MessagesPerClient: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	offl, err := RunEvalC(EvalCConfig{
 		Kernel: "crypt", KernelSize: size, Offload: true, Workers: 4,
-		Clients: 4, MessagesPerClient: 8, Timeout: time.Minute,
+		Clients: 4, MessagesPerClient: 8,
 	})
 	if err != nil {
 		t.Fatal(err)

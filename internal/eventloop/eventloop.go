@@ -101,8 +101,7 @@ type Loop struct {
 	wg     sync.WaitGroup
 
 	// FaultHooks: the crash handler hears of the dispatch goroutine's
-	// abnormal death (after Crashed reads true), the panic handler of every
-	// recovered handler panic.
+	// abnormal death (after Crashed reads true).
 	executor.FaultHooks
 	observer   atomic.Pointer[func(DispatchInfo)]
 	crashed    atomic.Bool
@@ -267,8 +266,8 @@ func (l *Loop) next() (*item, bool) {
 }
 
 // dispatch runs one event through the shared bracket (executor.Bracket.Run)
-// and adds what is the loop's own: the confinement check, the nesting depth,
-// the panic handler and the observer. All of it is state a joiner may inspect
+// and adds what is the loop's own: the confinement check, the nesting depth
+// and the observer. All of it is state a joiner may inspect
 // the moment it wakes, so it is settled before the completion finishes. The
 // closure does not escape Run: no allocation. An event cancelled while queued
 // is skipped by Run and is not a dispatch: none of the loop's counters move.
@@ -282,9 +281,6 @@ func (l *Loop) dispatch(it *item) {
 	ran := it.Run(it.comp, l.name, func(err error) {
 		l.depth.Add(-1)
 		l.dispatched.Add(1)
-		if pe, ok := err.(*executor.PanicError); ok {
-			l.NotifyPanic(pe.Value)
-		}
 		if obs := l.observer.Load(); obs != nil {
 			info := DispatchInfo{Label: it.label, Enqueued: it.enqueued, Start: start, End: time.Now(), Err: err}
 			if info.Start.IsZero() {

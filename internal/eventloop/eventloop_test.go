@@ -201,16 +201,23 @@ func TestInvokeAndWait(t *testing.T) {
 
 func TestPanicIsolatedAndReported(t *testing.T) {
 	l := newLoop(t)
-	var recovered atomic.Value
-	l.SetPanicHandler(func(v any) { recovered.Store(v) })
+	observed := make(chan error, 1)
+	l.SetObserver(func(d DispatchInfo) {
+		if d.Err != nil {
+			observed <- d.Err
+		}
+	})
 	c := l.Post(func() { panic("handler bug") })
 	err := c.Wait()
 	var pe *executor.PanicError
 	if !errors.As(err, &pe) || pe.Value != "handler bug" {
 		t.Fatalf("err = %v", err)
 	}
-	if recovered.Load() != "handler bug" {
-		t.Fatalf("panic handler saw %v", recovered.Load())
+	if got := <-observed; got != err {
+		t.Fatalf("observer saw %v, want the panic the completion carries", got)
+	}
+	if l.Crashed() {
+		t.Fatal("a contained handler panic was counted as a crash")
 	}
 	// Loop must still be alive.
 	if err := l.Post(func() {}).Wait(); err != nil {

@@ -507,16 +507,13 @@ type task struct {
 	comp Completion
 }
 
-// settled is the pool's Bracket.Run hook: count the task and report its
-// panic before a joiner can look.
+// settled is the pool's Bracket.Run hook: count the task and its panic
+// before a joiner can look.
 func (p *WorkerPool) settled(err error) {
 	p.completed.Add(1)
-	pe, ok := err.(*PanicError)
-	if !ok {
-		return
+	if _, ok := err.(*PanicError); ok {
+		p.panics.Add(1)
 	}
-	p.panics.Add(1)
-	p.NotifyPanic(pe.Value)
 }
 
 // parker is one idle worker's parking slot: a single-token wake channel,
@@ -569,8 +566,7 @@ type WorkerPool struct {
 	san sanitize.Members
 
 	// FaultHooks: the crash handler hears of every worker goroutine that
-	// dies without going through shutdown, the panic handler of every task
-	// panic (which is also captured in the task's Completion).
+	// dies without going through shutdown.
 	FaultHooks
 
 	// mu guards the idle stack and the lifecycle, qmu the queue. Neither is

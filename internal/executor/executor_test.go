@@ -97,16 +97,14 @@ func TestPanicCaptured(t *testing.T) {
 	var reg gid.Registry
 	p := NewWorkerPool("worker", 1, &reg)
 	defer p.Shutdown()
-	var recovered atomic.Value
-	p.SetPanicHandler(func(v any) { recovered.Store(v) })
 	c := p.Post(func() { panic("boom") })
 	err := c.Wait()
 	var pe *PanicError
 	if !errors.As(err, &pe) || pe.Value != "boom" {
 		t.Fatalf("Wait() = %v, want PanicError(boom)", err)
 	}
-	if recovered.Load() != "boom" {
-		t.Fatalf("panic handler got %v", recovered.Load())
+	if st := p.Stats(); st.Panics != 1 || p.Crashes() != 0 {
+		t.Fatalf("Stats.Panics = %d, Crashes = %d; want 1, 0", st.Panics, p.Crashes())
 	}
 	// The pool must survive the panic and keep executing tasks.
 	c2 := p.Post(func() {})

@@ -93,8 +93,8 @@ type Config struct {
 // of every field picks the supervise package defaults.
 type SuperviseConfig struct {
 	// Restart wraps the worker target in a supervise.Supervisor so worker
-	// crashes and panic storms trigger restarts; without it the target is
-	// only watched (stalls are reported, nothing is repaired).
+	// crashes trigger restarts; without it the target is only watched
+	// (stalls are reported, nothing is repaired).
 	Restart bool
 	// MaxRestarts / Window bound the restart budget (supervise.Options).
 	MaxRestarts int
@@ -102,9 +102,6 @@ type SuperviseConfig struct {
 	// BackoffInitial / BackoffMax shape the restart backoff.
 	BackoffInitial time.Duration
 	BackoffMax     time.Duration
-	// PanicThreshold restarts the target after this many task panics in
-	// one generation (0 = tolerated).
-	PanicThreshold int
 	// RespawnWorkers repairs single worker deaths one-for-one instead of
 	// replacing the whole pool.
 	RespawnWorkers bool
@@ -124,38 +121,19 @@ type QoSConfig struct {
 	QueueLimit int
 	// RequestTimeout is the per-request deadline propagated into the
 	// target block via InvokeCtx (0 = none). Requests that exceed it
-	// respond 503, and still-queued work is cancelled.
+	// respond 503, and still-queued work is cancelled. It is also the
+	// limiter's queue deadline (qos.TimeoutAfter); without it the policy
+	// is qos.Reject.
 	RequestTimeout time.Duration
-	// CoDelTarget, when > 0, selects a CoDel queue policy with this
-	// sojourn target (CoDelInterval defaulting per qos.CoDel); otherwise
-	// the policy is TimeoutAfter(RequestTimeout) when a timeout is set,
-	// else Reject.
-	CoDelTarget   time.Duration
-	CoDelInterval time.Duration
-	// BreakerThreshold, when > 0, adds a circuit breaker that opens
-	// after that many consecutive failures (timeouts or panics) and
-	// probes again after BreakerCooldown (default 1s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 }
 
-// String summarizes the configured protections for bench labels.
+// String summarizes the configured protection for bench labels.
 func (q *QoSConfig) String() string {
-	return fmt.Sprintf("limiter(%s, queue=%d) breaker(threshold=%d)",
-		q.policy(), q.QueueLimit, q.BreakerThreshold)
+	return fmt.Sprintf("limiter(%s, queue=%d)", q.policy(), q.QueueLimit)
 }
 
 // policy derives the limiter policy from the config.
-func (q *QoSConfig) policy() qos.Policy {
-	switch {
-	case q.CoDelTarget > 0:
-		return qos.CoDel(q.CoDelTarget, q.CoDelInterval)
-	case q.RequestTimeout > 0:
-		return qos.TimeoutAfter(q.RequestTimeout)
-	default:
-		return qos.Reject()
-	}
-}
+func (q *QoSConfig) policy() qos.Policy { return qos.TimeoutAfter(q.RequestTimeout) }
 
 func (c *Config) fill() {
 	if c.Workers < 1 {
@@ -183,7 +161,6 @@ type Server struct {
 	idle chan *kernels.Crypt
 
 	limiter *qos.Limiter // nil without QoS
-	breaker *qos.Breaker // nil without QoS or BreakerThreshold
 
 	worker executor.Executor     // Pyjama worker target when not runtime-owned
 	sup    *supervise.Supervisor // nil unless Supervise.Restart
@@ -206,9 +183,6 @@ func New(cfg Config) *Server {
 		s.rt = core.NewRuntime(&s.reg)
 		if q := cfg.QoS; q != nil {
 			s.limiter = qos.NewLimiter("worker", cfg.Workers, q.QueueLimit, q.policy())
-			if q.BreakerThreshold > 0 {
-				s.breaker = qos.NewBreaker("worker", q.BreakerThreshold, q.BreakerCooldown)
-			}
 		}
 	default:
 		s.sem = make(chan struct{}, cfg.Workers)
@@ -272,7 +246,6 @@ func (s *Server) setupWorkerTarget() error {
 			Window:         sv.Window,
 			BackoffInitial: sv.BackoffInitial,
 			BackoffMax:     sv.BackoffMax,
-			PanicThreshold: sv.PanicThreshold,
 			RespawnWorkers: sv.RespawnWorkers,
 		})
 		if err != nil {
@@ -444,8 +417,8 @@ func (s *Server) handleEncrypt(w http.ResponseWriter, r *http.Request) {
 	s.reply(w, sum)
 }
 
-// handleEncryptQoS is the guarded Pyjama request path: breaker check,
-// limiter admission, then a deadline-propagating invocation. It writes the
+// handleEncryptQoS is the guarded Pyjama request path: limiter admission,
+// then a deadline-propagating invocation. It writes the
 // full response (success or failure) and reports whether it succeeded.
 func (s *Server) handleEncryptQoS(w http.ResponseWriter, r *http.Request, size int) bool {
 	ctx := r.Context()
@@ -454,15 +427,8 @@ func (s *Server) handleEncryptQoS(w http.ResponseWriter, r *http.Request, size i
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
 	}
-	if err := s.breaker.Allow(); err != nil {
-		s.shed.Add(1)
-		http.Error(w, "overloaded (circuit open)", http.StatusServiceUnavailable)
-		return false
-	}
 	if err := s.limiter.Acquire(ctx); err != nil {
-		// Shed or client-abandoned: fail fast instead of queueing. An
-		// admission failure says nothing about the target's health, so
-		// the breaker is not informed.
+		// Shed or client-abandoned: fail fast instead of queueing.
 		s.shed.Add(1)
 		http.Error(w, "overloaded", http.StatusServiceUnavailable)
 		return false
@@ -482,16 +448,13 @@ func (s *Server) handleEncryptQoS(w http.ResponseWriter, r *http.Request, size i
 	case core.IsDeadline(cerr), ctx.Err() != nil:
 		// The block was cancelled in-queue, or finished after the
 		// request's deadline: either way the response is too late.
-		s.breaker.Failure()
 		s.shed.Add(1)
 		http.Error(w, "deadline exceeded", http.StatusServiceUnavailable)
 		return false
 	case cerr != nil:
-		s.breaker.Failure()
 		s.failCompute(w, cerr)
 		return false
 	}
-	s.breaker.Success()
 	s.reply(w, sum)
 	return true
 }
@@ -527,20 +490,9 @@ func (s *Server) SchedStats() map[string]executor.Stats {
 // Errors returns the number of failed requests.
 func (s *Server) Errors() int64 { return s.errors.Load() }
 
-// Shed returns the number of 503 responses (admission sheds, breaker
-// rejections, and deadline expiries). Always 0 without QoS.
+// Shed returns the number of 503 responses: admission sheds and deadline
+// expiries, plus supervision's fail-fast answers (see failCompute).
 func (s *Server) Shed() int64 { return s.shed.Load() }
-
-// QoSStats returns the limiter's live measurements (nil without QoS).
-func (s *Server) QoSStats() *metrics.QoSStats {
-	if s.limiter == nil {
-		return nil
-	}
-	return s.limiter.Stats()
-}
-
-// Breaker returns the server's circuit breaker (nil unless configured).
-func (s *Server) Breaker() *qos.Breaker { return s.breaker }
 
 // Supervisor returns the worker target's supervisor (nil unless
 // Supervise.Restart is configured).

@@ -9,13 +9,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/kernels"
 	"repro/internal/metrics"
-	"repro/internal/qos"
 	"repro/internal/testutil/poll"
 )
 
 // TestQoSHappyPathServes checks that a generously-provisioned qos server
-// behaves like the seed: every request admitted, nothing shed, sojourn
-// recorded.
+// behaves like the seed: every request admitted, nothing shed.
 func TestQoSHappyPathServes(t *testing.T) {
 	s, c := startServer(t, Config{Mode: Pyjama, Workers: 4, KernelBytes: 4096,
 		QoS: &QoSConfig{QueueLimit: -1, RequestTimeout: 30 * time.Second}})
@@ -27,9 +25,8 @@ func TestQoSHappyPathServes(t *testing.T) {
 	if s.Served() != 8 || s.Shed() != 0 {
 		t.Fatalf("Served=%d Shed=%d, want 8/0", s.Served(), s.Shed())
 	}
-	st := s.QoSStats()
-	if st == nil || st.Admitted.Value() != 8 || st.Sojourn.Count() != 8 {
-		t.Fatalf("QoSStats = %v, want 8 admissions with sojourn samples", st)
+	if st := s.limiter.Stats(); st.Admitted != 8 || st.Shed != 0 {
+		t.Fatalf("limiter stats = %+v, want 8 admissions and no shed", st)
 	}
 }
 
@@ -81,13 +78,14 @@ func TestPyjamaQoSShedsUnderOverload(t *testing.T) {
 	if ok503 == 0 || s.Shed() == 0 {
 		t.Fatalf("client 503s=%d server Shed=%d, want overload sheds", ok503, s.Shed())
 	}
-	if got := s.QoSStats().Shed.Value(); got == 0 {
-		t.Fatalf("metrics Shed = %d, want nonzero", got)
+	shed := s.limiter.Stats().Shed
+	if shed == 0 {
+		t.Fatal("the limiter counted no shed")
 	}
 	// The same sheds reach /metrics: the limiter emits OpShed to the active
 	// sink, which is the one the scrape is fed from.
-	if got := scrapeMetrics(t, c.base)[`repro_shed_total{target="worker"}`]; got == 0 || int64(got) != s.QoSStats().Shed.Value() {
-		t.Fatalf("/metrics repro_shed_total = %v, want the limiter's %d", got, s.QoSStats().Shed.Value())
+	if got := scrapeMetrics(t, c.base)[`repro_shed_total{target="worker"}`]; int64(got) != shed {
+		t.Fatalf("/metrics repro_shed_total = %v, want the limiter's %d", got, shed)
 	}
 	// With immediate shedding, no successful request ever waits behind
 	// more than the in-flight computation: p99 stays bounded by a few
@@ -99,9 +97,8 @@ func TestPyjamaQoSShedsUnderOverload(t *testing.T) {
 }
 
 // TestQoSDeadlineAndBreaker drives requests whose compute time exceeds the
-// request deadline: each admitted request responds 503, the breaker opens
-// after the configured streak, and further requests are rejected without
-// touching the worker.
+// request deadline: each admitted request responds 503, is counted as a shed,
+// and serves nothing.
 func TestQoSDeadlineAndBreaker(t *testing.T) {
 	// The deadline is a quarter of one 1 MiB kernel measured here, so every
 	// request overruns it fourfold on any machine, a recycled payload too.
@@ -110,29 +107,15 @@ func TestQoSDeadlineAndBreaker(t *testing.T) {
 	kernels.NewCrypt(size).RunSeq()
 	timeout := max(time.Since(t0)/4, time.Millisecond)
 	s, c := startServer(t, Config{Mode: Pyjama, Workers: 1, KernelBytes: size,
-		QoS: &QoSConfig{QueueLimit: 0, RequestTimeout: timeout,
-			BreakerThreshold: 2, BreakerCooldown: time.Hour}})
+		QoS: &QoSConfig{QueueLimit: 0, RequestTimeout: timeout}})
 
 	for i := 0; i < 2; i++ {
 		if _, status, err := c.Do(0); err == nil || status != http.StatusServiceUnavailable {
 			t.Fatalf("request %d: status=%d err=%v, want 503 deadline", i, status, err)
 		}
 	}
-	if st := s.Breaker().State(); st != qos.Open {
-		t.Fatalf("breaker state = %v after 2 timeouts, want open", st)
-	}
-	start := time.Now()
-	if _, status, _ := c.Do(0); status != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d with open breaker, want 503", status)
-	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("breaker-rejected request took %v, want fast rejection", d)
-	}
-	if s.Breaker().Rejections() == 0 {
-		t.Fatal("breaker should have rejected at least one request")
-	}
-	if s.Shed() < 3 {
-		t.Fatalf("Shed = %d, want ≥ 3 (2 deadlines + 1 breaker reject)", s.Shed())
+	if s.Shed() != 2 || s.Served() != 0 {
+		t.Fatalf("Shed=%d Served=%d, want 2 deadlines and nothing served", s.Shed(), s.Served())
 	}
 }
 

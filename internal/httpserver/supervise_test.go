@@ -83,7 +83,7 @@ func TestSupervisedServerSurvivesKillStorm(t *testing.T) {
 	if !sawDegraded {
 		t.Fatalf("supervision never reported degraded (ok=%d shed=%d failed=%d)", ok, shed, failed)
 	}
-	if s.Supervisor().Stats().Respawns.Value() == 0 {
+	if s.Supervisor().Stats().Respawns == 0 {
 		t.Fatal("no worker was respawned")
 	}
 	// ... and /metrics counted it: the supervisor emits OpRestart to the
@@ -102,7 +102,7 @@ func TestSupervisedServerSurvivesKillStorm(t *testing.T) {
 		t.Fatalf("post-storm request: status=%d err=%v", status, err)
 	}
 	t.Logf("storm: %d ok, %d shed, %d failed, %d kills, %d respawns",
-		ok, shed, failed, inj.Injected(chaos.Kill), s.Supervisor().Stats().Respawns.Value())
+		ok, shed, failed, inj.Injected(chaos.Kill), s.Supervisor().Stats().Respawns)
 }
 
 // TestUnsupervisedServerWedgesAndWatchdogFlagsIt is the control drill: the

@@ -255,7 +255,6 @@ func TestDeepNestedAwaitOnEDT(t *testing.T) {
 // system must remain fully operational afterwards.
 func TestPanicStorm(t *testing.T) {
 	s := newStack(t, 2)
-	s.tk.EDT().SetPanicHandler(func(any) {})
 	s.tk.SetPolicy(gui.CountViolations)
 	for i := 0; i < 30; i++ {
 		switch i % 3 {

@@ -19,9 +19,8 @@ import (
 	"time"
 )
 
-// Counter is a concurrency-safe monotonic event counter, the measurement
-// primitive behind the overload-protection statistics (shed requests,
-// admission decisions, breaker rejections).
+// Counter is a concurrency-safe monotonic event counter (SpanSink's
+// per-target incident counts).
 type Counter struct {
 	n atomic.Int64
 }
@@ -35,101 +34,9 @@ func (c *Counter) Add(n int64) { c.n.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.n.Load() }
 
-// QoSStats bundles the measurements the qos layer produces for one guarded
-// target: how many invocations were admitted versus shed, why they were
-// shed, and how long admitted invocations waited for a slot (the queue
-// sojourn time that CoDel-style policies control). One QoSStats instance is
-// owned by each qos.Limiter; servers surface it for tests and reporting.
-type QoSStats struct {
-	// Admitted counts invocations that acquired an execution slot.
-	Admitted Counter
-	// Shed counts invocations rejected by admission control (full wait
-	// queue, queue-deadline expiry, or a CoDel drop decision).
-	Shed Counter
-	// Canceled counts invocations abandoned by their own context
-	// (deadline or cancellation) while waiting for a slot.
-	Canceled Counter
-	// BreakerRejects counts invocations refused by an open circuit
-	// breaker before reaching the wait queue.
-	BreakerRejects Counter
-	// Sojourn is the histogram of queue wait times for admitted
-	// invocations (0 for fast-path admissions).
-	Sojourn *Histogram
-}
-
-// NewQoSStats returns zeroed statistics with an empty sojourn histogram.
-func NewQoSStats() *QoSStats { return &QoSStats{Sojourn: NewHistogram()} }
-
-// String renders the headline counters plus sojourn percentiles.
-func (q *QoSStats) String() string {
-	s := q.Sojourn.Summarize()
-	return fmt.Sprintf("admitted=%d shed=%d canceled=%d breaker=%d sojourn[p50=%v p99=%v max=%v]",
-		q.Admitted.Value(), q.Shed.Value(), q.Canceled.Value(), q.BreakerRejects.Value(),
-		s.P50.Round(time.Microsecond), s.P99.Round(time.Microsecond), s.Max.Round(time.Microsecond))
-}
-
-// SupervisionStats bundles the counters the supervision subsystem (package
-// supervise) produces for one supervised target: how often it crashed, how
-// often it was restarted or respawned, and how many invocations were
-// rejected fail-fast while it was restarting or down.
-type SupervisionStats struct {
-	// Restarts counts full target restarts (the executor was replaced).
-	Restarts Counter
-	// Respawns counts one-for-one worker respawns (a crashed worker was
-	// replaced without restarting the whole target).
-	Respawns Counter
-	// Crashes counts worker-death reports observed by the supervisor.
-	Crashes Counter
-	// Panics counts task panics observed by the supervisor.
-	Panics Counter
-	// FailFast counts invocations rejected with a typed error while the
-	// target was restarting or marked down.
-	FailFast Counter
-}
-
-// NewSupervisionStats returns zeroed supervision statistics.
-func NewSupervisionStats() *SupervisionStats { return &SupervisionStats{} }
-
-// String renders the headline counters.
-func (s *SupervisionStats) String() string {
-	return fmt.Sprintf("restarts=%d respawns=%d crashes=%d panics=%d failfast=%d",
-		s.Restarts.Value(), s.Respawns.Value(), s.Crashes.Value(),
-		s.Panics.Value(), s.FailFast.Value())
-}
-
-// ReactorStats bundles the survivability counters the readiness reactor
-// (package reactor) produces: how often handler panics were contained, how
-// many connections were reaped by deadlines, how often the poll loop itself
-// crashed, and how many stragglers a drain had to force-close. One instance
-// can be shared across supervised reactor generations so counts survive
-// restarts.
-type ReactorStats struct {
-	// HandlerPanics counts panics recovered around handler dispatch (the
-	// offending connection is closed; the loop survives).
-	HandlerPanics Counter
-	// DeadlineCloses counts connections closed by an idle deadline.
-	DeadlineCloses Counter
-	// LoopCrashes counts poll-goroutine deaths (unrecovered panics or
-	// goroutine kills) — the failure a supervised restart repairs.
-	LoopCrashes Counter
-	// ForceCloses counts connections torn down at a drain deadline with
-	// writes still pending.
-	ForceCloses Counter
-}
-
-// NewReactorStats returns zeroed reactor survivability statistics.
-func NewReactorStats() *ReactorStats { return &ReactorStats{} }
-
-// String renders the headline counters.
-func (s *ReactorStats) String() string {
-	return fmt.Sprintf("panics=%d deadlines=%d crashes=%d forcecloses=%d",
-		s.HandlerPanics.Value(), s.DeadlineCloses.Value(),
-		s.LoopCrashes.Value(), s.ForceCloses.Value())
-}
-
 // defaultReservoirCap bounds how many raw samples a Histogram retains by
 // default. Evaluation runs record at most a few hundred thousand events, so
-// the default keeps them exact; anything longer-lived (a qos sojourn
+// the default keeps them exact; anything longer-lived (a /metrics sojourn
 // histogram on a server that never restarts) degrades to reservoir sampling
 // instead of growing without bound.
 const defaultReservoirCap = 1 << 18

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/eventloop"
 	"repro/internal/gid"
 	"repro/internal/qos"
 	"repro/internal/reactor"
@@ -282,13 +283,17 @@ func TestInterceptorFaultsKeepLimiterSlots(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				lim := qos.NewLimiter("dispatch", slots, -1, qos.Block())
+				lim := qos.NewLimiter("dispatch", slots, -1, qos.TimeoutAfter(time.Hour))
 				s.UseLimiter(lim)
 				if tc.rule != nil {
 					s.SetInterceptor(chaos.New(1, *tc.rule).NetInterceptor("dispatch"))
 				}
 				var handled, panics atomic.Int64
-				s.Loop().SetPanicHandler(func(any) { panics.Add(1) })
+				s.Loop().SetObserver(func(d eventloop.DispatchInfo) {
+					if d.Err != nil {
+						panics.Add(1)
+					}
+				})
 				s.HandleFunc(func(*Client, string) { handled.Add(1) })
 				addr, err := s.Start("127.0.0.1:0")
 				if err != nil {

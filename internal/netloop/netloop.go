@@ -110,9 +110,10 @@ func (s *Server) OnClose(fn func(*Client)) { s.onClose = fn }
 // message acquires a slot before it is posted to the loop and releases it
 // when its handler returns, so the queue of undispatched messages is
 // bounded by the limiter instead of growing without limit under a slow
-// handler. A Block policy applies backpressure to the sending connection
-// (its read loop stalls); Reject/TimeoutAfter/CoDel shed the message,
-// counted by Shed. Must be called before Start.
+// handler. A TimeoutAfter policy applies backpressure to the sending
+// connection (its read loop stalls) for up to its deadline and then sheds the
+// message; Reject sheds at once. Sheds are counted by Shed. Must be called
+// before Start.
 func (s *Server) UseLimiter(l *qos.Limiter) { s.limiter = l }
 
 // Shed returns the number of messages dropped by admission control.

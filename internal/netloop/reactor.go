@@ -65,10 +65,9 @@ func (s *Server) EnableReactor() error {
 }
 
 // EnableSupervisedReactor is EnableReactor with a supervised poll loop: a
-// poll-goroutine death (or a handler-panic storm past sopts.PanicThreshold)
-// replaces the reactor with a fresh generation under sopts' restart budget,
-// and the listening socket survives the swap — the server keeps accepting
-// on the same address. Must be called before Start; returns
+// poll-goroutine death replaces the reactor with a fresh generation under
+// sopts' restart budget, and the listening socket survives the swap — the
+// server keeps accepting on the same address. Must be called before Start; returns
 // reactor.ErrUnsupported (wrapped) on platforms without a poller.
 func (s *Server) EnableSupervisedReactor(sopts supervise.Options) error {
 	s.mu.Lock()

@@ -110,7 +110,7 @@ func TestChaosSupervisedServerOutlivesStorm(t *testing.T) {
 	if ok == 0 {
 		t.Fatal("no round trip succeeded during the storm")
 	}
-	if crashes := sup.RStats().LoopCrashes.Value(); crashes < 3 {
+	if crashes := sup.Stats().LoopCrashes; crashes < 3 {
 		t.Fatalf("LoopCrashes = %d, want >= 3", crashes)
 	}
 	if faults := inj.Injected(chaos.ShortWrite) + inj.Injected(chaos.SpuriousEAGAIN); faults == 0 {
@@ -169,7 +169,7 @@ func TestChaosSupervisedServerOutlivesStorm(t *testing.T) {
 		t.Fatalf("post-storm cohort completed %d/%d round trips", served, cohort*rounds)
 	}
 	t.Logf("storm: %d/200 round trips ok, kills=3, crashes=%d, deadlineCloses=%d, shortWrites=%d, eagains=%d; after: %d/%d round trips at %.0f/s",
-		ok, sup.RStats().LoopCrashes.Value(), s.DeadlineCloses(),
+		ok, sup.Stats().LoopCrashes, s.DeadlineCloses(),
 		inj.Injected(chaos.ShortWrite), inj.Injected(chaos.SpuriousEAGAIN),
 		served, cohort*rounds, float64(served)/time.Since(start).Seconds())
 }

@@ -222,7 +222,7 @@ func TestSupervisedServerSurvivesPollCrash(t *testing.T) {
 		_ = r.Post(func() { runtime.Goexit() })
 	}
 	poll.UntilFor(t, 10*time.Second, "crash counted", func() bool {
-		return s.SupervisedReactor().RStats().LoopCrashes.Value() >= 1
+		return s.SupervisedReactor().Stats().LoopCrashes >= 1
 	})
 	poll.UntilFor(t, 10*time.Second, "restarted generation serves", roundTrip)
 }

@@ -2,11 +2,9 @@ package qos
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -19,18 +17,23 @@ import (
 // slot" is exactly "the target's queue would grow" — the condition the
 // seed's unbounded queues hide.
 type Limiter struct {
-	name     string
-	policy   Policy
-	capacity int
-	maxWait  int // wait-queue bound; <0 = unbounded
+	name    string
+	policy  Policy
+	maxWait int // wait-queue bound; <0 = unbounded
 
 	slots   chan struct{}
 	waiting atomic.Int64
 
-	mu         sync.Mutex // CoDel controller state
-	firstAbove time.Time  // when sojourn first exceeded target (zero = not above)
+	admitted atomic.Int64
+	shed     atomic.Int64
+	canceled atomic.Int64
+}
 
-	stats *metrics.QoSStats
+// Stats is a snapshot of a limiter's admission counters.
+type Stats struct {
+	Admitted int64 // invocations that acquired an execution slot
+	Shed     int64 // invocations rejected by admission control
+	Canceled int64 // invocations abandoned by their own context while waiting
 }
 
 // NewLimiter builds a limiter named after its target with capacity
@@ -43,12 +46,10 @@ func NewLimiter(name string, capacity, maxWait int, policy Policy) *Limiter {
 		capacity = 1
 	}
 	l := &Limiter{
-		name:     name,
-		policy:   policy,
-		capacity: capacity,
-		maxWait:  maxWait,
-		slots:    make(chan struct{}, capacity),
-		stats:    metrics.NewQoSStats(),
+		name:    name,
+		policy:  policy,
+		maxWait: maxWait,
+		slots:   make(chan struct{}, capacity),
 	}
 	for i := 0; i < capacity; i++ {
 		l.slots <- struct{}{}
@@ -59,14 +60,10 @@ func NewLimiter(name string, capacity, maxWait int, policy Policy) *Limiter {
 // Name returns the guarded target's name.
 func (l *Limiter) Name() string { return l.name }
 
-// Capacity returns the number of execution slots.
-func (l *Limiter) Capacity() int { return l.capacity }
-
-// Policy returns the overload policy.
-func (l *Limiter) Policy() Policy { return l.policy }
-
-// Stats returns the limiter's live measurements (shared, not a snapshot).
-func (l *Limiter) Stats() *metrics.QoSStats { return l.stats }
+// Stats returns a snapshot of the limiter's counters.
+func (l *Limiter) Stats() Stats {
+	return Stats{Admitted: l.admitted.Load(), Shed: l.shed.Load(), Canceled: l.canceled.Load()}
+}
 
 // Waiting returns the number of invocations currently queued for a slot.
 func (l *Limiter) Waiting() int { return int(l.waiting.Load()) }
@@ -82,51 +79,34 @@ func (l *Limiter) Acquire(ctx context.Context) error {
 	// Fast path: free slot, zero sojourn.
 	select {
 	case <-l.slots:
-		l.stats.Admitted.Inc()
-		l.stats.Sojourn.Observe(0)
+		l.admitted.Add(1)
 		return nil
 	default:
 	}
 	if l.policy.kind == policyReject {
-		l.shed()
+		l.shedOne()
 		return ErrShed
 	}
 	// Join the bounded wait queue.
 	if n := l.waiting.Add(1); l.maxWait >= 0 && n > int64(l.maxWait) {
 		l.waiting.Add(-1)
-		l.shed()
+		l.shedOne()
 		return ErrShed
 	}
 	defer l.waiting.Add(-1)
 
-	var queueDeadline <-chan time.Time
-	if l.policy.kind == policyTimeout {
-		timer := time.NewTimer(l.policy.deadline)
-		defer timer.Stop()
-		queueDeadline = timer.C
-	}
-	start := time.Now()
-	for {
-		select {
-		case <-l.slots:
-			sojourn := time.Since(start)
-			l.stats.Sojourn.Observe(sojourn)
-			if l.policy.kind == policyCoDel && l.codelDrop(sojourn) {
-				// Persistent standing queue: shed this invocation and
-				// pass the slot to the next waiter so the queue drains.
-				l.Release()
-				l.shed()
-				return ErrShed
-			}
-			l.stats.Admitted.Inc()
-			return nil
-		case <-queueDeadline:
-			l.shed()
-			return ErrShed
-		case <-ctx.Done():
-			l.stats.Canceled.Inc()
-			return ctx.Err()
-		}
+	timer := time.NewTimer(l.policy.deadline)
+	defer timer.Stop()
+	select {
+	case <-l.slots:
+		l.admitted.Add(1)
+		return nil
+	case <-timer.C:
+		l.shedOne()
+		return ErrShed
+	case <-ctx.Done():
+		l.canceled.Add(1)
+		return ctx.Err()
 	}
 }
 
@@ -139,11 +119,10 @@ func (l *Limiter) TryAcquire() bool {
 	}
 	select {
 	case <-l.slots:
-		l.stats.Admitted.Inc()
-		l.stats.Sojourn.Observe(0)
+		l.admitted.Add(1)
 		return true
 	default:
-		l.shed()
+		l.shedOne()
 		return false
 	}
 }
@@ -161,24 +140,7 @@ func (l *Limiter) Release() {
 	}
 }
 
-func (l *Limiter) shed() {
-	l.stats.Shed.Inc()
+func (l *Limiter) shedOne() {
+	l.shed.Add(1)
 	trace.Emit(trace.OpShed, l.name)
-}
-
-// codelDrop implements the CoDel control law on dequeue: shed once sojourn
-// has been continuously above target for at least interval.
-func (l *Limiter) codelDrop(sojourn time.Duration) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	now := time.Now()
-	if sojourn < l.policy.target {
-		l.firstAbove = time.Time{}
-		return false
-	}
-	if l.firstAbove.IsZero() {
-		l.firstAbove = now
-		return false
-	}
-	return now.Sub(l.firstAbove) >= l.policy.interval
 }

@@ -16,10 +16,7 @@ import (
 // faultTarget is one embedder of executor.FaultHooks under test. A crash
 // kills a Loop and a Reactor for good, so every case builds a fresh one.
 type faultTarget struct {
-	hooks interface {
-		SetCrashHandler(func(any))
-		SetPanicHandler(func(any))
-	}
+	hooks   interface{ SetCrashHandler(func(any)) }
 	run     func(fn func()) // runs fn on a goroutine the target owns; returns once fn has unwound
 	crashed func() bool
 	stop    func() // joins the target's goroutines: every notification is over when it returns
@@ -69,30 +66,23 @@ func (r *recorder) handle(v any) {
 func (r *recorder) payload() any { return r.last.Load().([1]any)[0] }
 
 // TestFaultHooksAcrossEmbedders holds WorkerPool, eventloop.Loop and Reactor
-// to one contract for the hooks they share: the panic handler fires exactly
-// once per contained panic with the panic value, the crash handler exactly
-// once per goroutine death with nil for a Goexit, nil uninstalls either, a
-// crash nobody heard goes once to the next crash handler installed, and
-// installing while a fault is in flight is race-clean.
+// to one contract for the hook they share: a contained panic is no crash and
+// notifies nobody, the crash handler fires exactly once per goroutine death
+// with nil for a Goexit, nil uninstalls it, a crash nobody heard goes once to
+// the next crash handler installed, and installing while a fault is in
+// flight is race-clean.
 func TestFaultHooksAcrossEmbedders(t *testing.T) {
 	for _, tc := range faultTargets {
 		t.Run(tc.name+"/panic", func(t *testing.T) {
 			defer leakcheck.Check(t)()
 			ft := tc.build(t)
 			defer ft.stop()
-			var rec recorder
-			ft.hooks.SetPanicHandler(rec.handle)
+			var crash recorder
+			ft.hooks.SetCrashHandler(crash.handle)
 			ft.run(func() { panic("boom") })
-			poll.Until(t, "panic handler notified", func() bool { return rec.n.Load() == 1 })
-			ft.run(func() {}) // a later task has run: the first fault is fully reported
-			if n, v := rec.n.Load(), rec.payload(); n != 1 || v != "boom" {
-				t.Fatalf("panic handler: %d calls, payload %v; want 1, boom", n, v)
-			}
-			ft.hooks.SetPanicHandler(nil)
-			ft.run(func() { panic("unheard") })
-			ft.run(func() {})
-			if n := rec.n.Load(); n != 1 {
-				t.Fatalf("panic handler called %d times after nil uninstalled it, want 1", n)
+			ft.run(func() {}) // a later task has run: the target survived the panic
+			if n := crash.n.Load(); n != 0 {
+				t.Fatalf("crash handler called %d times for a contained panic, want 0", n)
 			}
 			if ft.crashed() {
 				t.Fatal("a contained panic was counted as a crash")
@@ -101,17 +91,13 @@ func TestFaultHooksAcrossEmbedders(t *testing.T) {
 		t.Run(tc.name+"/goexit", func(t *testing.T) {
 			defer leakcheck.Check(t)()
 			ft := tc.build(t)
-			var crash, pan recorder
+			var crash recorder
 			ft.hooks.SetCrashHandler(crash.handle)
-			ft.hooks.SetPanicHandler(pan.handle)
 			ft.run(runtime.Goexit)
 			poll.Until(t, "crash handler notified", func() bool { return crash.n.Load() == 1 })
 			ft.stop()
 			if n, v := crash.n.Load(), crash.payload(); n != 1 || v != nil {
 				t.Fatalf("crash handler: %d calls, payload %v; want 1, nil", n, v)
-			}
-			if n := pan.n.Load(); n != 0 {
-				t.Fatalf("panic handler called %d times for a Goexit, want 0", n)
 			}
 		})
 		t.Run(tc.name+"/goexit-uninstalled", func(t *testing.T) {
@@ -146,7 +132,7 @@ func TestFaultHooksAcrossEmbedders(t *testing.T) {
 		t.Run(tc.name+"/install-during-fault", func(t *testing.T) {
 			defer leakcheck.Check(t)()
 			ft := tc.build(t)
-			var crash, pan recorder
+			var crash recorder
 			quit := make(chan struct{})
 			var wg sync.WaitGroup
 			wg.Add(1)
@@ -160,10 +146,8 @@ func TestFaultHooksAcrossEmbedders(t *testing.T) {
 					}
 					if i%2 == 0 {
 						ft.hooks.SetCrashHandler(crash.handle)
-						ft.hooks.SetPanicHandler(pan.handle)
 					} else {
 						ft.hooks.SetCrashHandler(nil)
-						ft.hooks.SetPanicHandler(nil)
 					}
 				}
 			}()
@@ -173,8 +157,8 @@ func TestFaultHooksAcrossEmbedders(t *testing.T) {
 			ft.stop()
 			close(quit)
 			wg.Wait()
-			if c, p := crash.n.Load(), pan.n.Load(); c > 1 || p > 1 {
-				t.Fatalf("one panic and one crash notified %d and %d times", p, c)
+			if c := crash.n.Load(); c > 1 {
+				t.Fatalf("one panic and one crash notified the crash handler %d times", c)
 			}
 		})
 	}

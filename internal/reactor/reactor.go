@@ -39,9 +39,10 @@
 // Interceptor seam compatible with chaos.NetInterceptor injects Delay/Drop
 // faults at the readiness layer, trace spans parent handler work to the
 // readiness event that caused it ("ready" → "recv" → "run"), and callers
-// apply qos admission per message (see netloop) — on a reactor, a Block
-// policy backpressures the whole loop, which is kernel-style global
-// backpressure: every socket stops being read and TCP receive windows fill.
+// apply qos admission per message (see netloop) — on a reactor, a waiting
+// (TimeoutAfter) policy backpressures the whole loop for up to its deadline,
+// which is kernel-style global backpressure: every socket stops being read
+// and TCP receive windows fill.
 //
 // The survivability layer hardens the loop against hostile peers and
 // crashing handlers:
@@ -52,8 +53,8 @@
 //     timeout is the earliest armed timer;
 //   - handler panics are contained: the dispatch is recovered, the
 //     offending connection is closed with a HandlerPanicError, and the
-//     loop keeps serving every other descriptor (counted by a
-//     metrics.ReactorStats). A death the recover cannot catch (a killed
+//     loop keeps serving every other descriptor (counted in
+//     Stats.HandlerPanics). A death the recover cannot catch (a killed
 //     goroutine, a panic in reactor internals) tears every connection
 //     down with ErrPollCrash and notifies the crash handler — the hook a
 //     supervise.Supervisor restarts through (see Supervised);
@@ -78,7 +79,6 @@ import (
 
 	"repro/internal/executor"
 	"repro/internal/gid"
-	"repro/internal/metrics"
 	"repro/internal/sanitize"
 	"repro/internal/trace"
 )
@@ -162,12 +162,18 @@ type Stats struct {
 	Wakeups       int64 // wakeup-pipe interrupts of the poll wait
 	Dropped       int64 // events suppressed by the interceptor
 
-	// Survivability counters, mirrored from the ReactorStats (which may be
-	// shared across supervised generations — these are its live values).
+	// Survivability counters, shared by a supervised reactor's generations.
 	HandlerPanics  int64 // panics contained around handler dispatch
 	DeadlineCloses int64 // connections reaped by idle deadlines
 	LoopCrashes    int64 // poll-goroutine deaths
 	ForceCloses    int64 // stragglers closed at a drain deadline
+}
+
+// survival holds the counters behind Stats' survivability fields. A
+// supervised reactor hands one to every generation, so the counts outlive
+// restarts.
+type survival struct {
+	handlerPanics, deadlineCloses, loopCrashes, forceCloses atomic.Int64
 }
 
 // Reactor is an edge-triggered readiness dispatcher. Create with New,
@@ -176,7 +182,7 @@ type Reactor struct {
 	name     string
 	registry *gid.Registry
 	p        poller
-	rstats   *metrics.ReactorStats
+	rstats   *survival
 	// san stamps the poll goroutine as this reactor's home context (bound
 	// in run); the poll-confined paths — read drains, timer fires,
 	// connection teardown — assert affinity against it under -tags=ompsan.
@@ -191,11 +197,9 @@ type Reactor struct {
 	closed    bool
 	draining  bool
 
-	// FaultHooks: the panic handler hears of each contained handler panic
-	// (after the offending connection is closed) — the supervision layer
-	// counts panic storms toward a restart threshold with it; the crash
-	// handler hears of the poll goroutine's death, after every connection
-	// has been failed with ErrPollCrash. Both run on the poll goroutine.
+	// FaultHooks: the crash handler hears of the poll goroutine's death,
+	// after every connection has been failed with ErrPollCrash. It runs on
+	// the poll goroutine.
 	executor.FaultHooks
 	wakePending   atomic.Bool
 	interceptor   atomic.Pointer[Interceptor]
@@ -238,12 +242,12 @@ type listener struct {
 // in reg (nil means gid.Default) and starts it. On platforms without a
 // poller it returns ErrUnsupported.
 func New(name string, reg *gid.Registry) (*Reactor, error) {
-	return newReactor(name, reg, metrics.NewReactorStats())
+	return newReactor(name, reg, new(survival))
 }
 
 // newReactor is New counting into rstats: a supervised reactor passes one
 // instance to every generation so the survivability counts outlive restarts.
-func newReactor(name string, reg *gid.Registry, rstats *metrics.ReactorStats) (*Reactor, error) {
+func newReactor(name string, reg *gid.Registry, rstats *survival) (*Reactor, error) {
 	if reg == nil {
 		reg = &gid.Default
 	}
@@ -302,33 +306,27 @@ func (r *Reactor) Stats() Stats {
 		Wakeups:       r.wakeups.Load(),
 		Dropped:       r.dropped.Load(),
 
-		HandlerPanics:  r.rstats.HandlerPanics.Value(),
-		DeadlineCloses: r.rstats.DeadlineCloses.Value(),
-		LoopCrashes:    r.rstats.LoopCrashes.Value(),
-		ForceCloses:    r.rstats.ForceCloses.Value(),
+		HandlerPanics:  r.rstats.handlerPanics.Load(),
+		DeadlineCloses: r.rstats.deadlineCloses.Load(),
+		LoopCrashes:    r.rstats.loopCrashes.Load(),
+		ForceCloses:    r.rstats.forceCloses.Load(),
 	}
 }
 
-// RStats returns the live survivability counters (shared across generations
-// when the reactor is supervised).
-func (r *Reactor) RStats() *metrics.ReactorStats { return r.rstats }
-
 // contain runs fn with panic containment: a panic is recovered, counted,
-// reported to the panic handler, and — when the fault belongs to a
-// connection — answered by closing that connection with a
-// HandlerPanicError. The poll loop itself keeps running. Poll-goroutine
-// only.
+// and — when the fault belongs to a connection — answered by closing that
+// connection with a HandlerPanicError. The poll loop itself keeps running.
+// Poll-goroutine only.
 func (r *Reactor) contain(c *Conn, fn func()) {
 	defer func() {
 		v := recover()
 		if v == nil {
 			return
 		}
-		r.rstats.HandlerPanics.Inc()
+		r.rstats.handlerPanics.Add(1)
 		if c != nil && !c.dead() {
 			r.closeConn(c, &HandlerPanicError{Value: v})
 		}
-		r.NotifyPanic(v)
 	}()
 	fn()
 }
@@ -480,7 +478,7 @@ func (r *Reactor) run() {
 // reactor. Runs on the dying goroutine (inside its deferred frame), so the
 // poll-confined teardown invariants still hold.
 func (r *Reactor) crashCleanup(v any) {
-	r.rstats.LoopCrashes.Inc()
+	r.rstats.loopCrashes.Add(1)
 	r.mu.Lock()
 	r.closed = true
 	r.posted = nil
@@ -710,9 +708,8 @@ func (r *Reactor) closeConn(c *Conn, err error) {
 		// re-entering closeConn.
 		func() {
 			defer func() {
-				if v := recover(); v != nil {
-					r.rstats.HandlerPanics.Inc()
-					r.NotifyPanic(v)
+				if recover() != nil {
+					r.rstats.handlerPanics.Add(1)
 				}
 			}()
 			c.h.OnClose(c, err)
@@ -840,7 +837,7 @@ func (r *Reactor) beginDrain(deadline time.Time) {
 		}
 		r.mu.Unlock()
 		for _, c := range rem {
-			r.rstats.ForceCloses.Inc()
+			r.rstats.forceCloses.Add(1)
 			r.closeConn(c, ErrWriteStall)
 		}
 		r.Stop()
@@ -966,7 +963,7 @@ func (c *Conn) deadlineCheck() {
 			c.r.addTimer(when, c.deadlineCheck) // dlArmed stays true
 			return
 		}
-		c.r.rstats.DeadlineCloses.Inc()
+		c.r.rstats.deadlineCloses.Add(1)
 		if sink := trace.ActiveSink(); sink != nil {
 			sink.Record(trace.Event{Time: now, Op: trace.OpConnDeadline, Target: c.r.name})
 		}

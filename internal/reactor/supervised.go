@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/executor"
 	"repro/internal/gid"
-	"repro/internal/metrics"
 	"repro/internal/supervise"
 	"repro/internal/trace"
 )
@@ -18,8 +17,8 @@ import (
 // itself — or a chaos Kill, which runtime.Goexit's straight past recover —
 // takes the poll goroutine down and with it every connection. Supervised
 // wraps the reactor in a supervise.Supervisor through the same structural
-// hooks the worker pools use (SetCrashHandler / SetPanicHandler /
-// FailPending), so a dead poll loop is replaced by a fresh generation under
+// hooks the worker pools use (SetCrashHandler / FailPending), so a dead poll
+// loop is replaced by a fresh generation under
 // the usual restart budget and backoff. Listening sockets are owned here,
 // not by any one generation: each restart re-registers the surviving fds via
 // listenFD, so accepted service resumes on the same address with no
@@ -37,14 +36,14 @@ type supListener struct {
 
 // Supervised is a reactor that survives its own poll loop. It exposes the
 // serving surface of a Reactor (Listen, Drain, Stop, Stats, the chaos
-// seams) and delegates lifecycle to a supervise.Supervisor: poll-goroutine
-// deaths and panic storms (past supervise.Options.PanicThreshold) replace
-// the reactor with a new generation; once the restart budget is exhausted
-// the target is Failed and stays down.
+// seams) and delegates lifecycle to a supervise.Supervisor: a poll-goroutine
+// death replaces the reactor with a new generation; once the restart budget
+// is exhausted the target is Failed and stays down. Handler panics are
+// contained in each generation and restart nothing.
 type Supervised struct {
 	name   string
 	reg    *gid.Registry
-	rstats *metrics.ReactorStats // one set of counters for every generation
+	rstats *survival // one set of counters for every generation
 	sup    *supervise.Supervisor
 
 	mu        sync.Mutex
@@ -56,10 +55,9 @@ type Supervised struct {
 }
 
 // NewSupervised builds generation 0 of a supervised reactor. sopts tunes the
-// restart policy — set sopts.PanicThreshold to restart on handler-panic
-// storms, leave it 0 to rely on containment alone.
+// restart policy.
 func NewSupervised(name string, reg *gid.Registry, sopts supervise.Options) (*Supervised, error) {
-	s := &Supervised{name: name, reg: reg, rstats: metrics.NewReactorStats()}
+	s := &Supervised{name: name, reg: reg, rstats: new(survival)}
 	sup, err := supervise.New(name, s.spawn, sopts)
 	if err != nil {
 		return nil, err
@@ -162,10 +160,6 @@ func (s *Supervised) Stats() Stats {
 	return r.Stats()
 }
 
-// RStats returns the live survivability counters, shared by every
-// generation.
-func (s *Supervised) RStats() *metrics.ReactorStats { return s.rstats }
-
 // SetInterceptor installs the readiness chaos seam on the current and all
 // future generations.
 func (s *Supervised) SetInterceptor(fn Interceptor) {
@@ -261,13 +255,7 @@ func (x *reactorExec) Post(fn func()) *executor.Completion {
 	err := x.r.Post(func() {
 		perr := executor.RunCaptured(fn)
 		if perr != nil {
-			x.r.rstats.HandlerPanics.Inc()
-			var pe *executor.PanicError
-			if errors.As(perr, &pe) {
-				x.NotifyPanic(pe.Value)
-			} else {
-				x.NotifyPanic(perr)
-			}
+			x.r.rstats.handlerPanics.Add(1)
 		}
 		x.settle(c, perr)
 	})

@@ -84,7 +84,7 @@ func TestSupervisedReactorRestartsAndKeepsServing(t *testing.T) {
 	if err := srv.closeErr(); !errors.Is(err, ErrPollCrash) {
 		t.Fatalf("in-flight close err = %v, want ErrPollCrash", err)
 	}
-	if s.RStats().LoopCrashes.Value() == 0 {
+	if s.Stats().LoopCrashes == 0 {
 		t.Fatal("LoopCrashes not counted")
 	}
 
@@ -141,12 +141,12 @@ func TestSupervisedSurvivesRepeatedCrashes(t *testing.T) {
 		// racing a restart (ErrClosed just means the crash already took)
 		// and wait for the crash to register before the next round, so
 		// each kill hits a live generation.
-		before := s.RStats().LoopCrashes.Value()
+		before := s.Stats().LoopCrashes
 		poll.UntilFor(t, 10*time.Second, "crash landed", func() bool {
 			if r := s.Current(); r != nil {
 				_ = r.Post(func() { runtime.Goexit() })
 			}
-			return s.RStats().LoopCrashes.Value() > before
+			return s.Stats().LoopCrashes > before
 		})
 	}
 	poll.UntilFor(t, 10*time.Second, "final generation serves", func() bool {
@@ -157,7 +157,7 @@ func TestSupervisedSurvivesRepeatedCrashes(t *testing.T) {
 		c.Close()
 		return true
 	})
-	if got := s.RStats().LoopCrashes.Value(); got < 3 {
+	if got := s.Stats().LoopCrashes; got < 3 {
 		t.Fatalf("LoopCrashes = %d, want >= 3", got)
 	}
 }

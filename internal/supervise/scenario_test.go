@@ -72,9 +72,9 @@ func TestSupervisedSurvivesKillStorm(t *testing.T) {
 	if ok == 0 {
 		t.Fatal("no invocation succeeded during the storm")
 	}
-	if !sawDegraded || s.Stats().Respawns.Value() == 0 {
+	if !sawDegraded || s.Stats().Respawns == 0 {
 		t.Fatalf("supervision not exercised: degraded=%v respawns=%d",
-			sawDegraded, s.Stats().Respawns.Value())
+			sawDegraded, s.Stats().Respawns)
 	}
 	if buf.CountOp(trace.OpRestart) == 0 {
 		t.Fatal("no OpRestart traced")
@@ -86,7 +86,7 @@ func TestSupervisedSurvivesKillStorm(t *testing.T) {
 		return s.Health().StatusValue() == supervise.Healthy && s.Post(func() {}).Wait() == nil
 	})
 	t.Logf("storm: %d ok, %d typed failures, %d kills, %d respawns",
-		ok, typed, inj.Injected(chaos.Kill), s.Stats().Respawns.Value())
+		ok, typed, inj.Injected(chaos.Kill), s.Stats().Respawns)
 }
 
 // TestUnsupervisedPoolWedgesAndWatchdogSees is the control: the same kill

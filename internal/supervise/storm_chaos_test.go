@@ -39,7 +39,6 @@ func TestSupervisedRuntimeUnderMixedFaultStorm(t *testing.T) {
 	}
 	s, err := supervise.New("w", factory, supervise.Options{
 		RespawnWorkers: true,
-		PanicThreshold: 10,
 		MaxRestarts:    200,
 		Window:         500 * time.Millisecond,
 		BackoffInitial: 200 * time.Microsecond,
@@ -126,7 +125,7 @@ func TestSupervisedRuntimeUnderMixedFaultStorm(t *testing.T) {
 		t.Fatalf("storm too quiet: kills=%d panics=%d",
 			inj.Injected(chaos.Kill), inj.Injected(chaos.Panic))
 	}
-	if s.Stats().Respawns.Value() == 0 {
+	if s.Stats().Respawns == 0 {
 		t.Fatal("storm killed workers but nothing was respawned")
 	}
 
@@ -137,5 +136,5 @@ func TestSupervisedRuntimeUnderMixedFaultStorm(t *testing.T) {
 	})
 	t.Logf("storm outcomes: %v; kills=%d panics=%d respawns=%d restarts=%d",
 		outcomes, inj.Injected(chaos.Kill), inj.Injected(chaos.Panic),
-		s.Stats().Respawns.Value(), s.Stats().Restarts.Value())
+		s.Stats().Respawns, s.Stats().Restarts)
 }

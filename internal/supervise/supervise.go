@@ -1,7 +1,7 @@
 // Package supervise adds restart-on-crash semantics and liveness monitoring
 // to the virtual-target runtime. A Supervisor wraps any executor.Executor
 // behind the same interface and keeps it serving through worker deaths and
-// panic storms: failures trigger one-for-one worker respawns or full
+// reported failures: they trigger one-for-one worker respawns or full
 // executor replacement with exponential backoff, bounded by a restart budget
 // within a sliding window; once the budget is exhausted the target is marked
 // failed and every further invocation fails fast with ErrTargetDown instead
@@ -21,19 +21,20 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/executor"
-	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
 // State is a supervised target's lifecycle state.
 type State int
 
-// The supervision states. Running targets accept work; Restarting targets
-// fail fast with ErrRestarting while the replacement comes up; Failed
-// targets exhausted their restart budget and fail fast with ErrTargetDown.
+// The supervision states. Running targets accept work (a target respawning
+// one worker stays Running); Restarting targets fail fast with ErrRestarting
+// while a full replacement comes up; Failed targets exhausted their restart
+// budget and fail fast with ErrTargetDown.
 const (
 	Running State = iota
 	Restarting
@@ -94,7 +95,7 @@ var (
 // Factory builds generation gen of a supervised executor. Generation 0 is
 // built by New; each full restart increments the generation. The factory
 // may wrap the executor (chaos middleware, tracing) — the supervisor walks
-// Unwrap chains to attach its crash and panic hooks to the base.
+// Unwrap chains to attach its crash hook to the base.
 type Factory func(gen int) (executor.Executor, error)
 
 // Options tunes a Supervisor. Zero values pick the documented defaults.
@@ -111,10 +112,6 @@ type Options struct {
 	// it doubles per restart up to BackoffMax (defaults 10ms, 2s).
 	BackoffInitial time.Duration
 	BackoffMax     time.Duration
-	// PanicThreshold restarts the target after this many task panics in
-	// one generation (0 = panics are tolerated; panic isolation already
-	// contains them, so only storms are worth a restart).
-	PanicThreshold int
 	// RespawnWorkers handles single worker deaths by growing the pool
 	// back by one (one-for-one supervision) instead of replacing the
 	// whole executor. Requires the base executor to implement
@@ -143,7 +140,6 @@ func (o *Options) fill() {
 type (
 	unwrapper     interface{ Unwrap() executor.Executor }
 	crashNotifier interface{ SetCrashHandler(func(any)) }
-	panicNotifier interface{ SetPanicHandler(func(any)) }
 	pendingFailer interface{ FailPending(error) int }
 	grower        interface{ Grow(n int) }
 )
@@ -170,7 +166,6 @@ type failureKind int
 
 const (
 	kindCrash  failureKind = iota // a worker goroutine died
-	kindPanics                    // panic threshold exceeded
 	kindManual                    // reported via ReportFailure
 )
 
@@ -191,13 +186,14 @@ type Supervisor struct {
 	name    string
 	factory Factory
 	opts    Options
-	stats   *metrics.SupervisionStats
+
+	// The counters Stats reads.
+	nRestarts, nRespawns, nCrashes, nFailFast atomic.Int64
 
 	mu          sync.Mutex
 	cur         executor.Executor
 	state       State
 	gen         int
-	panicsInGen int
 	restarts    []time.Time // restart times within the sliding window
 	total       int64       // lifetime restarts (respawns included)
 	lastErr     error
@@ -216,7 +212,6 @@ func New(name string, factory Factory, opts Options) (*Supervisor, error) {
 		name:    name,
 		factory: factory,
 		opts:    opts,
-		stats:   metrics.NewSupervisionStats(),
 		failCh:  make(chan failure, 256),
 		done:    make(chan struct{}),
 	}
@@ -231,40 +226,16 @@ func New(name string, factory Factory, opts Options) (*Supervisor, error) {
 	return s, nil
 }
 
-// attach hooks the supervisor into e's crash and panic notifications,
-// walking the Unwrap chain so middleware wrappers don't hide them.
+// attach hooks the supervisor into e's crash notifications, walking the
+// Unwrap chain so middleware wrappers don't hide them. A task panic is not a
+// failure: the executor contains it in the task's Completion.
 func (s *Supervisor) attach(e executor.Executor, gen int) {
-	b := base(e)
-	if cn, ok := b.(crashNotifier); ok {
+	if cn, ok := base(e).(crashNotifier); ok {
 		cn.SetCrashHandler(func(v any) {
-			s.stats.Crashes.Inc()
+			s.nCrashes.Add(1)
 			s.report(failure{gen: gen, kind: kindCrash,
 				reason: fmt.Errorf("supervise: worker crashed: %v", v)})
 		})
-	}
-	if s.opts.PanicThreshold > 0 {
-		if pn, ok := b.(panicNotifier); ok {
-			pn.SetPanicHandler(func(v any) { s.notePanic(gen, v) })
-		}
-	}
-}
-
-func (s *Supervisor) notePanic(gen int, v any) {
-	s.stats.Panics.Inc()
-	s.mu.Lock()
-	if gen != s.gen {
-		s.mu.Unlock()
-		return
-	}
-	s.panicsInGen++
-	over := s.panicsInGen >= s.opts.PanicThreshold
-	if over {
-		s.panicsInGen = 0 // re-arm so a continuing storm re-triggers
-	}
-	s.mu.Unlock()
-	if over {
-		s.report(failure{gen: gen, kind: kindPanics,
-			reason: fmt.Errorf("supervise: panic threshold exceeded: %w", &executor.PanicError{Value: v})})
 	}
 }
 
@@ -332,29 +303,24 @@ func (s *Supervisor) handleFailure(f failure) {
 	if f.kind == kindCrash && s.opts.RespawnWorkers {
 		gw, _ = base(old).(grower)
 	}
-	// Counted before Restarting is published: whoever reads the state (or a
-	// Degraded health) finds the respawn or restart behind it in the stats.
+	// Counted before the restart is published: whoever reads the state (or
+	// a Degraded health) finds the respawn or restart behind it in the stats.
 	if gw != nil {
-		s.stats.Respawns.Inc()
+		s.nRespawns.Add(1)
 	} else {
-		s.stats.Restarts.Inc()
+		s.nRestarts.Add(1)
+		s.state = Restarting
 	}
-	s.state = Restarting
 	s.mu.Unlock()
 
 	trace.Emit(trace.OpRestart, s.name)
 	if gw != nil {
-		// One-for-one: replace just the dead worker. Queued tasks stay
-		// queued — the respawned worker drains them.
-		if !s.sleep(s.backoff(recent)) {
-			return
+		// One-for-one: replace just the dead worker. The target stays
+		// Running — the surviving workers keep serving, and queued and new
+		// tasks wait for the respawned one — while Health reads Degraded.
+		if s.sleep(s.backoff(recent)) {
+			gw.Grow(1)
 		}
-		gw.Grow(1)
-		s.mu.Lock()
-		if s.gen == gen && s.state == Restarting {
-			s.state = Running
-		}
-		s.mu.Unlock()
 		return
 	}
 
@@ -376,7 +342,6 @@ func (s *Supervisor) handleFailure(f failure) {
 	s.mu.Lock()
 	s.cur = next
 	s.gen = gen + 1
-	s.panicsInGen = 0
 	s.state = Running
 	newGen := s.gen
 	s.mu.Unlock()
@@ -459,7 +424,7 @@ func (s *Supervisor) Post(fn func()) *executor.Completion {
 			return comp
 		}
 	}
-	s.stats.FailFast.Inc()
+	s.nFailFast.Add(1)
 	if st == Failed {
 		return executor.NewCompletedCompletion(ErrTargetDown)
 	}
@@ -501,8 +466,19 @@ func (s *Supervisor) Shutdown() {
 	}
 }
 
-// Stats returns the supervision counters (shared, live).
-func (s *Supervisor) Stats() *metrics.SupervisionStats { return s.stats }
+// Stats is a snapshot of a supervisor's counters.
+type Stats struct {
+	Restarts int64 // full restarts: the executor was replaced
+	Respawns int64 // one-for-one respawns: a crashed worker was replaced
+	Crashes  int64 // worker deaths the executor reported
+	FailFast int64 // posts answered with ErrRestarting or ErrTargetDown
+}
+
+// Stats returns a snapshot of the supervisor's counters.
+func (s *Supervisor) Stats() Stats {
+	return Stats{Restarts: s.nRestarts.Load(), Respawns: s.nRespawns.Load(),
+		Crashes: s.nCrashes.Load(), FailFast: s.nFailFast.Load()}
+}
 
 // TargetHealth is a point-in-time health snapshot of one supervised target.
 type TargetHealth struct {

@@ -51,9 +51,9 @@ func TestRespawnReplacesCrashedWorker(t *testing.T) {
 	// before the dying worker is subtracted, so Workers() can still read its
 	// pre-crash 2 here.
 	waitFor(t, 2*time.Second, func() bool {
-		return s.Stats().Respawns.Value() == 1 && pool.Workers() == 2
+		return s.Stats().Respawns == 1 && pool.Workers() == 2
 	}, "worker respawn")
-	if got := s.Stats().Respawns.Value(); got != 1 {
+	if got := s.Stats().Respawns; got != 1 {
 		t.Fatalf("respawns = %d", got)
 	}
 	if h := s.Health(); h.StatusValue() != Degraded || h.Generation != 0 {
@@ -63,36 +63,6 @@ func TestRespawnReplacesCrashedWorker(t *testing.T) {
 	waitFor(t, 2*time.Second, func() bool { return s.Health().StatusValue() == Healthy }, "recovery")
 	if err := s.Post(func() {}).Wait(); err != nil {
 		t.Fatalf("post after respawn: %v", err)
-	}
-}
-
-func TestPanicThresholdTriggersFullRestart(t *testing.T) {
-	var reg gid.Registry
-	s, err := New("w", poolFactory(t, &reg, 1), Options{
-		PanicThreshold: 2,
-		BackoffInitial: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Shutdown()
-	buf := trace.NewBuffer(4096)
-	t.Cleanup(trace.Use(buf))
-
-	// Two panics in one generation cross the threshold.
-	for i := 0; i < 2; i++ {
-		var pe *executor.PanicError
-		if err := s.Post(func() { panic("boom") }).Wait(); !errors.As(err, &pe) {
-			t.Fatalf("panic %d err = %v", i, err)
-		}
-	}
-	waitFor(t, 2*time.Second, func() bool { return s.Health().Generation == 1 }, "generation bump")
-	waitFor(t, 2*time.Second, func() bool { return s.Post(func() {}).Wait() == nil }, "new generation serving")
-	if buf.CountOp(trace.OpRestart) == 0 {
-		t.Fatal("no OpRestart traced")
-	}
-	if got := s.Stats().Restarts.Value(); got != 1 {
-		t.Fatalf("full restarts = %d", got)
 	}
 }
 
@@ -127,7 +97,7 @@ func TestBudgetExhaustionFailsFast(t *testing.T) {
 	if buf.CountOp(trace.OpTargetDown) == 0 {
 		t.Fatal("no OpTargetDown traced")
 	}
-	if got := s.Stats().FailFast.Value(); got == 0 {
+	if got := s.Stats().FailFast; got == 0 {
 		t.Fatal("fail-fast counter not bumped")
 	}
 	// Typed rejection must be immediate, not a hang.
@@ -152,13 +122,13 @@ func TestFactoryErrorMarksDown(t *testing.T) {
 		}
 		return executor.NewWorkerPool("w", 1, &reg), nil
 	}
-	s, err := New("w", factory, Options{PanicThreshold: 1, BackoffInitial: time.Millisecond})
+	s, err := New("w", factory, Options{BackoffInitial: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Shutdown()
-	var pe *executor.PanicError
-	if err := s.Post(func() { panic("x") }).Wait(); !errors.As(err, &pe) {
+	// A kill without RespawnWorkers is a full restart, whose factory fails.
+	if err := s.Post(func() { runtime.Goexit() }).Wait(); !errors.Is(err, executor.ErrWorkerCrashed) {
 		t.Fatalf("err = %v", err)
 	}
 	waitFor(t, 2*time.Second, func() bool { return s.Health().StatusValue() == Down }, "down on factory error")
@@ -224,6 +194,34 @@ func TestShutdownInterruptsBackoff(t *testing.T) {
 	s.Shutdown()
 	if h := s.Health(); h.StatusValue() != Down {
 		t.Fatalf("health after a shutdown mid-restart = %+v, want down", h)
+	}
+}
+
+// TestRespawnKeepsServing: a one-for-one respawn repairs one worker while the
+// others keep serving, so a post made during its backoff runs on a survivor
+// instead of failing with ErrRestarting. The target stays Running and reads
+// Degraded.
+func TestRespawnKeepsServing(t *testing.T) {
+	defer leakcheck.Check(t)()
+	var reg gid.Registry
+	s, err := New("w", poolFactory(t, &reg, 2), Options{
+		RespawnWorkers: true,
+		BackoffInitial: time.Hour,
+		BackoffMax:     time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown()
+	if err := s.Post(func() { runtime.Goexit() }).Wait(); !errors.Is(err, executor.ErrWorkerCrashed) {
+		t.Fatalf("killed task err = %v", err)
+	}
+	poll.UntilBlockedIn(t, "(*Supervisor).sleep")
+	if err := s.Post(func() {}).Wait(); err != nil {
+		t.Fatalf("post during a respawn's backoff: %v, want the surviving worker to run it", err)
+	}
+	if h := s.Health(); h.State != Running.String() || h.StatusValue() != Degraded {
+		t.Fatalf("health during a respawn = %+v, want running and degraded", h)
 	}
 }
 

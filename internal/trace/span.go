@@ -123,10 +123,10 @@ func ActiveSink() Sink {
 	return *p
 }
 
-// Emit records a bare incident event (a shed, a breaker transition, a
-// restart, a stall) for target against the active sink, stamped with the wall
-// clock. It is inert when tracing is off, so emitters need no sink of their
-// own: whatever feeds /metrics or a test Buffer sees every layer's incidents.
+// Emit records a bare incident event (a shed, a restart, a stall) for target
+// against the active sink, stamped with the wall clock. It is inert when
+// tracing is off, so emitters need no sink of their own: whatever feeds
+// /metrics or a test Buffer sees every layer's incidents.
 func Emit(op Op, target string) {
 	if s := ActiveSink(); s != nil {
 		s.Record(Event{Time: time.Now(), Op: op, Target: target})

@@ -35,20 +35,15 @@ const (
 	// OpHelped marks one task run by an awaiting thread (help-first).
 	OpHelped
 	// OpShed marks an invocation rejected by admission control (qos):
-	// the wait queue was full, a queue deadline expired, or a CoDel
-	// controller decided the target is persistently overloaded.
+	// no slot was free, the wait queue was full, or a queue deadline
+	// expired.
 	OpShed
 	// OpDeadline marks a target block cancelled by its context deadline
 	// while still queued (it never ran; its Completion carries
 	// context.DeadlineExceeded).
 	OpDeadline
-	// OpBreakerOpen and OpBreakerClose bracket a circuit breaker's open
-	// period: Open after too many consecutive failures, Close when a
-	// half-open probe succeeds.
-	OpBreakerOpen
-	OpBreakerClose
 	// OpRestart marks a supervised target being restarted (worker respawn
-	// or full executor replacement) after a crash or panic storm.
+	// or full executor replacement) after a crash or a reported failure.
 	OpRestart
 	// OpStall marks a watchdog flagging a registered loop or pool as
 	// stalled: its heartbeat probe did not complete within the threshold
@@ -100,10 +95,6 @@ func (o Op) String() string {
 		return "shed"
 	case OpDeadline:
 		return "deadline"
-	case OpBreakerOpen:
-		return "breaker-open"
-	case OpBreakerClose:
-		return "breaker-close"
 	case OpRestart:
 		return "restart"
 	case OpStall:
