@@ -31,8 +31,9 @@ sancheck:
 
 # chaos runs the fault-injection storm tests (tagged `chaos`) with a pinned
 # seed so a failing schedule reproduces; override with CHAOS_SEED=<n>. The
-# network-edge survivability drill (kill storm, fd faults, slowloris, service
-# after recovery, watchdog control) is internal/netloop's tagged suite.
+# network-edge survivability drill (fd faults, slowloris, service after the
+# storm, and the watchdog control for a poll-loop death) is internal/netloop's
+# tagged suite.
 CHAOS_SEED ?= 1337
 chaos:
 	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -tags=chaos ./...

@@ -63,18 +63,8 @@ func reactorClean(r *reactor.Reactor) {
 
 func process(s string) string { return s }
 
-// Supervised generations (PR 8) re-register listeners after a restart, but
-// every generation's accept callback still runs on that generation's poll
-// goroutine.
-func supervisedCallbacks(s *reactor.Supervised, done chan struct{}) {
-	s.Listen("127.0.0.1:0", func(c *reactor.Conn) reactor.HandlerFuncs {
-		<-done // want `channel receive blocks the event-dispatch thread \(enclosing block is dispatched via Supervised\.Listen accept callback\)`
-		return reactor.HandlerFuncs{}
-	})
-}
-
 // netloop handlers run on the server's single dispatch loop on both
-// transports — goroutine-per-connection and the (supervised) reactor.
+// transports — goroutine-per-connection and the reactor.
 func netloopHandlers(srv *netloop.Server, comp chan int) {
 	srv.HandleFunc(func(c *netloop.Client, line string) {
 		time.Sleep(time.Millisecond) // want `time\.Sleep blocks the event-dispatch thread \(enclosing block is dispatched via netloop Server\.HandleFunc handler\)`

@@ -260,18 +260,13 @@ func (c *Classifier) dispatchByCallee(call *ast.CallExpr, fn *types.Func) (strin
 	case c.IsMethod(fn, "repro/internal/reactor", "Reactor", "Listen"):
 		// The accept callback runs on the poll goroutine.
 		return "Reactor.Listen accept callback", EDT, true
-	case c.IsMethod(fn, "repro/internal/reactor", "Supervised", "Listen"):
-		// Supervised generations re-register listeners, but every
-		// generation's accept callback still runs on that generation's
-		// poll goroutine.
-		return "Supervised.Listen accept callback", EDT, true
 	case c.IsMethod(fn, "repro/internal/netloop", "Server", "HandleFunc"),
 		c.IsMethod(fn, "repro/internal/netloop", "Server", "OnConnect"),
 		c.IsMethod(fn, "repro/internal/netloop", "Server", "OnClose"):
 		// netloop handlers are dispatched on the server's event loop on
 		// both transports — including the reactor transport enabled by
-		// EnableReactor / EnableSupervisedReactor, whose readiness
-		// callbacks re-post line events to the loop.
+		// EnableReactor, whose readiness callbacks re-post line events to
+		// the loop.
 		return "netloop Server." + fn.Name() + " handler", EDT, true
 
 	// --- worker deliveries ----------------------------------------------

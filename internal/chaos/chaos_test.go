@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/executor"
 	"repro/internal/gid"
+	"repro/internal/testutil/poll"
 )
 
 func TestSeededDeterminism(t *testing.T) {
@@ -96,6 +97,9 @@ func TestWrapInjectsIntoPool(t *testing.T) {
 	if err := e.Post(func() {}).Wait(); err != nil {
 		t.Fatalf("clean call err = %v", err)
 	}
+	// The killed task's completion finishes before its dying worker is
+	// counted, so the crash is awaited rather than read once.
+	poll.Until(t, "pool counts the crash", func() bool { return pool.Crashes() == 1 })
 	if pool.Crashes() != 1 || pool.Stats().Panics != 1 {
 		t.Fatalf("pool saw crashes=%d panics=%d", pool.Crashes(), pool.Stats().Panics)
 	}

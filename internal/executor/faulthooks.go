@@ -3,8 +3,8 @@ package executor
 import "sync/atomic"
 
 // FaultHooks is the crash notification of an executor that runs user code on
-// goroutines it owns. WorkerPool, eventloop.Loop and reactor.Reactor embed
-// it, so the setter exists once and the promoted method is what package
+// goroutines it owns. WorkerPool and eventloop.Loop embed it, so the setter
+// exists once and the promoted method is what package
 // supervise attaches through. A handler may be installed, replaced or
 // removed (nil) at any time from any goroutine; a notification calls
 // whichever handler is installed at that moment, on the goroutine that

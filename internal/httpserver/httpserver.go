@@ -232,7 +232,7 @@ func (s *Server) setupWorkerTarget() error {
 		_, err := s.rt.CreateWorker("worker", s.cfg.Workers)
 		return err
 	}
-	factory := func(gen int) (executor.Executor, error) {
+	factory := func() (executor.Executor, error) {
 		var e executor.Executor = executor.NewWorkerPool("worker", s.cfg.Workers, &s.reg)
 		if s.cfg.Chaos != nil {
 			e = s.cfg.Chaos.Wrap(e)
@@ -254,7 +254,7 @@ func (s *Server) setupWorkerTarget() error {
 		s.sup = sup
 		target = sup
 	} else {
-		target, _ = factory(0)
+		target, _ = factory()
 	}
 	if err := s.rt.RegisterTarget("worker", target); err != nil {
 		target.Shutdown()

@@ -30,8 +30,7 @@ type TargetMetrics struct {
 	Restarts  Counter // OpRestart: supervised restarts
 	Stalls    Counter // OpStall: watchdog stall flags
 
-	ConnDeadlines   Counter // OpConnDeadline: reactor connections reaped by deadline
-	ReactorRestarts Counter // OpReactorRestart: supervised poll-loop replacements
+	ConnDeadlines Counter // OpConnDeadline: reactor connections reaped by deadline
 }
 
 func newTargetMetrics() *TargetMetrics {
@@ -154,8 +153,6 @@ func (s *SpanSink) record(e trace.Event) {
 		s.targetLocked(e.Target).Stalls.Inc()
 	case trace.OpConnDeadline:
 		s.targetLocked(e.Target).ConnDeadlines.Inc()
-	case trace.OpReactorRestart:
-		s.targetLocked(e.Target).ReactorRestarts.Inc()
 	}
 }
 
@@ -244,8 +241,6 @@ func (s *SpanSink) WritePrometheus(w io.Writer) error {
 		func(t *TargetMetrics) *Counter { return &t.Stalls })
 	counter("repro_conn_deadline_total", "Reactor connections reaped by idle/read/write-stall deadlines per target.",
 		func(t *TargetMetrics) *Counter { return &t.ConnDeadlines })
-	counter("repro_reactor_restarts_total", "Supervised reactor poll-loop replacements per target.",
-		func(t *TargetMetrics) *Counter { return &t.ReactorRestarts })
 
 	e.Gauge("repro_spans_open", "Spans currently open (begun or enqueued, not ended).",
 		nil, float64(s.Open()))

@@ -43,8 +43,7 @@ type Server struct {
 	name     string
 	loop     *eventloop.Loop
 	registry *gid.Registry
-	reactor  *reactor.Reactor    // nil on the goroutine-per-connection transport
-	sreactor *reactor.Supervised // non-nil when EnableSupervisedReactor was used
+	reactor  *reactor.Reactor // nil on the goroutine-per-connection transport
 
 	mu        sync.Mutex
 	ln        net.Listener
@@ -149,8 +148,8 @@ func (s *Server) ConnShed() int64 { return s.connShed.Load() }
 // deadline, across both transports.
 func (s *Server) DeadlineCloses() int64 {
 	n := s.deadlineCloses.Load()
-	if t := s.rtransport(); t != nil {
-		n += t.Stats().DeadlineCloses
+	if s.reactor != nil {
+		n += s.reactor.Stats().DeadlineCloses
 	}
 	return n
 }
@@ -176,8 +175,8 @@ func (s *Server) Dropped() int64 { return s.dropped.Load() }
 // Start listens on addr ("127.0.0.1:0" for an ephemeral port) and begins
 // accepting. It returns the bound address.
 func (s *Server) Start(addr string) (string, error) {
-	if t := s.rtransport(); t != nil {
-		return t.Listen(addr, s.reactorAccept)
+	if s.reactor != nil {
+		return s.reactor.Listen(addr, s.reactorAccept)
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -377,10 +376,10 @@ func (s *Server) Stop() {
 		if ln != nil {
 			ln.Close()
 		}
-		if t := s.rtransport(); t != nil {
+		if s.reactor != nil {
 			// Fires each connection's reactor OnClose (ErrClosed) on the
 			// poll goroutine; clientGone sees closed and stays silent.
-			t.Stop()
+			s.reactor.Stop()
 		} else {
 			for _, c := range conns {
 				c.conn.Close()
@@ -399,8 +398,8 @@ func (s *Server) Stop() {
 // default transport the listener closes and connected clients get until d
 // to disconnect — and then the server stops.
 func (s *Server) DrainStop(d time.Duration) {
-	if t := s.rtransport(); t != nil {
-		t.Drain(d)
+	if s.reactor != nil {
+		s.reactor.Drain(d)
 		s.Stop()
 		return
 	}

@@ -3,42 +3,9 @@ package netloop
 import (
 	"bytes"
 	"errors"
-	"time"
 
 	"repro/internal/reactor"
-	"repro/internal/supervise"
 )
-
-// transport is the surface netloop needs from a reactor-backed transport —
-// satisfied by both *reactor.Reactor (EnableReactor) and *reactor.Supervised
-// (EnableSupervisedReactor), so the server is indifferent to whether the
-// poll loop beneath it is restartable.
-type transport interface {
-	Listen(addr string, onAccept func(*reactor.Conn) reactor.HandlerFuncs) (string, error)
-	Stop()
-	Drain(d time.Duration)
-	Stats() reactor.Stats
-	SetInterceptor(fn reactor.Interceptor)
-	SetIOInterceptor(fn reactor.IOInterceptor)
-}
-
-var (
-	_ transport = (*reactor.Reactor)(nil)
-	_ transport = (*reactor.Supervised)(nil)
-)
-
-// rtransport returns the reactor transport in use, nil on the default
-// goroutine-per-connection transport. Never stores a typed nil in the
-// interface: each concrete field is tested itself.
-func (s *Server) rtransport() transport {
-	if s.sreactor != nil {
-		return s.sreactor
-	}
-	if s.reactor != nil {
-		return s.reactor
-	}
-	return nil
-}
 
 // EnableReactor switches the server's transport from goroutine-per-
 // connection readers to the readiness-driven reactor: one edge-triggered
@@ -53,7 +20,7 @@ func (s *Server) EnableReactor() error {
 	if s.ln != nil || s.closed {
 		return errors.New("netloop: EnableReactor must be called before Start")
 	}
-	if s.reactor != nil || s.sreactor != nil {
+	if s.reactor != nil {
 		return nil
 	}
 	r, err := reactor.New(s.name+"/reactor", s.registry)
@@ -64,48 +31,11 @@ func (s *Server) EnableReactor() error {
 	return nil
 }
 
-// EnableSupervisedReactor is EnableReactor with a supervised poll loop: a
-// poll-goroutine death replaces the reactor with a fresh generation under
-// sopts' restart budget, and the listening socket survives the swap — the
-// server keeps accepting on the same address. Must be called before Start; returns
-// reactor.ErrUnsupported (wrapped) on platforms without a poller.
-func (s *Server) EnableSupervisedReactor(sopts supervise.Options) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln != nil || s.closed {
-		return errors.New("netloop: EnableSupervisedReactor must be called before Start")
-	}
-	if s.reactor != nil {
-		return errors.New("netloop: reactor transport already enabled unsupervised")
-	}
-	if s.sreactor != nil {
-		return nil
-	}
-	sr, err := reactor.NewSupervised(s.name+"/reactor", s.registry, sopts)
-	if err != nil {
-		return err
-	}
-	s.sreactor = sr
-	return nil
-}
-
 // Reactor returns the readiness reactor, or nil on the fallback transport.
-// Use it to install a readiness-layer chaos interceptor or read poll-loop
-// stats; the message-level seams (SetInterceptor, UseLimiter) apply to
-// both transports unchanged. Under EnableSupervisedReactor this is the
-// current generation — the pointer goes stale at the next restart; prefer
-// SupervisedReactor for anything longer-lived than a call.
-func (s *Server) Reactor() *reactor.Reactor {
-	if s.sreactor != nil {
-		return s.sreactor.Current()
-	}
-	return s.reactor
-}
-
-// SupervisedReactor returns the supervised transport, or nil unless
-// EnableSupervisedReactor was used. Its Health and Supervisor feed
-// watchdog and /healthz wiring.
-func (s *Server) SupervisedReactor() *reactor.Supervised { return s.sreactor }
+// Use it to install a readiness-layer or fd-level chaos interceptor or read
+// poll-loop stats; the message-level seams (SetInterceptor, UseLimiter)
+// apply to both transports unchanged.
+func (s *Server) Reactor() *reactor.Reactor { return s.reactor }
 
 // reactorAccept wires one accepted connection into the server. Runs on the
 // poll goroutine.

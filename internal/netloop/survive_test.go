@@ -1,16 +1,13 @@
 package netloop
 
 import (
-	"bufio"
 	"fmt"
 	"net"
-	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/gid"
 	"repro/internal/reactor"
-	"repro/internal/supervise"
 	"repro/internal/testutil/leakcheck"
 	"repro/internal/testutil/poll"
 )
@@ -174,55 +171,4 @@ func TestDrainStopFastWhenClientsLeave(t *testing.T) {
 			t.Fatalf("DrainStop with no clients took %v", e)
 		}
 	})
-}
-
-// TestSupervisedServerSurvivesPollCrash: a netloop server on the
-// supervised reactor transport keeps serving its address across a
-// poll-goroutine death — the app-facing half of the supervised restart.
-func TestSupervisedServerSurvivesPollCrash(t *testing.T) {
-	if !reactor.Supported {
-		t.Skip("no reactor poller on this platform")
-	}
-	defer leakcheck.Check(t)()
-	s := New("survivor", &gid.Registry{})
-	defer s.Stop()
-	if err := s.EnableSupervisedReactor(supervise.Options{
-		MaxRestarts:    10,
-		Window:         time.Minute,
-		BackoffInitial: time.Millisecond,
-		BackoffMax:     5 * time.Millisecond,
-	}); err != nil {
-		t.Fatalf("EnableSupervisedReactor: %v", err)
-	}
-	s.HandleFunc(func(c *Client, line string) { c.Send("echo:" + line) })
-	addr, err := s.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.SupervisedReactor() == nil {
-		t.Fatal("SupervisedReactor() = nil")
-	}
-
-	roundTrip := func() bool {
-		c, err := net.DialTimeout("tcp", addr, time.Second)
-		if err != nil {
-			return false
-		}
-		defer c.Close()
-		fmt.Fprintln(c, "alive?")
-		c.SetReadDeadline(time.Now().Add(time.Second))
-		sc := bufio.NewScanner(c)
-		return sc.Scan() && sc.Text() == "echo:alive?"
-	}
-	poll.UntilFor(t, 10*time.Second, "generation 0 serves", roundTrip)
-
-	// Kill the poll goroutine; the supervisor must bring a replacement up
-	// on the same address.
-	if r := s.Reactor(); r != nil {
-		_ = r.Post(func() { runtime.Goexit() })
-	}
-	poll.UntilFor(t, 10*time.Second, "crash counted", func() bool {
-		return s.SupervisedReactor().Stats().LoopCrashes >= 1
-	})
-	poll.UntilFor(t, 10*time.Second, "restarted generation serves", roundTrip)
 }

@@ -55,9 +55,9 @@
 //     offending connection is closed with a HandlerPanicError, and the
 //     loop keeps serving every other descriptor (counted in
 //     Stats.HandlerPanics). A death the recover cannot catch (a killed
-//     goroutine, a panic in reactor internals) tears every connection
-//     down with ErrPollCrash and notifies the crash handler — the hook a
-//     supervise.Supervisor restarts through (see Supervised);
+//     goroutine, a panic in reactor internals) is final: every connection
+//     closes with ErrPollCrash, the listeners close, Stats.LoopCrashes
+//     counts it, and Post returns ErrClosed from then on;
 //   - Drain is the graceful half of Stop: accepting stops, spilled writes
 //     flush through the usual writability edges, idle connections close,
 //     and a deadline force-closes stragglers before the loop exits.
@@ -77,7 +77,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/executor"
 	"repro/internal/gid"
 	"repro/internal/sanitize"
 	"repro/internal/trace"
@@ -162,18 +161,11 @@ type Stats struct {
 	Wakeups       int64 // wakeup-pipe interrupts of the poll wait
 	Dropped       int64 // events suppressed by the interceptor
 
-	// Survivability counters, shared by a supervised reactor's generations.
+	// Survivability counters.
 	HandlerPanics  int64 // panics contained around handler dispatch
 	DeadlineCloses int64 // connections reaped by idle deadlines
-	LoopCrashes    int64 // poll-goroutine deaths
+	LoopCrashes    int64 // poll-goroutine deaths (at most one: a death is final)
 	ForceCloses    int64 // stragglers closed at a drain deadline
-}
-
-// survival holds the counters behind Stats' survivability fields. A
-// supervised reactor hands one to every generation, so the counts outlive
-// restarts.
-type survival struct {
-	handlerPanics, deadlineCloses, loopCrashes, forceCloses atomic.Int64
 }
 
 // Reactor is an edge-triggered readiness dispatcher. Create with New,
@@ -182,11 +174,9 @@ type Reactor struct {
 	name     string
 	registry *gid.Registry
 	p        poller
-	rstats   *survival
 	// san stamps the poll goroutine as this reactor's home context (bound
 	// in run); the poll-confined paths — read drains, timer fires,
 	// connection teardown — assert affinity against it under -tags=ompsan.
-	// Each supervised generation is a fresh Reactor with a fresh stamp.
 	// No-op untagged.
 	san sanitize.Home
 
@@ -197,10 +187,6 @@ type Reactor struct {
 	closed    bool
 	draining  bool
 
-	// FaultHooks: the crash handler hears of the poll goroutine's death,
-	// after every connection has been failed with ErrPollCrash. It runs on
-	// the poll goroutine.
-	executor.FaultHooks
 	wakePending   atomic.Bool
 	interceptor   atomic.Pointer[Interceptor]
 	ioInterceptor atomic.Pointer[IOInterceptor]
@@ -215,6 +201,11 @@ type Reactor struct {
 	posts         atomic.Int64
 	wakeups       atomic.Int64
 	dropped       atomic.Int64
+
+	handlerPanics  atomic.Int64
+	deadlineCloses atomic.Int64
+	loopCrashes    atomic.Int64
+	forceCloses    atomic.Int64
 
 	readBuf  []byte // poll-goroutine-only scratch
 	events   []pollEvent
@@ -235,19 +226,12 @@ type batchTarget struct {
 type listener struct {
 	fd       int
 	onAccept func(*Conn) HandlerFuncs
-	external bool // fd owned by the caller: deregister on teardown, never close
 }
 
 // New creates a reactor named name whose poll goroutine registers itself
 // in reg (nil means gid.Default) and starts it. On platforms without a
 // poller it returns ErrUnsupported.
 func New(name string, reg *gid.Registry) (*Reactor, error) {
-	return newReactor(name, reg, new(survival))
-}
-
-// newReactor is New counting into rstats: a supervised reactor passes one
-// instance to every generation so the survivability counts outlive restarts.
-func newReactor(name string, reg *gid.Registry, rstats *survival) (*Reactor, error) {
 	if reg == nil {
 		reg = &gid.Default
 	}
@@ -259,7 +243,6 @@ func newReactor(name string, reg *gid.Registry, rstats *survival) (*Reactor, err
 		name:      name,
 		registry:  reg,
 		p:         p,
-		rstats:    rstats,
 		conns:     make(map[int]*Conn),
 		listeners: make(map[int]*listener),
 		readBuf:   make([]byte, 64<<10),
@@ -306,10 +289,10 @@ func (r *Reactor) Stats() Stats {
 		Wakeups:       r.wakeups.Load(),
 		Dropped:       r.dropped.Load(),
 
-		HandlerPanics:  r.rstats.handlerPanics.Load(),
-		DeadlineCloses: r.rstats.deadlineCloses.Load(),
-		LoopCrashes:    r.rstats.loopCrashes.Load(),
-		ForceCloses:    r.rstats.forceCloses.Load(),
+		HandlerPanics:  r.handlerPanics.Load(),
+		DeadlineCloses: r.deadlineCloses.Load(),
+		LoopCrashes:    r.loopCrashes.Load(),
+		ForceCloses:    r.forceCloses.Load(),
 	}
 }
 
@@ -323,7 +306,7 @@ func (r *Reactor) contain(c *Conn, fn func()) {
 		if v == nil {
 			return
 		}
-		r.rstats.handlerPanics.Add(1)
+		r.handlerPanics.Add(1)
 		if c != nil && !c.dead() {
 			r.closeConn(c, &HandlerPanicError{Value: v})
 		}
@@ -363,45 +346,22 @@ func (r *Reactor) Listen(addr string, onAccept func(*Conn) HandlerFuncs) (string
 	if err != nil {
 		return "", err
 	}
-	if err := r.addListener(&listener{fd: fd, onAccept: onAccept}); err != nil {
-		sysClose(fd)
-		return "", err
-	}
-	return bound, nil
-}
-
-// listenFD registers an externally-owned listening descriptor: the reactor
-// polls and accepts on it, but teardown (Stop, Drain, a crash) only
-// deregisters it — the caller keeps the fd and may re-register it with a
-// replacement reactor. This is how a supervised reactor's listeners survive
-// poll-loop restarts without an EADDRINUSE window. Registering an fd the
-// reactor already polls is a no-op.
-func (r *Reactor) listenFD(fd int, onAccept func(*Conn) HandlerFuncs) error {
-	if err := sysSetNonblock(fd); err != nil {
-		return fmt.Errorf("reactor: set nonblocking: %w", err)
-	}
-	return r.addListener(&listener{fd: fd, onAccept: onAccept, external: true})
-}
-
-func (r *Reactor) addListener(ln *listener) error {
 	r.mu.Lock()
 	if r.closed || r.draining {
 		r.mu.Unlock()
-		return ErrClosed
+		sysClose(fd)
+		return "", ErrClosed
 	}
-	if _, ok := r.listeners[ln.fd]; ok {
-		r.mu.Unlock()
-		return nil
-	}
-	r.listeners[ln.fd] = ln
+	r.listeners[fd] = &listener{fd: fd, onAccept: onAccept}
 	r.mu.Unlock()
-	if err := r.p.add(ln.fd, false); err != nil {
+	if err := r.p.add(fd, false); err != nil {
 		r.mu.Lock()
-		delete(r.listeners, ln.fd)
+		delete(r.listeners, fd)
 		r.mu.Unlock()
-		return fmt.Errorf("reactor: register listener: %w", err)
+		sysClose(fd)
+		return "", fmt.Errorf("reactor: register listener: %w", err)
 	}
-	return nil
+	return bound, nil
 }
 
 // Dial connects to addr (blocking connect, then non-blocking registration)
@@ -450,13 +410,13 @@ func (r *Reactor) register(fd int, h HandlerFuncs) (*Conn, error) {
 // Handler panics never reach this frame (contain recovers them at each
 // dispatch point), so anything that does — a panic in reactor internals,
 // or a goroutine kill, which runs deferred functions without a panic value
-// — is a loop death: crashCleanup fails every connection with ErrPollCrash
-// and notifies the crash handler so a supervisor can build a replacement.
+// — is a loop death: crashCleanup fails every connection with ErrPollCrash,
+// and the reactor stays down.
 func (r *Reactor) run() {
 	cleanExit := false
 	defer func() {
-		if v := recover(); v != nil || !cleanExit {
-			r.crashCleanup(v)
+		if recover() != nil || !cleanExit {
+			r.crashCleanup()
 		}
 		r.p.close()
 		r.san.Unbind()
@@ -472,13 +432,13 @@ func (r *Reactor) run() {
 	cleanExit = true
 }
 
-// crashCleanup tears the reactor down after a poll-goroutine death: mark
-// closed, fail every connection with ErrPollCrash, drop queued posts, and
-// notify the crash handler last so a supervisor observes a fully-dead
-// reactor. Runs on the dying goroutine (inside its deferred frame), so the
+// crashCleanup tears the reactor down for good after a poll-goroutine
+// death: mark closed (Post returns ErrClosed from here on), drop queued
+// posts, close the listeners, and fail every connection with ErrPollCrash.
+// Runs on the dying goroutine (inside its deferred frame), so the
 // poll-confined teardown invariants still hold.
-func (r *Reactor) crashCleanup(v any) {
-	r.rstats.loopCrashes.Add(1)
+func (r *Reactor) crashCleanup() {
+	r.loopCrashes.Add(1)
 	r.mu.Lock()
 	r.closed = true
 	r.posted = nil
@@ -494,14 +454,11 @@ func (r *Reactor) crashCleanup(v any) {
 	r.mu.Unlock()
 	for _, ln := range lns {
 		r.p.del(ln.fd)
-		if !ln.external {
-			sysClose(ln.fd)
-		}
+		sysClose(ln.fd)
 	}
 	for _, c := range conns {
 		r.closeConn(c, ErrPollCrash)
 	}
-	r.NotifyCrash(v)
 }
 
 func (r *Reactor) pollLoop() {
@@ -709,7 +666,7 @@ func (r *Reactor) closeConn(c *Conn, err error) {
 		func() {
 			defer func() {
 				if recover() != nil {
-					r.rstats.handlerPanics.Add(1)
+					r.handlerPanics.Add(1)
 				}
 			}()
 			c.h.OnClose(c, err)
@@ -757,9 +714,7 @@ func (r *Reactor) Stop() {
 		r.mu.Unlock()
 		for _, ln := range lns {
 			r.p.del(ln.fd)
-			if !ln.external {
-				sysClose(ln.fd)
-			}
+			sysClose(ln.fd)
 		}
 		for _, c := range conns {
 			r.closeConn(c, ErrClosed)
@@ -811,9 +766,7 @@ func (r *Reactor) beginDrain(deadline time.Time) {
 	r.mu.Unlock()
 	for _, ln := range lns {
 		r.p.del(ln.fd)
-		if !ln.external {
-			sysClose(ln.fd)
-		}
+		sysClose(ln.fd)
 	}
 	if len(conns) == 0 {
 		r.Stop()
@@ -837,7 +790,7 @@ func (r *Reactor) beginDrain(deadline time.Time) {
 		}
 		r.mu.Unlock()
 		for _, c := range rem {
-			r.rstats.forceCloses.Add(1)
+			r.forceCloses.Add(1)
 			r.closeConn(c, ErrWriteStall)
 		}
 		r.Stop()
@@ -963,7 +916,7 @@ func (c *Conn) deadlineCheck() {
 			c.r.addTimer(when, c.deadlineCheck) // dlArmed stays true
 			return
 		}
-		c.r.rstats.deadlineCloses.Add(1)
+		c.r.deadlineCloses.Add(1)
 		if sink := trace.ActiveSink(); sink != nil {
 			sink.Record(trace.Event{Time: now, Op: trace.OpConnDeadline, Target: c.r.name})
 		}

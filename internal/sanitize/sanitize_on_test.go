@@ -85,8 +85,8 @@ func TestHomeRebindMovesHome(t *testing.T) {
 		h.Bind("test", "gen1")
 	}()
 	wg.Wait()
-	// Supervised restart: the new generation's goroutine rebinds, and the
-	// old home becomes a violator while the new one passes.
+	// A rebind from another goroutine moves the home: the old home becomes
+	// a violator while the new one passes.
 	h.Bind("test", "gen2")
 	h.Check("on new home", "x")
 }

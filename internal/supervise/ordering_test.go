@@ -96,8 +96,9 @@ func TestPostRacingRestartIsTyped(t *testing.T) {
 		poll.Until(t, "restart under way", func() bool { st, _ := s.snapshot(); return st == Restarting })
 		gen0.Executor.Shutdown() // what handleFailure's `go old.Shutdown()` does, awaited
 	}
-	s, err := New("w", func(gen int) (executor.Executor, error) {
-		if gen == 0 {
+	built := 0 // New and the supervisor loop call the factory one at a time
+	s, err := New("w", func() (executor.Executor, error) {
+		if built++; built == 1 {
 			return gen0, nil
 		}
 		return executor.NewWorkerPool("w", 1, &reg), nil

@@ -27,7 +27,7 @@ func TestSupervisedSurvivesKillStorm(t *testing.T) {
 	var reg gid.Registry
 	inj := chaos.New(chaos.SeedFromEnv(1337),
 		chaos.Rule{Action: chaos.Kill, Rate: 0.10, Count: 8})
-	factory := func(gen int) (executor.Executor, error) {
+	factory := func() (executor.Executor, error) {
 		return inj.Wrap(executor.NewWorkerPool("w", 3, &reg)), nil
 	}
 	s, err := supervise.New("w", factory, supervise.Options{
@@ -170,7 +170,7 @@ func TestWatchdogSeesBlockedThenRecovered(t *testing.T) {
 // LiveDown, not stalled — the watchdog distinguishes dead from blocked.
 func TestWatchdogReportsDownTarget(t *testing.T) {
 	var reg gid.Registry
-	s, err := supervise.New("w", func(int) (executor.Executor, error) {
+	s, err := supervise.New("w", func() (executor.Executor, error) {
 		return executor.NewWorkerPool("w", 1, &reg), nil
 	}, supervise.Options{MaxRestarts: 1, Window: time.Minute, BackoffInitial: time.Millisecond})
 	if err != nil {

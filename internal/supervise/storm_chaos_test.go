@@ -34,7 +34,7 @@ func TestSupervisedRuntimeUnderMixedFaultStorm(t *testing.T) {
 		chaos.Rule{Action: chaos.Delay, Rate: 0.05, Delay: 200 * time.Microsecond},
 	)
 	var reg gid.Registry
-	factory := func(gen int) (executor.Executor, error) {
+	factory := func() (executor.Executor, error) {
 		return inj.Wrap(executor.NewWorkerPool("w", 4, &reg)), nil
 	}
 	s, err := supervise.New("w", factory, supervise.Options{

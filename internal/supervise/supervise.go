@@ -92,11 +92,11 @@ var (
 	ErrRestarting = errors.New("supervise: target restarting")
 )
 
-// Factory builds generation gen of a supervised executor. Generation 0 is
-// built by New; each full restart increments the generation. The factory
-// may wrap the executor (chaos middleware, tracing) — the supervisor walks
+// Factory builds one generation of a supervised executor. New builds
+// generation 0; each full restart builds the next. The factory may wrap the
+// executor (chaos middleware, tracing) — the supervisor walks
 // Unwrap chains to attach its crash hook to the base.
-type Factory func(gen int) (executor.Executor, error)
+type Factory func() (executor.Executor, error)
 
 // Options tunes a Supervisor. Zero values pick the documented defaults.
 type Options struct {
@@ -215,9 +215,9 @@ func New(name string, factory Factory, opts Options) (*Supervisor, error) {
 		failCh:  make(chan failure, 256),
 		done:    make(chan struct{}),
 	}
-	e, err := factory(0)
+	e, err := factory()
 	if err != nil {
-		return nil, fmt.Errorf("supervise: factory(0): %w", err)
+		return nil, fmt.Errorf("supervise: factory (generation 0): %w", err)
 	}
 	s.cur = e
 	s.attach(e, 0)
@@ -330,11 +330,11 @@ func (s *Supervisor) handleFailure(f failure) {
 	if !s.sleep(s.backoff(recent)) {
 		return
 	}
-	next, err := s.factory(gen + 1)
+	next, err := s.factory()
 	if err != nil {
 		s.mu.Lock()
 		s.state = Failed
-		s.lastErr = fmt.Errorf("supervise: factory(%d): %w", gen+1, err)
+		s.lastErr = fmt.Errorf("supervise: factory (generation %d): %w", gen+1, err)
 		s.mu.Unlock()
 		trace.Emit(trace.OpTargetDown, s.name)
 		return

@@ -22,7 +22,7 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 
 func poolFactory(t *testing.T, reg *gid.Registry, workers int) Factory {
 	t.Helper()
-	return func(gen int) (executor.Executor, error) {
+	return func() (executor.Executor, error) {
 		return executor.NewWorkerPool("w", workers, reg), nil
 	}
 }
@@ -116,8 +116,9 @@ func TestBudgetExhaustionFailsFast(t *testing.T) {
 func TestFactoryErrorMarksDown(t *testing.T) {
 	var reg gid.Registry
 	boom := errors.New("no capacity")
-	factory := func(gen int) (executor.Executor, error) {
-		if gen > 0 {
+	built := 0 // New and the supervisor loop call the factory one at a time
+	factory := func() (executor.Executor, error) {
+		if built++; built > 1 {
 			return nil, boom
 		}
 		return executor.NewWorkerPool("w", 1, &reg), nil
@@ -138,7 +139,7 @@ func TestFactoryErrorMarksDown(t *testing.T) {
 }
 
 func TestNewFactoryErrorPropagates(t *testing.T) {
-	_, err := New("w", func(int) (executor.Executor, error) {
+	_, err := New("w", func() (executor.Executor, error) {
 		return nil, errors.New("nope")
 	}, Options{})
 	if err == nil {

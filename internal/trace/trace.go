@@ -68,10 +68,6 @@ const (
 	// OpConnDeadline marks a reactor connection closed by a deadline
 	// (idle, read, or write-stall) — the slowloris defence firing.
 	OpConnDeadline
-	// OpReactorRestart marks a supervised reactor replacing its crashed
-	// poll loop with a fresh generation (listeners re-registered,
-	// in-flight connections failed).
-	OpReactorRestart
 )
 
 // String names the op.
@@ -109,8 +105,6 @@ func (o Op) String() string {
 		return "enqueue"
 	case OpConnDeadline:
 		return "conn-deadline"
-	case OpReactorRestart:
-		return "reactor-restart"
 	default:
 		return fmt.Sprintf("Op(%d)", int(o))
 	}
