@@ -102,15 +102,18 @@ size:
 # owner) and per Completion.Done, a parked join across garbage collections (the
 # waiter free list must survive them), plus the sizes of executor.Completion
 # and the pool's task node; and the encryption service's recycled payload
-# (DESIGN.md §4): a Crypt Reset within its capacity and a request's compute
-# allocate nothing, across collections too (the payload free list must survive
-# them); and the OpenMP substrate (DESIGN.md §4): an empty region on a parked
-# team allocates nothing, a warm Crypt RunPar only its body closure, and
-# Critical on a name already seen nothing — untagged and under the sanitizer,
-# never under -race (the detector allocates on its own account, so the tests
-# skip themselves there).
-ALLOCS_RUN = 'TestAllocationBudget|TestWaiterFreeListSurvivesGC|TestNodeSizes|TestCryptResetMatchesNewCrypt|TestPayloadIsRecycled|TestParallelReusesParkedTeam|TestRunParReusesParkedTeam|TestCriticalAllocatesNothingForSeenName'
-ALLOCS_PKGS = ./internal/core/ ./internal/executor/ ./internal/kernels/ ./internal/httpserver/ ./internal/omp/
+# (DESIGN.md §4): a Crypt Reset within its capacity and a request on a
+# recycled payload allocate nothing, across collections too (the payload free
+# list must survive them), and a Pyjama request's invocation only its task
+# node; the OpenMP substrate (DESIGN.md §4): an empty region on a parked team
+# allocates nothing, a warm Crypt RunPar only its body closure, and Critical on
+# a name already seen nothing; and the message path: a Loop.Post costs its
+# Completion across collections too (the loop's node free list must survive
+# them) and a netloop line echoed over the reactor its line and its Completion
+# — untagged and under the sanitizer, never under -race (the detector
+# allocates on its own account, so the tests skip themselves there).
+ALLOCS_RUN = 'TestAllocationBudget|TestWaiterFreeListSurvivesGC|TestNodeSizes|TestCryptResetMatchesNewCrypt|TestPayloadIsRecycled|TestParallelReusesParkedTeam|TestRunParReusesParkedTeam|TestCriticalAllocatesNothingForSeenName|TestReactorEchoRoundTripAllocs|TestLoopNodeFreeListSurvivesGC'
+ALLOCS_PKGS = ./internal/core/ ./internal/executor/ ./internal/kernels/ ./internal/httpserver/ ./internal/omp/ ./internal/netloop/ ./internal/eventloop/
 allocs:
 	$(GO) test -count=1 -run $(ALLOCS_RUN) $(ALLOCS_PKGS)
 	$(GO) test -count=1 -tags=ompsan -run $(ALLOCS_RUN) $(ALLOCS_PKGS)

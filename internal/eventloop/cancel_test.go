@@ -65,6 +65,42 @@ func TestCancelQueuedEvent(t *testing.T) {
 	}
 }
 
+// TestDepthSkipsCancelledEvents: a node whose completion was cancelled in
+// the queue is not a dispatch, so the nesting depth never counts it — not even
+// for the instant between its pop and its lost claim. A goroutine polls Depth
+// while the EDT of an otherwise idle loop skips 10 000 cancelled nodes; it
+// must read 0 throughout.
+func TestDepthSkipsCancelledEvents(t *testing.T) {
+	const n = 10000
+	l := New("skip", &gid.Registry{})
+	defer l.Stop()
+	for i := 0; i < n; i++ {
+		if !l.Post(func() { t.Error("cancelled event ran") }).Cancel(errRevoked) {
+			t.Fatal("Cancel of an event queued on an unstarted loop returned false")
+		}
+	}
+	polling := make(chan struct{})
+	seen := make(chan int)
+	go func() {
+		close(polling)
+		reads := 0
+		for l.Len() > 0 {
+			if l.Depth() != 0 {
+				reads++
+			}
+		}
+		seen <- reads
+	}()
+	<-polling
+	l.Start()
+	if reads := <-seen; reads != 0 {
+		t.Fatalf("Depth read nonzero %d times while the EDT only skipped cancelled events", reads)
+	}
+	if d := l.Dispatched(); d != 0 {
+		t.Fatalf("Dispatched = %d after skipping only cancelled events", d)
+	}
+}
+
 // TestCancelVsDispatchRace: exactly one of {handler ran, Cancel returned
 // true} per event. Run with -race.
 func TestCancelVsDispatchRace(t *testing.T) {

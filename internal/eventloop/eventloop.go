@@ -14,10 +14,12 @@
 // in the Java AWT runtime library").
 //
 // Dispatch hot path (PR 3): events flow through a pooled chunked ring queue
-// (executor.ChunkQueue), event nodes are recycled through a sync.Pool, and
-// the producer→EDT wakeup token is sent only when the dispatch goroutine is
-// actually parked (the waiters counter), so a loop that is keeping up never
-// pays a channel operation per Post.
+// (executor.ChunkQueue), event nodes are recycled through a bounded free list
+// guarded by the queue's own mutex (a node goes back the moment it is popped,
+// its event copied out to the dispatching frame), and the producer→EDT wakeup
+// token is sent only when the dispatch goroutine is actually parked (the
+// waiters counter), so a loop that is keeping up never pays a channel
+// operation per Post.
 //
 // The worker pool (executor.WorkerPool) has the same shape with plural
 // consumers: one mutex-guarded ChunkQueue, an atomic length mirror and
@@ -66,14 +68,20 @@ func (d DispatchInfo) QueueDelay() time.Duration { return d.Start.Sub(d.Enqueued
 // Duration returns how long the handler occupied the EDT.
 func (d DispatchInfo) Duration() time.Duration { return d.End.Sub(d.Start) }
 
-// item is the loop's pooled queue node. The Completion is a separate
-// allocation because callers keep it long after the node is recycled.
+// item is one event: the loop's queue node, and the dispatching frame's copy
+// of it. The Completion is a separate allocation because callers keep it long
+// after the node is recycled.
 type item struct {
 	executor.Bracket
 	comp     *executor.Completion
 	enqueued time.Time
 	label    string
+	next     *item // free-list link
 }
+
+// maxFreeItems bounds the node free list: the same bound as the waiter free
+// list, above the events any measured workload keeps queued at once.
+const maxFreeItems = 64
 
 // Loop is a single-goroutine event dispatcher. Create with New, then Start.
 type Loop struct {
@@ -89,11 +97,15 @@ type Loop struct {
 	q       executor.ChunkQueue[*item]
 	closed  bool
 	delayed map[*time.Timer]*item // pending PostDelayed timers -> their events
+	// free is the node free list, nfree its length. Not a sync.Pool, which the
+	// collector empties: enqueue takes and popItem returns a node under mu,
+	// which both hold anyway.
+	free  *item
+	nfree int
 
 	// Hot-path state read without the lock.
-	qlen     atomic.Int64 // mirror of q.Len(), updated under mu
-	waiters  atomic.Int32 // dispatch goroutine parked on notify (0 or 1)
-	itemPool sync.Pool    // *item nodes
+	qlen    atomic.Int64 // mirror of q.Len(), updated under mu
+	waiters atomic.Int32 // dispatch goroutine parked on notify (0 or 1)
 
 	notify chan struct{} // cap-1 wakeup
 	stopCh chan struct{}
@@ -125,7 +137,6 @@ func New(name string, reg *gid.Registry) *Loop {
 		stopCh:   make(chan struct{}),
 		ready:    make(chan struct{}),
 	}
-	l.itemPool.New = func() any { return new(item) }
 	return l
 }
 
@@ -164,16 +175,15 @@ func (l *Loop) run() {
 }
 
 func (l *Loop) runLoop() {
+	var ev item
 	for {
-		it, ok := l.next()
-		if !ok {
+		if !l.next(&ev) {
 			// Stop requested: drain whatever is already queued, then exit.
 			for l.runOne() {
 			}
 			return
 		}
-		l.dispatch(it)
-		l.releaseItem(it)
+		l.dispatch(&ev)
 	}
 }
 
@@ -196,41 +206,30 @@ func (l *Loop) FailPending(err error) int {
 	l.qlen.Store(0)
 	l.mu.Unlock()
 	for _, it := range items {
-		l.failItem(it, err)
+		it.Fail(it.comp, l.name, err)
 	}
 	return len(items)
 }
 
-// newItem takes an event node from the pool.
-func (l *Loop) newItem(label string, fn func(), comp *executor.Completion) *item {
-	it := l.itemPool.Get().(*item)
-	it.Fn, it.comp, it.label = fn, comp, label
-	return it
-}
-
-// failItem finishes an event that will never be dispatched.
-func (l *Loop) failItem(it *item, err error) {
-	it.Fail(it.comp, l.name, err)
-	l.releaseItem(it)
-}
-
-// releaseItem returns a dispatched (or failed) event node to the pool.
-func (l *Loop) releaseItem(it *item) {
-	*it = item{}
-	l.itemPool.Put(it)
-}
-
-// popItem removes the oldest queued event under the lock, nil if none.
-func (l *Loop) popItem() *item {
+// popItem moves the oldest queued event into *ev under the lock and returns
+// its node to the free list (dropping it when the list is full), reporting
+// false if the queue is empty.
+func (l *Loop) popItem(ev *item) bool {
 	l.mu.Lock()
 	it, ok := l.q.Pop()
 	if !ok {
 		l.mu.Unlock()
-		return nil
+		return false
 	}
 	l.qlen.Store(int64(l.q.Len()))
+	*ev = *it
+	if l.nfree < maxFreeItems {
+		*it = item{next: l.free}
+		l.free = it
+		l.nfree++
+	}
 	l.mu.Unlock()
-	return it
+	return true
 }
 
 // park sleeps the dispatch goroutine until an event may be queued (true) or
@@ -252,37 +251,38 @@ func (l *Loop) park(abort <-chan struct{}) bool {
 	return ok
 }
 
-// next blocks until an event is available (returning it) or stop is
+// next blocks until an event is available (moving it into *ev) or stop is
 // requested with an empty queue (returning false).
-func (l *Loop) next() (*item, bool) {
+func (l *Loop) next(ev *item) bool {
 	for {
-		if it := l.popItem(); it != nil {
-			return it, true
+		if l.popItem(ev) {
+			return true
 		}
 		if !l.park(l.stopCh) {
-			return nil, false
+			return false
 		}
 	}
 }
 
-// dispatch runs one event through the shared bracket (executor.Bracket.Run)
-// and adds what is the loop's own: the confinement check, the nesting depth
-// and the observer. All of it is state a joiner may inspect
-// the moment it wakes, so it is settled before the completion finishes. The
-// closure does not escape Run: no allocation. An event cancelled while queued
-// is skipped by Run and is not a dispatch: none of the loop's counters move.
-func (l *Loop) dispatch(it *item) {
+// dispatch runs one popped event through the shared bracket
+// (executor.Bracket.Run) and adds what is the loop's own: the confinement
+// check, the nesting depth and the observer. The depth counts the event once
+// Run has won its claim; the rest is state a joiner may inspect the moment it
+// wakes, so it is settled before the completion finishes. The closures do not
+// escape Run: no allocation. An event cancelled while queued is skipped by
+// Run and is not a dispatch: none of the loop's counters move, the depth
+// included. ev is cleared afterwards, so the frame pins nothing while idle.
+func (l *Loop) dispatch(ev *item) {
 	l.san.Check("dispatch event on", l.name)
 	var start time.Time
 	if l.observer.Load() != nil {
 		start = time.Now()
 	}
-	l.depth.Add(1)
-	ran := it.Run(it.comp, l.name, func(err error) {
+	ev.Run(ev.comp, l.name, func() { l.depth.Add(1) }, func(err error) {
 		l.depth.Add(-1)
 		l.dispatched.Add(1)
 		if obs := l.observer.Load(); obs != nil {
-			info := DispatchInfo{Label: it.label, Enqueued: it.enqueued, Start: start, End: time.Now(), Err: err}
+			info := DispatchInfo{Label: ev.label, Enqueued: ev.enqueued, Start: start, End: time.Now(), Err: err}
 			if info.Start.IsZero() {
 				info.Start = info.End
 			}
@@ -292,20 +292,17 @@ func (l *Loop) dispatch(it *item) {
 			(*obs)(info)
 		}
 	})
-	if !ran {
-		l.depth.Add(-1)
-	}
+	*ev = item{}
 }
 
 // runOne pops and dispatches a single queued event, reporting whether one
 // was found. Must run on the dispatch goroutine.
 func (l *Loop) runOne() bool {
-	it := l.popItem()
-	if it == nil {
+	var ev item
+	if !l.popItem(&ev) {
 		return false
 	}
-	l.dispatch(it)
-	l.releaseItem(it)
+	l.dispatch(&ev)
 	return true
 }
 
@@ -318,27 +315,36 @@ func (l *Loop) Post(fn func()) *executor.Completion { return l.PostLabeled("", f
 // PostLabeled enqueues fn with a label used in DispatchInfo instrumentation.
 func (l *Loop) PostLabeled(label string, fn func()) *executor.Completion {
 	comp := new(executor.Completion)
-	l.enqueue(l.newItem(label, fn, comp), 0)
+	l.enqueue(&item{Bracket: executor.Bracket{Fn: fn}, comp: comp, label: label}, 0)
 	return comp
 }
 
 // enqueue is the shared admission path of PostLabeled and fired PostDelayed
-// timers: push the node, publish length and peak off the lock, and wake the
+// timers: copy the event into a node from the free list (a new one when it is
+// empty), push it, publish length and peak off the lock, and wake the
 // dispatch goroutine only if it is parked. spawn is the poster's span at the
 // original call site (0 = the caller's current span) — PostDelayed captures
 // it before the timer fires, since the timer goroutine itself carries no
 // span.
-func (l *Loop) enqueue(it *item, spawn trace.SpanID) {
+func (l *Loop) enqueue(ev *item, spawn trace.SpanID) {
 	if l.observer.Load() != nil {
-		it.enqueued = time.Now()
+		ev.enqueued = time.Now()
 	}
-	it.Enqueued(l.name, spawn)
+	ev.Enqueued(l.name, spawn)
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
-		l.failItem(it, executor.ErrShutdown)
+		ev.Fail(ev.comp, l.name, executor.ErrShutdown)
 		return
 	}
+	it := l.free
+	if it != nil {
+		l.free = it.next
+		l.nfree--
+	} else {
+		it = new(item)
+	}
+	*it = *ev
 	n := int64(l.q.Push(it))
 	l.qlen.Store(n)
 	l.mu.Unlock()
@@ -363,7 +369,7 @@ func (l *Loop) PostDelayed(d time.Duration, fn func()) *executor.Completion {
 		return executor.NewCompletedCompletion(executor.ErrShutdown)
 	}
 	comp := new(executor.Completion)
-	it := l.newItem("", fn, comp)
+	it := &item{Bracket: executor.Bracket{Fn: fn}, comp: comp}
 	var spawn trace.SpanID
 	if trace.ActiveSink() != nil {
 		spawn = trace.Current()
@@ -487,7 +493,7 @@ func (l *Loop) Stop() {
 	}
 	l.mu.Unlock()
 	for _, it := range orphaned {
-		l.failItem(it, executor.ErrShutdown)
+		it.Fail(it.comp, l.name, executor.ErrShutdown)
 	}
 	if l.Owns() {
 		return

@@ -14,6 +14,7 @@ import (
 	"repro/internal/testutil/leakcheck"
 
 	"repro/internal/testutil/poll"
+	"repro/internal/testutil/raceflag"
 )
 
 func newLoop(t *testing.T) *Loop {
@@ -423,6 +424,27 @@ func TestQueuePeak(t *testing.T) {
 	}
 	if l.QueuePeak() < 10 {
 		t.Fatalf("QueuePeak = %d, want >= 10", l.QueuePeak())
+	}
+}
+
+// TestLoopNodeFreeListSurvivesGC is the loop's twin of executor's
+// TestWaiterFreeListSurvivesGC: a Post costs its Completion and nothing else
+// even when the collector runs between posts, because the queue node comes
+// from a free list the collector cannot empty (a sync.Pool would be, and each
+// post would pay for a node again).
+func TestLoopNodeFreeListSurvivesGC(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	l := newLoop(t)
+	noop := func() {}
+	got := testing.AllocsPerRun(50, func() {
+		l.Post(noop).Wait()
+		runtime.GC()
+		runtime.GC()
+	})
+	if got != 1 {
+		t.Errorf("Post().Wait() across collections: %v allocs/op, want 1 (the Completion)", got)
 	}
 }
 

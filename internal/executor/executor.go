@@ -435,19 +435,24 @@ func (b *Bracket) Enqueued(target string, spawn trace.SpanID) {
 //
 // A node whose completion was cancelled while it sat in the queue loses the
 // claim and is skipped: Run ends the span id taken at Enqueued, calls nothing
-// (settled included — a skip is not a dispatch) and reports false.
+// (begin and settled included — a skip is not a dispatch) and reports false.
 //
-// settled (may be nil) is the executor's hook for state a joiner may inspect
-// the moment it wakes: it receives the body's error, a *PanicError if the
-// body panicked. If the goroutine dies mid-task (runtime.Goexit, or a panic
-// escaping settled) the span is still ended and comp then fails with
+// begin and settled (either may be nil) are the executor's hooks around the
+// body: begin runs once the claim is won, before the run span opens, for state
+// that must count only a task that runs; settled is for state a joiner may
+// inspect the moment it wakes and receives the body's error, a *PanicError if
+// the body panicked. If the goroutine dies mid-task (runtime.Goexit, or a
+// panic escaping settled) the span is still ended and comp then fails with
 // ErrWorkerCrashed, so waiters never hang on a dead worker.
-func (b *Bracket) Run(comp *Completion, target string, settled func(error)) bool {
+func (b *Bracket) Run(comp *Completion, target string, begin func(), settled func(error)) bool {
 	fn := b.Fn
 	b.Fn = nil
 	if !comp.state.CompareAndSwap(0, taskRunning) {
 		b.endUnrun(target)
 		return false
+	}
+	if begin != nil {
+		begin()
 	}
 	var sink trace.Sink
 	var prev trace.SpanID
@@ -779,7 +784,7 @@ func (p *WorkerPool) workerLoop(w *worker) {
 		if t := p.pop(); t != nil {
 			spun = false
 			p.wakeForBacklog()
-			t.Run(&t.comp, p.name, p.settled)
+			t.Run(&t.comp, p.name, nil, p.settled)
 			continue
 		}
 		if p.stopped.Load() {
@@ -891,7 +896,7 @@ func (p *WorkerPool) TryRunPending() bool {
 		return false
 	}
 	// A task cancelled while queued is skipped, and no help was given.
-	ran := t.Run(&t.comp, p.name, p.settled)
+	ran := t.Run(&t.comp, p.name, nil, p.settled)
 	if ran {
 		p.helped.Add(1)
 	}

@@ -27,6 +27,7 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -158,7 +159,7 @@ type Server struct {
 	// idle is the payload free list, of Workers: the bound on concurrent
 	// computations in every organisation. Not a sync.Pool, which the collector
 	// empties (DESIGN §4 item 3).
-	idle chan *kernels.Crypt
+	idle chan *payload
 
 	limiter *qos.Limiter // nil without QoS
 
@@ -177,7 +178,7 @@ type Server struct {
 // New builds a server from cfg. Call Start to begin serving.
 func New(cfg Config) *Server {
 	cfg.fill()
-	s := &Server{cfg: cfg, done: make(chan struct{}), idle: make(chan *kernels.Crypt, cfg.Workers)}
+	s := &Server{cfg: cfg, done: make(chan struct{}), idle: make(chan *payload, cfg.Workers)}
 	switch cfg.Mode {
 	case Pyjama:
 		s.rt = core.NewRuntime(&s.reg)
@@ -342,37 +343,77 @@ const maxRequestBytes = 64 << 20
 // KiB); a larger one is dropped, not pinned per worker for the server's life.
 const keptPayloadBytes = 1 << 20
 
-// compute runs the encryption kernel for one request on an idle kernel (a new
-// one when none is idle) and returns the ciphertext checksum. A block that
-// panics or is cancelled before it runs gives no kernel back.
-func (s *Server) compute(size int) int64 {
-	var k *kernels.Crypt
+// payload is one computation's working set, kept on the idle list between
+// requests: the kernel, the request's size and checksum, the block that runs
+// the kernel on them — bound once, when the payload is made, so a request
+// builds no closure and no captured checksum — and the scratch its reply is
+// formatted in (a stack array handed to w.Write would move to the heap).
+type payload struct {
+	k        kernels.Crypt
+	omp      int // Config.OMPThreads
+	size     int
+	sum      int64
+	block    func()
+	ctxBlock func(context.Context)
+	reply    [21]byte // "%d\n" of any int64
+}
+
+// takePayload returns an idle payload (a new one when none is idle) set up
+// for a request of size bytes.
+func (s *Server) takePayload(size int) *payload {
+	var p *payload
 	select {
-	case k = <-s.idle:
+	case p = <-s.idle:
 	default:
-		k = new(kernels.Crypt)
+		p = &payload{omp: s.cfg.OMPThreads}
+		p.block = p.compute
+		p.ctxBlock = func(context.Context) { p.compute() }
 	}
-	k.Reset(size)
-	if s.cfg.OMPThreads > 1 {
-		k.RunPar(s.cfg.OMPThreads)
+	p.size = size
+	return p
+}
+
+// compute runs the encryption kernel on the payload and records the
+// ciphertext checksum.
+func (p *payload) compute() {
+	p.k.Reset(p.size)
+	if p.omp > 1 {
+		p.k.RunPar(p.omp)
 	} else {
-		k.RunSeq()
+		p.k.RunSeq()
 	}
-	sum := k.Checksum()
-	if size <= keptPayloadBytes {
+	p.sum = p.k.Checksum()
+}
+
+// reply writes a successful response, the checksum and a newline, and gives
+// the payload back to the idle list. Only a success path gets here: its join
+// has returned, so the block is over and will not run again (a block cancelled
+// in its queue never runs, a started one is waited for). A payload that
+// failed, panicked or was cancelled is left to the collector, and so is one
+// over keptPayloadBytes.
+func (s *Server) reply(w http.ResponseWriter, p *payload) {
+	s.served.Add(1)
+	_, _ = w.Write(append(strconv.AppendInt(p.reply[:0], p.sum, 10), '\n')) // a failed write is a client gone
+	if p.size <= keptPayloadBytes {
 		select {
-		case s.idle <- k:
+		case s.idle <- p:
 		default: // full: more computations ran at once than the list holds
 		}
 	}
-	return sum
 }
 
-// reply writes a successful response, the checksum and a newline.
-func (s *Server) reply(w http.ResponseWriter, sum int64) {
-	s.served.Add(1)
-	var buf [21]byte // "%d\n" of any int64; a failed write is a client gone
-	_, _ = w.Write(append(strconv.AppendInt(buf[:0], sum, 10), '\n'))
+// sizeParam returns the first size= value of a raw query, "" if there is
+// none: what url.Values' Get would return for a number, without building the
+// map.
+func sizeParam(query string) string {
+	for query != "" {
+		var field string
+		field, query, _ = strings.Cut(query, "&")
+		if v, ok := strings.CutPrefix(field, "size="); ok {
+			return v
+		}
+	}
+	return ""
 }
 
 func (s *Server) handleEncrypt(w http.ResponseWriter, r *http.Request) {
@@ -380,7 +421,7 @@ func (s *Server) handleEncrypt(w http.ResponseWriter, r *http.Request) {
 	// Perfetto capture shows request → invoke → run chains end to end.
 	defer trace.Open(trace.ActiveSink(), "request", "http").Close()
 	size := s.cfg.KernelBytes
-	if q := r.URL.Query().Get("size"); q != "" {
+	if q := sizeParam(r.URL.RawQuery); q != "" {
 		v, err := strconv.Atoi(q)
 		if err != nil || v < 1 || v > maxRequestBytes {
 			s.errors.Add(1)
@@ -389,38 +430,35 @@ func (s *Server) handleEncrypt(w http.ResponseWriter, r *http.Request) {
 		}
 		size = v
 	}
-	var sum int64
-	switch s.cfg.Mode {
-	case Pyjama:
-		if s.limiter != nil {
-			if !s.handleEncryptQoS(w, r, size) {
-				return
-			}
-		} else {
-			comp, err := s.rt.Invoke("worker", core.Wait, func() { sum = s.compute(size) })
-			switch {
-			case err != nil:
-				s.errors.Add(1)
-				http.Error(w, "compute failed", http.StatusInternalServerError)
-			case comp.Err() != nil:
-				s.failCompute(w, comp.Err())
-			default:
-				s.reply(w, sum)
-			}
-		}
-		return
-	default: // Jetty: admission into the fixed thread pool
+	switch {
+	case s.cfg.Mode != Pyjama: // Jetty: admission into the fixed thread pool
 		s.sem <- struct{}{}
-		sum = s.compute(size)
+		p := s.takePayload(size)
+		p.compute()
+		s.reply(w, p)
 		<-s.sem
+	case s.limiter != nil:
+		s.handleEncryptQoS(w, r, size)
+	default:
+		p := s.takePayload(size)
+		comp, err := s.rt.Invoke("worker", core.Wait, p.block)
+		switch {
+		case err != nil:
+			s.errors.Add(1)
+			http.Error(w, "compute failed", http.StatusInternalServerError)
+		case comp.Err() != nil:
+			s.failCompute(w, comp.Err())
+		default:
+			s.reply(w, p)
+		}
 	}
-	s.reply(w, sum)
 }
 
 // handleEncryptQoS is the guarded Pyjama request path: limiter admission,
-// then a deadline-propagating invocation. It writes the
-// full response (success or failure) and reports whether it succeeded.
-func (s *Server) handleEncryptQoS(w http.ResponseWriter, r *http.Request, size int) bool {
+// then a deadline-propagating invocation. It writes the full response
+// (success or failure), and takes its payload only once admitted and gives it
+// back before the slot, so a payload is out only while it holds a slot.
+func (s *Server) handleEncryptQoS(w http.ResponseWriter, r *http.Request, size int) {
 	ctx := r.Context()
 	if d := s.cfg.QoS.RequestTimeout; d > 0 {
 		var cancel context.CancelFunc
@@ -431,18 +469,16 @@ func (s *Server) handleEncryptQoS(w http.ResponseWriter, r *http.Request, size i
 		// Shed or client-abandoned: fail fast instead of queueing.
 		s.shed.Add(1)
 		http.Error(w, "overloaded", http.StatusServiceUnavailable)
-		return false
+		return
 	}
 	defer s.limiter.Release()
 
-	var sum int64
-	comp, err := s.rt.InvokeCtx(ctx, "worker", core.Wait, func(context.Context) {
-		sum = s.compute(size)
-	})
+	p := s.takePayload(size)
+	comp, err := s.rt.InvokeCtx(ctx, "worker", core.Wait, p.ctxBlock)
 	if err != nil {
 		s.errors.Add(1)
 		http.Error(w, "compute failed", http.StatusInternalServerError)
-		return false
+		return
 	}
 	switch cerr := comp.Err(); {
 	case core.IsDeadline(cerr), ctx.Err() != nil:
@@ -450,13 +486,12 @@ func (s *Server) handleEncryptQoS(w http.ResponseWriter, r *http.Request, size i
 		// request's deadline: either way the response is too late.
 		s.shed.Add(1)
 		http.Error(w, "deadline exceeded", http.StatusServiceUnavailable)
-		return false
+		return
 	case cerr != nil:
 		s.failCompute(w, cerr)
-		return false
+		return
 	}
-	s.reply(w, sum)
-	return true
+	s.reply(w, p)
 }
 
 // failCompute writes the failure response for a finished-with-error
@@ -529,8 +564,9 @@ func (s *Server) Stop() {
 
 // Client is a minimal HTTP client for driving the service under load.
 type Client struct {
-	base string
-	http *http.Client
+	base    string
+	encrypt string // base + "/encrypt?size=", built once
+	http    *http.Client
 }
 
 // NewClient builds a client for the server at base (as returned by Start).
@@ -543,7 +579,8 @@ func NewClient(base string) *Client {
 // client-side timeout instead of wedging the scenario.
 func NewClientTimeout(base string, timeout time.Duration) *Client {
 	return &Client{
-		base: base,
+		base:    base,
+		encrypt: base + "/encrypt?size=",
 		http: &http.Client{
 			Timeout: timeout,
 			Transport: &http.Transport{
@@ -581,9 +618,10 @@ func (c *Client) Encrypt(size int) (int64, error) {
 // (0 on transport failure). Callers driving overload scenarios use the
 // status to distinguish sheds (503) from successes and hard errors.
 func (c *Client) Do(size int) (int64, int, error) {
-	url := c.base + "/encrypt"
+	url := strings.TrimSuffix(c.encrypt, "?size=")
 	if size > 0 {
-		url += "?size=" + strconv.Itoa(size)
+		var buf [64]byte
+		url = string(strconv.AppendInt(append(buf[:0], c.encrypt...), int64(size), 10))
 	}
 	resp, err := c.http.Get(url)
 	if err != nil {

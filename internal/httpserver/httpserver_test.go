@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/kernels"
 	"repro/internal/testutil/raceflag"
 	"repro/internal/workload"
@@ -169,10 +170,20 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
+// discardWriter is a ResponseWriter that keeps nothing and allocates nothing.
+type discardWriter struct{ h http.Header }
+
+func (d discardWriter) Header() http.Header       { return d.h }
+func (discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (discardWriter) WriteHeader(int)             {}
+
 // TestPayloadIsRecycled: once warm, requests of both http_encrypt sizes run
-// on the free list's kernel and allocate nothing, across garbage collections
+// on the free list's payload and allocate nothing, across garbage collections
 // too (a sync.Pool would be emptied by them); a payload above keptPayloadBytes
-// is served with the right checksum and not kept.
+// is served with the right checksum and not kept. On the Pyjama path the
+// worker runs the block bound to the payload, so a request's invocation costs
+// its task node and nothing else: no closure, no captured checksum, no reply
+// buffer.
 func TestPayloadIsRecycled(t *testing.T) {
 	s, c := startServer(t, Config{Mode: Jetty, Workers: 1})
 	big := keptPayloadBytes + 1
@@ -182,20 +193,26 @@ func TestPayloadIsRecycled(t *testing.T) {
 		t.Fatalf("size %d: sum=%d err=%v, want %d", big, sum, err, want.Checksum())
 	}
 	if n := len(s.idle); n != 0 {
-		t.Fatalf("%d kernels idle after a %d-byte request, want 0", n, big)
+		t.Fatalf("%d payloads idle after a %d-byte request, want 0", n, big)
 	}
 	if _, err := c.Encrypt(1 << 10); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(s.idle); n != 1 {
-		t.Fatalf("%d kernels idle after a 1 KiB request, want 1", n)
+		t.Fatalf("%d payloads idle after a 1 KiB request, want 1", n)
 	}
 	if raceflag.Enabled {
 		t.Skip("the race detector allocates on its own account")
 	}
+	var w http.ResponseWriter = discardWriter{}
+	serve := func(size int) {
+		p := s.takePayload(size)
+		p.compute()
+		s.reply(w, p)
+	}
 	// AllocsPerRun's warm-up call grows the kept kernel to 256 KiB.
-	if got := testing.AllocsPerRun(20, func() { s.compute(1 << 10); s.compute(256 << 10) }); got != 0 {
-		t.Errorf("compute on a recycled payload: %v allocs/op, want 0", got)
+	if got := testing.AllocsPerRun(20, func() { serve(1 << 10); serve(256 << 10) }); got != 0 {
+		t.Errorf("a request on a recycled payload: %v allocs/op, want 0", got)
 	}
 	// Two collections in a row, as TestWaiterFreeListSurvivesGC runs them: a
 	// sync.Pool keeps what one collection took in its victim cache. In a
@@ -204,12 +221,27 @@ func TestPayloadIsRecycled(t *testing.T) {
 	collect := func() { runtime.GC(); runtime.GC() }
 	gc := testing.AllocsPerRun(20, func() { collect(); collect() })
 	if got := testing.AllocsPerRun(20, func() {
-		s.compute(1 << 10)
+		serve(1 << 10)
 		collect()
-		s.compute(256 << 10)
+		serve(256 << 10)
 		collect()
 	}); got != gc {
-		t.Errorf("compute across collections: %v allocs/op, want the collections' own %v", got, gc)
+		t.Errorf("requests across collections: %v allocs/op, want the collections' own %v", got, gc)
+	}
+
+	py, _ := startServer(t, Config{Mode: Pyjama, Workers: 1})
+	want = kernels.NewCrypt(1 << 10)
+	want.RunSeq()
+	got := testing.AllocsPerRun(50, func() {
+		p := py.takePayload(1 << 10)
+		comp, err := py.rt.Invoke("worker", core.Wait, p.block)
+		if err != nil || comp.Err() != nil || p.sum != want.Checksum() {
+			t.Fatalf("Invoke: err=%v, block err=%v, sum=%d, want %d", err, comp.Err(), p.sum, want.Checksum())
+		}
+		py.reply(w, p)
+	})
+	if got != 1 {
+		t.Errorf("a Pyjama request on a recycled payload: %v allocs/op, want 1 (the Invoke's task node)", got)
 	}
 }
 

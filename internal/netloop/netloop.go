@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"repro/internal/eventloop"
+	"repro/internal/executor"
 	"repro/internal/gid"
 	"repro/internal/qos"
 	"repro/internal/reactor"
@@ -209,7 +210,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 			conn.Close()
 			continue
 		}
-		c := &Client{server: s, conn: conn, id: s.nextID.Add(1), slotHeld: s.connLimiter != nil}
+		c := s.newClient(conn, nil)
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -232,6 +233,21 @@ func (s *Server) deliver(c *Client, line string) {
 	if s.onMessage != nil {
 		s.onMessage(c, line)
 	}
+}
+
+// deliverNext is the body of every "msg" event a client posts, bound once per
+// connection as c.next: it delivers the client's oldest pending line. One
+// goroutine reads a connection, so its posts reach the loop in the order its
+// entries were pushed, and each dispatch pops exactly one entry: every
+// dispatch delivers the line it was posted for.
+func (s *Server) deliverNext(c *Client) {
+	defer s.limiter.Release() // however the delivery ends, an injected panic included
+	m := c.pending.pop()
+	if m.wrapped != nil {
+		m.wrapped()
+		return
+	}
+	s.deliver(c, m.line)
 }
 
 // readLoop turns each received line into a dispatch-loop event — the
@@ -285,14 +301,14 @@ func (ir *idleReader) Read(p []byte) (int, error) {
 }
 
 // handleLine runs one received line through the interception and admission
-// pipeline and posts its delivery to the dispatch loop. Shared by both
-// transports (per-connection reader goroutines and the reactor's poll
-// goroutine).
+// pipeline, queues it on the client and posts the client's delivery closure to
+// the dispatch loop. Shared by both transports (per-connection reader
+// goroutines and the reactor's poll goroutine).
 func (s *Server) handleLine(c *Client, line string) {
 	s.messages.Add(1)
 	// Only an installed interceptor needs the delivery as a closure of its
-	// own to wrap; without one, wrapped stays nil and a message costs the
-	// one closure PostLabeled needs.
+	// own to wrap; without one, wrapped stays nil and a message costs its
+	// line and the loop's Completion.
 	var wrapped func()
 	if p := s.interceptor.Load(); p != nil {
 		var keep bool
@@ -316,14 +332,12 @@ func (s *Server) handleLine(c *Client, line string) {
 	// network receive that caused it (the cross-boundary edge of the message
 	// path).
 	sc := trace.Open(trace.ActiveSink(), "recv", s.name)
-	s.loop.PostLabeled("msg", func() {
-		defer s.limiter.Release() // however the delivery ends, an injected panic included
-		if wrapped != nil {
-			wrapped()
-			return
-		}
-		s.deliver(c, line)
-	})
+	c.pending.push(message{line, wrapped})
+	if s.loop.PostLabeled("msg", c.next).Err() == executor.ErrShutdown {
+		// The loop has stopped and will never pop the entry: take it back.
+		c.pending.unpush()
+		s.limiter.Release()
+	}
 	sc.Close()
 }
 
@@ -424,6 +438,12 @@ type Client struct {
 	rc     *reactor.Conn
 	id     int64
 
+	// pending holds the lines posted to the dispatch loop and not yet
+	// delivered; next (Server.deliverNext bound to this client) is the body
+	// of every one of those posts.
+	pending fifo
+	next    func()
+
 	// partial holds a line fragment spanning readiness events; it is only
 	// touched on the reactor's poll goroutine, so it needs no lock.
 	partial []byte
@@ -439,6 +459,71 @@ type Client struct {
 	// once however the connection ends.
 	slotHeld  bool
 	slotFreed atomic.Bool
+}
+
+// newClient builds the record of one accepted connection, on either
+// transport, and binds its delivery closure once for the connection's life.
+func (s *Server) newClient(conn net.Conn, rc *reactor.Conn) *Client {
+	c := &Client{server: s, conn: conn, rc: rc, id: s.nextID.Add(1), slotHeld: s.connLimiter != nil}
+	c.next = func() { s.deliverNext(c) }
+	return c
+}
+
+// message is one received line waiting in a client's fifo, with the
+// interceptor's wrapper of its delivery (nil without an interceptor).
+type message struct {
+	line    string
+	wrapped func()
+}
+
+// maxIdleFIFO is the largest ring a fifo keeps once it drains; one that grew
+// past it under a burst is dropped then, not pinned for the connection's life.
+const maxIdleFIFO = 64
+
+// fifo is a client's queue of pending messages: a ring whose slots are reused
+// (zeroed when popped, so a drained ring references no line), pushed by the
+// connection's one reading goroutine and popped on the dispatch loop.
+type fifo struct {
+	mu      sync.Mutex
+	buf     []message
+	head, n int
+}
+
+func (q *fifo) push(m message) {
+	q.mu.Lock()
+	if q.n == len(q.buf) {
+		grown := make([]message, max(4, 2*len(q.buf)))
+		for i := range q.n {
+			grown[i] = q.buf[(q.head+i)%len(q.buf)]
+		}
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)%len(q.buf)] = m
+	q.n++
+	q.mu.Unlock()
+}
+
+// pop removes and returns the oldest message. A post pops only the entry
+// pushed before it, so the ring is never empty here.
+func (q *fifo) pop() message {
+	q.mu.Lock()
+	m := q.buf[q.head]
+	q.buf[q.head] = message{}
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
+	if q.n == 0 && len(q.buf) > maxIdleFIFO {
+		q.buf, q.head = nil, 0
+	}
+	q.mu.Unlock()
+	return m
+}
+
+// unpush removes the newest message, whose post the loop rejected.
+func (q *fifo) unpush() {
+	q.mu.Lock()
+	q.n--
+	q.buf[(q.head+q.n)%len(q.buf)] = message{}
+	q.mu.Unlock()
 }
 
 // releaseSlot frees the client's admission slot, at most once.

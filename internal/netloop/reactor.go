@@ -51,7 +51,7 @@ func (s *Server) reactorAccept(rc *reactor.Conn) reactor.HandlerFuncs {
 		rc.Close()
 		return reactor.HandlerFuncs{}
 	}
-	c := &Client{server: s, rc: rc, id: s.nextID.Add(1), slotHeld: s.connLimiter != nil}
+	c := s.newClient(nil, rc)
 	rc.SetContext(c)
 	s.mu.Lock()
 	closed := s.closed

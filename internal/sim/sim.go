@@ -371,7 +371,7 @@ func (s *Sim) run(t *stask) bool {
 			s.reg.Register(prev)
 		}
 	}()
-	ran := t.Run(t.comp, t.exec.name, nil)
+	ran := t.Run(t.comp, t.exec.name, nil, nil)
 	if ran {
 		t.exec.dispatched++
 	}
