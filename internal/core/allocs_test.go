@@ -4,19 +4,20 @@ import (
 	"context"
 	"runtime"
 	"testing"
-	"unsafe"
 
 	"repro/internal/executor"
 	"repro/internal/testutil/raceflag"
 )
 
 // TestAllocationBudget holds every way of handing a block to a virtual target
-// to the heap objects DESIGN.md §10 accounts for: the node the caller keeps a
-// pointer into, and nothing for the join — a joiner that parks or awaits takes
-// its waiter node from the executor package's free list, which AllocsPerRun's
-// warm-up run fills. Each figure is testing.AllocsPerRun's mean over 200 runs
-// rounded down. The runs count the whole process, the worker's and the EDT's
-// side of the dispatch included.
+// to the heap objects DESIGN.md §10 accounts for, and to their bytes: the node
+// the caller keeps a pointer into, and nothing for the join — a joiner that
+// parks or awaits takes its waiter node from the executor package's free list,
+// which the warm-up run fills. Each figure is the mean over 200 runs, on one P
+// as testing.AllocsPerRun measures, rounded down: MemStats.Mallocs for the
+// objects, MemStats.TotalAlloc (size classes, not requested sizes) for the
+// bytes. The runs count the whole process, the worker's and the EDT's side of
+// the dispatch included.
 func TestAllocationBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector allocates on its own account")
@@ -47,60 +48,72 @@ func TestAllocationBudget(t *testing.T) {
 	onWorker := func(measure func()) { f.pool.Post(measure).Wait() }
 
 	rows := []struct {
-		name   string
-		budget float64
-		from   func(measure func())
-		op     func()
+		name           string
+		objects, bytes uint64
+		from           func(measure func())
+		op             func()
 	}{
-		{"WorkerPool.Post", 1, foreign, func() { f.pool.Post(noop) }},
-		// AllocsPerRun runs on one P, so the worker cannot run the block
-		// before the poster blocks: this Wait always parks.
-		{"WorkerPool.Post.Wait that parks", 1, foreign, func() { f.pool.Post(noop).Wait() }},
-		{"Loop.Post", 1, foreign, func() { f.edt.Post(noop) }},
-		{"Loop.InvokeAndWait", 1, foreign, func() { f.edt.InvokeAndWait(noop) }},
-		{"Invoke(Wait)", 1, foreign, func() { f.rt.Invoke("worker", Wait, noop) }},
-		{"Invoke(Nowait)", 1, foreign, func() { f.rt.Invoke("worker", Nowait, noop) }},
-		{"Invoke(Await)", 1, foreign, func() { f.rt.Invoke("worker", Await, noop) }},
-		{"Invoke(Await) from the EDT", 1, onEDT, func() { f.rt.Invoke("worker", Await, noop) }},
-		{"Invoke(Await) from a pool worker", 1, onWorker, func() { f.rt.Invoke("edt", Await, noop) }},
-		{"InvokeNamed+WaitTag", 1, foreign, func() {
+		{"WorkerPool.Post", 1, 32, foreign, func() { f.pool.Post(noop) }},
+		// The runs are on one P, so the worker cannot run the block before
+		// the poster blocks: this Wait always parks.
+		{"WorkerPool.Post.Wait that parks", 1, 32, foreign, func() { f.pool.Post(noop).Wait() }},
+		{"Loop.Post", 1, 16, foreign, func() { f.edt.Post(noop) }},
+		{"Loop.InvokeAndWait", 1, 16, foreign, func() { f.edt.InvokeAndWait(noop) }},
+		{"Invoke(Wait)", 1, 32, foreign, func() { f.rt.Invoke("worker", Wait, noop) }},
+		{"Invoke(Nowait)", 1, 32, foreign, func() { f.rt.Invoke("worker", Nowait, noop) }},
+		{"Invoke(Await)", 1, 32, foreign, func() { f.rt.Invoke("worker", Await, noop) }},
+		{"Invoke(Await) from the EDT", 1, 32, onEDT, func() { f.rt.Invoke("worker", Await, noop) }},
+		{"Invoke(Await) from a pool worker", 1, 16, onWorker, func() { f.rt.Invoke("edt", Await, noop) }},
+		{"InvokeNamed+WaitTag", 1, 32, foreign, func() {
 			f.rt.InvokeNamed("worker", "budget", noop)
 			f.rt.WaitTag("budget")
 		}},
 		// The block's closure over ctx joins the node; a context that can
 		// expire adds the AfterFunc registration (its context, its callback,
 		// its stop function) — no second completion, no channel, no goroutine.
-		{"InvokeCtx(Background, Wait)", 2, foreign, func() { f.rt.InvokeCtx(context.Background(), "worker", Wait, noopCtx) }},
-		{"InvokeCtx(Background, Wait) on the EDT", 2, foreign, func() { f.rt.InvokeCtx(context.Background(), "edt", Wait, noopCtx) }},
-		{"InvokeCtx(cancellable, Wait)", 5, foreign, func() { f.rt.InvokeCtx(live, "worker", Wait, noopCtx) }},
-		{"InvokeCtx(cancellable, Wait) on the EDT", 5, foreign, func() { f.rt.InvokeCtx(live, "edt", Wait, noopCtx) }},
+		{"InvokeCtx(Background, Wait)", 2, 64, foreign, func() { f.rt.InvokeCtx(context.Background(), "worker", Wait, noopCtx) }},
+		{"InvokeCtx(Background, Wait) on the EDT", 2, 48, foreign, func() { f.rt.InvokeCtx(context.Background(), "edt", Wait, noopCtx) }},
+		{"InvokeCtx(cancellable, Wait)", 5, 256, foreign, func() { f.rt.InvokeCtx(live, "worker", Wait, noopCtx) }},
+		{"InvokeCtx(cancellable, Wait) on the EDT", 5, 240, foreign, func() { f.rt.InvokeCtx(live, "edt", Wait, noopCtx) }},
 		// The channel; the node under it goes back to the free list when the
 		// completion finishes.
-		{"Completion.Done", 1, foreign, func() {
+		{"Completion.Done", 1, 112, foreign, func() {
 			pending[next].c.Done()
 			pending[next].finish(nil)
 			next++
 		}},
 	}
 	for _, row := range rows {
-		var got float64
+		var objects, bytes uint64
 		row.from(func() {
 			// The yield is what lets the target's side of a fire-and-forget
 			// post — running the block, completing it, recycling the loop's
 			// pooled queue node — happen inside the run that caused it.
-			got = testing.AllocsPerRun(runs, func() {
+			objects, bytes = perRun(runs, func() {
 				row.op()
 				runtime.Gosched()
 			})
 		})
-		if got > row.budget {
-			t.Errorf("%s: %v allocs/op, budget %v", row.name, got, row.budget)
+		if objects > row.objects {
+			t.Errorf("%s: %d allocs/op, budget %d", row.name, objects, row.objects)
+		}
+		if bytes > row.bytes {
+			t.Errorf("%s: %d B/op, budget %d", row.name, bytes, row.bytes)
 		}
 	}
+}
 
-	// The node every Post allocates embeds a Completion: growing it grows
-	// every task in flight.
-	if size := unsafe.Sizeof(executor.Completion{}); size > 24 {
-		t.Errorf("executor.Completion is %d bytes, budget 24", size)
+// perRun is testing.AllocsPerRun with a bytes column: one warm-up run, then
+// the means over runs more on one P, each rounded down.
+func perRun(runs int, op func()) (objects, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	op()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		op()
 	}
+	runtime.ReadMemStats(&after)
+	n := uint64(runs)
+	return (after.Mallocs - before.Mallocs) / n, (after.TotalAlloc - before.TotalAlloc) / n
 }

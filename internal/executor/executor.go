@@ -64,24 +64,39 @@ func (e *PanicError) Error() string { return fmt.Sprintf("executor: task panicke
 // waiters stack — and receives on the node's own one-token channel, the idiom
 // of parker.wake; complete swaps the stack for the closed mark, which is what
 // Finished reads, and hands every node its token. Fire-and-forget submissions
-// (Nowait mode — the dominant traffic under load) never touch the third word.
+// (Nowait mode — the dominant traffic under load) never touch the second word.
+//
+// The first word is the whole lifecycle, queued → running → verdict: nil
+// while queued, &runningMark once Bracket.Run has claimed the body, and any
+// other value is the verdict — &okVerdict or the boxed error. Each step is
+// one CompareAndSwap. Run's and Cancel's both start from nil, so a queued
+// task either runs or is cancelled, never both; complete starts from nil or
+// the running mark and backs off from a verdict, so the first verdict wins.
 type Completion struct {
-	state   atomic.Uint32 // compClaimed | taskRunning | taskCancelled
-	err     atomic.Pointer[error]
+	verdict atomic.Pointer[error]
 	waiters atomic.Pointer[Waiter] // registered joiners, newest first; &closedWaiters once finished
 }
 
-const (
-	// compClaimed is taken by the one attempt whose verdict counts.
-	compClaimed uint32 = 1 << iota
-	// taskRunning and taskCancelled are the one transition out of "queued":
-	// a queued task has a zero word, and each bit is taken by a
-	// CompareAndSwap from zero — Bracket.Run's before it runs the body,
-	// Cancel's (with compClaimed) before it publishes its error. Whoever
-	// takes it, the other finds the word nonzero and backs off.
-	taskRunning
-	taskCancelled
+// The lifecycle marks: distinct variables, compared by address only. The
+// running mark holds a non-nil error, so a reader that forgot to map it to
+// nil would show it rather than pass it off as success.
+var (
+	runningMark error = errors.New("executor: task running")
+	okVerdict   error
 )
+
+// isVerdict reports whether v, a value of the verdict word, is a verdict.
+func isVerdict(v *error) bool { return v != nil && v != &runningMark }
+
+// box returns the verdict word's value for err. Only a non-nil error is
+// boxed, in its own branch: taking err's address would box it on every call.
+func box(err error) *error {
+	if err == nil {
+		return &okVerdict
+	}
+	boxed := err
+	return &boxed
+}
 
 // Waiter is one registration on a Completion's stack. A joiner's node is
 // woken through its token; a Done registration carries the channel Done
@@ -93,8 +108,10 @@ type Waiter struct {
 }
 
 // closedWaiters is the stack of every finished completion: no push succeeds
-// once complete has swapped it in.
-var closedWaiters Waiter
+// once complete has swapped it in. It carries the closed done channel, so a
+// second wake of one completion — a verdict overwritten — panics closing it
+// instead of blocking forever on a nil token.
+var closedWaiters = Waiter{done: closedDone}
 
 // waiterFree is the free list of waiter nodes. It is a buffered channel and
 // not a sync.Pool because it has to survive the collector: a pool is emptied
@@ -178,22 +195,21 @@ func RunCaptured(fn func()) (err error) {
 	return nil
 }
 
-// complete finishes the completion. Only the call that takes compClaimed
-// publishes an error, so a verdict a joiner has read never changes; it is
-// stored before the closed mark, so whoever sees Finished sees it. Only a
-// non-nil error is boxed: taking err's own address would box it on every
-// completion.
+// complete finishes the completion: one CompareAndSwap from queued or running
+// to the verdict, so a verdict a joiner has read never changes. The verdict is
+// stored before the closed mark, so whoever sees Finished sees it.
 func (c *Completion) complete(err error) {
-	for {
-		s := c.state.Load()
-		if s&compClaimed != 0 {
+	cur := c.verdict.Load()
+	if isVerdict(cur) {
+		return
+	}
+	v := box(err)
+	for !c.verdict.CompareAndSwap(cur, v) {
+		if cur = c.verdict.Load(); isVerdict(cur) {
 			return
 		}
-		if c.state.CompareAndSwap(s, s|compClaimed) {
-			break
-		}
 	}
-	c.publish(err)
+	c.wake()
 }
 
 // Cancel revokes a task that is still queued: it finishes the completion with
@@ -205,19 +221,16 @@ func (c *Completion) complete(err error) {
 // completion that is not a queued task (NewPendingCompletion) true means only
 // that err is the verdict and the completer's later one is ignored.
 func (c *Completion) Cancel(err error) bool {
-	if !c.state.CompareAndSwap(0, taskCancelled|compClaimed) {
+	if c.verdict.Load() != nil || !c.verdict.CompareAndSwap(nil, box(err)) {
 		return false
 	}
-	c.publish(err)
+	c.wake()
 	return true
 }
 
-// publish is the half of complete and Cancel that follows the claim.
-func (c *Completion) publish(err error) {
-	if err != nil {
-		boxed := err
-		c.err.Store(&boxed)
-	}
+// wake is the half of complete and Cancel that follows the verdict: close the
+// waiters stack and release every joiner on it.
+func (c *Completion) wake() {
 	for w := c.waiters.Swap(&closedWaiters); w != nil; {
 		// A joiner may free w, and the next owner push it elsewhere, the
 		// moment the token is sent: w is read and unlinked before that.
@@ -351,13 +364,12 @@ func (c *Completion) Finished() bool {
 
 // Err returns the task's terminal error: nil on success, a *PanicError if the
 // body panicked, or ErrShutdown if it was rejected. Err returns nil while the
-// task is still running.
+// task is still queued or running.
 func (c *Completion) Err() error {
-	p := c.err.Load()
-	if p == nil {
-		return nil
+	if p := c.verdict.Load(); isVerdict(p) {
+		return *p
 	}
-	return *p
+	return nil
 }
 
 // Executor is the common surface of the virtual-target execution engines.
@@ -397,28 +409,30 @@ type Stats struct {
 // Bracket is the run half of the dispatch bracket (DESIGN.md §12), the one
 // realisation of Algorithm 1's "post a block to a virtual target, run it,
 // signal its completion" that every executor's queue node embeds: the body
-// plus the two span ids that carry causal tracing across the queue. Both ids
-// travel with the node, so a task keeps its submitter as the span parent no
-// matter which worker or helping goroutine ends up running it.
+// plus the run-span id that carries causal tracing across the queue. The
+// submitter's span is not kept: the OpEnqueue event records it, and
+// trace.BuildTree parents the run span there, so a task keeps its submitter
+// as the span parent no matter which worker or helping goroutine runs it.
 type Bracket struct {
 	// Fn is the task body. Run clears it, so a long-held Completion does
 	// not pin the body's captures.
 	Fn func()
-	// span is the pre-allocated run-span id and spawn the submitter's span;
-	// both are zero unless a trace sink was installed at enqueue time.
-	span, spawn trace.SpanID
+	// span is the pre-allocated run-span id, zero unless a trace sink was
+	// installed at enqueue time.
+	span trace.SpanID
 }
 
 // Enqueued records that the task entered target's queue, caused by spawn
 // (0 = the calling goroutine's current span). The OpEnqueue event and the
 // eventual run span share one id: exporters use the pair as the
-// cross-goroutine flow edge and metrics as the queue-sojourn measurement.
+// cross-goroutine flow edge, metrics as the queue-sojourn measurement, and
+// BuildTree as the run span's causal parent.
 func (b *Bracket) Enqueued(target string, spawn trace.SpanID) {
 	if s := trace.ActiveSink(); s != nil {
 		if spawn == 0 {
 			spawn = trace.Current()
 		}
-		b.span, b.spawn = trace.NewSpanID(), spawn
+		b.span = trace.NewSpanID()
 		trace.Enqueue(s, b.span, target, spawn)
 	}
 }
@@ -428,10 +442,11 @@ func (b *Bracket) Enqueued(target string, spawn trace.SpanID) {
 // blocks that invoke further targets parent here) → body under panic capture
 // → settled(err) → restore the previous current span and end the run span →
 // comp finishes. A joiner therefore never wakes while its child's run span
-// is still open. The run span's parent is the submitter's span when one was
-// active at enqueue time; otherwise the runner's current span — which is
-// exactly the awaiting invoke's span when a helping thread runs the task
-// inside a logical barrier.
+// is still open. The run span's begin records the runner's current span as
+// its parent; BuildTree prefers the submitter's span from the OpEnqueue event
+// when one was active at enqueue time, so the runner's counts only without
+// one — which is exactly the awaiting invoke's span when a helping thread
+// runs the task inside a logical barrier.
 //
 // A node whose completion was cancelled while it sat in the queue loses the
 // claim and is skipped: Run ends the span id taken at Enqueued, calls nothing
@@ -447,7 +462,7 @@ func (b *Bracket) Enqueued(target string, spawn trace.SpanID) {
 func (b *Bracket) Run(comp *Completion, target string, begin func(), settled func(error)) bool {
 	fn := b.Fn
 	b.Fn = nil
-	if !comp.state.CompareAndSwap(0, taskRunning) {
+	if !comp.verdict.CompareAndSwap(nil, &runningMark) {
 		b.endUnrun(target)
 		return false
 	}
@@ -459,11 +474,7 @@ func (b *Bracket) Run(comp *Completion, target string, begin func(), settled fun
 	if b.span != 0 {
 		if sink = trace.ActiveSink(); sink != nil {
 			prev = trace.Swap(b.span)
-			parent := b.spawn
-			if parent == 0 {
-				parent = prev
-			}
-			trace.BeginSpanID(sink, b.span, "run", target, parent)
+			trace.BeginSpanID(sink, b.span, "run", target, prev)
 		}
 	}
 	verdict := ErrWorkerCrashed
@@ -503,10 +514,11 @@ func (b *Bracket) endUnrun(target string) {
 	b.span = 0
 }
 
-// task is the worker pool's queue node. The Completion is embedded so a
-// plain Post is a single allocation (core's TestAllocationBudget holds it to
-// that); the node is never pooled or reused (callers hold pointers into it
-// via the Completion, for as long as they like).
+// task is the worker pool's queue node: four words, the 32-byte size class
+// (TestNodeSizes). The Completion is embedded so a plain Post is a single
+// allocation (core's TestAllocationBudget holds it to that); the node is never
+// pooled or reused (callers hold pointers into it via the Completion, for as
+// long as they like).
 type task struct {
 	Bracket
 	comp Completion

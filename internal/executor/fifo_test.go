@@ -101,9 +101,10 @@ func TestBlockedWorkerStrandsNothing(t *testing.T) {
 }
 
 // TestSpanCausalityAcrossWorkers: a task's run span stays parented on the
-// submitter's span (the Enqueue edge), not on whatever the worker that ends
-// up running it was doing — here the worker that comes out of a gate task
-// while its sibling is still inside one.
+// submitter's span — the parent its OpEnqueue event records, which BuildTree
+// prefers — not on whatever the worker that ends up running it was doing:
+// here the worker that comes out of a gate task while its sibling is still
+// inside one.
 func TestSpanCausalityAcrossWorkers(t *testing.T) {
 	defer leakcheck.Check(t)()
 	var reg gid.Registry
@@ -128,18 +129,29 @@ func TestSpanCausalityAcrossWorkers(t *testing.T) {
 	}
 	close(release[1])
 
-	runs := 0
-	for _, e := range buf.Snapshot() {
-		if e.Op == trace.OpSpanBegin && e.Name == "run" {
-			runs++
+	events := buf.Snapshot()
+	enqueues := 0
+	for _, e := range events {
+		if e.Op == trace.OpEnqueue {
+			enqueues++
 			if e.Parent != parent {
-				t.Fatalf("run span %d parented on %d, want submitter span %d",
+				t.Fatalf("enqueue of span %d records parent %d, want submitter span %d",
 					e.Span, e.Parent, parent)
 			}
 		}
 	}
-	if runs != 2 {
-		t.Fatalf("saw %d traced runs, want 2", runs)
+	if enqueues != 2 {
+		t.Fatalf("saw %d traced enqueues, want 2", enqueues)
+	}
+	runs := trace.BuildTree(events).FindAll("run", "causal")
+	if len(runs) != 2 {
+		t.Fatalf("tree holds %d runs, want 2", len(runs))
+	}
+	for _, run := range runs {
+		if run.Parent != parent || run.Start.IsZero() {
+			t.Fatalf("run span %d parented on %d (begun: %v), want submitter span %d",
+				run.ID, run.Parent, !run.Start.IsZero(), parent)
+		}
 	}
 }
 

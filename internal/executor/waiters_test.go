@@ -280,10 +280,14 @@ func TestWaiterFreeListSurvivesGC(t *testing.T) {
 }
 
 // TestNodeSizes: the pool's queue node is the one object a Post allocates, and
-// it sits in the 48-byte size class only as long as the task lifecycle shares
-// the embedded completion's state word.
+// the Completion the one a Loop.Post allocates. The node sits in the 32-byte
+// size class only as long as the lifecycle is the verdict word and the node
+// carries one span id; the Completion is those two words.
 func TestNodeSizes(t *testing.T) {
-	if size := unsafe.Sizeof(task{}); size > 48 {
-		t.Errorf("task is %d bytes, budget 48", size)
+	if size := unsafe.Sizeof(task{}); size != 32 {
+		t.Errorf("task is %d bytes, want 32", size)
+	}
+	if size := unsafe.Sizeof(Completion{}); size != 16 {
+		t.Errorf("Completion is %d bytes, want 16", size)
 	}
 }

@@ -36,9 +36,12 @@ func NewCrypt(size int) *Crypt {
 // Reset makes c what NewCrypt(size) returns: the same key schedules, the same
 // plaintext, not yet run. Handlers construct inside the timed region, so
 // generation has to be cheap: eight bytes a draw from splitmix64, whose state
-// is one word and needs no seeding pass. Buffers that hold size bytes are
-// reused (cipher and out keep stale bytes, unread until the next run
-// overwrites them); otherwise plain, cipher and out are one new array.
+// is one word and needs no seeding pass, and only bytes not drawn before.
+// Nothing writes plain after Reset, and its capacity is the high-water mark:
+// every byte up to it holds the stream. A Reset within that capacity draws
+// nothing (cipher and out keep stale bytes, unread until the next run
+// overwrites them); a larger one moves the drawn prefix into one new array
+// for plain, cipher and out and resumes the stream where the prefix ends.
 func (c *Crypt) Reset(size int) {
 	if size < ideaBlock {
 		size = ideaBlock
@@ -52,23 +55,28 @@ func (c *Crypt) Reset(size int) {
 	}
 	c.encKey = ideaEncryptKey(userKey)
 	c.decKey = ideaDecryptKey(c.encKey)
-	if cap(c.plain) < size {
+	if drawn := cap(c.plain); drawn < size {
 		buf := make([]byte, 3*size)
+		copy(buf, c.plain[:drawn])
+		// splitmix64 is a counter: after k draws its state is seed + k·γ.
+		rng += splitmix64(drawn/ideaBlock) * splitmixGamma
+		for p := buf[drawn:size]; len(p) >= ideaBlock; p = p[ideaBlock:] {
+			binary.LittleEndian.PutUint64(p, rng.next())
+		}
 		c.plain, c.cipher, c.out = buf[:size:size], buf[size:2*size:2*size], buf[2*size:]
 	}
 	c.n, c.ran = size, false
 	c.plain, c.cipher, c.out = c.plain[:size], c.cipher[:size], c.out[:size]
-	for p := c.plain; len(p) >= ideaBlock; p = p[ideaBlock:] {
-		binary.LittleEndian.PutUint64(p, rng.next())
-	}
 }
 
 // splitmix64 is Steele, Lea and Flood's 64-bit generator: one add and three
 // xor-shift-multiplies per draw, state in a register.
 type splitmix64 uint64
 
+const splitmixGamma = 0x9e3779b97f4a7c15
+
 func (s *splitmix64) next() uint64 {
-	*s += 0x9e3779b97f4a7c15
+	*s += splitmixGamma
 	z := uint64(*s)
 	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
 	z = (z ^ z>>27) * 0x94d049bb133111eb
@@ -117,9 +125,27 @@ func (c *Crypt) Checksum() int64 {
 	if !c.ran {
 		return 0
 	}
+	return byteSum(c.cipher)
+}
+
+// byteSum adds b's bytes eight at a time: the even and odd bytes of each word
+// go into four 16-bit lanes, which hold the sums of up to 128 words (128 · 2 ·
+// 255 < 2¹⁶) before they are folded into the total.
+func byteSum(b []byte) int64 {
+	const evens = 0x00ff00ff00ff00ff
 	var sum int64
-	for _, b := range c.cipher {
-		sum += int64(b)
+	for len(b) >= 8 {
+		words := min(len(b)/8, 128)
+		var lanes uint64
+		for i := 0; i < words; i++ {
+			w := binary.LittleEndian.Uint64(b[8*i:])
+			lanes += w&evens + w>>8&evens
+		}
+		sum += int64(lanes&0xffff + lanes>>16&0xffff + lanes>>32&0xffff + lanes>>48)
+		b = b[8*words:]
+	}
+	for _, v := range b {
+		sum += int64(v)
 	}
 	return sum
 }

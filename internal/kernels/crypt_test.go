@@ -203,28 +203,47 @@ func TestNewCryptPlaintext(t *testing.T) {
 // TestCryptResetMatchesNewCrypt: one instance Reset through shrinking and
 // growing sizes, odd ones included, runs byte for byte like a fresh NewCrypt
 // both ways, and a Reset within its capacity allocates nothing (the HTTP
-// server's recycled payload depends on both).
+// server's recycled payload depends on both). The sequences grow, shrink and
+// grow again inside one buffer, where nothing is drawn, and grow past it,
+// where the stream resumes after the bytes already drawn.
 func TestCryptResetMatchesNewCrypt(t *testing.T) {
-	c := new(Crypt)
-	for _, size := range []int{256 << 10, 1 << 10, 13, 200000, 8} {
-		c.Reset(size)
-		for _, par := range []bool{false, true} {
-			fresh := NewCrypt(size)
-			if par {
-				c.RunPar(3)
-				fresh.RunPar(3)
-			} else {
-				c.RunSeq()
-				fresh.RunSeq()
+	var c *Crypt
+	for _, seq := range []struct {
+		sizes  []int
+		oneBuf bool // every Reset after the first stays inside its buffer
+	}{
+		{[]int{256 << 10, 1 << 10, 13, 200000, 8}, true},
+		{[]int{256 << 10, 1 << 10, 200000, 8, 256 << 10, 13, 4096, 256 << 10}, true},
+		{[]int{8, 13, 1 << 10, 4096, 200000, 256 << 10, 1 << 10, 256 << 10}, false},
+		{[]int{13, 8, 4096, 1 << 10, 4096, 200000, 16, 200000}, false},
+	} {
+		c = new(Crypt)
+		var first *byte
+		for _, size := range seq.sizes {
+			c.Reset(size)
+			if first == nil {
+				first = &c.plain[0]
+			} else if seq.oneBuf && &c.plain[0] != first {
+				t.Fatalf("sizes %v: Reset(%d) left the first buffer", seq.sizes, size)
 			}
-			if c.n != fresh.n || !bytes.Equal(c.plain, fresh.plain) || !bytes.Equal(c.cipher, fresh.cipher) {
-				t.Fatalf("size %d par=%v: reset instance differs from NewCrypt", size, par)
-			}
-			if got, want := c.Checksum(), fresh.Checksum(); got != want {
-				t.Fatalf("size %d par=%v: checksum %d, want %d", size, par, got, want)
-			}
-			if err := c.Validate(); err != nil {
-				t.Fatalf("size %d par=%v: %v", size, par, err)
+			for _, par := range []bool{false, true} {
+				fresh := NewCrypt(size)
+				if par {
+					c.RunPar(3)
+					fresh.RunPar(3)
+				} else {
+					c.RunSeq()
+					fresh.RunSeq()
+				}
+				if c.n != fresh.n || !bytes.Equal(c.plain, fresh.plain) || !bytes.Equal(c.cipher, fresh.cipher) {
+					t.Fatalf("sizes %v, size %d par=%v: reset instance differs from NewCrypt", seq.sizes, size, par)
+				}
+				if got, want := c.Checksum(), fresh.Checksum(); got != want {
+					t.Fatalf("sizes %v, size %d par=%v: checksum %d, want %d", seq.sizes, size, par, got, want)
+				}
+				if err := c.Validate(); err != nil {
+					t.Fatalf("sizes %v, size %d par=%v: %v", seq.sizes, size, par, err)
+				}
 			}
 		}
 	}
@@ -233,6 +252,43 @@ func TestCryptResetMatchesNewCrypt(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(20, func() { c.Reset(1 << 10); c.Reset(256 << 10) }); got != 0 {
 		t.Errorf("Reset within capacity: %v allocs/op, want 0", got)
+	}
+}
+
+// TestChecksumMatchesByteLoop: the word-wise sum is the byte loop's, on every
+// length from 8 to 4096 bytes, on 200 000 and on 256 KiB, at every alignment
+// of the slice's start, and on an all-0xff buffer, which fills the lanes. The
+// byte loop runs once per buffer, as prefix sums.
+func TestChecksumMatchesByteLoop(t *testing.T) {
+	prefix := func(b []byte) []int64 {
+		sums := make([]int64, len(b)+1)
+		for i, v := range b {
+			sums[i+1] = sums[i] + int64(v)
+		}
+		return sums
+	}
+	sizes := []int{200000, 256 << 10}
+	for n := 8; n <= 4096; n++ {
+		sizes = append(sizes, n)
+	}
+	big := NewCrypt(256<<10 + ideaBlock)
+	big.RunSeq()
+	for _, buf := range [][]byte{big.cipher, bytes.Repeat([]byte{0xff}, 256<<10+ideaBlock)} {
+		sums := prefix(buf)
+		for _, n := range sizes {
+			for off := 0; off < ideaBlock; off++ {
+				if got, want := byteSum(buf[off:off+n]), sums[off+n]-sums[off]; got != want {
+					t.Fatalf("%d bytes at offset %d: byteSum %d, byte loop %d", n, off, got, want)
+				}
+			}
+		}
+	}
+	for _, size := range []int{8, 4096, 200000, 256 << 10} {
+		c := NewCrypt(size)
+		c.RunSeq()
+		if got, want := c.Checksum(), prefix(c.cipher)[size]; got != want {
+			t.Fatalf("Checksum of %d bytes = %d, want %d", size, got, want)
+		}
 	}
 }
 

@@ -158,6 +158,48 @@ func TestBuildTreeOrphansAndEnqueueFallback(t *testing.T) {
 	}
 }
 
+// TestBuildTreeRunParentFromEnqueue: a run span's begin records the runner's
+// current span and its enqueue the submitter's. The tree takes the enqueue's
+// parent when it is nonzero and the begin's otherwise, in either event order:
+// a task helped inside an await barrier, posted by a goroutine with no span,
+// parents to the awaiting invoke.
+func TestBuildTreeRunParentFromEnqueue(t *testing.T) {
+	const (
+		submitter SpanID = 1 // the invoke that posted the task
+		runner    SpanID = 2 // the span current where the task ran
+		run       SpanID = 3
+	)
+	base := time.Now()
+	begin := func(id, parent SpanID, name string) Event {
+		return Event{Op: OpSpanBegin, Span: id, Parent: parent, Name: name, Target: "w", Time: base}
+	}
+	enqueue := Event{Op: OpEnqueue, Span: run, Parent: submitter, Name: "enqueue", Target: "w", Time: base}
+	unparented := enqueue
+	unparented.Parent = 0
+	spans := []Event{begin(submitter, 0, "invoke"), begin(runner, 0, "invoke")}
+	for _, tc := range []struct {
+		name   string
+		events []Event
+		want   SpanID
+	}{
+		{"enqueue then begin", []Event{enqueue, begin(run, runner, "run")}, submitter},
+		{"begin then enqueue", []Event{begin(run, runner, "run"), enqueue}, submitter},
+		{"unparented enqueue then begin", []Event{unparented, begin(run, runner, "run")}, runner},
+		{"begin then unparented enqueue", []Event{begin(run, runner, "run"), unparented}, runner},
+		{"enqueue only", []Event{enqueue}, submitter},
+		{"begin only", []Event{begin(run, runner, "run")}, runner},
+	} {
+		tree := BuildTree(append(append([]Event(nil), spans...), tc.events...))
+		n := tree.ByID[run]
+		if n == nil || n.Parent != tc.want {
+			t.Fatalf("%s: run span %+v, want parent %d", tc.name, n, tc.want)
+		}
+		if p := tree.ByID[tc.want]; len(p.Children) != 1 || p.Children[0] != n {
+			t.Fatalf("%s: run span not the one child of span %d:\n%s", tc.name, tc.want, tree)
+		}
+	}
+}
+
 func TestTreeDepthAndFindAll(t *testing.T) {
 	buf := NewBuffer(64)
 	a := BeginSpan(buf, "invoke", "x", 0)

@@ -155,8 +155,16 @@ func (t *Tree) Depth() int {
 // annotation events whose span begin fell off the ring are collected in
 // Orphans. Children and roots are ordered by begin time (falling back to
 // ring order for spans without a captured begin).
+//
+// A dispatched task's parent is its enqueue's parent — the submitter's span —
+// when that is nonzero, and otherwise its begin's — the runner's current span,
+// which is the awaiting invoke when a helper runs the task inside a barrier —
+// whichever of the two events comes first in the slice.
 func BuildTree(events []Event) *Tree {
 	t := &Tree{ByID: make(map[SpanID]*SpanNode)}
+	// spawned holds the spans whose parent an enqueue has set, so a begin
+	// later in the slice does not overwrite it.
+	spawned := make(map[SpanID]bool)
 	node := func(id SpanID) *SpanNode {
 		n := t.ByID[id]
 		if n == nil {
@@ -172,7 +180,9 @@ func BuildTree(events []Event) *Tree {
 		switch e.Op {
 		case OpSpanBegin:
 			n := node(e.Span)
-			n.Parent = e.Parent
+			if !spawned[e.Span] {
+				n.Parent = e.Parent
+			}
 			n.Name = e.Name
 			n.Target = e.Target
 			n.Gid = e.Gid
@@ -187,8 +197,9 @@ func BuildTree(events []Event) *Tree {
 		case OpEnqueue:
 			n := node(e.Span)
 			n.Enqueued = e.Time
-			if n.Parent == 0 {
+			if e.Parent != 0 {
 				n.Parent = e.Parent
+				spawned[e.Span] = true
 			}
 			if n.Target == "" {
 				n.Target = e.Target
