@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet sancheck chaos explore cover size allocs fuzz bench-mp bench-smoke benchmark-smoke report examples lint ci clean
+.PHONY: all build test race vet sancheck chaos explore cover reach size allocs fuzz bench-mp bench-smoke benchmark-smoke report examples lint ci clean
 
 all: build test race
 
@@ -75,6 +75,46 @@ cover:
 	echo "total coverage: $$total% (floor $(COVER_MIN)%)"; \
 	awk -v t="$$total" -v min="$(COVER_MIN)" 'BEGIN { exit (t+0 < min+0) }' || \
 		{ echo "coverage $$total% is below the $(COVER_MIN)% floor" >&2; exit 1; }
+
+# reach measures what the runnable entry points execute, as opposed to what
+# the tests do: every command, drill and example CI runs, and each benchmark
+# workload for 2 s, built with -cover -coverpkg=repro/... and run the way CI
+# runs them, their profiles merged in a temporary GOCOVERDIR. It prints the
+# statement percentage reached per package, then every function no run
+# reached (ROADMAP item 15: such code is deleted or justified); the function
+# list leaves out the benchmark's own package, whose sources go tool cover
+# cannot resolve from this module. It gates nothing yet.
+REACH_WORKLOADS = edt_dispatch gui_kernels http_encrypt chat_echo
+reach:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	bin="$$tmp/bin"; export GOCOVERDIR="$$tmp/cov"; mkdir -p "$$bin" "$$GOCOVERDIR"; \
+	$(GO) build -cover -coverpkg=repro/... -o "$$bin/" ./cmd/... ./examples/...; \
+	(cd benchmark && $(GO) build -cover -coverpkg=repro/... -o "$$bin/benchmark" .); \
+	run() { echo "reach: $$*" >&2; "$$@" > /dev/null; }; \
+	run "$$bin/httpbench" -workers 1,2 -users 2 -reqs 1 -kbytes 16 -no-omp-series; \
+	run "$$bin/httpbench" -overload; \
+	run env CHAOS_SEED=1337 "$$bin/httpbench" -chaos; \
+	run "$$bin/chatbench" -conns 500 -rooms 16 -rounds 3; \
+	run "$$bin/edtbench" -kernels crypt -approaches sequential,pyjama-async -rates 50 -events 3 -handler 2ms; \
+	run "$$bin/report" -scale quick; \
+	run "$$bin/quickstart"; \
+	run "$$bin/imagepipeline"; \
+	run "$$bin/encryptservice" -users 6 -reqs 2 -kbytes 16; \
+	run "$$bin/guiapp" -events 15 -rate 60 -handler 5ms; \
+	run "$$bin/netservice"; \
+	run "$$bin/devicesim" -mb 4; \
+	run "$$bin/annotated"; \
+	run "$$bin/pjc" -vet internal/transform/testdata/*.go.in; \
+	run "$$bin/ompvet" ./...; \
+	for w in $(REACH_WORKLOADS); do \
+		run "$$bin/benchmark" -workload $$w -seconds 2 -spans "$$tmp/spans"; \
+	done; \
+	$(GO) tool covdata percent -i="$$GOCOVERDIR"; \
+	echo "functions no run reached:"; \
+	$(GO) tool covdata textfmt -i="$$GOCOVERDIR" -o "$$tmp/all.out"; \
+	grep -v '^repro/benchmark/' "$$tmp/all.out" > "$$tmp/reach.out"; \
+	$(GO) tool cover -func="$$tmp/reach.out" > "$$tmp/func.txt"; \
+	awk '$$NF == "0.0%"' "$$tmp/func.txt"
 
 # size prints the five numbers the simplicity PRs track (CHANGES.md): non-test
 # Go lines under internal/ and under cmd/, exported Set* setters — each one a

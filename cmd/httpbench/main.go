@@ -34,6 +34,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/evaluation"
 	"repro/internal/httpserver"
+	"repro/internal/supervise"
 	"repro/internal/trace"
 )
 
@@ -179,17 +180,21 @@ func runChaos(kernelBytes int) {
 		if restart {
 			label += "+supervise"
 		}
+		var budget *supervise.Options
+		if restart {
+			budget = &supervise.Options{
+				MaxRestarts:    2 * kills,
+				Window:         time.Second,
+				BackoffInitial: time.Millisecond,
+				BackoffMax:     10 * time.Millisecond,
+			}
+		}
 		inj := chaos.New(seed, chaos.Rule{Action: chaos.Kill, Rate: rate, Count: kills})
 		srv := httpserver.New(httpserver.Config{
 			Mode: httpserver.Pyjama, Workers: workers, KernelBytes: kernelBytes,
 			Chaos: inj,
 			Supervise: &httpserver.SuperviseConfig{
-				Restart:          restart,
-				RespawnWorkers:   true,
-				MaxRestarts:      2 * kills,
-				Window:           time.Second,
-				BackoffInitial:   time.Millisecond,
-				BackoffMax:       10 * time.Millisecond,
+				Restart:          budget,
 				WatchdogInterval: 20 * time.Millisecond,
 				StallAfter:       200 * time.Millisecond,
 			},
@@ -205,8 +210,7 @@ func runChaos(kernelBytes int) {
 		}
 		var respawns int64
 		if s := srv.Supervisor(); s != nil {
-			st := s.Stats()
-			respawns = st.Respawns + st.Restarts
+			respawns = s.Stats().Respawns
 		}
 		stalls := srv.Watchdog().Stalls()
 		srv.Stop()

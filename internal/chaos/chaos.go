@@ -273,8 +273,7 @@ func (in *Injector) apply(act Action, d time.Duration, target string, fn func())
 // subject to injection. Drop decisions reject the task with ErrInjectedDrop
 // without reaching e; every other fault travels inside the task body, and the
 // Completion is e's own, so it stays cancellable. Wrapped executors expose the
-// inner one via Unwrap, so supervisors can still attach pool-level crash and
-// panic hooks.
+// inner one via Unwrap, so a supervisor can still reach the pool behind it.
 func (in *Injector) Wrap(e executor.Executor) executor.Executor {
 	return &chaosExecutor{inner: e, inj: in}
 }
@@ -289,8 +288,8 @@ func (c *chaosExecutor) Owns() bool          { return c.inner.Owns() }
 func (c *chaosExecutor) TryRunPending() bool { return c.inner.TryRunPending() }
 func (c *chaosExecutor) Shutdown()           { c.inner.Shutdown() }
 
-// Unwrap exposes the wrapped executor (the supervisor hook-attachment and
-// watchdog drain checks walk this chain).
+// Unwrap exposes the wrapped executor (the supervisor's pool lookup and the
+// watchdog's queue-depth reads walk this chain).
 func (c *chaosExecutor) Unwrap() executor.Executor { return c.inner }
 
 func (c *chaosExecutor) Post(fn func()) *executor.Completion {

@@ -359,9 +359,7 @@ func TestInvokeCtxThroughWrappers(t *testing.T) {
 	reg := &gid.Registry{}
 	targets := map[string]func() executor.Executor{
 		"supervised": func() executor.Executor {
-			s, err := supervise.New("w", func() (executor.Executor, error) {
-				return executor.NewWorkerPool("w", 1, reg), nil
-			}, supervise.Options{})
+			s, err := supervise.New("w", executor.NewWorkerPool("w", 1, reg), supervise.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -177,8 +177,8 @@ func TestCrashSurvivorsDrainQueue(t *testing.T) {
 
 // TestCrashLastWorkerOrphanGrowAdopts: when the last worker crashes the
 // queue stays — posts still land there — and the worker Grow adds drains the
-// backlog. This is the contract supervise.RespawnWorkers depends on: respawn
-// a worker *with the queue*.
+// backlog. This is the contract a supervisor's Grow(1) respawn depends on:
+// respawn a worker *with the queue*.
 func TestCrashLastWorkerOrphanGrowAdopts(t *testing.T) {
 	defer leakcheck.Check(t)()
 	var reg gid.Registry

@@ -946,9 +946,9 @@ func (p *WorkerPool) Shutdown() {
 
 // FailPending removes every queued-but-not-started task and completes it
 // with err, returning how many were failed. Running tasks are untouched.
-// Supervisors call this when replacing a crashed pool so queued invocations
-// fail fast with a typed error instead of waiting on workers that no longer
-// exist; Shutdown calls it as a backstop after joining workers.
+// A supervisor that gives up on the pool calls this so queued invocations
+// fail fast with a typed error instead of waiting on workers that will never
+// come; Shutdown calls it as a backstop after joining workers.
 func (p *WorkerPool) FailPending(err error) int {
 	p.qmu.Lock()
 	tasks := p.q.Drain(nil)

@@ -9,9 +9,8 @@ import "sync/atomic"
 // removed (nil) at any time from any goroutine; a notification calls
 // whichever handler is installed at that moment, on the goroutine that
 // detected the fault — keep handlers non-blocking. A crash nobody was
-// installed to hear is held for the next crash handler: an executor that
-// dies between a supervisor's factory call and its attach must not stay down
-// unnoticed. A contained task panic is not a crash: it is reported through
+// installed to hear is held for the next crash handler: a worker that dies
+// before a supervisor installs its handler must not stay down unnoticed. A contained task panic is not a crash: it is reported through
 // the task's Completion only.
 type FaultHooks struct {
 	onCrash atomic.Pointer[func(any)]

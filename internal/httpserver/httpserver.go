@@ -81,7 +81,7 @@ type Config struct {
 	QoS *QoSConfig
 	// Supervise enables the failure model for the Pyjama organization:
 	// the worker target is watched for stalls and (with Restart) wrapped
-	// in a supervisor that replaces crashed workers, and /healthz reports
+	// in a supervisor that respawns crashed workers, and /healthz reports
 	// per-target state instead of a static 200. See SuperviseConfig.
 	Supervise *SuperviseConfig
 	// Chaos, when set, wraps the Pyjama worker target in the
@@ -90,22 +90,13 @@ type Config struct {
 	Chaos *chaos.Injector
 }
 
-// SuperviseConfig parameterizes the server's failure model. The zero value
-// of every field picks the supervise package defaults.
+// SuperviseConfig parameterizes the server's failure model.
 type SuperviseConfig struct {
-	// Restart wraps the worker target in a supervise.Supervisor so worker
-	// crashes trigger restarts; without it the target is only watched
-	// (stalls are reported, nothing is repaired).
-	Restart bool
-	// MaxRestarts / Window bound the restart budget (supervise.Options).
-	MaxRestarts int
-	Window      time.Duration
-	// BackoffInitial / BackoffMax shape the restart backoff.
-	BackoffInitial time.Duration
-	BackoffMax     time.Duration
-	// RespawnWorkers repairs single worker deaths one-for-one instead of
-	// replacing the whole pool.
-	RespawnWorkers bool
+	// Restart, when set, wraps the worker target in a supervise.Supervisor
+	// that respawns crashed workers within the restart budget it describes;
+	// nil leaves the target only watched (stalls are reported, nothing is
+	// repaired).
+	Restart *supervise.Options
 	// WatchdogInterval / StallAfter tune the heartbeat (defaults: 100ms
 	// checks, stall after 10 intervals).
 	WatchdogInterval time.Duration
@@ -225,7 +216,7 @@ func (s *Server) Start() (string, error) {
 // setupWorkerTarget builds the Pyjama worker target. Plain configs keep the
 // seed path (a runtime-owned pool); with Chaos the pool is wrapped in the
 // fault-injection middleware, and with Supervise it is watched and —
-// when Restart is set — supervised, so crashed workers are replaced instead
+// when Restart is set — supervised, so crashed workers are respawned instead
 // of silently draining the pool.
 func (s *Server) setupWorkerTarget() error {
 	sv := s.cfg.Supervise
@@ -233,29 +224,18 @@ func (s *Server) setupWorkerTarget() error {
 		_, err := s.rt.CreateWorker("worker", s.cfg.Workers)
 		return err
 	}
-	factory := func() (executor.Executor, error) {
-		var e executor.Executor = executor.NewWorkerPool("worker", s.cfg.Workers, &s.reg)
-		if s.cfg.Chaos != nil {
-			e = s.cfg.Chaos.Wrap(e)
-		}
-		return e, nil
+	var target executor.Executor = executor.NewWorkerPool("worker", s.cfg.Workers, &s.reg)
+	if s.cfg.Chaos != nil {
+		target = s.cfg.Chaos.Wrap(target)
 	}
-	var target executor.Executor
-	if sv != nil && sv.Restart {
-		sup, err := supervise.New("worker", factory, supervise.Options{
-			MaxRestarts:    sv.MaxRestarts,
-			Window:         sv.Window,
-			BackoffInitial: sv.BackoffInitial,
-			BackoffMax:     sv.BackoffMax,
-			RespawnWorkers: sv.RespawnWorkers,
-		})
+	if sv != nil && sv.Restart != nil {
+		sup, err := supervise.New("worker", target, *sv.Restart)
 		if err != nil {
+			target.Shutdown()
 			return err
 		}
 		s.sup = sup
 		target = sup
-	} else {
-		target, _ = factory()
 	}
 	if err := s.rt.RegisterTarget("worker", target); err != nil {
 		target.Shutdown()
@@ -495,11 +475,11 @@ func (s *Server) handleEncryptQoS(w http.ResponseWriter, r *http.Request, size i
 }
 
 // failCompute writes the failure response for a finished-with-error
-// invocation. Supervision rejections are transient capacity answers (503,
-// counted as sheds) — the target is restarting or down, retry elsewhere;
-// everything else (panics, crashed workers) is a 500.
+// invocation. A supervisor's rejection is a capacity answer (503, counted as
+// a shed) — the target is down, retry elsewhere; everything else (panics,
+// crashed workers) is a 500.
 func (s *Server) failCompute(w http.ResponseWriter, cerr error) {
-	if errors.Is(cerr, supervise.ErrRestarting) || errors.Is(cerr, supervise.ErrTargetDown) {
+	if errors.Is(cerr, supervise.ErrTargetDown) {
 		s.shed.Add(1)
 		http.Error(w, "worker target unavailable", http.StatusServiceUnavailable)
 		return

@@ -23,7 +23,7 @@ func waitUntil(t *testing.T, d time.Duration, cond func() bool, msg string) {
 
 // TestSupervisedServerSurvivesKillStorm is the end-to-end acceptance drill:
 // worker goroutines are killed at a 10% rate under live HTTP load. With
-// supervision the target restarts within its budget, /healthz reports
+// supervision the target respawns workers within its budget, /healthz reports
 // degraded and then recovers, and no request hangs — every one gets a
 // definite response (200, or a typed 5xx) well inside the client timeout.
 func TestSupervisedServerSurvivesKillStorm(t *testing.T) {
@@ -35,12 +35,12 @@ func TestSupervisedServerSurvivesKillStorm(t *testing.T) {
 		KernelBytes: 1024,
 		Chaos:       inj,
 		Supervise: &SuperviseConfig{
-			Restart:          true,
-			RespawnWorkers:   true,
-			MaxRestarts:      30,
-			Window:           400 * time.Millisecond,
-			BackoffInitial:   time.Millisecond,
-			BackoffMax:       5 * time.Millisecond,
+			Restart: &supervise.Options{
+				MaxRestarts:    30,
+				Window:         400 * time.Millisecond,
+				BackoffInitial: time.Millisecond,
+				BackoffMax:     5 * time.Millisecond,
+			},
 			WatchdogInterval: 10 * time.Millisecond,
 			StallAfter:       250 * time.Millisecond,
 		},
@@ -60,7 +60,7 @@ func TestSupervisedServerSurvivesKillStorm(t *testing.T) {
 		case err == nil && status == 200:
 			ok++
 		case status == 503:
-			shed++ // typed: target restarting
+			shed++ // typed: target down
 		case status == 500:
 			failed++ // typed: the killed worker's request
 		default:
@@ -118,7 +118,7 @@ func TestUnsupervisedServerWedgesAndWatchdogFlagsIt(t *testing.T) {
 		KernelBytes: 1024,
 		Chaos:       inj,
 		Supervise: &SuperviseConfig{
-			Restart:          false, // watch only: nothing repairs the pool
+			// No Restart: watch only, nothing repairs the pool.
 			WatchdogInterval: 10 * time.Millisecond,
 			StallAfter:       80 * time.Millisecond,
 		},
@@ -178,5 +178,66 @@ func TestUnsupervisedServerWedgesAndWatchdogFlagsIt(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("Stop hung on the wedged pool")
+	}
+}
+
+// TestSupervisedServerOutOfBudgetGoesDown: a supervised server whose
+// restart budget runs out goes down loudly. After a budget of 1 and two
+// worker kills, /healthz answers 503 "down" — the supervisor says so, and so
+// does the watchdog, whose probes now fail with ErrTargetDown — and /encrypt
+// answers 503 at once, counted as a shed: not a 500, not a hang.
+func TestSupervisedServerOutOfBudgetGoesDown(t *testing.T) {
+	inj := chaos.New(chaos.SeedFromEnv(1337),
+		chaos.Rule{Action: chaos.Kill, Nth: 1, Count: 2}) // the first two tasks each kill their worker
+	s := New(Config{
+		Mode:        Pyjama,
+		Workers:     1,
+		KernelBytes: 1024,
+		Chaos:       inj,
+		Supervise: &SuperviseConfig{
+			Restart: &supervise.Options{
+				MaxRestarts:    1,
+				Window:         time.Minute, // the respawn never ages out
+				BackoffInitial: time.Millisecond,
+			},
+			WatchdogInterval: 10 * time.Millisecond,
+			StallAfter:       time.Second,
+		},
+	})
+	base, err := s.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop()
+	client := NewClientTimeout(base, 5*time.Second)
+
+	// Requests and watchdog probes share the kill schedule; whichever takes
+	// the kills, every request gets a definite answer.
+	waitUntil(t, 10*time.Second, func() bool {
+		if _, status, err := client.Do(512); status != 200 && status != 500 && status != 503 {
+			t.Fatalf("request during the kills: status=%d err=%v", status, err)
+		}
+		return s.Supervisor().Health().StatusValue() == supervise.Down
+	}, "the supervisor to give up")
+	if kills := inj.Injected(chaos.Kill); kills != 2 {
+		t.Fatalf("kills = %d, want 2", kills)
+	}
+	waitUntil(t, 5*time.Second, func() bool {
+		return s.Watchdog().Health()["worker"].LivenessValue() == supervise.LiveDown
+	}, "the watchdog to see the target down")
+	if hs, code, err := client.Healthz(); err != nil || code != 503 || hs != "down" {
+		t.Fatalf("healthz after the give-up = %q/%d (%v), want down/503", hs, code, err)
+	}
+
+	shed := s.Shed()
+	start := time.Now()
+	if _, status, err := client.Do(512); status != 503 {
+		t.Fatalf("request to a down target: status=%d err=%v, want 503", status, err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("request to a down target took %v, want a fail-fast answer", d)
+	}
+	if got := s.Shed(); got != shed+1 {
+		t.Fatalf("Shed = %d after a 503 from a down target, want %d", got, shed+1)
 	}
 }

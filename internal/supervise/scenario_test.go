@@ -5,6 +5,7 @@ package supervise_test
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -27,11 +28,7 @@ func TestSupervisedSurvivesKillStorm(t *testing.T) {
 	var reg gid.Registry
 	inj := chaos.New(chaos.SeedFromEnv(1337),
 		chaos.Rule{Action: chaos.Kill, Rate: 0.10, Count: 8})
-	factory := func() (executor.Executor, error) {
-		return inj.Wrap(executor.NewWorkerPool("w", 3, &reg)), nil
-	}
-	s, err := supervise.New("w", factory, supervise.Options{
-		RespawnWorkers: true,
+	s, err := supervise.New("w", inj.Wrap(executor.NewWorkerPool("w", 3, &reg)), supervise.Options{
 		MaxRestarts:    20,
 		Window:         300 * time.Millisecond,
 		BackoffInitial: time.Millisecond,
@@ -57,7 +54,7 @@ func TestSupervisedSurvivesKillStorm(t *testing.T) {
 		switch err := c.Err(); {
 		case err == nil:
 			ok++
-		case errors.Is(err, executor.ErrWorkerCrashed) || errors.Is(err, supervise.ErrRestarting):
+		case errors.Is(err, executor.ErrWorkerCrashed):
 			typed++
 		default:
 			t.Fatalf("invocation %d: untyped failure %v", i, err)
@@ -170,20 +167,23 @@ func TestWatchdogSeesBlockedThenRecovered(t *testing.T) {
 // LiveDown, not stalled — the watchdog distinguishes dead from blocked.
 func TestWatchdogReportsDownTarget(t *testing.T) {
 	var reg gid.Registry
-	s, err := supervise.New("w", func() (executor.Executor, error) {
-		return executor.NewWorkerPool("w", 1, &reg), nil
-	}, supervise.Options{MaxRestarts: 1, Window: time.Minute, BackoffInitial: time.Millisecond})
+	pool := executor.NewWorkerPool("w", 1, &reg)
+	s, err := supervise.New("w", pool, supervise.Options{MaxRestarts: 1, Window: time.Minute, BackoffInitial: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Shutdown()
-	// Two manual failures exhaust the budget of 1.
-	s.ReportFailure(errors.New("probe failed"))
-	poll.UntilFor(t, 2*time.Second, "first restart done", func() bool {
-		h := s.Health()
-		return h.Generation == 1 && h.State == supervise.Running.String()
+	// Two kills exhaust the budget of 1: the first is respawned, the second
+	// is not.
+	if err := s.Post(func() { runtime.Goexit() }).Wait(); !errors.Is(err, executor.ErrWorkerCrashed) {
+		t.Fatalf("first kill err = %v", err)
+	}
+	poll.UntilFor(t, 2*time.Second, "first respawn done", func() bool {
+		return s.Stats().Respawns == 1 && pool.Workers() == 1
 	})
-	s.ReportFailure(errors.New("probe failed again"))
+	if err := s.Post(func() { runtime.Goexit() }).Wait(); !errors.Is(err, executor.ErrWorkerCrashed) {
+		t.Fatalf("second kill err = %v", err)
+	}
 	poll.UntilFor(t, 2*time.Second, "down", func() bool {
 		return s.Health().StatusValue() == supervise.Down
 	})

@@ -1,14 +1,15 @@
-// Package supervise adds restart-on-crash semantics and liveness monitoring
-// to the virtual-target runtime. A Supervisor wraps any executor.Executor
-// behind the same interface and keeps it serving through worker deaths and
-// reported failures: they trigger one-for-one worker respawns or full
-// executor replacement with exponential backoff, bounded by a restart budget
-// within a sliding window; once the budget is exhausted the target is marked
-// failed and every further invocation fails fast with ErrTargetDown instead
-// of queueing against a dead target. A Watchdog (watchdog.go) heartbeats
-// registered loops and pools and flags the failure mode a supervisor cannot
-// see from crash reports alone: the target that is still alive but not
-// draining — a blocked EDT, a wedged pool, a queue past its sojourn bound.
+// Package supervise adds respawn-on-crash semantics and liveness monitoring
+// to the virtual-target runtime. A Supervisor wraps a worker pool (or a
+// middleware chain ending at one) behind the executor.Executor interface and
+// keeps it serving through worker deaths: each death is repaired one-for-one
+// by growing the pool back by one worker after an exponential backoff,
+// bounded by a restart budget within a sliding window; once the budget is
+// exhausted the target is marked failed and every further invocation fails
+// fast with ErrTargetDown instead of queueing against a dead target. A
+// Watchdog (watchdog.go) heartbeats registered loops and pools and flags the
+// failure mode a supervisor cannot see from crash reports alone: the target
+// that is still alive but not draining — a blocked EDT, a wedged pool, a
+// queue past its sojourn bound.
 //
 // Both surface machine-readable health snapshots, which httpserver wires
 // into /healthz, and both emit trace events (trace.OpRestart, trace.OpStall,
@@ -28,36 +29,9 @@ import (
 	"repro/internal/trace"
 )
 
-// State is a supervised target's lifecycle state.
-type State int
-
-// The supervision states. Running targets accept work (a target respawning
-// one worker stays Running); Restarting targets fail fast with ErrRestarting
-// while a full replacement comes up; Failed targets exhausted their restart
-// budget and fail fast with ErrTargetDown.
-const (
-	Running State = iota
-	Restarting
-	Failed
-)
-
-// String names the state.
-func (s State) String() string {
-	switch s {
-	case Running:
-		return "running"
-	case Restarting:
-		return "restarting"
-	case Failed:
-		return "failed"
-	default:
-		return fmt.Sprintf("State(%d)", int(s))
-	}
-}
-
 // Status grades a target's health for reporting: Healthy targets have had a
-// quiet window, Degraded targets restarted recently (or are restarting now),
-// Down targets are out of restart budget.
+// quiet window, Degraded targets respawned a worker recently, Down targets
+// are out of restart budget.
 type Status int
 
 // The health grades, ordered by severity.
@@ -81,42 +55,25 @@ func (s Status) String() string {
 	}
 }
 
-var (
-	// ErrTargetDown fails invocations against a target whose restart
-	// budget is exhausted: the supervisor gave up, nothing will drain the
-	// queue, so callers get a typed error immediately instead of a hang.
-	ErrTargetDown = errors.New("supervise: target down (restart budget exhausted)")
-
-	// ErrRestarting fails invocations (and pending tasks of the replaced
-	// executor) that arrive while a full restart is in progress.
-	ErrRestarting = errors.New("supervise: target restarting")
-)
-
-// Factory builds one generation of a supervised executor. New builds
-// generation 0; each full restart builds the next. The factory may wrap the
-// executor (chaos middleware, tracing) — the supervisor walks
-// Unwrap chains to attach its crash hook to the base.
-type Factory func() (executor.Executor, error)
+// ErrTargetDown fails invocations against a target whose restart budget is
+// exhausted: the supervisor gave up, nothing will drain the queue, so
+// callers get a typed error immediately instead of a hang.
+var ErrTargetDown = errors.New("supervise: target down (restart budget exhausted)")
 
 // Options tunes a Supervisor. Zero values pick the documented defaults.
 type Options struct {
-	// MaxRestarts is the restart budget within Window (default 8). Once
-	// more than MaxRestarts restarts (respawns included) land inside one
-	// window, the target transitions to Failed.
+	// MaxRestarts is the respawn budget within Window (default 8). A crash
+	// that finds MaxRestarts respawns inside one window marks the target
+	// failed instead.
 	MaxRestarts int
 	// Window is the sliding window the budget applies to, and the quiet
 	// period after which a Degraded target reads Healthy again
 	// (default 10s).
 	Window time.Duration
-	// BackoffInitial is the delay before the first restart in a window;
-	// it doubles per restart up to BackoffMax (defaults 10ms, 2s).
+	// BackoffInitial is the delay before the first respawn in a window;
+	// it doubles per respawn up to BackoffMax (defaults 10ms, 2s).
 	BackoffInitial time.Duration
 	BackoffMax     time.Duration
-	// RespawnWorkers handles single worker deaths by growing the pool
-	// back by one (one-for-one supervision) instead of replacing the
-	// whole executor. Requires the base executor to implement
-	// Grow(int); full replacement is the fallback.
-	RespawnWorkers bool
 }
 
 func (o *Options) fill() {
@@ -134,15 +91,10 @@ func (o *Options) fill() {
 	}
 }
 
-// The structural interfaces the supervisor attaches through. Executors are
-// matched by shape, not by concrete type, so middleware that forwards these
-// methods (or exposes the base via Unwrap) keeps supervision working.
-type (
-	unwrapper     interface{ Unwrap() executor.Executor }
-	crashNotifier interface{ SetCrashHandler(func(any)) }
-	pendingFailer interface{ FailPending(error) int }
-	grower        interface{ Grow(n int) }
-)
+// unwrapper is middleware that exposes the executor it wraps (the chaos
+// injector does), so the supervisor and the watchdog can reach the pool
+// behind it.
+type unwrapper interface{ Unwrap() executor.Executor }
 
 // base walks the Unwrap chain to the innermost executor.
 func base(e executor.Executor) executor.Executor {
@@ -155,108 +107,75 @@ func base(e executor.Executor) executor.Executor {
 	}
 }
 
-// failPending fails every queued task of e with err, when e supports it.
-func failPending(e executor.Executor, err error) {
-	if pf, ok := base(e).(pendingFailer); ok {
-		pf.FailPending(err)
-	}
-}
-
-type failureKind int
-
-const (
-	kindCrash  failureKind = iota // a worker goroutine died
-	kindManual                    // reported via ReportFailure
-)
-
-// failure is one reason to restart, tagged with the generation it belongs
-// to so reports from an already-replaced executor are ignored.
-type failure struct {
-	gen    int
-	kind   failureKind
-	reason error
-}
-
-// Supervisor wraps an executor.Executor with restart-on-crash semantics.
+// Supervisor wraps an executor.Executor with respawn-on-crash semantics.
 // It is itself an executor.Executor, so it registers as a virtual target
-// like the executor it supervises. Failures are handled one at a time by a
-// dedicated goroutine; posts observe the current state and fail fast with a
-// typed error when the target cannot accept work.
+// like the executor it supervises. Crashes are handled one at a time by a
+// dedicated goroutine; posts against a failed target fail fast with
+// ErrTargetDown.
 type Supervisor struct {
-	name    string
-	factory Factory
-	opts    Options
+	name string
+	e    executor.Executor    // what posts go to: the pool or its middleware
+	pool *executor.WorkerPool // the base of e, which respawns grow
+	opts Options
 
 	// The counters Stats reads.
-	nRestarts, nRespawns, nCrashes, nFailFast atomic.Int64
+	nRespawns, nCrashes, nFailFast atomic.Int64
 
-	mu          sync.Mutex
-	cur         executor.Executor
-	state       State
-	gen         int
-	restarts    []time.Time // restart times within the sliding window
-	total       int64       // lifetime restarts (respawns included)
+	// mu guards the fields below. Post holds it for reading across its
+	// failed check and its post to e, and the give-up holds it for writing
+	// to set failed, so every task of a Post that saw the target running is
+	// queued before the give-up drains the queue.
+	mu          sync.RWMutex
+	failed      bool        // the budget is exhausted: nothing respawns any more
+	restarts    []time.Time // respawn times within the sliding window
+	total       int64       // lifetime respawns
 	lastErr     error
 	lastRestart time.Time
 
-	failCh   chan failure
+	failCh   chan error // crash reasons, in arrival order
 	done     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 }
 
-// New builds generation 0 via factory and starts supervising it under name.
-func New(name string, factory Factory, opts Options) (*Supervisor, error) {
+// New starts supervising e under name. e must be a *executor.WorkerPool or
+// middleware whose Unwrap chain ends at one: a respawn grows that pool. e's
+// Post runs under the supervisor's read lock, so it must not block on the
+// pool's workers or post to the supervisor.
+func New(name string, e executor.Executor, opts Options) (*Supervisor, error) {
+	pool, ok := base(e).(*executor.WorkerPool)
+	if !ok {
+		return nil, fmt.Errorf("supervise: %s: %T unwraps to %T, not a *executor.WorkerPool", name, e, base(e))
+	}
 	opts.fill()
 	s := &Supervisor{
-		name:    name,
-		factory: factory,
-		opts:    opts,
-		failCh:  make(chan failure, 256),
-		done:    make(chan struct{}),
+		name:   name,
+		e:      e,
+		pool:   pool,
+		opts:   opts,
+		failCh: make(chan error, 256),
+		done:   make(chan struct{}),
 	}
-	e, err := factory()
-	if err != nil {
-		return nil, fmt.Errorf("supervise: factory (generation 0): %w", err)
-	}
-	s.cur = e
-	s.attach(e, 0)
+	// A task panic is not a crash: the pool contains it in the task's
+	// Completion. A crash the pool held for want of a handler arrives now.
+	pool.SetCrashHandler(func(v any) {
+		s.nCrashes.Add(1)
+		s.report(fmt.Errorf("supervise: worker crashed: %v", v))
+	})
 	s.wg.Add(1)
 	go s.loop()
 	return s, nil
 }
 
-// attach hooks the supervisor into e's crash notifications, walking the
-// Unwrap chain so middleware wrappers don't hide them. A task panic is not a
-// failure: the executor contains it in the task's Completion.
-func (s *Supervisor) attach(e executor.Executor, gen int) {
-	if cn, ok := base(e).(crashNotifier); ok {
-		cn.SetCrashHandler(func(v any) {
-			s.nCrashes.Add(1)
-			s.report(failure{gen: gen, kind: kindCrash,
-				reason: fmt.Errorf("supervise: worker crashed: %v", v)})
-		})
-	}
-}
-
-// report queues a failure for the supervisor loop without blocking the
-// reporting goroutine (which may be mid-death). The channel is deep enough
-// that a drop means hundreds of unprocessed failures are already queued —
+// report queues a crash for the supervisor loop without blocking the
+// reporting goroutine (which is mid-death). The channel is deep enough
+// that a drop means hundreds of unprocessed crashes are already queued —
 // by then the budget is long exhausted.
-func (s *Supervisor) report(f failure) {
+func (s *Supervisor) report(reason error) {
 	select {
-	case s.failCh <- f:
+	case s.failCh <- reason:
 	default:
 	}
-}
-
-// ReportFailure asks the supervisor to treat err as a failure of the
-// current generation (for external health checks probing the target).
-func (s *Supervisor) ReportFailure(err error) {
-	s.mu.Lock()
-	gen := s.gen
-	s.mu.Unlock()
-	s.report(failure{gen: gen, kind: kindManual, reason: err})
 }
 
 func (s *Supervisor) loop() {
@@ -265,90 +184,52 @@ func (s *Supervisor) loop() {
 		select {
 		case <-s.done:
 			return
-		case f := <-s.failCh:
-			s.handleFailure(f)
+		case reason := <-s.failCh:
+			s.handleCrash(reason)
 		}
 	}
 }
 
-// handleFailure runs in the supervisor loop, so failures are handled
-// strictly one at a time; state is Running or Failed on entry.
-func (s *Supervisor) handleFailure(f failure) {
+// handleCrash runs in the supervisor loop, so crashes are handled strictly
+// one at a time. Each one is a respawn, until the budget runs out.
+func (s *Supervisor) handleCrash(reason error) {
 	s.mu.Lock()
-	if f.gen != s.gen || s.state == Failed {
-		s.mu.Unlock() // stale generation, or already given up
+	if s.failed {
+		s.mu.Unlock() // already given up
 		return
 	}
 	now := time.Now()
 	s.pruneLocked(now)
-	s.lastErr = f.reason
+	s.lastErr = reason
 	if len(s.restarts) >= s.opts.MaxRestarts {
 		// Budget exhausted: mark the target down for good and fail
 		// everything queued so no invocation waits on a dead target.
-		s.state = Failed
-		old := s.cur
+		s.failed = true
 		s.mu.Unlock()
 		trace.Emit(trace.OpTargetDown, s.name)
-		failPending(old, ErrTargetDown)
-		go old.Shutdown()
+		s.pool.FailPending(ErrTargetDown)
+		go s.e.Shutdown()
 		return
 	}
 	s.restarts = append(s.restarts, now)
 	s.total++
 	s.lastRestart = now
 	recent := len(s.restarts)
-	gen := s.gen
-	old := s.cur
-	var gw grower
-	if f.kind == kindCrash && s.opts.RespawnWorkers {
-		gw, _ = base(old).(grower)
-	}
-	// Counted before the restart is published: whoever reads the state (or
-	// a Degraded health) finds the respawn or restart behind it in the stats.
-	if gw != nil {
-		s.nRespawns.Add(1)
-	} else {
-		s.nRestarts.Add(1)
-		s.state = Restarting
-	}
+	// Counted before the respawn is published: whoever reads a Degraded
+	// health finds the respawn behind it in the stats.
+	s.nRespawns.Add(1)
 	s.mu.Unlock()
 
 	trace.Emit(trace.OpRestart, s.name)
-	if gw != nil {
-		// One-for-one: replace just the dead worker. The target stays
-		// Running — the surviving workers keep serving, and queued and new
-		// tasks wait for the respawned one — while Health reads Degraded.
-		if s.sleep(s.backoff(recent)) {
-			gw.Grow(1)
-		}
-		return
+	// One-for-one: replace just the dead worker. The surviving workers keep
+	// serving, and queued and new tasks wait for the respawned one, while
+	// Health reads Degraded.
+	if s.sleep(s.backoff(recent)) {
+		s.pool.Grow(1)
 	}
-
-	// Full restart: fail what the old executor still holds, replace it.
-	failPending(old, ErrRestarting)
-	go old.Shutdown()
-	if !s.sleep(s.backoff(recent)) {
-		return
-	}
-	next, err := s.factory()
-	if err != nil {
-		s.mu.Lock()
-		s.state = Failed
-		s.lastErr = fmt.Errorf("supervise: factory (generation %d): %w", gen+1, err)
-		s.mu.Unlock()
-		trace.Emit(trace.OpTargetDown, s.name)
-		return
-	}
-	s.mu.Lock()
-	s.cur = next
-	s.gen = gen + 1
-	s.state = Running
-	newGen := s.gen
-	s.mu.Unlock()
-	s.attach(next, newGen)
 }
 
-// pruneLocked drops restart timestamps older than the sliding window.
+// pruneLocked drops respawn timestamps older than the sliding window.
 func (s *Supervisor) pruneLocked(now time.Time) {
 	cut := now.Add(-s.opts.Window)
 	i := 0
@@ -360,8 +241,8 @@ func (s *Supervisor) pruneLocked(now time.Time) {
 	}
 }
 
-// backoff returns the delay before restart n (1-based) of the window:
-// BackoffInitial doubling per restart, capped at BackoffMax.
+// backoff returns the delay before respawn n (1-based) of the window:
+// BackoffInitial doubling per respawn, capped at BackoffMax.
 func (s *Supervisor) backoff(n int) time.Duration {
 	d := s.opts.BackoffInitial
 	for i := 1; i < n; i++ {
@@ -389,104 +270,57 @@ func (s *Supervisor) sleep(d time.Duration) bool {
 	}
 }
 
-func (s *Supervisor) snapshot() (State, executor.Executor) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.state, s.cur
-}
-
 // Name implements executor.Executor.
 func (s *Supervisor) Name() string { return s.name }
 
-// Post submits fn to the current generation, failing fast with
-// ErrRestarting or ErrTargetDown when the target cannot accept work.
+// Post submits fn to the supervised executor, failing fast with
+// ErrTargetDown once the target is out of restart budget.
 func (s *Supervisor) Post(fn func()) *executor.Completion {
-	s.mu.Lock()
-	st, e, gen := s.state, s.cur, s.gen
-	s.mu.Unlock()
-	if st == Running {
-		comp := e.Post(fn)
-		if !comp.Finished() || !errors.Is(comp.Err(), executor.ErrShutdown) {
-			return comp
-		}
-		// e was shut down between the snapshot and the post. If that was
-		// handleFailure replacing it, the post gets the typed answer it
-		// would have got an instant later — the way core.stoppedRejection
-		// types the same race. A generation that is still current was shut
-		// down by Shutdown, and its rejection stands.
-		s.mu.Lock()
-		st = s.state
-		if st == Running && s.gen != gen {
-			st = Restarting // a whole restart went by
-		}
-		s.mu.Unlock()
-		if st == Running {
-			return comp
-		}
-	}
-	s.nFailFast.Add(1)
-	if st == Failed {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.failed {
+		s.nFailFast.Add(1)
 		return executor.NewCompletedCompletion(ErrTargetDown)
 	}
-	return executor.NewCompletedCompletion(ErrRestarting)
+	return s.e.Post(fn)
 }
 
-// Owns implements executor.Executor against the current generation.
-func (s *Supervisor) Owns() bool {
-	_, e := s.snapshot()
-	return e != nil && e.Owns()
-}
+// Owns implements executor.Executor.
+func (s *Supervisor) Owns() bool { return s.e.Owns() }
 
-// TryRunPending implements executor.Executor against the current generation.
-func (s *Supervisor) TryRunPending() bool {
-	_, e := s.snapshot()
-	return e != nil && e.TryRunPending()
-}
+// TryRunPending implements executor.Executor.
+func (s *Supervisor) TryRunPending() bool { return s.e.TryRunPending() }
 
-// Unwrap exposes the current generation (the watchdog reads queue depths
+// Unwrap exposes the supervised executor (the watchdog reads queue depths
 // through it).
-func (s *Supervisor) Unwrap() executor.Executor {
-	_, e := s.snapshot()
-	return e
-}
+func (s *Supervisor) Unwrap() executor.Executor { return s.e }
 
-// Shutdown stops supervising and shuts the current generation down.
-// Restarts in flight are abandoned.
+// Shutdown stops supervising and shuts the supervised executor down. A
+// respawn waiting out its backoff is abandoned.
 func (s *Supervisor) Shutdown() {
 	s.stopOnce.Do(func() { close(s.done) })
 	s.wg.Wait()
-	s.mu.Lock()
-	e := s.cur
-	if s.state == Restarting {
-		s.state = Failed
-	}
-	s.mu.Unlock()
-	if e != nil {
-		e.Shutdown()
-	}
+	s.e.Shutdown()
 }
 
 // Stats is a snapshot of a supervisor's counters.
 type Stats struct {
-	Restarts int64 // full restarts: the executor was replaced
-	Respawns int64 // one-for-one respawns: a crashed worker was replaced
-	Crashes  int64 // worker deaths the executor reported
-	FailFast int64 // posts answered with ErrRestarting or ErrTargetDown
+	Respawns int64 // a crashed worker was replaced
+	Crashes  int64 // worker deaths the pool reported
+	FailFast int64 // posts answered with ErrTargetDown
 }
 
 // Stats returns a snapshot of the supervisor's counters.
 func (s *Supervisor) Stats() Stats {
-	return Stats{Restarts: s.nRestarts.Load(), Respawns: s.nRespawns.Load(),
-		Crashes: s.nCrashes.Load(), FailFast: s.nFailFast.Load()}
+	return Stats{Respawns: s.nRespawns.Load(), Crashes: s.nCrashes.Load(),
+		FailFast: s.nFailFast.Load()}
 }
 
 // TargetHealth is a point-in-time health snapshot of one supervised target.
 type TargetHealth struct {
 	Name           string    `json:"name"`
-	State          string    `json:"state"`
 	Status         string    `json:"status"`
-	Generation     int       `json:"generation"`
-	Restarts       int64     `json:"restarts"`        // lifetime, respawns included
+	Restarts       int64     `json:"restarts"`        // lifetime respawns
 	RecentRestarts int       `json:"recent_restarts"` // within the sliding window
 	LastError      string    `json:"last_error,omitempty"`
 	LastRestart    time.Time `json:"last_restart,omitempty"`
@@ -504,17 +338,15 @@ func (h TargetHealth) StatusValue() Status {
 	}
 }
 
-// Health reports the target's current state. A target reads Degraded while
-// restarting or for one quiet Window after its last restart, then Healthy
-// again; Failed targets read Down.
+// Health reports the target's current state. A target reads Degraded for
+// one quiet Window after its last respawn, then Healthy again; a failed
+// target reads Down.
 func (s *Supervisor) Health() TargetHealth {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.pruneLocked(time.Now())
 	h := TargetHealth{
 		Name:           s.name,
-		State:          s.state.String(),
-		Generation:     s.gen,
 		Restarts:       s.total,
 		RecentRestarts: len(s.restarts),
 		LastRestart:    s.lastRestart,
@@ -523,9 +355,9 @@ func (s *Supervisor) Health() TargetHealth {
 		h.LastError = s.lastErr.Error()
 	}
 	switch {
-	case s.state == Failed:
+	case s.failed:
 		h.Status = Down.String()
-	case s.state == Restarting || len(s.restarts) > 0:
+	case len(s.restarts) > 0:
 		h.Status = Degraded.String()
 	default:
 		h.Status = Healthy.String()

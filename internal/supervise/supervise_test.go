@@ -20,23 +20,23 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 	poll.UntilFor(t, d, msg, cond)
 }
 
-func poolFactory(t *testing.T, reg *gid.Registry, workers int) Factory {
+// newSupervised supervises a fresh pool of workers, returning both.
+func newSupervised(t *testing.T, reg *gid.Registry, workers int, opts Options) (*Supervisor, *executor.WorkerPool) {
 	t.Helper()
-	return func() (executor.Executor, error) {
-		return executor.NewWorkerPool("w", workers, reg), nil
+	pool := executor.NewWorkerPool("w", workers, reg)
+	s, err := New("w", pool, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return s, pool
 }
 
 func TestRespawnReplacesCrashedWorker(t *testing.T) {
 	var reg gid.Registry
-	s, err := New("w", poolFactory(t, &reg, 2), Options{
-		RespawnWorkers: true,
+	s, pool := newSupervised(t, &reg, 2, Options{
 		BackoffInitial: time.Millisecond,
 		Window:         200 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer s.Shutdown()
 
 	if err := s.Post(func() {}).Wait(); err != nil {
@@ -46,7 +46,6 @@ func TestRespawnReplacesCrashedWorker(t *testing.T) {
 	if err := s.Post(func() { runtime.Goexit() }).Wait(); !errors.Is(err, executor.ErrWorkerCrashed) {
 		t.Fatalf("killed task err = %v", err)
 	}
-	pool := base(s).(*executor.WorkerPool)
 	// Wait on the respawn count too: the killed task's completion finishes
 	// before the dying worker is subtracted, so Workers() can still read its
 	// pre-crash 2 here.
@@ -56,7 +55,7 @@ func TestRespawnReplacesCrashedWorker(t *testing.T) {
 	if got := s.Stats().Respawns; got != 1 {
 		t.Fatalf("respawns = %d", got)
 	}
-	if h := s.Health(); h.StatusValue() != Degraded || h.Generation != 0 {
+	if h := s.Health(); h.StatusValue() != Degraded || h.Restarts != 1 {
 		t.Fatalf("health after respawn = %+v", h)
 	}
 	// After a quiet window the target reads healthy again.
@@ -68,24 +67,18 @@ func TestRespawnReplacesCrashedWorker(t *testing.T) {
 
 func TestBudgetExhaustionFailsFast(t *testing.T) {
 	var reg gid.Registry
-	s, err := New("w", poolFactory(t, &reg, 1), Options{
+	s, pool := newSupervised(t, &reg, 1, Options{
 		MaxRestarts:    2,
-		Window:         time.Minute, // restarts never age out during the test
+		Window:         time.Minute, // respawns never age out during the test
 		BackoffInitial: time.Millisecond,
-		RespawnWorkers: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer s.Shutdown()
 	buf := trace.NewBuffer(4096)
 	t.Cleanup(trace.Use(buf))
 
 	// Each kill consumes one respawn; the third exhausts the budget.
 	for i := 0; i < 3; i++ {
-		pool := base(s).(*executor.WorkerPool)
 		waitFor(t, 2*time.Second, func() bool { return pool.Workers() == 1 }, "worker up")
-		waitFor(t, 2*time.Second, func() bool { return s.Health().State == Running.String() }, "running")
 		if err := s.Post(func() { runtime.Goexit() }).Wait(); !errors.Is(err, executor.ErrWorkerCrashed) {
 			t.Fatalf("kill %d err = %v", i, err)
 		}
@@ -113,39 +106,19 @@ func TestBudgetExhaustionFailsFast(t *testing.T) {
 	}
 }
 
-func TestFactoryErrorMarksDown(t *testing.T) {
+// TestNewFactoryErrorPropagates: New rejects an executor whose Unwrap chain
+// ends at no pool, since a respawn has nothing to grow.
+func TestNewFactoryErrorPropagates(t *testing.T) {
 	var reg gid.Registry
-	boom := errors.New("no capacity")
-	built := 0 // New and the supervisor loop call the factory one at a time
-	factory := func() (executor.Executor, error) {
-		if built++; built > 1 {
-			return nil, boom
-		}
-		return executor.NewWorkerPool("w", 1, &reg), nil
-	}
-	s, err := New("w", factory, Options{BackoffInitial: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Shutdown()
-	// A kill without RespawnWorkers is a full restart, whose factory fails.
-	if err := s.Post(func() { runtime.Goexit() }).Wait(); !errors.Is(err, executor.ErrWorkerCrashed) {
-		t.Fatalf("err = %v", err)
-	}
-	waitFor(t, 2*time.Second, func() bool { return s.Health().StatusValue() == Down }, "down on factory error")
-	if err := s.Post(func() {}).Wait(); !errors.Is(err, ErrTargetDown) {
-		t.Fatalf("err = %v", err)
+	pool := executor.NewWorkerPool("w", 1, &reg)
+	defer pool.Shutdown()
+	if _, err := New("w", opaque{pool}, Options{}); err == nil {
+		t.Fatal("New accepted an executor that hides its pool")
 	}
 }
 
-func TestNewFactoryErrorPropagates(t *testing.T) {
-	_, err := New("w", func() (executor.Executor, error) {
-		return nil, errors.New("nope")
-	}, Options{})
-	if err == nil {
-		t.Fatal("New succeeded with failing factory")
-	}
-}
+// opaque forwards to a pool without exposing it.
+type opaque struct{ executor.Executor }
 
 func TestBackoffDoublesAndCaps(t *testing.T) {
 	s := &Supervisor{opts: Options{BackoffInitial: 10 * time.Millisecond, BackoffMax: 60 * time.Millisecond}}
@@ -160,10 +133,7 @@ func TestBackoffDoublesAndCaps(t *testing.T) {
 func TestShutdownStopsSupervision(t *testing.T) {
 	defer leakcheck.Check(t)()
 	var reg gid.Registry
-	s, err := New("w", poolFactory(t, &reg, 1), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _ := newSupervised(t, &reg, 1, Options{})
 	if err := s.Post(func() {}).Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -174,45 +144,46 @@ func TestShutdownStopsSupervision(t *testing.T) {
 	}
 }
 
-// TestShutdownInterruptsBackoff: a supervisor waiting out a restart backoff
-// answers posts with ErrRestarting, and Shutdown cuts the wait short instead
-// of joining a loop that would sleep for an hour.
+// TestShutdownInterruptsBackoff: a supervisor waiting out a respawn backoff
+// keeps the target running — a post queues for the worker to come — and
+// Shutdown cuts the wait short instead of joining a loop that would sleep for
+// an hour; the queued post then fails with the pool's shutdown error.
 func TestShutdownInterruptsBackoff(t *testing.T) {
 	defer leakcheck.Check(t)()
 	var reg gid.Registry
-	s, err := New("w", poolFactory(t, &reg, 1), Options{
+	s, _ := newSupervised(t, &reg, 1, Options{
 		BackoffInitial: time.Hour,
 		BackoffMax:     time.Hour,
 	})
-	if err != nil {
-		t.Fatal(err)
+	if err := s.Post(func() { runtime.Goexit() }).Wait(); !errors.Is(err, executor.ErrWorkerCrashed) {
+		t.Fatalf("killed task err = %v", err)
 	}
-	s.ReportFailure(errors.New("synthetic failure"))
 	poll.UntilBlockedIn(t, "(*Supervisor).sleep")
-	if err := s.Post(func() {}).Wait(); !errors.Is(err, ErrRestarting) {
-		t.Fatalf("post during backoff: %v, want ErrRestarting", err)
+	queued := s.Post(func() { t.Error("a task ran with no worker") })
+	if queued.Finished() {
+		t.Fatalf("post during backoff finished at once: %v, want it queued", queued.Err())
 	}
+	start := time.Now()
 	s.Shutdown()
-	if h := s.Health(); h.StatusValue() != Down {
-		t.Fatalf("health after a shutdown mid-restart = %+v, want down", h)
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("Shutdown took %v during a 1 h backoff", d)
+	}
+	if err := queued.Wait(); !errors.Is(err, executor.ErrShutdown) {
+		t.Fatalf("queued post after Shutdown: %v, want ErrShutdown", err)
 	}
 }
 
 // TestRespawnKeepsServing: a one-for-one respawn repairs one worker while the
 // others keep serving, so a post made during its backoff runs on a survivor
-// instead of failing with ErrRestarting. The target stays Running and reads
+// instead of waiting for the respawn. The target stays up and reads
 // Degraded.
 func TestRespawnKeepsServing(t *testing.T) {
 	defer leakcheck.Check(t)()
 	var reg gid.Registry
-	s, err := New("w", poolFactory(t, &reg, 2), Options{
-		RespawnWorkers: true,
+	s, _ := newSupervised(t, &reg, 2, Options{
 		BackoffInitial: time.Hour,
 		BackoffMax:     time.Hour,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer s.Shutdown()
 	if err := s.Post(func() { runtime.Goexit() }).Wait(); !errors.Is(err, executor.ErrWorkerCrashed) {
 		t.Fatalf("killed task err = %v", err)
@@ -221,27 +192,23 @@ func TestRespawnKeepsServing(t *testing.T) {
 	if err := s.Post(func() {}).Wait(); err != nil {
 		t.Fatalf("post during a respawn's backoff: %v, want the surviving worker to run it", err)
 	}
-	if h := s.Health(); h.State != Running.String() || h.StatusValue() != Degraded {
-		t.Fatalf("health during a respawn = %+v, want running and degraded", h)
+	if h := s.Health(); h.StatusValue() != Degraded {
+		t.Fatalf("health during a respawn = %+v, want degraded", h)
 	}
 }
 
 // TestRespawnInheritsCrashedWorkerQueue: the pool's queue outlives its last
-// worker, and the worker Grow adds — Grow is what RespawnWorkers calls —
-// drains it. A supervisor respawning a sole worker therefore hands the
+// worker, and the worker Grow adds — Grow is what a respawn calls — drains
+// it. A supervisor respawning a sole worker therefore hands the
 // replacement the still-queued tasks: they complete instead of stranding or
 // failing.
 func TestRespawnInheritsCrashedWorkerQueue(t *testing.T) {
 	defer leakcheck.Check(t)()
 	var reg gid.Registry
-	s, err := New("w", poolFactory(t, &reg, 1), Options{
-		RespawnWorkers: true,
+	s, pool := newSupervised(t, &reg, 1, Options{
 		BackoffInitial: time.Millisecond,
 		Window:         200 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer s.Shutdown()
 
 	// Gate the sole worker, queue work behind it, then kill it.
@@ -264,6 +231,5 @@ func TestRespawnInheritsCrashedWorkerQueue(t *testing.T) {
 			t.Fatalf("queued task lost across respawn: %v", err)
 		}
 	}
-	pool := base(s).(*executor.WorkerPool)
 	waitFor(t, 2*time.Second, func() bool { return pool.Workers() == 1 }, "worker respawn")
 }

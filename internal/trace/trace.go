@@ -42,8 +42,8 @@ const (
 	// while still queued (it never ran; its Completion carries
 	// context.DeadlineExceeded).
 	OpDeadline
-	// OpRestart marks a supervised target being restarted (worker respawn
-	// or full executor replacement) after a crash or a reported failure.
+	// OpRestart marks a supervised target respawning a worker after a
+	// worker crash.
 	OpRestart
 	// OpStall marks a watchdog flagging a registered loop or pool as
 	// stalled: its heartbeat probe did not complete within the threshold
