@@ -60,7 +60,7 @@ func main() {
 		defer func() {
 			msg, err := trace.WriteFile(*traceOut, buf)
 			if err != nil {
-				msg = "trace: " + err.Error()
+				fail(fmt.Errorf("trace: %w", err))
 			}
 			fmt.Fprintln(os.Stderr, "httpbench:", msg)
 		}()

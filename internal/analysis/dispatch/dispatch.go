@@ -245,13 +245,11 @@ func (c *Classifier) dispatchByCallee(call *ast.CallExpr, fn *types.Func) (strin
 		return "Toolkit." + fn.Name(), EDT, true
 	case c.IsMethod(fn, "repro/internal/eventloop", "Loop", "Post"),
 		c.IsMethod(fn, "repro/internal/eventloop", "Loop", "PostLabeled"),
-		c.IsMethod(fn, "repro/internal/eventloop", "Loop", "PostDelayed"),
 		c.IsMethod(fn, "repro/internal/eventloop", "Loop", "InvokeAndWait"):
 		return "Loop." + fn.Name(), EDT, true
 	case c.IsMethod(fn, "repro/internal/gui", "Toolkit", "NewButton"),
-		c.IsMethod(fn, "repro/internal/gui", "Button", "SetHandler"),
-		c.IsMethod(fn, "repro/internal/gui", "Toolkit", "NewTimer"):
-		// Click handlers and timer actions are dispatched on the EDT.
+		c.IsMethod(fn, "repro/internal/gui", "Button", "SetHandler"):
+		// Click handlers are dispatched on the EDT.
 		return fn.Name() + " handler", EDT, true
 	case c.IsMethod(fn, "repro/internal/reactor", "Reactor", "Post"):
 		// Posts hop onto the reactor's poll goroutine — a serial confined

@@ -12,9 +12,8 @@
 //
 //   - Wrap turns any executor.Executor into one whose posted tasks are
 //     subject to injection (the middleware used around worker pools);
-//   - NetInterceptor adapts it to netloop.Server.SetInterceptor and
-//     reactor.Reactor.SetInterceptor, where a Drop decision suppresses the
-//     message or readiness event before it is dispatched;
+//   - NetInterceptor adapts it to reactor.Reactor.SetInterceptor, where a
+//     Drop decision suppresses the readiness event before it is dispatched;
 //   - FDInterceptor adapts it to reactor.Reactor.SetIOInterceptor, the
 //     fd-level seam below dispatch: short writes, spurious EAGAINs,
 //     injected resets, and read latency land directly on the socket
@@ -29,7 +28,7 @@
 //     and the task's completion reports executor.ErrWorkerCrashed;
 //   - Delay: the task sleeps before running (queueing delay / slow handler);
 //   - Drop: the task is discarded (ErrInjectedDrop from Wrap, suppressed
-//     message from NetInterceptor);
+//     readiness event from NetInterceptor);
 //   - Stall: the task blocks — for Rule.Delay, or until Release — wedging
 //     whatever thread runs it (the "frozen GUI" failure mode).
 package chaos
@@ -310,10 +309,9 @@ func (c *chaosExecutor) Stats() executor.Stats {
 
 var _ executor.Executor = (*chaosExecutor)(nil)
 
-// NetInterceptor adapts the injector to netloop.Server.SetInterceptor and
-// reactor.Reactor.SetInterceptor, where a Drop decision suppresses the
-// message or readiness event before it is dispatched (the second return
-// reports whether to keep it).
+// NetInterceptor adapts the injector to reactor.Reactor.SetInterceptor, where
+// a Drop decision suppresses the readiness event before it is dispatched (the
+// second return reports whether to keep it).
 func (in *Injector) NetInterceptor(target string) reactor.Interceptor {
 	return func(event string, fn func()) (func(), bool) {
 		act, d := in.decide(target)

@@ -296,44 +296,3 @@ func (d *Device) Stop() {
 	d.mu.Unlock()
 	d.queue.Shutdown()
 }
-
-// Registry of devices, mirroring omp_get_num_devices/omp_get_device_num.
-type Registry struct {
-	mu      sync.Mutex
-	devices []*Device
-}
-
-// Add registers a device and returns its index.
-func (r *Registry) Add(d *Device) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.devices = append(r.devices, d)
-	return len(r.devices) - 1
-}
-
-// Get returns device i, or nil.
-func (r *Registry) Get(i int) *Device {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if i < 0 || i >= len(r.devices) {
-		return nil
-	}
-	return r.devices[i]
-}
-
-// Count returns the number of registered devices (omp_get_num_devices).
-func (r *Registry) Count() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.devices)
-}
-
-// StopAll stops every registered device.
-func (r *Registry) StopAll() {
-	r.mu.Lock()
-	devs := append([]*Device(nil), r.devices...)
-	r.mu.Unlock()
-	for _, d := range devs {
-		d.Stop()
-	}
-}

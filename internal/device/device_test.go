@@ -228,26 +228,6 @@ func TestStoppedDevice(t *testing.T) {
 	}
 }
 
-func TestRegistry(t *testing.T) {
-	reg := &gid.Registry{}
-	var r Registry
-	if r.Count() != 0 || r.Get(0) != nil {
-		t.Fatal("empty registry")
-	}
-	d0 := New(0, reg, fastCfg())
-	d1 := New(1, reg, fastCfg())
-	if r.Add(d0) != 0 || r.Add(d1) != 1 {
-		t.Fatal("indices")
-	}
-	if r.Count() != 2 || r.Get(1) != d1 || r.Get(9) != nil {
-		t.Fatal("lookup")
-	}
-	r.StopAll()
-	if err := d0.Alloc("x", 1); !errors.Is(err, ErrStopped) {
-		t.Fatal("StopAll did not stop devices")
-	}
-}
-
 func TestTargetAsync(t *testing.T) {
 	d := newDevice(t)
 	data := []byte{1, 2, 3, 4}

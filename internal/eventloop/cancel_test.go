@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/executor"
 	"repro/internal/gid"
@@ -127,39 +126,6 @@ func TestCancelVsDispatchRace(t *testing.T) {
 	l.Post(func() {}).Wait()
 	if got := l.Dispatched(); got != bodies+1 {
 		t.Fatalf("Dispatched = %d with %d handlers run: a skipped event was counted", got, bodies+1)
-	}
-}
-
-// TestCancelDelayedEvent: a PostDelayed event is cancellable before its timer
-// fires. The handler never runs — not when the timer fires, not when Stop
-// fails the loop's remaining timers — and the verdict stays Cancel's.
-func TestCancelDelayedEvent(t *testing.T) {
-	l := New("edt", &gid.Registry{})
-	l.Start()
-	release := holdEDT(l)
-	fired := l.PostDelayed(time.Millisecond, func() { t.Error("cancelled delayed event ran") })
-	stopped := l.PostDelayed(time.Hour, func() { t.Error("cancelled delayed event ran") })
-	for _, c := range []*executor.Completion{fired, stopped} {
-		if !c.Cancel(errRevoked) {
-			t.Fatal("Cancel of a delayed event returned false")
-		}
-	}
-	// The short timer has fired and queued its cancelled node behind the hold.
-	poll.Until(t, "the short timer to queue its event", func() bool {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		return len(l.delayed) == 1 && l.q.Len() == 1
-	})
-	release()
-	l.Post(func() {}).Wait()
-	l.Stop()
-	for _, c := range []*executor.Completion{fired, stopped} {
-		if err := c.Wait(); err != errRevoked {
-			t.Fatalf("err = %v, want the error Cancel was given", err)
-		}
-	}
-	if got := l.Dispatched(); got != 2 {
-		t.Fatalf("Dispatched = %d, want only the hold and the flush", got)
 	}
 }
 

@@ -5,24 +5,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/executor"
 	"repro/internal/gid"
 
 	"repro/internal/testutil/poll"
 )
-
-func TestPostDelayedAfterStop(t *testing.T) {
-	var reg gid.Registry
-	l := New("edt", &reg)
-	l.Start()
-	l.Stop()
-	c := l.PostDelayed(time.Millisecond, func() {})
-	if err := c.Wait(); !errors.Is(err, executor.ErrShutdown) {
-		t.Fatalf("err = %v, want ErrShutdown", err)
-	}
-}
 
 func TestSetObserverNilClears(t *testing.T) {
 	l := newLoop(t)

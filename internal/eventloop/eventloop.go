@@ -24,7 +24,7 @@
 // The worker pool (executor.WorkerPool) has the same shape with plural
 // consumers: one mutex-guarded ChunkQueue, an atomic length mirror and
 // parked-only wakeups. What the loop adds is what a single consumer allows —
-// re-entrant pumping, timers and confinement.
+// re-entrant pumping and confinement.
 package eventloop
 
 import (
@@ -38,7 +38,6 @@ import (
 	"repro/internal/executor"
 	"repro/internal/gid"
 	"repro/internal/sanitize"
-	"repro/internal/trace"
 )
 
 // ErrOnEDT is returned by InvokeAndWait when called from the EDT itself
@@ -93,10 +92,9 @@ type Loop struct {
 	// rest of the runtime relies on. No-op in untagged builds.
 	san sanitize.Home
 
-	mu      sync.Mutex
-	q       executor.ChunkQueue[*item]
-	closed  bool
-	delayed map[*time.Timer]*item // pending PostDelayed timers -> their events
+	mu     sync.Mutex
+	q      executor.ChunkQueue[*item]
+	closed bool
 	// free is the node free list, nfree its length. Not a sync.Pool, which the
 	// collector empties: enqueue takes and popItem returns a node under mu,
 	// which both hold anyway.
@@ -132,7 +130,6 @@ func New(name string, reg *gid.Registry) *Loop {
 		name:     name,
 		registry: reg,
 		q:        executor.NewChunkQueue[*item](),
-		delayed:  make(map[*time.Timer]*item),
 		notify:   make(chan struct{}, 1),
 		stopCh:   make(chan struct{}),
 		ready:    make(chan struct{}),
@@ -315,22 +312,18 @@ func (l *Loop) Post(fn func()) *executor.Completion { return l.PostLabeled("", f
 // PostLabeled enqueues fn with a label used in DispatchInfo instrumentation.
 func (l *Loop) PostLabeled(label string, fn func()) *executor.Completion {
 	comp := new(executor.Completion)
-	l.enqueue(&item{Bracket: executor.Bracket{Fn: fn}, comp: comp, label: label}, 0)
+	l.enqueue(&item{Bracket: executor.Bracket{Fn: fn}, comp: comp, label: label})
 	return comp
 }
 
-// enqueue is the shared admission path of PostLabeled and fired PostDelayed
-// timers: copy the event into a node from the free list (a new one when it is
-// empty), push it, publish length and peak off the lock, and wake the
-// dispatch goroutine only if it is parked. spawn is the poster's span at the
-// original call site (0 = the caller's current span) — PostDelayed captures
-// it before the timer fires, since the timer goroutine itself carries no
-// span.
-func (l *Loop) enqueue(ev *item, spawn trace.SpanID) {
+// enqueue is PostLabeled's admission path: copy the event into a node from the
+// free list (a new one when it is empty), push it, publish length and peak off
+// the lock, and wake the dispatch goroutine only if it is parked.
+func (l *Loop) enqueue(ev *item) {
 	if l.observer.Load() != nil {
 		ev.enqueued = time.Now()
 	}
-	ev.Enqueued(l.name, spawn)
+	ev.Enqueued(l.name, 0)
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
@@ -355,44 +348,6 @@ func (l *Loop) enqueue(ev *item, spawn trace.SpanID) {
 		default:
 		}
 	}
-}
-
-// PostDelayed enqueues fn after delay d (like javax.swing.Timer one-shots).
-// The returned Completion finishes when the handler has run — or with
-// executor.ErrShutdown if the loop stops first: the timer is cancelled by
-// Stop instead of leaking past it, and no forwarding goroutine is burned
-// waiting for the handler.
-func (l *Loop) PostDelayed(d time.Duration, fn func()) *executor.Completion {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return executor.NewCompletedCompletion(executor.ErrShutdown)
-	}
-	comp := new(executor.Completion)
-	it := &item{Bracket: executor.Bracket{Fn: fn}, comp: comp}
-	var spawn trace.SpanID
-	if trace.ActiveSink() != nil {
-		spawn = trace.Current()
-	}
-	if d <= 0 {
-		l.mu.Unlock()
-		l.enqueue(it, spawn)
-		return comp
-	}
-	var tm *time.Timer
-	tm = time.AfterFunc(d, func() {
-		l.mu.Lock()
-		delete(l.delayed, tm)
-		l.mu.Unlock()
-		// enqueue rejects with ErrShutdown if Stop won the race, so the
-		// completion always finishes exactly once: Stop only fails timers
-		// it successfully cancelled (tm.Stop() == true), and a cancelled
-		// timer never runs this callback.
-		l.enqueue(it, spawn)
-	})
-	l.delayed[tm] = it
-	l.mu.Unlock()
-	return comp
 }
 
 // InvokeAndWait posts fn and blocks until it has been dispatched, returning
@@ -466,35 +421,19 @@ func (l *Loop) SetObserver(fn func(DispatchInfo)) {
 	l.observer.Store(&fn)
 }
 
-// Stop rejects further posts, cancels pending PostDelayed timers (their
-// completions finish with executor.ErrShutdown), lets the loop drain
-// already-queued events, and joins the dispatch goroutine. If the loop
-// crashed, the undrainable remainder of the queue is failed with
-// ErrWorkerCrashed. Safe to call more than once. Called from one of the
-// loop's own handlers it returns once the stop is scheduled (joining its own
-// goroutine would never return): the loop drains and exits after the handler
-// does, and a later Stop from outside joins it.
+// Stop rejects further posts, lets the loop drain already-queued events, and
+// joins the dispatch goroutine. If the loop crashed, the undrainable remainder
+// of the queue is failed with ErrWorkerCrashed. Safe to call more than once.
+// Called from one of the loop's own handlers it returns once the stop is
+// scheduled (joining its own goroutine would never return): the loop drains
+// and exits after the handler does, and a later Stop from outside joins it.
 func (l *Loop) Stop() {
 	l.mu.Lock()
-	var orphaned []*item
 	if !l.closed {
 		l.closed = true
-		for tm, it := range l.delayed {
-			if tm.Stop() {
-				// The callback will never run; we own the event.
-				orphaned = append(orphaned, it)
-			}
-			// Otherwise the callback is already firing: it will block on
-			// mu, see closed==true, and finish the completion itself via
-			// enqueue's ErrShutdown rejection.
-			delete(l.delayed, tm)
-		}
 		close(l.stopCh)
 	}
 	l.mu.Unlock()
-	for _, it := range orphaned {
-		it.Fail(it.comp, l.name, executor.ErrShutdown)
-	}
 	if l.Owns() {
 		return
 	}

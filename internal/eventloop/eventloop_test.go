@@ -364,18 +364,6 @@ func TestStopFromHandlerReturns(t *testing.T) {
 	}
 }
 
-func TestPostDelayed(t *testing.T) {
-	l := newLoop(t)
-	start := time.Now()
-	c := l.PostDelayed(10*time.Millisecond, func() {})
-	if err := c.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d < 10*time.Millisecond {
-		t.Fatalf("delayed post ran after %v, want >= 10ms", d)
-	}
-}
-
 func TestWaitPending(t *testing.T) {
 	l := newLoop(t)
 	// Pending already: returns true immediately.
@@ -457,85 +445,5 @@ func BenchmarkPostDispatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l.Post(func() {}).Wait()
-	}
-}
-
-// TestPostDelayedCancelledOnStop is the regression test for the leaked-timer
-// bug: PostDelayed used to arm a bare time.AfterFunc that outlived Stop, so
-// the callback fired into a dead loop and the returned Completion never
-// finished — a Wait on it hung forever. Stop must now cancel pending timers
-// and fail their completions with ErrShutdown.
-func TestPostDelayedCancelledOnStop(t *testing.T) {
-	defer leakcheck.Check(t)()
-	reg := &gid.Registry{}
-	l := New("edt", reg)
-	l.Start()
-	var ran atomic.Bool
-	c := l.PostDelayed(time.Hour, func() { ran.Store(true) })
-	l.Stop()
-	done := make(chan error, 1)
-	go func() { done <- c.Wait() }()
-	select {
-	case err := <-done:
-		if !errors.Is(err, executor.ErrShutdown) {
-			t.Fatalf("Wait() = %v, want ErrShutdown", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("completion never finished: delayed timer leaked past Stop")
-	}
-	if ran.Load() {
-		t.Fatal("delayed fn ran despite Stop before the delay elapsed")
-	}
-}
-
-// TestPostDelayedNoGoroutinePerPost is the regression test for the
-// goroutine-per-post cost: the old implementation parked one forwarding
-// goroutine for every pending delayed post. Arming many long delays must
-// not grow the goroutine count linearly.
-func TestPostDelayedNoGoroutinePerPost(t *testing.T) {
-	reg := &gid.Registry{}
-	l := New("edt", reg)
-	l.Start()
-	defer l.Stop()
-	before := runtime.NumGoroutine()
-	const n = 200
-	for i := 0; i < n; i++ {
-		l.PostDelayed(time.Hour, func() {})
-	}
-	// time.AfterFunc timers live in the runtime timer heap, not as parked
-	// goroutines; allow a little scheduler noise but nothing near n.
-	if after := runtime.NumGoroutine(); after-before > n/4 {
-		t.Fatalf("goroutines grew %d -> %d after %d delayed posts (goroutine per post)",
-			before, after, n)
-	}
-}
-
-// TestPostDelayedStopRace hammers the Stop-vs-fire race: every completion
-// must finish exactly once, either nil (fired) or ErrShutdown (cancelled or
-// rejected by the closed loop), never hang.
-func TestPostDelayedStopRace(t *testing.T) {
-	defer leakcheck.Check(t)()
-	for round := 0; round < 20; round++ {
-		reg := &gid.Registry{}
-		l := New("edt", reg)
-		l.Start()
-		comps := make([]*executor.Completion, 30)
-		for i := range comps {
-			comps[i] = l.PostDelayed(time.Duration(i)*100*time.Microsecond, func() {})
-		}
-		time.Sleep(time.Millisecond)
-		l.Stop()
-		for i, c := range comps {
-			done := make(chan error, 1)
-			go func() { done <- c.Wait() }()
-			select {
-			case err := <-done:
-				if err != nil && !errors.Is(err, executor.ErrShutdown) {
-					t.Fatalf("round %d comp %d: err = %v", round, i, err)
-				}
-			case <-time.After(2 * time.Second):
-				t.Fatalf("round %d comp %d: completion never finished", round, i)
-			}
-		}
 	}
 }

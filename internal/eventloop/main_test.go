@@ -8,7 +8,7 @@ import (
 )
 
 // TestMain sweeps the whole suite for leaked goroutines: after the last
-// test, every loop dispatcher and delayed-post timer must have exited.
+// test, every loop dispatcher must have exited.
 func TestMain(m *testing.M) {
 	os.Exit(leakcheck.Main(m))
 }

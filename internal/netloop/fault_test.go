@@ -5,15 +5,10 @@ import (
 	"net"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/chaos"
-	"repro/internal/eventloop"
 	"repro/internal/gid"
-	"repro/internal/qos"
-	"repro/internal/reactor"
 
 	"repro/internal/testutil/leakcheck"
 
@@ -204,125 +199,5 @@ func TestStopWithQueuedHandlersNoLeak(t *testing.T) {
 	mu.Unlock()
 	if late != 0 {
 		t.Fatalf("%d handlers ran after Stop returned", late)
-	}
-}
-
-// TestChaosInterceptorDropsAndDelays wires the fault injector into the
-// server: dropped messages never reach the handler (counted by Dropped),
-// delayed ones arrive late but intact.
-func TestChaosInterceptorDropsAndDelays(t *testing.T) {
-	reg := &gid.Registry{}
-	s := New("dispatch", reg)
-	defer s.Stop()
-
-	inj := chaos.New(chaos.SeedFromEnv(1337),
-		chaos.Rule{Action: chaos.Drop, Nth: 2}) // drop every 2nd message
-	s.SetInterceptor(inj.NetInterceptor("dispatch"))
-
-	var mu sync.Mutex
-	var got []string
-	s.HandleFunc(func(c *Client, line string) {
-		mu.Lock()
-		got = append(got, line)
-		mu.Unlock()
-	})
-	addr, err := s.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	const msgs = 10
-	for m := 0; m < msgs; m++ {
-		fmt.Fprintf(conn, "m%d\n", m)
-	}
-	waitCond(t, 2*time.Second, func() bool { return s.Dropped() == msgs/2 }, "drops counted")
-	waitCond(t, 2*time.Second, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(got) == msgs/2
-	}, "surviving messages handled")
-	mu.Lock()
-	defer mu.Unlock()
-	for i, line := range got {
-		if want := fmt.Sprintf("m%d", 2*i); line != want {
-			t.Fatalf("surviving message %d = %q, want %q", i, line, want)
-		}
-	}
-}
-
-// TestInterceptorFaultsKeepLimiterSlots sends twelve lines through the
-// message seam on both transports with, in turn, no interceptor, one that
-// drops every third message and one that panics in place of every third
-// handler, behind a two-slot limiter. A dropped message never takes a slot
-// and a panicking one gives its slot back: the counters add up and, once the
-// loop has drained, both of the limiter's slots are free again.
-func TestInterceptorFaultsKeepLimiterSlots(t *testing.T) {
-	const msgs, slots = 12, 2
-	for _, tc := range []struct {
-		name            string
-		rule            *chaos.Rule
-		dropped, panics int64
-	}{
-		{name: "no interceptor"},
-		{name: "drop", rule: &chaos.Rule{Action: chaos.Drop, Nth: 3}, dropped: msgs / 3},
-		{name: "panic", rule: &chaos.Rule{Action: chaos.Panic, Nth: 3}, panics: msgs / 3},
-	} {
-		for _, useReactor := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/reactor=%v", tc.name, useReactor), func(t *testing.T) {
-				s := New("dispatch", &gid.Registry{})
-				defer s.Stop()
-				if useReactor {
-					if !reactor.Supported {
-						t.Skip("no reactor poller on this platform")
-					}
-					if err := s.EnableReactor(); err != nil {
-						t.Fatal(err)
-					}
-				}
-				lim := qos.NewLimiter("dispatch", slots, -1, qos.TimeoutAfter(time.Hour))
-				s.UseLimiter(lim)
-				if tc.rule != nil {
-					s.SetInterceptor(chaos.New(1, *tc.rule).NetInterceptor("dispatch"))
-				}
-				var handled, panics atomic.Int64
-				s.Loop().SetObserver(func(d eventloop.DispatchInfo) {
-					if d.Err != nil {
-						panics.Add(1)
-					}
-				})
-				s.HandleFunc(func(*Client, string) { handled.Add(1) })
-				addr, err := s.Start("127.0.0.1:0")
-				if err != nil {
-					t.Fatal(err)
-				}
-				conn, err := net.Dial("tcp", addr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer conn.Close()
-				for m := 0; m < msgs; m++ {
-					fmt.Fprintf(conn, "m%d\n", m)
-				}
-
-				want := msgs - tc.dropped - tc.panics
-				waitCond(t, 5*time.Second, func() bool {
-					return handled.Load() == want && panics.Load() == tc.panics && s.Dropped() == tc.dropped
-				}, fmt.Sprintf("%d handled, %d panics, %d dropped", want, tc.panics, tc.dropped))
-				// Each slot is released on the loop after its handler; an event
-				// queued behind them all runs once they are all back.
-				if err := s.Loop().InvokeAndWait(func() {}); err != nil {
-					t.Fatal(err)
-				}
-				for i := 0; i < slots; i++ {
-					if !lim.TryAcquire() {
-						t.Fatalf("slot %d of %d still held after the loop drained", i+1, slots)
-					}
-				}
-			})
-		}
 	}
 }

@@ -10,66 +10,44 @@ import (
 	"time"
 
 	"repro/internal/eventloop"
-	"repro/internal/qos"
 )
 
 // TestPerConnectionFIFOCannotDesync: a client's posts all carry one delivery
-// closure that pops the client's oldest pending line, so every drop, panic or
+// closure that pops the client's oldest pending line, so every panic or
 // interleaving must keep one push per post and one pop per dispatch. Two
-// connections interleave 1000 lines each behind a four-slot limiter, with no
-// interceptor and with one that drops every 3rd message and panics inside the
-// wrapper of every 5th (after letting the handler see which line it carried).
-// Every handled line is the client's own and arrives in order, the counters
-// and the limiter balance with every slot back, and once the connections are
-// idle no client's queue references a line — nor after a stopped loop has
-// rejected the posts of ten more lines per connection.
+// connections interleave 1000 lines each, with a plain handler and with one
+// that panics on every 5th line it is handed (after recording which line it
+// was). Every handled line is the client's own and arrives in order, the
+// counters balance, and once the connections are idle no client's queue
+// references a line — nor after a stopped loop has rejected the posts of ten
+// more lines per connection, each of which Dropped counts.
 func TestPerConnectionFIFOCannotDesync(t *testing.T) {
-	const conns, lines, slots = 2, 1000, 4
+	const conns, lines = 2, 1000
 	const total = conns * lines
 	for _, tc := range []struct {
-		name             string
-		faults           bool
-		dropped, panics  int64
-		handledPerClient int // 0: not fixed
+		name  string
+		every int64 // the handler panics on every every-th line; 0: never
 	}{
-		{name: "plain", handledPerClient: lines},
-		// Of the messages 1..2000 in interception order, multiples of 3 are
-		// dropped and the other multiples of 5 panic.
-		{name: "drop3-panic5", faults: true, dropped: total / 3, panics: total/5 - total/15},
+		{name: "plain"},
+		{name: "panic5", every: 5},
 	} {
+		var wantPanics int64
+		if tc.every > 0 {
+			wantPanics = total / tc.every
+		}
 		t.Run(tc.name, func(t *testing.T) {
 			eachTransport(t, func(t *testing.T, s *Server) {
 				defer s.Stop()
-				lim := qos.NewLimiter("dispatch", slots, -1, qos.TimeoutAfter(time.Hour))
-				s.UseLimiter(lim)
 
-				// Confined to the dispatch loop: the handler, the wrappers and
-				// the observer all run there; the test reads them after
-				// InvokeAndWait.
+				// Confined to the dispatch loop: the handler and the observer
+				// run there; the test reads them after InvokeAndWait.
 				type record struct {
 					line     string
 					panicked bool
 				}
 				seen := map[*Client][]record{}
-				probing := false
+				var n int64
 				var settled, panics atomic.Int64
-				if tc.faults {
-					var n atomic.Int64
-					s.SetInterceptor(func(_ string, fn func()) (func(), bool) {
-						switch k := n.Add(1); {
-						case k%3 == 0:
-							return nil, false
-						case k%5 == 0:
-							return func() {
-								probing = true
-								fn()
-								probing = false
-								panic("injected")
-							}, true
-						}
-						return fn, true
-					})
-				}
 				s.Loop().SetObserver(func(d eventloop.DispatchInfo) {
 					if d.Label != "msg" {
 						return
@@ -80,7 +58,12 @@ func TestPerConnectionFIFOCannotDesync(t *testing.T) {
 					settled.Add(1)
 				})
 				s.HandleFunc(func(c *Client, line string) {
-					seen[c] = append(seen[c], record{line, probing})
+					n++
+					panicking := tc.every > 0 && n%tc.every == 0
+					seen[c] = append(seen[c], record{line, panicking})
+					if panicking {
+						panic("injected")
+					}
 				})
 				addr, err := s.Start("127.0.0.1:0")
 				if err != nil {
@@ -103,8 +86,8 @@ func TestPerConnectionFIFOCannotDesync(t *testing.T) {
 					}
 				}
 				waitCond(t, 10*time.Second, func() bool {
-					return s.Messages() == total && settled.Load()+s.Dropped() == total
-				}, fmt.Sprintf("%d lines dispatched or dropped", total))
+					return s.Messages() == total && settled.Load() == total
+				}, fmt.Sprintf("%d lines dispatched", total))
 				var idle []*Client
 				if err := s.Loop().InvokeAndWait(func() {
 					for c := range seen {
@@ -117,7 +100,7 @@ func TestPerConnectionFIFOCannotDesync(t *testing.T) {
 				if len(seen) != conns {
 					t.Fatalf("lines reached %d clients, want %d", len(seen), conns)
 				}
-				var handled, probed int64
+				var handled, panicked int64
 				for c, recs := range seen {
 					tag, last := "", -1
 					for _, r := range recs {
@@ -134,43 +117,29 @@ func TestPerConnectionFIFOCannotDesync(t *testing.T) {
 						}
 						last = seq
 						if r.panicked {
-							probed++
+							panicked++
 						} else {
 							handled++
 						}
 					}
-					if n := tc.handledPerClient; n > 0 && (len(recs) != n || last != n-1) {
-						t.Fatalf("client %d handled %d lines ending at %d, want all %d", c.ID(), len(recs), last, n)
+					if len(recs) != lines || last != lines-1 {
+						t.Fatalf("client %d handled %d lines ending at %d, want all %d", c.ID(), len(recs), last, lines)
 					}
 				}
-				if want := total - tc.dropped - tc.panics; handled != want || probed != tc.panics {
-					t.Errorf("handled %d lines and %d panicking ones, want %d and %d", handled, probed, want, tc.panics)
+				if handled != total-wantPanics || panicked != wantPanics {
+					t.Errorf("handled %d lines and %d panicking ones, want %d and %d", handled, panicked, total-wantPanics, wantPanics)
 				}
-				if d, p := s.Dropped(), panics.Load(); d != tc.dropped || p != tc.panics {
-					t.Errorf("Dropped = %d, panicked dispatches = %d, want %d and %d", d, p, tc.dropped, tc.panics)
-				}
-				if st := lim.Stats(); st.Admitted+s.Dropped() != total || st.Shed != 0 || st.Canceled != 0 {
-					t.Errorf("limiter %+v and %d dropped do not account for %d messages", st, s.Dropped(), total)
-				}
-				takeSlots := func(when string) {
-					t.Helper()
-					for i := 0; i < slots; i++ {
-						if !lim.TryAcquire() {
-							t.Fatalf("%s: slot %d of %d still held", when, i+1, slots)
-						}
-					}
-					for i := 0; i < slots; i++ {
-						lim.Release()
-					}
+				if d, p := s.Dropped(), panics.Load(); d != 0 || p != wantPanics {
+					t.Errorf("Dropped = %d, panicked dispatches = %d, want 0 and %d", d, p, wantPanics)
 				}
 				checkIdle := func(when string) {
 					t.Helper()
 					for _, c := range idle {
 						c.pending.mu.Lock()
 						n, buf := c.pending.n, c.pending.buf
-						for i, m := range buf {
-							if m.line != "" || m.wrapped != nil {
-								t.Errorf("%s: client %d: queue slot %d still holds %q", when, c.ID(), i, m.line)
+						for i, line := range buf {
+							if line != "" {
+								t.Errorf("%s: client %d: queue slot %d still holds %q", when, c.ID(), i, line)
 							}
 						}
 						c.pending.mu.Unlock()
@@ -179,11 +148,10 @@ func TestPerConnectionFIFOCannotDesync(t *testing.T) {
 						}
 					}
 				}
-				takeSlots("after the loop drained")
 				checkIdle("idle connection")
 
 				// A stopped loop rejects every further post: the line it would
-				// have delivered is taken back off the queue, with its slot.
+				// have delivered is taken back off the queue and counted.
 				s.Loop().Stop()
 				const late = 10
 				for m := lines; m < lines+late; m++ {
@@ -204,7 +172,9 @@ func TestPerConnectionFIFOCannotDesync(t *testing.T) {
 					t.Fatalf("Messages = %d, want %d", got, want)
 				}
 				checkIdle("rejected posts")
-				takeSlots("after rejected posts")
+				if got, want := s.Dropped(), int64(conns*late); got != want {
+					t.Errorf("Dropped = %d after the stopped loop rejected %d lines, want %d", got, want, want)
+				}
 			})
 		})
 	}

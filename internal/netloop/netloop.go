@@ -54,9 +54,6 @@ type Server struct {
 	onClose   func(*Client)
 	closed    bool
 
-	limiter     *qos.Limiter // nil = unbounded dispatch queue (seed behaviour)
-	interceptor atomic.Pointer[reactor.Interceptor]
-
 	// Survivability knobs, set before Start (see SetIdleDeadline and
 	// SetMaxConns). Both apply to either transport.
 	idleDeadline time.Duration
@@ -66,7 +63,6 @@ type Server struct {
 	nextID         atomic.Int64
 	accepted       atomic.Int64
 	messages       atomic.Int64
-	shed           atomic.Int64
 	dropped        atomic.Int64
 	connShed       atomic.Int64
 	deadlineCloses atomic.Int64 // default-transport idle closes
@@ -106,18 +102,9 @@ func (s *Server) OnConnect(fn func(*Client)) { s.onConnect = fn }
 // OnClose sets a disconnection callback, dispatched on the loop.
 func (s *Server) OnClose(fn func(*Client)) { s.onClose = fn }
 
-// UseLimiter applies qos admission control to the dispatch queue: each
-// message acquires a slot before it is posted to the loop and releases it
-// when its handler returns, so the queue of undispatched messages is
-// bounded by the limiter instead of growing without limit under a slow
-// handler. A TimeoutAfter policy applies backpressure to the sending
-// connection (its read loop stalls) for up to its deadline and then sheds the
-// message; Reject sheds at once. Sheds are counted by Shed. Must be called
-// before Start.
-func (s *Server) UseLimiter(l *qos.Limiter) { s.limiter = l }
-
-// Shed returns the number of messages dropped by admission control.
-func (s *Server) Shed() int64 { return s.shed.Load() }
+// Shed is always 0: netloop has no per-message admission control; kept
+// because benchmark/ reads it.
+func (s *Server) Shed() int64 { return 0 }
 
 // SetIdleDeadline disconnects clients that send nothing for d — the
 // slowloris defence. A connection the server is actively writing to is not
@@ -155,22 +142,8 @@ func (s *Server) DeadlineCloses() int64 {
 	return n
 }
 
-// SetInterceptor installs (or, with nil, removes) the message interceptor,
-// which sits between the read loop and the dispatch queue: it receives each
-// message event ("msg") and its handler closure before the message is
-// queued, and returns the closure to dispatch plus a keep flag — false
-// suppresses the message entirely (it never reaches the queue, never takes a
-// limiter slot, and is counted by Dropped). The fault-injection layer
-// (chaos.NetInterceptor) plugs in here to drop or delay messages.
-func (s *Server) SetInterceptor(fn reactor.Interceptor) {
-	if fn == nil {
-		s.interceptor.Store(nil)
-		return
-	}
-	s.interceptor.Store(&fn)
-}
-
-// Dropped returns the number of messages suppressed by the interceptor.
+// Dropped returns the number of received lines never delivered because the
+// dispatch loop had stopped.
 func (s *Server) Dropped() int64 { return s.dropped.Load() }
 
 // Start listens on addr ("127.0.0.1:0" for an ephemeral port) and begins
@@ -240,15 +213,7 @@ func (s *Server) deliver(c *Client, line string) {
 // goroutine reads a connection, so its posts reach the loop in the order its
 // entries were pushed, and each dispatch pops exactly one entry: every
 // dispatch delivers the line it was posted for.
-func (s *Server) deliverNext(c *Client) {
-	defer s.limiter.Release() // however the delivery ends, an injected panic included
-	m := c.pending.pop()
-	if m.wrapped != nil {
-		m.wrapped()
-		return
-	}
-	s.deliver(c, m.line)
-}
+func (s *Server) deliverNext(c *Client) { s.deliver(c, c.pending.pop()) }
 
 // readLoop turns each received line into a dispatch-loop event — the
 // inversion of control of Section I: the framework invokes the handler.
@@ -300,43 +265,22 @@ func (ir *idleReader) Read(p []byte) (int, error) {
 	}
 }
 
-// handleLine runs one received line through the interception and admission
-// pipeline, queues it on the client and posts the client's delivery closure to
-// the dispatch loop. Shared by both transports (per-connection reader
+// handleLine queues one received line on the client and posts the client's
+// delivery closure to the dispatch loop: a message costs its line and the
+// loop's Completion. Shared by both transports (per-connection reader
 // goroutines and the reactor's poll goroutine).
 func (s *Server) handleLine(c *Client, line string) {
 	s.messages.Add(1)
-	// Only an installed interceptor needs the delivery as a closure of its
-	// own to wrap; without one, wrapped stays nil and a message costs its
-	// line and the loop's Completion.
-	var wrapped func()
-	if p := s.interceptor.Load(); p != nil {
-		var keep bool
-		if wrapped, keep = (*p)("msg", func() { s.deliver(c, line) }); !keep {
-			// Suppressed by fault injection before it took a limiter slot
-			// or a queue position.
-			s.dropped.Add(1)
-			return
-		}
-	}
-	if err := s.limiter.Acquire(context.Background()); err != nil {
-		// Shed at the edge: the dispatch queue is protected and the
-		// reader moves on to the next line. On the reactor transport a
-		// Block policy stalls the poll goroutine itself — kernel-style
-		// backpressure on every connection at once.
-		s.shed.Add(1)
-		return
-	}
 	// When tracing is active the enqueue is bracketed by a "recv" span on the
 	// read goroutine, so the handler's run span on the loop parents to the
 	// network receive that caused it (the cross-boundary edge of the message
 	// path).
 	sc := trace.Open(trace.ActiveSink(), "recv", s.name)
-	c.pending.push(message{line, wrapped})
+	c.pending.push(line)
 	if s.loop.PostLabeled("msg", c.next).Err() == executor.ErrShutdown {
 		// The loop has stopped and will never pop the entry: take it back.
 		c.pending.unpush()
-		s.limiter.Release()
+		s.dropped.Add(1)
 	}
 	sc.Close()
 }
@@ -469,60 +413,53 @@ func (s *Server) newClient(conn net.Conn, rc *reactor.Conn) *Client {
 	return c
 }
 
-// message is one received line waiting in a client's fifo, with the
-// interceptor's wrapper of its delivery (nil without an interceptor).
-type message struct {
-	line    string
-	wrapped func()
-}
-
 // maxIdleFIFO is the largest ring a fifo keeps once it drains; one that grew
 // past it under a burst is dropped then, not pinned for the connection's life.
 const maxIdleFIFO = 64
 
-// fifo is a client's queue of pending messages: a ring whose slots are reused
+// fifo is a client's queue of pending lines: a ring whose slots are reused
 // (zeroed when popped, so a drained ring references no line), pushed by the
 // connection's one reading goroutine and popped on the dispatch loop.
 type fifo struct {
 	mu      sync.Mutex
-	buf     []message
+	buf     []string
 	head, n int
 }
 
-func (q *fifo) push(m message) {
+func (q *fifo) push(line string) {
 	q.mu.Lock()
 	if q.n == len(q.buf) {
-		grown := make([]message, max(4, 2*len(q.buf)))
+		grown := make([]string, max(4, 2*len(q.buf)))
 		for i := range q.n {
 			grown[i] = q.buf[(q.head+i)%len(q.buf)]
 		}
 		q.buf, q.head = grown, 0
 	}
-	q.buf[(q.head+q.n)%len(q.buf)] = m
+	q.buf[(q.head+q.n)%len(q.buf)] = line
 	q.n++
 	q.mu.Unlock()
 }
 
-// pop removes and returns the oldest message. A post pops only the entry
+// pop removes and returns the oldest line. A post pops only the entry
 // pushed before it, so the ring is never empty here.
-func (q *fifo) pop() message {
+func (q *fifo) pop() string {
 	q.mu.Lock()
-	m := q.buf[q.head]
-	q.buf[q.head] = message{}
+	line := q.buf[q.head]
+	q.buf[q.head] = ""
 	q.head = (q.head + 1) % len(q.buf)
 	q.n--
 	if q.n == 0 && len(q.buf) > maxIdleFIFO {
 		q.buf, q.head = nil, 0
 	}
 	q.mu.Unlock()
-	return m
+	return line
 }
 
-// unpush removes the newest message, whose post the loop rejected.
+// unpush removes the newest line, whose post the loop rejected.
 func (q *fifo) unpush() {
 	q.mu.Lock()
 	q.n--
-	q.buf[(q.head+q.n)%len(q.buf)] = message{}
+	q.buf[(q.head+q.n)%len(q.buf)] = ""
 	q.mu.Unlock()
 }
 

@@ -199,3 +199,27 @@ func TestStopIdempotentAndRejectsLateClients(t *testing.T) {
 		late.Close()
 	}
 }
+
+// TestNoLimiterKeepsSeedBehaviour checks that the dispatch queue admits
+// every message: all are answered and nothing is shed.
+func TestNoLimiterKeepsSeedBehaviour(t *testing.T) {
+	s := New("dispatch", nil)
+	defer s.Stop()
+	s.HandleFunc(func(c *Client, line string) { c.Send("ack:" + line) })
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, sc := dial(t, addr)
+	for i := 0; i < 10; i++ {
+		fmt.Fprintf(conn, "m%d\n", i)
+	}
+	for i := 0; i < 10; i++ {
+		if !sc.Scan() {
+			t.Fatalf("missing response %d", i)
+		}
+	}
+	if s.Shed() != 0 {
+		t.Fatalf("Shed = %d", s.Shed())
+	}
+}

@@ -33,8 +33,7 @@ func (s *Server) EnableReactor() error {
 
 // Reactor returns the readiness reactor, or nil on the fallback transport.
 // Use it to install a readiness-layer or fd-level chaos interceptor or read
-// poll-loop stats; the message-level seams (SetInterceptor, UseLimiter)
-// apply to both transports unchanged.
+// poll-loop stats.
 func (s *Server) Reactor() *reactor.Reactor { return s.reactor }
 
 // reactorAccept wires one accepted connection into the server. Runs on the

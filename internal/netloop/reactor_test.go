@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/gid"
-	"repro/internal/qos"
 	"repro/internal/reactor"
 	"repro/internal/testutil/leakcheck"
 	"repro/internal/testutil/poll"
@@ -332,29 +331,4 @@ func TestReactorOversizedLineDisconnects(t *testing.T) {
 		t.Fatalf("unterminated oversized fragment delivered as line (%d bytes)", len(g))
 	default:
 	}
-}
-
-// TestReactorQoSShed: admission control guards the dispatch queue on the
-// reactor transport exactly as on the goroutine transport — a Reject
-// limiter sheds the flood while the handler is wedged.
-func TestReactorQoSShed(t *testing.T) {
-	defer leakcheck.Check(t)()
-	s := newReactorServer(t, "rqos")
-	defer s.Stop()
-	release := make(chan struct{})
-	var once sync.Once
-	s.UseLimiter(qos.NewLimiter("rqos", 1, 0, qos.Reject()))
-	s.HandleFunc(func(c *Client, line string) {
-		once.Do(func() { <-release })
-	})
-	addr, err := s.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, _ := dial(t, addr)
-	for i := 0; i < 200; i++ {
-		fmt.Fprintf(conn, "flood%d\n", i)
-	}
-	poll.Until(t, "messages shed by admission control", func() bool { return s.Shed() > 0 })
-	close(release)
 }

@@ -37,12 +37,8 @@
 //
 // Cross-cutting integration mirrors the rest of the runtime: an
 // Interceptor seam compatible with chaos.NetInterceptor injects Delay/Drop
-// faults at the readiness layer, trace spans parent handler work to the
-// readiness event that caused it ("ready" → "recv" → "run"), and callers
-// apply qos admission per message (see netloop) — on a reactor, a waiting
-// (TimeoutAfter) policy backpressures the whole loop for up to its deadline,
-// which is kernel-style global backpressure: every socket stops being read
-// and TCP receive windows fill.
+// faults at the readiness layer, and trace spans parent handler work to the
+// readiness event that caused it ("ready" → "recv" → "run").
 //
 // The survivability layer hardens the loop against hostile peers and
 // crashing handlers:
@@ -139,12 +135,11 @@ type HandlerFuncs struct {
 	OnClose func(c *Conn, err error)
 }
 
-// Interceptor sits between an event and its dispatch: here between a
-// readiness event and its handler, in netloop between the read loop and the
-// dispatch queue (chaos.NetInterceptor plugs into both). It may replace the
-// dispatch (Delay) or suppress it (keep=false; with edge-triggered
-// registration a dropped read edge stalls the connection until more bytes
-// arrive — exactly the fault being modelled).
+// Interceptor sits between a readiness event and its handler
+// (chaos.NetInterceptor plugs in here). It may replace the dispatch (Delay)
+// or suppress it (keep=false; with edge-triggered registration a dropped read
+// edge stalls the connection until more bytes arrive — exactly the fault being
+// modelled).
 type Interceptor func(event string, fn func()) (func(), bool)
 
 // Stats is a snapshot of the reactor's counters.

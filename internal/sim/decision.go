@@ -1,4 +1,4 @@
-package trace
+package sim
 
 import (
 	"fmt"
@@ -6,9 +6,9 @@ import (
 	"time"
 )
 
-// A Decision records one choice the deterministic simulation scheduler
-// (package sim) made: which task to run, which queued task a helping thread
-// popped, or which timer batch to fire after advancing the virtual clock.
+// A Decision records one choice the deterministic simulation scheduler made:
+// which task to run, which queued task a helping thread popped, or which
+// timer batch to fire after advancing the virtual clock.
 // The sequence of decisions *is* the schedule — replaying the same seed must
 // reproduce the same decision log byte for byte, which is what makes a
 // failing exploration run a permanent regression test.

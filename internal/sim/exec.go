@@ -134,7 +134,7 @@ func (e *Exec) TryRunPending() bool {
 		idx = s.rng.Intn(alts)
 	}
 	t := e.take(idx)
-	s.log.Append(trace.Decision{Step: s.steps, Kind: "help", Target: e.name, Seq: t.seq, Alts: alts, Virt: s.virt})
+	s.log.Append(Decision{Step: s.steps, Kind: "help", Target: e.name, Seq: t.seq, Alts: alts, Virt: s.virt})
 	s.steps++
 	return s.run(t)
 }

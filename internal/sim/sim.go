@@ -37,7 +37,6 @@ import (
 
 	"repro/internal/executor"
 	"repro/internal/gid"
-	"repro/internal/trace"
 )
 
 // ErrNotSimGoroutine reports use of a simulated executor from outside the
@@ -147,7 +146,7 @@ type Sim struct {
 	seq     uint64
 
 	steps    int
-	log      trace.DecisionLog
+	log      DecisionLog
 	fatalErr error // sticky deadlock/step-limit, survives capture by task recovery
 }
 
@@ -193,7 +192,7 @@ func (s *Sim) SetMaxSteps(n int) {
 func (s *Sim) Steps() int { return s.steps }
 
 // Log returns the decision log (live; do not mutate).
-func (s *Sim) Log() *trace.DecisionLog { return &s.log }
+func (s *Sim) Log() *DecisionLog { return &s.log }
 
 // Trace renders the decision trace recorded so far. Two runs with the same
 // seed over the same scenario produce byte-identical traces.
@@ -343,14 +342,14 @@ func (s *Sim) step() bool {
 	}
 	c := cs[s.pick(cs)]
 	if c.timer != nil {
-		s.log.Append(trace.Decision{Step: s.steps, Kind: "timer", Target: c.timer.target, Seq: c.timer.seq, Alts: len(cs), Virt: s.virt})
+		s.log.Append(Decision{Step: s.steps, Kind: "timer", Target: c.timer.target, Seq: c.timer.seq, Alts: len(cs), Virt: s.virt})
 		s.steps++
 		c.timer.fired = true // consumed; collect will drop it
 		c.timer.fn()
 		return true
 	}
 	t := c.exec.take(c.qidx)
-	s.log.Append(trace.Decision{Step: s.steps, Kind: "run", Target: c.exec.name, Seq: t.seq, Alts: len(cs), Virt: s.virt})
+	s.log.Append(Decision{Step: s.steps, Kind: "run", Target: c.exec.name, Seq: t.seq, Alts: len(cs), Virt: s.virt})
 	s.steps++
 	s.run(t)
 	return true

@@ -157,11 +157,6 @@ func maxf(a, b float64) float64 {
 	return b
 }
 
-// ExportTraceEventBuffer is ExportTraceEvent over a Buffer's retained events.
-func ExportTraceEventBuffer(w io.Writer, b *Buffer) error {
-	return ExportTraceEvent(w, b.Snapshot())
-}
-
 // WriteFile writes b's retained events to path as trace-event JSON and
 // returns a one-line summary of the capture for the caller to print.
 func WriteFile(path string, b *Buffer) (string, error) {

@@ -235,7 +235,7 @@ func TestExportTraceEventShape(t *testing.T) {
 	EndSpan(buf, parent, "invoke", "alpha")
 
 	var sb strings.Builder
-	if err := ExportTraceEventBuffer(&sb, buf); err != nil {
+	if err := ExportTraceEvent(&sb, buf.Snapshot()); err != nil {
 		t.Fatalf("export: %v", err)
 	}
 	var file struct {
