@@ -10,10 +10,11 @@ import (
 )
 
 // TestAllocationBudget holds every way of handing a block to a virtual target
-// to the heap objects DESIGN.md §10 accounts for, and to their bytes: the node
-// the caller keeps a pointer into, and nothing for the join — a joiner that
-// parks or awaits takes its waiter node from the executor package's free list,
-// which the warm-up run fills. Each figure is the mean over 200 runs, on one P
+// to the heap objects DESIGN.md §10 accounts for, and to their bytes: the
+// Completion the caller keeps, and nothing for the queue or the join — the
+// queue node comes from the pool's free list, and a joiner that parks or
+// awaits takes its waiter node from the executor package's free list; the
+// warm-up run fills both. Each figure is the mean over 200 runs, on one P
 // as testing.AllocsPerRun measures, rounded down: MemStats.Mallocs for the
 // objects, MemStats.TotalAlloc (size classes, not requested sizes) for the
 // bytes. The runs count the whole process, the worker's and the EDT's side of
@@ -53,27 +54,27 @@ func TestAllocationBudget(t *testing.T) {
 		from           func(measure func())
 		op             func()
 	}{
-		{"WorkerPool.Post", 1, 32, foreign, func() { f.pool.Post(noop) }},
+		{"WorkerPool.Post", 1, 16, foreign, func() { f.pool.Post(noop) }},
 		// The runs are on one P, so the worker cannot run the block before
 		// the poster blocks: this Wait always parks.
-		{"WorkerPool.Post.Wait that parks", 1, 32, foreign, func() { f.pool.Post(noop).Wait() }},
+		{"WorkerPool.Post.Wait that parks", 1, 16, foreign, func() { f.pool.Post(noop).Wait() }},
 		{"Loop.Post", 1, 16, foreign, func() { f.edt.Post(noop) }},
 		{"Loop.InvokeAndWait", 1, 16, foreign, func() { f.edt.InvokeAndWait(noop) }},
-		{"Invoke(Wait)", 1, 32, foreign, func() { f.rt.Invoke("worker", Wait, noop) }},
-		{"Invoke(Nowait)", 1, 32, foreign, func() { f.rt.Invoke("worker", Nowait, noop) }},
-		{"Invoke(Await)", 1, 32, foreign, func() { f.rt.Invoke("worker", Await, noop) }},
-		{"Invoke(Await) from the EDT", 1, 32, onEDT, func() { f.rt.Invoke("worker", Await, noop) }},
+		{"Invoke(Wait)", 1, 16, foreign, func() { f.rt.Invoke("worker", Wait, noop) }},
+		{"Invoke(Nowait)", 1, 16, foreign, func() { f.rt.Invoke("worker", Nowait, noop) }},
+		{"Invoke(Await)", 1, 16, foreign, func() { f.rt.Invoke("worker", Await, noop) }},
+		{"Invoke(Await) from the EDT", 1, 16, onEDT, func() { f.rt.Invoke("worker", Await, noop) }},
 		{"Invoke(Await) from a pool worker", 1, 16, onWorker, func() { f.rt.Invoke("edt", Await, noop) }},
-		{"InvokeNamed+WaitTag", 1, 32, foreign, func() {
+		{"InvokeNamed+WaitTag", 1, 16, foreign, func() {
 			f.rt.InvokeNamed("worker", "budget", noop)
 			f.rt.WaitTag("budget")
 		}},
-		// The block's closure over ctx joins the node; a context that can
+		// The block's closure over ctx joins the Completion; a context that can
 		// expire adds the AfterFunc registration (its context, its callback,
 		// its stop function) — no second completion, no channel, no goroutine.
-		{"InvokeCtx(Background, Wait)", 2, 64, foreign, func() { f.rt.InvokeCtx(context.Background(), "worker", Wait, noopCtx) }},
+		{"InvokeCtx(Background, Wait)", 2, 48, foreign, func() { f.rt.InvokeCtx(context.Background(), "worker", Wait, noopCtx) }},
 		{"InvokeCtx(Background, Wait) on the EDT", 2, 48, foreign, func() { f.rt.InvokeCtx(context.Background(), "edt", Wait, noopCtx) }},
-		{"InvokeCtx(cancellable, Wait)", 5, 256, foreign, func() { f.rt.InvokeCtx(live, "worker", Wait, noopCtx) }},
+		{"InvokeCtx(cancellable, Wait)", 5, 240, foreign, func() { f.rt.InvokeCtx(live, "worker", Wait, noopCtx) }},
 		{"InvokeCtx(cancellable, Wait) on the EDT", 5, 240, foreign, func() { f.rt.InvokeCtx(live, "edt", Wait, noopCtx) }},
 		// The channel; the node under it goes back to the free list when the
 		// completion finishes.
@@ -87,8 +88,8 @@ func TestAllocationBudget(t *testing.T) {
 		var objects, bytes uint64
 		row.from(func() {
 			// The yield is what lets the target's side of a fire-and-forget
-			// post — running the block, completing it, recycling the loop's
-			// pooled queue node — happen inside the run that caused it.
+			// post — running the block, completing it, recycling its
+			// queue node — happen inside the run that caused it.
 			objects, bytes = perRun(runs, func() {
 				row.op()
 				runtime.Gosched()

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -37,8 +38,12 @@ func TestNestedAwaitsBothContinuationsRun(t *testing.T) {
 
 			release := map[string]chan struct{}{"A": make(chan struct{}), "B": make(chan struct{})}
 			started := map[string]chan struct{}{"A": make(chan struct{}), "B": make(chan struct{})}
+			// depth counts the handlers running on the EDT, nested ones included.
+			var depth atomic.Int32
 			handler := func(id string) func() {
 				return func() {
+					depth.Add(1)
+					defer depth.Add(-1)
 					f.rt.Invoke("worker", Await, func() {
 						close(started[id])
 						<-release[id]
@@ -50,8 +55,8 @@ func TestNestedAwaitsBothContinuationsRun(t *testing.T) {
 			<-started["A"]
 			b := f.edt.Post(handler("B"))
 			<-started["B"]
-			poll.UntilBlockedIn(t, "(*Loop).WaitPending")
-			if d := f.edt.Depth(); d != 2 {
+			poll.UntilBlockedIn(t, "(*WorkerPool).WaitPending")
+			if d := depth.Load(); d != 2 {
 				t.Fatalf("EDT depth = %d with B awaiting inside A's barrier, want 2", d)
 			}
 
@@ -66,7 +71,7 @@ func TestNestedAwaitsBothContinuationsRun(t *testing.T) {
 				poll.Until(t, "the outer block finished", func() bool { return f.pool.Stats().Completed == 1 })
 			} else {
 				poll.Until(t, "B continued", func() bool { return said("B-continuation") })
-				poll.UntilBlockedIn(t, "(*Loop).WaitPending")
+				poll.UntilBlockedIn(t, "(*WorkerPool).WaitPending")
 			}
 			if said("A-continuation") {
 				t.Fatal("A continued while its block, or the barrier nested in it, was still pending")

@@ -689,8 +689,8 @@ func (r *Runtime) emit(op trace.Op, target string, mode Mode) {
 }
 
 // PoolStats returns per-target executor statistics for every registered
-// target whose executor exposes them (worker pools do; event loops report
-// their own counters via their own API).
+// target whose executor exposes them: worker pools and event loops, which
+// are pools of one.
 func (r *Runtime) PoolStats() map[string]executor.Stats {
 	out := make(map[string]executor.Stats)
 	for name, e := range r.view.Load().targets {

@@ -316,7 +316,7 @@ func TestThreadContextAwareness(t *testing.T) {
 func TestEDTBlockFromEDTIsInline(t *testing.T) {
 	f := newFixture(t, 1)
 	err := f.edt.InvokeAndWait(func() {
-		before := f.edt.Dispatched()
+		before := f.edt.Stats().Submitted
 		comp, err := f.rt.Invoke("edt", Wait, func() {})
 		if err != nil {
 			t.Error(err)
@@ -326,8 +326,8 @@ func TestEDTBlockFromEDTIsInline(t *testing.T) {
 			t.Error("EDT->EDT block not finished synchronously")
 		}
 		// No extra dispatch happened: the block was inlined, not queued.
-		if after := f.edt.Dispatched(); after != before {
-			t.Errorf("EDT->EDT block went through the queue (dispatched %d -> %d)", before, after)
+		if after := f.edt.Stats().Submitted; after != before {
+			t.Errorf("EDT->EDT block went through the queue (submitted %d -> %d)", before, after)
 		}
 	})
 	if err != nil {

@@ -41,10 +41,10 @@ func TestCancelQueuedEvent(t *testing.T) {
 	}
 	release()
 	l.Post(func() {}).Wait()
-	// The hold and the flush: the skipped event reached neither the counter,
-	// the observer nor the nesting depth.
-	if d, o := l.Dispatched(), observed.Load(); d != 2 || o != 2 || l.Depth() != 0 {
-		t.Fatalf("Dispatched = %d, observed = %d, Depth = %d after a skipped event", d, o, l.Depth())
+	// The hold and the flush: the skipped event reached neither the counter
+	// nor the observer.
+	if d, o := dispatched(l), observed.Load(); d != 2 || o != 2 {
+		t.Fatalf("dispatched = %d, observed = %d after a skipped event", d, o)
 	}
 
 	started, gate := make(chan struct{}), make(chan struct{})
@@ -64,39 +64,25 @@ func TestCancelQueuedEvent(t *testing.T) {
 	}
 }
 
-// TestDepthSkipsCancelledEvents: a node whose completion was cancelled in
-// the queue is not a dispatch, so the nesting depth never counts it — not even
-// for the instant between its pop and its lost claim. A goroutine polls Depth
-// while the EDT of an otherwise idle loop skips 10 000 cancelled nodes; it
-// must read 0 throughout.
-func TestDepthSkipsCancelledEvents(t *testing.T) {
+// TestCancelledEventsAreNotDispatched: a node whose completion was cancelled in
+// the queue is not a dispatch. The EDT skips 10 000 cancelled nodes queued
+// behind a held handler; only the hold and the flush behind them count, in
+// the completed counter and for the observer, and the queue ends empty.
+func TestCancelledEventsAreNotDispatched(t *testing.T) {
 	const n = 10000
-	l := New("skip", &gid.Registry{})
-	defer l.Stop()
+	l := newLoop(t)
+	var observed atomic.Int64
+	l.SetObserver(func(DispatchInfo) { observed.Add(1) })
+	release := holdEDT(l)
 	for i := 0; i < n; i++ {
 		if !l.Post(func() { t.Error("cancelled event ran") }).Cancel(errRevoked) {
-			t.Fatal("Cancel of an event queued on an unstarted loop returned false")
+			t.Fatal("Cancel of an event queued behind a held handler returned false")
 		}
 	}
-	polling := make(chan struct{})
-	seen := make(chan int)
-	go func() {
-		close(polling)
-		reads := 0
-		for l.Len() > 0 {
-			if l.Depth() != 0 {
-				reads++
-			}
-		}
-		seen <- reads
-	}()
-	<-polling
-	l.Start()
-	if reads := <-seen; reads != 0 {
-		t.Fatalf("Depth read nonzero %d times while the EDT only skipped cancelled events", reads)
-	}
-	if d := l.Dispatched(); d != 0 {
-		t.Fatalf("Dispatched = %d after skipping only cancelled events", d)
+	release()
+	l.Post(func() {}).Wait()
+	if d, o, q := dispatched(l), observed.Load(), l.Stats().QueueDepth; d != 2 || o != 2 || q != 0 {
+		t.Fatalf("dispatched = %d, observed = %d, QueueDepth = %d after skipping %d cancelled events", d, o, q, n)
 	}
 }
 
@@ -124,8 +110,8 @@ func TestCancelVsDispatchRace(t *testing.T) {
 		}
 	}
 	l.Post(func() {}).Wait()
-	if got := l.Dispatched(); got != bodies+1 {
-		t.Fatalf("Dispatched = %d with %d handlers run: a skipped event was counted", got, bodies+1)
+	if got := dispatched(l); got != bodies+1 {
+		t.Fatalf("dispatched = %d with %d handlers run: a skipped event was counted", got, bodies+1)
 	}
 }
 

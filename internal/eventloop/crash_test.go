@@ -29,24 +29,26 @@ func TestEDTCrashFailsEventAndMarksLoop(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("crash handler not called")
 	}
-	if !l.Crashed() {
-		t.Fatal("Crashed() = false after EDT death")
+	if c, w := l.Crashes(), l.Workers(); c != 1 || w != 0 {
+		t.Fatalf("Crashes = %d, Workers = %d after EDT death, want 1 and 0", c, w)
 	}
 
-	// Events queued behind the crash can never dispatch; Stop fails them.
+	// Events queued behind the crash can never dispatch; Stop fails them
+	// with the pool's stranded-queue error.
 	stranded := l.Post(func() { t.Error("handler ran on dead loop") })
 	l.Stop()
-	if err := stranded.Wait(); !errors.Is(err, executor.ErrWorkerCrashed) {
-		t.Fatalf("stranded err = %v, want ErrWorkerCrashed", err)
+	if err := stranded.Wait(); !errors.Is(err, executor.ErrShutdown) {
+		t.Fatalf("stranded err = %v, want ErrShutdown", err)
 	}
 }
 
 func TestFailPendingCompletesQueued(t *testing.T) {
-	var reg gid.Registry
-	l := New("edt", &reg)
-	// Not started: everything posted stays queued.
-	c1 := l.Post(func() {})
-	c2 := l.Post(func() {})
+	l := newLoop(t)
+	// Behind a held handler, everything posted stays queued.
+	release := holdEDT(l)
+	defer release()
+	c1 := l.Post(func() { t.Error("failed event ran") })
+	c2 := l.Post(func() { t.Error("failed event ran") })
 	bang := errors.New("bang")
 	if n := l.FailPending(bang); n != 2 {
 		t.Fatalf("FailPending = %d, want 2", n)

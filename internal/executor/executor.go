@@ -1,22 +1,24 @@
 // Package executor provides the thread-pool machinery underneath the
-// virtual-target runtime: task submission with completion tracking, a
-// fixed-size worker pool (the paper's "worker virtual target"), a serial
-// executor, and the help-first scheduling hook (TryRunPending) that
-// implements Algorithm 1's logical barrier — "process another runnable task
-// in Pyjama's task queue" while an awaited target block is in flight.
+// virtual-target runtime: task submission with completion tracking, one
+// worker pool that realises both kinds of virtual target of Table II — the
+// worker target of virtual_target_create_worker, and, as a pool of one, the
+// event-dispatch thread of virtual_target_register_edt (package eventloop) —
+// and the help-first scheduling hook (TryRunPending) that implements
+// Algorithm 1's logical barrier — "process another runnable task in Pyjama's
+// task queue" while an awaited target block is in flight.
 //
-// All executors in this package register their worker goroutines in a
-// gid.Registry so the core runtime can answer the thread-context-awareness
-// question "is the encountering thread already a member of this virtual
-// target's thread group?" (Algorithm 1, line 6).
+// The pool registers its worker goroutines in a gid.Registry so the core
+// runtime can answer the thread-context-awareness question "is the
+// encountering thread already a member of this virtual target's thread
+// group?" (Algorithm 1, line 6).
 //
 // Dispatch hot path: a worker pool is one FIFO queue (ChunkQueue) behind one
-// mutex, with an atomic length mirror that producers, spinning workers and
-// helpers read without the lock. Idle workers park on per-worker wake
-// channels and are woken one at a time (no broadcast thundering herd, no
-// wakeup at all while a worker is spinning — a spinner polls the queue
-// length and will find the task itself). See DESIGN.md §15 for the protocol
-// and its invariants.
+// mutex, which also guards a free list of queue nodes, with an atomic length
+// mirror that producers, spinning workers and helpers read without the lock.
+// Idle workers park on per-worker wake channels and are woken one at a time
+// (no broadcast thundering herd, no wakeup at all while a worker is spinning
+// — a spinner polls the queue length and will find the task itself). See
+// DESIGN.md §15 for the protocol and its invariants.
 package executor
 
 import (
@@ -27,6 +29,7 @@ import (
 	"runtime/pprof"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/gid"
 	"repro/internal/sanitize"
@@ -450,24 +453,19 @@ func (b *Bracket) Enqueued(target string, spawn trace.SpanID) {
 //
 // A node whose completion was cancelled while it sat in the queue loses the
 // claim and is skipped: Run ends the span id taken at Enqueued, calls nothing
-// (begin and settled included — a skip is not a dispatch) and reports false.
+// (settled included — a skip is not a dispatch) and reports false.
 //
-// begin and settled (either may be nil) are the executor's hooks around the
-// body: begin runs once the claim is won, before the run span opens, for state
-// that must count only a task that runs; settled is for state a joiner may
-// inspect the moment it wakes and receives the body's error, a *PanicError if
-// the body panicked. If the goroutine dies mid-task (runtime.Goexit, or a
-// panic escaping settled) the span is still ended and comp then fails with
+// settled (may be nil) is the executor's hook for state a joiner may inspect
+// the moment it wakes; it receives the body's error, a *PanicError if the
+// body panicked. If the goroutine dies mid-task (runtime.Goexit, or a panic
+// escaping settled) the span is still ended and comp then fails with
 // ErrWorkerCrashed, so waiters never hang on a dead worker.
-func (b *Bracket) Run(comp *Completion, target string, begin func(), settled func(error)) bool {
+func (b *Bracket) Run(comp *Completion, target string, settled func(error)) bool {
 	fn := b.Fn
 	b.Fn = nil
 	if !comp.verdict.CompareAndSwap(nil, &runningMark) {
 		b.endUnrun(target)
 		return false
-	}
-	if begin != nil {
-		begin()
 	}
 	var sink trace.Sink
 	var prev trace.SpanID
@@ -514,24 +512,44 @@ func (b *Bracket) endUnrun(target string) {
 	b.span = 0
 }
 
-// task is the worker pool's queue node: four words, the 32-byte size class
-// (TestNodeSizes). The Completion is embedded so a plain Post is a single
-// allocation (core's TestAllocationBudget holds it to that); the node is never
-// pooled or reused (callers hold pointers into it via the Completion, for as
-// long as they like).
-type task struct {
-	Bracket
-	comp Completion
+// DispatchInfo describes one task a pool ran, for instrumentation. The pool
+// reads the clock only for an installed observer: a task queued before
+// SetObserver reports Enqueued = Start, one already running Start = End.
+type DispatchInfo struct {
+	// Label is the label given at Post time ("" for unlabeled tasks).
+	Label string
+	// Enqueued is when the task entered the queue (fired).
+	Enqueued time.Time
+	// Start is when a goroutine of the pool began running the body.
+	Start time.Time
+	// End is when the body returned.
+	End time.Time
+	// Err is the body's captured panic, if any.
+	Err error
 }
 
-// settled is the pool's Bracket.Run hook: count the task and its panic
-// before a joiner can look.
-func (p *WorkerPool) settled(err error) {
-	p.completed.Add(1)
-	if _, ok := err.(*PanicError); ok {
-		p.panics.Add(1)
-	}
+// QueueDelay returns how long the task waited in the queue.
+func (d DispatchInfo) QueueDelay() time.Duration { return d.Start.Sub(d.Enqueued) }
+
+// Duration returns how long the body occupied its goroutine.
+func (d DispatchInfo) Duration() time.Duration { return d.End.Sub(d.Start) }
+
+// task is the pool's queue node, and the running frame's copy of it: the
+// Bracket, the caller's Completion, and the label and enqueue stamp an
+// observer reads (72 bytes, TestNodeSizes). Nodes are recycled through the
+// pool's free list; the Completion is a separate 16-byte allocation because
+// the caller keeps it for as long as it likes, long after the node is reused.
+type task struct {
+	Bracket
+	comp     *Completion
+	label    string
+	enqueued time.Time
+	next     *task // free-list link
 }
+
+// maxFreeTasks bounds a pool's node free list: the same bound as the waiter
+// free list, above the tasks any measured workload keeps queued at once.
+const maxFreeTasks = 64
 
 // parker is one idle worker's parking slot: a single-token wake channel,
 // linked into the pool's LIFO idle stack. Waking a worker is one buffered
@@ -542,8 +560,9 @@ type parker struct {
 }
 
 // worker is the per-goroutine state of one pool worker: its parking slot,
-// which only that goroutine may sleep on — under -tags=ompsan park asserts it
-// runs on the goroutine spawnWorker bound. No-op untagged.
+// which only that goroutine may sleep on — under -tags=ompsan park and every
+// task it runs assert they run on the goroutine spawnWorker bound. No-op
+// untagged.
 type worker struct {
 	pk  parker
 	san sanitize.Home
@@ -570,9 +589,9 @@ const (
 //
 // It is one FIFO task queue that every worker pops: tasks start in submission
 // order, a blocked or crashed worker strands nothing because the queue was
-// never its own, and a pool of one worker is the general-purpose form of
-// thread confinement (the GUI event-dispatch thread in package eventloop is a
-// richer special case). DESIGN.md §15 has the wakeup protocol.
+// never its own, and a pool of one worker is thread confinement — the
+// event-dispatch thread of package eventloop is such a pool, plus what is the
+// EDT's own. DESIGN.md §15 has the wakeup protocol.
 type WorkerPool struct {
 	name     string
 	registry *gid.Registry
@@ -593,8 +612,13 @@ type WorkerPool struct {
 	shutdown bool
 	nworkers int // Grow and crashes mutate it
 
-	qmu sync.Mutex
-	q   ChunkQueue[*task]
+	// qmu guards the queue and the node free list (free, nfree long): Post
+	// takes a node where it pushes, pop returns it where it pops. Not a
+	// sync.Pool, which the collector empties.
+	qmu   sync.Mutex
+	q     ChunkQueue[*task]
+	free  *task
+	nfree int
 
 	// Hot-path state read without a lock.
 	qlen       atomic.Int64  // mirror of q.Len(), stored under qmu
@@ -603,6 +627,7 @@ type WorkerPool struct {
 	spinning   atomic.Int32  // workers in the pre-park spin phase
 	extWaiters atomic.Int32  // goroutines blocked in WaitPending
 	notify     chan struct{} // cap-1 wakeup for WaitPending
+	observer   atomic.Pointer[func(DispatchInfo)]
 
 	wg sync.WaitGroup
 
@@ -722,17 +747,57 @@ func (p *WorkerPool) spin() {
 	p.spinning.Add(-1)
 }
 
-// pop takes the oldest queued task, nil if there is none. The empty case is
-// answered from the atomic length without touching the lock.
-func (p *WorkerPool) pop() *task {
+// pop moves the oldest queued task into *t and returns its node to the free
+// list (dropping it when the list is full), reporting false if there is none.
+// The empty case is answered from the atomic length without the lock.
+func (p *WorkerPool) pop(t *task) bool {
 	if p.qlen.Load() == 0 {
-		return nil
+		return false
 	}
 	p.qmu.Lock()
-	t, _ := p.q.Pop()
-	p.qlen.Store(int64(p.q.Len()))
+	n, ok := p.q.Pop()
+	if ok {
+		p.qlen.Store(int64(p.q.Len()))
+		*t = *n
+		if p.nfree < maxFreeTasks {
+			*n = task{next: p.free}
+			p.free = n
+			p.nfree++
+		}
+	}
 	p.qmu.Unlock()
-	return t
+	return ok
+}
+
+// run runs a popped task through the shared bracket (Bracket.Run) and settles
+// the pool's own state before a joiner can look: the counters and the
+// observer. A task cancelled while queued is skipped by Run and is not a
+// dispatch: no counter moves and the observer hears nothing. The closure does
+// not escape Run: no allocation. t is cleared afterwards, so the frame pins
+// nothing while idle.
+func (p *WorkerPool) run(t *task) bool {
+	var start time.Time
+	if p.observer.Load() != nil {
+		start = time.Now()
+	}
+	ran := t.Run(t.comp, p.name, func(err error) {
+		p.completed.Add(1)
+		if _, ok := err.(*PanicError); ok {
+			p.panics.Add(1)
+		}
+		if obs := p.observer.Load(); obs != nil {
+			info := DispatchInfo{Label: t.label, Enqueued: t.enqueued, Start: start, End: time.Now(), Err: err}
+			if info.Start.IsZero() {
+				info.Start = info.End
+			}
+			if info.Enqueued.IsZero() {
+				info.Enqueued = info.Start
+			}
+			(*obs)(info)
+		}
+	})
+	*t = task{}
+	return ran
 }
 
 // wakeForBacklog propagates the consumer wakeup: a worker that just took a
@@ -791,12 +856,14 @@ func (p *WorkerPool) park(w *worker) {
 // there is none, then park until a producer hands over a token. Shutdown is
 // checked between tasks.
 func (p *WorkerPool) workerLoop(w *worker) {
+	var t task
 	spun := false
 	for {
-		if t := p.pop(); t != nil {
+		if p.pop(&t) {
 			spun = false
 			p.wakeForBacklog()
-			t.Run(&t.comp, p.name, nil, p.settled)
+			w.san.Check("run a task on", p.name)
+			p.run(&t)
 			continue
 		}
 		if p.stopped.Load() {
@@ -821,13 +888,23 @@ func (p *WorkerPool) workerLoop(w *worker) {
 	}
 }
 
-// Post submits fn for execution by the pool: push, publish the new length
-// and watermark, wake at most one parked worker (none if a spinner will find
-// the task anyway), and apply soft backpressure when the queue is badly
-// backlogged.
-func (p *WorkerPool) Post(fn func()) *Completion {
-	t := &task{Bracket: Bracket{Fn: fn}}
-	t.Enqueued(p.name, 0)
+// Post submits fn for execution by the pool: PostLabeled without a label.
+func (p *WorkerPool) Post(fn func()) *Completion { return p.PostLabeled("", fn) }
+
+// PostLabeled submits fn with a label the observer sees in DispatchInfo: take
+// a node from the free list (a new one when it is empty), push it, publish
+// the new length and watermark, wake at most one parked worker (none if a
+// spinner will find the task anyway) and any goroutine in WaitPending, and
+// apply soft backpressure when the queue is badly backlogged. The Completion
+// is the one allocation.
+func (p *WorkerPool) PostLabeled(label string, fn func()) *Completion {
+	comp := new(Completion)
+	b := Bracket{Fn: fn}
+	b.Enqueued(p.name, 0)
+	var stamp time.Time
+	if p.observer.Load() != nil {
+		stamp = time.Now()
+	}
 	p.qmu.Lock()
 	if p.stopped.Load() {
 		// Checked inside the queue critical section: FailPending drains the
@@ -836,14 +913,22 @@ func (p *WorkerPool) Post(fn func()) *Completion {
 		// stopped here. No stranding window.
 		p.qmu.Unlock()
 		p.rejected.Add(1)
-		t.Fail(&t.comp, p.name, ErrShutdown)
-		return &t.comp
+		b.Fail(comp, p.name, ErrShutdown)
+		return comp
 	}
+	t := p.free
+	if t != nil {
+		p.free = t.next
+		p.nfree--
+	} else {
+		t = new(task)
+	}
+	*t = task{Bracket: b, comp: comp, label: label, enqueued: stamp}
 	n := int64(p.q.Push(t))
 	p.qlen.Store(n)
 	p.qmu.Unlock()
 	p.submitted.Add(1)
-	CasMax(&p.peak, n)
+	casMax(&p.peak, n)
 	if p.spinning.Load() == 0 && p.nparked.Load() > 0 {
 		p.wakeOne()
 	}
@@ -860,7 +945,7 @@ func (p *WorkerPool) Post(fn func()) *Completion {
 		// without bound; an occasional deep post just pays one Gosched.
 		runtime.Gosched()
 	}
-	return &t.comp
+	return comp
 }
 
 // WaitPending blocks until the pool has at least one queued task or cancel
@@ -903,12 +988,12 @@ func (p *WorkerPool) SanCheck(op, subject string) { p.san.Check(op, subject) }
 // goroutine. The paper's await barrier uses this so a worker waiting on a
 // nested target block keeps draining the pool's queue instead of idling.
 func (p *WorkerPool) TryRunPending() bool {
-	t := p.pop()
-	if t == nil {
+	var t task
+	if !p.pop(&t) {
 		return false
 	}
 	// A task cancelled while queued is skipped, and no help was given.
-	ran := t.Run(&t.comp, p.name, nil, p.settled)
+	ran := p.run(&t)
 	if ran {
 		p.helped.Add(1)
 	}
@@ -956,12 +1041,22 @@ func (p *WorkerPool) FailPending(err error) int {
 	p.qmu.Unlock()
 	n := 0
 	for _, t := range tasks {
-		if t.Fail(&t.comp, p.name, err) {
+		if t.Fail(t.comp, p.name, err) {
 			n++
 		}
 	}
 	p.rejected.Add(int64(n))
 	return n
+}
+
+// SetObserver installs fn to be called after every task the pool runs, on
+// the goroutine that ran it, before its joiners wake; nil removes it.
+func (p *WorkerPool) SetObserver(fn func(DispatchInfo)) {
+	if fn == nil {
+		p.observer.Store(nil)
+		return
+	}
+	p.observer.Store(&fn)
 }
 
 // Workers returns the current number of worker goroutines (Grow raises it

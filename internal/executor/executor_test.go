@@ -249,6 +249,27 @@ func TestStatsCounters(t *testing.T) {
 	p.Shutdown()
 }
 
+// TestPoolObserver: the observer hears of every task a pool runs, with its
+// label and its captured panic, before the task's joiners wake. Skipped
+// tasks and the stamps of an observer installed on a busy pool are the
+// EDT's tests (package eventloop), on a pool of one.
+func TestPoolObserver(t *testing.T) {
+	p := NewWorkerPool("observed", 2, &gid.Registry{})
+	defer p.Shutdown()
+	seen := make(chan DispatchInfo, 1)
+	p.SetObserver(func(d DispatchInfo) { seen <- d })
+	if err := p.PostLabeled("ok", func() {}).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if d := <-seen; d.Label != "ok" || d.Err != nil || d.QueueDelay() < 0 || d.Duration() < 0 {
+		t.Fatalf("observed %+v for a plain task", d)
+	}
+	err := p.PostLabeled("boom", func() { panic("boom") }).Wait()
+	if d := <-seen; d.Label != "boom" || d.Err == nil || d.Err != err {
+		t.Fatalf("observed %+v, want the panic the completion carries (%v)", d, err)
+	}
+}
+
 func TestCompletionStates(t *testing.T) {
 	c := NewCompletedCompletion(nil)
 	if !c.Finished() || c.Err() != nil {

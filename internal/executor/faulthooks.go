@@ -3,14 +3,15 @@ package executor
 import "sync/atomic"
 
 // FaultHooks is the crash notification of an executor that runs user code on
-// goroutines it owns. WorkerPool and eventloop.Loop embed it, so the setter
-// exists once and the promoted method is what package
-// supervise attaches through. A handler may be installed, replaced or
-// removed (nil) at any time from any goroutine; a notification calls
-// whichever handler is installed at that moment, on the goroutine that
-// detected the fault — keep handlers non-blocking. A crash nobody was
-// installed to hear is held for the next crash handler: a worker that dies
-// before a supervisor installs its handler must not stay down unnoticed. A contained task panic is not a crash: it is reported through
+// goroutines it owns. WorkerPool embeds it — and eventloop.Loop, a pool of
+// one, has it through the pool — so the setter exists once and the promoted
+// method is what package supervise attaches through. A handler may be
+// installed, replaced or removed (nil) at any time from any goroutine; a
+// notification calls whichever handler is installed at that moment, on the
+// goroutine that detected the fault — keep handlers non-blocking. A crash
+// nobody was installed to hear is held for the next crash handler: a worker
+// that dies before a supervisor installs its handler must not stay down
+// unnoticed. A contained task panic is not a crash: it is reported through
 // the task's Completion only.
 type FaultHooks struct {
 	onCrash atomic.Pointer[func(any)]

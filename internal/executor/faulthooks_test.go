@@ -38,7 +38,7 @@ var faultTargets = []struct {
 		l := eventloop.New("edt", &gid.Registry{})
 		l.Start()
 		return faultTarget{hooks: l, run: func(fn func()) { l.Post(fn).Wait() },
-			crashed: l.Crashed, stop: l.Stop}
+			crashed: func() bool { return l.Crashes() > 0 }, stop: l.Stop}
 	}},
 }
 

@@ -61,7 +61,7 @@ func TestCompletionLifecycleOrderings(t *testing.T) {
 	for _, order := range orders {
 		for _, inside := range []bool{false, true} {
 			name := fmt.Sprintf("%v inside=%v", order, inside)
-			tk := new(task)
+			tk := &task{comp: new(Completion)}
 			state, want := queued, error(nil)
 			ran, cancelled, completedFirst := false, false, false
 			check := func(step string) {
@@ -88,7 +88,7 @@ func TestCompletionLifecycleOrderings(t *testing.T) {
 								apply(ops[i+1:])
 							}
 						}
-						got := tk.Run(&tk.comp, "lifecycle", nil, nil)
+						got := tk.Run(tk.comp, "lifecycle", nil)
 						if got != wasQueued || bodyRan != wasQueued {
 							t.Fatalf("%s: Run = %v, body ran %v, want %v", name, got, bodyRan, wasQueued)
 						}
@@ -105,7 +105,7 @@ func TestCompletionLifecycleOrderings(t *testing.T) {
 							got = tk.comp.Cancel(err)
 						} else {
 							err = errFail
-							got = tk.Fail(&tk.comp, "lifecycle", err)
+							got = tk.Fail(tk.comp, "lifecycle", err)
 						}
 						if got != wasQueued {
 							t.Fatalf("%s: %v = %v in state %d", name, o, got, state)

@@ -20,15 +20,16 @@ type chunk[T any] struct {
 }
 
 // ChunkQueue is a FIFO queue of T built from pooled fixed-size chunks — the
-// shared dispatch queue under WorkerPool and eventloop.Loop. Compared with
+// dispatch queue under WorkerPool, and so under eventloop.Loop, a pool of
+// one. Compared with
 // the seed's `append`+reslice slice queue it never re-slices on pop, never
 // copies on growth, and returns drained chunks to a sync.Pool, so
 // steady-state Post traffic is allocation-free at the queue layer.
 //
 // ChunkQueue is NOT internally synchronized: callers must hold their own
-// lock around Push/Pop/Drain (both current users already own a mutex for
-// the wakeup protocol; a second lock here would just double the acquire
-// count — the "double-locking" the PR 3 overhaul removes).
+// lock around Push/Pop/Drain (the pool already owns a mutex for the queue's
+// node free list and stop flag; a second lock here would just double the
+// acquire count — the "double-locking" the PR 3 overhaul removes).
 type ChunkQueue[T any] struct {
 	head, tail *chunk[T]
 	n          int
@@ -104,10 +105,10 @@ func (q *ChunkQueue[T]) Drain(out []T) []T {
 	return out
 }
 
-// CasMax raises *a to at least v with a CAS loop, so concurrent observers
+// casMax raises *a to at least v with a CAS loop, so concurrent observers
 // can publish watermarks without a lock and without the check-then-store
 // race (two racing stores could otherwise leave a stale lower peak).
-func CasMax(a *atomic.Int64, v int64) {
+func casMax(a *atomic.Int64, v int64) {
 	for {
 		cur := a.Load()
 		if v <= cur || a.CompareAndSwap(cur, v) {

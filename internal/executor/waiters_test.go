@@ -256,10 +256,11 @@ func TestWaitNeverReturnsEarlyUnderReuse(t *testing.T) {
 	wg.Wait()
 }
 
-// TestWaiterFreeListSurvivesGC pins why the free list is a channel: a parked
-// Post().Wait() costs the task node and nothing else even when the collector
-// runs between joins (a sync.Pool would be emptied, and each join would pay
-// for a node and its token channel again).
+// TestWaiterFreeListSurvivesGC pins why the free lists are not sync.Pools: a
+// parked Post().Wait() costs its Completion and nothing else even when the
+// collector runs between joins. The waiter node comes from a channel and the
+// queue node from the pool's own list; a sync.Pool would be emptied, and each
+// join would pay for a queue node, a waiter node and its token channel again.
 func TestWaiterFreeListSurvivesGC(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector allocates on its own account")
@@ -279,13 +280,13 @@ func TestWaiterFreeListSurvivesGC(t *testing.T) {
 	}
 }
 
-// TestNodeSizes: the pool's queue node is the one object a Post allocates, and
-// the Completion the one a Loop.Post allocates. The node sits in the 32-byte
-// size class only as long as the lifecycle is the verdict word and the node
-// carries one span id; the Completion is those two words.
+// TestNodeSizes: the Completion is the one object a Post allocates, the
+// loop's or any pool's — two words, as long as the lifecycle is the verdict
+// word. The queue node comes from the pool's free list: the Bracket (body and
+// one span id), the *Completion, the label and the enqueue stamp.
 func TestNodeSizes(t *testing.T) {
-	if size := unsafe.Sizeof(task{}); size != 32 {
-		t.Errorf("task is %d bytes, want 32", size)
+	if size := unsafe.Sizeof(task{}); size != 72 {
+		t.Errorf("task is %d bytes, want 72", size)
 	}
 	if size := unsafe.Sizeof(Completion{}); size != 16 {
 		t.Errorf("Completion is %d bytes, want 16", size)

@@ -182,7 +182,7 @@ func (discardWriter) WriteHeader(int)             {}
 // too (a sync.Pool would be emptied by them); a payload above keptPayloadBytes
 // is served with the right checksum and not kept. On the Pyjama path the
 // worker runs the block bound to the payload, so a request's invocation costs
-// its task node and nothing else: no closure, no captured checksum, no reply
+// its Completion and nothing else: no closure, no captured checksum, no reply
 // buffer.
 func TestPayloadIsRecycled(t *testing.T) {
 	s, c := startServer(t, Config{Mode: Jetty, Workers: 1})
@@ -247,7 +247,7 @@ func TestPayloadIsRecycled(t *testing.T) {
 		py.reply(w, p)
 	})
 	if got != 1 {
-		t.Errorf("a Pyjama request on a recycled payload: %v allocs/op, want 1 (the Invoke's task node)", got)
+		t.Errorf("a Pyjama request on a recycled payload: %v allocs/op, want 1 (the Invoke's Completion)", got)
 	}
 }
 

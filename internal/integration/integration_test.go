@@ -228,10 +228,13 @@ func TestTwoEDTs(t *testing.T) {
 func TestDeepNestedAwaitOnEDT(t *testing.T) {
 	s := newStack(t, 2)
 	const depth = 6
-	var maxDepth atomic.Int64
+	// level counts the recurse frames open on the EDT at once.
+	var level, maxDepth atomic.Int64
 	var recurse func(n int)
 	recurse = func(n int) {
-		if d := int64(s.tk.EDT().Depth()); d > maxDepth.Load() {
+		d := level.Add(1)
+		defer level.Add(-1)
+		if d > maxDepth.Load() {
 			maxDepth.Store(d)
 		}
 		if n == 0 {

@@ -11,10 +11,9 @@ import (
 )
 
 // TestReactorEchoRoundTripAllocs pins the heap objects of one line's trip
-// through the reactor transport: the line's string and the task node of the
-// post, the loop's Completion. The post's body is the client's delivery
-// closure, bound once at accept, and its queue node comes from the loop's
-// free list. Send frames a reply of up to 256 bytes (newline included) on its
+// through the reactor transport: the line's string and the loop's Completion
+// of the post. The post's body is the client's delivery closure, bound once
+// at accept, and its queue node comes from the loop's free list. Send frames a reply of up to 256 bytes (newline included) on its
 // stack; a longer one costs the buffer it always did.
 func TestReactorEchoRoundTripAllocs(t *testing.T) {
 	if raceflag.Enabled {

@@ -370,7 +370,7 @@ func (s *Sim) run(t *stask) bool {
 			s.reg.Register(prev)
 		}
 	}()
-	ran := t.Run(t.comp, t.exec.name, nil, nil)
+	ran := t.Run(t.comp, t.exec.name, nil)
 	if ran {
 		t.exec.dispatched++
 	}

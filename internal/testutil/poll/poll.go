@@ -54,7 +54,7 @@ func Wait(d time.Duration, cond func() bool) bool {
 }
 
 // UntilBlockedIn waits until some goroutine's stack contains fn (a function
-// name substring such as "(*Loop).WaitPending"). It replaces the classic
+// name substring such as "(*WorkerPool).WaitPending"). It replaces the classic
 // "sleep so the goroutine reaches its blocking point" idiom with a
 // deterministic observation of the scheduler state.
 func UntilBlockedIn(t testing.TB, fn string) {
