@@ -155,26 +155,31 @@ size:
 # (DESIGN.md §4): a Crypt Reset within its capacity and a request on a
 # recycled payload allocate nothing, across collections too (the payload free
 # list must survive them), and a Pyjama request's invocation only its task
-# node; the OpenMP substrate (DESIGN.md §4): an empty region on a parked team
-# allocates nothing, a warm Crypt RunPar only its body closure, and Critical on
-# a name already seen nothing; and the message path: a Loop.Post costs its
+# node, while a whole request over a loopback socket, client and server
+# together, costs its Completion under Pyjama and nothing under Jetty; the
+# OpenMP substrate (DESIGN.md §4): an empty region on a parked team allocates
+# nothing, a warm Crypt RunPar only its body closure, and Critical on a name
+# already seen nothing; and the message path: a Loop.Post costs its
 # Completion across collections too (the loop's node free list must survive
 # them) and a netloop line echoed over the reactor its line and its Completion
 # — untagged and under the sanitizer, never under -race (the detector
 # allocates on its own account, so the tests skip themselves there).
-ALLOCS_RUN = 'TestAllocationBudget|TestWaiterFreeListSurvivesGC|TestNodeSizes|TestCryptResetMatchesNewCrypt|TestPayloadIsRecycled|TestParallelReusesParkedTeam|TestRunParReusesParkedTeam|TestCriticalAllocatesNothingForSeenName|TestReactorEchoRoundTripAllocs|TestLoopNodeFreeListSurvivesGC'
+ALLOCS_RUN = 'TestAllocationBudget|TestWaiterFreeListSurvivesGC|TestNodeSizes|TestCryptResetMatchesNewCrypt|TestPayloadIsRecycled|TestRequestAllocs|TestParallelReusesParkedTeam|TestRunParReusesParkedTeam|TestCriticalAllocatesNothingForSeenName|TestReactorEchoRoundTripAllocs|TestLoopNodeFreeListSurvivesGC'
 ALLOCS_PKGS = ./internal/core/ ./internal/executor/ ./internal/kernels/ ./internal/httpserver/ ./internal/omp/ ./internal/netloop/ ./internal/eventloop/
 allocs:
 	$(GO) test -count=1 -run $(ALLOCS_RUN) $(ALLOCS_PKGS)
 	$(GO) test -count=1 -tags=ompsan -run $(ALLOCS_RUN) $(ALLOCS_PKGS)
 
-# fuzz runs the directive-parser fuzzer and the IDEA differential fuzzer
-# live, FUZZTIME each; the committed seed corpora under
-# internal/{directive,kernels}/testdata/fuzz/ replay in every normal `go test`.
+# fuzz runs the directive-parser fuzzer, the IDEA differential fuzzer and
+# the HTTP request-head differential fuzzer (against net/http) live, FUZZTIME
+# each; the committed seed corpora under
+# internal/{directive,kernels,httpserver}/testdata/fuzz/ replay in every
+# normal `go test`.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/directive/
 	$(GO) test -run='^$$' -fuzz=FuzzIdeaCipher -fuzztime=$(FUZZTIME) ./internal/kernels/
+	$(GO) test -run='^$$' -fuzz=FuzzRequestHead -fuzztime=$(FUZZTIME) ./internal/httpserver/
 
 # bench-mp guards against the unbounded-backlog collapse: the three Post
 # cases next to the pool they measure (internal/executor/post_bench_test.go),

@@ -15,9 +15,18 @@
 // Either organization may additionally parallelize each request's kernel
 // with an OpenMP team (the paper's "//omp parallel" per event), which is
 // what produces the oversubscription plateau of Figure 9.
+//
+// Both organizations run on one HTTP/1.1 loop, a goroutine per connection
+// that serves one request after another, so the HTTP layer is a constant the
+// two share. It speaks, as Client does, only the subset of HTTP/1.1 the
+// service uses (wire.go): GET without a body, keep-alive, and replies that
+// carry Content-Length. Heads are parsed where they lie in a connection's
+// bufio.Reader and written in its bufio.Writer, so a request allocates
+// nothing of its own.
 package httpserver
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -27,7 +36,7 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -140,12 +149,17 @@ func (c *Config) fill() {
 type Server struct {
 	cfg Config
 
-	ln   net.Listener
-	srv  *http.Server
-	rt   *core.Runtime // Pyjama mode
-	sem  chan struct{} // Jetty mode
-	reg  gid.Registry
-	done chan struct{}
+	ln  net.Listener
+	rt  *core.Runtime // Pyjama mode
+	sem chan struct{} // Jetty mode
+	reg gid.Registry
+
+	// ctx is every request's parent. Stop cancels it, which closes every
+	// connection and releases a request waiting for a Jetty slot or a QoS
+	// admission.
+	ctx    context.Context
+	cancel context.CancelFunc
+	conns  sync.WaitGroup // the accept loop and one per connection goroutine
 
 	// idle is the payload free list, of Workers: the bound on concurrent
 	// computations in every organisation. Not a sync.Pool, which the collector
@@ -169,7 +183,8 @@ type Server struct {
 // New builds a server from cfg. Call Start to begin serving.
 func New(cfg Config) *Server {
 	cfg.fill()
-	s := &Server{cfg: cfg, done: make(chan struct{}), idle: make(chan *payload, cfg.Workers)}
+	s := &Server{cfg: cfg, idle: make(chan *payload, cfg.Workers)}
+	s.ctx, s.cancel = context.WithCancel(context.Background())
 	switch cfg.Mode {
 	case Pyjama:
 		s.rt = core.NewRuntime(&s.reg)
@@ -201,16 +216,100 @@ func (s *Server) Start() (string, error) {
 	s.prevSink = trace.ActiveSink()
 	s.spans = metrics.NewSpanSink(s.prevSink)
 	trace.SetGlobal(s.spans)
-	mux := http.NewServeMux()
-	mux.HandleFunc("/encrypt", s.handleEncrypt)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	s.srv = &http.Server{Handler: mux}
-	go func() {
-		_ = s.srv.Serve(ln)
-		close(s.done)
-	}()
+	s.conns.Add(1)
+	go s.accept()
 	return "http://" + ln.Addr().String(), nil
+}
+
+// accept serves each connection on a goroutine of its own until Stop closes
+// the listener.
+func (s *Server) accept() {
+	defer s.conns.Done()
+	for {
+		c, err := s.ln.Accept()
+		if errors.Is(err, net.ErrClosed) {
+			return
+		}
+		if err != nil {
+			time.Sleep(10 * time.Millisecond) // out of descriptors, say: let some close
+			continue
+		}
+		s.conns.Add(1)
+		go s.serve(c)
+	}
+}
+
+// serve answers a connection's requests in order until the client closes
+// it, a request asks to close it, a head is refused or Stop closes it.
+func (s *Server) serve(c net.Conn) {
+	defer s.conns.Done()
+	defer c.Close()
+	defer context.AfterFunc(s.ctx, func() { _ = c.Close() })()
+	br := bufio.NewReaderSize(c, maxHead)
+	w := &replyWriter{bw: bufio.NewWriterSize(c, 4<<10)}
+	for {
+		buf, err := peekHead(br)
+		h, status := parseHead(buf)
+		if errors.Is(err, errHeadTooLarge) {
+			status = http.StatusRequestHeaderFieldsTooLarge
+		} else if err != nil {
+			return
+		}
+		w.close = h.close || status != 0
+		switch {
+		case status != 0:
+			w.error(status, http.StatusText(status))
+		case string(h.path) == "/encrypt":
+			s.handleEncrypt(w, h.size)
+		case string(h.path) == "/healthz":
+			s.handleHealthz(w)
+		case string(h.path) == "/metrics":
+			s.handleMetrics(w)
+		default:
+			w.error(http.StatusNotFound, "404 page not found")
+		}
+		_, _ = br.Discard(len(buf) + 2)
+		if !w.close && br.Buffered() > 0 {
+			continue // a pipelined request: its reply shares the flush
+		}
+		if err := w.bw.Flush(); err != nil || w.close {
+			if err == nil && status != 0 {
+				lingerClose(c)
+			}
+			return
+		}
+	}
+}
+
+// lingerClose half-closes a connection whose request was refused and
+// discards what the client still sends, for a second at most, so the client
+// reads the refusal rather than a reset.
+func lingerClose(c net.Conn) {
+	if tc, ok := c.(*net.TCPConn); ok && tc.CloseWrite() == nil {
+		_ = c.SetReadDeadline(time.Now().Add(time.Second))
+		_, _ = io.Copy(io.Discard, io.LimitReader(c, 1<<20))
+	}
+}
+
+// replyWriter writes a connection's replies.
+type replyWriter struct {
+	bw    *bufio.Writer
+	close bool         // the reply says the connection closes after it
+	body  bytes.Buffer // the body of a /healthz or /metrics reply
+}
+
+// error writes a plain-text reply as http.Error does.
+func (w *replyWriter) error(status int, msg string) {
+	writeReplyHead(w.bw, status, "text/plain; charset=utf-8", len(msg)+1, w.close)
+	_, _ = w.bw.WriteString(msg)
+	_ = w.bw.WriteByte('\n')
+}
+
+// send writes w.body as the reply.
+func (w *replyWriter) send(status int, contentType string) {
+	writeReplyHead(w.bw, status, contentType, w.body.Len(), w.close)
+	_, _ = w.bw.Write(w.body.Bytes())
+	w.body.Reset()
 }
 
 // setupWorkerTarget builds the Pyjama worker target. Plain configs keep the
@@ -254,7 +353,7 @@ func (s *Server) setupWorkerTarget() error {
 // worker target is supervised) and watchdog liveness (when it is watched).
 // The overall status is the worst across targets — "ok" and "degraded"
 // answer 200, "down" answers 503 so orchestrators stop routing here.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleHealthz(w *replyWriter) {
 	type targetHealth struct {
 		Supervision *supervise.TargetHealth `json:"supervision,omitempty"`
 		Liveness    *supervise.Report       `json:"liveness,omitempty"`
@@ -297,22 +396,22 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resp.Status = worst.String()
-	w.Header().Set("Content-Type", "application/json")
+	status := http.StatusOK
 	if worst == supervise.Down {
-		w.WriteHeader(http.StatusServiceUnavailable)
+		status = http.StatusServiceUnavailable
 	}
-	_ = json.NewEncoder(w).Encode(resp)
+	_ = json.NewEncoder(&w.body).Encode(resp) // of a struct it can always encode
+	w.send(status, "application/json")
 }
 
 // handleMetrics serves the per-target span metrics in the Prometheus text
 // exposition format (histograms of invoke/run latency and queue sojourn,
 // scheduling and incident counters).
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if s.spans == nil {
-		return
+func (s *Server) handleMetrics(w *replyWriter) {
+	if s.spans != nil {
+		_ = s.spans.WritePrometheus(&w.body) // a bytes.Buffer does not fail
 	}
-	_ = s.spans.WritePrometheus(w)
+	w.send(http.StatusOK, "text/plain; version=0.0.4; charset=utf-8")
 }
 
 // maxRequestBytes bounds ?size=: a payload takes three times it. It sits
@@ -327,7 +426,8 @@ const keptPayloadBytes = 1 << 20
 // requests: the kernel, the request's size and checksum, the block that runs
 // the kernel on them — bound once, when the payload is made, so a request
 // builds no closure and no captured checksum — and the scratch its reply is
-// formatted in (a stack array handed to w.Write would move to the heap).
+// formatted in (a stack array handed to bufio.Writer.Write would move to the
+// heap).
 type payload struct {
 	k        kernels.Crypt
 	omp      int // Config.OMPThreads
@@ -366,14 +466,18 @@ func (p *payload) compute() {
 }
 
 // reply writes a successful response, the checksum and a newline, and gives
-// the payload back to the idle list. Only a success path gets here: its join
+// the payload back to the idle list before the connection flushes the reply,
+// so the payload is idle by the time the client has its answer. Only a
+// success path gets here: its join
 // has returned, so the block is over and will not run again (a block cancelled
 // in its queue never runs, a started one is waited for). A payload that
 // failed, panicked or was cancelled is left to the collector, and so is one
 // over keptPayloadBytes.
-func (s *Server) reply(w http.ResponseWriter, p *payload) {
+func (s *Server) reply(w *replyWriter, p *payload) {
 	s.served.Add(1)
-	_, _ = w.Write(append(strconv.AppendInt(p.reply[:0], p.sum, 10), '\n')) // a failed write is a client gone
+	body := append(strconv.AppendInt(p.reply[:0], p.sum, 10), '\n')
+	writeReplyHead(w.bw, http.StatusOK, "text/plain; charset=utf-8", len(body), w.close)
+	_, _ = w.bw.Write(body) // a failed write is a client gone, seen at the flush
 	if p.size <= keptPayloadBytes {
 		select {
 		case s.idle <- p:
@@ -382,50 +486,40 @@ func (s *Server) reply(w http.ResponseWriter, p *payload) {
 	}
 }
 
-// sizeParam returns the first size= value of a raw query, "" if there is
-// none: what url.Values' Get would return for a number, without building the
-// map.
-func sizeParam(query string) string {
-	for query != "" {
-		var field string
-		field, query, _ = strings.Cut(query, "&")
-		if v, ok := strings.CutPrefix(field, "size="); ok {
-			return v
-		}
-	}
-	return ""
-}
-
-func (s *Server) handleEncrypt(w http.ResponseWriter, r *http.Request) {
+// handleEncrypt serves /encrypt?size=size (head.size: 0 for the configured
+// size, -1 for a bad one).
+func (s *Server) handleEncrypt(w *replyWriter, size int) {
 	// The worker invocation made while handling parents to this span, so a
 	// Perfetto capture shows request → invoke → run chains end to end.
 	defer trace.Open(trace.ActiveSink(), "request", "http").Close()
-	size := s.cfg.KernelBytes
-	if q := sizeParam(r.URL.RawQuery); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 1 || v > maxRequestBytes {
-			s.errors.Add(1)
-			http.Error(w, "bad size", http.StatusBadRequest)
-			return
-		}
-		size = v
+	switch {
+	case size < 0:
+		s.errors.Add(1)
+		w.error(http.StatusBadRequest, "bad size")
+		return
+	case size == 0:
+		size = s.cfg.KernelBytes
 	}
 	switch {
 	case s.cfg.Mode != Pyjama: // Jetty: admission into the fixed thread pool
-		s.sem <- struct{}{}
+		select {
+		case s.sem <- struct{}{}:
+		case <-s.ctx.Done():
+			return // Stop has closed the connection
+		}
 		p := s.takePayload(size)
 		p.compute()
 		s.reply(w, p)
 		<-s.sem
 	case s.limiter != nil:
-		s.handleEncryptQoS(w, r, size)
+		s.handleEncryptQoS(w, size)
 	default:
 		p := s.takePayload(size)
 		comp, err := s.rt.Invoke("worker", core.Wait, p.block)
 		switch {
 		case err != nil:
 			s.errors.Add(1)
-			http.Error(w, "compute failed", http.StatusInternalServerError)
+			w.error(http.StatusInternalServerError, "compute failed")
 		case comp.Err() != nil:
 			s.failCompute(w, comp.Err())
 		default:
@@ -437,9 +531,12 @@ func (s *Server) handleEncrypt(w http.ResponseWriter, r *http.Request) {
 // handleEncryptQoS is the guarded Pyjama request path: limiter admission,
 // then a deadline-propagating invocation. It writes the full response
 // (success or failure), and takes its payload only once admitted and gives it
-// back before the slot, so a payload is out only while it holds a slot.
-func (s *Server) handleEncryptQoS(w http.ResponseWriter, r *http.Request, size int) {
-	ctx := r.Context()
+// back before the slot, so a payload is out only while it holds a slot. Its
+// context is the server's, which Stop cancels: a client that hangs up
+// mid-request is seen when the reply is written, so RequestTimeout is the one
+// bound on a queued request.
+func (s *Server) handleEncryptQoS(w *replyWriter, size int) {
+	ctx := s.ctx
 	if d := s.cfg.QoS.RequestTimeout; d > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, d)
@@ -448,7 +545,7 @@ func (s *Server) handleEncryptQoS(w http.ResponseWriter, r *http.Request, size i
 	if err := s.limiter.Acquire(ctx); err != nil {
 		// Shed or client-abandoned: fail fast instead of queueing.
 		s.shed.Add(1)
-		http.Error(w, "overloaded", http.StatusServiceUnavailable)
+		w.error(http.StatusServiceUnavailable, "overloaded")
 		return
 	}
 	defer s.limiter.Release()
@@ -457,7 +554,7 @@ func (s *Server) handleEncryptQoS(w http.ResponseWriter, r *http.Request, size i
 	comp, err := s.rt.InvokeCtx(ctx, "worker", core.Wait, p.ctxBlock)
 	if err != nil {
 		s.errors.Add(1)
-		http.Error(w, "compute failed", http.StatusInternalServerError)
+		w.error(http.StatusInternalServerError, "compute failed")
 		return
 	}
 	switch cerr := comp.Err(); {
@@ -465,7 +562,7 @@ func (s *Server) handleEncryptQoS(w http.ResponseWriter, r *http.Request, size i
 		// The block was cancelled in-queue, or finished after the
 		// request's deadline: either way the response is too late.
 		s.shed.Add(1)
-		http.Error(w, "deadline exceeded", http.StatusServiceUnavailable)
+		w.error(http.StatusServiceUnavailable, "deadline exceeded")
 		return
 	case cerr != nil:
 		s.failCompute(w, cerr)
@@ -478,14 +575,14 @@ func (s *Server) handleEncryptQoS(w http.ResponseWriter, r *http.Request, size i
 // invocation. A supervisor's rejection is a capacity answer (503, counted as
 // a shed) — the target is down, retry elsewhere; everything else (panics,
 // crashed workers) is a 500.
-func (s *Server) failCompute(w http.ResponseWriter, cerr error) {
+func (s *Server) failCompute(w *replyWriter, cerr error) {
 	if errors.Is(cerr, supervise.ErrTargetDown) {
 		s.shed.Add(1)
-		http.Error(w, "worker target unavailable", http.StatusServiceUnavailable)
+		w.error(http.StatusServiceUnavailable, "worker target unavailable")
 		return
 	}
 	s.errors.Add(1)
-	http.Error(w, "compute failed", http.StatusInternalServerError)
+	w.error(http.StatusInternalServerError, "compute failed")
 }
 
 // Served returns the number of successful responses.
@@ -519,7 +616,11 @@ func (s *Server) Watchdog() *supervise.Watchdog { return s.dog }
 // Spans returns the server's span-metrics aggregator (nil before Start).
 func (s *Server) Spans() *metrics.SpanSink { return s.spans }
 
-// Stop shuts the server down and releases its worker pool.
+// Stop shuts the server down and releases its worker pool. It closes every
+// connection before it shuts the pool down, and waits for the connection
+// goroutines only after: a request parked in an invocation on a pool with no
+// live worker returns only once the shutdown fails it. A connection accepted
+// after the cancel is closed as it is registered.
 func (s *Server) Stop() {
 	if s.dog != nil {
 		s.dog.Stop()
@@ -529,10 +630,10 @@ func (s *Server) Stop() {
 		// installed; a later server's chained sink stays untouched.
 		trace.SetGlobal(s.prevSink)
 	}
-	if s.srv != nil {
-		_ = s.srv.Close()
-		<-s.done
+	if s.ln != nil {
+		_ = s.ln.Close()
 	}
+	s.cancel() // closes every connection
 	if s.rt != nil {
 		s.rt.Shutdown()
 	}
@@ -540,96 +641,5 @@ func (s *Server) Stop() {
 		// Registered targets are not runtime-owned; their lifecycle is ours.
 		s.worker.Shutdown()
 	}
-}
-
-// Client is a minimal HTTP client for driving the service under load.
-type Client struct {
-	base    string
-	encrypt string // base + "/encrypt?size=", built once
-	http    *http.Client
-}
-
-// NewClient builds a client for the server at base (as returned by Start).
-func NewClient(base string) *Client {
-	return NewClientTimeout(base, 60*time.Second)
-}
-
-// NewClientTimeout builds a client with an explicit request timeout.
-// Failure drills use short timeouts so a hung invocation shows up as a
-// client-side timeout instead of wedging the scenario.
-func NewClientTimeout(base string, timeout time.Duration) *Client {
-	return &Client{
-		base:    base,
-		encrypt: base + "/encrypt?size=",
-		http: &http.Client{
-			Timeout: timeout,
-			Transport: &http.Transport{
-				MaxIdleConns:        256,
-				MaxIdleConnsPerHost: 256,
-			},
-		},
-	}
-}
-
-// Healthz fetches /healthz and returns the reported status string
-// ("ok", "degraded", "down") and the HTTP status code.
-func (c *Client) Healthz() (string, int, error) {
-	resp, err := c.http.Get(c.base + "/healthz")
-	if err != nil {
-		return "", 0, err
-	}
-	defer resp.Body.Close()
-	var body struct {
-		Status string `json:"status"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return "", resp.StatusCode, err
-	}
-	return body.Status, resp.StatusCode, nil
-}
-
-// Encrypt issues one request and returns the response checksum.
-func (c *Client) Encrypt(size int) (int64, error) {
-	sum, _, err := c.Do(size)
-	return sum, err
-}
-
-// Do issues one request and returns the checksum and the HTTP status code
-// (0 on transport failure). Callers driving overload scenarios use the
-// status to distinguish sheds (503) from successes and hard errors.
-func (c *Client) Do(size int) (int64, int, error) {
-	url := strings.TrimSuffix(c.encrypt, "?size=")
-	if size > 0 {
-		var buf [64]byte
-		url = string(strconv.AppendInt(append(buf[:0], c.encrypt...), int64(size), 10))
-	}
-	resp, err := c.http.Get(url)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return 0, resp.StatusCode, err
-		}
-		return 0, resp.StatusCode, fmt.Errorf("httpserver: status %d: %s", resp.StatusCode, body)
-	}
-	// A reply is at most 21 bytes ("%d\n" of an int64), read into an array;
-	// what follows, if anything, is drained so that the connection sees EOF
-	// and goes back to the keep-alive pool.
-	var buf [21]byte
-	n, err := io.ReadFull(resp.Body, buf[:])
-	if err == nil {
-		_, err = io.Copy(io.Discard, resp.Body)
-	}
-	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		return 0, resp.StatusCode, err
-	}
-	body := buf[:n]
-	sum, err := strconv.ParseInt(string(bytes.TrimSpace(body)), 10, 64)
-	if err != nil {
-		return 0, resp.StatusCode, fmt.Errorf("httpserver: bad response %q", body)
-	}
-	return sum, resp.StatusCode, nil
+	s.conns.Wait()
 }

@@ -1,6 +1,8 @@
 package httpserver
 
 import (
+	"bufio"
+	"io"
 	"math"
 	"net"
 	"net/http"
@@ -10,9 +12,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/kernels"
+	"repro/internal/testutil/leakcheck"
+	"repro/internal/testutil/poll"
 	"repro/internal/testutil/raceflag"
 	"repro/internal/workload"
 )
@@ -170,13 +175,6 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
-// discardWriter is a ResponseWriter that keeps nothing and allocates nothing.
-type discardWriter struct{ h http.Header }
-
-func (d discardWriter) Header() http.Header       { return d.h }
-func (discardWriter) Write(b []byte) (int, error) { return len(b), nil }
-func (discardWriter) WriteHeader(int)             {}
-
 // TestPayloadIsRecycled: once warm, requests of both http_encrypt sizes run
 // on the free list's payload and allocate nothing, across garbage collections
 // too (a sync.Pool would be emptied by them); a payload above keptPayloadBytes
@@ -204,11 +202,13 @@ func TestPayloadIsRecycled(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector allocates on its own account")
 	}
-	var w http.ResponseWriter = discardWriter{}
+	// Flushed after each reply, as a connection with no request buffered is.
+	w := &replyWriter{bw: bufio.NewWriter(io.Discard)}
 	serve := func(size int) {
 		p := s.takePayload(size)
 		p.compute()
 		s.reply(w, p)
+		_ = w.bw.Flush()
 	}
 	// AllocsPerRun's warm-up call grows the kept kernel to 256 KiB.
 	if got := testing.AllocsPerRun(20, func() { serve(1 << 10); serve(256 << 10) }); got != 0 {
@@ -229,7 +229,7 @@ func TestPayloadIsRecycled(t *testing.T) {
 		t.Errorf("requests across collections: %v allocs/op, want the collections' own %v", got, gc)
 	}
 
-	// One request first, so the new server's Serve goroutine has started:
+	// One request first, so the new server's accept goroutine has started:
 	// left to its first turn on the processor, it can fall inside the runs
 	// below and count its own allocations.
 	py, pc := startServer(t, Config{Mode: Pyjama, Workers: 1})
@@ -245,6 +245,7 @@ func TestPayloadIsRecycled(t *testing.T) {
 			t.Fatalf("Invoke: err=%v, block err=%v, sum=%d, want %d", err, comp.Err(), p.sum, want.Checksum())
 		}
 		py.reply(w, p)
+		_ = w.bw.Flush()
 	})
 	if got != 1 {
 		t.Errorf("a Pyjama request on a recycled payload: %v allocs/op, want 1 (the Invoke's Completion)", got)
@@ -311,6 +312,55 @@ func TestStopIdempotentAndBeforeStart(t *testing.T) {
 	s2.Stop() // double stop
 	if _, err := c.Encrypt(0); err == nil {
 		t.Fatal("request to stopped server succeeded")
+	}
+}
+
+// TestStopWithRequestInFlight: Stop with a request parked inside its handler
+// (Pyjama's queued behind the one worker, held; Jetty's waiting for the one
+// slot, held) closes the connection, so the client gets an error rather than
+// a hang, and returns once the held worker lets the pool shut down, leaving
+// no connection or accept goroutine behind.
+func TestStopWithRequestInFlight(t *testing.T) {
+	for _, mode := range []Mode{Pyjama, Jetty} {
+		t.Run(mode.String(), func(t *testing.T) {
+			defer leakcheck.Check(t)()
+			s := New(Config{Mode: mode, Workers: 1, KernelBytes: 1024})
+			base, err := s.Start()
+			if err != nil {
+				t.Fatal(err)
+			}
+			release := make(chan struct{})
+			if mode == Pyjama {
+				if _, err := s.rt.Invoke("worker", core.Nowait, func() { <-release }); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				s.sem <- struct{}{}
+			}
+			errc := make(chan error, 1)
+			go func() {
+				_, err := NewClient(base).Encrypt(0)
+				errc <- err
+			}()
+			poll.UntilBlockedIn(t, "httpserver.(*Server).handleEncrypt")
+
+			stopped := make(chan struct{})
+			go func() { s.Stop(); close(stopped) }()
+			select {
+			case err := <-errc:
+				if err == nil {
+					t.Fatal("the request in flight succeeded across Stop")
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("the client hung across Stop")
+			}
+			close(release)
+			select {
+			case <-stopped:
+			case <-time.After(5 * time.Second):
+				t.Fatal("Stop hung with a request in flight")
+			}
+		})
 	}
 }
 
