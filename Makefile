@@ -100,7 +100,7 @@ reach:
 	run env CHAOS_SEED=1337 "$$bin/httpbench" -chaos; \
 	run "$$bin/chatbench" -conns 500 -rooms 16 -rounds 3; \
 	run "$$bin/edtbench" -kernels crypt -approaches sequential,pyjama-async -rates 50 -events 3 -handler 2ms; \
-	run "$$bin/edtbench" -kernels crypt -approaches sequential,pyjama-async -rates 50 -events 3 -handler 2ms -trace "$$tmp/trace.json"; \
+	run "$$bin/edtbench" -kernels crypt -approaches sequential,pyjama-async -rates 50 -events 3 -handler 2ms -trace "$$tmp/trace.out"; \
 	run "$$bin/edtbench" -figure1; \
 	run "$$bin/report" -scale quick; \
 	run "$$bin/quickstart"; \

@@ -39,19 +39,19 @@ func main() {
 		pattern      = flag.String("pattern", "constant", "arrival pattern: constant|poisson|burst")
 		timeout      = flag.Duration("timeout", 5*time.Minute, "per-run timeout")
 		figure1      = flag.Bool("figure1", false, "print the Figure 1 timelines (single- vs multi-threaded event processing) and exit")
-		traceOut     = flag.String("trace", "", "capture causal spans and write a Chrome/Perfetto trace-event JSON file here")
+		traceOut     = flag.String("trace", "", "capture causal spans into a Go execution trace file here (open with go tool trace)")
 	)
 	flag.Parse()
 
 	if *traceOut != "" {
-		buf := trace.NewBuffer(1 << 18)
-		trace.SetGlobal(buf)
+		stop, err := trace.StartFile(*traceOut)
+		if err != nil {
+			fail(fmt.Errorf("trace: %w", err))
+		}
 		defer func() {
-			msg, err := trace.WriteFile(*traceOut, buf)
-			if err != nil {
+			if err := stop(); err != nil {
 				fail(fmt.Errorf("trace: %w", err))
 			}
-			fmt.Fprintln(os.Stderr, "edtbench:", msg)
 		}()
 	}
 

@@ -48,21 +48,21 @@ func main() {
 		noOmp      = flag.Bool("no-omp-series", false, "skip the +omp series")
 		overload   = flag.Bool("overload", false, "run the QoS overload scenario instead of the Figure 9 sweep")
 		chaosRun   = flag.Bool("chaos", false, "run the failure drill instead of the Figure 9 sweep")
-		traceOut   = flag.String("trace", "", "capture causal spans and write a Chrome/Perfetto trace-event JSON file here")
+		traceOut   = flag.String("trace", "", "capture causal spans into a Go execution trace file here (open with go tool trace)")
 	)
 	flag.Parse()
 
 	if *traceOut != "" {
-		// The span ring sits under the servers' own metrics sinks (they
+		// The trace sink sits under the servers' own metrics sinks (they
 		// chain to it), so one capture spans every series of the run.
-		buf := trace.NewBuffer(1 << 18)
-		trace.SetGlobal(buf)
+		stop, err := trace.StartFile(*traceOut)
+		if err != nil {
+			fail(fmt.Errorf("trace: %w", err))
+		}
 		defer func() {
-			msg, err := trace.WriteFile(*traceOut, buf)
-			if err != nil {
+			if err := stop(); err != nil {
 				fail(fmt.Errorf("trace: %w", err))
 			}
-			fmt.Fprintln(os.Stderr, "httpbench:", msg)
 		}()
 	}
 

@@ -184,7 +184,7 @@ func evalC(sc scaleCfg, cryptSize int) {
 // spanTrees demonstrates the causal-span tracer: a small two-target scenario
 // (nested invoke, inline fast path, await barrier with helping) is captured
 // into a trace ring and rendered as the reconstructed span tree plus its
-// aggregate summary — the same data `httpbench -trace` exports for Perfetto.
+// aggregate summary — the spans `httpbench -trace` writes as a Go execution trace.
 func spanTrees() {
 	fmt.Println("\n## Extension — causal span trace of one dispatch chain")
 	buf := trace.NewBuffer(4096)
@@ -219,9 +219,9 @@ func spanTrees() {
 	tree := trace.BuildTree(buf.Snapshot())
 	fmt.Printf("\n```\n%s```\n", tree.String())
 	fmt.Printf("\n```\n%s```\n", tree.Summarize())
-	fmt.Println("\nCapture the same data from a live run with `httpbench -trace out.json`")
-	fmt.Println("and open it at https://ui.perfetto.dev; scrape per-target histograms from")
-	fmt.Println("the server's `/metrics` endpoint in Prometheus text format.")
+	fmt.Println("\nCapture the same spans from a live run as a Go execution trace with")
+	fmt.Println("`httpbench -trace out.trace` and open it with `go tool trace out.trace`; scrape")
+	fmt.Println("per-target histograms from the server's `/metrics` endpoint in Prometheus text format.")
 }
 
 func fail(err error) {

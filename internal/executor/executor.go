@@ -427,9 +427,9 @@ type Bracket struct {
 
 // Enqueued records that the task entered target's queue, caused by spawn
 // (0 = the calling goroutine's current span). The OpEnqueue event and the
-// eventual run span share one id: exporters use the pair as the
-// cross-goroutine flow edge, metrics as the queue-sojourn measurement, and
-// BuildTree as the run span's causal parent.
+// eventual run span share one id: the Go execution trace sink uses the pair
+// as one task from queue to run end, metrics as the queue-sojourn
+// measurement, and BuildTree as the run span's causal parent.
 func (b *Bracket) Enqueued(target string, spawn trace.SpanID) {
 	if s := trace.ActiveSink(); s != nil {
 		if spawn == 0 {

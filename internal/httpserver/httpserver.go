@@ -490,7 +490,7 @@ func (s *Server) reply(w *replyWriter, p *payload) {
 // size, -1 for a bad one).
 func (s *Server) handleEncrypt(w *replyWriter, size int) {
 	// The worker invocation made while handling parents to this span, so a
-	// Perfetto capture shows request → invoke → run chains end to end.
+	// Go execution trace shows request → invoke → run chains end to end.
 	defer trace.Open(trace.ActiveSink(), "request", "http").Close()
 	switch {
 	case size < 0:

@@ -53,8 +53,9 @@ type openSpan struct {
 
 // SpanSink is a trace.Sink that folds the span event stream into per-target
 // histograms and counters — the bridge from causal tracing to /metrics. It
-// can chain to a next sink (typically a trace.Buffer), so one stream feeds
-// both the Prometheus endpoint and the Perfetto export.
+// can chain to a next sink (a test's trace.Buffer, or the Go execution trace
+// sink `-trace` installs), so one stream feeds both the Prometheus endpoint
+// and that capture.
 type SpanSink struct {
 	next trace.Sink // may be nil
 

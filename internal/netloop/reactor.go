@@ -11,7 +11,7 @@ import (
 // connection readers to the readiness-driven reactor: one edge-triggered
 // poll goroutine owns every socket and feeds the same dispatch loop, so a
 // connection costs a registration instead of a goroutine. Must be called
-// before Start. On platforms without an epoll/kqueue poller it returns
+// before Start. On platforms without an epoll poller it returns
 // reactor.ErrUnsupported and the server keeps its portable default
 // transport — gate on the error, not the platform.
 func (s *Server) EnableReactor() error {

@@ -1,9 +1,7 @@
-//go:build linux || darwin
+//go:build linux
 
 // Backpressure tests need a kernel hook (setSndbuf, hooks_unix_test.go) to
-// make a send buffer small enough to jam, so they are shared across the two
-// poller platforms rather than linux-gated — kqueue's EV_CLEAR must honour
-// the same spill/flush contract as EPOLLET.
+// make a send buffer small enough to jam, so they run where the poller does.
 package reactor
 
 import (

@@ -2,11 +2,10 @@ package reactor
 
 // Compile-parity assertions for the platform seam: every sys* helper and
 // the poller constructor must keep identical signatures across
-// sys_linux.go, sys_darwin.go, and sys_stub.go. The file carries no build
-// tag on purpose — `GOOS=windows go vet ./internal/reactor/` (the CI
-// cross-compile check) fails the moment the stub drifts from the real
-// backends, instead of the drift surfacing as a broken build on someone
-// else's machine.
+// sys_linux.go and sys_stub.go. The file carries no build tag on purpose —
+// `GOOS=windows go vet ./internal/reactor/` fails the moment the stub drifts
+// from the linux backend, instead of the drift surfacing as a broken build
+// on someone else's machine.
 
 var (
 	_ func(string) (int, string, error) = sysListen

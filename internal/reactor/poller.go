@@ -8,10 +8,10 @@ type pollEvent struct {
 	hup      bool // peer hung up / error condition on the descriptor
 }
 
-// poller abstracts the platform readiness facility (epoll on linux,
-// kqueue on darwin). All registrations are edge-triggered: an event is
-// reported once per edge and the caller must drain the descriptor (see
-// readDrain for what counts as drained).
+// poller abstracts the platform readiness facility (epoll on linux). All
+// registrations are edge-triggered: an event is reported once per edge and
+// the caller must drain the descriptor (see readDrain for what counts as
+// drained).
 //
 // add/mod/del/wake are safe from any goroutine (the kernel serializes
 // them); wait is called only by the poll goroutine.

@@ -1,17 +1,16 @@
 // Package reactor is the readiness-driven dispatch core under the
-// networking layers: an edge-triggered epoll (linux) / kqueue (darwin) poll
-// loop that turns file-descriptor readiness into handler invocations on a
-// single confined goroutine — the libevent archetype the paper positions
-// EDT-style runtimes against, implemented as a first-class layer of this
-// runtime instead of being imitated on top of goroutine-per-connection
-// net I/O.
+// networking layers: an edge-triggered epoll poll loop (linux) that turns
+// file-descriptor readiness into handler invocations on a single confined
+// goroutine — the libevent archetype the paper positions EDT-style runtimes
+// against, implemented as a first-class layer of this runtime instead of
+// being imitated on top of goroutine-per-connection net I/O.
 //
 // Shape of the machine:
 //
 //   - one poll goroutine owns every registered descriptor; it waits on the
-//     platform poller and never anywhere else — on linux parked on the Go
-//     runtime's netpoller like any goroutine reading a socket (no thread
-//     sits in epoll_wait, see sys_linux.go), on darwin as a thread in kevent;
+//     platform poller and never anywhere else — parked on the Go runtime's
+//     netpoller like any goroutine reading a socket (no thread sits in
+//     epoll_wait, see sys_linux.go);
 //   - registration is edge-triggered: each readiness event is drained (reads
 //     into a single shared scratch buffer to a short read, EAGAIN or EOF;
 //     writes out of the per-connection pending queue), so an edge is never
@@ -58,7 +57,7 @@
 //     flush through the usual writability edges, idle connections close,
 //     and a deadline force-closes stragglers before the loop exits.
 //
-// Platforms without a poller (anything but linux/darwin) compile against
+// Platforms without a poller (anything but linux) compile against
 // the same API; New returns ErrUnsupported and callers fall back to the
 // portable goroutine-per-connection transport (netloop's default).
 package reactor
@@ -78,8 +77,7 @@ import (
 	"repro/internal/trace"
 )
 
-// ErrUnsupported is returned by New on platforms without an epoll/kqueue
-// poller. Gate reactor use on Supported.
+// ErrUnsupported is returned by New on platforms without an epoll poller. Gate reactor use on Supported.
 var ErrUnsupported = errors.New("reactor: no poller on this platform")
 
 // ErrClosed is returned by operations on a stopped reactor.

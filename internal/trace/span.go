@@ -158,8 +158,8 @@ func BeginSpan(s Sink, name, target string, parent SpanID) SpanID {
 
 // BeginSpanID records OpSpanBegin for a pre-allocated id. The dispatch
 // queues pre-allocate task spans at enqueue time (so the OpEnqueue event and
-// the later run share one id, giving exporters their flow edge) and begin
-// them when the task actually runs. For such a span parent is the runner's
+// the later run share one id, and queue time is measurable) and begin them
+// when the task actually runs. For such a span parent is the runner's
 // current span, and the submitter's is on the OpEnqueue event: BuildTree
 // takes the enqueue's parent when it is nonzero, so a raw begin's parent is
 // the causal one only for a task whose submitter had no span.
@@ -207,9 +207,10 @@ func (sc Scope) Close() {
 }
 
 // Enqueue records OpEnqueue: the task identified by span id entered target's
-// queue, caused by parent. Exporters draw the cross-goroutine flow arrow
-// from this event to the span's begin; metrics derive queue sojourn from the
-// same pair, and BuildTree the span's parent when parent is nonzero.
+// queue, caused by parent. The Go execution trace sink opens the span's task
+// here, so the task covers queue time; metrics derive queue sojourn from this
+// event and the span's begin, and BuildTree the span's parent when parent is
+// nonzero.
 func Enqueue(s Sink, id SpanID, target string, parent SpanID) {
 	s.Record(Event{Op: OpEnqueue, Name: "enqueue", Target: target, Span: id, Parent: parent, Gid: uint64(gid.Current())})
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -152,10 +151,6 @@ func TestBuildTreeOrphansAndEnqueueFallback(t *testing.T) {
 	if u.Name != "run" || u.Target != "w" || !u.Start.IsZero() || u.End.IsZero() || u.Duration() != 0 || u.QueueDelay() != 0 {
 		t.Fatalf("enqueue-then-end span not reconstructed as an unrun task: %+v", u)
 	}
-	var sb strings.Builder
-	if err := ExportTraceEvent(&sb, events); err != nil || strings.Contains(sb.String(), "target w") {
-		t.Fatalf("export of an unrun task: err=%v, and no goroutine ran it to be named after:\n%s", err, sb.String())
-	}
 }
 
 // TestBuildTreeRunParentFromEnqueue: a run span's begin records the runner's
@@ -217,88 +212,5 @@ func TestTreeDepthAndFindAll(t *testing.T) {
 	}
 	if !strings.Contains(tree.Summarize(), "depth=3") {
 		t.Fatalf("Summarize missing depth:\n%s", tree.Summarize())
-	}
-}
-
-// TestExportTraceEventShape validates the exporter output against the
-// trace-event JSON contract Perfetto's legacy importer checks: a traceEvents
-// array whose records all carry ph/ts/pid/tid, complete slices with dur,
-// matched flow start/finish pairs, and thread_name metadata per track.
-func TestExportTraceEventShape(t *testing.T) {
-	buf := NewBuffer(256)
-	parent := BeginSpan(buf, "invoke", "alpha", 0)
-	child := NewSpanID()
-	Enqueue(buf, child, "alpha", parent)
-	buf.Record(Event{Op: OpPost, Target: "alpha", Mode: "nowait", Span: parent})
-	BeginSpanID(buf, child, "run", "alpha", parent)
-	EndSpan(buf, child, "run", "alpha")
-	EndSpan(buf, parent, "invoke", "alpha")
-
-	var sb strings.Builder
-	if err := ExportTraceEvent(&sb, buf.Snapshot()); err != nil {
-		t.Fatalf("export: %v", err)
-	}
-	var file struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-		Unit        string           `json:"displayTimeUnit"`
-	}
-	if err := json.Unmarshal([]byte(sb.String()), &file); err != nil {
-		t.Fatalf("export is not valid JSON: %v\n%s", err, sb.String())
-	}
-	if file.Unit != "ms" {
-		t.Fatalf("displayTimeUnit = %q, want ms", file.Unit)
-	}
-	var slices, flowStarts, flowEnds, meta, instants int
-	for _, ev := range file.TraceEvents {
-		ph, _ := ev["ph"].(string)
-		if ph == "" {
-			t.Fatalf("event missing ph: %v", ev)
-		}
-		if _, ok := ev["ts"].(float64); !ok {
-			t.Fatalf("event missing numeric ts: %v", ev)
-		}
-		if ts := ev["ts"].(float64); ts < 0 {
-			t.Fatalf("negative ts %v: %v", ts, ev)
-		}
-		switch ph {
-		case "X":
-			slices++
-			if d, ok := ev["dur"].(float64); !ok || d <= 0 {
-				t.Fatalf("complete slice without positive dur: %v", ev)
-			}
-		case "s":
-			flowStarts++
-		case "f":
-			flowEnds++
-			if bp, _ := ev["bp"].(string); bp != "e" {
-				t.Fatalf("flow finish without bp=e: %v", ev)
-			}
-		case "M":
-			meta++
-		case "i":
-			instants++
-		}
-	}
-	if slices != 2 {
-		t.Fatalf("slices = %d, want 2 (invoke + run)", slices)
-	}
-	if flowStarts != 1 || flowEnds != 1 {
-		t.Fatalf("flow pair = %d starts / %d ends, want 1/1", flowStarts, flowEnds)
-	}
-	if meta == 0 {
-		t.Fatal("no thread_name metadata emitted")
-	}
-	if instants == 0 {
-		t.Fatal("annotation instants missing (OpPost should export)")
-	}
-}
-
-func TestExportTraceEventEmpty(t *testing.T) {
-	var sb strings.Builder
-	if err := ExportTraceEvent(&sb, nil); err != nil {
-		t.Fatalf("export empty: %v", err)
-	}
-	if !strings.Contains(sb.String(), "traceEvents") {
-		t.Fatalf("empty export missing traceEvents wrapper: %s", sb.String())
 	}
 }

