@@ -128,7 +128,7 @@ func runOverload(kernelBytes int) {
 	admit := &httpserver.QoSConfig{QueueLimit: 4, RequestTimeout: 100 * time.Millisecond}
 	fmt.Printf("httpbench: overload scenario — %d users × %d reqs against %d workers (payload %dKiB)\n",
 		users, reqs, workers, kernelBytes/1024)
-	fmt.Printf("qos: queue=%d timeout=%v policy=%s\n\n", admit.QueueLimit, admit.RequestTimeout, admit)
+	fmt.Printf("qos: queue=%d timeout=%v\n\n", admit.QueueLimit, admit.RequestTimeout)
 	fmt.Printf("%-14s %8s %8s %8s %9s %10s %10s %10s\n",
 		"series", "ok", "shed", "errors", "shedrate", "resp/sec", "p50(ms)", "p99(ms)")
 	var rows []*evaluation.EvalBResult

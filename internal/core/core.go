@@ -87,7 +87,6 @@ var (
 	ErrDuplicateName  = errors.New("core: virtual target name already registered")
 	ErrNoTag          = errors.New("core: NameAs mode requires a non-empty tag")
 	ErrNilBlock       = errors.New("core: nil target block")
-	ErrNoDefaultSet   = errors.New("core: empty target name and no default target set")
 	ErrRuntimeStopped = errors.New("core: runtime has been shut down")
 )
 
@@ -98,23 +97,14 @@ type pendingRunner interface {
 	WaitPending(cancel <-chan struct{}) bool
 }
 
-// ICV holds the runtime's internal control variables, mirroring OpenMP's
-// ICV mechanism (the paper's extension point is default-device-var, which
-// for virtual targets becomes the default target name).
-type ICV struct {
-	// DefaultTarget is used when Invoke is called with an empty target name
-	// (the analogue of default-device-var for virtual targets).
-	DefaultTarget string
-}
-
 // Runtime is the virtual-target runtime ("PjRuntime"). The zero value is not
 // usable; create one with NewRuntime.
 type Runtime struct {
 	registry *gid.Registry
 
 	// view is everything an invoke reads of the runtime, loaded without a
-	// lock and never modified once published; registration, the ICV setters
-	// and Shutdown each publish a modified copy under mu.
+	// lock and never modified once published; registration and Shutdown
+	// each publish a modified copy under mu.
 	view  atomic.Pointer[view]
 	mu    sync.Mutex      // serialises writers of view and guards owned
 	owned map[string]bool // targets whose lifecycle we manage (Shutdown)
@@ -132,16 +122,14 @@ type Runtime struct {
 // workload has between join and reuse at one time (edt_dispatch cycles 32).
 const maxSpareGroups = 64
 
-// view is one immutable snapshot of the runtime's registry and ICVs.
+// view is one immutable snapshot of the runtime's registry.
 type view struct {
 	targets map[string]executor.Executor
-	icv     ICV
-	enabled bool
 	stopped bool
 }
 
-// NewRuntime returns a runtime with directives enabled, using reg for
-// goroutine affiliation (nil means gid.Default).
+// NewRuntime returns a runtime using reg for goroutine affiliation (nil
+// means gid.Default).
 func NewRuntime(reg *gid.Registry) *Runtime {
 	if reg == nil {
 		reg = &gid.Default
@@ -151,7 +139,7 @@ func NewRuntime(reg *gid.Registry) *Runtime {
 		owned:    make(map[string]bool),
 		groups:   make(map[string]*nameGroup),
 	}
-	r.view.Store(&view{enabled: true, targets: map[string]executor.Executor{}})
+	r.view.Store(&view{targets: map[string]executor.Executor{}})
 	return r
 }
 
@@ -163,31 +151,6 @@ func (r *Runtime) publish(change func(v *view)) {
 	change(&next)
 	r.view.Store(&next)
 }
-
-// SetEnabled turns directive interpretation on or off. With enabled=false the
-// runtime reproduces an unsupporting compiler: every Invoke runs its block
-// synchronously on the calling goroutine ("the code still retains its
-// correctness when executed sequentially"). Registration calls still work so
-// the same program runs unmodified.
-func (r *Runtime) SetEnabled(enabled bool) {
-	r.mu.Lock()
-	r.publish(func(v *view) { v.enabled = enabled })
-	r.mu.Unlock()
-}
-
-// Enabled reports whether directives are interpreted.
-func (r *Runtime) Enabled() bool { return r.view.Load().enabled }
-
-// SetDefaultTarget sets the ICV used when Invoke receives an empty target
-// name.
-func (r *Runtime) SetDefaultTarget(name string) {
-	r.mu.Lock()
-	r.publish(func(v *view) { v.icv.DefaultTarget = name })
-	r.mu.Unlock()
-}
-
-// ICV returns a snapshot of the internal control variables.
-func (r *Runtime) ICV() ICV { return r.view.Load().icv }
 
 // RegisterEDT registers loop as the virtual target named name. It is the
 // analogue of virtual_target_register_edt (Table II): in Pyjama the calling
@@ -240,42 +203,18 @@ func (r *Runtime) register(name string, e executor.Executor, owned bool) error {
 	return nil
 }
 
-// Target returns the executor registered under name, or nil.
-func (r *Runtime) Target(name string) executor.Executor {
-	return r.view.Load().targets[name]
-}
-
-// TargetNames returns the registered virtual target names (unordered).
-func (r *Runtime) TargetNames() []string {
-	targets := r.view.Load().targets
-	names := make([]string, 0, len(targets))
-	for n := range targets {
-		names = append(names, n)
-	}
-	return names
-}
-
-// resolve is an invoke's one registry read: whether directives are interpreted
-// at all and, if so, the executor a possibly-empty target name maps to.
-func (r *Runtime) resolve(name string) (e executor.Executor, enabled bool, err error) {
+// resolve is an invoke's one registry read: the executor registered under
+// name.
+func (r *Runtime) resolve(name string) (executor.Executor, error) {
 	v := r.view.Load()
-	if !v.enabled {
-		return nil, false, nil
-	}
 	if v.stopped {
-		return nil, true, ErrRuntimeStopped
+		return nil, ErrRuntimeStopped
 	}
-	if name == "" {
-		name = v.icv.DefaultTarget
-		if name == "" {
-			return nil, true, ErrNoDefaultSet
-		}
-	}
-	e = v.targets[name]
+	e := v.targets[name]
 	if e == nil {
-		return nil, true, fmt.Errorf("%w: %q", ErrUnknownTarget, name)
+		return nil, fmt.Errorf("%w: %q", ErrUnknownTarget, name)
 	}
-	return e, true, nil
+	return e, nil
 }
 
 // Invoke is InvokeTargetBlock (Algorithm 1) for the Wait, Nowait and Await
@@ -337,11 +276,7 @@ func (r *Runtime) invoke(target string, mode Mode, tag string, nilBlock bool,
 	if mode == NameAs && tag == "" {
 		return nil, ErrNoTag
 	}
-	e, enabled, err := r.resolve(target)
-	if !enabled {
-		// Unsupporting compiler: the directive is a comment; run inline.
-		return executor.NewCompletedCompletion(inPlace()), nil
-	}
+	e, err := r.resolve(target)
 	if err != nil {
 		return nil, err
 	}
@@ -671,10 +606,6 @@ func (r *Runtime) PendingInTag(tag string) int {
 	}
 	return n
 }
-
-// Registry exposes the affiliation registry (used by substrates that create
-// their own executors, e.g. the OpenMP fork-join teams).
-func (r *Runtime) Registry() *gid.Registry { return r.registry }
 
 // emit records one scheduling decision — invoke, inline vs post, wait,
 // await-enter/exit, each task helped inside a barrier — against the active

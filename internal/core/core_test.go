@@ -60,8 +60,10 @@ func TestTableII_Registration(t *testing.T) {
 	if pool.Workers() != 3 {
 		t.Fatalf("worker target has %d threads, want 3", pool.Workers())
 	}
-	if rt.Target("edt") == nil || rt.Target("worker") == nil {
-		t.Fatal("targets not resolvable by name")
+	for _, name := range []string{"edt", "worker"} {
+		if _, err := rt.Invoke(name, Wait, func() {}); err != nil {
+			t.Fatalf("target %q not resolvable by name: %v", name, err)
+		}
 	}
 	if err := rt.RegisterEDT("edt", edt); !errors.Is(err, ErrDuplicateName) {
 		t.Fatalf("duplicate EDT registration: %v, want ErrDuplicateName", err)
@@ -69,9 +71,8 @@ func TestTableII_Registration(t *testing.T) {
 	if _, err := rt.CreateWorker("worker", 1); !errors.Is(err, ErrDuplicateName) {
 		t.Fatalf("duplicate worker registration: %v, want ErrDuplicateName", err)
 	}
-	names := rt.TargetNames()
-	if len(names) != 2 {
-		t.Fatalf("TargetNames = %v", names)
+	if stats := rt.PoolStats(); len(stats) != 2 {
+		t.Fatalf("PoolStats = %v, want the two targets", stats)
 	}
 }
 
@@ -247,8 +248,6 @@ func TestAwaitOnWorkerHelpsDrainQueue(t *testing.T) {
 	// ("as for the worker virtual target, it is achieved by processing
 	// another runnable task in Pyjama's task queue").
 	f := newFixture(t, 1) // exactly one worker: helping is observable
-	reg := f.rt.Registry()
-	_ = reg
 	aux, err := f.rt.CreateWorker("aux", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -335,39 +334,6 @@ func TestEDTBlockFromEDTIsInline(t *testing.T) {
 	}
 }
 
-func TestSequentialElision(t *testing.T) {
-	// With directives disabled the program must execute exactly as the
-	// sequential version: same goroutine, strict program order.
-	f := newFixture(t, 4)
-	f.rt.SetEnabled(false)
-	if f.rt.Enabled() {
-		t.Fatal("SetEnabled(false) ignored")
-	}
-	self := gid.Current()
-	var order []int
-	for i := 0; i < 5; i++ {
-		i := i
-		comp, err := f.rt.Invoke("worker", Nowait, func() {
-			if gid.Current() != self {
-				t.Error("disabled directive ran on another goroutine")
-			}
-			order = append(order, i)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !comp.Finished() {
-			t.Fatal("disabled directive not finished synchronously")
-		}
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("sequential order violated: %v", order)
-		}
-	}
-	f.rt.SetEnabled(true)
-}
-
 func TestInvokeIfClause(t *testing.T) {
 	f := newFixture(t, 1)
 	self := gid.Current()
@@ -395,23 +361,16 @@ func TestInvokeIfClause(t *testing.T) {
 	}
 }
 
-func TestDefaultTargetICV(t *testing.T) {
+// TestEmptyTargetNameIsUnknown: the runtime has no default target, so a
+// directive without a target name names no target.
+func TestEmptyTargetNameIsUnknown(t *testing.T) {
 	f := newFixture(t, 1)
-	if _, err := f.rt.Invoke("", Wait, func() {}); !errors.Is(err, ErrNoDefaultSet) {
-		t.Fatalf("empty target with no default: %v, want ErrNoDefaultSet", err)
-	}
-	f.rt.SetDefaultTarget("worker")
-	if got := f.rt.ICV().DefaultTarget; got != "worker" {
-		t.Fatalf("ICV.DefaultTarget = %q", got)
-	}
 	ran := false
-	comp, err := f.rt.Invoke("", Wait, func() { ran = true })
-	if err != nil {
-		t.Fatal(err)
+	if _, err := f.rt.Invoke("", Wait, func() { ran = true }); !errors.Is(err, ErrUnknownTarget) {
+		t.Fatalf("empty target name: %v, want ErrUnknownTarget", err)
 	}
-	comp.Wait()
-	if !ran {
-		t.Fatal("default-target invoke did not run")
+	if ran {
+		t.Fatal("a block with no target ran")
 	}
 }
 

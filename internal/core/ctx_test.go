@@ -154,19 +154,6 @@ func TestInvokeCtxPanicStillCaptured(t *testing.T) {
 	}
 }
 
-func TestInvokeCtxDisabledRuntimeRunsInline(t *testing.T) {
-	f := newFixture(t, 1)
-	f.rt.SetEnabled(false)
-	ran := false
-	comp, err := f.rt.InvokeCtx(context.Background(), "worker", Nowait, func(context.Context) { ran = true })
-	if err != nil || comp.Err() != nil {
-		t.Fatalf("err=%v comp.Err=%v", err, comp.Err())
-	}
-	if !ran || !comp.Finished() {
-		t.Fatal("disabled runtime must run the block synchronously")
-	}
-}
-
 func TestInvokeCtxArgumentValidation(t *testing.T) {
 	f := newFixture(t, 1)
 	if _, err := f.rt.InvokeCtx(context.Background(), "worker", NameAs, func(context.Context) {}); !errors.Is(err, ErrNoTag) {

@@ -62,7 +62,7 @@ func TestInvokeEntryPointsAgree(t *testing.T) {
 
 	for _, mode := range []Mode{Wait, Nowait, Await} {
 		for _, owns := range []bool{true, false} {
-			for _, state := range []string{"enabled", "disabled", "stopped", "stopping"} {
+			for _, state := range []string{"enabled", "stopped", "stopping"} {
 				if state == "stopping" && owns {
 					continue // an owned target is never posted to
 				}
@@ -74,7 +74,7 @@ func TestInvokeEntryPointsAgree(t *testing.T) {
 						switch {
 						case down && want.err != ErrRuntimeStopped.Error():
 							t.Fatalf("%s: err = %q, want ErrRuntimeStopped", entries[0].name, want.err)
-						case !down && (want.err != "<nil>" || want.inPlace != (owns || state == "disabled")):
+						case !down && (want.err != "<nil>" || want.inPlace != owns):
 							t.Fatalf("%s: outcome = %+v", entries[0].name, want)
 						case !down && panics != strings.Contains(want.verdict, "boom"):
 							t.Fatalf("%s: verdict = %q with panics=%v", entries[0].name, want.verdict, panics)
@@ -114,10 +114,7 @@ func runInvokeCase(t *testing.T, call func(*Runtime, Mode, func()) (*executor.Co
 	if err := rt.RegisterTarget("w", registered); err != nil {
 		t.Fatal(err)
 	}
-	switch state {
-	case "disabled":
-		rt.SetEnabled(false)
-	case "stopped":
+	if state == "stopped" {
 		rt.Shutdown()
 	}
 

@@ -114,23 +114,6 @@ func TestRegisterTargetCustomExecutor(t *testing.T) {
 	}
 }
 
-func TestEnabledToggleDuringOperation(t *testing.T) {
-	f := newFixture(t, 2)
-	f.rt.SetEnabled(false)
-	c1, _ := f.rt.Invoke("worker", Nowait, func() {})
-	if !c1.Finished() {
-		t.Fatal("disabled invoke not inline")
-	}
-	f.rt.SetEnabled(true)
-	gate := make(chan struct{})
-	c2, _ := f.rt.Invoke("worker", Nowait, func() { <-gate })
-	if c2.Finished() {
-		t.Fatal("enabled invoke ran inline")
-	}
-	close(gate)
-	c2.Wait()
-}
-
 func TestPoolStats(t *testing.T) {
 	f := newFixture(t, 2)
 	edtBefore := f.edt.Stats().Submitted

@@ -31,7 +31,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -46,7 +45,6 @@ import (
 	"repro/internal/gid"
 	"repro/internal/kernels"
 	"repro/internal/metrics"
-	"repro/internal/qos"
 	"repro/internal/supervise"
 	"repro/internal/trace"
 )
@@ -112,29 +110,20 @@ type SuperviseConfig struct {
 	StallAfter       time.Duration
 }
 
-// QoSConfig parameterizes the server's admission control. The limiter's
-// slot count equals Workers, so "waiting for a slot" is exactly "the
-// worker target's queue would grow"; overflow is shed with HTTP 503
-// instead of queueing unboundedly.
+// QoSConfig parameterizes the server's admission control. A request takes
+// one of Workers slots before it invokes the worker target, so "waiting for
+// a slot" is exactly "the worker target's queue would grow"; overflow is
+// shed with HTTP 503 instead of queueing unboundedly.
 type QoSConfig struct {
 	// QueueLimit bounds requests waiting for a worker slot (<0 =
 	// unbounded wait queue, 0 = no waiting; sheds are 503s).
 	QueueLimit int
 	// RequestTimeout is the per-request deadline propagated into the
 	// target block via InvokeCtx (0 = none). Requests that exceed it
-	// respond 503, and still-queued work is cancelled. It is also the
-	// limiter's queue deadline (qos.TimeoutAfter); without it the policy
-	// is qos.Reject.
+	// respond 503, and still-queued work is cancelled. It also bounds the
+	// wait for a slot.
 	RequestTimeout time.Duration
 }
-
-// String summarizes the configured protection for bench labels.
-func (q *QoSConfig) String() string {
-	return fmt.Sprintf("limiter(%s, queue=%d)", q.policy(), q.QueueLimit)
-}
-
-// policy derives the limiter policy from the config.
-func (q *QoSConfig) policy() qos.Policy { return qos.TimeoutAfter(q.RequestTimeout) }
 
 func (c *Config) fill() {
 	if c.Workers < 1 {
@@ -151,8 +140,10 @@ type Server struct {
 
 	ln  net.Listener
 	rt  *core.Runtime // Pyjama mode
-	sem chan struct{} // Jetty mode
+	sem chan struct{} // Workers slots: Jetty mode, and Pyjama mode with QoS
 	reg gid.Registry
+
+	waiting atomic.Int64 // QoS requests waiting for a slot
 
 	// ctx is every request's parent. Stop cancels it, which closes every
 	// connection and releases a request waiting for a Jetty slot or a QoS
@@ -165,8 +156,6 @@ type Server struct {
 	// computations in every organisation. Not a sync.Pool, which the collector
 	// empties (DESIGN §4 item 3).
 	idle chan *payload
-
-	limiter *qos.Limiter // nil without QoS
 
 	worker executor.Executor     // Pyjama worker target when not runtime-owned
 	sup    *supervise.Supervisor // nil unless Supervise.Restart
@@ -188,8 +177,8 @@ func New(cfg Config) *Server {
 	switch cfg.Mode {
 	case Pyjama:
 		s.rt = core.NewRuntime(&s.reg)
-		if q := cfg.QoS; q != nil {
-			s.limiter = qos.NewLimiter("worker", cfg.Workers, q.QueueLimit, q.policy())
+		if cfg.QoS != nil {
+			s.sem = make(chan struct{}, cfg.Workers)
 		}
 	default:
 		s.sem = make(chan struct{}, cfg.Workers)
@@ -511,7 +500,7 @@ func (s *Server) handleEncrypt(w *replyWriter, size int) {
 		p.compute()
 		s.reply(w, p)
 		<-s.sem
-	case s.limiter != nil:
+	case s.sem != nil:
 		s.handleEncryptQoS(w, size)
 	default:
 		p := s.takePayload(size)
@@ -528,8 +517,8 @@ func (s *Server) handleEncrypt(w *replyWriter, size int) {
 	}
 }
 
-// handleEncryptQoS is the guarded Pyjama request path: limiter admission,
-// then a deadline-propagating invocation. It writes the full response
+// handleEncryptQoS is the guarded Pyjama request path: admission to a worker
+// slot, then a deadline-propagating invocation. It writes the full response
 // (success or failure), and takes its payload only once admitted and gives it
 // back before the slot, so a payload is out only while it holds a slot. Its
 // context is the server's, which Stop cancels: a client that hangs up
@@ -542,13 +531,13 @@ func (s *Server) handleEncryptQoS(w *replyWriter, size int) {
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
 	}
-	if err := s.limiter.Acquire(ctx); err != nil {
-		// Shed or client-abandoned: fail fast instead of queueing.
+	if !s.admit(ctx) {
+		// Shed: fail fast instead of queueing.
 		s.shed.Add(1)
 		w.error(http.StatusServiceUnavailable, "overloaded")
 		return
 	}
-	defer s.limiter.Release()
+	defer func() { <-s.sem }()
 
 	p := s.takePayload(size)
 	comp, err := s.rt.InvokeCtx(ctx, "worker", core.Wait, p.ctxBlock)
@@ -569,6 +558,32 @@ func (s *Server) handleEncryptQoS(w *replyWriter, size int) {
 		return
 	}
 	s.reply(w, p)
+}
+
+// admit takes a worker slot for a QoS request: at once if one is free, else
+// after waiting, with at most QueueLimit requests waiting (<0 unbounded), until
+// a slot frees or ctx ends. A refusal emits trace.OpShed on "worker", unless
+// Stop caused it.
+func (s *Server) admit(ctx context.Context) bool {
+	select {
+	case s.sem <- struct{}{}:
+		return true
+	default:
+	}
+	limit := int64(s.cfg.QoS.QueueLimit)
+	if n := s.waiting.Add(1); limit < 0 || n <= limit {
+		select {
+		case s.sem <- struct{}{}:
+			s.waiting.Add(-1)
+			return true
+		case <-ctx.Done():
+		}
+	}
+	s.waiting.Add(-1)
+	if s.ctx.Err() == nil {
+		trace.Emit(trace.OpShed, "worker")
+	}
+	return false
 }
 
 // failCompute writes the failure response for a finished-with-error

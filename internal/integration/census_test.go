@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unicode"
 )
 
 const module = "repro"
@@ -141,18 +142,7 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 				}
 			}
 		}
-		imports := map[string]string{} // local package name → import path
-		for _, imp := range f.Imports {
-			p, err := strconv.Unquote(imp.Path.Value)
-			if err != nil {
-				continue
-			}
-			local := p[strings.LastIndex(p, "/")+1:]
-			if imp.Name != nil {
-				local = imp.Name.Name
-			}
-			imports[local] = p
-		}
+		imports := localImports(f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			lit, ok := n.(*ast.CompositeLit)
 			if !ok {
@@ -189,5 +179,127 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 	sort.Strings(unset)
 	for _, field := range unset {
 		t.Errorf("%s is set by no non-test .go file outside its own directory: delete it or set it", strings.TrimPrefix(field, module+"/"))
+	}
+}
+
+// localImports maps each package name f uses to the import path it names.
+func localImports(f *ast.File) map[string]string {
+	imports := map[string]string{}
+	for _, imp := range f.Imports {
+		p, err := strconv.Unquote(imp.Path.Value)
+		if err != nil {
+			continue
+		}
+		local := p[strings.LastIndex(p, "/")+1:]
+		if imp.Name != nil {
+			local = imp.Name.Name
+		}
+		imports[local] = p
+	}
+	return imports
+}
+
+// TestEverySetterHasAnInstaller is the census for hooks and knobs: every
+// exported Set* function or method declared in a non-test file under
+// internal/ must be called — a function as pkg.SetX(, a method as .SetX( —
+// from some non-test .go file outside its declaring directory; cmd/,
+// examples/, benchmark/ and the other internal packages all count. A setter
+// that only tests call is a path nothing runs: delete it, or give it an
+// installer. Methods are matched by name, from syntax trees only, and
+// internal/sim is exempt, as in the censuses above.
+func TestEverySetterHasAnInstaller(t *testing.T) {
+	// The setters kept without an installer, keyed "pkg Name", and why.
+	exempt := map[string]string{
+		"reactor SetInterceptor":   "test seam: the readiness-layer fault interceptor of the chaos suites",
+		"reactor SetIOInterceptor": "test seam: the fd-level fault interceptor of the chaos suites",
+		"chaos SetEnabled":         "test seam: a chaos suite turns injection off to watch the recovery",
+		"gui SetValue":             "widget state the edtconfine analyzer corpora mutate",
+		"gui SetHandler":           "widget state the edtconfine analyzer corpora mutate",
+		"gui SetTitle":             "widget state the edtconfine analyzer corpora mutate",
+		"gui SetVisible":           "widget state the edtconfine analyzer corpora mutate",
+	}
+	type setter struct {
+		dir, name string // import path of the declaring directory, and Set*
+		method    bool
+	}
+	declared := map[string]setter{} // "pkg Name" of every setter under census
+	// calls holds, per call site form, the directories making it:
+	// "importpath Name" for pkg.SetX(, "Name" for any other .SetX(.
+	calls := map[string]map[string]bool{}
+	fset := token.NewFileSet()
+	root := walkGoFiles(t, func(path, self string) error {
+		if strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		if strings.HasPrefix(self, module+"/internal/") && self != module+"/internal/sim" {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				if name := fd.Name.Name; len(name) > 3 && strings.HasPrefix(name, "Set") && unicode.IsUpper(rune(name[3])) {
+					declared[f.Name.Name+" "+name] = setter{self, name, fd.Recv != nil}
+				}
+			}
+		}
+		imports := localImports(f)
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || !strings.HasPrefix(sel.Sel.Name, "Set") {
+				return true
+			}
+			form := sel.Sel.Name
+			if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] != "" {
+				form = imports[x.Name] + " " + form
+			}
+			if calls[form] == nil {
+				calls[form] = map[string]bool{}
+			}
+			calls[form][self] = true
+			return true
+		})
+		return nil
+	})
+	if len(declared) < 10 {
+		t.Fatalf("found only %d setters under %s/internal: wrong root?", len(declared), root)
+	}
+	installed := func(s setter) bool {
+		form := s.name
+		if !s.method {
+			form = s.dir + " " + s.name
+		}
+		for dir := range calls[form] {
+			if dir != s.dir {
+				return true
+			}
+		}
+		return false
+	}
+	var keys []string
+	for key := range declared {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		_, ok := exempt[key]
+		switch has := installed(declared[key]); {
+		case !has && !ok:
+			t.Errorf("%s is called by no non-test .go file outside its own directory: delete it or install it", key)
+		case has && ok:
+			t.Errorf("%s is exempt but has an installer: drop the exemption", key)
+		}
+	}
+	for key := range exempt {
+		if _, ok := declared[key]; !ok {
+			t.Errorf("the exemption %q names no setter: drop it", key)
+		}
 	}
 }

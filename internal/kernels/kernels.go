@@ -24,7 +24,7 @@ type Kernel interface {
 	// RunSeq executes the kernel on the calling goroutine.
 	RunSeq()
 	// RunPar executes the kernel with an OpenMP team of n threads (n <= 0
-	// selects omp.DefaultNumThreads). The calling goroutine is the master
+	// selects runtime.GOMAXPROCS(0), as omp.Parallel does). The calling goroutine is the master
 	// and participates, per the fork-join model.
 	RunPar(n int)
 	// Validate checks the result of the last Run and returns a descriptive

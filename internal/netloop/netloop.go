@@ -28,7 +28,6 @@ import (
 	"repro/internal/eventloop"
 	"repro/internal/executor"
 	"repro/internal/gid"
-	"repro/internal/qos"
 	"repro/internal/reactor"
 	"repro/internal/trace"
 )
@@ -57,7 +56,8 @@ type Server struct {
 	// Survivability knobs, set before Start (see SetIdleDeadline and
 	// SetMaxConns). Both apply to either transport.
 	idleDeadline time.Duration
-	connLimiter  *qos.Limiter // admission cap on live connections
+	maxConns     int64        // cap on live connections; 0 = none
+	liveConns    atomic.Int64 // connections holding a slot under maxConns
 	busyLine     string       // sent to shed connections before the close
 
 	nextID         atomic.Int64
@@ -121,12 +121,24 @@ func (s *Server) SetIdleDeadline(d time.Duration) { s.idleDeadline = d }
 // called before Start.
 func (s *Server) SetMaxConns(n int, busyLine string) {
 	if n <= 0 {
-		s.connLimiter = nil
-		s.busyLine = ""
+		s.maxConns, s.busyLine = 0, ""
 		return
 	}
-	s.connLimiter = qos.NewLimiter(s.name+"/conns", n, 0, qos.Reject())
-	s.busyLine = busyLine
+	s.maxConns, s.busyLine = int64(n), busyLine
+}
+
+// takeConnSlot admits one connection under the MaxConns cap. At the cap it
+// emits trace.OpShed and reports false.
+func (s *Server) takeConnSlot() bool {
+	if s.maxConns == 0 {
+		return true
+	}
+	if s.liveConns.Add(1) > s.maxConns {
+		s.liveConns.Add(-1)
+		trace.Emit(trace.OpShed, s.name+"/conns")
+		return false
+	}
+	return true
 }
 
 // ConnShed returns the number of connections rejected by the MaxConns cap.
@@ -172,7 +184,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 			return // listener closed
 		}
 		s.accepted.Add(1)
-		if !s.connLimiter.TryAcquire() {
+		if !s.takeConnSlot() {
 			// At the cap: shed at the edge. The busy line rides the kernel
 			// buffer out before the close (blocking transport, so no flush
 			// machinery is needed).
@@ -408,7 +420,7 @@ type Client struct {
 // newClient builds the record of one accepted connection, on either
 // transport, and binds its delivery closure once for the connection's life.
 func (s *Server) newClient(conn net.Conn, rc *reactor.Conn) *Client {
-	c := &Client{server: s, conn: conn, rc: rc, id: s.nextID.Add(1), slotHeld: s.connLimiter != nil}
+	c := &Client{server: s, conn: conn, rc: rc, id: s.nextID.Add(1), slotHeld: s.maxConns > 0}
 	c.next = func() { s.deliverNext(c) }
 	return c
 }
@@ -466,7 +478,7 @@ func (q *fifo) unpush() {
 // releaseSlot frees the client's admission slot, at most once.
 func (c *Client) releaseSlot() {
 	if c.slotHeld && c.slotFreed.CompareAndSwap(false, true) {
-		c.server.connLimiter.Release()
+		c.server.liveConns.Add(-1)
 	}
 }
 

@@ -40,7 +40,7 @@ func (s *Server) Reactor() *reactor.Reactor { return s.reactor }
 // poll goroutine.
 func (s *Server) reactorAccept(rc *reactor.Conn) reactor.HandlerFuncs {
 	s.accepted.Add(1)
-	if !s.connLimiter.TryAcquire() {
+	if !s.takeConnSlot() {
 		// At the MaxConns cap: shed at accept. Close flushes the busy line
 		// before the disconnect (the reactor's flush-before-close path).
 		s.connShed.Add(1)

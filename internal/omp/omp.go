@@ -52,11 +52,6 @@ func (s Schedule) String() string {
 	}
 }
 
-// DefaultNumThreads returns the team size used when a Parallel call passes
-// n <= 0: the nthreads-var ICV (SetDefaultNumThreads), defaulting to the
-// available parallelism.
-func DefaultNumThreads() int { return defaultNumThreads() }
-
 // team is the shared state of a parallel region. It outlives the region: on
 // the idle list, members 1..n-1 park on their wake channel until the next body.
 type team struct {
@@ -165,13 +160,13 @@ func (tc *Team) ThreadNum() int { return tc.id }
 func (tc *Team) NumThreads() int { return tc.t.n }
 
 // Parallel runs body on a team of n goroutines (n <= 0 means
-// DefaultNumThreads). The caller is the master (thread 0) and participates;
+// runtime.GOMAXPROCS(0), the available parallelism). The caller is the master (thread 0) and participates;
 // Parallel returns when every member has finished the body — the synchronous
 // "join" the paper contrasts with its asynchronous executor model. The other
 // members are a parked team, retired rather than reused if the master panics.
 func Parallel(n int, body func(tc *Team)) {
 	if n <= 0 {
-		n = DefaultNumThreads()
+		n = runtime.GOMAXPROCS(0)
 	}
 	t := takeTeam(n)
 	defer t.release()
@@ -413,7 +408,7 @@ func ParallelForSchedule(n, lo, hi int, sched Schedule, chunk int, body func(i i
 func ParallelSections(n int, fns ...func()) {
 	if n <= 0 {
 		n = len(fns)
-		if max := DefaultNumThreads(); n > max {
+		if max := runtime.GOMAXPROCS(0); n > max {
 			n = max
 		}
 		if n < 1 {

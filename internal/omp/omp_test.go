@@ -2,6 +2,7 @@ package omp
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -33,8 +34,8 @@ func TestParallelTeamShape(t *testing.T) {
 func TestParallelDefaultThreads(t *testing.T) {
 	var n atomic.Int64
 	Parallel(0, func(tc *Team) { n.Add(1) })
-	if int(n.Load()) != DefaultNumThreads() {
-		t.Fatalf("team size = %d, want %d", n.Load(), DefaultNumThreads())
+	if want := runtime.GOMAXPROCS(0); int(n.Load()) != want {
+		t.Fatalf("team size = %d, want %d", n.Load(), want)
 	}
 }
 

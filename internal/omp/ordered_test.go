@@ -1,7 +1,6 @@
 package omp
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -63,38 +62,6 @@ func TestForOrderedSingleThread(t *testing.T) {
 	})
 	if len(order) != 5 {
 		t.Fatalf("order = %v", order)
-	}
-}
-
-func TestSetDefaultNumThreads(t *testing.T) {
-	defer SetDefaultNumThreads(0)
-	SetDefaultNumThreads(3)
-	if MaxThreads() != 3 || DefaultNumThreads() != 3 {
-		t.Fatalf("MaxThreads = %d", MaxThreads())
-	}
-	var n atomic.Int64
-	Parallel(0, func(tc *Team) { n.Add(1) })
-	if n.Load() != 3 {
-		t.Fatalf("team size = %d under nthreads-var 3", n.Load())
-	}
-	SetDefaultNumThreads(0)
-	if MaxThreads() != runtime.GOMAXPROCS(0) {
-		t.Fatalf("reset MaxThreads = %d", MaxThreads())
-	}
-	SetDefaultNumThreads(-4) // clamps to "unset"
-	if MaxThreads() != runtime.GOMAXPROCS(0) {
-		t.Fatal("negative did not reset")
-	}
-}
-
-func TestWtime(t *testing.T) {
-	a := Wtime()
-	b := Wtime()
-	if b < a {
-		t.Fatal("Wtime went backwards")
-	}
-	if Wtick() <= 0 {
-		t.Fatal("Wtick")
 	}
 }
 

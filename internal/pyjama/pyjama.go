@@ -42,23 +42,6 @@ func Runtime() *core.Runtime {
 	return std
 }
 
-// SetRuntime replaces the process-wide runtime (for tests) and returns the
-// previous one.
-func SetRuntime(rt *core.Runtime) *core.Runtime {
-	mu.Lock()
-	defer mu.Unlock()
-	prev := std
-	std = rt
-	return prev
-}
-
-// Reset replaces the default runtime with a fresh one, shutting down the
-// previous runtime's owned workers.
-func Reset() {
-	old := SetRuntime(core.NewRuntime(nil))
-	old.Shutdown()
-}
-
 // RegisterEDT is virtual_target_register_edt (Table II): it creates an
 // event loop, registers it as the virtual target named tname, and returns
 // it. The caller drives events through the returned loop.

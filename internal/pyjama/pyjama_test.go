@@ -103,11 +103,12 @@ func TestAwaitChan(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	prev := SetRuntime(core.NewRuntime(nil))
-	defer func() { SetRuntime(prev) }()
-	CreateWorker("w", 1)
+	fresh(t)
+	if _, err := CreateWorker("w", 1); err != nil {
+		t.Fatal(err)
+	}
 	Reset()
-	if Runtime().Target("w") != nil {
-		t.Fatal("Reset kept old targets")
+	if _, err := CreateWorker("w", 1); err != nil {
+		t.Fatalf("Reset kept old targets: %v", err)
 	}
 }

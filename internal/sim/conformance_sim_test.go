@@ -51,10 +51,12 @@ func TestScheduleConformanceUnderExploration(t *testing.T) {
 
 					rt := s.Runtime()
 					defer rt.Shutdown()
-					if _, err := s.RegisterPool(rt, "pool"); err != nil {
+					pool, err := s.RegisterPool(rt, "pool")
+					if err != nil {
 						return err
 					}
-					if _, err := s.RegisterLoop(rt, "edt"); err != nil {
+					edt, err := s.RegisterLoop(rt, "edt")
+					if err != nil {
 						return err
 					}
 					sibling := s.NewPool("src")
@@ -105,12 +107,12 @@ func TestScheduleConformanceUnderExploration(t *testing.T) {
 						// The caller's own EDT when targeting "pool"; the
 						// target EDT itself for the inline edt->edt cell.
 						if cc.target == "edt" {
-							rt.Target("edt").Post(doInvoke).Wait()
+							edt.Post(doInvoke).Wait()
 						} else {
 							edtCaller.Post(doInvoke).Wait()
 						}
 					case "pool-member":
-						rt.Target("pool").Post(doInvoke).Wait()
+						pool.Post(doInvoke).Wait()
 					case "sibling-worker":
 						sibling.Post(doInvoke).Wait()
 					}

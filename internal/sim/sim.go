@@ -441,7 +441,7 @@ func (s *Sim) Quiesce() {
 
 // Execute runs body as the simulation's root context ("main"), then drains
 // the scheduler to quiescence. It installs the executor block hook and the
-// goroutine-registry identity for the duration, so core/qos code called
+// goroutine-registry identity for the duration, so core code called
 // from body runs unmodified under the simulated scheduler. The returned
 // error is body's error, a captured scenario panic, or the sticky
 // deadlock/step-limit failure — whichever the schedule produced.

@@ -95,7 +95,7 @@ func Swap(id SpanID) SpanID {
 //
 // The runtime's dispatch layers (executor.WorkerPool, eventloop.Loop,
 // netloop.Server) have no back-pointer to a core.Runtime, so every event —
-// core's scheduling decisions, the layers' spans, qos/supervise incidents —
+// core's scheduling decisions, the layers' spans, admission/supervise incidents —
 // is recorded against one process-global sink. That is how a single Buffer
 // captures a complete cross-layer trace: install it with SetGlobal (or Use,
 // which restores the previous sink) and every layer's events land in one

@@ -33,9 +33,9 @@ const (
 	OpAwaitExit
 	// OpHelped marks one task run by an awaiting thread (help-first).
 	OpHelped
-	// OpShed marks an invocation rejected by admission control (qos):
-	// no slot was free, the wait queue was full, or a queue deadline
-	// expired.
+	// OpShed marks work refused by admission control: an HTTP request
+	// that found its wait queue full or whose deadline passed while it
+	// waited for a worker slot, or a connection over netloop's cap.
 	OpShed
 	// OpDeadline marks a target block cancelled by its context deadline
 	// while still queued (it never ran; its Completion carries

@@ -340,6 +340,10 @@ func (rw *rewriter) renderTarget(p *pair) string {
 			name = "device" + c.Arg(0)
 		}
 	}
+	if name == "" {
+		rw.errorf(p.comment.Pos(), "target needs virtual(name) or device(n): the runtime has no default target")
+		return ""
+	}
 	mode := "Wait"
 	tag := ""
 	switch m, tg := p.d.SchedulingMode(); m {

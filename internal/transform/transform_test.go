@@ -489,6 +489,21 @@ func TestDeviceMapClauseRejected(t *testing.T) {
 	}
 }
 
+func TestBareTargetRejected(t *testing.T) {
+	src := hdr + `func h() {
+	//#omp target nowait
+	{
+		compute()
+	}
+}
+`
+	_, err := File([]byte(src), "bare.go", Options{})
+	if err == nil || !strings.Contains(err.Error(),
+		"bare.go:6: target needs virtual(name) or device(n): the runtime has no default target") {
+		t.Fatalf("err = %v, want the bare-target refusal at line 6", err)
+	}
+}
+
 func TestTargetDataRejectedWithGuidance(t *testing.T) {
 	src := hdr + `func h(x []byte) {
 	//#omp target data device(0) map(to: x)
