@@ -161,11 +161,12 @@ size:
 # nothing, a warm Crypt RunPar only its body closure, and Critical on a name
 # already seen nothing; and the message path: a Loop.Post costs its
 # Completion across collections too (the loop's node free list must survive
-# them) and a netloop line echoed over the reactor its line and its Completion
-# — untagged and under the sanitizer, never under -race (the detector
+# them) and a netloop line echoed over the reactor its line and its Completion;
+# and the /metrics span sink: a warm one folds spans into its bucket counters
+# without allocating — untagged and under the sanitizer, never under -race (the detector
 # allocates on its own account, so the tests skip themselves there).
-ALLOCS_RUN = 'TestAllocationBudget|TestWaiterFreeListSurvivesGC|TestNodeSizes|TestCryptResetMatchesNewCrypt|TestPayloadIsRecycled|TestRequestAllocs|TestParallelReusesParkedTeam|TestRunParReusesParkedTeam|TestCriticalAllocatesNothingForSeenName|TestReactorEchoRoundTripAllocs|TestLoopNodeFreeListSurvivesGC'
-ALLOCS_PKGS = ./internal/core/ ./internal/executor/ ./internal/kernels/ ./internal/httpserver/ ./internal/omp/ ./internal/netloop/ ./internal/eventloop/
+ALLOCS_RUN = 'TestAllocationBudget|TestWaiterFreeListSurvivesGC|TestNodeSizes|TestCryptResetMatchesNewCrypt|TestPayloadIsRecycled|TestRequestAllocs|TestParallelReusesParkedTeam|TestRunParReusesParkedTeam|TestCriticalAllocatesNothingForSeenName|TestReactorEchoRoundTripAllocs|TestLoopNodeFreeListSurvivesGC|TestSpanSinkSteadyStateAllocatesNothing'
+ALLOCS_PKGS = ./internal/core/ ./internal/executor/ ./internal/kernels/ ./internal/httpserver/ ./internal/omp/ ./internal/netloop/ ./internal/eventloop/ ./internal/metrics/
 allocs:
 	$(GO) test -count=1 -run $(ALLOCS_RUN) $(ALLOCS_PKGS)
 	$(GO) test -count=1 -tags=ompsan -run $(ALLOCS_RUN) $(ALLOCS_PKGS)

@@ -36,9 +36,8 @@ func (c *Counter) Value() int64 { return c.n.Load() }
 
 // defaultReservoirCap bounds how many raw samples a Histogram retains by
 // default. Evaluation runs record at most a few hundred thousand events, so
-// the default keeps them exact; anything longer-lived (a /metrics sojourn
-// histogram on a server that never restarts) degrades to reservoir sampling
-// instead of growing without bound.
+// the default keeps them exact; anything longer-lived degrades to reservoir
+// sampling instead of growing without bound.
 const defaultReservoirCap = 1 << 18
 
 // Histogram is a concurrency-safe latency histogram. Up to its reservoir
@@ -129,15 +128,6 @@ func (h *Histogram) Retained() int {
 	return len(h.samples)
 }
 
-// Sum returns the running total of all observed samples. Exact: maintained
-// as an aggregate, independent of reservoir retention. (Prometheus export
-// needs the true _sum even after sampling kicks in.)
-func (h *Histogram) Sum() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return time.Duration(h.sum)
-}
-
 // Mean returns the arithmetic mean of all observed samples (0 if empty).
 func (h *Histogram) Mean() time.Duration {
 	h.mu.Lock()
@@ -218,18 +208,6 @@ func (h *Histogram) Reset() {
 	h.sum, h.sumsq = 0, 0
 	h.min, h.max = 0, 0
 	h.mu.Unlock()
-}
-
-// Snapshot returns a copy of the retained samples sorted ascending (arrival
-// order is not preserved). Past the reservoir capacity this is a uniform
-// subsample of the stream, not every observation.
-func (h *Histogram) Snapshot() []time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.sortLocked()
-	out := make([]time.Duration, len(h.samples))
-	copy(out, h.samples)
-	return out
 }
 
 func (h *Histogram) sortLocked() {

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -118,20 +117,6 @@ func TestHistogramReset(t *testing.T) {
 	h.Reset()
 	if h.Count() != 0 {
 		t.Fatal("Reset did not clear samples")
-	}
-}
-
-func TestHistogramSnapshotSorted(t *testing.T) {
-	h := NewHistogram()
-	r := rand.New(rand.NewSource(1))
-	for i := 0; i < 100; i++ {
-		h.Observe(time.Duration(r.Intn(1000)))
-	}
-	snap := h.Snapshot()
-	for i := 1; i < len(snap); i++ {
-		if snap[i-1] > snap[i] {
-			t.Fatal("Snapshot not sorted")
-		}
 	}
 }
 

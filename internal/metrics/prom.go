@@ -6,9 +6,11 @@ package metrics
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 )
 
@@ -16,17 +18,37 @@ import (
 // output.
 type Labels map[string]string
 
-// DefaultPromBuckets are the latency bucket upper bounds used when a
-// histogram family is written without explicit buckets: exponential decades
-// with a 1-2.5-5 ladder from 10µs to 10s — wide enough for inline dispatch
-// (~µs) and stalled-target timeouts (~s) on one axis.
-var DefaultPromBuckets = []time.Duration{
+// promBuckets are the latency bucket upper bounds of every BucketHistogram:
+// exponential decades with a 1-2.5-5 ladder from 10µs to 10s — wide enough
+// for inline dispatch (~µs) and stalled-target timeouts (~s) on one axis.
+var promBuckets = [...]time.Duration{
 	10 * time.Microsecond, 25 * time.Microsecond, 50 * time.Microsecond,
 	100 * time.Microsecond, 250 * time.Microsecond, 500 * time.Microsecond,
 	time.Millisecond, 2500 * time.Microsecond, 5 * time.Millisecond,
 	10 * time.Millisecond, 25 * time.Millisecond, 50 * time.Millisecond,
 	100 * time.Millisecond, 250 * time.Millisecond, 500 * time.Millisecond,
 	time.Second, 2500 * time.Millisecond, 5 * time.Second, 10 * time.Second,
+}
+
+// BucketHistogram is a latency histogram on the fixed promBuckets ladder: one
+// counter per bucket, one past the last bound, and the sum. Every field is
+// atomic, so Observe takes no lock and never allocates, and the counts stay
+// exact however long the stream runs. The zero value is ready to use. Its
+// resolution is the ladder's; Histogram keeps raw samples where a run needs
+// exact quantiles.
+type BucketHistogram struct {
+	counts [len(promBuckets) + 1]atomic.Int64 // counts[i]: observations in (promBuckets[i-1], promBuckets[i]]
+	sum    atomic.Int64                       // nanoseconds
+}
+
+// Observe records one sample.
+func (h *BucketHistogram) Observe(d time.Duration) {
+	i := 0
+	for i < len(promBuckets) && d > promBuckets[i] {
+		i++
+	}
+	h.counts[i].Add(1)
+	h.sum.Add(int64(d))
 }
 
 // PromEncoder streams metric families in the Prometheus text exposition
@@ -38,125 +60,88 @@ type PromEncoder struct {
 	w    io.Writer
 	err  error
 	seen map[string]bool
+	line []byte   // the series line being built, reused
+	keys []string // its sorted label keys, reused
 }
 
 // NewPromEncoder returns an encoder writing to w. Errors are sticky; check
 // Err once at the end.
 func NewPromEncoder(w io.Writer) *PromEncoder {
-	return &PromEncoder{w: w, seen: make(map[string]bool)}
+	return &PromEncoder{w: w, seen: make(map[string]bool), line: make([]byte, 0, 256)}
 }
 
 // Err returns the first write error, if any.
 func (e *PromEncoder) Err() error { return e.err }
 
-func (e *PromEncoder) printf(format string, args ...any) {
-	if e.err != nil {
-		return
-	}
-	_, e.err = fmt.Fprintf(e.w, format, args...)
-}
-
 func (e *PromEncoder) header(name, help, typ string) {
-	if e.seen[name] {
+	if e.seen[name] || e.err != nil {
 		return
 	}
 	e.seen[name] = true
-	e.printf("# HELP %s %s\n", name, escapeHelp(help))
-	e.printf("# TYPE %s %s\n", name, typ)
+	_, e.err = fmt.Fprintf(e.w, "# HELP %s %s\n# TYPE %s %s\n", name, escapeHelp(help), name, typ)
 }
 
-// series renders `name{labels} value`, labels sorted for determinism; an
-// optional extra label (the histogram `le`) is appended last, matching the
-// convention of prometheus/client_golang output.
-func (e *PromEncoder) series(name string, labels Labels, extraKey, extraVal string, value float64) {
-	var b strings.Builder
-	b.WriteString(name)
-	keys := make([]string, 0, len(labels))
+// series writes `name{labels} value`, labels sorted for determinism. A
+// positive le appends the histogram's le label last, matching the convention
+// of prometheus/client_golang output. The line is built in a reused buffer,
+// so what a scrape allocates does not depend on the values it writes.
+func (e *PromEncoder) series(name string, labels Labels, le, value float64) {
+	if e.err != nil {
+		return
+	}
+	e.keys = e.keys[:0]
 	for k := range labels {
-		keys = append(keys, k)
+		e.keys = append(e.keys, k)
 	}
-	sort.Strings(keys)
-	if len(keys) > 0 || extraKey != "" {
-		b.WriteByte('{')
-		first := true
-		for _, k := range keys {
-			if !first {
-				b.WriteByte(',')
-			}
-			first = false
-			fmt.Fprintf(&b, "%s=%q", k, labels[k])
-		}
-		if extraKey != "" {
-			if !first {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(&b, "%s=%q", extraKey, extraVal)
-		}
-		b.WriteByte('}')
+	sort.Strings(e.keys)
+	b := append(e.line[:0], name...)
+	sep := byte('{')
+	for _, k := range e.keys {
+		b = append(append(b, sep), k...)
+		b = strconv.AppendQuote(append(b, '='), labels[k])
+		sep = ','
 	}
-	e.printf("%s %s\n", b.String(), formatPromValue(value))
+	if le > 0 {
+		b = append(append(b, sep), `le="`...)
+		b = append(strconv.AppendFloat(b, le, 'g', -1, 64), '"')
+		sep = ','
+	}
+	if sep == ',' {
+		b = append(b, '}')
+	}
+	b = strconv.AppendFloat(append(b, ' '), value, 'g', -1, 64)
+	e.line = append(b, '\n')
+	_, e.err = e.w.Write(e.line)
 }
 
 // Counter writes one counter series. name should end in _total by convention.
 func (e *PromEncoder) Counter(name, help string, labels Labels, value float64) {
 	e.header(name, help, "counter")
-	e.series(name, labels, "", "", value)
+	e.series(name, labels, 0, value)
 }
 
 // Gauge writes one gauge series.
 func (e *PromEncoder) Gauge(name, help string, labels Labels, value float64) {
 	e.header(name, help, "gauge")
-	e.series(name, labels, "", "", value)
+	e.series(name, labels, 0, value)
 }
 
 // Histogram writes one histogram series (cumulative _bucket ladder, _sum,
-// _count) from h's current contents, with durations converted to seconds.
-// buckets nil means DefaultPromBuckets.
-//
-// Past the reservoir capacity the retained samples are a uniform subsample of
-// the stream, so bucket counts are scaled by seen/retained to estimate the
-// full-stream distribution; _count and _sum stay exact (running aggregates),
-// and the +Inf bucket is forced to the exact count so the ladder always tops
-// out consistently.
-func (e *PromEncoder) Histogram(name, help string, labels Labels, h *Histogram, buckets []time.Duration) {
-	if buckets == nil {
-		buckets = DefaultPromBuckets
-	}
+// _count) from h's counters, with durations converted to seconds. The +Inf
+// bucket and _count are the same sum of h's counters, so the ladder always
+// tops out at the count.
+func (e *PromEncoder) Histogram(name, help string, labels Labels, h *BucketHistogram) {
 	e.header(name, help, "histogram")
-	samples := h.Snapshot() // sorted ascending
-	seen := float64(h.Count())
-	scale := 1.0
-	if n := len(samples); n > 0 && seen > float64(n) {
-		scale = seen / float64(n)
+	bucket := name + "_bucket"
+	var cum int64
+	for i, ub := range promBuckets {
+		cum += h.counts[i].Load()
+		e.series(bucket, labels, ub.Seconds(), float64(cum))
 	}
-	idx := 0
-	for _, ub := range buckets {
-		for idx < len(samples) && samples[idx] <= ub {
-			idx++
-		}
-		est := roundCount(float64(idx) * scale)
-		if est > seen {
-			est = seen
-		}
-		e.series(name+"_bucket", labels, "le", formatPromValue(ub.Seconds()), est)
-	}
-	e.series(name+"_bucket", labels, "le", "+Inf", seen)
-	e.series(name+"_sum", labels, "", "", h.Sum().Seconds())
-	e.series(name+"_count", labels, "", "", seen)
-}
-
-// roundCount clamps a scaled bucket estimate to a whole sample count.
-func roundCount(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	return float64(int64(v + 0.5))
-}
-
-// formatPromValue renders a float the way Prometheus expects: the shortest
-// representation that round-trips.
-func formatPromValue(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	cum += h.counts[len(promBuckets)].Load()
+	e.series(bucket, labels, math.Inf(1), float64(cum))
+	e.series(name+"_sum", labels, 0, time.Duration(h.sum.Load()).Seconds())
+	e.series(name+"_count", labels, 0, float64(cum))
 }
 
 func escapeHelp(s string) string {

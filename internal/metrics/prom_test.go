@@ -107,13 +107,13 @@ func TestPromEncoderCounterGauge(t *testing.T) {
 }
 
 func TestPromHistogramCumulativeAndExact(t *testing.T) {
-	h := NewHistogram()
+	var h BucketHistogram
 	for i := 0; i < 100; i++ {
 		h.Observe(time.Duration(i+1) * time.Millisecond) // 1ms..100ms
 	}
 	var sb strings.Builder
 	e := NewPromEncoder(&sb)
-	e.Histogram("lat_seconds", "latency", Labels{"target": "w"}, h, nil)
+	e.Histogram("lat_seconds", "latency", Labels{"target": "w"}, &h)
 	if err := e.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -127,8 +127,8 @@ func TestPromHistogramCumulativeAndExact(t *testing.T) {
 	}
 	// Cumulative: bucket counts must be non-decreasing across the ladder.
 	prev := -1.0
-	for _, ub := range DefaultPromBuckets {
-		key := fmt.Sprintf(`lat_seconds_bucket{target="w",le="%s"}`, formatPromValue(ub.Seconds()))
+	for _, ub := range promBuckets {
+		key := leKey("lat_seconds", `target="w",`, ub)
 		v, ok := got[key]
 		if !ok {
 			t.Fatalf("missing bucket %s in:\n%s", key, sb.String())
@@ -147,24 +147,64 @@ func TestPromHistogramCumulativeAndExact(t *testing.T) {
 	}
 }
 
-func TestPromHistogramReservoirScaling(t *testing.T) {
-	h := NewHistogramCap(16) // force sampling: 160 observations, 16 retained
-	for i := 0; i < 160; i++ {
-		h.Observe(time.Millisecond)
+// countOf is how many samples h has observed.
+func countOf(h *BucketHistogram) int64 {
+	var n int64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
+
+// leKey is the series key of one bucket of a histogram family.
+func leKey(family, labels string, ub time.Duration) string {
+	return fmt.Sprintf(`%s_bucket{%sle="%s"}`, family, labels, strconv.FormatFloat(ub.Seconds(), 'g', -1, 64))
+}
+
+// TestPromHistogramExactLeCounts: 300k observations, more than the 2^18 raw
+// samples a Histogram keeps, on both edges of every bucket (a bound is
+// inclusive, the next nanosecond is the next bucket's) and past the last
+// bound, export exact cumulative counts and an exact sum.
+func TestPromHistogramExactLeCounts(t *testing.T) {
+	const n = 300_000
+	var h BucketHistogram
+	var wantSum time.Duration
+	for i := 0; i < n; i++ {
+		// k is the bucket it belongs in, the last one +Inf's; round by
+		// round it takes the upper and the lower edge.
+		round, k := i/(len(promBuckets)+1), i%(len(promBuckets)+1)
+		var d time.Duration
+		switch {
+		case k == len(promBuckets):
+			d = promBuckets[k-1] + time.Duration(i)
+		case round%2 == 0:
+			d = promBuckets[k]
+		case k == 0:
+			d = 0
+		default:
+			d = promBuckets[k-1] + 1
+		}
+		h.Observe(d)
+		wantSum += d
 	}
 	var sb strings.Builder
 	e := NewPromEncoder(&sb)
-	e.Histogram("s_seconds", "scaled", nil, h, nil)
+	e.Histogram("x_seconds", "exact", nil, &h)
+	if err := e.Err(); err != nil {
+		t.Fatal(err)
+	}
 	got := parsePromText(t, sb.String())
-	if got[`s_seconds_count`] != 160 {
-		t.Fatalf("count = %v, want exact 160", got[`s_seconds_count`])
+	per := float64(n / (len(promBuckets) + 1))
+	for k, ub := range promBuckets {
+		if v, want := got[leKey("x_seconds", "", ub)], per*float64(k+1); v != want {
+			t.Errorf("le=%v: %v, want exactly %v", ub, v, want)
+		}
 	}
-	if got[`s_seconds_bucket{le="+Inf"}`] != 160 {
-		t.Fatalf("+Inf = %v, want 160", got[`s_seconds_bucket{le="+Inf"}`])
+	if got[`x_seconds_bucket{le="+Inf"}`] != n || got[`x_seconds_count`] != n {
+		t.Errorf("+Inf = %v, count = %v, want %d", got[`x_seconds_bucket{le="+Inf"}`], got[`x_seconds_count`], n)
 	}
-	// All samples are 1ms; the 1ms bucket estimate should scale to ~all.
-	if v := got[`s_seconds_bucket{le="0.001"}`]; v != 160 {
-		t.Fatalf("le=0.001 = %v, want scaled 160", v)
+	if got[`x_seconds_sum`] != wantSum.Seconds() {
+		t.Errorf("sum = %v, want %v", got[`x_seconds_sum`], wantSum.Seconds())
 	}
 }
 
@@ -188,12 +228,12 @@ func TestSpanSinkAggregatesAndChains(t *testing.T) {
 	if tm == nil {
 		t.Fatal("target metrics not created")
 	}
-	if tm.Invoke.Count() != 1 || tm.Run.Count() != 1 || tm.Sojourn.Count() != 1 {
+	if countOf(&tm.Invoke) != 1 || countOf(&tm.Run) != 1 || countOf(&tm.Sojourn) != 1 {
 		t.Fatalf("histogram counts invoke=%d run=%d sojourn=%d, want 1/1/1",
-			tm.Invoke.Count(), tm.Run.Count(), tm.Sojourn.Count())
+			countOf(&tm.Invoke), countOf(&tm.Run), countOf(&tm.Sojourn))
 	}
-	if tm.Sojourn.Max() < time.Millisecond {
-		t.Fatalf("sojourn %v, want >= 2ms-ish", tm.Sojourn.Max())
+	if d := time.Duration(tm.Sojourn.sum.Load()); d < time.Millisecond {
+		t.Fatalf("sojourn %v, want >= 2ms-ish", d)
 	}
 	if tm.Posts.Value() != 1 || tm.Helped.Value() != 1 || tm.Sheds.Value() != 1 {
 		t.Fatal("counters not incremented")
@@ -220,15 +260,5 @@ func TestSpanSinkAggregatesAndChains(t *testing.T) {
 	}
 	if _, ok := got["repro_spans_open"]; !ok {
 		t.Fatalf("spans_open gauge missing:\n%s", sb.String())
-	}
-}
-
-func TestHistogramSum(t *testing.T) {
-	h := NewHistogramCap(16)
-	for i := 0; i < 100; i++ {
-		h.Observe(time.Millisecond)
-	}
-	if got := h.Sum(); got != 100*time.Millisecond {
-		t.Fatalf("Sum = %v, want 100ms (exact despite sampling)", got)
 	}
 }

@@ -14,12 +14,12 @@ type TargetMetrics struct {
 	// Invoke is the latency histogram of non-run spans on this target:
 	// directive invocations ("invoke"), HTTP requests ("request"), netloop
 	// receives ("recv") — the caller-side view.
-	Invoke *Histogram
+	Invoke BucketHistogram
 	// Run is the latency histogram of "run" spans: time a task occupied a
 	// worker or the EDT.
-	Run *Histogram
+	Run BucketHistogram
 	// Sojourn is the enqueue→run-begin queue wait distribution.
-	Sojourn *Histogram
+	Sojourn BucketHistogram
 
 	// Scheduling-decision and incident counters, from the Op taxonomy.
 	Posts     Counter // OpPost: asynchronous submissions
@@ -31,10 +31,6 @@ type TargetMetrics struct {
 	Stalls    Counter // OpStall: watchdog stall flags
 
 	ConnDeadlines Counter // OpConnDeadline: reactor connections reaped by deadline
-}
-
-func newTargetMetrics() *TargetMetrics {
-	return &TargetMetrics{Invoke: NewHistogram(), Run: NewHistogram(), Sojourn: NewHistogram()}
 }
 
 // maxOpenSpans bounds the SpanSink's open-span table. A span that never ends
@@ -59,6 +55,8 @@ type openSpan struct {
 type SpanSink struct {
 	next trace.Sink // may be nil
 
+	// mu guards the two tables; the metrics a target's entry points to are
+	// atomic and need no lock.
 	mu      sync.Mutex
 	targets map[string]*TargetMetrics
 	open    map[trace.SpanID]openSpan
@@ -160,7 +158,7 @@ func (s *SpanSink) record(e trace.Event) {
 func (s *SpanSink) targetLocked(name string) *TargetMetrics {
 	tm := s.targets[name]
 	if tm == nil {
-		tm = newTargetMetrics()
+		tm = &TargetMetrics{}
 		s.targets[name] = tm
 	}
 	return tm
@@ -206,20 +204,20 @@ func (s *SpanSink) WritePrometheus(w io.Writer) error {
 	names, targets := s.snapshotTargets()
 	e := NewPromEncoder(w)
 
-	hist := func(metric, help string, pick func(*TargetMetrics) *Histogram) {
+	hist := func(metric, help string, pick func(*TargetMetrics) *BucketHistogram) {
 		for _, n := range names {
-			e.Histogram(metric, help, Labels{"target": n}, pick(targets[n]), nil)
+			e.Histogram(metric, help, Labels{"target": n}, pick(targets[n]))
 		}
 	}
 	hist("repro_invoke_duration_seconds",
 		"Directive invocation latency per virtual target (invoke/request/recv spans).",
-		func(t *TargetMetrics) *Histogram { return t.Invoke })
+		func(t *TargetMetrics) *BucketHistogram { return &t.Invoke })
 	hist("repro_run_duration_seconds",
 		"Task run latency per virtual target (run spans).",
-		func(t *TargetMetrics) *Histogram { return t.Run })
+		func(t *TargetMetrics) *BucketHistogram { return &t.Run })
 	hist("repro_queue_sojourn_seconds",
 		"Queue wait from enqueue to run begin per virtual target.",
-		func(t *TargetMetrics) *Histogram { return t.Sojourn })
+		func(t *TargetMetrics) *BucketHistogram { return &t.Sojourn })
 
 	counter := func(metric, help string, pick func(*TargetMetrics) *Counter) {
 		for _, n := range names {
