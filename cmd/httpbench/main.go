@@ -33,8 +33,8 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/evaluation"
+	"repro/internal/executor"
 	"repro/internal/httpserver"
-	"repro/internal/supervise"
 	"repro/internal/trace"
 )
 
@@ -180,9 +180,9 @@ func runChaos(kernelBytes int) {
 		if restart {
 			label += "+supervise"
 		}
-		var budget *supervise.Options
+		var budget *executor.RestartConfig
 		if restart {
-			budget = &supervise.Options{
+			budget = &executor.RestartConfig{
 				MaxRestarts:    2 * kills,
 				Window:         time.Second,
 				BackoffInitial: time.Millisecond,
@@ -208,10 +208,7 @@ func runChaos(kernelBytes int) {
 		if herr != nil {
 			health = "unreachable"
 		}
-		var respawns int64
-		if s := srv.Supervisor(); s != nil {
-			respawns = s.Stats().Respawns
-		}
+		respawns := srv.Restarts().Total
 		stalls := srv.Watchdog().Stalls()
 		srv.Stop()
 		fmt.Printf("%-18s %8d %8d %8d %9d %8d %9d %8d %10s\n",

@@ -1,6 +1,6 @@
 // Package chaos is the runtime's fault-injection layer: a
-// seeded-deterministic rule engine that provokes the failures the
-// supervision subsystem (package supervise) exists to survive — task
+// seeded-deterministic rule engine that provokes the failures supervision
+// (executor.NewSupervisedPool, package supervise) exists to survive — task
 // panics, worker deaths, dispatch delays, dropped tasks, and stalls — so
 // overload and failure behaviour can be tested on purpose instead of waited
 // for in production.
@@ -271,8 +271,8 @@ func (in *Injector) apply(act Action, d time.Duration, target string, fn func())
 // Wrap returns an executor.Executor middleware around e: every Post is
 // subject to injection. Drop decisions reject the task with ErrInjectedDrop
 // without reaching e; every other fault travels inside the task body, and the
-// Completion is e's own, so it stays cancellable. Wrapped executors expose the
-// inner one via Unwrap, so a supervisor can still reach the pool behind it.
+// Completion is e's own, so it stays cancellable. A supervised pool
+// respawns a killed worker beneath the wrapper.
 func (in *Injector) Wrap(e executor.Executor) executor.Executor {
 	return &chaosExecutor{inner: e, inj: in}
 }
@@ -287,10 +287,6 @@ func (c *chaosExecutor) Owns() bool          { return c.inner.Owns() }
 func (c *chaosExecutor) TryRunPending() bool { return c.inner.TryRunPending() }
 func (c *chaosExecutor) Shutdown()           { c.inner.Shutdown() }
 
-// Unwrap exposes the wrapped executor (the supervisor's pool lookup and the
-// watchdog's queue-depth reads walk this chain).
-func (c *chaosExecutor) Unwrap() executor.Executor { return c.inner }
-
 func (c *chaosExecutor) Post(fn func()) *executor.Completion {
 	act, d := c.inj.decide(c.inner.Name())
 	if act == Drop {
@@ -299,7 +295,8 @@ func (c *chaosExecutor) Post(fn func()) *executor.Completion {
 	return c.inner.Post(c.inj.apply(act, d, c.inner.Name(), fn))
 }
 
-// Stats delegates to the inner executor when it keeps counters.
+// Stats delegates to the inner executor when it keeps counters (the
+// watchdog reads queue depths through it).
 func (c *chaosExecutor) Stats() executor.Stats {
 	if sp, ok := c.inner.(interface{ Stats() executor.Stats }); ok {
 		return sp.Stats()

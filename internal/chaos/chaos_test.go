@@ -103,10 +103,6 @@ func TestWrapInjectsIntoPool(t *testing.T) {
 	if pool.Crashes() != 1 || pool.Stats().Panics != 1 {
 		t.Fatalf("pool saw crashes=%d panics=%d", pool.Crashes(), pool.Stats().Panics)
 	}
-	// Unwrap exposes the inner pool for hook attachment.
-	if u, ok := e.(interface{ Unwrap() executor.Executor }); !ok || u.Unwrap() != executor.Executor(pool) {
-		t.Fatal("Unwrap did not expose the wrapped pool")
-	}
 }
 
 func TestStallBlocksUntilRelease(t *testing.T) {

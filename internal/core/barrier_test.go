@@ -149,8 +149,6 @@ func TestWorkerWaitingOnEDTGetsTheVerdict(t *testing.T) {
 
 	t.Run("queue failed after a crash", func(t *testing.T) {
 		f := newFixture(t, 1)
-		crashed := make(chan any, 1)
-		f.edt.SetCrashHandler(func(v any) { crashed <- v })
 		gate := make(chan struct{})
 		f.edt.Post(func() {
 			<-gate
@@ -159,7 +157,7 @@ func TestWorkerWaitingOnEDTGetsTheVerdict(t *testing.T) {
 		verdict := fromWorker(f, func() { t.Error("block ran on a crashed loop") })
 		poll.UntilBlockedIn(t, "(*Completion).Wait")
 		close(gate)
-		<-crashed
+		poll.Until(t, "the EDT's crash counted", func() bool { return f.edt.Crashes() == 1 })
 		if n := f.edt.FailPending(executor.ErrWorkerCrashed); n != 1 {
 			t.Fatalf("FailPending failed %d events, want the worker's one", n)
 		}

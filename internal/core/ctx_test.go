@@ -14,7 +14,6 @@ import (
 	"repro/internal/executor"
 	"repro/internal/gid"
 	"repro/internal/metrics"
-	"repro/internal/supervise"
 	"repro/internal/testutil/poll"
 	"repro/internal/trace"
 )
@@ -339,18 +338,14 @@ func TestInvokeCtxCancelledBlocksReturnTheirSpans(t *testing.T) {
 	poll.Until(t, "open spans to drain", func() bool { return sink.Open() == 0 })
 }
 
-// TestInvokeCtxThroughWrappers: a supervised and a chaos-wrapped pool hand
-// back their inner pool's completion, so a block queued on them is cancelled
+// TestInvokeCtxThroughWrappers: a supervised pool and a chaos-wrapped one
+// hand back the pool's own completion, so a block queued on them is cancelled
 // at the deadline like any other.
 func TestInvokeCtxThroughWrappers(t *testing.T) {
 	reg := &gid.Registry{}
 	targets := map[string]func() executor.Executor{
 		"supervised": func() executor.Executor {
-			s, err := supervise.New("w", executor.NewWorkerPool("w", 1, reg), supervise.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
+			return executor.NewSupervisedPool("w", 1, reg, executor.RestartConfig{})
 		},
 		"chaos-wrapped": func() executor.Executor {
 			return chaos.New(1).Wrap(executor.NewWorkerPool("w", 1, reg))

@@ -4,12 +4,12 @@ import (
 	"errors"
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/executor"
 	"repro/internal/gid"
 
 	"repro/internal/testutil/leakcheck"
+	"repro/internal/testutil/poll"
 )
 
 func TestEDTCrashFailsEventAndMarksLoop(t *testing.T) {
@@ -17,18 +17,14 @@ func TestEDTCrashFailsEventAndMarksLoop(t *testing.T) {
 	var reg gid.Registry
 	l := New("edt", &reg)
 	l.Start()
-	crashed := make(chan any, 1)
-	l.SetCrashHandler(func(v any) { crashed <- v })
 
 	c := l.Post(func() { runtime.Goexit() })
 	if err := c.Wait(); !errors.Is(err, executor.ErrWorkerCrashed) {
 		t.Fatalf("err = %v, want ErrWorkerCrashed", err)
 	}
-	select {
-	case <-crashed:
-	case <-time.After(5 * time.Second):
-		t.Fatal("crash handler not called")
-	}
+	// The event's completion finishes before the dying goroutine is
+	// counted, so the crash is awaited rather than read once.
+	poll.Until(t, "the crash counted", func() bool { return l.Crashes() == 1 })
 	if c, w := l.Crashes(), l.Workers(); c != 1 || w != 0 {
 		t.Fatalf("Crashes = %d, Workers = %d after EDT death, want 1 and 0", c, w)
 	}

@@ -36,7 +36,7 @@ type DispatchInfo = executor.DispatchInfo
 
 // Loop is a single-goroutine event dispatcher. Create with New, then Start;
 // the pool's methods (Owns, WaitPending, SetObserver, Stats, Crashes,
-// FailPending, SetCrashHandler, Shutdown) are the loop's once it has started.
+// FailPending, Shutdown) are the loop's once it has started.
 //
 // Post, PostLabeled and InvokeAndWait are declared here, not promoted from
 // the pool: the static analysis (internal/analysis/dispatch) tells an EDT

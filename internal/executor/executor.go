@@ -44,9 +44,13 @@ var ErrShutdown = errors.New("executor: shut down")
 // died before the task body returned — runtime.Goexit (which defeats panic
 // isolation) or a panic escaping the recovery wrapper. Without it a crashed
 // worker would leave the task's waiters blocked forever; with it in-flight
-// invocations fail fast and supervisors (package supervise) learn that a
-// worker needs replacing.
+// invocations fail fast.
 var ErrWorkerCrashed = errors.New("executor: worker crashed while running task")
+
+// ErrTargetDown is the refusal of a supervised pool whose restart budget is
+// spent: no worker will be respawned, so queued and later tasks fail at once
+// instead of waiting on a dead target.
+var ErrTargetDown = errors.New("executor: target down (restart budget exhausted)")
 
 // PanicError wraps a panic value recovered from a task body. Handler panics
 // must never kill an executor's workers (a crashed EDT would freeze the
@@ -601,16 +605,18 @@ type WorkerPool struct {
 	// a member) against this second, independent stamp. No-op untagged.
 	san sanitize.Members
 
-	// FaultHooks: the crash handler hears of every worker goroutine that
-	// dies without going through shutdown.
-	FaultHooks
-
 	// mu guards the idle stack and the lifecycle, qmu the queue. Neither is
 	// ever taken while the other is held.
 	mu       sync.Mutex
 	parked   *parker // LIFO stack of idle (parked) workers
 	shutdown bool
 	nworkers int // Grow and crashes mutate it
+
+	// restart is a supervised pool's respawn budget (nil: a dead worker stays
+	// dead); respawns and record are what it has spent, under mu.
+	restart  *RestartConfig
+	respawns []time.Time // respawn times within the sliding window
+	record   Restarts    // all but Recent, which is len(respawns)
 
 	// qmu guards the queue and the node free list (free, nfree long): Post
 	// takes a node where it pushes, pop returns it where it pops. Not a
@@ -621,13 +627,19 @@ type WorkerPool struct {
 	nfree int
 
 	// Hot-path state read without a lock.
-	qlen       atomic.Int64  // mirror of q.Len(), stored under qmu
-	stopped    atomic.Bool   // mirror of shutdown, checked inside the queue critical section
+	qlen atomic.Int64 // mirror of q.Len(), stored under qmu
+	// stopped is nil while the pool takes tasks, then the error Post refuses
+	// with: &ErrShutdown once Shutdown began, &ErrTargetDown once the pool
+	// went down. Post checks it inside the queue critical section.
+	stopped    atomic.Pointer[error]
 	nparked    atomic.Int32  // mirror of the parked-stack size
 	spinning   atomic.Int32  // workers in the pre-park spin phase
 	extWaiters atomic.Int32  // goroutines blocked in WaitPending
 	notify     chan struct{} // cap-1 wakeup for WaitPending
 	observer   atomic.Pointer[func(DispatchInfo)]
+	// idleHook, when set (export_test.go only), runs in workerLoop between a
+	// pop that found the queue empty and its look at stopped.
+	idleHook func()
 
 	wg sync.WaitGroup
 
@@ -645,25 +657,80 @@ type WorkerPool struct {
 // to 1, matching Pyjama's requirement that a worker target has at least one
 // thread.
 func NewWorkerPool(name string, n int, reg *gid.Registry) *WorkerPool {
-	if n < 1 {
-		n = 1
+	return newPool(name, max(n, 1), reg, nil)
+}
+
+// RestartConfig is a supervised pool's respawn budget. Zero values pick the
+// documented defaults.
+type RestartConfig struct {
+	// MaxRestarts is the respawn budget within Window (default 8). A crash
+	// that finds MaxRestarts respawns inside one window takes the pool down
+	// instead.
+	MaxRestarts int
+	// Window is the sliding window the budget applies to, and the quiet
+	// period after which a degraded target reads healthy again
+	// (default 10s).
+	Window time.Duration
+	// BackoffInitial is the delay before the first respawn in a window;
+	// it doubles per respawn up to BackoffMax (defaults 10ms, 2s).
+	BackoffInitial time.Duration
+	BackoffMax     time.Duration
+}
+
+func (c *RestartConfig) fill() {
+	if c.MaxRestarts <= 0 {
+		c.MaxRestarts = 8
 	}
+	if c.Window <= 0 {
+		c.Window = 10 * time.Second
+	}
+	if c.BackoffInitial <= 0 {
+		c.BackoffInitial = 10 * time.Millisecond
+	}
+	if c.BackoffMax <= 0 {
+		c.BackoffMax = 2 * time.Second
+	}
+}
+
+// backoff returns the delay before respawn n (1-based) of the window:
+// BackoffInitial doubling per respawn, capped at BackoffMax.
+func (c *RestartConfig) backoff(n int) time.Duration {
+	d := c.BackoffInitial
+	for i := 1; i < n && d < c.BackoffMax; i++ {
+		d *= 2
+	}
+	return min(d, c.BackoffMax)
+}
+
+// NewSupervisedPool is NewWorkerPool with a respawn budget, so the pool keeps
+// its lifecycle through worker deaths: each dead worker is replaced one for
+// one, by Grow(1) after a backoff, until a crash finds budget.MaxRestarts
+// respawns inside one budget.Window. That crash takes the pool down:
+// everything queued and every later Post fail with ErrTargetDown.
+func NewSupervisedPool(name string, n int, reg *gid.Registry, budget RestartConfig) *WorkerPool {
+	budget.fill()
+	return newPool(name, max(n, 1), reg, &budget)
+}
+
+// newPool builds a pool and grows it by n workers (nil reg means
+// gid.Default). It returns once all workers are registered.
+func newPool(name string, n int, reg *gid.Registry, restart *RestartConfig) *WorkerPool {
 	if reg == nil {
 		reg = &gid.Default
 	}
-	p := &WorkerPool{name: name, registry: reg,
+	p := &WorkerPool{name: name, registry: reg, restart: restart,
 		q:      NewChunkQueue[*task](),
 		notify: make(chan struct{}, 1)}
-	p.Grow(n) // returns once all workers are registered
+	p.Grow(n)
 	return p
 }
 
 // spawnWorker launches one worker goroutine, sending on started once it is
-// registered. The epilogue distinguishes the legitimate exit (the shutdown
-// drain returns normally from workerLoop) from a crash: runtime.Goexit or a
-// panic escaping the task recovery unwinds with normal == false, which
-// corrects the live-worker count and notifies the crash handler so a
-// supervisor can replace the worker or restart the pool.
+// registered. The epilogue distinguishes the legitimate exit (the shutdown or
+// down drain returns normally from workerLoop) from a crash: runtime.Goexit or
+// a panic escaping the task recovery unwinds with normal == false, which
+// corrects the live-worker count and, in a supervised pool, respawns the
+// worker or takes the pool down.
 func (p *WorkerPool) spawnWorker(started chan<- struct{}) {
 	w := &worker{pk: parker{wake: make(chan struct{}, 1)}}
 	go func() {
@@ -692,21 +759,87 @@ func (p *WorkerPool) spawnWorker(started chan<- struct{}) {
 }
 
 // workerCrashed records an abnormal worker exit: the dead goroutine no
-// longer counts toward Workers and the crash handler (if any) is told why.
-// The queue is not touched: it was never the dead worker's own, so the
-// survivors keep draining it, and when there are none it keeps accepting
-// posts until Grow, FailPending or Shutdown empties it.
+// longer counts toward Workers. The queue is not touched: it was never the
+// dead worker's own, so the survivors keep draining it, and when there are
+// none it keeps accepting posts until Grow, FailPending or Shutdown empties
+// it. A supervised pool decides under mu what the death costs: within the
+// budget a respawn, counted before OpRestart announces it; past it, down.
 func (p *WorkerPool) workerCrashed(reason any) {
 	p.crashes.Add(1)
 	p.mu.Lock()
 	p.nworkers--
-	p.mu.Unlock()
+	r := p.restart
+	if r != nil && !p.shutdown && !p.record.Down {
+		now := time.Now()
+		p.pruneLocked(now)
+		p.record.LastCrash = fmt.Errorf("worker crashed: %v", reason)
+		if len(p.respawns) >= r.MaxRestarts {
+			p.record.Down = true
+			p.mu.Unlock()
+			p.goDown()
+			return
+		}
+		p.respawns = append(p.respawns, now)
+		p.record.Total++
+		p.record.LastRestart = now
+		delay := r.backoff(len(p.respawns))
+		p.mu.Unlock()
+		trace.Emit(trace.OpRestart, p.name)
+		time.AfterFunc(delay, func() { p.Grow(1) })
+	} else {
+		p.mu.Unlock()
+	}
 	// A consumer died; if work is queued and siblings are parked, hand the
 	// wakeup on so the queue keeps draining.
 	if p.qlen.Load() > 0 {
 		p.wakeOne()
 	}
-	p.NotifyCrash(reason)
+}
+
+// goDown publishes "down" the way Shutdown publishes "stopped": from the
+// queue critical section on, Post refuses with ErrTargetDown; what was queued
+// fails with it; and the parked workers are woken, so the survivors finish
+// what they run and exit. Nothing joins them: a later Shutdown does.
+func (p *WorkerPool) goDown() {
+	p.qmu.Lock()
+	p.stopped.Store(&ErrTargetDown)
+	p.qmu.Unlock()
+	p.FailPending(ErrTargetDown)
+	trace.Emit(trace.OpTargetDown, p.name)
+	p.wakeParked()
+}
+
+// pruneLocked drops respawn times older than the sliding window.
+func (p *WorkerPool) pruneLocked(now time.Time) {
+	if p.restart == nil {
+		return
+	}
+	cut := now.Add(-p.restart.Window)
+	i := 0
+	for i < len(p.respawns) && p.respawns[i].Before(cut) {
+		i++
+	}
+	p.respawns = append(p.respawns[:0], p.respawns[i:]...)
+}
+
+// Restarts is a snapshot of a supervised pool's respawn record.
+type Restarts struct {
+	Total       int64     // lifetime respawns
+	Recent      int       // respawns within the sliding window
+	LastCrash   error     // why the last worker died (nil: none has)
+	LastRestart time.Time // when the last respawn was scheduled
+	Down        bool      // the budget ran out: the pool refuses with ErrTargetDown
+}
+
+// Restarts returns the pool's respawn record (the zero value for a pool
+// built without a budget).
+func (p *WorkerPool) Restarts() Restarts {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.pruneLocked(time.Now())
+	r := p.record
+	r.Recent = len(p.respawns)
+	return r
 }
 
 // Crashes returns the number of worker goroutines that died abnormally.
@@ -829,7 +962,7 @@ func (p *WorkerPool) park(w *worker) {
 	p.parked = &w.pk
 	p.nparked.Add(1)
 	p.mu.Unlock()
-	if p.qlen.Load() > 0 || p.stopped.Load() {
+	if p.qlen.Load() > 0 || p.stopped.Load() != nil {
 		// Work (or shutdown) raced our parking: take ourselves back off the
 		// stack. If someone already popped us, their token is in flight —
 		// fall through and consume it.
@@ -853,8 +986,8 @@ func (p *WorkerPool) park(w *worker) {
 }
 
 // workerLoop is one worker's life: pop the oldest task, spin briefly when
-// there is none, then park until a producer hands over a token. Shutdown is
-// checked between tasks.
+// there is none, then park until a producer hands over a token. The stop —
+// Shutdown's, or the pool going down — is checked between tasks.
 func (p *WorkerPool) workerLoop(w *worker) {
 	var t task
 	spun := false
@@ -866,7 +999,10 @@ func (p *WorkerPool) workerLoop(w *worker) {
 			p.run(&t)
 			continue
 		}
-		if p.stopped.Load() {
+		if p.idleHook != nil {
+			p.idleHook()
+		}
+		if p.stopped.Load() != nil {
 			// Drain-before-exit: pop saw the queue empty before this load
 			// saw the stop, so a Post that returned in between is still
 			// queued — look again. Empty after the stop means every Post
@@ -906,14 +1042,15 @@ func (p *WorkerPool) PostLabeled(label string, fn func()) *Completion {
 		stamp = time.Now()
 	}
 	p.qmu.Lock()
-	if p.stopped.Load() {
-		// Checked inside the queue critical section: FailPending drains the
-		// queue under this same lock after stopped is set, so a task either
-		// lands before the drain (and is failed there) or the producer sees
-		// stopped here. No stranding window.
+	if refusal := p.stopped.Load(); refusal != nil {
+		// Checked inside the queue critical section: FailPending and goDown
+		// drain the queue under this same lock after stopped is set, so a
+		// task either lands before the drain (and is failed there) or the
+		// producer sees stopped here. No stranding window, and a post racing
+		// the pool going down is refused with ErrTargetDown either way.
 		p.qmu.Unlock()
 		p.rejected.Add(1)
-		b.Fail(comp, p.name, ErrShutdown)
+		b.Fail(comp, p.name, *refusal)
 		return comp
 	}
 	t := p.free
@@ -1003,25 +1140,21 @@ func (p *WorkerPool) TryRunPending() bool {
 // Shutdown stops accepting tasks, drains the queue, and joins all workers.
 // If every worker has crashed there is nobody left to drain: the queued
 // tasks are then failed with ErrShutdown instead of being stranded forever.
-// Called from a task on one of the pool's own workers it returns once the
-// stop is published and the parked workers are woken (joining its own
-// goroutine would never return): the workers drain and exit after the task
-// does, and a later Shutdown from outside joins them and runs the backstop.
+// A pool that went down keeps refusing with ErrTargetDown. Called from a
+// task on one of the pool's own workers it returns once the stop is published
+// and the parked workers are woken (joining its own goroutine would never
+// return): the workers drain and exit after the task does, and a later
+// Shutdown from outside joins them and runs the backstop.
 func (p *WorkerPool) Shutdown() {
 	p.mu.Lock()
-	var head *parker
 	if !p.shutdown {
 		p.shutdown = true
-		p.stopped.Store(true)
-		head, p.parked = p.parked, nil
-		p.nparked.Store(0)
+		if !p.record.Down { // goDown publishes its own refusal
+			p.stopped.Store(&ErrShutdown)
+		}
 	}
 	p.mu.Unlock()
-	for head != nil {
-		pk := head
-		head, pk.next = pk.next, nil
-		pk.wake <- struct{}{}
-	}
+	p.wakeParked()
 	if p.Owns() {
 		return
 	}
@@ -1029,11 +1162,23 @@ func (p *WorkerPool) Shutdown() {
 	p.FailPending(ErrShutdown)
 }
 
+// wakeParked empties the idle stack and hands every worker on it a token.
+func (p *WorkerPool) wakeParked() {
+	p.mu.Lock()
+	head := p.parked
+	p.parked = nil
+	p.nparked.Store(0)
+	p.mu.Unlock()
+	for head != nil {
+		pk := head
+		head, pk.next = pk.next, nil
+		pk.wake <- struct{}{}
+	}
+}
+
 // FailPending removes every queued-but-not-started task and completes it
 // with err, returning how many were failed. Running tasks are untouched.
-// A supervisor that gives up on the pool calls this so queued invocations
-// fail fast with a typed error instead of waiting on workers that will never
-// come; Shutdown calls it as a backstop after joining workers.
+// Shutdown calls it as a backstop after joining workers.
 func (p *WorkerPool) FailPending(err error) int {
 	p.qmu.Lock()
 	tasks := p.q.Drain(nil)
@@ -1069,15 +1214,16 @@ func (p *WorkerPool) Workers() int {
 
 // Grow adds n worker goroutines to the pool — virtual targets "define
 // their scale", and an application may widen a worker target when load
-// demands it; a supervisor respawning a crashed worker calls Grow(1), and
-// the new worker finds whatever is queued. It returns once the new workers
-// are registered. No-op for n <= 0 or after Shutdown.
+// demands it; a supervised pool respawning a crashed worker calls Grow(1),
+// and the new worker finds whatever is queued. It returns once the new
+// workers are registered. No-op for n <= 0, after Shutdown or once the pool
+// is down.
 func (p *WorkerPool) Grow(n int) {
 	if n <= 0 {
 		return
 	}
 	p.mu.Lock()
-	if p.shutdown {
+	if p.shutdown || p.record.Down {
 		p.mu.Unlock()
 		return
 	}

@@ -87,8 +87,8 @@ type Config struct {
 	// the queue). See QoSConfig.
 	QoS *QoSConfig
 	// Supervise enables the failure model for the Pyjama organization:
-	// the worker target is watched for stalls and (with Restart) wrapped
-	// in a supervisor that respawns crashed workers, and /healthz reports
+	// the worker target is watched for stalls and (with Restart) built as
+	// a supervised pool that respawns crashed workers, and /healthz reports
 	// per-target state instead of a static 200. See SuperviseConfig.
 	Supervise *SuperviseConfig
 	// Chaos, when set, wraps the Pyjama worker target in the
@@ -99,11 +99,11 @@ type Config struct {
 
 // SuperviseConfig parameterizes the server's failure model.
 type SuperviseConfig struct {
-	// Restart, when set, wraps the worker target in a supervise.Supervisor
-	// that respawns crashed workers within the restart budget it describes;
-	// nil leaves the target only watched (stalls are reported, nothing is
-	// repaired).
-	Restart *supervise.Options
+	// Restart, when set, builds the worker target as a supervised pool
+	// (executor.NewSupervisedPool) that respawns crashed workers within the
+	// restart budget it describes; nil leaves the target only watched
+	// (stalls are reported, nothing is repaired).
+	Restart *executor.RestartConfig
 	// WatchdogInterval / StallAfter tune the heartbeat (defaults: 100ms
 	// checks, stall after 10 intervals).
 	WatchdogInterval time.Duration
@@ -157,9 +157,8 @@ type Server struct {
 	// empties (DESIGN §4 item 3).
 	idle chan *payload
 
-	worker executor.Executor     // Pyjama worker target when not runtime-owned
-	sup    *supervise.Supervisor // nil unless Supervise.Restart
-	dog    *supervise.Watchdog   // nil without Supervise
+	pool *executor.WorkerPool // Pyjama worker pool when not runtime-owned
+	dog  *supervise.Watchdog  // nil without Supervise
 
 	spans    *metrics.SpanSink // /metrics aggregation, installed globally by Start
 	prevSink trace.Sink        // global sink before Start, chained and restored
@@ -302,34 +301,30 @@ func (w *replyWriter) send(status int, contentType string) {
 }
 
 // setupWorkerTarget builds the Pyjama worker target. Plain configs keep the
-// seed path (a runtime-owned pool); with Chaos the pool is wrapped in the
-// fault-injection middleware, and with Supervise it is watched and —
+// seed path (a runtime-owned pool); with Supervise the pool is watched and —
 // when Restart is set — supervised, so crashed workers are respawned instead
-// of silently draining the pool.
+// of silently draining the pool; with Chaos it is wrapped in the
+// fault-injection middleware, beneath which the pool respawns.
 func (s *Server) setupWorkerTarget() error {
 	sv := s.cfg.Supervise
 	if sv == nil && s.cfg.Chaos == nil {
 		_, err := s.rt.CreateWorker("worker", s.cfg.Workers)
 		return err
 	}
-	var target executor.Executor = executor.NewWorkerPool("worker", s.cfg.Workers, &s.reg)
+	if sv != nil && sv.Restart != nil {
+		s.pool = executor.NewSupervisedPool("worker", s.cfg.Workers, &s.reg, *sv.Restart)
+	} else {
+		s.pool = executor.NewWorkerPool("worker", s.cfg.Workers, &s.reg)
+	}
+	var target executor.Executor = s.pool
 	if s.cfg.Chaos != nil {
 		target = s.cfg.Chaos.Wrap(target)
 	}
-	if sv != nil && sv.Restart != nil {
-		sup, err := supervise.New("worker", target, *sv.Restart)
-		if err != nil {
-			target.Shutdown()
-			return err
-		}
-		s.sup = sup
-		target = sup
-	}
+	// Registered, not runtime-owned: Stop shuts the pool down.
 	if err := s.rt.RegisterTarget("worker", target); err != nil {
-		target.Shutdown()
+		s.pool.Shutdown()
 		return err
 	}
-	s.worker = target // registered, not runtime-owned: Stop shuts it down
 	if sv != nil {
 		s.dog = supervise.NewWatchdog(sv.WatchdogInterval)
 		s.dog.Watch("worker", target, sv.StallAfter)
@@ -338,50 +333,37 @@ func (s *Server) setupWorkerTarget() error {
 	return nil
 }
 
-// handleHealthz reports per-target health: supervision state (when the
-// worker target is supervised) and watchdog liveness (when it is watched).
-// The overall status is the worst across targets — "ok" and "degraded"
-// answer 200, "down" answers 503 so orchestrators stop routing here.
+// handleHealthz reports the worker target's health when it is watched: its
+// restart record graded (when the pool is supervised) and its watchdog
+// liveness. The overall status is the worst of the two — "ok" and
+// "degraded" answer 200, "down" answers 503 so orchestrators stop routing
+// here.
 func (s *Server) handleHealthz(w *replyWriter) {
 	type targetHealth struct {
 		Supervision *supervise.TargetHealth `json:"supervision,omitempty"`
 		Liveness    *supervise.Report       `json:"liveness,omitempty"`
 	}
-	resp := struct {
+	var resp struct {
 		Status  string                   `json:"status"`
 		Targets map[string]*targetHealth `json:"targets,omitempty"`
-	}{Status: supervise.Healthy.String()}
+	}
 	worst := supervise.Healthy
-	get := func(name string) *targetHealth {
-		if resp.Targets == nil {
-			resp.Targets = make(map[string]*targetHealth)
+	if s.dog != nil { // set with the pool, in Pyjama mode under Supervise
+		th := &targetHealth{}
+		resp.Targets = map[string]*targetHealth{"worker": th}
+		if s.cfg.Supervise.Restart != nil {
+			h := supervise.Grade("worker", s.pool.Restarts())
+			th.Supervision, worst = &h, h.StatusValue()
 		}
-		if resp.Targets[name] == nil {
-			resp.Targets[name] = &targetHealth{}
-		}
-		return resp.Targets[name]
-	}
-	if s.sup != nil {
-		h := s.sup.Health()
-		get(h.Name).Supervision = &h
-		if st := h.StatusValue(); st > worst {
-			worst = st
-		}
-	}
-	if s.dog != nil {
-		for name, rep := range s.dog.Health() {
-			rep := rep
-			get(name).Liveness = &rep
-			// A stalled target degrades the service; one answering
-			// ErrTargetDown takes it down.
-			switch rep.LivenessValue() {
-			case supervise.LiveStalled:
-				if worst < supervise.Degraded {
-					worst = supervise.Degraded
-				}
-			case supervise.LiveDown:
-				worst = supervise.Down
-			}
+		rep := s.dog.Health()["worker"]
+		th.Liveness = &rep
+		// A stalled target degrades the service; one answering
+		// executor.ErrTargetDown takes it down.
+		switch rep.LivenessValue() {
+		case supervise.LiveStalled:
+			worst = max(worst, supervise.Degraded)
+		case supervise.LiveDown:
+			worst = supervise.Down
 		}
 	}
 	resp.Status = worst.String()
@@ -587,11 +569,11 @@ func (s *Server) admit(ctx context.Context) bool {
 }
 
 // failCompute writes the failure response for a finished-with-error
-// invocation. A supervisor's rejection is a capacity answer (503, counted as
+// invocation. A down pool's refusal is a capacity answer (503, counted as
 // a shed) — the target is down, retry elsewhere; everything else (panics,
 // crashed workers) is a 500.
 func (s *Server) failCompute(w *replyWriter, cerr error) {
-	if errors.Is(cerr, supervise.ErrTargetDown) {
+	if errors.Is(cerr, executor.ErrTargetDown) {
 		s.shed.Add(1)
 		w.error(http.StatusServiceUnavailable, "worker target unavailable")
 		return
@@ -621,9 +603,14 @@ func (s *Server) Errors() int64 { return s.errors.Load() }
 // expiries, plus supervision's fail-fast answers (see failCompute).
 func (s *Server) Shed() int64 { return s.shed.Load() }
 
-// Supervisor returns the worker target's supervisor (nil unless
+// Restarts returns the worker pool's respawn record (the zero value unless
 // Supervise.Restart is configured).
-func (s *Server) Supervisor() *supervise.Supervisor { return s.sup }
+func (s *Server) Restarts() executor.Restarts {
+	if s.pool == nil {
+		return executor.Restarts{}
+	}
+	return s.pool.Restarts()
+}
 
 // Watchdog returns the stall watchdog (nil unless Supervise is configured).
 func (s *Server) Watchdog() *supervise.Watchdog { return s.dog }
@@ -652,9 +639,9 @@ func (s *Server) Stop() {
 	if s.rt != nil {
 		s.rt.Shutdown()
 	}
-	if s.worker != nil {
+	if s.pool != nil {
 		// Registered targets are not runtime-owned; their lifecycle is ours.
-		s.worker.Shutdown()
+		s.pool.Shutdown()
 	}
 	s.conns.Wait()
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/executor"
 	"repro/internal/supervise"
 )
 
@@ -35,7 +36,7 @@ func TestSupervisedServerSurvivesKillStorm(t *testing.T) {
 		KernelBytes: 1024,
 		Chaos:       inj,
 		Supervise: &SuperviseConfig{
-			Restart: &supervise.Options{
+			Restart: &executor.RestartConfig{
 				MaxRestarts:    30,
 				Window:         400 * time.Millisecond,
 				BackoffInitial: time.Millisecond,
@@ -66,8 +67,8 @@ func TestSupervisedServerSurvivesKillStorm(t *testing.T) {
 		default:
 			t.Fatalf("request %d hung or failed untyped: status=%d err=%v", i, status, err)
 		}
-		if !sawDegraded && s.Supervisor().Health().StatusValue() == supervise.Degraded {
-			// The supervisor is mid-recovery: /healthz must say so.
+		if !sawDegraded && supervise.Grade("worker", s.Restarts()).StatusValue() == supervise.Degraded {
+			// The pool is mid-recovery: /healthz must say so.
 			if hs, code, err := client.Healthz(); err != nil || code != 200 || hs != "degraded" {
 				t.Fatalf("healthz during storm = %q/%d (%v)", hs, code, err)
 			}
@@ -83,11 +84,11 @@ func TestSupervisedServerSurvivesKillStorm(t *testing.T) {
 	if !sawDegraded {
 		t.Fatalf("supervision never reported degraded (ok=%d shed=%d failed=%d)", ok, shed, failed)
 	}
-	if s.Supervisor().Stats().Respawns == 0 {
+	if s.Restarts().Total == 0 {
 		t.Fatal("no worker was respawned")
 	}
-	// ... and /metrics counted it: the supervisor emits OpRestart to the
-	// active sink, which is the one the scrape is fed from.
+	// ... and /metrics counted it: the pool emits OpRestart to the active
+	// sink, which is the one the scrape is fed from.
 	if got := scrapeMetrics(t, base)[`repro_restarts_total{target="worker"}`]; got < 1 {
 		t.Fatalf("/metrics repro_restarts_total = %v after a supervised restart, want >= 1", got)
 	}
@@ -102,7 +103,7 @@ func TestSupervisedServerSurvivesKillStorm(t *testing.T) {
 		t.Fatalf("post-storm request: status=%d err=%v", status, err)
 	}
 	t.Logf("storm: %d ok, %d shed, %d failed, %d kills, %d respawns",
-		ok, shed, failed, inj.Injected(chaos.Kill), s.Supervisor().Stats().Respawns)
+		ok, shed, failed, inj.Injected(chaos.Kill), s.Restarts().Total)
 }
 
 // TestUnsupervisedServerWedgesAndWatchdogFlagsIt is the control drill: the
@@ -183,8 +184,8 @@ func TestUnsupervisedServerWedgesAndWatchdogFlagsIt(t *testing.T) {
 
 // TestSupervisedServerOutOfBudgetGoesDown: a supervised server whose
 // restart budget runs out goes down loudly. After a budget of 1 and two
-// worker kills, /healthz answers 503 "down" — the supervisor says so, and so
-// does the watchdog, whose probes now fail with ErrTargetDown — and /encrypt
+// worker kills, /healthz answers 503 "down" — the pool's restart record says
+// so, and so does the watchdog, whose probes now fail with ErrTargetDown — and /encrypt
 // answers 503 at once, counted as a shed: not a 500, not a hang.
 func TestSupervisedServerOutOfBudgetGoesDown(t *testing.T) {
 	inj := chaos.New(chaos.SeedFromEnv(1337),
@@ -195,7 +196,7 @@ func TestSupervisedServerOutOfBudgetGoesDown(t *testing.T) {
 		KernelBytes: 1024,
 		Chaos:       inj,
 		Supervise: &SuperviseConfig{
-			Restart: &supervise.Options{
+			Restart: &executor.RestartConfig{
 				MaxRestarts:    1,
 				Window:         time.Minute, // the respawn never ages out
 				BackoffInitial: time.Millisecond,
@@ -217,8 +218,8 @@ func TestSupervisedServerOutOfBudgetGoesDown(t *testing.T) {
 		if _, status, err := client.Do(512); status != 200 && status != 500 && status != 503 {
 			t.Fatalf("request during the kills: status=%d err=%v", status, err)
 		}
-		return s.Supervisor().Health().StatusValue() == supervise.Down
-	}, "the supervisor to give up")
+		return supervise.Grade("worker", s.Restarts()).StatusValue() == supervise.Down
+	}, "the pool to go down")
 	if kills := inj.Injected(chaos.Kill); kills != 2 {
 		t.Fatalf("kills = %d, want 2", kills)
 	}

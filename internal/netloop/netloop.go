@@ -405,7 +405,10 @@ type Client struct {
 	partial []byte
 
 	closeFired atomic.Bool
-	writeMu    sync.Mutex
+	// writeMu serializes the goroutine transport's writes and guards out,
+	// the buffer each line is framed in: reused, so a Send allocates nothing.
+	writeMu sync.Mutex
+	out     []byte
 
 	// lastWrite (unixnano of the last successful Send) feeds the default
 	// transport's idle deadline: outbound activity keeps the client alive.
@@ -507,7 +510,8 @@ func (c *Client) Send(line string) error {
 	}
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	_, err := fmt.Fprintf(c.conn, "%s\n", line)
+	c.out = append(append(c.out[:0], line...), '\n')
+	_, err := c.conn.Write(c.out)
 	if err == nil {
 		c.lastWrite.Store(time.Now().UnixNano())
 	}

@@ -160,7 +160,7 @@ func TestChaosReactorServerOutlivesStorm(t *testing.T) {
 
 // bareProbe is the watchdog's view of a reactor: each probe is
 // posted onto the poll goroutine, and once the reactor rejects posts (it
-// stopped or crashed) the probe fails with supervise.ErrTargetDown.
+// stopped or crashed) the probe fails with executor.ErrTargetDown.
 type bareProbe struct{ r *reactor.Reactor }
 
 func (p bareProbe) Name() string { return p.r.Name() }
@@ -168,7 +168,7 @@ func (p bareProbe) Name() string { return p.r.Name() }
 func (p bareProbe) Post(fn func()) *executor.Completion {
 	c, finish := executor.NewPendingCompletion()
 	if err := p.r.Post(func() { fn(); finish(nil) }); err != nil {
-		finish(fmt.Errorf("%v: %w", err, supervise.ErrTargetDown))
+		finish(fmt.Errorf("%v: %w", err, executor.ErrTargetDown))
 	}
 	return c
 }

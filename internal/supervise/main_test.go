@@ -8,8 +8,8 @@ import (
 )
 
 // TestMain sweeps the whole suite for leaked goroutines: after the last
-// test, every supervisor, watchdog ticker, and supervised target must have
-// exited.
+// test, every watchdog ticker, supervised pool and respawned worker must
+// have exited.
 func TestMain(m *testing.M) {
 	os.Exit(leakcheck.Main(m))
 }

@@ -1,11 +1,9 @@
-package supervise
+package supervise_test
 
 import (
 	"errors"
 	"runtime"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,46 +14,38 @@ import (
 )
 
 // respawnObserver is a trace sink standing where any outside observer
-// stands: at each OpRestart — which the supervisor loop emits right after it
-// publishes the respawn — it reads whether the target failed and how many
-// respawns the stats count.
+// stands: at each OpRestart — which the pool emits right after it counts the
+// respawn — it reads whether the pool is down and how many respawns it
+// counts.
 type respawnObserver struct {
-	s    *Supervisor
-	seen chan [2]int64 // failed (0 or 1), respawns
+	p    *executor.WorkerPool
+	seen chan executor.Restarts
 }
 
 func (o *respawnObserver) Record(e trace.Event) {
-	if e.Op != trace.OpRestart {
-		return
+	if e.Op == trace.OpRestart {
+		o.seen <- o.p.Restarts()
 	}
-	o.s.mu.RLock()
-	failed := o.s.failed
-	o.s.mu.RUnlock()
-	var f int64
-	if failed {
-		f = 1
-	}
-	o.seen <- [2]int64{f, o.s.Stats().Respawns}
 }
 
 // TestRestartingIsPublishedAfterItsCounter pins defect (i): an observer of
 // a respawn must find it already counted, with the target still up, since
 // the surviving workers keep serving.
-// No sleeps: the observation is made on the supervisor's own goroutine, at
-// the event that announces the transition.
+// No sleeps: the observation is made on the crashing worker's own goroutine,
+// at the event that announces the transition.
 func TestRestartingIsPublishedAfterItsCounter(t *testing.T) {
 	t.Run("respawn", func(t *testing.T) {
 		var reg gid.Registry
-		s, _ := newSupervised(t, &reg, 2, Options{BackoffInitial: time.Millisecond})
-		defer s.Shutdown()
-		obs := &respawnObserver{s: s, seen: make(chan [2]int64, 1)}
+		p := executor.NewSupervisedPool("w", 2, &reg, executor.RestartConfig{BackoffInitial: time.Millisecond})
+		defer p.Shutdown()
+		obs := &respawnObserver{p: p, seen: make(chan executor.Restarts, 1)}
 		t.Cleanup(trace.Use(obs))
 
-		s.Post(func() { runtime.Goexit() }) // kill one worker
+		p.Post(kill) // kill one worker
 		select {
 		case got := <-obs.seen:
-			if want := [2]int64{0, 1}; got != want {
-				t.Fatalf("at OpRestart: failed/respawns = %v, want %v", got, want)
+			if got.Down || got.Total != 1 {
+				t.Fatalf("at OpRestart: down=%v respawns=%d, want false, 1", got.Down, got.Total)
 			}
 		case <-time.After(10 * time.Second):
 			t.Fatal("no OpRestart")
@@ -63,88 +53,61 @@ func TestRestartingIsPublishedAfterItsCounter(t *testing.T) {
 	})
 }
 
-// raceExecutor is middleware over a pool whose Post first runs before — the
-// window inside Supervisor.Post between its check of the target and its post,
-// held open — and whose Shutdown waits for release, so the test decides when
-// the pool may stop.
-type raceExecutor struct {
-	executor.Executor
-	before   func()
-	stopping atomic.Bool // Shutdown was entered
-	gate     chan struct{}
-	release  func()
-}
-
-func newRaceExecutor(pool *executor.WorkerPool) *raceExecutor {
-	r := &raceExecutor{Executor: pool, gate: make(chan struct{})}
-	var once sync.Once
-	r.release = func() { once.Do(func() { close(r.gate) }) }
-	return r
-}
-
-func (r *raceExecutor) Unwrap() executor.Executor { return r.Executor }
-
-func (r *raceExecutor) Post(fn func()) *executor.Completion {
-	if r.before != nil {
-		r.before()
-	}
-	return r.Executor.Post(fn)
-}
-
-func (r *raceExecutor) Shutdown() {
-	r.stopping.Store(true)
-	<-r.gate
-	r.Executor.Shutdown()
-}
-
-// blockedInHandleCrash reports whether some goroutine waits on a lock inside
-// the supervisor's crash handling.
-func blockedInHandleCrash() bool {
-	buf := make([]byte, 1<<20)
-	buf = buf[:runtime.Stack(buf, true)]
-	for _, g := range strings.Split(string(buf), "\n\n") {
-		if strings.Contains(g, "runtime_Semacquire") && strings.Contains(g, "(*Supervisor).handleCrash") {
-			return true
-		}
-	}
-	return false
-}
-
-// TestPostRacingGiveUpIsTyped: a post that saw the target up and lands on
-// the pool while the supervisor gives up must fail with ErrTargetDown, not
-// with the pool's untyped ErrShutdown. The pool has no live worker, so
-// nothing runs the task: the give-up's drain has to find it queued, because
-// the pool's shutdown backstop would fail it untyped.
+// TestPostRacingGiveUpIsTyped: producers post while the last budgeted worker
+// dies and the pool goes down. A post either lands before the down drain —
+// a survivor runs it, or the drain fails it — or sees the refusal, so every
+// completion is nil or ErrTargetDown, never the untyped ErrShutdown.
 func TestPostRacingGiveUpIsTyped(t *testing.T) {
 	var reg gid.Registry
-	pool := executor.NewWorkerPool("w", 1, &reg)
-	r := newRaceExecutor(pool)
-	s, err := New("w", r, Options{MaxRestarts: 1, Window: time.Minute, BackoffInitial: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Shutdown()
-	defer r.release()
+	p := executor.NewSupervisedPool("w", 2, &reg, executor.RestartConfig{
+		MaxRestarts: 1, Window: time.Minute, BackoffInitial: time.Millisecond})
+	defer p.Shutdown()
 
 	// The first kill spends the budget of 1 on a respawn.
-	if err := s.Post(func() { runtime.Goexit() }).Wait(); !errors.Is(err, executor.ErrWorkerCrashed) {
+	if err := p.Post(kill).Wait(); !errors.Is(err, executor.ErrWorkerCrashed) {
 		t.Fatalf("first kill err = %v", err)
 	}
-	poll.Until(t, "the respawn", func() bool { return s.Stats().Respawns == 1 && pool.Workers() == 1 })
+	poll.Until(t, "the respawn", func() bool { return p.Restarts().Total == 1 && p.Workers() == 2 })
 
-	// The final kill lands while the next Post is inside its post to the
-	// pool: the sole worker dies, and the give-up runs as far as it can —
-	// to the pool's shutdown, or to a wait for this Post.
-	r.before = func() {
-		r.before = nil
-		if err := pool.Post(func() { runtime.Goexit() }).Wait(); !errors.Is(err, executor.ErrWorkerCrashed) {
-			t.Errorf("final kill err = %v", err)
-		}
-		poll.Until(t, "the give-up", func() bool { return r.stopping.Load() || blockedInHandleCrash() })
+	// The final kill holds one worker until the producers are posting; the
+	// other keeps running their tasks until the pool goes down.
+	crash, running := make(chan struct{}), make(chan struct{})
+	final := p.Post(func() { close(running); <-crash; runtime.Goexit() })
+	<-running
+	const producers = 4
+	comps := make([][]*executor.Completion, producers)
+	var posting, wg sync.WaitGroup
+	posting.Add(producers)
+	for i := range comps {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for n := 0; ; n++ {
+				c := p.Post(func() {})
+				comps[i] = append(comps[i], c)
+				if n == 8 {
+					posting.Done()
+				}
+				if c.Finished() && errors.Is(c.Err(), executor.ErrTargetDown) {
+					return // the pool is down: nothing is let in any more
+				}
+			}
+		}(i)
 	}
-	c := s.Post(func() { t.Error("a task posted to a dead target ran") })
-	r.release() // the pool may stop now
-	if err := c.Wait(); !errors.Is(err, ErrTargetDown) {
-		t.Fatalf("post racing the give-up: %v, want ErrTargetDown", err)
+	posting.Wait()
+	close(crash)
+	if err := final.Wait(); !errors.Is(err, executor.ErrWorkerCrashed) {
+		t.Fatalf("final kill err = %v", err)
+	}
+	wg.Wait()
+	for i := range comps {
+		for _, c := range comps[i] {
+			if err := c.Wait(); err != nil && !errors.Is(err, executor.ErrTargetDown) {
+				t.Fatalf("post racing the give-up: %v, want nil or ErrTargetDown", err)
+			}
+		}
+	}
+	if !p.Restarts().Down {
+		t.Fatal("the second crash did not take the pool down")
 	}
 }

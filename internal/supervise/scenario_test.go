@@ -1,11 +1,9 @@
-// External test package: these scenarios drive supervision through the
-// chaos injector, which (via its reactor fd seam) transitively imports this
-// package — an in-package test would be an import cycle.
+// These scenarios drive supervised and bare pools through the chaos injector
+// and read them through this package's grades and watchdog.
 package supervise_test
 
 import (
 	"errors"
-	"runtime"
 	"testing"
 	"time"
 
@@ -20,23 +18,22 @@ import (
 )
 
 // TestSupervisedSurvivesKillStorm is the acceptance scenario: worker kills
-// injected at a 10% rate, a supervised target keeps serving by respawning
-// within its budget, health degrades and then recovers, and no invocation
-// hangs — every one completes or fails with a typed error.
+// injected at a 10% rate, a supervised pool beneath the chaos wrapper keeps
+// serving by respawning within its budget, health degrades and then
+// recovers, and no invocation hangs — every one completes or fails with a
+// typed error.
 func TestSupervisedSurvivesKillStorm(t *testing.T) {
 	defer leakcheck.Check(t)()
 	var reg gid.Registry
 	inj := chaos.New(chaos.SeedFromEnv(1337),
 		chaos.Rule{Action: chaos.Kill, Rate: 0.10, Count: 8})
-	s, err := supervise.New("w", inj.Wrap(executor.NewWorkerPool("w", 3, &reg)), supervise.Options{
+	pool := executor.NewSupervisedPool("w", 3, &reg, executor.RestartConfig{
 		MaxRestarts:    20,
 		Window:         300 * time.Millisecond,
 		BackoffInitial: time.Millisecond,
 		BackoffMax:     5 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := inj.Wrap(pool)
 	defer s.Shutdown()
 	buf := trace.NewBuffer(4096) // the global sink also receives every task span
 	t.Cleanup(trace.Use(buf))
@@ -59,7 +56,7 @@ func TestSupervisedSurvivesKillStorm(t *testing.T) {
 		default:
 			t.Fatalf("invocation %d: untyped failure %v", i, err)
 		}
-		if s.Health().StatusValue() == supervise.Degraded {
+		if health(pool).StatusValue() == supervise.Degraded {
 			sawDegraded = true
 		}
 	}
@@ -69,9 +66,9 @@ func TestSupervisedSurvivesKillStorm(t *testing.T) {
 	if ok == 0 {
 		t.Fatal("no invocation succeeded during the storm")
 	}
-	if !sawDegraded || s.Stats().Respawns == 0 {
+	if !sawDegraded || pool.Restarts().Total == 0 {
 		t.Fatalf("supervision not exercised: degraded=%v respawns=%d",
-			sawDegraded, s.Stats().Respawns)
+			sawDegraded, pool.Restarts().Total)
 	}
 	if buf.CountOp(trace.OpRestart) == 0 {
 		t.Fatal("no OpRestart traced")
@@ -80,10 +77,10 @@ func TestSupervisedSurvivesKillStorm(t *testing.T) {
 	// The storm is bounded (Count): once it passes and the window slides,
 	// the target reads healthy and serves cleanly again.
 	poll.UntilFor(t, 5*time.Second, "post-storm recovery", func() bool {
-		return s.Health().StatusValue() == supervise.Healthy && s.Post(func() {}).Wait() == nil
+		return health(pool).StatusValue() == supervise.Healthy && s.Post(func() {}).Wait() == nil
 	})
 	t.Logf("storm: %d ok, %d typed failures, %d kills, %d respawns",
-		ok, typed, inj.Injected(chaos.Kill), s.Stats().Respawns)
+		ok, typed, inj.Injected(chaos.Kill), pool.Restarts().Total)
 }
 
 // TestUnsupervisedPoolWedgesAndWatchdogSees is the control: the same kill
@@ -167,29 +164,25 @@ func TestWatchdogSeesBlockedThenRecovered(t *testing.T) {
 // LiveDown, not stalled — the watchdog distinguishes dead from blocked.
 func TestWatchdogReportsDownTarget(t *testing.T) {
 	var reg gid.Registry
-	pool := executor.NewWorkerPool("w", 1, &reg)
-	s, err := supervise.New("w", pool, supervise.Options{MaxRestarts: 1, Window: time.Minute, BackoffInitial: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Shutdown()
+	pool := executor.NewSupervisedPool("w", 1, &reg, executor.RestartConfig{MaxRestarts: 1, Window: time.Minute, BackoffInitial: time.Millisecond})
+	defer pool.Shutdown()
 	// Two kills exhaust the budget of 1: the first is respawned, the second
 	// is not.
-	if err := s.Post(func() { runtime.Goexit() }).Wait(); !errors.Is(err, executor.ErrWorkerCrashed) {
+	if err := pool.Post(kill).Wait(); !errors.Is(err, executor.ErrWorkerCrashed) {
 		t.Fatalf("first kill err = %v", err)
 	}
 	poll.UntilFor(t, 2*time.Second, "first respawn done", func() bool {
-		return s.Stats().Respawns == 1 && pool.Workers() == 1
+		return pool.Restarts().Total == 1 && pool.Workers() == 1
 	})
-	if err := s.Post(func() { runtime.Goexit() }).Wait(); !errors.Is(err, executor.ErrWorkerCrashed) {
+	if err := pool.Post(kill).Wait(); !errors.Is(err, executor.ErrWorkerCrashed) {
 		t.Fatalf("second kill err = %v", err)
 	}
 	poll.UntilFor(t, 2*time.Second, "down", func() bool {
-		return s.Health().StatusValue() == supervise.Down
+		return health(pool).StatusValue() == supervise.Down
 	})
 
 	w := supervise.NewWatchdog(5 * time.Millisecond)
-	w.Watch("w", s, 25*time.Millisecond)
+	w.Watch("w", pool, 25*time.Millisecond)
 	w.Start()
 	defer w.Stop()
 	poll.UntilFor(t, 2*time.Second, "down via probe", func() bool {

@@ -1,7 +1,7 @@
 //go:build chaos
 
 // Storm test for the chaos CI job (`make chaos`): a sustained mixed-fault
-// storm against a supervised virtual target under the full runtime. Heavier
+// storm against a supervised pool under the full runtime. Heavier
 // than the default suite, so it is gated behind the `chaos` build tag and
 // seeded via CHAOS_SEED for reproducibility.
 package supervise_test
@@ -34,15 +34,13 @@ func TestSupervisedRuntimeUnderMixedFaultStorm(t *testing.T) {
 		chaos.Rule{Action: chaos.Delay, Rate: 0.05, Delay: 200 * time.Microsecond},
 	)
 	var reg gid.Registry
-	s, err := supervise.New("w", inj.Wrap(executor.NewWorkerPool("w", 4, &reg)), supervise.Options{
+	pool := executor.NewSupervisedPool("w", 4, &reg, executor.RestartConfig{
 		MaxRestarts:    200,
 		Window:         500 * time.Millisecond,
 		BackoffInitial: 200 * time.Microsecond,
 		BackoffMax:     2 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := inj.Wrap(pool)
 	defer s.Shutdown()
 
 	rt := core.NewRuntime(&reg)
@@ -113,15 +111,15 @@ func TestSupervisedRuntimeUnderMixedFaultStorm(t *testing.T) {
 		t.Fatalf("storm too quiet: kills=%d panics=%d",
 			inj.Injected(chaos.Kill), inj.Injected(chaos.Panic))
 	}
-	if s.Stats().Respawns == 0 {
+	if pool.Restarts().Total == 0 {
 		t.Fatal("storm killed workers but nothing was respawned")
 	}
 
 	// Faults are bounded by Count; the target must come back to healthy
 	// and serve cleanly once the restart window slides past the storm.
 	poll.UntilFor(t, 10*time.Second, "post-storm recovery", func() bool {
-		return s.Health().StatusValue() == supervise.Healthy && s.Post(func() {}).Wait() == nil
+		return health(pool).StatusValue() == supervise.Healthy && s.Post(func() {}).Wait() == nil
 	})
 	t.Logf("storm outcomes: %v; kills=%d panics=%d respawns=%d",
-		outcomes, inj.Injected(chaos.Kill), inj.Injected(chaos.Panic), s.Stats().Respawns)
+		outcomes, inj.Injected(chaos.Kill), inj.Injected(chaos.Panic), pool.Restarts().Total)
 }

@@ -1,4 +1,6 @@
-package supervise
+// The respawn tests drive a supervised pool (executor.NewSupervisedPool) and
+// read its restart record through the grade this package gives it.
+package supervise_test
 
 import (
 	"errors"
@@ -8,6 +10,7 @@ import (
 
 	"repro/internal/executor"
 	"repro/internal/gid"
+	"repro/internal/supervise"
 	"repro/internal/trace"
 
 	"repro/internal/testutil/leakcheck"
@@ -20,85 +23,80 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 	poll.UntilFor(t, d, msg, cond)
 }
 
-// newSupervised supervises a fresh pool of workers, returning both.
-func newSupervised(t *testing.T, reg *gid.Registry, workers int, opts Options) (*Supervisor, *executor.WorkerPool) {
-	t.Helper()
-	pool := executor.NewWorkerPool("w", workers, reg)
-	s, err := New("w", pool, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s, pool
+// health grades p's restart record.
+func health(p *executor.WorkerPool) supervise.TargetHealth {
+	return supervise.Grade(p.Name(), p.Restarts())
 }
+
+// kill is a task that takes down the worker running it.
+func kill() { runtime.Goexit() }
 
 func TestRespawnReplacesCrashedWorker(t *testing.T) {
 	var reg gid.Registry
-	s, pool := newSupervised(t, &reg, 2, Options{
+	p := executor.NewSupervisedPool("w", 2, &reg, executor.RestartConfig{
 		BackoffInitial: time.Millisecond,
 		Window:         200 * time.Millisecond,
 	})
-	defer s.Shutdown()
+	defer p.Shutdown()
 
-	if err := s.Post(func() {}).Wait(); err != nil {
+	if err := p.Post(func() {}).Wait(); err != nil {
 		t.Fatalf("healthy post: %v", err)
 	}
 	// Kill one worker: Goexit defeats panic isolation, the goroutine dies.
-	if err := s.Post(func() { runtime.Goexit() }).Wait(); !errors.Is(err, executor.ErrWorkerCrashed) {
+	if err := p.Post(kill).Wait(); !errors.Is(err, executor.ErrWorkerCrashed) {
 		t.Fatalf("killed task err = %v", err)
 	}
 	// Wait on the respawn count too: the killed task's completion finishes
 	// before the dying worker is subtracted, so Workers() can still read its
 	// pre-crash 2 here.
 	waitFor(t, 2*time.Second, func() bool {
-		return s.Stats().Respawns == 1 && pool.Workers() == 2
+		return p.Restarts().Total == 1 && p.Workers() == 2
 	}, "worker respawn")
-	if got := s.Stats().Respawns; got != 1 {
-		t.Fatalf("respawns = %d", got)
-	}
-	if h := s.Health(); h.StatusValue() != Degraded || h.Restarts != 1 {
+	if h := health(p); h.StatusValue() != supervise.Degraded || h.Restarts != 1 || h.LastError == "" {
 		t.Fatalf("health after respawn = %+v", h)
 	}
 	// After a quiet window the target reads healthy again.
-	waitFor(t, 2*time.Second, func() bool { return s.Health().StatusValue() == Healthy }, "recovery")
-	if err := s.Post(func() {}).Wait(); err != nil {
+	waitFor(t, 2*time.Second, func() bool { return health(p).StatusValue() == supervise.Healthy }, "recovery")
+	if err := p.Post(func() {}).Wait(); err != nil {
 		t.Fatalf("post after respawn: %v", err)
 	}
 }
 
 func TestBudgetExhaustionFailsFast(t *testing.T) {
 	var reg gid.Registry
-	s, pool := newSupervised(t, &reg, 1, Options{
+	p := executor.NewSupervisedPool("w", 1, &reg, executor.RestartConfig{
 		MaxRestarts:    2,
 		Window:         time.Minute, // respawns never age out during the test
 		BackoffInitial: time.Millisecond,
 	})
-	defer s.Shutdown()
+	defer p.Shutdown()
 	buf := trace.NewBuffer(4096)
 	t.Cleanup(trace.Use(buf))
 
 	// Each kill consumes one respawn; the third exhausts the budget.
 	for i := 0; i < 3; i++ {
-		waitFor(t, 2*time.Second, func() bool { return pool.Workers() == 1 }, "worker up")
-		if err := s.Post(func() { runtime.Goexit() }).Wait(); !errors.Is(err, executor.ErrWorkerCrashed) {
+		waitFor(t, 2*time.Second, func() bool { return p.Workers() == 1 }, "worker up")
+		if err := p.Post(kill).Wait(); !errors.Is(err, executor.ErrWorkerCrashed) {
 			t.Fatalf("kill %d err = %v", i, err)
 		}
 	}
-	waitFor(t, 2*time.Second, func() bool { return s.Health().StatusValue() == Down }, "target down")
-	if err := s.Post(func() {}).Wait(); !errors.Is(err, ErrTargetDown) {
+	waitFor(t, 2*time.Second, func() bool { return health(p).StatusValue() == supervise.Down }, "target down")
+	rejected := p.Stats().Rejected
+	if err := p.Post(func() {}).Wait(); !errors.Is(err, executor.ErrTargetDown) {
 		t.Fatalf("post after down err = %v", err)
 	}
 	if buf.CountOp(trace.OpTargetDown) == 0 {
 		t.Fatal("no OpTargetDown traced")
 	}
-	if got := s.Stats().FailFast; got == 0 {
-		t.Fatal("fail-fast counter not bumped")
+	if got := p.Stats().Rejected; got != rejected+1 {
+		t.Fatalf("Rejected = %d after a post to a down pool, want %d", got, rejected+1)
 	}
 	// Typed rejection must be immediate, not a hang.
 	done := make(chan error, 1)
-	go func() { done <- s.Post(func() {}).Wait() }()
+	go func() { done <- p.Post(func() {}).Wait() }()
 	select {
 	case err := <-done:
-		if !errors.Is(err, ErrTargetDown) {
+		if !errors.Is(err, executor.ErrTargetDown) {
 			t.Fatalf("err = %v", err)
 		}
 	case <-time.After(time.Second):
@@ -106,65 +104,42 @@ func TestBudgetExhaustionFailsFast(t *testing.T) {
 	}
 }
 
-// TestNewFactoryErrorPropagates: New rejects an executor whose Unwrap chain
-// ends at no pool, since a respawn has nothing to grow.
-func TestNewFactoryErrorPropagates(t *testing.T) {
-	var reg gid.Registry
-	pool := executor.NewWorkerPool("w", 1, &reg)
-	defer pool.Shutdown()
-	if _, err := New("w", opaque{pool}, Options{}); err == nil {
-		t.Fatal("New accepted an executor that hides its pool")
-	}
-}
-
-// opaque forwards to a pool without exposing it.
-type opaque struct{ executor.Executor }
-
-func TestBackoffDoublesAndCaps(t *testing.T) {
-	s := &Supervisor{opts: Options{BackoffInitial: 10 * time.Millisecond, BackoffMax: 60 * time.Millisecond}}
-	want := []time.Duration{10, 20, 40, 60, 60}
-	for i, w := range want {
-		if got := s.backoff(i + 1); got != w*time.Millisecond {
-			t.Fatalf("backoff(%d) = %v, want %v", i+1, got, w*time.Millisecond)
-		}
-	}
-}
-
 func TestShutdownStopsSupervision(t *testing.T) {
 	defer leakcheck.Check(t)()
 	var reg gid.Registry
-	s, _ := newSupervised(t, &reg, 1, Options{})
-	if err := s.Post(func() {}).Wait(); err != nil {
+	p := executor.NewSupervisedPool("w", 1, &reg, executor.RestartConfig{})
+	if err := p.Post(func() {}).Wait(); err != nil {
 		t.Fatal(err)
 	}
-	s.Shutdown()
-	s.Shutdown() // idempotent
-	if err := s.Post(func() {}).Wait(); err == nil {
-		t.Fatal("post after shutdown succeeded")
+	p.Shutdown()
+	p.Shutdown() // idempotent
+	if err := p.Post(func() {}).Wait(); !errors.Is(err, executor.ErrShutdown) {
+		t.Fatalf("post after shutdown: %v, want ErrShutdown", err)
 	}
 }
 
-// TestShutdownInterruptsBackoff: a supervisor waiting out a respawn backoff
-// keeps the target running — a post queues for the worker to come — and
-// Shutdown cuts the wait short instead of joining a loop that would sleep for
-// an hour; the queued post then fails with the pool's shutdown error.
+// TestShutdownInterruptsBackoff: a pool waiting out a respawn backoff keeps
+// the target running — a post queues for the worker to come — and Shutdown
+// does not wait for an hour's backoff: the respawn is a timer, not a
+// goroutine, and the Grow it would run is a no-op once the pool is stopped.
+// The queued post then fails with the pool's shutdown error.
 func TestShutdownInterruptsBackoff(t *testing.T) {
 	defer leakcheck.Check(t)()
 	var reg gid.Registry
-	s, _ := newSupervised(t, &reg, 1, Options{
+	p := executor.NewSupervisedPool("w", 1, &reg, executor.RestartConfig{
 		BackoffInitial: time.Hour,
 		BackoffMax:     time.Hour,
 	})
-	if err := s.Post(func() { runtime.Goexit() }).Wait(); !errors.Is(err, executor.ErrWorkerCrashed) {
+	if err := p.Post(kill).Wait(); !errors.Is(err, executor.ErrWorkerCrashed) {
 		t.Fatalf("killed task err = %v", err)
 	}
-	poll.UntilBlockedIn(t, "(*Supervisor).sleep")
-	queued := s.Post(func() { t.Error("a task ran with no worker") })
+	poll.Until(t, "the respawn scheduled", func() bool { return p.Restarts().Total == 1 && p.Workers() == 0 })
+	queued := p.Post(func() { t.Error("a task ran with no worker") })
 	if queued.Finished() {
 		t.Fatalf("post during backoff finished at once: %v, want it queued", queued.Err())
 	}
 	start := time.Now()
-	s.Shutdown()
+	p.Shutdown()
 	if d := time.Since(start); d > 5*time.Second {
 		t.Fatalf("Shutdown took %v during a 1 h backoff", d)
 	}
@@ -180,46 +155,45 @@ func TestShutdownInterruptsBackoff(t *testing.T) {
 func TestRespawnKeepsServing(t *testing.T) {
 	defer leakcheck.Check(t)()
 	var reg gid.Registry
-	s, _ := newSupervised(t, &reg, 2, Options{
+	p := executor.NewSupervisedPool("w", 2, &reg, executor.RestartConfig{
 		BackoffInitial: time.Hour,
 		BackoffMax:     time.Hour,
 	})
-	defer s.Shutdown()
-	if err := s.Post(func() { runtime.Goexit() }).Wait(); !errors.Is(err, executor.ErrWorkerCrashed) {
+	defer p.Shutdown()
+	if err := p.Post(kill).Wait(); !errors.Is(err, executor.ErrWorkerCrashed) {
 		t.Fatalf("killed task err = %v", err)
 	}
-	poll.UntilBlockedIn(t, "(*Supervisor).sleep")
-	if err := s.Post(func() {}).Wait(); err != nil {
+	poll.Until(t, "the respawn scheduled", func() bool { return p.Restarts().Total == 1 })
+	if err := p.Post(func() {}).Wait(); err != nil {
 		t.Fatalf("post during a respawn's backoff: %v, want the surviving worker to run it", err)
 	}
-	if h := s.Health(); h.StatusValue() != Degraded {
+	if h := health(p); h.StatusValue() != supervise.Degraded {
 		t.Fatalf("health during a respawn = %+v, want degraded", h)
 	}
 }
 
 // TestRespawnInheritsCrashedWorkerQueue: the pool's queue outlives its last
-// worker, and the worker Grow adds — Grow is what a respawn calls — drains
-// it. A supervisor respawning a sole worker therefore hands the
-// replacement the still-queued tasks: they complete instead of stranding or
-// failing.
+// worker, and the worker a respawn's Grow adds drains it. A supervised pool
+// respawning a sole worker therefore hands the replacement the still-queued
+// tasks: they complete instead of stranding or failing.
 func TestRespawnInheritsCrashedWorkerQueue(t *testing.T) {
 	defer leakcheck.Check(t)()
 	var reg gid.Registry
-	s, pool := newSupervised(t, &reg, 1, Options{
+	p := executor.NewSupervisedPool("w", 1, &reg, executor.RestartConfig{
 		BackoffInitial: time.Millisecond,
 		Window:         200 * time.Millisecond,
 	})
-	defer s.Shutdown()
+	defer p.Shutdown()
 
 	// Gate the sole worker, queue work behind it, then kill it.
 	crash := make(chan struct{})
 	running := make(chan struct{})
-	gate := s.Post(func() { close(running); <-crash; runtime.Goexit() })
+	gate := p.Post(func() { close(running); <-crash; runtime.Goexit() })
 	<-running
 	const n = 10
 	var comps []*executor.Completion
 	for i := 0; i < n; i++ {
-		comps = append(comps, s.Post(func() {}))
+		comps = append(comps, p.Post(func() {}))
 	}
 	close(crash)
 	if err := gate.Wait(); !errors.Is(err, executor.ErrWorkerCrashed) {
@@ -231,5 +205,5 @@ func TestRespawnInheritsCrashedWorkerQueue(t *testing.T) {
 			t.Fatalf("queued task lost across respawn: %v", err)
 		}
 	}
-	waitFor(t, 2*time.Second, func() bool { return pool.Workers() == 1 }, "worker respawn")
+	waitFor(t, 2*time.Second, func() bool { return p.Workers() == 1 }, "worker respawn")
 }

@@ -16,7 +16,7 @@ type Liveness int
 // The liveness grades: LiveOK targets answer heartbeats, LiveStalled
 // targets have an unanswered probe past their threshold (blocked EDT,
 // wedged pool, queue not draining), LiveDown targets answer probes with
-// ErrTargetDown.
+// executor.ErrTargetDown.
 const (
 	LiveOK Liveness = iota
 	LiveStalled
@@ -195,27 +195,26 @@ func (w *Watchdog) checkEntry(en *watchEntry, now time.Time) bool {
 			}
 			return false // keep waiting on the same probe
 		}
-		// Probe landed (ran, or failed typed): the target is answering.
-		err := en.outstanding.Err()
-		en.outstanding = nil
-		en.lastBeat = now
-		en.stalled = false
-		en.lastErr = err
-		en.down = err != nil && errors.Is(err, ErrTargetDown)
+		en.land(now)
 	}
 	en.outstanding = en.e.Post(func() {})
 	en.sentAt = now
 	if en.outstanding.Finished() {
 		// Synchronous completion (rejection or inline run): fold it in
 		// now rather than waiting a tick.
-		err := en.outstanding.Err()
-		en.outstanding = nil
-		en.lastBeat = now
-		en.stalled = false
-		en.lastErr = err
-		en.down = err != nil && errors.Is(err, ErrTargetDown)
+		en.land(now)
 	}
 	return false
+}
+
+// land folds in the finished probe: the target is answering — it ran the
+// probe, or refused it typed.
+func (en *watchEntry) land(now time.Time) {
+	en.lastErr = en.outstanding.Err()
+	en.outstanding = nil
+	en.lastBeat = now
+	en.stalled = false
+	en.down = errors.Is(en.lastErr, executor.ErrTargetDown)
 }
 
 // Health reports every watched target's liveness, keyed by watch name.
@@ -244,7 +243,7 @@ func (w *Watchdog) Health() map[string]Report {
 		default:
 			r.Liveness = LiveOK.String()
 		}
-		if sp, ok := base(en.e).(interface{ Stats() executor.Stats }); ok {
+		if sp, ok := en.e.(interface{ Stats() executor.Stats }); ok {
 			r.QueueDepth = sp.Stats().QueueDepth
 		}
 		out[name] = r

@@ -41,16 +41,16 @@ const (
 	// while still queued (it never ran; its Completion carries
 	// context.DeadlineExceeded).
 	OpDeadline
-	// OpRestart marks a supervised target respawning a worker after a
-	// worker crash.
+	// OpRestart marks a supervised pool scheduling the respawn of a worker
+	// that crashed.
 	OpRestart
 	// OpStall marks a watchdog flagging a registered loop or pool as
 	// stalled: its heartbeat probe did not complete within the threshold
 	// (queue not draining, EDT blocked, or all workers dead).
 	OpStall
-	// OpTargetDown marks a supervised target exhausting its restart
-	// budget: it is declared failed and invocations fail fast from then
-	// on with supervise.ErrTargetDown.
+	// OpTargetDown marks a supervised pool exhausting its restart budget:
+	// it goes down, and what was queued and every later post fail fast
+	// with executor.ErrTargetDown.
 	OpTargetDown
 	// OpSpanBegin and OpSpanEnd bracket a causal span (see SpanID): the
 	// event's Span, Parent and Name fields identify the span, its causal
