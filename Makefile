@@ -50,8 +50,10 @@ explore:
 	$(GO) test -count=1 -run 'TestReplayRegressionCorpus|TestCorpusReplayIsDeterministic' -v ./internal/sim/
 	SIM_SEED_BASE=$(SIM_SEED_BASE) $(GO) test -count=1 ./internal/sim/
 
-# lint mirrors the CI formatting/vet gates, plus ompvet (which CI runs as
-# cmd/ompvet's TestRepositoryIsClean inside go test).
+# lint is CI's format-and-vet step: gofmt, go vet and ompvet (which also
+# runs as cmd/ompvet's TestRepositoryIsClean inside go test). CI's Test,
+# Race, ompsan and chaos steps call test, race, sancheck and chaos, so each
+# gate's command is defined here once.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -149,14 +151,16 @@ size:
 
 # allocs runs the dispatch path's allocation budget (DESIGN.md §10): heap
 # objects per Post, per Invoke in each scheduling mode (await from each kind of
-# owner) and per Completion.Done, a parked join across garbage collections (the
-# waiter free list must survive them), plus the sizes of executor.Completion
-# and the pool's task node; and the encryption service's recycled payload
+# owner; a joined invoke — Wait, Await, Loop.InvokeAndWait — posts with the
+# joiner's recycled waiter node as its completion and allocates nothing) and
+# per Completion.Done, a parked join across garbage collections (the waiter
+# free list must survive them), plus the sizes of executor.Completion and the
+# pool's task node; and the encryption service's recycled payload
 # (DESIGN.md §4): a Crypt Reset within its capacity and a request on a
 # recycled payload allocate nothing, across collections too (the payload free
-# list must survive them), and a Pyjama request's invocation only its task
-# node, while a whole request over a loopback socket, client and server
-# together, costs its Completion under Pyjama and nothing under Jetty; the
+# list must survive them), and so does a Pyjama request's invocation, and a
+# whole request over a loopback socket, client and server together, under
+# Pyjama and under Jetty alike; the
 # OpenMP substrate (DESIGN.md §4): an empty region on a parked team allocates
 # nothing, a warm Crypt RunPar only its body closure, and Critical on a name
 # already seen nothing; and the message path: a Loop.Post costs its

@@ -268,11 +268,11 @@ func (in *Injector) apply(act Action, d time.Duration, target string, fn func())
 	}
 }
 
-// Wrap returns an executor.Executor middleware around e: every Post is
-// subject to injection. Drop decisions reject the task with ErrInjectedDrop
-// without reaching e; every other fault travels inside the task body, and the
-// Completion is e's own, so it stays cancellable. A supervised pool
-// respawns a killed worker beneath the wrapper.
+// Wrap returns an executor.Executor middleware around e: every Post and
+// PostTo is subject to injection. Drop decisions reject the task with
+// ErrInjectedDrop without reaching e; every other fault travels inside the
+// task body, and the Completion is the one e finishes, so it stays
+// cancellable. A supervised pool respawns a killed worker beneath the wrapper.
 func (in *Injector) Wrap(e executor.Executor) executor.Executor {
 	return &chaosExecutor{inner: e, inj: in}
 }
@@ -288,11 +288,18 @@ func (c *chaosExecutor) TryRunPending() bool { return c.inner.TryRunPending() }
 func (c *chaosExecutor) Shutdown()           { c.inner.Shutdown() }
 
 func (c *chaosExecutor) Post(fn func()) *executor.Completion {
+	comp := new(executor.Completion)
+	c.PostTo(comp, fn)
+	return comp
+}
+
+func (c *chaosExecutor) PostTo(comp *executor.Completion, fn func()) {
 	act, d := c.inj.decide(c.inner.Name())
 	if act == Drop {
-		return executor.NewCompletedCompletion(ErrInjectedDrop)
+		comp.Cancel(ErrInjectedDrop)
+		return
 	}
-	return c.inner.Post(c.inj.apply(act, d, c.inner.Name(), fn))
+	c.inner.PostTo(comp, c.inj.apply(act, d, c.inner.Name(), fn))
 }
 
 // Stats delegates to the inner executor when it keeps counters (the

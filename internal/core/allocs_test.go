@@ -11,10 +11,11 @@ import (
 
 // TestAllocationBudget holds every way of handing a block to a virtual target
 // to the heap objects DESIGN.md §10 accounts for, and to their bytes: the
-// Completion the caller keeps, and nothing for the queue or the join — the
-// queue node comes from the pool's free list, and a joiner that parks or
-// awaits takes its waiter node from the executor package's free list; the
-// warm-up run fills both. Each figure is the mean over 200 runs, on one P
+// Completion a caller that does not join keeps, and nothing for the queue or
+// the join — the queue node comes from the pool's free list, and a joined
+// invoke posts with its waiter node from the executor package's free list as
+// the completion and returns a shared finished one; the warm-up run fills
+// both lists. Each figure is the mean over 200 runs, on one P
 // as testing.AllocsPerRun measures, rounded down: MemStats.Mallocs for the
 // objects, MemStats.TotalAlloc (size classes, not requested sizes) for the
 // bytes. The runs count the whole process, the worker's and the EDT's side of
@@ -59,21 +60,24 @@ func TestAllocationBudget(t *testing.T) {
 		// the poster blocks: this Wait always parks.
 		{"WorkerPool.Post.Wait that parks", 1, 16, foreign, func() { f.pool.Post(noop).Wait() }},
 		{"Loop.Post", 1, 16, foreign, func() { f.edt.Post(noop) }},
-		{"Loop.InvokeAndWait", 1, 16, foreign, func() { f.edt.InvokeAndWait(noop) }},
-		{"Invoke(Wait)", 1, 16, foreign, func() { f.rt.Invoke("worker", Wait, noop) }},
+		{"Loop.InvokeAndWait", 0, 0, foreign, func() { f.edt.InvokeAndWait(noop) }},
+		{"Invoke(Wait)", 0, 0, foreign, func() { f.rt.Invoke("worker", Wait, noop) }},
 		{"Invoke(Nowait)", 1, 16, foreign, func() { f.rt.Invoke("worker", Nowait, noop) }},
-		{"Invoke(Await)", 1, 16, foreign, func() { f.rt.Invoke("worker", Await, noop) }},
-		{"Invoke(Await) from the EDT", 1, 16, onEDT, func() { f.rt.Invoke("worker", Await, noop) }},
-		{"Invoke(Await) from a pool worker", 1, 16, onWorker, func() { f.rt.Invoke("edt", Await, noop) }},
+		{"Invoke(Await)", 0, 0, foreign, func() { f.rt.Invoke("worker", Await, noop) }},
+		{"Invoke(Await) from the EDT", 0, 0, onEDT, func() { f.rt.Invoke("worker", Await, noop) }},
+		{"Invoke(Await) from a pool worker", 0, 0, onWorker, func() { f.rt.Invoke("edt", Await, noop) }},
+		{"Invoke run in place", 0, 0, onEDT, func() { f.rt.Invoke("edt", Wait, noop) }},
+		{"InvokeIf(false)", 0, 0, foreign, func() { f.rt.InvokeIf(false, "worker", Wait, noop) }},
 		{"InvokeNamed+WaitTag", 1, 16, foreign, func() {
 			f.rt.InvokeNamed("worker", "budget", noop)
 			f.rt.WaitTag("budget")
 		}},
-		// The block's closure over ctx joins the Completion; a context that can
-		// expire adds the AfterFunc registration (its context, its callback,
-		// its stop function) — no second completion, no channel, no goroutine.
-		{"InvokeCtx(Background, Wait)", 2, 48, foreign, func() { f.rt.InvokeCtx(context.Background(), "worker", Wait, noopCtx) }},
-		{"InvokeCtx(Background, Wait) on the EDT", 2, 48, foreign, func() { f.rt.InvokeCtx(context.Background(), "edt", Wait, noopCtx) }},
+		// The block's closure over ctx; a context that can expire adds the
+		// Completion and the AfterFunc registration (its context, its
+		// callback, its stop function) — no second completion, no channel,
+		// no goroutine.
+		{"InvokeCtx(Background, Wait)", 1, 32, foreign, func() { f.rt.InvokeCtx(context.Background(), "worker", Wait, noopCtx) }},
+		{"InvokeCtx(Background, Wait) on the EDT", 1, 32, foreign, func() { f.rt.InvokeCtx(context.Background(), "edt", Wait, noopCtx) }},
 		{"InvokeCtx(cancellable, Wait)", 5, 240, foreign, func() { f.rt.InvokeCtx(live, "worker", Wait, noopCtx) }},
 		{"InvokeCtx(cancellable, Wait) on the EDT", 5, 240, foreign, func() { f.rt.InvokeCtx(live, "edt", Wait, noopCtx) }},
 		// The channel; the node under it goes back to the free list when the

@@ -150,13 +150,21 @@ func TestWorkerWaitingOnEDTGetsTheVerdict(t *testing.T) {
 	t.Run("queue failed after a crash", func(t *testing.T) {
 		f := newFixture(t, 1)
 		gate := make(chan struct{})
+		// Cleanups run last-in first-out: after a failed poll this one
+		// releases the EDT and the worker's queued event before the fixture
+		// stops both, which would otherwise wait on them forever.
+		open := sync.OnceFunc(func() { close(gate) })
+		t.Cleanup(func() {
+			open()
+			f.edt.FailPending(executor.ErrShutdown)
+		})
 		f.edt.Post(func() {
 			<-gate
 			runtime.Goexit()
 		})
 		verdict := fromWorker(f, func() { t.Error("block ran on a crashed loop") })
-		poll.UntilBlockedIn(t, "(*Completion).Wait")
-		close(gate)
+		poll.UntilBlockedIn(t, "(*Waiter).Join")
+		open()
 		poll.Until(t, "the EDT's crash counted", func() bool { return f.edt.Crashes() == 1 })
 		if n := f.edt.FailPending(executor.ErrWorkerCrashed); n != 1 {
 			t.Fatalf("FailPending failed %d events, want the worker's one", n)
@@ -207,4 +215,61 @@ func TestShutdownRacingAwaitReturns(t *testing.T) {
 		}
 		edt.Stop()
 	}
+}
+
+// TestJoinVerdictsDoNotCrossTalk: the completion of a joined invoke is the
+// joiner's recycled waiter node, so one node carries a stream of verdicts,
+// each for the call that took it. Eight callers run Invoke(Wait) and
+// Invoke(Await) against a pool of two and the EDT — the awaits on the EDT
+// from inside a pool block, whose barrier helps the pool's other blocks,
+// their joins included — and every third block panics with its call's id:
+// every returned completion must carry its own call's verdict.
+func TestJoinVerdictsDoNotCrossTalk(t *testing.T) {
+	f := newFixture(t, 2)
+	const callers, calls = 8, 2000
+	type id struct{ caller, call int }
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < calls; k++ {
+				me := id{i, k}
+				block := func() {}
+				if k%3 == 0 {
+					block = func() { panic(me) }
+				}
+				var comp *executor.Completion
+				var err error
+				switch k % 4 {
+				case 0:
+					comp, err = f.rt.Invoke("worker", Wait, block)
+				case 1:
+					comp, err = f.rt.Invoke("edt", Wait, block)
+				case 2:
+					comp, err = f.rt.Invoke("worker", Await, block)
+				case 3:
+					outer := f.pool.Post(func() { comp, err = f.rt.Invoke("edt", Await, block) })
+					if perr := outer.Wait(); perr != nil {
+						t.Errorf("call %v: the pool block around the await failed: %v", me, perr)
+						return
+					}
+				}
+				if err != nil {
+					t.Errorf("call %v: %v", me, err)
+					return
+				}
+				var pe *executor.PanicError
+				switch got := comp.Err(); {
+				case k%3 == 0 && (!errors.As(got, &pe) || pe.Value != me):
+					t.Errorf("call %v: verdict %v, want its own panic", me, got)
+					return
+				case k%3 != 0 && got != nil:
+					t.Errorf("call %v: verdict %v, want nil", me, got)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -231,7 +231,9 @@ func (r *Runtime) resolve(name string) (executor.Executor, error) {
 //   - NameAs: use InvokeNamed, which carries the tag.
 //
 // The returned Completion carries a *executor.PanicError if the block
-// panicked.
+// panicked. In Wait and Await, and for a block run in place, it is a finished
+// one made for the verdict (executor.NewCompletedCompletion), so a joined
+// invoke allocates nothing.
 func (r *Runtime) Invoke(target string, mode Mode, block func()) (*executor.Completion, error) {
 	return r.invokePlain(target, mode, "", block)
 }
@@ -258,18 +260,23 @@ func (r *Runtime) InvokeIf(cond bool, target string, mode Mode, block func()) (*
 // invokePlain is invoke for a context-free block: it runs in place under
 // panic capture and is posted as it is.
 func (r *Runtime) invokePlain(target string, mode Mode, tag string, block func()) (*executor.Completion, error) {
-	return r.invoke(target, mode, tag, block == nil,
+	return r.invoke(target, mode, tag, block == nil, true,
 		func() error { return executor.RunCaptured(block) },
-		func(e executor.Executor) *executor.Completion { return e.Post(block) })
+		func(e executor.Executor, c *executor.Completion) { e.PostTo(c, block) })
 }
 
 // invoke is Algorithm 1, the one skeleton every Invoke* entry point goes
 // through. The entry points differ only in how the block runs in place
-// (inPlace) and how it is handed to the target (post); both are called at
-// most once, on the calling goroutine, and do not escape, so they cost an
-// invoke no allocation. nilBlock reports that the caller's block was nil.
-func (r *Runtime) invoke(target string, mode Mode, tag string, nilBlock bool,
-	inPlace func() error, post func(executor.Executor) *executor.Completion) (*executor.Completion, error) {
+// (inPlace) and how it is handed to the target with a given completion
+// (post); both are called at most once, on the calling goroutine, and do not
+// escape, so they cost an invoke no allocation. nilBlock reports that the
+// caller's block was nil; recyclable that nobody but the target and the
+// joiner will hold the completion of a joined block (a cancellable
+// InvokeCtx's registration may Cancel it after the join has returned), so
+// Wait and Await may post with the joiner's recycled waiter node
+// (executor.NewJoin) and return a finished completion carrying its verdict.
+func (r *Runtime) invoke(target string, mode Mode, tag string, nilBlock, recyclable bool,
+	inPlace func() error, post func(executor.Executor, *executor.Completion)) (*executor.Completion, error) {
 	if nilBlock {
 		return nil, ErrNilBlock
 	}
@@ -290,6 +297,7 @@ func (r *Runtime) invoke(target string, mode Mode, tag string, nilBlock bool,
 	r.emit(trace.OpInvoke, e.Name(), mode)
 
 	var comp *executor.Completion
+	var join *executor.Waiter
 	if e.Owns() {
 		// Algorithm 1 lines 6-7: already in the target's execution context —
 		// execute synchronously by the current thread. Under -tags=ompsan,
@@ -307,8 +315,17 @@ func (r *Runtime) invoke(target string, mode Mode, tag string, nilBlock bool,
 	} else {
 		// Line 8: post asynchronously.
 		r.emit(trace.OpPost, e.Name(), mode)
-		comp = post(e)
+		if recyclable && (mode == Wait || mode == Await) {
+			join = executor.NewJoin()
+			comp = join.Completion()
+		} else {
+			comp = new(executor.Completion)
+		}
+		post(e, comp)
 		if err := r.stoppedRejection(comp); err != nil {
+			if join != nil {
+				join.Join(nil)
+			}
 			return nil, err
 		}
 	}
@@ -320,13 +337,38 @@ func (r *Runtime) invoke(target string, mode Mode, tag string, nilBlock bool,
 		r.track(tag, comp)
 	case Await:
 		// Lines 13-16: logical barrier.
+		if join != nil {
+			owner, _ := r.registry.Owner().(pendingRunner)
+			return r.joined(join, owner), nil
+		}
 		r.AwaitCompletion(comp)
 	default: // Wait
 		// Line 17: default option — suspend until finished.
 		r.emit(trace.OpWait, e.Name(), mode)
+		if join != nil {
+			return r.joined(join, nil), nil
+		}
 		comp.Wait()
 	}
 	return comp, nil
+}
+
+// joined waits out a block posted with join's completion — parked, or in the
+// logical barrier when owner is not nil — and returns a finished completion
+// carrying its verdict: the join's own is recycled by then.
+func (r *Runtime) joined(join *executor.Waiter, owner pendingRunner) *executor.Completion {
+	var err error
+	if owner == nil {
+		err = join.Join(nil)
+	} else {
+		// The barrier sleeps on the join's wake token, passed as
+		// WaitPending's cancel: the completion sends it, once, when it
+		// finishes.
+		err = join.Join(func(token <-chan struct{}) bool {
+			return r.barrier(owner, join.Completion().Finished, token)
+		})
+	}
+	return executor.NewCompletedCompletion(err)
 }
 
 // stoppedRejection inspects a just-posted completion for the shutdown race:

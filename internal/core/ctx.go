@@ -27,7 +27,9 @@ import (
 //
 // Modes behave as in Invoke; NameAs is not supported (use InvokeNamed,
 // which has no context form). The Completion is the target's own: no second
-// completion and no goroutine stand between the caller and the block.
+// completion and no goroutine stand between the caller and the block. With a
+// context that cannot expire (Done is nil) a join returns a finished one, as
+// Invoke's does.
 func (r *Runtime) InvokeCtx(ctx context.Context, target string, mode Mode, block func(context.Context)) (*executor.Completion, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -36,12 +38,9 @@ func (r *Runtime) InvokeCtx(ctx context.Context, target string, mode Mode, block
 	// respects an already-expired context; posted, it is cancellable until
 	// it starts.
 	var stop func() bool
-	comp, err := r.invoke(target, mode, "", block == nil,
+	comp, err := r.invoke(target, mode, "", block == nil, ctx.Done() == nil,
 		func() error { return runBlockCtx(ctx, block) },
-		func(e executor.Executor) (comp *executor.Completion) {
-			comp, stop = r.postCtx(ctx, e, mode, block)
-			return comp
-		})
+		func(e executor.Executor, c *executor.Completion) { stop = r.postCtx(ctx, e, mode, c, block) })
 	// A context that outlives its invocations must not collect their
 	// registrations: once the join has returned (or the post was refused)
 	// there is nothing left to cancel.
@@ -64,18 +63,20 @@ func runBlockCtx(ctx context.Context, block func(context.Context)) error {
 // it gets there before the registration.
 var blockStarted = func() bool { return false }
 
-// postCtx posts block and registers its cancellation with ctx: if ctx expires
-// while the block is queued, the winner of Completion.Cancel emits OpDeadline.
-// It returns the function that releases the registration (nil if there is
-// none).
-func (r *Runtime) postCtx(ctx context.Context, e executor.Executor, mode Mode, block func(context.Context)) (*executor.Completion, func() bool) {
+// postCtx posts block with comp and registers its cancellation with ctx: if
+// ctx expires while the block is queued, the winner of Completion.Cancel
+// emits OpDeadline. It returns the function that releases the registration
+// (nil if there is none).
+func (r *Runtime) postCtx(ctx context.Context, e executor.Executor, mode Mode, comp *executor.Completion, block func(context.Context)) func() bool {
 	if ctx.Done() == nil {
 		// Uncancellable context (Background): plain post.
-		return e.Post(func() { block(ctx) }), nil
+		e.PostTo(comp, func() { block(ctx) })
+		return nil
 	}
 	if err := ctx.Err(); err != nil {
 		r.emit(trace.OpDeadline, e.Name(), mode)
-		return executor.NewCompletedCompletion(err), nil
+		comp.Cancel(err)
+		return nil
 	}
 	var handoff *atomic.Value // Nowait only: holds a func() bool
 	var body func()
@@ -93,7 +94,7 @@ func (r *Runtime) postCtx(ctx context.Context, e executor.Executor, mode Mode, b
 			block(ctx)
 		}
 	}
-	comp := e.Post(body)
+	e.PostTo(comp, body)
 	stop := context.AfterFunc(ctx, func() {
 		if comp.Cancel(ctx.Err()) {
 			r.emit(trace.OpDeadline, e.Name(), mode)
@@ -102,7 +103,7 @@ func (r *Runtime) postCtx(ctx context.Context, e executor.Executor, mode Mode, b
 	if handoff != nil && handoff.Swap(stop) != nil {
 		stop()
 	}
-	return comp, stop
+	return stop
 }
 
 // IsDeadline reports whether a Completion error is a context expiry

@@ -244,16 +244,15 @@ func (r *registrations) AfterFunc(func()) (stop func() bool) {
 	}
 }
 
-// startsFirst is a pool whose Post returns only once the block is running.
+// startsFirst is a pool whose PostTo returns only once the block is running.
 type startsFirst struct {
 	*executor.WorkerPool
 	started chan struct{}
 }
 
-func (s startsFirst) Post(fn func()) *executor.Completion {
-	c := s.WorkerPool.Post(fn)
+func (s startsFirst) PostTo(c *executor.Completion, fn func()) {
+	s.WorkerPool.PostTo(c, fn)
 	<-s.started
-	return c
 }
 
 // TestInvokeCtxReleasesItsRegistration: in every mode the registration is

@@ -31,9 +31,9 @@ type stoppingTarget struct {
 	rt *Runtime
 }
 
-func (s stoppingTarget) Post(func()) *executor.Completion {
+func (s stoppingTarget) PostTo(c *executor.Completion, _ func()) {
 	s.rt.Shutdown()
-	return executor.NewCompletedCompletion(executor.ErrShutdown)
+	c.Cancel(executor.ErrShutdown)
 }
 
 // TestInvokeEntryPointsAgree pins what the single invoke skeleton is for:

@@ -97,6 +97,10 @@ func (o ownsAll) Post(func()) *executor.Completion {
 	o.t.Error("Post reached on a target that owns the caller")
 	return executor.NewCompletedCompletion(nil)
 }
+func (o ownsAll) PostTo(c *executor.Completion, _ func()) {
+	o.t.Error("PostTo reached on a target that owns the caller")
+	c.Cancel(nil)
+}
 
 func TestRegisterTargetCustomExecutor(t *testing.T) {
 	f := newFixture(t, 1)

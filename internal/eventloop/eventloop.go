@@ -35,7 +35,7 @@ var ErrOnEDT = errors.New("eventloop: InvokeAndWait called on the event-dispatch
 type DispatchInfo = executor.DispatchInfo
 
 // Loop is a single-goroutine event dispatcher. Create with New, then Start;
-// the pool's methods (Owns, WaitPending, SetObserver, Stats, Crashes,
+// the pool's methods (PostTo, Owns, WaitPending, SetObserver, Stats, Crashes,
 // FailPending, Shutdown) are the loop's once it has started.
 //
 // Post, PostLabeled and InvokeAndWait are declared here, not promoted from
@@ -75,12 +75,15 @@ func (l *Loop) PostLabeled(label string, fn func()) *executor.Completion {
 
 // InvokeAndWait posts fn and blocks until it has been dispatched, returning
 // the handler's error. Calling it from the EDT returns ErrOnEDT (Swing
-// semantics: it would deadlock the queue).
+// semantics: it would deadlock the queue). The event's completion is the
+// caller's recycled waiter node (executor.NewJoin): it allocates nothing.
 func (l *Loop) InvokeAndWait(fn func()) error {
 	if l.Owns() {
 		return ErrOnEDT
 	}
-	return l.Post(fn).Wait()
+	j := executor.NewJoin()
+	l.PostTo(j.Completion(), fn)
+	return j.Join(nil)
 }
 
 // TryRunPending dispatches one queued event on the calling goroutine if one

@@ -62,9 +62,9 @@ type PanicError struct {
 func (e *PanicError) Error() string { return fmt.Sprintf("executor: task panicked: %v", e.Value) }
 
 // Completion tracks the lifecycle of one submitted task. It is created by
-// Post and finished once — when the task body returns, when the executor
-// rejects it, or when Cancel revokes it while it is still queued; of several
-// attempts, the first is the verdict.
+// Post (or by the caller of PostTo) and finished once — when the task body
+// returns, when the executor rejects it, or when Cancel revokes it while it
+// is still queued; of several attempts, the first is the verdict.
 //
 // A completion owns no channel and nobody polls it. A goroutine that has to
 // sleep until the verdict registers a waiter node — pushed onto the intrusive
@@ -107,11 +107,13 @@ func box(err error) *error {
 
 // Waiter is one registration on a Completion's stack. A joiner's node is
 // woken through its token; a Done registration carries the channel Done
-// handed out in done, which complete closes instead.
+// handed out in done, which complete closes instead. A node taken by NewJoin
+// also carries the completion its goroutine joins, in comp.
 type Waiter struct {
 	next  *Waiter
 	token chan struct{} // cap 1, as old as the node
 	done  chan struct{}
+	comp  Completion // a join's completion (NewJoin); zero on the free list
 }
 
 // closedWaiters is the stack of every finished completion: no push succeeds
@@ -172,11 +174,62 @@ var closedDone = make(chan struct{})
 func init() { close(closedDone) }
 
 // NewCompletedCompletion returns an already-finished Completion with the
-// given error (nil for success). Used for synchronously executed blocks.
+// given error (nil for success). Used for synchronously executed blocks and
+// for what a join returns. Success is one shared instance: a finished
+// completion never changes — complete and Cancel back off from its verdict,
+// Bracket.Run cannot claim it, no push succeeds — so nobody can tell it from
+// a fresh one.
 func NewCompletedCompletion(err error) *Completion {
+	if err == nil {
+		return completed
+	}
 	c := new(Completion)
 	c.complete(err)
 	return c
+}
+
+// completed is the finished success NewCompletedCompletion(nil) returns.
+var completed = func() *Completion {
+	c := new(Completion)
+	c.complete(nil)
+	return c
+}()
+
+// NewJoin takes a waiter node from the free list for a block whose caller
+// joins it: the block is posted with the node's Completion (PostTo), and the
+// caller's Join waits for it and recycles the node, so the join allocates
+// nothing. Only the target's queue node and running frame and the joiner
+// ever hold that completion — the caller gets NewCompletedCompletion's
+// instead — which is why it may be reused, as the queue node is.
+func NewJoin() *Waiter { return newWaiter() }
+
+// Completion returns the completion a join posts with.
+func (w *Waiter) Completion() *Completion { return &w.comp }
+
+// Join waits until the node's completion has finished, returns its verdict
+// and recycles the node: the two words are reset and the node goes back to
+// the free list. Only the goroutine that called NewJoin may call it, once.
+// The node parks on its own completion: it is pushed onto that completion's
+// waiters stack and receives its own token. sleep, if not nil, is how the
+// joiner waits instead of parking — core's await barrier, which runs its
+// owner's pending work meanwhile: it is handed the token, returns once the
+// completion has finished and reports whether it took the token. Without it
+// the block hook is consulted first, as Wait does.
+func (w *Waiter) Join(sleep func(token <-chan struct{}) bool) error {
+	c := &w.comp
+	switch {
+	case c.Finished():
+	case sleep == nil && c.hooked():
+	case c.push(w):
+		if sleep == nil || !sleep(w.token) {
+			<-w.token
+		}
+	}
+	err := c.Err()
+	c.verdict.Store(nil)
+	c.waiters.Store(nil)
+	freeWaiter(w)
+	return err
 }
 
 // NewPendingCompletion returns an unfinished Completion together with the
@@ -350,18 +403,21 @@ func BlockOn(done <-chan struct{}) {
 // of it (a short spin measured worse than none) and no allocation once the
 // free list is warm.
 func (c *Completion) Wait() error {
-	if c.Finished() {
-		return c.Err()
-	}
-	// The c.Finished method value allocates, so it is built only when there
-	// is a hook to hand it to.
-	if p := blockHook.Load(); p != nil && (*p)(c.Finished) {
+	if c.Finished() || c.hooked() {
 		return c.Err()
 	}
 	if w := c.Register(); w != nil {
 		w.Release(false)
 	}
 	return c.Err()
+}
+
+// hooked hands the wait for c to the block hook, reporting whether the hook
+// took it (and c has then finished). The c.Finished method value allocates,
+// so it is built only when there is a hook to hand it to.
+func (c *Completion) hooked() bool {
+	p := blockHook.Load()
+	return p != nil && (*p)(c.Finished)
 }
 
 // Finished reports whether the task has completed without blocking.
@@ -388,6 +444,12 @@ type Executor interface {
 	// queue lock, and under sustained overload it yields the processor once
 	// per submission so workers can catch up).
 	Post(fn func()) *Completion
+	// PostTo is Post with the Completion supplied: c must be unfinished and
+	// posted nowhere else, and the executor finishes it as it finishes
+	// Post's own — run, rejected, or failed while queued. It is how a joiner
+	// posts with its recycled waiter node (NewJoin), so a join allocates no
+	// Completion.
+	PostTo(c *Completion, fn func())
 	// Owns reports whether the calling goroutine is a member of this
 	// executor's thread group (Algorithm 1 line 6).
 	Owns() bool
@@ -542,7 +604,8 @@ func (d DispatchInfo) Duration() time.Duration { return d.End.Sub(d.Start) }
 // Bracket, the caller's Completion, and the label and enqueue stamp an
 // observer reads (72 bytes, TestNodeSizes). Nodes are recycled through the
 // pool's free list; the Completion is a separate 16-byte allocation because
-// the caller keeps it for as long as it likes, long after the node is reused.
+// the caller keeps it for as long as it likes, long after the node is reused
+// (a joiner's comes from its own recycled waiter node, PostTo).
 type task struct {
 	Bracket
 	comp     *Completion
@@ -726,11 +789,11 @@ func newPool(name string, n int, reg *gid.Registry, restart *RestartConfig) *Wor
 }
 
 // spawnWorker launches one worker goroutine, sending on started once it is
-// registered. The epilogue distinguishes the legitimate exit (the shutdown or
-// down drain returns normally from workerLoop) from a crash: runtime.Goexit or
-// a panic escaping the task recovery unwinds with normal == false, which
-// corrects the live-worker count and, in a supervised pool, respawns the
-// worker or takes the pool down.
+// registered. The epilogue takes the worker off the live count, whatever the
+// exit, and distinguishes the legitimate one (the shutdown or down drain
+// returns normally from workerLoop) from a crash: runtime.Goexit or a panic
+// escaping the task recovery unwinds with normal == false, which is counted
+// and, in a supervised pool, respawns the worker or takes the pool down.
 func (p *WorkerPool) spawnWorker(started chan<- struct{}) {
 	w := &worker{pk: parker{wake: make(chan struct{}, 1)}}
 	go func() {
@@ -740,6 +803,9 @@ func (p *WorkerPool) spawnWorker(started chan<- struct{}) {
 			w.san.Unbind()
 			p.san.Leave()
 			p.registry.Deregister()
+			p.mu.Lock()
+			p.nworkers--
+			p.mu.Unlock()
 			if !normal || v != nil {
 				p.workerCrashed(v)
 			}
@@ -758,8 +824,8 @@ func (p *WorkerPool) spawnWorker(started chan<- struct{}) {
 	}()
 }
 
-// workerCrashed records an abnormal worker exit: the dead goroutine no
-// longer counts toward Workers. The queue is not touched: it was never the
+// workerCrashed records an abnormal worker exit, which the epilogue has
+// already taken off Workers. The queue is not touched: it was never the
 // dead worker's own, so the survivors keep draining it, and when there are
 // none it keeps accepting posts until Grow, FailPending or Shutdown empties
 // it. A supervised pool decides under mu what the death costs: within the
@@ -767,7 +833,6 @@ func (p *WorkerPool) spawnWorker(started chan<- struct{}) {
 func (p *WorkerPool) workerCrashed(reason any) {
 	p.crashes.Add(1)
 	p.mu.Lock()
-	p.nworkers--
 	r := p.restart
 	if r != nil && !p.shutdown && !p.record.Down {
 		now := time.Now()
@@ -1027,14 +1092,23 @@ func (p *WorkerPool) workerLoop(w *worker) {
 // Post submits fn for execution by the pool: PostLabeled without a label.
 func (p *WorkerPool) Post(fn func()) *Completion { return p.PostLabeled("", fn) }
 
-// PostLabeled submits fn with a label the observer sees in DispatchInfo: take
-// a node from the free list (a new one when it is empty), push it, publish
-// the new length and watermark, wake at most one parked worker (none if a
-// spinner will find the task anyway) and any goroutine in WaitPending, and
-// apply soft backpressure when the queue is badly backlogged. The Completion
-// is the one allocation.
+// PostTo submits fn with c as its Completion (Executor.PostTo), unlabeled.
+func (p *WorkerPool) PostTo(c *Completion, fn func()) { p.postTo(c, "", fn) }
+
+// PostLabeled submits fn with a label the observer sees in DispatchInfo. The
+// Completion is the one allocation.
 func (p *WorkerPool) PostLabeled(label string, fn func()) *Completion {
-	comp := new(Completion)
+	c := new(Completion)
+	p.postTo(c, label, fn)
+	return c
+}
+
+// postTo is every post: take a node from the free list (a new one when it is
+// empty), push it, publish the new length and watermark, wake at most one
+// parked worker (none if a spinner will find the task anyway) and any
+// goroutine in WaitPending, and apply soft backpressure when the queue is
+// badly backlogged.
+func (p *WorkerPool) postTo(comp *Completion, label string, fn func()) {
 	b := Bracket{Fn: fn}
 	b.Enqueued(p.name, 0)
 	var stamp time.Time
@@ -1051,7 +1125,7 @@ func (p *WorkerPool) PostLabeled(label string, fn func()) *Completion {
 		p.qmu.Unlock()
 		p.rejected.Add(1)
 		b.Fail(comp, p.name, *refusal)
-		return comp
+		return
 	}
 	t := p.free
 	if t != nil {
@@ -1082,7 +1156,6 @@ func (p *WorkerPool) PostLabeled(label string, fn func()) *Completion {
 		// without bound; an occasional deep post just pays one Gosched.
 		runtime.Gosched()
 	}
-	return comp
 }
 
 // WaitPending blocks until the pool has at least one queued task or cancel
@@ -1205,7 +1278,8 @@ func (p *WorkerPool) SetObserver(fn func(DispatchInfo)) {
 }
 
 // Workers returns the current number of worker goroutines (Grow raises it
-// at runtime, a crash lowers it).
+// at runtime, every worker exit — a crash, or the drain after Shutdown or
+// after the pool went down — lowers it).
 func (p *WorkerPool) Workers() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()

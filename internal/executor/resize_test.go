@@ -47,8 +47,8 @@ func TestGrowNoopCases(t *testing.T) {
 	}
 	p.Shutdown()
 	p.Grow(5) // no-op after shutdown
-	if got := p.Workers(); got != 2 {
-		t.Fatalf("Workers = %d after post-shutdown Grow, want 2", got)
+	if got := p.Workers(); got != 0 {
+		t.Fatalf("Workers = %d after post-shutdown Grow, want 0: Shutdown joined both", got)
 	}
 }
 

@@ -1,6 +1,8 @@
 package executor
 
 import (
+	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -43,4 +45,27 @@ func TestLifecycleStopDrainsQueuedTask(t *testing.T) {
 	if err := c.Wait(); err != nil || !ran {
 		t.Fatalf("task posted before Shutdown: ran=%v err=%v, want it run", ran, err)
 	}
+}
+
+// TestWorkersCountsEveryExit: Workers is the number of worker goroutines
+// alive, so a worker that leaves normally — the drain after Shutdown, or
+// after a supervised pool went down — is taken off it as a crashed one is.
+func TestWorkersCountsEveryExit(t *testing.T) {
+	p := NewWorkerPool("exits", 3, nil)
+	p.Shutdown()
+	if n := p.Workers(); n != 0 {
+		t.Errorf("Workers = %d after Shutdown joined all three, want 0", n)
+	}
+
+	// One respawn in the window: the second crash takes the pool down, and
+	// the survivor drains and leaves.
+	d := NewSupervisedPool("down", 2, nil, RestartConfig{MaxRestarts: 1, BackoffInitial: time.Hour})
+	defer d.Shutdown()
+	for i := 0; i < 2; i++ {
+		if err := d.Post(func() { runtime.Goexit() }).Wait(); !errors.Is(err, ErrWorkerCrashed) {
+			t.Fatalf("kill %d: %v, want ErrWorkerCrashed", i, err)
+		}
+	}
+	poll.Until(t, "the pool down", func() bool { return d.Restarts().Down })
+	poll.Until(t, "the survivor gone", func() bool { return d.Workers() == 0 })
 }

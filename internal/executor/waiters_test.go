@@ -292,3 +292,68 @@ func TestNodeSizes(t *testing.T) {
 		t.Errorf("Completion is %d bytes, want 16", size)
 	}
 }
+
+// TestSealedSuccessIsInert: every finished success — what a joined invoke and
+// a block run in place return — is one shared completion, so nothing done
+// through it may change it: Cancel reports false, Done is the shared closed
+// channel, Register finds nothing to register on, Bracket.Run cannot claim
+// it, and Wait and Err give nil throughout.
+func TestSealedSuccessIsInert(t *testing.T) {
+	c := NewCompletedCompletion(nil)
+	if NewCompletedCompletion(nil) != c {
+		t.Fatal("two finished successes are two completions, want one shared")
+	}
+	check := func(after string) {
+		t.Helper()
+		if !c.Finished() || c.Err() != nil || c.Wait() != nil {
+			t.Errorf("%s: finished=%v err=%v, want a finished success", after, c.Finished(), c.Err())
+		}
+		if c.Done() != closedDone {
+			t.Errorf("%s: Done is not the shared closed channel", after)
+		}
+		if w := c.Register(); w != nil {
+			t.Errorf("%s: Register registered on a finished completion", after)
+		}
+	}
+	check("new")
+	if c.Cancel(errRevoked) {
+		t.Error("Cancel reported true on a finished completion")
+	}
+	check("Cancel")
+	c.complete(errRevoked)
+	check("complete")
+	b := Bracket{Fn: func() { t.Error("a body ran under a finished completion") }}
+	if b.Run(c, "sealed", nil) {
+		t.Error("Bracket.Run claimed a finished completion")
+	}
+	check("Bracket.Run")
+	if err := NewCompletedCompletion(errRevoked); err == c || err.Err() != errRevoked {
+		t.Errorf("a finished failure: %v, want its own completion carrying %v", err.Err(), errRevoked)
+	}
+}
+
+// TestJoinRecyclesItsNode: a join posts with its waiter node's completion and
+// hands the node back reset once it has the verdict, so the next join takes
+// the same node with an unfinished completion and gets its own verdict.
+func TestJoinRecyclesItsNode(t *testing.T) {
+	p := NewWorkerPool("join", 1, nil)
+	defer p.Shutdown()
+	drainFreeList()
+	j := NewJoin()
+	p.PostTo(j.Completion(), func() { panic("first") })
+	var pe *PanicError
+	if err := j.Join(nil); !errors.As(err, &pe) || pe.Value != "first" {
+		t.Fatalf("first join: %v, want the block's panic", err)
+	}
+	next := NewJoin()
+	if next != j {
+		t.Fatal("the next join did not take the recycled node")
+	}
+	if c := next.Completion(); c.Finished() || c.verdict.Load() != nil || c.waiters.Load() != nil {
+		t.Fatal("the recycled node carries its last completion's state")
+	}
+	p.PostTo(next.Completion(), func() {})
+	if err := next.Join(nil); err != nil {
+		t.Fatalf("second join: %v, want nil", err)
+	}
+}

@@ -166,11 +166,16 @@ type bareProbe struct{ r *reactor.Reactor }
 func (p bareProbe) Name() string { return p.r.Name() }
 
 func (p bareProbe) Post(fn func()) *executor.Completion {
-	c, finish := executor.NewPendingCompletion()
-	if err := p.r.Post(func() { fn(); finish(nil) }); err != nil {
-		finish(fmt.Errorf("%v: %w", err, executor.ErrTargetDown))
-	}
+	c := new(executor.Completion)
+	p.PostTo(c, fn)
 	return c
+}
+
+func (p bareProbe) PostTo(c *executor.Completion, fn func()) {
+	b := executor.Bracket{Fn: fn}
+	if err := p.r.Post(func() { b.Run(c, p.Name(), nil) }); err != nil {
+		b.Fail(c, p.Name(), fmt.Errorf("%v: %w", err, executor.ErrTargetDown))
+	}
 }
 
 func (p bareProbe) Owns() bool          { return p.r.Owns() }

@@ -79,10 +79,16 @@ func (e *Exec) enqueue(fn func(), comp *executor.Completion, spawn trace.SpanID)
 // a post from a stray goroutine would make the schedule depend on real
 // thread timing, which is exactly what simulation removes.
 func (e *Exec) Post(fn func()) *executor.Completion {
-	e.s.checkGoroutine()
 	comp := new(executor.Completion)
-	e.enqueue(fn, comp, 0)
+	e.PostTo(comp, fn)
 	return comp
+}
+
+// PostTo is Post with the Completion supplied (executor.Executor.PostTo),
+// under the same confinement rule.
+func (e *Exec) PostTo(c *executor.Completion, fn func()) {
+	e.s.checkGoroutine()
+	e.enqueue(fn, c, 0)
 }
 
 // PostDelayed schedules fn after d of virtual time, then enqueues it like a
